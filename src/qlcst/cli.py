@@ -5,7 +5,7 @@ Exit codes: 0 success (including verification pass), 1 usage/IO error,
 """
 
 import argparse
-import os
+import dataclasses
 import sys
 
 from . import io as qio
@@ -14,7 +14,7 @@ from .generators import KINDS, gen_signal
 from .lct import parse_matrix
 from .qlct import (qlct_fast_forward, qlct_fast_inverse, qlct_forward,
                    qlct_inverse)
-from .qlcst import QLCSTCoefficients, qlcst_forward, qlcst_reconstruct
+from .qlcst import qlcst_forward, qlcst_reconstruct
 from .signal import Grid1D, Grid2D
 from .verify import SUITES, run_suite
 from .window import parse_window
@@ -66,9 +66,8 @@ def _cmd_qlcst(args):
 
 def _cmd_reconstruct(args):
     c = qio.read_coefficients(args.input)
-    c = QLCSTCoefficients(c.data, c.ugrid, c.wgrid,
-                          parse_window(args.window),
-                          parse_matrix(args.m1), parse_matrix(args.m2))
+    c = dataclasses.replace(c, window=parse_window(args.window),
+                            m1=parse_matrix(args.m1), m2=parse_matrix(args.m2))
     qio.write_signal(args.output, qlcst_reconstruct(c))
     return 0
 
@@ -152,11 +151,6 @@ def build_parser():
 
 
 def cli_main(argv=None):
-    # QLCST_THREADS caps BLAS/FFT parallelism; 0 or unset leaves the default.
-    threads = os.environ.get("QLCST_THREADS")
-    if threads and threads != "0":
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

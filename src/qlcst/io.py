@@ -1,9 +1,12 @@
 """Binary persistence (QSG1 signals, QCF1 coefficients) and exports.
 
 All multi-byte fields are little-endian.  Quaternion payloads are float64,
-row-major, components interleaved scalar-first (w, x, y, z).
+row-major, components interleaved scalar-first (w, x, y, z).  Coefficient
+payloads are converted to and from the in-memory planes one u1 slab at a
+time, so the full interleaved tensor is never held.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -62,10 +65,11 @@ def write_coefficients(path, c):
         COEFF_MAGIC, VERSION, u.axis1.n, u.axis2.n, w.axis1.n, w.axis2.n,
         u.axis1.origin, u.axis2.origin, u.axis1.spacing, u.axis2.spacing,
         w.axis1.origin, w.axis2.origin, w.axis1.spacing, w.axis2.spacing)
-    payload = np.ascontiguousarray(c.data, dtype="<f8").tobytes()
+    slab = np.empty((u.axis2.n,) + w.shape + (4,))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for i in range(u.axis1.n):
+            fh.write(c.u1_slab(i, slab).astype("<f8", copy=False).tobytes())
 
 
 def read_coefficients(path):
@@ -80,12 +84,18 @@ def read_coefficients(path):
             raise VersionMismatch("unsupported coefficient version %d" % version)
         nu1, nu2, nw1, nw2 = fields[2:6]
         uo1, uo2, ud1, ud2, wo1, wo2, wd1, wd2 = fields[6:]
-        count = nu1 * nu2 * nw1 * nw2 * 4
-        payload = _read_exact(fh, count * 8, "payload")
-    data = np.frombuffer(payload, dtype="<f8").reshape(nu1, nu2, nw1, nw2, 4)
-    ugrid = Grid2D(Grid1D(nu1, uo1, ud1), Grid1D(nu2, uo2, ud2))
-    wgrid = Grid2D(Grid1D(nw1, wo1, wd1), Grid1D(nw2, wo2, wd2))
-    return QLCSTCoefficients(data.astype(float), ugrid, wgrid)
+        slab_bytes = nu2 * nw1 * nw2 * 4 * 8
+        # The planes are allocated up front, so a short file is refused first.
+        if os.fstat(fh.fileno()).st_size - fh.tell() < nu1 * slab_bytes:
+            raise TruncatedFile("file ends inside payload")
+        ugrid = Grid2D(Grid1D(nu1, uo1, ud1), Grid1D(nu2, uo2, ud2))
+        wgrid = Grid2D(Grid1D(nw1, wo1, wd1), Grid1D(nw2, wo2, wd2))
+        c = QLCSTCoefficients.empty(ugrid, wgrid)
+        for i in range(nu1):
+            payload = _read_exact(fh, slab_bytes, "payload")
+            c.set_u1_slab(i, np.frombuffer(payload, dtype="<f8")
+                          .reshape(nu2, nw1, nw2, 4))
+    return c
 
 
 def export_signal_csv(path, f):
@@ -108,13 +118,14 @@ def coefficient_slice(c, fixed, index):
     fixed = "w": freeze the frequency index, return the (u1, u2) map.
     """
     i, j = index
+    a4, b4 = c.views4()
     if fixed == "u":
-        block = c.data[i, j]
+        a, b = a4[i, :, j], b4[i, :, j]
     elif fixed == "w":
-        block = c.data[:, :, i, j]
+        a, b = a4[:, i, :, j], b4[:, i, :, j]
     else:
         raise ValueError("fixed must be 'u' or 'w'")
-    return np.sqrt(np.sum(block * block, axis=-1))
+    return np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
 
 
 def export_slice_csv(path, mag):

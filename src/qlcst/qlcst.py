@@ -4,10 +4,26 @@ The analysis operator computes, for every output tuple (u, w),
 
     C(u, w) = sum_x K1(x1, w1) * f(x) * conj(Psi(u - x, w)) * K2(x2, w2) * cell
 
-with the mu1 kernel on the left and the mu2 kernel on the right.  For the
-built-in real separable windows the sum factorizes into two small matrix
-products per (w1, w2) pair; a generic quaternion-ordered path handles custom
-table windows and serves the property checks that need unusual windows.
+with the mu1 kernel on the left and the mu2 kernel on the right.
+
+Coefficients are stored as the two mu1-complex planes of the symplectic
+split C = a + b*mu2 (a = w + x*mu1, b = y + z*mu1, with the complex unit i
+standing for mu1).  Each plane is one C-contiguous (nu1*nw1, nu2*nw2) matrix
+whose row index is (u1, w1) and whose column index is (u2, w2), so the
+interleaved (u1, u2, w1, w2, 4) array is a pure reordering of their bits.
+
+A left factor exp(mu1*t) multiplies both planes by exp(i*t).  A right factor
+exp(mu2*t) rotates the pair, (a, b) -> (a cos t - b sin t, a sin t + b cos t),
+which is diagonal on P = a + i*b and Q = a - i*b: P gains exp(i*t) and Q
+gains exp(-i*t).  For a real separable window each axis therefore reduces to
+one complex kernel matrix K[(u, w), x] = psi(u - x, w) * c * exp(i*theta(x, w))
+and the analysis is P = K1 @ (f_P * cell) @ K2^T, Q = K1 @ (f_Q * cell) @
+conj(K2)^T.  Since K1 acts on both planes alike, P and Q are recombined into
+a and b before the large K1 product; synthesis is the adjoint contraction.
+a and b are kept rather than P and Q because (w - z, w + z) does not round
+trip through float64, while a and b hold the interleaved components exactly.
+A generic quaternion-ordered path handles custom table windows and serves the
+property checks that need unusual windows.
 """
 
 import math
@@ -19,19 +35,26 @@ import numpy as np
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, ZeroSignal)
 from .lct import KernelSpec, kernel_const, kernel_eval, kernel_phase, validate_param
-from .quaternion import qconj, qmul, qnormsq, symplectic_join, symplectic_split
+from .quaternion import qconj, qmul, symplectic_join, symplectic_split
 from .signal import (Grid2D, QSignal2D, QSpectrum2D, fft_output_grid,
                      relative_l2)
-from .window import lambda_psi, reflect, window_eval, window_profiles
+from .window import lambda_psi, reflect, window_axis_profile, window_eval
 from .qlct import qlct_fast_forward, qlct_forward, qlct_inverse, qlct_fast_inverse
 from .errors import SpacingError
+
+# Window-profile entries below this fraction of the peak are stored as exact
+# zeros: the s-gaussian tails underflow to subnormals, which stall BLAS.
+PROFILE_FLOOR = 1e-200
 
 
 @dataclass
 class QLCSTCoefficients:
-    """4D coefficient array indexed (u1, u2, w1, w2) with grid/config metadata."""
+    """Coefficients C(u, w) as the symplectic planes a, b with grid/config
+    metadata.  Each plane is a (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2)
+    order; `data` builds the interleaved (u1, u2, w1, w2, 4) array."""
 
-    data: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     ugrid: Grid2D
     wgrid: Grid2D
     window: Optional[object] = None
@@ -39,18 +62,81 @@ class QLCSTCoefficients:
     m2: Optional[object] = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        want = self.ugrid.shape + self.wgrid.shape + (4,)
-        if self.data.shape != want:
+        want = (self.ugrid.axis1.n * self.wgrid.axis1.n,
+                self.ugrid.axis2.n * self.wgrid.axis2.n)
+        self.a = np.ascontiguousarray(self.a, dtype=complex)
+        self.b = np.ascontiguousarray(self.b, dtype=complex)
+        if self.a.shape != want or self.b.shape != want:
+            raise GridMismatch("coefficient planes %r, %r do not match grids %r"
+                               % (self.a.shape, self.b.shape, want))
+
+    @classmethod
+    def empty(cls, ugrid, wgrid, window=None, m1=None, m2=None):
+        """Uninitialized planes for the given grids, to be filled by slabs."""
+        shape = (ugrid.axis1.n * wgrid.axis1.n, ugrid.axis2.n * wgrid.axis2.n)
+        return cls(np.empty(shape, dtype=complex), np.empty(shape, dtype=complex),
+                   ugrid, wgrid, window, m1, m2)
+
+    @classmethod
+    def from_data(cls, data, ugrid, wgrid, window=None, m1=None, m2=None):
+        """Build the planes from an interleaved (u1, u2, w1, w2, 4) array."""
+        data = np.asarray(data, dtype=float)
+        want = ugrid.shape + wgrid.shape + (4,)
+        if data.shape != want:
             raise GridMismatch("coefficient shape %r does not match grids %r"
-                               % (self.data.shape, want))
+                               % (data.shape, want))
+        c = cls.empty(ugrid, wgrid, window, m1, m2)
+        for i in range(ugrid.axis1.n):
+            c.set_u1_slab(i, data[i])
+        return c
+
+    def views4(self):
+        """The planes as (u1, w1, u2, w2) views."""
+        shape = (self.ugrid.axis1.n, self.wgrid.axis1.n,
+                 self.ugrid.axis2.n, self.wgrid.axis2.n)
+        return self.a.reshape(shape), self.b.reshape(shape)
+
+    def u1_slab(self, i, out):
+        """Write the interleaved (u2, w1, w2, 4) components at position index
+        u1 = i into out and return it."""
+        a4, b4 = self.views4()
+        pairs = out.view(complex)
+        pairs[..., 0] = a4[i].transpose(1, 0, 2)
+        pairs[..., 1] = b4[i].transpose(1, 0, 2)
+        return out
+
+    def set_u1_slab(self, i, slab):
+        """Store interleaved (u2, w1, w2, 4) components at u1 = i."""
+        pairs = np.ascontiguousarray(slab, dtype=float).view(complex)
+        a4, b4 = self.views4()
+        a4[i] = pairs[..., 0].transpose(1, 0, 2)
+        b4[i] = pairs[..., 1].transpose(1, 0, 2)
+
+    @property
+    def data(self):
+        """Interleaved (u1, u2, w1, w2, 4) copy of the coefficients."""
+        out = np.empty(self.ugrid.shape + self.wgrid.shape + (4,))
+        for i in range(self.ugrid.axis1.n):
+            self.u1_slab(i, out[i])
+        out.flags.writeable = False
+        return out
 
     @property
     def cell4(self):
         return self.ugrid.cell * self.wgrid.cell
 
+    def density(self):
+        """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2."""
+        nw1, nw2 = self.wgrid.shape
+        acc = np.zeros((nw1, 2 * nw2))
+        for plane in (self.a, self.b):
+            parts = plane.view(float).reshape(
+                self.ugrid.axis1.n, nw1, self.ugrid.axis2.n, 2 * nw2)
+            acc += np.einsum("abcd,abcd->bd", parts, parts)
+        return acc.reshape(nw1, nw2, 2).sum(axis=-1)
+
     def energy(self):
-        return float(np.sum(qnormsq(self.data)) * self.cell4)
+        return float(np.sum(self.density()) * self.cell4)
 
 
 def _default_grids(f, m1, m2, ugrid, wgrid):
@@ -61,48 +147,41 @@ def _default_grids(f, m1, m2, ugrid, wgrid):
     return ugrid, wgrid
 
 
-def _separable_forward(f, window, m1, m2, ugrid, wgrid, phase1=None, phase2=None):
-    """Fast path for real separable windows: matrix products per (w1, w2).
+def _axis_kernel(window, axis, m, u, x, w, theta=None):
+    """One axis of a separable analysis kernel as a (len(u)*len(w), len(x))
+    matrix K[(u, w), x] = psi_axis(u - x, w) * c * exp(i*theta[w, x]).
 
-    phase1/phase2 override the per-axis kernel phase; both default to the
-    forward phase at (x, w).  Used by the modulation-covariance check.
+    theta defaults to the forward kernel phase table kernel_phase(m, x, w).
     """
-    if phase1 is None:
-        phase1 = lambda m, x, w: kernel_phase(m, x, w)
-    if phase2 is None:
-        phase2 = lambda m, x, w: kernel_phase(m, x, w)
+    prof = window_axis_profile(window, axis, u[:, None, None] - x[None, None, :],
+                               w[None, :, None])
+    prof[prof < PROFILE_FLOOR * prof.max()] = 0.0
+    if theta is None:
+        theta = kernel_phase(m, x[None, :], w[:, None])
+    k = prof * (kernel_const(m) * np.exp(1j * theta))
+    return k.reshape(-1, len(x))
+
+
+def _axis_kernels(window, m1, m2, ugrid, xgrid, wgrid, theta1=None, theta2=None):
+    return (_axis_kernel(window, 1, m1, ugrid.axis1.points, xgrid.axis1.points,
+                         wgrid.axis1.points, theta1),
+            _axis_kernel(window, 2, m2, ugrid.axis2.points, xgrid.axis2.points,
+                         wgrid.axis2.points, theta2))
+
+
+def _separable_forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
+    """Planes (a, b) of the analysis for a real separable window.
+
+    theta1/theta2 override the per-axis (w, x) kernel phase tables; used by
+    the modulation-covariance check.
+    """
+    k1, k2 = _axis_kernels(window, m1, m2, ugrid, f.grid, wgrid, theta1, theta2)
     a, b = symplectic_split(f.data)
-    x1 = f.grid.axis1.points
-    x2 = f.grid.axis2.points
-    u1 = ugrid.axis1.points
-    u2 = ugrid.axis2.points
-    w1pts = wgrid.axis1.points
-    w2pts = wgrid.axis2.points
-    c1 = kernel_const(m1)
-    c2 = kernel_const(m2)
-    cell = f.grid.cell
-    out = np.empty(ugrid.shape + wgrid.shape + (4,))
-    off1 = u1[:, None] - x1[None, :]          # (nu1, n1)
-    off2 = u2[None, :] - x2[:, None]          # (n2, nu2)
-    static_window = window.family != "s-gaussian"
-    if static_window:
-        p1, p2 = window_profiles(window, off1, off2, (1.0, 1.0))
-    for i1, w1 in enumerate(w1pts):
-        e1 = c1 * np.exp(1j * phase1(m1, x1, w1))
-        ha0 = e1[:, None] * a
-        hb0 = e1[:, None] * b
-        for i2, w2 in enumerate(w2pts):
-            th2 = phase2(m2, x2, w2)
-            co = c2 * np.cos(th2)
-            si = c2 * np.sin(th2)
-            ha = ha0 * co[None, :] - hb0 * si[None, :]
-            hb = ha0 * si[None, :] + hb0 * co[None, :]
-            if not static_window:
-                p1, p2 = window_profiles(window, off1, off2, (w1, w2))
-            ca = (p1 @ ha @ p2) * cell
-            cb = (p1 @ hb @ p2) * cell
-            out[:, :, i1, i2, :] = symplectic_join(ca, cb)
-    return out
+    a = a * f.grid.cell
+    b = b * f.grid.cell
+    mp = (a + 1j * b) @ k2.T           # exp(mu2*theta2) on the P plane
+    mq = (a - 1j * b) @ k2.conj().T    # and on the Q plane
+    return k1 @ ((mp + mq) * 0.5), k1 @ ((mp - mq) * -0.5j)
 
 
 def qlcst_forward_windowfn(f, window_fn, m1, m2, ugrid, wgrid):
@@ -111,6 +190,7 @@ def qlcst_forward_windowfn(f, window_fn, m1, m2, ugrid, wgrid):
     window_fn(x1, x2, u, w) returns the quaternion factor standing in for
     Psi(u - x, w) at every signal sample; it is conjugated in place, exactly
     as the analysis integrand requires.  O(n^6); intended for small grids.
+    Returns the interleaved (u1, u2, w1, w2, 4) array.
     """
     x1 = f.grid.axis1.points
     x2 = f.grid.axis2.points
@@ -139,13 +219,14 @@ def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
     Defaults: ugrid = signal grid, wgrid = FFT-compatible spectrum grid.
     """
     ugrid, wgrid = _default_grids(f, m1, m2, ugrid, wgrid)
-    if window.separable or window.family == "constant":
-        data = _separable_forward(f, window, m1, m2, ugrid, wgrid)
-    else:
-        def fn(x1, x2, u, w):
-            return window_eval(window, (u[0] - x1, u[1] - x2), w)
-        data = qlcst_forward_windowfn(f, fn, m1, m2, ugrid, wgrid)
-    return QLCSTCoefficients(data, ugrid, wgrid, window, m1, m2)
+    if window.separable:
+        a, b = _separable_forward(f, window, m1, m2, ugrid, wgrid)
+        return QLCSTCoefficients(a, b, ugrid, wgrid, window, m1, m2)
+
+    def fn(x1, x2, u, w):
+        return window_eval(window, (u[0] - x1, u[1] - x2), w)
+    data = qlcst_forward_windowfn(f, fn, m1, m2, ugrid, wgrid)
+    return QLCSTCoefficients.from_data(data, ugrid, wgrid, window, m1, m2)
 
 
 def qlcst_pointwise_inverse(C, u_index, xgrid=None):
@@ -156,7 +237,9 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
     if xgrid is None:
         xgrid = C.ugrid
     iu1, iu2 = u_index
-    slab = QSpectrum2D(C.data[iu1, iu2].copy(), C.wgrid)
+    a4, b4 = C.views4()
+    slab = QSpectrum2D(symplectic_join(a4[iu1, :, iu2], b4[iu1, :, iu2]),
+                       C.wgrid)
     try:
         return qlct_fast_inverse(slab, C.m1, C.m2, xgrid)
     except SpacingError:
@@ -166,7 +249,8 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
 def qlcst_reconstruct(C, xgrid=None):
     """Synthesis: f = (1/lam) * sum over (u, w) of
     Kinv1(x1,w1) * C(u,w) * Psi(u-x,w) * Kinv2(x2,w2), with the inverse
-    kernels taken as the negated-phase forward kernels at (x, w).
+    kernels taken as the negated-phase forward kernels at (x, w): the
+    adjoint contraction K1^H @ P @ conj(K2) and K1^H @ Q @ K2.
     """
     adm = lambda_psi(C.window)
     if adm.w_dependent:
@@ -174,48 +258,28 @@ def qlcst_reconstruct(C, xgrid=None):
             "reconstruction needs a frequency-independent admissibility constant")
     if xgrid is None:
         xgrid = C.ugrid
-    window = C.window
-    m1, m2 = C.m1, C.m2
-    x1 = xgrid.axis1.points
-    x2 = xgrid.axis2.points
-    u1 = C.ugrid.axis1.points
-    u2 = C.ugrid.axis2.points
-    c1 = kernel_const(m1)
-    c2 = kernel_const(m2)
-    ucell = C.ugrid.cell
-    wcell = C.wgrid.cell
-    off1 = u1[None, :] - x1[:, None]          # (nx1, nu1)
-    off2 = u2[:, None] - x2[None, :]          # (nu2, nx2)
-    static_window = window.family != "s-gaussian"
-    if static_window:
-        p1, p2 = window_profiles(window, off1, off2, (1.0, 1.0))
-    a_acc = np.zeros((xgrid.axis1.n, xgrid.axis2.n), dtype=complex)
-    b_acc = np.zeros_like(a_acc)
-    for i1, w1 in enumerate(C.wgrid.axis1.points):
-        e1 = c1 * np.exp(-1j * kernel_phase(m1, x1, w1))
-        for i2, w2 in enumerate(C.wgrid.axis2.points):
-            ca, cb = symplectic_split(C.data[:, :, i1, i2])
-            if not static_window:
-                p1, p2 = window_profiles(window, off1, off2, (w1, w2))
-            da = (p1 @ ca @ p2) * ucell
-            db = (p1 @ cb @ p2) * ucell
-            da *= e1[:, None]
-            db *= e1[:, None]
-            th2 = -kernel_phase(m2, x2, w2)
-            co = c2 * np.cos(th2)
-            si = c2 * np.sin(th2)
-            a_acc += (da * co[None, :] - db * si[None, :]) * wcell
-            b_acc += (da * si[None, :] + db * co[None, :]) * wcell
-    data = symplectic_join(a_acc, b_acc) / adm.lam
-    return QSignal2D(data, xgrid)
+    k1, k2 = _axis_kernels(C.window, C.m1, C.m2, C.ugrid, xgrid, C.wgrid)
+    k1h = k1.conj().T
+    la = k1h @ C.a
+    lb = k1h @ C.b
+    p = (la + 1j * lb) @ k2.conj()
+    q = (la - 1j * lb) @ k2
+    scale = C.ugrid.cell * C.wgrid.cell / adm.lam
+    return QSignal2D(symplectic_join((p + q) * (0.5 * scale),
+                                     (p - q) * (-0.5j * scale)), xgrid)
 
 
 def orthogonality_form(Cf, Cg):
-    """Quaternion value of the double integral of Cf * conj(Cg) over (w, u)."""
+    """Quaternion value of the double integral of Cf * conj(Cg) over (w, u).
+
+    (a1 + b1 mu2) conj(a2 + b2 mu2) = (a1 a2* + b1 b2*) + (b1 a2 - a1 b2) mu2.
+    """
     if Cf.ugrid != Cg.ugrid or Cf.wgrid != Cg.wgrid:
         raise GridMismatch("coefficient grids differ")
-    prod = qmul(Cf.data, qconj(Cg.data))
-    return prod.reshape(-1, 4).sum(axis=0) * Cf.cell4
+    first = np.vdot(Cg.a, Cf.a) + np.vdot(Cg.b, Cf.b)
+    second = (np.dot(Cf.b.ravel(), Cg.a.ravel())
+              - np.dot(Cf.a.ravel(), Cg.b.ravel()))
+    return symplectic_join(first, second) * Cf.cell4
 
 
 def energy_identity_gap(C, f):
@@ -229,7 +293,8 @@ def energy_identity_gap(C, f):
 
 def marginal_qlct_gap(C, f, m1, m2):
     """Relative L2 gap between the u-marginal of C and the QLCT of f."""
-    marg = C.data.sum(axis=(0, 1)) * C.ugrid.cell
+    a4, b4 = C.views4()
+    marg = symplectic_join(a4.sum(axis=(0, 2)), b4.sum(axis=(0, 2))) * C.ugrid.cell
     try:
         ref = qlct_fast_forward(f, m1, m2, C.wgrid)
     except SpacingError:
@@ -241,15 +306,26 @@ def marginal_qlct_gap(C, f, m1, m2):
 
 # --- signal manipulation helpers used by the covariance checks -------------
 
+def _sandwich(a, b, theta1, theta2):
+    """exp(mu1*theta1) * (a + b mu2) * exp(mu2*theta2) in place on the planes;
+    theta1 runs along the rows, theta2 along the columns."""
+    e1 = np.exp(1j * np.asarray(theta1, dtype=float))[:, None]
+    a *= e1
+    b *= e1
+    co = np.cos(theta2)[None, :]
+    si = np.sin(theta2)[None, :]
+    a_si = a * si
+    a *= co
+    a -= b * si
+    b *= co
+    b += a_si
+    return a, b
+
+
 def sandwich_phase(f, theta1, theta2):
     """exp(mu1*theta1(x1)) * f * exp(mu2*theta2(x2)) per sample."""
     a, b = symplectic_split(f.data)
-    e1 = np.exp(1j * np.asarray(theta1, dtype=float))[:, None]
-    a = e1 * a
-    b = e1 * b
-    co = np.cos(theta2)[None, :]
-    si = np.sin(theta2)[None, :]
-    return QSignal2D(symplectic_join(a * co - b * si, a * si + b * co), f.grid)
+    return QSignal2D(symplectic_join(*_sandwich(a, b, theta1, theta2)), f.grid)
 
 
 def modulate(f, s):
@@ -266,48 +342,51 @@ def _integer_shift(alpha, spacing):
     return ki
 
 
+def _shift_slices(k, n):
+    """(destination, source) slices moving an axis of length n by k steps;
+    what moves past either end is dropped."""
+    k = max(-n, min(n, k))
+    if k >= 0:
+        return slice(k, None), slice(None, n - k)
+    return slice(None, n + k), slice(-k, None)
+
+
 def shift_signal(f, alpha):
     """f(x - alpha) for a grid-aligned alpha, zero-filled at the boundary."""
-    k1 = _integer_shift(alpha[0], f.grid.axis1.spacing)
-    k2 = _integer_shift(alpha[1], f.grid.axis2.spacing)
-    data = np.roll(f.data, (k1, k2), axis=(0, 1))
-    if k1 > 0:
-        data[:k1] = 0.0
-    elif k1 < 0:
-        data[k1:] = 0.0
-    if k2 > 0:
-        data[:, :k2] = 0.0
-    elif k2 < 0:
-        data[:, k2:] = 0.0
+    d1, s1 = _shift_slices(_integer_shift(alpha[0], f.grid.axis1.spacing),
+                           f.grid.axis1.n)
+    d2, s2 = _shift_slices(_integer_shift(alpha[1], f.grid.axis2.spacing),
+                           f.grid.axis2.n)
+    data = np.zeros_like(f.data)
+    data[d1, d2] = f.data[s1, s2]
     return QSignal2D(data, f.grid)
 
 
-def _shift_coeff_u(data, k1, k2):
-    out = np.roll(data, (k1, k2), axis=(0, 1))
-    if k1 > 0:
-        out[:k1] = 0.0
-    elif k1 < 0:
-        out[k1:] = 0.0
-    if k2 > 0:
-        out[:, :k2] = 0.0
-    elif k2 < 0:
-        out[:, k2:] = 0.0
+def _shift_u(C, k1, k2):
+    """Planes of C(u - k*du, w), zero-filled at the u boundary."""
+    d1, s1 = _shift_slices(k1, C.ugrid.axis1.n)
+    d2, s2 = _shift_slices(k2, C.ugrid.axis2.n)
+    out = []
+    for plane in C.views4():
+        moved = np.zeros_like(plane)
+        moved[d1, :, d2] = plane[s1, :, s2]
+        out.append(moved.reshape(C.a.shape))
     return out
 
 
-def _lmul_w1_phase(data, phases):
-    """Left-multiply coefficients by a mu1 phase that depends on w1 only."""
-    a, b = symplectic_split(data)
-    p = phases[None, None, :, None]
-    return symplectic_join(p * a, p * b)
+def _w_sandwich(a, b, ugrid, theta1, theta2):
+    """exp(mu1*theta1(w1)) * C * exp(mu2*theta2(w2)) in place on the planes."""
+    return _sandwich(a, b, np.tile(theta1, ugrid.axis1.n),
+                     np.tile(theta2, ugrid.axis2.n))
 
 
-def _rmul_w2_phase(data, angles):
-    """Right-multiply coefficients by exp(mu2*angle(w2))."""
-    a, b = symplectic_split(data)
-    co = np.cos(angles)[None, None, None, :]
-    si = np.sin(angles)[None, None, None, :]
-    return symplectic_join(a * co - b * si, a * si + b * co)
+def _planes_rel_l2(got, want):
+    """relative_l2 of two (a, b) plane pairs over their quaternion components."""
+    num = sum(np.linalg.norm(g - w) ** 2 for g, w in zip(got, want))
+    denom = sum(np.linalg.norm(w) ** 2 for w in want)
+    if denom == 0.0:
+        return math.sqrt(num)
+    return math.sqrt(num / denom)
 
 
 @dataclass
@@ -338,16 +417,17 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
     w2pts = wgrid.axis2.points
     x1 = f.grid.axis1.points
     x2 = f.grid.axis2.points
-    # The 4D arrays are large at desk scale; intermediates are dropped as
-    # soon as each residual is in hand.
+    # The planes are large at desk scale; intermediates are dropped as soon
+    # as each residual is in hand.
 
     # Parity: transform of the reflected signal under the reflected window
     # equals the coefficients sampled at (-u, -w); on centered midpoint grids
-    # negation is a full reversal of every index axis.
+    # negation reverses every index axis, which reverses both plane axes.
     base = qlcst_forward(f, window, m1, m2, ugrid, wgrid)
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
     c_ref = qlcst_forward(f_ref, reflect(window), m1, m2, ugrid, wgrid)
-    parity = relative_l2(c_ref.data, base.data[::-1, ::-1, ::-1, ::-1])
+    parity = _planes_rel_l2((c_ref.a, c_ref.b),
+                            (base.a[::-1, ::-1], base.b[::-1, ::-1]))
     del base, c_ref
 
     # Shift covariance.
@@ -355,36 +435,32 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
     f_tilde = sandwich_phase(f,
                              m1.a * x1 * alpha[0] / m1.b,
                              m2.a * x2 * alpha[1] / m2.b)
-    rhs = qlcst_forward(f_tilde, window, m1, m2, ugrid, wgrid).data
     k1 = _integer_shift(alpha[0], ugrid.axis1.spacing)
     k2 = _integer_shift(alpha[1], ugrid.axis2.spacing)
-    rhs = _shift_coeff_u(rhs, k1, k2)
-    rhs = _lmul_w1_phase(rhs, np.exp(
-        1j * (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b)))
-    rhs = _rmul_w2_phase(rhs, (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts)
-                         / (2.0 * m2.b))
-    shift = relative_l2(rhs, lhs.data)
+    rhs = _shift_u(qlcst_forward(f_tilde, window, m1, m2, ugrid, wgrid), k1, k2)
+    rhs = _w_sandwich(*rhs, ugrid,
+                      (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
+                      (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b))
+    shift = _planes_rel_l2(rhs, (lhs.a, lhs.b))
     del lhs, rhs
 
-    # Modulation covariance.
+    # Modulation covariance: the forward contraction with the kernel phase
+    # tables shifted by s*B in the frequency argument.
     lhs_mod = qlcst_forward(modulate(f, s), window, m1, m2, ugrid, wgrid)
+    t1 = (w1pts - s[0] * m1.b)[:, None]
+    t2 = (w2pts - s[1] * m2.b)[:, None]
 
-    def finish(raw):
-        out = _lmul_w1_phase(raw, np.exp(
-            1j * m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2)))
-        return _rmul_w2_phase(out, m2.d / 2.0
-                              * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
+    def residual(theta1, theta2):
+        raw = _separable_forward(f, window, m1, m2, ugrid, wgrid, theta1, theta2)
+        out = _w_sandwich(*raw, ugrid,
+                          m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
+                          m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
+        return _planes_rel_l2(out, (lhs_mod.a, lhs_mod.b))
 
-    raw = _separable_forward(
-        f, window, m1, m2, ugrid, wgrid,
-        phase1=lambda m, x, w: kernel_phase(m, x, w - s[0] * m.b),
-        phase2=lambda m, x, w: kernel_phase(m, x, w - s[1] * m.b))
-    modulation_derived = relative_l2(finish(raw), lhs_mod.data)
-    raw = _separable_forward(
-        f, window, m1, m2, ugrid, wgrid,
-        phase1=lambda m, x, w: kernel_phase(m, w - s[0] * m.b, x),
-        phase2=lambda m, x, w: kernel_phase(m, w - s[1] * m.b, x))
-    modulation_printed = relative_l2(finish(raw), lhs_mod.data)
+    modulation_derived = residual(kernel_phase(m1, x1[None, :], t1),
+                                  kernel_phase(m2, x2[None, :], t2))
+    modulation_printed = residual(kernel_phase(m1, t1, x1[None, :]),
+                                  kernel_phase(m2, t2, x2[None, :]))
 
     return CovarianceReport(parity, shift, modulation_printed, modulation_derived)
 

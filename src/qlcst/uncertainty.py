@@ -64,14 +64,13 @@ def spatial_dispersion(f, s):
 
 def spectral_dispersion(C, s):
     """Second moment integral w_s^2 |C|^2 over the full (u, w) domain."""
-    mag = qnormsq(C.data)
     if s == 1:
-        wsq = (C.wgrid.axis1.points ** 2)[None, None, :, None]
+        wsq = (C.wgrid.axis1.points ** 2)[:, None]
     elif s == 2:
-        wsq = (C.wgrid.axis2.points ** 2)[None, None, None, :]
+        wsq = (C.wgrid.axis2.points ** 2)[None, :]
     else:
         raise ValueError("axis must be 1 or 2")
-    return float(np.sum(mag * wsq) * C.cell4)
+    return float(np.sum(C.density() * wsq) * C.cell4)
 
 
 def spatial_log_moment(f):
@@ -89,11 +88,9 @@ def spatial_log_moment(f):
 
 def spectral_log_moment(C):
     """Integral of ln|w| |C|^2 over the full (u, w) domain."""
-    w1 = C.wgrid.axis1.points[None, None, :, None]
-    w2 = C.wgrid.axis2.points[None, None, None, :]
-    r = np.hypot(w1, w2)
+    r = np.hypot(C.wgrid.axis1.points[:, None], C.wgrid.axis2.points[None, :])
     with np.errstate(divide="ignore"):
-        vals = np.log(r) * qnormsq(C.data)
+        vals = np.log(r) * C.density()
     out = float(np.sum(vals) * C.cell4)
     if not math.isfinite(out):
         raise NonFinite("ln|w| quadrature hit a grid point at the origin")

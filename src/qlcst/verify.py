@@ -260,9 +260,9 @@ def suite_special_case(n=16):
     passed &= _check(lines, ok, "fractional(pi/2) reduces to the fourier case")
     grid = Grid2D.centered(EXTENT, n)
     f = gen_signal("gaussian", grid)
-    c = qlcst_forward(f, constant_window(), m1, m2)
+    c = qlcst_forward(f, constant_window(), m1, m2).data
     q = qlct_fast_forward(f, m1, m2)
-    worst = max(relative_l2(c.data[i, j], q.data)
+    worst = max(relative_l2(c[i, j], q.data)
                 for i in range(n) for j in range(n))
     passed &= _check(lines, worst < 1e-10,
                      "constant window reproduces the QLCT: worst rel_l2=%.3e" % worst)

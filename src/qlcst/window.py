@@ -45,10 +45,6 @@ class WindowSpec:
     def separable(self):
         return self.family in ("fixed-gaussian", "s-gaussian", "constant")
 
-    @property
-    def is_real(self):
-        return self.family in ("fixed-gaussian", "s-gaussian", "constant")
-
 
 @dataclass(frozen=True)
 class Admissibility:
@@ -89,24 +85,28 @@ def parse_window(text):
     raise BadParameter("unknown window syntax %r" % text)
 
 
-def window_profiles(spec, x1, x2, w):
-    """Separable factors (psi1(x1), psi2(x2)) with psi1*psi2 = Psi(x, w)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+def window_axis_profile(spec, axis, x, w):
+    """Per-axis factor psi_axis(x, w_axis) of a separable window.
+
+    psi_1(x1, w1) * psi_2(x2, w2) = Psi(x, w); x and w broadcast together.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
     if spec.family == "fixed-gaussian":
-        s1, s2 = spec.sigma
-        p1 = np.exp(-x1 * x1 / (2.0 * s1 * s1)) / (2.0 * math.pi * s1 * s2)
-        p2 = np.exp(-x2 * x2 / (2.0 * s2 * s2))
-        return p1, p2
+        s = spec.sigma[axis - 1]
+        p = np.exp(-x * x / (2.0 * s * s))
+        if axis == 1:
+            p /= 2.0 * math.pi * spec.sigma[0] * spec.sigma[1]
+        return p
     if spec.family == "s-gaussian":
-        w1, w2 = w
-        if w1 == 0.0 or w2 == 0.0:
+        if np.any(w == 0.0):
             raise ZeroFrequency("s-gaussian window undefined at zero frequency")
-        p1 = abs(w1 * w2) / (2.0 * math.pi) * np.exp(-x1 * x1 * w1 * w1 / 2.0)
-        p2 = np.exp(-x2 * x2 * w2 * w2 / 2.0)
-        return p1, p2
+        p = np.abs(w) * np.exp(-x * x * w * w / 2.0)
+        if axis == 1:
+            p /= 2.0 * math.pi
+        return p
     if spec.family == "constant":
-        return np.ones_like(x1), np.ones_like(x2)
+        return np.ones_like(x)
     raise BadParameter("window family %r is not separable" % spec.family)
 
 
@@ -136,8 +136,8 @@ def window_eval(spec, x, w):
     x1 = np.asarray(x[0], dtype=float)
     x2 = np.asarray(x[1], dtype=float)
     if spec.separable:
-        p1, p2 = window_profiles(spec, x1, x2, w)
-        vals = p1 * p2
+        vals = (window_axis_profile(spec, 1, x1, w[0])
+                * window_axis_profile(spec, 2, x2, w[1]))
         out = np.zeros(np.shape(vals) + (4,))
         out[..., 0] = vals
         return out

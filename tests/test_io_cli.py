@@ -87,6 +87,36 @@ def test_coefficient_roundtrip(tmp_path):
     assert back.ugrid == c.ugrid and back.wgrid == c.wgrid
 
 
+def test_coefficient_file_is_header_plus_interleaved_payload(tmp_path):
+    """QCF1 bytes are the header and the interleaved (u1, u2, w1, w2, 4)
+    float64 payload; reading them back restores the planes bit for bit."""
+    g = Grid2D(Grid1D.centered(3.0, 5), Grid1D.centered(2.0, 4))
+    rng = np.random.default_rng(31)
+    f = QSignal2D(rng.standard_normal(g.shape + (4,)), g)
+    c = qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
+    path = tmp_path / "c.qcf"
+    write_coefficients(path, c)
+    raw = path.read_bytes()
+    size = struct.calcsize("<4sHIIIIdddddddd")
+    assert raw[size:] == c.data.astype("<f8").tobytes()
+    back = read_coefficients(path)
+    assert np.array_equal(back.a, c.a) and np.array_equal(back.b, c.b)
+    again = tmp_path / "again.qcf"
+    write_coefficients(again, back)
+    assert again.read_bytes() == raw
+
+
+def test_truncated_coefficient_file(tmp_path):
+    g = Grid2D.centered(4.0, 4)
+    c = qlcst_forward(gen_signal("gaussian", g), fixed_gaussian(1, 1),
+                      FOURIER, FOURIER)
+    path = tmp_path / "c.qcf"
+    write_coefficients(path, c)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(TruncatedFile):
+        read_coefficients(path)
+
+
 def test_coefficient_slices():
     g = Grid2D.centered(4.0, 5)
     f = gen_signal("gaussian", g)
@@ -97,6 +127,8 @@ def test_coefficient_slices():
     assert w_slice.shape == c.ugrid.shape
     want = np.sqrt(np.sum(c.data[2, 2] ** 2, axis=-1))
     assert np.allclose(u_slice, want)
+    want = np.sqrt(np.sum(c.data[:, :, 1, 3] ** 2, axis=-1))
+    assert np.allclose(w_slice, want)
 
 
 def test_csv_export(tmp_path):

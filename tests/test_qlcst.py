@@ -8,13 +8,16 @@ from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.lct import KernelSpec, kernel_eval, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward
-from qlcst.qlcst import (covariance_residuals, energy_identity_gap,
+from qlcst.qlcst import (QLCSTCoefficients, _axis_kernel,
+                         covariance_residuals, energy_identity_gap,
                          marginal_qlct_gap, orthogonality_form,
                          qlcst_forward, qlcst_forward_windowfn,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          shift_signal, special_case_matrix)
 from qlcst.quaternion import qconj, qmul, qnorm
-from qlcst.signal import Grid2D, QSignal2D, fft_output_grid, relative_l2
+from qlcst.signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid,
+                          relative_l2)
+from qlcst.verify import MATRIX_CASES
 from qlcst.window import (constant_window, fixed_gaussian, lambda_psi,
                           s_gaussian, window_eval)
 
@@ -77,6 +80,53 @@ def test_generic_path_matches_separable():
 
     generic = qlcst_forward_windowfn(f, fn, FOURIER, FOURIER, c.ugrid, c.wgrid)
     assert relative_l2(generic, c.data) < 1e-12
+
+
+@pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
+@pytest.mark.parametrize("win", [fixed_gaussian(1, 1), s_gaussian(),
+                                 constant_window()],
+                         ids=["fixed-gauss", "s-gauss", "constant"])
+def test_separable_matches_generic_all_windows(win, case):
+    """The kernel-matrix contraction agrees with the quaternion-ordered path
+    for every built-in window under every verification matrix case."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(8)
+    f = random_hermite_combo(g, seed=3)
+    c = qlcst_forward(f, win, m1, m2)
+
+    def fn(x1, x2, u, w):
+        return window_eval(win, (u[0] - x1, u[1] - x2), w)
+
+    generic = qlcst_forward_windowfn(f, fn, m1, m2, c.ugrid, c.wgrid)
+    assert relative_l2(c.data, generic) < 1e-12
+
+
+def test_planes_interleaved_roundtrip_bitexact():
+    ugrid = Grid2D(Grid1D.centered(2.0, 3), Grid1D.centered(1.0, 4))
+    wgrid = Grid2D(Grid1D.centered(3.0, 5), Grid1D.centered(1.5, 2))
+    rng = np.random.default_rng(40)
+    data = rng.standard_normal(ugrid.shape + wgrid.shape + (4,))
+    data[0, 1, 2] = [1.0, 0.0, -0.0, 5e-324]
+    c = QLCSTCoefficients.from_data(data, ugrid, wgrid)
+    assert c.a.shape == c.b.shape == (3 * 5, 4 * 2)
+    assert np.array_equal(c.data, data)
+    assert np.array_equal(np.signbit(c.data), np.signbit(data))
+    a4, b4 = c.views4()
+    assert a4[2, 4, 1, 0] == data[2, 1, 4, 0, 0] + 1j * data[2, 1, 4, 0, 1]
+    assert b4[2, 4, 1, 0] == data[2, 1, 4, 0, 2] + 1j * data[2, 1, 4, 0, 3]
+    back = QLCSTCoefficients.from_data(c.data, ugrid, wgrid)
+    assert np.array_equal(back.a, c.a) and np.array_equal(back.b, c.b)
+    with pytest.raises(ValueError):
+        c.data[0, 0, 0, 0, 0] = 1.0
+
+
+def test_s_gaussian_kernel_has_no_subnormals():
+    g = grid(64)
+    w = fft_output_grid(g, 1.0, 1.0).axis1.points
+    k = _axis_kernel(s_gaussian(), 1, FOURIER, g.axis1.points, g.axis1.points, w)
+    parts = np.abs(k.view(float))
+    assert np.all((parts == 0.0) | (parts >= np.finfo(float).tiny))
+    assert np.count_nonzero(parts == 0.0) > 0
 
 
 def test_x_only_window_product_identity():
