@@ -22,7 +22,7 @@ def _hermite_mode(n, x):
 
 
 def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0),
-               rate=(0.5, -0.3), seed=None):
+               rate=(0.5, -0.3)):
     """Generate a QSignal2D of the requested kind on the given grid.
 
     gaussian:          exp(-|x|^2 / (2 sigma^2))

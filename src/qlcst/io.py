@@ -51,8 +51,11 @@ def read_signal(path):
             raise BadMagic("unexpected magic %r" % magic)
         if version != VERSION:
             raise VersionMismatch("unsupported signal version %d" % version)
-        count = n1 * n2 * 4
-        payload = _read_exact(fh, count * 8, "payload")
+        nbytes = n1 * n2 * 4 * 8
+        # An absurd header count must not reach the read as a huge request.
+        if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
+            raise TruncatedFile("file ends inside payload")
+        payload = _read_exact(fh, nbytes, "payload")
     data = np.frombuffer(payload, dtype="<f8").reshape(n1, n2, 4).astype(float)
     grid = Grid2D(Grid1D(n1, o1, d1), Grid1D(n2, o2, d2))
     return QSignal2D(data, grid)

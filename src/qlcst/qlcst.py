@@ -12,18 +12,17 @@ standing for mu1).  Each plane is one C-contiguous (nu1*nw1, nu2*nw2) matrix
 whose row index is (u1, w1) and whose column index is (u2, w2), so the
 interleaved (u1, u2, w1, w2, 4) array is a pure reordering of their bits.
 
-A left factor exp(mu1*t) multiplies both planes by exp(i*t).  A right factor
-exp(mu2*t) rotates the pair, (a, b) -> (a cos t - b sin t, a sin t + b cos t),
-which is diagonal on P = a + i*b and Q = a - i*b: P gains exp(i*t) and Q
-gains exp(-i*t).  For a real separable window each axis therefore reduces to
-one complex kernel matrix K[(u, w), x] = psi(u - x, w) * c * exp(i*theta(x, w))
-and the analysis is P = K1 @ (f_P * cell) @ K2^T, Q = K1 @ (f_Q * cell) @
-conj(K2)^T.  Since K1 acts on both planes alike, P and Q are recombined into
-a and b before the large K1 product; synthesis is the adjoint contraction.
+A left factor exp(mu1*t) multiplies both planes by exp(i*t); a right factor
+exp(mu2*t) is diagonal on P = a + i*b and Q = a - i*b (quaternion.right_mu2).
+For a real separable window each axis therefore reduces to one complex
+kernel matrix K[(u, w), x] = psi(u - x, w) * c * exp(i*theta(x, w)), and the
+analysis is the contraction K1 @ (f * cell) @ K2^T with K2 applied through
+right_mu2 before the large K1 product; synthesis is the adjoint contraction.
+A sampled-table window does not depend on w, so each u-slice is the QLCT of
+f * conj(Psi(u - .)): the same contraction with the plain kernel matrices
+c * exp(i*theta(x, w)), which costs O(N^5).
 a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
-A generic quaternion-ordered path handles custom table windows and serves the
-property checks that need unusual windows.
 """
 
 import math
@@ -34,8 +33,8 @@ import numpy as np
 
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, ZeroSignal)
-from .lct import KernelSpec, kernel_const, kernel_eval, kernel_phase, validate_param
-from .quaternion import qconj, qmul, symplectic_join, symplectic_split
+from .lct import kernel_const, kernel_phase, validate_param
+from .quaternion import qconj, qmul, right_mu2, symplectic_join, symplectic_split
 from .signal import (Grid2D, QSignal2D, QSpectrum2D, fft_output_grid,
                      relative_l2)
 from .window import lambda_psi, reflect, window_axis_profile, window_eval
@@ -76,19 +75,6 @@ class QLCSTCoefficients:
         shape = (ugrid.axis1.n * wgrid.axis1.n, ugrid.axis2.n * wgrid.axis2.n)
         return cls(np.empty(shape, dtype=complex), np.empty(shape, dtype=complex),
                    ugrid, wgrid, window, m1, m2)
-
-    @classmethod
-    def from_data(cls, data, ugrid, wgrid, window=None, m1=None, m2=None):
-        """Build the planes from an interleaved (u1, u2, w1, w2, 4) array."""
-        data = np.asarray(data, dtype=float)
-        want = ugrid.shape + wgrid.shape + (4,)
-        if data.shape != want:
-            raise GridMismatch("coefficient shape %r does not match grids %r"
-                               % (data.shape, want))
-        c = cls.empty(ugrid, wgrid, window, m1, m2)
-        for i in range(ugrid.axis1.n):
-            c.set_u1_slab(i, data[i])
-        return c
 
     def views4(self):
         """The planes as (u1, w1, u2, w2) views."""
@@ -147,19 +133,23 @@ def _default_grids(f, m1, m2, ugrid, wgrid):
     return ugrid, wgrid
 
 
-def _axis_kernel(window, axis, m, u, x, w, theta=None):
-    """One axis of a separable analysis kernel as a (len(u)*len(w), len(x))
-    matrix K[(u, w), x] = psi_axis(u - x, w) * c * exp(i*theta[w, x]).
+def _phase_matrix(m, x, w, theta=None):
+    """The plain (len(w), len(x)) kernel matrix E[w, x] = c * exp(i*theta[w, x]).
 
     theta defaults to the forward kernel phase table kernel_phase(m, x, w).
     """
+    if theta is None:
+        theta = kernel_phase(m, x[None, :], w[:, None])
+    return kernel_const(m) * np.exp(1j * theta)
+
+
+def _axis_kernel(window, axis, m, u, x, w, theta=None):
+    """One axis of a separable analysis kernel as a (len(u)*len(w), len(x))
+    matrix K[(u, w), x] = psi_axis(u - x, w) * E[w, x] (see _phase_matrix)."""
     prof = window_axis_profile(window, axis, u[:, None, None] - x[None, None, :],
                                w[None, :, None])
     prof[prof < PROFILE_FLOOR * prof.max()] = 0.0
-    if theta is None:
-        theta = kernel_phase(m, x[None, :], w[:, None])
-    k = prof * (kernel_const(m) * np.exp(1j * theta))
-    return k.reshape(-1, len(x))
+    return (prof * _phase_matrix(m, x, w, theta)).reshape(-1, len(x))
 
 
 def _axis_kernels(window, m1, m2, ugrid, xgrid, wgrid, theta1=None, theta2=None):
@@ -167,6 +157,14 @@ def _axis_kernels(window, m1, m2, ugrid, xgrid, wgrid, theta1=None, theta2=None)
                          wgrid.axis1.points, theta1),
             _axis_kernel(window, 2, m2, ugrid.axis2.points, xgrid.axis2.points,
                          wgrid.axis2.points, theta2))
+
+
+def _contract(a, b, k1, k2):
+    """Planes of K1 @ (a + b*mu2) @ K2^T: the mu1 matrix k1 contracts axis 0
+    and the mu2 matrix k2 the last axis; the axes between are kept and
+    flattened into the columns."""
+    a, b = right_mu2(a, b, lambda g: g @ k2.T)
+    return k1 @ a.reshape(len(a), -1), k1 @ b.reshape(len(b), -1)
 
 
 def _separable_forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
@@ -177,40 +175,31 @@ def _separable_forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None
     """
     k1, k2 = _axis_kernels(window, m1, m2, ugrid, f.grid, wgrid, theta1, theta2)
     a, b = symplectic_split(f.data)
-    a = a * f.grid.cell
-    b = b * f.grid.cell
-    mp = (a + 1j * b) @ k2.T           # exp(mu2*theta2) on the P plane
-    mq = (a - 1j * b) @ k2.conj().T    # and on the Q plane
-    return k1 @ ((mp + mq) * 0.5), k1 @ ((mp - mq) * -0.5j)
+    return _contract(a * f.grid.cell, b * f.grid.cell, k1, k2)
 
 
-def qlcst_forward_windowfn(f, window_fn, m1, m2, ugrid, wgrid):
-    """Generic quaternion-ordered path with an arbitrary window factor.
+def _table_forward(f, window, m1, m2, ugrid, wgrid):
+    """Analysis for a sampled-table window, one u1 row of planes at a time.
 
-    window_fn(x1, x2, u, w) returns the quaternion factor standing in for
-    Psi(u - x, w) at every signal sample; it is conjugated in place, exactly
-    as the analysis integrand requires.  O(n^6); intended for small grids.
-    Returns the interleaved (u1, u2, w1, w2, 4) array.
+    The table does not depend on w, so C(u, .) is the QLCT of
+    g_u = f * conj(Psi(u - .)) onto wgrid.  For one u1 the products g_u of
+    every u2 are stacked as (x1, u2, x2) and contracted with the plain kernel
+    matrices, which yields the (w1, (u2, w2)) rows of the planes directly.
     """
-    x1 = f.grid.axis1.points
-    x2 = f.grid.axis2.points
-    k1 = kernel_eval(KernelSpec(m1, 1), x1[:, None], wgrid.axis1.points[None, :])
-    k2 = kernel_eval(KernelSpec(m2, 2), x2[:, None], wgrid.axis2.points[None, :])
-    cell = f.grid.cell
-    out = np.empty(ugrid.shape + wgrid.shape + (4,))
-    X1 = x1[:, None]
-    X2 = x2[None, :]
-    for iu1, uv1 in enumerate(ugrid.axis1.points):
-        for iu2, uv2 in enumerate(ugrid.axis2.points):
-            for iw1 in range(wgrid.axis1.n):
-                for iw2 in range(wgrid.axis2.n):
-                    w = (wgrid.axis1.points[iw1], wgrid.axis2.points[iw2])
-                    psi = window_fn(X1, X2, (uv1, uv2), w)
-                    fw = qmul(f.data, qconj(psi))
-                    term = qmul(qmul(k1[:, iw1][:, None, :], fw),
-                                k2[:, iw2][None, :, :])
-                    out[iu1, iu2, iw1, iw2] = term.reshape(-1, 4).sum(axis=0) * cell
-    return out
+    x1 = f.grid.axis1.points[:, None, None]
+    x2 = f.grid.axis2.points[None, None, :]
+    u2 = ugrid.axis2.points[None, :, None]
+    e1 = _phase_matrix(m1, f.grid.axis1.points, wgrid.axis1.points)
+    e2 = _phase_matrix(m2, f.grid.axis2.points, wgrid.axis2.points)
+    fc = f.data[:, None] * f.grid.cell
+    c = QLCSTCoefficients.empty(ugrid, wgrid, window, m1, m2)
+    nw1 = wgrid.axis1.n
+    for i, u1 in enumerate(ugrid.axis1.points):
+        psi = window_eval(window, (u1 - x1, u2 - x2), None)  # no w dependence
+        rows = slice(i * nw1, (i + 1) * nw1)
+        c.a[rows], c.b[rows] = _contract(*symplectic_split(qmul(fc, qconj(psi))),
+                                         e1, e2)
+    return c
 
 
 def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
@@ -219,14 +208,10 @@ def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
     Defaults: ugrid = signal grid, wgrid = FFT-compatible spectrum grid.
     """
     ugrid, wgrid = _default_grids(f, m1, m2, ugrid, wgrid)
-    if window.separable:
-        a, b = _separable_forward(f, window, m1, m2, ugrid, wgrid)
-        return QLCSTCoefficients(a, b, ugrid, wgrid, window, m1, m2)
-
-    def fn(x1, x2, u, w):
-        return window_eval(window, (u[0] - x1, u[1] - x2), w)
-    data = qlcst_forward_windowfn(f, fn, m1, m2, ugrid, wgrid)
-    return QLCSTCoefficients.from_data(data, ugrid, wgrid, window, m1, m2)
+    if not window.separable:
+        return _table_forward(f, window, m1, m2, ugrid, wgrid)
+    a, b = _separable_forward(f, window, m1, m2, ugrid, wgrid)
+    return QLCSTCoefficients(a, b, ugrid, wgrid, window, m1, m2)
 
 
 def qlcst_pointwise_inverse(C, u_index, xgrid=None):
@@ -260,13 +245,9 @@ def qlcst_reconstruct(C, xgrid=None):
         xgrid = C.ugrid
     k1, k2 = _axis_kernels(C.window, C.m1, C.m2, C.ugrid, xgrid, C.wgrid)
     k1h = k1.conj().T
-    la = k1h @ C.a
-    lb = k1h @ C.b
-    p = (la + 1j * lb) @ k2.conj()
-    q = (la - 1j * lb) @ k2
+    a, b = right_mu2(k1h @ C.a, k1h @ C.b, lambda g: g @ k2.conj())
     scale = C.ugrid.cell * C.wgrid.cell / adm.lam
-    return QSignal2D(symplectic_join((p + q) * (0.5 * scale),
-                                     (p - q) * (-0.5j * scale)), xgrid)
+    return QSignal2D(symplectic_join(a * scale, b * scale), xgrid)
 
 
 def orthogonality_form(Cf, Cg):

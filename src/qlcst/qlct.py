@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GridMismatch, SpacingError, ZeroSignal
 from .lct import KernelSpec, kernel_eval
-from .quaternion import qmul, symplectic_join, symplectic_split
+from .quaternion import qmul, right_mu2, symplectic_join, symplectic_split
 from .signal import Grid2D, QSignal2D, QSpectrum2D, fft_output_grid
 
 SPACING_TOL = 1e-9
@@ -116,20 +116,9 @@ def _left_axis(a, b, in_axis, out_axis, m, sign):
 
 
 def _right_axis(a, b, in_axis, out_axis, m, sign):
-    """Apply the mu2-side kernel along axis 1 of the symplectic pair.
-
-    Right multiplication by exp(mu2*theta) mixes the pair:
-    (a, b) -> (a cos - b sin, a sin + b cos); cos/sin are expanded through the
-    mu1-complex phase transform T and its conjugate-route counterpart.
-    """
-    def tr(g):
-        return _axis_phase_transform(g, 1, in_axis, out_axis, m.a, m.b, m.d, sign)
-
-    ta, tca = tr(a), np.conj(tr(np.conj(a)))
-    tb, tcb = tr(b), np.conj(tr(np.conj(b)))
-    a_out = 0.5 * (ta + tca) + 0.5j * (tb - tcb)
-    b_out = -0.5j * (ta - tca) + 0.5 * (tb + tcb)
-    return a_out, b_out
+    """Apply the mu2-side kernel along axis 1 of the symplectic pair."""
+    return right_mu2(a, b, lambda g: _axis_phase_transform(
+        g, 1, in_axis, out_axis, m.a, m.b, m.d, sign))
 
 
 def qlct_fast_forward(f, m1, m2, ugrid=None):

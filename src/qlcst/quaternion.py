@@ -93,3 +93,19 @@ def symplectic_join(a, b):
     out[..., 2] = b.real
     out[..., 3] = b.imag
     return out
+
+
+def right_mu2(a, b, transform):
+    """Planes of the right products (a + b*mu2) * exp(mu2*theta) under a
+    complex-linear map.
+
+    transform applies exp(i*theta) with real weights along the last axis of
+    a mu1-complex array (a phase table, a kernel matrix or a chirp-FFT).  A
+    right exp(mu2*theta) is diagonal on P = a + i*b, which gains exp(i*theta),
+    and on Q = a - i*b, which gains exp(-i*theta) (the orthogonal 2D planes
+    split of Hitzer & Sangwine), so P goes through transform and Q through
+    its conjugate map conj(transform(conj(Q))).
+    """
+    p = transform(a + 1j * b)
+    q = np.conj(transform(np.conj(a - 1j * b)))
+    return (p + q) * 0.5, (p - q) * -0.5j

@@ -11,8 +11,8 @@ from qlcst.io import (COEFF_MAGIC, SIGNAL_MAGIC, coefficient_slice,
                       write_coefficients, write_signal)
 from qlcst.lct import validate_param
 from qlcst.qlcst import qlcst_forward
-from qlcst.signal import Grid1D, Grid2D, QSignal2D
-from qlcst.window import fixed_gaussian
+from qlcst.signal import Grid1D, Grid2D, QSignal2D, relative_l2
+from qlcst.window import fixed_gaussian, window_eval
 
 FOURIER = validate_param(0, 1, -1, 0)
 
@@ -62,6 +62,20 @@ def test_truncated_file(tmp_path):
     path.write_bytes(raw[:len(raw) - 7])
     with pytest.raises(TruncatedFile):
         read_signal(path)
+
+
+@pytest.mark.parametrize("n", [2 ** 31, 3_000_000])
+def test_absurd_signal_header(tmp_path, n):
+    """A header whose point counts exceed the file is refused before any
+    read is attempted, also through the CLI."""
+    path = tmp_path / "bad.qsg"
+    path.write_bytes(struct.pack("<4sHIIdddd", SIGNAL_MAGIC, 1, n, n,
+                                 0.0, 0.0, 1.0, 1.0) + bytes(32))
+    with pytest.raises(TruncatedFile):
+        read_signal(path)
+    assert cli_main(["qlct", "--fast", "-i", str(path),
+                     "-o", str(tmp_path / "out.qsg"),
+                     "--m1", "0,1,-1,0", "--m2", "0,1,-1,0"]) == 1
 
 
 def test_version_mismatch(tmp_path):
@@ -186,6 +200,26 @@ def test_cli_qlcst_and_export(tmp_path):
     assert cli_main(["export", "-i", cpath, "-o", str(pgm), "--slice", "u",
                      "--index", "6,6", "--format", "pgm"]) == 0
     assert pgm.read_bytes().startswith(b"P5\n12 12\n255\n")
+
+
+def test_cli_table_window(tmp_path):
+    """qlcst --window table:PATH with fixed-gauss:1,1 sampled at every
+    offset u - x reproduces the separable coefficients."""
+    g = Grid2D.centered(8.0, 8)
+    f = gen_signal("gaussian", g)
+    fpath = str(tmp_path / "f.qsg")
+    tpath = str(tmp_path / "t.qsg")
+    cpath = str(tmp_path / "c.qcf")
+    write_signal(fpath, f)
+    lat = Grid1D(2 * g.axis1.n - 1, -(g.axis1.n - 1) * g.axis1.spacing,
+                 g.axis1.spacing)
+    t = lat.points
+    table = window_eval(fixed_gaussian(1, 1), (t[:, None], t[None, :]), (1.0, 1.0))
+    write_signal(tpath, QSignal2D(table, Grid2D(lat, lat)))
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 0
+    want = qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
+    assert relative_l2(read_coefficients(cpath).data, want.data) < 1e-10
 
 
 def test_cli_zero_b_rejected(tmp_path):

@@ -11,7 +11,7 @@ from qlcst.qlct import qlct_fast_forward, qlct_forward
 from qlcst.qlcst import (QLCSTCoefficients, _axis_kernel,
                          covariance_residuals, energy_identity_gap,
                          marginal_qlct_gap, orthogonality_form,
-                         qlcst_forward, qlcst_forward_windowfn,
+                         qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          shift_signal, special_case_matrix)
 from qlcst.quaternion import qconj, qmul, qnorm
@@ -19,13 +19,53 @@ from qlcst.signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid,
                           relative_l2)
 from qlcst.verify import MATRIX_CASES
 from qlcst.window import (constant_window, fixed_gaussian, lambda_psi,
-                          s_gaussian, window_eval)
+                          s_gaussian, table_window, window_eval)
 
 FOURIER = validate_param(0, 1, -1, 0)
 
 
 def grid(n=16, extent=8.0):
     return Grid2D.centered(extent, n)
+
+
+def quadrature(f, win, m1, m2, u1, u2, w1, w2):
+    """Riemann sum of K1(x1, w1) * f(x) * conj(Psi(u - x, w)) * K2(x2, w2)
+    by generic quaternion products at every (u1, u2, w1, w2) of the given
+    point vectors; returns a (len(u1), len(u2), len(w1), len(w2), 4) array."""
+    def axis(v, k):
+        return np.reshape(np.asarray(v, dtype=float),
+                          [-1 if i == k else 1 for i in range(6)])
+    x1 = axis(f.grid.axis1.points, 4)
+    x2 = axis(f.grid.axis2.points, 5)
+    w1 = axis(w1, 2)
+    w2 = axis(w2, 3)
+    psi = window_eval(win, (axis(u1, 0) - x1, axis(u2, 1) - x2), (w1, w2))
+    k1 = kernel_eval(KernelSpec(m1, 1), x1, w1)
+    k2 = kernel_eval(KernelSpec(m2, 2), x2, w2)
+    term = qmul(qmul(k1, qmul(f.data, qconj(psi))), k2)
+    return term.sum(axis=(4, 5)) * f.grid.cell
+
+
+def offset_lattice(g):
+    """The (2n - 1)^2 grid of every offset u - x between points of g."""
+    def axis(ax):
+        return Grid1D(2 * ax.n - 1, -(ax.n - 1) * ax.spacing, ax.spacing)
+    return Grid2D(axis(g.axis1), axis(g.axis2))
+
+
+def lattice_table(win, g):
+    """win sampled on the offset lattice of g as a table window, so every
+    lookup lands on a table point."""
+    lat = offset_lattice(g)
+    x = (lat.axis1.points[:, None], lat.axis2.points[None, :])
+    return table_window(QSignal2D(window_eval(win, x, (1.0, 1.0)), lat))
+
+
+# A quaternion-valued table whose points fall between the u - x offsets of
+# grid(8), so every lookup interpolates.
+OFF_LATTICE_TABLE = table_window(QSignal2D(
+    np.random.default_rng(41).standard_normal((9, 7, 4)),
+    Grid2D(Grid1D.centered(5.0, 9), Grid1D.centered(4.0, 7))))
 
 
 def test_constant_window_reduces_to_qlct():
@@ -51,54 +91,85 @@ def test_brute_force_oracle_points():
     f = gen_signal("gaussian", g)
     win = fixed_gaussian(1, 1)
     c = qlcst_forward(f, win, FOURIER, FOURIER)
-    x1 = g.axis1.points
-    x2 = g.axis2.points
     rng = np.random.default_rng(20)
     for _ in range(5):
         iu1, iu2 = rng.integers(0, g.axis1.n, 2)
         iw1, iw2 = rng.integers(0, c.wgrid.axis1.n, 2)
-        u = (c.ugrid.axis1.points[iu1], c.ugrid.axis2.points[iu2])
-        w = (c.wgrid.axis1.points[iw1], c.wgrid.axis2.points[iw2])
-        k1 = kernel_eval(KernelSpec(FOURIER, 1), x1, np.full_like(x1, w[0]))
-        k2 = kernel_eval(KernelSpec(FOURIER, 2), x2, np.full_like(x2, w[1]))
-        psi = window_eval(win, (u[0] - x1[:, None], u[1] - x2[None, :]), w)
-        term = qmul(qmul(k1[:, None], qmul(f.data, qconj(psi))), k2[None, :])
-        want = term.reshape(-1, 4).sum(axis=0) * g.cell
+        want = quadrature(f, win, FOURIER, FOURIER,
+                          c.ugrid.axis1.points[[iu1]], c.ugrid.axis2.points[[iu2]],
+                          c.wgrid.axis1.points[[iw1]],
+                          c.wgrid.axis2.points[[iw2]])[0, 0, 0, 0]
         got = c.data[iu1, iu2, iw1, iw2]
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
 
 
 def test_generic_path_matches_separable():
-    """The quaternion-ordered O(n^6) path agrees with the matrix-product path."""
+    """The per-point quaternion quadrature agrees with the matrix-product
+    path at every (u, w) for a Gaussian signal under the Fourier case."""
     g = grid(8)
     f = gen_signal("gaussian", g)
     win = fixed_gaussian(1, 1)
     c = qlcst_forward(f, win, FOURIER, FOURIER)
-
-    def fn(x1, x2, u, w):
-        return window_eval(win, (u[0] - x1, u[1] - x2), w)
-
-    generic = qlcst_forward_windowfn(f, fn, FOURIER, FOURIER, c.ugrid, c.wgrid)
-    assert relative_l2(generic, c.data) < 1e-12
+    want = quadrature(f, win, FOURIER, FOURIER,
+                      c.ugrid.axis1.points, c.ugrid.axis2.points,
+                      c.wgrid.axis1.points, c.wgrid.axis2.points)
+    assert relative_l2(want, c.data) < 1e-12
 
 
 @pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
 @pytest.mark.parametrize("win", [fixed_gaussian(1, 1), s_gaussian(),
-                                 constant_window()],
-                         ids=["fixed-gauss", "s-gauss", "constant"])
+                                 constant_window(), OFF_LATTICE_TABLE],
+                         ids=["fixed-gauss", "s-gauss", "constant",
+                              "table-off-lattice"])
 def test_separable_matches_generic_all_windows(win, case):
-    """The kernel-matrix contraction agrees with the quaternion-ordered path
-    for every built-in window under every verification matrix case."""
+    """The kernel-matrix contraction agrees with the per-point quaternion
+    quadrature at every (u, w) for every window family under every
+    verification matrix case."""
     m1, m2 = dict(MATRIX_CASES)[case]()
     g = grid(8)
     f = random_hermite_combo(g, seed=3)
     c = qlcst_forward(f, win, m1, m2)
+    want = quadrature(f, win, m1, m2, c.ugrid.axis1.points, c.ugrid.axis2.points,
+                      c.wgrid.axis1.points, c.wgrid.axis2.points)
+    assert relative_l2(c.data, want) < 1e-12
 
-    def fn(x1, x2, u, w):
-        return window_eval(win, (u[0] - x1, u[1] - x2), w)
 
-    generic = qlcst_forward_windowfn(f, fn, m1, m2, c.ugrid, c.wgrid)
-    assert relative_l2(c.data, generic) < 1e-12
+@pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
+def test_lattice_table_matches_separable(case):
+    """fixed-gauss:1,1 sampled on the offset lattice gives the separable
+    path's coefficients through the table path."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(8)
+    f = random_hermite_combo(g, seed=4)
+    win = fixed_gaussian(1, 1)
+    want = qlcst_forward(f, win, m1, m2)
+    got = qlcst_forward(f, lattice_table(win, g), m1, m2)
+    assert relative_l2(got.data, want.data) < 1e-10
+
+
+def test_table_window_slices_are_qlcts_of_masked_products():
+    """For a quaternion-valued table, C(u, .) is the direct QLCT of
+    f * conj(Psi(u - .)) at each u."""
+    g = grid(8)
+    f = random_hermite_combo(g, seed=5)
+    m1, m2 = dict(MATRIX_CASES)["fractional(pi/3)"]()
+    c = qlcst_forward(f, OFF_LATTICE_TABLE, m1, m2)
+    x1 = g.axis1.points[:, None]
+    x2 = g.axis2.points[None, :]
+    for iu1, iu2 in [(0, 0), (3, 5), (7, 2)]:
+        u = (g.axis1.points[iu1], g.axis2.points[iu2])
+        psi = window_eval(OFF_LATTICE_TABLE, (u[0] - x1, u[1] - x2), None)
+        masked = QSignal2D(qmul(f.data, qconj(psi)), g)
+        want = qlct_forward(masked, m1, m2, c.wgrid)
+        assert relative_l2(c.data[iu1, iu2], want.data) < 1e-10
+
+
+def from_data(data, ugrid, wgrid):
+    """Planes filled from an interleaved (u1, u2, w1, w2, 4) array."""
+    c = QLCSTCoefficients.empty(ugrid, wgrid)
+    for i in range(ugrid.axis1.n):
+        c.set_u1_slab(i, data[i])
+    return c
 
 
 def test_planes_interleaved_roundtrip_bitexact():
@@ -107,14 +178,14 @@ def test_planes_interleaved_roundtrip_bitexact():
     rng = np.random.default_rng(40)
     data = rng.standard_normal(ugrid.shape + wgrid.shape + (4,))
     data[0, 1, 2] = [1.0, 0.0, -0.0, 5e-324]
-    c = QLCSTCoefficients.from_data(data, ugrid, wgrid)
+    c = from_data(data, ugrid, wgrid)
     assert c.a.shape == c.b.shape == (3 * 5, 4 * 2)
     assert np.array_equal(c.data, data)
     assert np.array_equal(np.signbit(c.data), np.signbit(data))
     a4, b4 = c.views4()
     assert a4[2, 4, 1, 0] == data[2, 1, 4, 0, 0] + 1j * data[2, 1, 4, 0, 1]
     assert b4[2, 4, 1, 0] == data[2, 1, 4, 0, 2] + 1j * data[2, 1, 4, 0, 3]
-    back = QLCSTCoefficients.from_data(c.data, ugrid, wgrid)
+    back = from_data(c.data, ugrid, wgrid)
     assert np.array_equal(back.a, c.a) and np.array_equal(back.b, c.b)
     with pytest.raises(ValueError):
         c.data[0, 0, 0, 0, 0] = 1.0
@@ -139,19 +210,18 @@ def test_x_only_window_product_identity():
     def gamma(x1, x2):
         return np.exp(-((x1 + 0.3) ** 2 + x2 * x2) / 4.0)
 
-    def fn(x1, x2, u, w):
-        out = np.zeros(np.broadcast(x1, x2).shape + (4,))
-        out[..., 0] = gamma(u[0] - x1, u[1] - x2)
-        return out
-
-    c = qlcst_forward_windowfn(f, fn, FOURIER, FOURIER, g, wgrid)
+    lat = offset_lattice(g)
+    table = np.zeros(lat.shape + (4,))
+    table[..., 0] = gamma(lat.axis1.points[:, None], lat.axis2.points[None, :])
+    c = qlcst_forward(f, table_window(QSignal2D(table, lat)), FOURIER, FOURIER,
+                      g, wgrid)
     x1 = g.axis1.points[:, None]
     x2 = g.axis2.points[None, :]
     for iu1, iu2 in [(0, 0), (3, 5), (7, 2)]:
         u = (g.axis1.points[iu1], g.axis2.points[iu2])
         masked = QSignal2D(f.data * gamma(u[0] - x1, u[1] - x2)[..., None], g)
         want = qlct_forward(masked, FOURIER, FOURIER, wgrid)
-        assert relative_l2(c[iu1, iu2], want.data) < 1e-10
+        assert relative_l2(c.data[iu1, iu2], want.data) < 1e-10
 
 
 def test_pointwise_inverse_constant_window():

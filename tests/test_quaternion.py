@@ -3,8 +3,8 @@ import pytest
 
 from qlcst.errors import BasisAxisError
 from qlcst.quaternion import (MU1, MU2, MU3, ONE, qconj, qexp_axis, qmul,
-                              qnorm, qnormsq, quat, symplectic_join,
-                              symplectic_split)
+                              qnorm, qnormsq, quat, right_mu2,
+                              symplectic_join, symplectic_split)
 
 
 def test_basis_products():
@@ -89,3 +89,17 @@ def test_sandwich_via_split():
     co, si = np.cos(beta), np.sin(beta)
     via_split = symplectic_join(a * co - b * si, a * si + b * co)
     assert np.max(np.abs(direct - via_split)) < 8 * np.finfo(float).eps
+
+
+def test_right_mu2_matches_right_products():
+    """right_mu2 with the map g -> g @ K^T, K = c*exp(i*theta), equals the
+    sum over x of q(x) * c(x, k) * exp(mu2*theta(x, k)) by direct qmul."""
+    rng = np.random.default_rng(4)
+    q = rng.standard_normal((3, 5, 4))
+    theta = rng.uniform(-4.0, 4.0, (6, 5))
+    c = rng.uniform(0.5, 2.0, (6, 5))
+    k = c * np.exp(1j * theta)
+    factors = c[..., None] * qexp_axis(2, theta)               # (k, x, 4)
+    direct = qmul(q[:, None], factors[None]).sum(axis=2)      # (row, k, 4)
+    a, b = right_mu2(*symplectic_split(q), lambda g: g @ k.T)
+    assert np.max(np.abs(symplectic_join(a, b) - direct)) < 1e-14
