@@ -5,8 +5,8 @@ with a verification harness for their analytic identities."""
 from .errors import (AdmissibilityError, BadMagic, BadParameter,
                      BasisAxisError, DegenerateAngle, DeterminantError,
                      GridMismatch, NonFinite, QlcstError, SpacingError,
-                     TruncatedFile, VersionMismatch, ZeroBError, ZeroFrequency,
-                     ZeroSignal, ZeroWindow)
+                     TrailingBytes, TruncatedFile, VersionMismatch, ZeroBError,
+                     ZeroFrequency, ZeroSignal, ZeroWindow)
 from .generators import gen_signal, random_hermite_combo
 from .io import (read_coefficients, read_signal, write_coefficients,
                  write_signal)

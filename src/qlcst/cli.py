@@ -161,6 +161,9 @@ def cli_main(argv=None):
     except (QlcstError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def main():

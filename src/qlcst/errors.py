@@ -57,6 +57,10 @@ class TruncatedFile(QlcstError):
     """Signal/coefficient file ends before its payload does."""
 
 
+class TrailingBytes(QlcstError):
+    """Signal/coefficient file has bytes after its payload."""
+
+
 class VersionMismatch(QlcstError):
     """Signal/coefficient file has an unsupported format version."""
 

@@ -11,7 +11,8 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedFile, VersionMismatch
+from .errors import (BadMagic, NonFinite, TrailingBytes, TruncatedFile,
+                     VersionMismatch)
 from .signal import Grid1D, Grid2D, QSignal2D
 from .qlcst import QLCSTCoefficients
 
@@ -42,6 +43,22 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _check_payload_size(fh, nbytes):
+    """Refuse a file whose remainder is not exactly the header-declared
+    payload, before anything is allocated or read, so an absurd header count
+    never reaches the read as a huge request."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < nbytes:
+        raise TruncatedFile("file ends inside payload")
+    if left > nbytes:
+        raise TrailingBytes("%d bytes follow the payload" % (left - nbytes))
+
+
+def _check_finite(values, what):
+    if not np.all(np.isfinite(values)):
+        raise NonFinite("non-finite value in the %s" % what)
+
+
 def read_signal(path):
     """Read a QSG1 file back into a QSignal2D."""
     with open(path, "rb") as fh:
@@ -51,12 +68,12 @@ def read_signal(path):
             raise BadMagic("unexpected magic %r" % magic)
         if version != VERSION:
             raise VersionMismatch("unsupported signal version %d" % version)
+        _check_finite((o1, o2, d1, d2), "header")
         nbytes = n1 * n2 * 4 * 8
-        # An absurd header count must not reach the read as a huge request.
-        if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
-            raise TruncatedFile("file ends inside payload")
+        _check_payload_size(fh, nbytes)
         payload = _read_exact(fh, nbytes, "payload")
     data = np.frombuffer(payload, dtype="<f8").reshape(n1, n2, 4).astype(float)
+    _check_finite(data, "payload")
     grid = Grid2D(Grid1D(n1, o1, d1), Grid1D(n2, o2, d2))
     return QSignal2D(data, grid)
 
@@ -87,17 +104,18 @@ def read_coefficients(path):
             raise VersionMismatch("unsupported coefficient version %d" % version)
         nu1, nu2, nw1, nw2 = fields[2:6]
         uo1, uo2, ud1, ud2, wo1, wo2, wd1, wd2 = fields[6:]
+        _check_finite(fields[6:], "header")
         slab_bytes = nu2 * nw1 * nw2 * 4 * 8
-        # The planes are allocated up front, so a short file is refused first.
-        if os.fstat(fh.fileno()).st_size - fh.tell() < nu1 * slab_bytes:
-            raise TruncatedFile("file ends inside payload")
+        # The planes are allocated up front, so a wrong size is refused first.
+        _check_payload_size(fh, nu1 * slab_bytes)
         ugrid = Grid2D(Grid1D(nu1, uo1, ud1), Grid1D(nu2, uo2, ud2))
         wgrid = Grid2D(Grid1D(nw1, wo1, wd1), Grid1D(nw2, wo2, wd2))
         c = QLCSTCoefficients.empty(ugrid, wgrid)
         for i in range(nu1):
-            payload = _read_exact(fh, slab_bytes, "payload")
-            c.set_u1_slab(i, np.frombuffer(payload, dtype="<f8")
-                          .reshape(nu2, nw1, nw2, 4))
+            slab = np.frombuffer(_read_exact(fh, slab_bytes, "payload"),
+                                 dtype="<f8")
+            _check_finite(slab, "payload")
+            c.set_u1_slab(i, slab.reshape(nu2, nw1, nw2, 4))
     return c
 
 

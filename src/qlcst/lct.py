@@ -1,8 +1,9 @@
 """Parameter matrices and pointwise kernels of the linear canonical transform.
 
 A kernel is the unimodular phase exp(mu*(A/(2B) x^2 - xu/B + D/(2B) u^2 - pi/4))
-scaled by 1/sqrt(2*pi*|B|).  The inverse kernel negates the phase and swaps the
-two arguments.  The B = 0 delta branch is excluded.
+scaled by 1/sqrt(2*pi*|B|).  The inverse transform uses the adjoint kernel
+K^-1(u, x) = conj(K(x, u)), the negated phase at the same (x, u).  The B = 0
+delta branch is excluded.
 """
 
 import math
@@ -93,11 +94,10 @@ def kernel_eval(spec, x, u):
     """Evaluate the kernel pointwise as a quaternion array.
 
     Forward: c * exp(mu_axis * phase(x, u)).  Inverse: the kernel used by the
-    inversion integral, c * exp(-mu_axis * phase(u, x)) (negated phase with the
-    arguments swapped).
+    inversion integral, c * exp(-mu_axis * phase(x, u)) = conj(K(x, u)), with
+    x the signal point and u the spectrum point as in the forward case.
     """
-    if spec.direction == "forward":
-        theta = kernel_phase(spec.m, x, u)
-    else:
-        theta = -kernel_phase(spec.m, u, x)
+    theta = kernel_phase(spec.m, x, u)
+    if spec.direction == "inverse":
+        theta = -theta
     return kernel_const(spec.m) * qexp_axis(spec.axis, theta)

@@ -20,7 +20,8 @@ analysis is the contraction K1 @ (f * cell) @ K2^T with K2 applied through
 right_mu2 before the large K1 product; synthesis is the adjoint contraction.
 A sampled-table window does not depend on w, so each u-slice is the QLCT of
 f * conj(Psi(u - .)): the same contraction with the plain kernel matrices
-c * exp(i*theta(x, w)), which costs O(N^5).
+c * exp(i*theta(x, w)), which costs O(N^5); its synthesis inverts each
+u-slice over w with the adjoint matrices and sums inv_u(x) * Psi(u - x).
 a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
 """
@@ -231,11 +232,45 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
         return qlct_inverse(slab, C.m1, C.m2, xgrid)
 
 
+def _w_inverse_rows(C, xgrid):
+    """Yield, for each u1 in turn, the planes (a, b) of shape (x1, u2, x2) of
+    the inverse QLCT over w of every slice C(u1, u2, .) onto xgrid.
+
+    This is the adjoint contraction of the plain kernel matrices,
+    conj(E1)^T on w1 and conj(E2) on w2 through right_mu2, one u1 row of
+    the planes at a time, so the memory beyond C stays O(N^3).
+    """
+    e1h = _phase_matrix(C.m1, xgrid.axis1.points, C.wgrid.axis1.points).conj().T
+    e2c = _phase_matrix(C.m2, xgrid.axis2.points, C.wgrid.axis2.points).conj()
+    nw1 = C.wgrid.axis1.n
+    shape = (xgrid.axis1.n, C.ugrid.axis2.n, C.wgrid.axis2.n)
+    for i in range(C.ugrid.axis1.n):
+        rows = slice(i * nw1, (i + 1) * nw1)
+        a, b = right_mu2((e1h @ C.a[rows]).reshape(shape),
+                         (e1h @ C.b[rows]).reshape(shape), lambda g: g @ e2c)
+        yield a * C.wgrid.cell, b * C.wgrid.cell
+
+
+def _table_reconstruct(C, xgrid):
+    """Sum over u of inv_u(x) * Psi(u - x) * du for a sampled-table window,
+    where inv_u is the inverse QLCT over w of C(u, .) (_w_inverse_rows)."""
+    x1 = xgrid.axis1.points[:, None, None]
+    x2 = xgrid.axis2.points[None, None, :]
+    u2 = C.ugrid.axis2.points[None, :, None]
+    out = np.zeros(xgrid.shape + (4,))
+    for u1, (a, b) in zip(C.ugrid.axis1.points, _w_inverse_rows(C, xgrid)):
+        psi = window_eval(C.window, (u1 - x1, u2 - x2), None)  # no w dependence
+        out += qmul(symplectic_join(a, b), psi).sum(axis=1)
+    return out * C.ugrid.cell
+
+
 def qlcst_reconstruct(C, xgrid=None):
     """Synthesis: f = (1/lam) * sum over (u, w) of
     Kinv1(x1,w1) * C(u,w) * Psi(u-x,w) * Kinv2(x2,w2), with the inverse
     kernels taken as the negated-phase forward kernels at (x, w): the
-    adjoint contraction K1^H @ P @ conj(K2) and K1^H @ Q @ K2.
+    adjoint contraction K1^H @ P @ conj(K2) and K1^H @ Q @ K2.  A table
+    window does not depend on w, so its sum over w is the inverse QLCT of
+    each u-slice (_table_reconstruct).
     """
     adm = lambda_psi(C.window)
     if adm.w_dependent:
@@ -243,6 +278,8 @@ def qlcst_reconstruct(C, xgrid=None):
             "reconstruction needs a frequency-independent admissibility constant")
     if xgrid is None:
         xgrid = C.ugrid
+    if not C.window.separable:
+        return QSignal2D(_table_reconstruct(C, xgrid) / adm.lam, xgrid)
     k1, k2 = _axis_kernels(C.window, C.m1, C.m2, C.ugrid, xgrid, C.wgrid)
     k1h = k1.conj().T
     a, b = right_mu2(k1h @ C.a, k1h @ C.b, lambda g: g @ k2.conj())
@@ -355,12 +392,6 @@ def _shift_u(C, k1, k2):
     return out
 
 
-def _w_sandwich(a, b, ugrid, theta1, theta2):
-    """exp(mu1*theta1(w1)) * C * exp(mu2*theta2(w2)) in place on the planes."""
-    return _sandwich(a, b, np.tile(theta1, ugrid.axis1.n),
-                     np.tile(theta2, ugrid.axis2.n))
-
-
 def _planes_rel_l2(got, want):
     """relative_l2 of two (a, b) plane pairs over their quaternion components."""
     num = sum(np.linalg.norm(g - w) ** 2 for g, w in zip(got, want))
@@ -388,7 +419,10 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
 
     The shift identity is checked in its derivation-consistent form, with the
     auxiliary signal built as the two-sided product
-    exp(mu1 A1 t1 alpha1/B1) f exp(mu2 A2 t2 alpha2/B2).  The modulation
+    exp(mu1 A1 t1 alpha1/B1) f exp(mu2 A2 t2 alpha2/B2).  The w-dependent
+    phase factors exp(mu1*phi1(w1)) * . * exp(mu2*phi2(w2)) of both sides
+    are added to the kernel phase tables, since they multiply the mu1 kernel
+    on the left and the mu2 kernel on the right.  The modulation
     identity is evaluated for both readings of the kernel argument order
     (as printed, and with the frequency shift in the standard slot) and both
     residuals are reported.
@@ -398,6 +432,13 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
     w2pts = wgrid.axis2.points
     x1 = f.grid.axis1.points
     x2 = f.grid.axis2.points
+
+    def forward(g, theta1, theta2, phi1, phi2):
+        """Planes of exp(mu1*phi1) * (analysis of g under the kernel phase
+        tables theta) * exp(mu2*phi2), with phi depending on w only."""
+        return _separable_forward(g, window, m1, m2, ugrid, wgrid,
+                                  theta1 + phi1[:, None], theta2 + phi2[:, None])
+
     # The planes are large at desk scale; intermediates are dropped as soon
     # as each residual is in hand.
 
@@ -418,10 +459,12 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
                              m2.a * x2 * alpha[1] / m2.b)
     k1 = _integer_shift(alpha[0], ugrid.axis1.spacing)
     k2 = _integer_shift(alpha[1], ugrid.axis2.spacing)
-    rhs = _shift_u(qlcst_forward(f_tilde, window, m1, m2, ugrid, wgrid), k1, k2)
-    rhs = _w_sandwich(*rhs, ugrid,
-                      (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
-                      (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b))
+    # The phase depends on w only, so it commutes with the shift in u.
+    rhs = forward(f_tilde, kernel_phase(m1, x1[None, :], w1pts[:, None]),
+                  kernel_phase(m2, x2[None, :], w2pts[:, None]),
+                  (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
+                  (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b))
+    rhs = _shift_u(QLCSTCoefficients(*rhs, ugrid, wgrid), k1, k2)
     shift = _planes_rel_l2(rhs, (lhs.a, lhs.b))
     del lhs, rhs
 
@@ -432,10 +475,9 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
     t2 = (w2pts - s[1] * m2.b)[:, None]
 
     def residual(theta1, theta2):
-        raw = _separable_forward(f, window, m1, m2, ugrid, wgrid, theta1, theta2)
-        out = _w_sandwich(*raw, ugrid,
-                          m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
-                          m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
+        out = forward(f, theta1, theta2,
+                      m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
+                      m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
         return _planes_rel_l2(out, (lhs_mod.a, lhs_mod.b))
 
     modulation_derived = residual(kernel_phase(m1, x1[None, :], t1),

@@ -3,7 +3,8 @@
 Two evaluation routes are provided and kept deliberately independent:
 
 * qlct_forward / qlct_inverse: plain Riemann-sum quadrature with generic
-  quaternion arithmetic, one output point at a time.  Slow, trusted.
+  quaternion arithmetic, one output row at a time (O(N^3) products, O(N^2)
+  memory).  Slow, trusted; it uses no symplectic split and no FFT.
 * qlct_fast_forward / qlct_fast_inverse: per-axis chirp-FFT factorization on
   the symplectic components.  Requires the FFT-compatible spectrum spacing
   du = 2*pi*|B| / (n * dx) on each axis.
@@ -26,6 +27,21 @@ def _check_grid(grid):
         raise GridMismatch("expected a Grid2D, got %r" % (grid,))
 
 
+def _riemann(k1, data, k2, cell):
+    """Double Riemann sum out[i, j] = sum over (p, q) of
+    k1[p, i] * data[p, q] * k2[q, j] * cell by generic quaternion products.
+
+    Each output row sums over p first and then takes every column j at once
+    (right multiplication distributes over the p sum), so the temporaries
+    stay O(N^2).
+    """
+    out = np.empty((k1.shape[1], k2.shape[1], 4))
+    for i in range(k1.shape[1]):
+        left = qmul(k1[:, i][:, None, :], data).sum(axis=0)
+        out[i] = qmul(left[:, None, :], k2).sum(axis=0) * cell
+    return out
+
+
 def qlct_forward(f, m1, m2, ugrid=None):
     """Direct Riemann-sum forward transform onto ugrid.
 
@@ -35,54 +51,40 @@ def qlct_forward(f, m1, m2, ugrid=None):
     if ugrid is None:
         ugrid = fft_output_grid(f.grid, m1.b, m2.b)
     _check_grid(ugrid)
-    u1 = ugrid.axis1.points
-    u2 = ugrid.axis2.points
-    x1 = f.grid.axis1.points
-    x2 = f.grid.axis2.points
     # Kernel tables: (n_x, n_u, 4)
-    k1 = kernel_eval(KernelSpec(m1, 1), x1[:, None], u1[None, :])
-    k2 = kernel_eval(KernelSpec(m2, 2), x2[:, None], u2[None, :])
-    out = np.empty((ugrid.axis1.n, ugrid.axis2.n, 4))
-    cell = f.grid.cell
-    for i in range(ugrid.axis1.n):
-        left = qmul(k1[:, i][:, None, :], f.data)
-        for j in range(ugrid.axis2.n):
-            term = qmul(left, k2[:, j][None, :, :])
-            out[i, j] = term.reshape(-1, 4).sum(axis=0) * cell
-    return QSpectrum2D(out, ugrid)
+    k1 = kernel_eval(KernelSpec(m1, 1), f.grid.axis1.points[:, None],
+                     ugrid.axis1.points[None, :])
+    k2 = kernel_eval(KernelSpec(m2, 2), f.grid.axis2.points[:, None],
+                     ugrid.axis2.points[None, :])
+    return QSpectrum2D(_riemann(k1, f.data, k2, f.grid.cell), ugrid)
 
 
 def qlct_inverse(F, m1, m2, xgrid=None):
     """Direct Riemann-sum inverse transform onto xgrid.
 
-    Uses the inversion kernels: negated phase with swapped arguments, the mu1
-    factor on the left and the mu2 factor on the right.
+    Uses the inversion kernels conj(K(x, u)): the mu1 factor on the left and
+    the mu2 factor on the right.
     """
     if xgrid is None:
         xgrid = fft_output_grid(F.grid, m1.b, m2.b)
     _check_grid(xgrid)
-    u1 = F.grid.axis1.points
-    u2 = F.grid.axis2.points
-    x1 = xgrid.axis1.points
-    x2 = xgrid.axis2.points
-    k1 = kernel_eval(KernelSpec(m1, 1, "inverse"), x1[None, :], u1[:, None])
-    k2 = kernel_eval(KernelSpec(m2, 2, "inverse"), x2[None, :], u2[:, None])
-    out = np.empty((xgrid.axis1.n, xgrid.axis2.n, 4))
-    cell = F.grid.cell
-    for i in range(xgrid.axis1.n):
-        left = qmul(k1[:, i][:, None, :], F.data)
-        for j in range(xgrid.axis2.n):
-            term = qmul(left, k2[:, j][None, :, :])
-            out[i, j] = term.reshape(-1, 4).sum(axis=0) * cell
-    return QSignal2D(out, xgrid)
+    # Kernel tables: (n_u, n_x, 4)
+    k1 = kernel_eval(KernelSpec(m1, 1, "inverse"), xgrid.axis1.points[None, :],
+                     F.grid.axis1.points[:, None])
+    k2 = kernel_eval(KernelSpec(m2, 2, "inverse"), xgrid.axis2.points[None, :],
+                     F.grid.axis2.points[:, None])
+    return QSignal2D(_riemann(k1, F.data, k2, F.grid.cell), xgrid)
 
 
-def _axis_phase_transform(g, axis, in_axis, out_axis, ma, mb, md, sign):
-    """FFT evaluation of sum_j g_j exp(i*sign*phase(x_j, u_k)) * dx * const.
+def _axis_phase_transform(g, axis, in_axis, out_axis, m, sign):
+    """FFT evaluation of sum_j g_j exp(i*sign*phase(x, u)) * d(in) * const.
 
-    phase(x, u) = A/(2B) x^2 - xu/B + D/(2B) u^2 - pi/4 with x on in_axis and
-    u on out_axis.  Needs matching point counts and the FFT spacing relation.
+    phase(x, u) = A/(2B) x^2 - xu/B + D/(2B) u^2 - pi/4 with x the signal
+    point: on in_axis for the forward kernel (sign +1), on out_axis for the
+    inverse kernel conj(K(x, u)) (sign -1).  Needs matching point counts and
+    the FFT spacing relation.
     """
+    ma, mb, md = (m.a, m.b, m.d) if sign > 0 else (m.d, m.b, m.a)
     n = in_axis.n
     if out_axis.n != n:
         raise SpacingError("fast path needs equal in/out point counts")
@@ -110,15 +112,15 @@ def _axis_phase_transform(g, axis, in_axis, out_axis, ma, mb, md, sign):
 
 def _left_axis(a, b, in_axis, out_axis, m, sign):
     """Apply the mu1-side kernel along axis 0 of the symplectic pair."""
-    ta = _axis_phase_transform(a, 0, in_axis, out_axis, m.a, m.b, m.d, sign)
-    tb = _axis_phase_transform(b, 0, in_axis, out_axis, m.a, m.b, m.d, sign)
+    ta = _axis_phase_transform(a, 0, in_axis, out_axis, m, sign)
+    tb = _axis_phase_transform(b, 0, in_axis, out_axis, m, sign)
     return ta, tb
 
 
 def _right_axis(a, b, in_axis, out_axis, m, sign):
     """Apply the mu2-side kernel along axis 1 of the symplectic pair."""
     return right_mu2(a, b, lambda g: _axis_phase_transform(
-        g, 1, in_axis, out_axis, m.a, m.b, m.d, sign))
+        g, 1, in_axis, out_axis, m, sign))
 
 
 def qlct_fast_forward(f, m1, m2, ugrid=None):
@@ -133,7 +135,7 @@ def qlct_fast_forward(f, m1, m2, ugrid=None):
 
 
 def qlct_fast_inverse(F, m1, m2, xgrid=None):
-    """Chirp-FFT inverse transform (negated-phase, swapped-argument kernels)."""
+    """Chirp-FFT inverse transform with the kernels conj(K(x, u))."""
     if xgrid is None:
         xgrid = fft_output_grid(F.grid, m1.b, m2.b)
     _check_grid(xgrid)

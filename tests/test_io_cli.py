@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlcst.cli import cli_main
-from qlcst.errors import BadMagic, TruncatedFile, VersionMismatch
+from qlcst.errors import (BadMagic, NonFinite, QlcstError, TrailingBytes,
+                          TruncatedFile, VersionMismatch)
 from qlcst.generators import gen_signal
 from qlcst.io import (COEFF_MAGIC, SIGNAL_MAGIC, coefficient_slice,
                       export_signal_csv, read_coefficients, read_signal,
@@ -62,6 +65,107 @@ def test_truncated_file(tmp_path):
     path.write_bytes(raw[:len(raw) - 7])
     with pytest.raises(TruncatedFile):
         read_signal(path)
+
+
+def coefficient_file(tmp_path):
+    g = Grid2D.centered(4.0, 4)
+    c = qlcst_forward(gen_signal("gaussian", g), fixed_gaussian(1, 1),
+                      FOURIER, FOURIER)
+    path = tmp_path / "c.qcf"
+    write_coefficients(path, c)
+    return path
+
+
+def signal_file(tmp_path):
+    path = tmp_path / "s.qsg"
+    write_signal(path, gen_signal("gaussian", Grid2D.centered(2.0, 4)))
+    return path
+
+
+READERS = pytest.mark.parametrize(
+    "make, read", [(signal_file, read_signal), (coefficient_file, read_coefficients)],
+    ids=["signal", "coefficients"])
+
+
+@READERS
+def test_trailing_bytes_rejected(tmp_path, make, read):
+    path = make(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(TrailingBytes):
+        read(path)
+
+
+@READERS
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["header", "payload"])
+def test_non_finite_rejected(tmp_path, make, read, value, where):
+    path = make(tmp_path)
+    raw = bytearray(path.read_bytes())
+    if where == "payload":
+        at = len(raw) - 8
+    else:  # the first origin, right after magic, version and counts
+        at = struct.calcsize("<4sHII" if read is read_signal else "<4sHIIII")
+    raw[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(NonFinite):
+        read(path)
+
+
+def _file_with_one_defect(draw, fmt, magic, counts, nfloats):
+    """A file in the given header layout with at most one defect: a wrong
+    magic or version, a point count below 2, a non-finite header or payload
+    value, or a payload cut short or extended."""
+    defect = draw(st.sampled_from(
+        ["none", "magic", "version", "count", "header", "payload", "size"]))
+    if defect == "count":
+        counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(0, 1))
+    grid = draw(st.lists(st.floats(0.01, 10.0), min_size=nfloats, max_size=nfloats))
+    nvalues = int(np.prod(counts)) * 4
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=nvalues,
+                           max_size=nvalues))
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if defect == "header":
+        grid[draw(st.integers(0, nfloats - 1))] = bad
+    if defect == "payload" and values:
+        values[draw(st.integers(0, nvalues - 1))] = bad
+    raw = (struct.pack(fmt, b"XXXX" if defect == "magic" else magic,
+                       2 if defect == "version" else 1, *counts, *grid)
+           + struct.pack("<%dd" % nvalues, *values))
+    if defect == "size":
+        cut = draw(st.integers(-9, 9).filter(bool))
+        raw = raw[:len(raw) + cut] if cut < 0 else raw + bytes(cut)
+    return raw
+
+
+@st.composite
+def qsg_bytes(draw):
+    counts = [draw(st.integers(2, 4)) for _ in range(2)]
+    return _file_with_one_defect(draw, "<4sHIIdddd", SIGNAL_MAGIC, counts, 4)
+
+
+@st.composite
+def qcf_bytes(draw):
+    counts = [draw(st.integers(2, 3)) for _ in range(4)]
+    return _file_with_one_defect(draw, "<4sHIIIIdddddddd", COEFF_MAGIC,
+                                 counts, 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=200), qsg_bytes(), qcf_bytes()))
+def test_readers_accept_valid_or_raise_qlcst_error(tmp_path_factory, raw):
+    """Any bytes give a finite object matching its header, or a QlcstError."""
+    path = tmp_path_factory.mktemp("fuzz") / "f.bin"
+    path.write_bytes(raw)
+    for read in (read_signal, read_coefficients):
+        try:
+            obj = read(path)
+        except QlcstError:
+            continue
+        if read is read_signal:
+            assert obj.data.shape == obj.grid.shape + (4,)
+            assert np.all(np.isfinite(obj.data))
+        else:
+            assert np.all(np.isfinite(obj.a)) and np.all(np.isfinite(obj.b))
 
 
 @pytest.mark.parametrize("n", [2 ** 31, 3_000_000])
@@ -220,6 +324,10 @@ def test_cli_table_window(tmp_path):
                      "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 0
     want = qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
     assert relative_l2(read_coefficients(cpath).data, want.data) < 1e-10
+    rpath = str(tmp_path / "r.qsg")
+    assert cli_main(["reconstruct", "-i", cpath, "-o", rpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 0
+    assert relative_l2(read_signal(rpath).data, f.data) < 1e-8
 
 
 def test_cli_zero_b_rejected(tmp_path):
@@ -240,6 +348,15 @@ def test_cli_missing_input(tmp_path):
                      "-o", str(tmp_path / "out.qsg"),
                      "--m1", "0,1,-1,0", "--m2", "0,1,-1,0"])
     assert code == 1
+
+
+def test_cli_memory_error(tmp_path, monkeypatch):
+    def exhausted(path):
+        raise MemoryError()
+    monkeypatch.setattr("qlcst.io.read_signal", exhausted)
+    assert cli_main(["qlct", "-i", str(tmp_path / "f.qsg"),
+                     "-o", str(tmp_path / "out.qsg"),
+                     "--m1", "0,1,-1,0", "--m2", "0,1,-1,0"]) == 1
 
 
 def test_cli_verify_exit_code():

@@ -70,10 +70,10 @@ def test_fourier_phase_convention():
     assert np.allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("abcd", [(0, 1, -1, 0), (1, 2, 0, 1)])
+@pytest.mark.parametrize("abcd", [(0, 1, -1, 0), (1, 2, 0, 1),
+                                  (0.8, -1.5, 0.4, 0.5)])
 def test_discrete_delta_identity(abcd):
-    """sum_x Kinv(u',x) K(x,u) dx concentrates on u = u' (A = D matrices,
-    where the swapped-argument inverse kernel inverts the forward one).
+    """sum_x Kinv(u',x) K(x,u) dx concentrates on u = u', also for A != D.
 
     Gaussian-windowed comparison on a 64-point grid: every off-diagonal entry
     stays below 10 * diagonal / N.
@@ -98,14 +98,17 @@ def test_discrete_delta_identity(abcd):
     assert off.max() < 10.0 * diag.max() / n
 
 
-def test_inverse_kernel_is_conjugate_when_a_equals_d():
-    """For A = D the swapped-argument inverse kernel is the exact conjugate."""
-    m = validate_param(0, 1, -1, 0)
+def test_inverse_kernel_is_conjugate():
+    """The inverse kernel at (x, u) is the exact conjugate of the forward
+    one, for A = D and for A != D."""
     rng = np.random.default_rng(6)
     x = rng.uniform(-3, 3, 20)
     u = rng.uniform(-3, 3, 20)
-    fwd = kernel_eval(KernelSpec(m, 1), x, u)
-    inv = kernel_eval(KernelSpec(m, 1, "inverse"), x, u)
-    conj = fwd.copy()
-    conj[..., 1:] *= -1.0
-    assert np.allclose(inv, conj, atol=1e-12)
+    for abcd in [(0, 1, -1, 0), (0.8, -1.5, 0.4, 0.5), (2, 1, 0, 0.5)]:
+        m = validate_param(*abcd)
+        for axis in (1, 2):
+            fwd = kernel_eval(KernelSpec(m, axis), x, u)
+            inv = kernel_eval(KernelSpec(m, axis, "inverse"), x, u)
+            conj = fwd.copy()
+            conj[..., 1:] *= -1.0
+            assert np.allclose(inv, conj, atol=1e-12)

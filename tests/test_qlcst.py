@@ -14,7 +14,7 @@ from qlcst.qlcst import (QLCSTCoefficients, _axis_kernel,
                          qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          shift_signal, special_case_matrix)
-from qlcst.quaternion import qconj, qmul, qnorm
+from qlcst.quaternion import qconj, qmul, qnorm, qnormsq
 from qlcst.signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid,
                           relative_l2)
 from qlcst.verify import MATRIX_CASES
@@ -253,6 +253,25 @@ def test_reconstruct_roundtrip_small():
     c = qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
     rec = qlcst_reconstruct(c)
     assert relative_l2(rec.data, f.data) < 1e-3
+
+
+@pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
+@pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "off-lattice"])
+def test_table_reconstruct_identity(case, lattice):
+    """Table-window synthesis equals (1/lam) * sum_u f(x) |Psi(u - x)|^2 du,
+    the exact discrete image of f under analysis and synthesis."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(8)
+    f = random_hermite_combo(g, seed=6)
+    win = lattice_table(fixed_gaussian(1, 1), g) if lattice else OFF_LATTICE_TABLE
+    rec = qlcst_reconstruct(qlcst_forward(f, win, m1, m2))
+    x1 = g.axis1.points[:, None, None, None]
+    x2 = g.axis2.points[None, :, None, None]
+    u1 = g.axis1.points[None, None, :, None]
+    u2 = g.axis2.points[None, None, None, :]
+    mass = qnormsq(window_eval(win, (u1 - x1, u2 - x2), None)).sum(axis=(2, 3))
+    want = f.data * (mass * g.cell / lambda_psi(win).lam)[..., None]
+    assert relative_l2(rec.data, want) < 1e-12
 
 
 def test_reconstruct_zero_coefficients():

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import qlcst.qlct as qlct_module
 from qlcst.errors import SpacingError, ZeroSignal
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.lct import KernelSpec, kernel_eval, validate_param
 from qlcst.qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
                         qlct_forward, qlct_inverse)
-from qlcst.quaternion import qmul, qnorm
+from qlcst.quaternion import qconj, qmul, qnorm
 from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
                           fft_output_grid, relative_l2)
 
 FOURIER = validate_param(0, 1, -1, 0)
+# Matrices with A != D, where the inverse kernel conj(K(x, u)) differs from
+# the negated phase with swapped arguments.
+SKEW1 = validate_param(0.8, -1.5, 0.4, 0.5)
+SKEW2 = validate_param(2, 1, 0, 0.5)
 
 
 def small_grid(n=16, extent=8.0):
@@ -57,6 +62,58 @@ def test_roundtrip_direct(abcd):
     f = gen_signal("gaussian", grid)
     back = qlct_inverse(qlct_forward(f, m, m), m, m, grid)
     assert relative_l2(back.data, f.data) < 1e-6
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "direct"])
+def test_roundtrip_a_neq_d(fast):
+    grid = small_grid(32)
+    f = random_hermite_combo(grid, seed=3)
+    forward, inverse = ((qlct_fast_forward, qlct_fast_inverse) if fast
+                        else (qlct_forward, qlct_inverse))
+    for m1, m2 in [(SKEW1, SKEW1), (SKEW2, SKEW2), (SKEW1, SKEW2)]:
+        back = inverse(forward(f, m1, m2), m1, m2, grid)
+        assert relative_l2(back.data, f.data) < 1e-10
+
+
+def literal_riemann(k1, data, k2, cell):
+    """out[i, j] = sum over (p, q) of k1[p, i] * data[p, q] * k2[q, j] * cell,
+    one output point at a time."""
+    out = np.empty((k1.shape[1], k2.shape[1], 4))
+    for i in range(k1.shape[1]):
+        for j in range(k2.shape[1]):
+            term = qmul(qmul(k1[:, i][:, None, :], data), k2[:, j][None, :, :])
+            out[i, j] = term.sum(axis=(0, 1)) * cell
+    return out
+
+
+def test_direct_oracle_is_independent(monkeypatch):
+    """qlct_forward/qlct_inverse run without the symplectic split, the
+    right-mu2 rule or any FFT, and equal the per-point Riemann sum."""
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the direct oracle used the fast path")
+    for name in ("symplectic_split", "symplectic_join", "right_mu2"):
+        monkeypatch.setattr(qlct_module, name, unavailable)
+    monkeypatch.setattr(np.fft, "fft", unavailable)
+    monkeypatch.setattr(np.fft, "ifft", unavailable)
+    grid = small_grid(8)
+    rng = np.random.default_rng(13)
+    f = QSignal2D(rng.standard_normal(grid.shape + (4,)), grid)
+    m1, m2 = SKEW1, SKEW2
+    spec = qlct_forward(f, m1, m2)
+    x1, x2 = grid.axis1.points, grid.axis2.points
+    u1, u2 = spec.grid.axis1.points, spec.grid.axis2.points
+    want = literal_riemann(kernel_eval(KernelSpec(m1, 1), x1[:, None], u1[None, :]),
+                           f.data,
+                           kernel_eval(KernelSpec(m2, 2), x2[:, None], u2[None, :]),
+                           grid.cell)
+    assert relative_l2(spec.data, want) < 1e-13
+    F = QSpectrum2D(rng.standard_normal(grid.shape + (4,)), spec.grid)
+    back = qlct_inverse(F, m1, m2, grid)
+    want = literal_riemann(
+        qconj(kernel_eval(KernelSpec(m1, 1), x1[None, :], u1[:, None])), F.data,
+        qconj(kernel_eval(KernelSpec(m2, 2), x2[None, :], u2[:, None])),
+        spec.grid.cell)
+    assert relative_l2(back.data, want) < 1e-13
 
 
 def test_fast_matches_direct_random():

@@ -6,9 +6,11 @@ import pytest
 from qlcst.errors import NonFinite, ZeroSignal
 from qlcst.generators import gen_signal
 from qlcst.lct import validate_param
-from qlcst.qlcst import qlcst_forward, sandwich_phase
+from qlcst.qlcst import (qlcst_forward, qlcst_pointwise_inverse,
+                         sandwich_phase)
+from qlcst.quaternion import qnormsq
 from qlcst.signal import Grid1D, Grid2D, QSignal2D
-from qlcst.uncertainty import (digamma, digamma_constant, heisenberg_report,
+from qlcst.uncertainty import (_axis_sq, _lemma_41_rhs, digamma, digamma_constant, heisenberg_report,
                                lemma_41_gap, log_uncertainty_report,
                                spatial_dispersion, spatial_log_moment,
                                spectral_dispersion)
@@ -154,6 +156,22 @@ def test_lemma41_zero_signal():
     g = Grid2D.centered(8.0, 8)
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
     assert lemma_41_gap(zero, fixed_gaussian(1, 1), FOURIER, FOURIER, 1) == 0.0
+
+
+@pytest.mark.parametrize("abcd", [(0, 1, -1, 0), (0.8, -1.5, 0.4, 0.5)])
+def test_lemma41_rhs_matches_pointwise_inverses(abcd):
+    """The batched w-inverse gives the same moment integral as one inverse
+    QLCT per u-slice."""
+    g = Grid2D.centered(8.0, 8)
+    m = validate_param(*abcd)
+    f = gen_signal("shifted-gaussian", g, center=(1.0, -0.5))
+    c = qlcst_forward(f, fixed_gaussian(1, 1), m, m)
+    for s in (1, 2):
+        acc = sum(float(np.sum(_axis_sq(g, s) * qnormsq(
+            qlcst_pointwise_inverse(c, (i, j), g).data)))
+            for i in range(g.axis1.n) for j in range(g.axis2.n))
+        want = acc * g.cell * c.ugrid.cell
+        assert abs(_lemma_41_rhs(c, f, s) - want) < 1e-12 * want
 
 
 def test_lemma41_gaussian_small():
