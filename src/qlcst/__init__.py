@@ -16,11 +16,11 @@ from .qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
 from .qlcst import (QLCSTCoefficients, covariance_residuals,
                     energy_identity_gap, marginal_qlct_gap, modulate,
                     orthogonality_form, qlcst_forward, qlcst_pointwise_inverse,
-                    qlcst_reconstruct, sandwich_phase, shift_signal,
-                    special_case_matrix)
+                    qlcst_reconstruct, shift_signal, special_case_matrix)
 from .quaternion import (MU1, MU2, MU3, ONE, qconj, qexp_axis, qmul, qnorm,
                          qnormsq, quat, symplectic_join, symplectic_split)
-from .signal import Grid1D, Grid2D, QSignal2D, QSpectrum2D, relative_l2
+from .signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D, relative_l2,
+                     sandwich_phase)
 from .uncertainty import (digamma, digamma_constant, heisenberg_report,
                           lemma_41_gap, log_uncertainty_report)
 from .verify import SUITES, run_suite

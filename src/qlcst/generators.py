@@ -6,8 +6,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from .errors import BadParameter
-from .signal import Grid2D, QSignal2D
-from .qlcst import sandwich_phase
+from .signal import Grid2D, QSignal2D, sandwich_phase
 
 KINDS = ("gaussian", "shifted-gaussian", "dilated-gaussian", "hermite",
          "chirp", "impulse")
@@ -36,19 +35,24 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0),
         raise BadParameter("unknown generator kind %r" % kind)
     if not isinstance(grid, Grid2D):
         raise BadParameter("generator needs a Grid2D")
+    if kind in ("gaussian", "shifted-gaussian", "chirp") and not sigma > 0:
+        raise BadParameter("sigma must be positive")
+    if kind == "hermite" and (len(n) != 2 or min(n) < 0):
+        raise BadParameter("hermite wants two non-negative mode orders, got %r"
+                           % (n,))
+    if kind == "shifted-gaussian" and len(center) != 2:
+        raise BadParameter("center wants two coordinates, got %r" % (center,))
     x1 = grid.axis1.points[:, None]
     x2 = grid.axis2.points[None, :]
     data = np.zeros(grid.shape + (4,))
     if kind == "gaussian":
-        if sigma <= 0:
-            raise BadParameter("sigma must be positive")
         data[..., 0] = np.exp(-(x1 * x1 + x2 * x2) / (2.0 * sigma * sigma))
     elif kind == "shifted-gaussian":
         d1 = x1 - center[0]
         d2 = x2 - center[1]
         data[..., 0] = np.exp(-(d1 * d1 + d2 * d2) / (2.0 * sigma * sigma))
     elif kind == "dilated-gaussian":
-        if a <= 0:
+        if not a > 0:
             raise BadParameter("dilation factor must be positive")
         data[..., 0] = a * np.exp(-a * a * (x1 * x1 + x2 * x2) / 2.0)
     elif kind == "hermite":

@@ -11,8 +11,8 @@ import struct
 
 import numpy as np
 
-from .errors import (BadMagic, NonFinite, TrailingBytes, TruncatedFile,
-                     VersionMismatch)
+from .errors import (BadMagic, BadParameter, NonFinite, TrailingBytes,
+                     TruncatedFile, VersionMismatch)
 from .signal import Grid1D, Grid2D, QSignal2D
 from .qlcst import QLCSTCoefficients
 
@@ -138,14 +138,17 @@ def coefficient_slice(c, fixed, index):
     fixed = "u": freeze the position index, return the (w1, w2) magnitude map.
     fixed = "w": freeze the frequency index, return the (u1, u2) map.
     """
+    if fixed not in ("u", "w"):
+        raise ValueError("fixed must be 'u' or 'w'")
     i, j = index
+    for k, n in zip(index, (c.ugrid if fixed == "u" else c.wgrid).shape):
+        if not 0 <= k < n:
+            raise BadParameter("%s index %d is outside [0, %d)" % (fixed, k, n))
     a4, b4 = c.views4()
     if fixed == "u":
         a, b = a4[i, :, j], b4[i, :, j]
-    elif fixed == "w":
-        a, b = a4[:, i, :, j], b4[:, i, :, j]
     else:
-        raise ValueError("fixed must be 'u' or 'w'")
+        a, b = a4[:, i, :, j], b4[:, i, :, j]
     return np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
 
 

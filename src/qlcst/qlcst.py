@@ -20,8 +20,9 @@ analysis is the contraction K1 @ (f * cell) @ K2^T with K2 applied through
 right_mu2 before the large K1 product; synthesis is the adjoint contraction.
 A sampled-table window does not depend on w, so each u-slice is the QLCT of
 f * conj(Psi(u - .)): the same contraction with the plain kernel matrices
-c * exp(i*theta(x, w)), which costs O(N^5); its synthesis inverts each
-u-slice over w with the adjoint matrices and sums inv_u(x) * Psi(u - x).
+c * exp(i*theta(x, w)), which costs O(N^5).  The inverse over w of a
+u-slice, on any grid and for any window, is that contraction with the
+adjoint matrices conj(E)^T; the table synthesis sums inv_u(x) * Psi(u - x).
 a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
 """
@@ -33,14 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                     GridMismatch, ZeroSignal)
+                     GridMismatch, SpacingError, ZeroSignal)
 from .lct import kernel_const, kernel_phase, validate_param
 from .quaternion import qconj, qmul, right_mu2, symplectic_join, symplectic_split
-from .signal import (Grid2D, QSignal2D, QSpectrum2D, fft_output_grid,
-                     relative_l2)
+from .signal import (Grid2D, QSignal2D, fft_output_grid, relative_l2,
+                     sandwich_phase)
 from .window import lambda_psi, reflect, window_axis_profile, window_eval
-from .qlct import qlct_fast_forward, qlct_forward, qlct_inverse, qlct_fast_inverse
-from .errors import SpacingError
+from .qlct import qlct_fast_forward, qlct_forward
 
 # Window-profile entries below this fraction of the peak are stored as exact
 # zeros: the s-gaussian tails underflow to subnormals, which stall BLAS.
@@ -169,18 +169,15 @@ def _contract(a, b, k1, k2):
 
 
 def _separable_forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
-    """Planes (a, b) of the analysis for a real separable window.
-
-    theta1/theta2 override the per-axis (w, x) kernel phase tables; used by
-    the modulation-covariance check.
-    """
+    """Planes (a, b) of the analysis for a real separable window."""
     k1, k2 = _axis_kernels(window, m1, m2, ugrid, f.grid, wgrid, theta1, theta2)
     a, b = symplectic_split(f.data)
     return _contract(a * f.grid.cell, b * f.grid.cell, k1, k2)
 
 
-def _table_forward(f, window, m1, m2, ugrid, wgrid):
-    """Analysis for a sampled-table window, one u1 row of planes at a time.
+def _table_forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
+    """Planes (a, b) of the analysis for a sampled-table window, one u1 row
+    at a time.
 
     The table does not depend on w, so C(u, .) is the QLCT of
     g_u = f * conj(Psi(u - .)) onto wgrid.  For one u1 the products g_u of
@@ -190,17 +187,28 @@ def _table_forward(f, window, m1, m2, ugrid, wgrid):
     x1 = f.grid.axis1.points[:, None, None]
     x2 = f.grid.axis2.points[None, None, :]
     u2 = ugrid.axis2.points[None, :, None]
-    e1 = _phase_matrix(m1, f.grid.axis1.points, wgrid.axis1.points)
-    e2 = _phase_matrix(m2, f.grid.axis2.points, wgrid.axis2.points)
+    e1 = _phase_matrix(m1, f.grid.axis1.points, wgrid.axis1.points, theta1)
+    e2 = _phase_matrix(m2, f.grid.axis2.points, wgrid.axis2.points, theta2)
     fc = f.data[:, None] * f.grid.cell
-    c = QLCSTCoefficients.empty(ugrid, wgrid, window, m1, m2)
     nw1 = wgrid.axis1.n
+    shape = (ugrid.axis1.n * nw1, ugrid.axis2.n * wgrid.axis2.n)
+    a, b = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for i, u1 in enumerate(ugrid.axis1.points):
         psi = window_eval(window, (u1 - x1, u2 - x2), None)  # no w dependence
         rows = slice(i * nw1, (i + 1) * nw1)
-        c.a[rows], c.b[rows] = _contract(*symplectic_split(qmul(fc, qconj(psi))),
-                                         e1, e2)
-    return c
+        a[rows], b[rows] = _contract(*symplectic_split(qmul(fc, qconj(psi))),
+                                     e1, e2)
+    return a, b
+
+
+def _forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
+    """Planes (a, b) of the analysis on the path the window family allows.
+
+    theta1/theta2 override the per-axis (w, x) kernel phase tables; used by
+    the covariance checks.
+    """
+    path = _separable_forward if window.separable else _table_forward
+    return path(f, window, m1, m2, ugrid, wgrid, theta1, theta2)
 
 
 def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
@@ -209,14 +217,20 @@ def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
     Defaults: ugrid = signal grid, wgrid = FFT-compatible spectrum grid.
     """
     ugrid, wgrid = _default_grids(f, m1, m2, ugrid, wgrid)
-    if not window.separable:
-        return _table_forward(f, window, m1, m2, ugrid, wgrid)
-    a, b = _separable_forward(f, window, m1, m2, ugrid, wgrid)
-    return QLCSTCoefficients(a, b, ugrid, wgrid, window, m1, m2)
+    return QLCSTCoefficients(*_forward(f, window, m1, m2, ugrid, wgrid),
+                             ugrid, wgrid, window, m1, m2)
+
+
+def _w_adjoints(C, xgrid):
+    """The adjoint kernel matrices conj(E1)^T and conj(E2)^T, (x, w) each,
+    that take a w-slice of C back to xgrid."""
+    return (_phase_matrix(C.m1, xgrid.axis1.points, C.wgrid.axis1.points).conj().T,
+            _phase_matrix(C.m2, xgrid.axis2.points, C.wgrid.axis2.points).conj().T)
 
 
 def qlcst_pointwise_inverse(C, u_index, xgrid=None):
-    """Inverse QLCT over w of the coefficient slice at one position index.
+    """Inverse QLCT over w of the coefficient slice at one position index,
+    onto any xgrid (default: C.ugrid).
 
     Recovers the w-integrated masked product f(x) * conj(Psi(u - x, w)).
     """
@@ -224,31 +238,26 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
         xgrid = C.ugrid
     iu1, iu2 = u_index
     a4, b4 = C.views4()
-    slab = QSpectrum2D(symplectic_join(a4[iu1, :, iu2], b4[iu1, :, iu2]),
-                       C.wgrid)
-    try:
-        return qlct_fast_inverse(slab, C.m1, C.m2, xgrid)
-    except SpacingError:
-        return qlct_inverse(slab, C.m1, C.m2, xgrid)
+    a, b = _contract(a4[iu1, :, iu2], b4[iu1, :, iu2], *_w_adjoints(C, xgrid))
+    return QSignal2D(symplectic_join(a, b) * C.wgrid.cell, xgrid)
 
 
 def _w_inverse_rows(C, xgrid):
     """Yield, for each u1 in turn, the planes (a, b) of shape (x1, u2, x2) of
-    the inverse QLCT over w of every slice C(u1, u2, .) onto xgrid.
-
-    This is the adjoint contraction of the plain kernel matrices,
-    conj(E1)^T on w1 and conj(E2) on w2 through right_mu2, one u1 row of
-    the planes at a time, so the memory beyond C stays O(N^3).
+    the inverse QLCT over w of every slice C(u1, u2, .) onto xgrid: the
+    contraction of qlcst_pointwise_inverse for a whole u1 row of the planes
+    at once, so the memory beyond C stays O(N^3).
     """
-    e1h = _phase_matrix(C.m1, xgrid.axis1.points, C.wgrid.axis1.points).conj().T
-    e2c = _phase_matrix(C.m2, xgrid.axis2.points, C.wgrid.axis2.points).conj()
+    e1h, e2h = _w_adjoints(C, xgrid)
     nw1 = C.wgrid.axis1.n
-    shape = (xgrid.axis1.n, C.ugrid.axis2.n, C.wgrid.axis2.n)
+    rows_in = (nw1, C.ugrid.axis2.n, C.wgrid.axis2.n)
+    rows_out = (xgrid.axis1.n, C.ugrid.axis2.n, xgrid.axis2.n)
     for i in range(C.ugrid.axis1.n):
         rows = slice(i * nw1, (i + 1) * nw1)
-        a, b = right_mu2((e1h @ C.a[rows]).reshape(shape),
-                         (e1h @ C.b[rows]).reshape(shape), lambda g: g @ e2c)
-        yield a * C.wgrid.cell, b * C.wgrid.cell
+        a, b = _contract(C.a[rows].reshape(rows_in), C.b[rows].reshape(rows_in),
+                         e1h, e2h)
+        yield (a.reshape(rows_out) * C.wgrid.cell,
+               b.reshape(rows_out) * C.wgrid.cell)
 
 
 def _table_reconstruct(C, xgrid):
@@ -323,28 +332,6 @@ def marginal_qlct_gap(C, f, m1, m2):
 
 
 # --- signal manipulation helpers used by the covariance checks -------------
-
-def _sandwich(a, b, theta1, theta2):
-    """exp(mu1*theta1) * (a + b mu2) * exp(mu2*theta2) in place on the planes;
-    theta1 runs along the rows, theta2 along the columns."""
-    e1 = np.exp(1j * np.asarray(theta1, dtype=float))[:, None]
-    a *= e1
-    b *= e1
-    co = np.cos(theta2)[None, :]
-    si = np.sin(theta2)[None, :]
-    a_si = a * si
-    a *= co
-    a -= b * si
-    b *= co
-    b += a_si
-    return a, b
-
-
-def sandwich_phase(f, theta1, theta2):
-    """exp(mu1*theta1(x1)) * f * exp(mu2*theta2(x2)) per sample."""
-    a, b = symplectic_split(f.data)
-    return QSignal2D(symplectic_join(*_sandwich(a, b, theta1, theta2)), f.grid)
-
 
 def modulate(f, s):
     """The two-sided modulation exp(mu1 s1 x1) f exp(mu2 s2 x2)."""
@@ -436,8 +423,8 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
     def forward(g, theta1, theta2, phi1, phi2):
         """Planes of exp(mu1*phi1) * (analysis of g under the kernel phase
         tables theta) * exp(mu2*phi2), with phi depending on w only."""
-        return _separable_forward(g, window, m1, m2, ugrid, wgrid,
-                                  theta1 + phi1[:, None], theta2 + phi2[:, None])
+        return _forward(g, window, m1, m2, ugrid, wgrid,
+                        theta1 + phi1[:, None], theta2 + phi2[:, None])
 
     # The planes are large at desk scale; intermediates are dropped as soon
     # as each residual is in hand.

@@ -110,39 +110,29 @@ def _axis_phase_transform(g, axis, in_axis, out_axis, m, sign):
     return core * post.reshape(shape) * const
 
 
-def _left_axis(a, b, in_axis, out_axis, m, sign):
-    """Apply the mu1-side kernel along axis 0 of the symplectic pair."""
-    ta = _axis_phase_transform(a, 0, in_axis, out_axis, m, sign)
-    tb = _axis_phase_transform(b, 0, in_axis, out_axis, m, sign)
-    return ta, tb
-
-
-def _right_axis(a, b, in_axis, out_axis, m, sign):
-    """Apply the mu2-side kernel along axis 1 of the symplectic pair."""
-    return right_mu2(a, b, lambda g: _axis_phase_transform(
-        g, 1, in_axis, out_axis, m, sign))
+def _fast(F, m1, m2, out_grid, sign):
+    """(data, grid) of the chirp-FFT transform of F onto out_grid (default:
+    the FFT-compatible grid).  The mu1 kernel runs along axis 0 of both
+    symplectic planes and the mu2 kernel along axis 1 through right_mu2;
+    sign +1 is the forward kernel, -1 the inverse kernel conj(K(x, u))."""
+    if out_grid is None:
+        out_grid = fft_output_grid(F.grid, m1.b, m2.b)
+    _check_grid(out_grid)
+    a, b = (_axis_phase_transform(p, 0, F.grid.axis1, out_grid.axis1, m1, sign)
+            for p in symplectic_split(F.data))
+    a, b = right_mu2(a, b, lambda g: _axis_phase_transform(
+        g, 1, F.grid.axis2, out_grid.axis2, m2, sign))
+    return symplectic_join(a, b), out_grid
 
 
 def qlct_fast_forward(f, m1, m2, ugrid=None):
     """Chirp-FFT forward transform; equals qlct_forward on compatible grids."""
-    if ugrid is None:
-        ugrid = fft_output_grid(f.grid, m1.b, m2.b)
-    _check_grid(ugrid)
-    a, b = symplectic_split(f.data)
-    a, b = _left_axis(a, b, f.grid.axis1, ugrid.axis1, m1, +1)
-    a, b = _right_axis(a, b, f.grid.axis2, ugrid.axis2, m2, +1)
-    return QSpectrum2D(symplectic_join(a, b), ugrid)
+    return QSpectrum2D(*_fast(f, m1, m2, ugrid, +1))
 
 
 def qlct_fast_inverse(F, m1, m2, xgrid=None):
     """Chirp-FFT inverse transform with the kernels conj(K(x, u))."""
-    if xgrid is None:
-        xgrid = fft_output_grid(F.grid, m1.b, m2.b)
-    _check_grid(xgrid)
-    a, b = symplectic_split(F.data)
-    a, b = _left_axis(a, b, F.grid.axis1, xgrid.axis1, m1, -1)
-    a, b = _right_axis(a, b, F.grid.axis2, xgrid.axis2, m2, -1)
-    return QSignal2D(symplectic_join(a, b), xgrid)
+    return QSignal2D(*_fast(F, m1, m2, xgrid, -1))
 
 
 def plancherel_gap(f, m1, m2, fast=True):

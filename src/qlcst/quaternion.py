@@ -75,11 +75,11 @@ def symplectic_split(q):
 
     a = w + x*mu1 and b = y + z*mu1, returned as numpy complex arrays with
     the real axis standing for the scalar part and the imaginary axis for mu1.
+    The components are reinterpreted, not added, so signed zeros, subnormals
+    and infinities are kept bit for bit.
     """
-    q = np.asarray(q, dtype=float)
-    a = q[..., 0] + 1j * q[..., 1]
-    b = q[..., 2] + 1j * q[..., 3]
-    return a, b
+    pairs = np.ascontiguousarray(q, dtype=float).view(complex)
+    return pairs[..., 0].copy(), pairs[..., 1].copy()
 
 
 def symplectic_join(a, b):

@@ -1,4 +1,4 @@
-"""Uniform grids and quaternion-valued 2D sample arrays."""
+"""Uniform grids, quaternion-valued 2D sample arrays and two-sided phases."""
 
 import math
 from dataclasses import dataclass
@@ -6,7 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .quaternion import qnormsq
+from .quaternion import qnormsq, right_mu2, symplectic_join, symplectic_split
+
+
+def _check_count(n):
+    if n < 2:
+        raise GridMismatch("grid needs at least 2 points, got %d" % n)
 
 
 @dataclass(frozen=True)
@@ -18,8 +23,7 @@ class Grid1D:
     spacing: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise GridMismatch("grid needs at least 2 points, got %d" % self.n)
+        _check_count(self.n)
         if not (self.spacing > 0.0):
             raise GridMismatch("grid spacing must be positive, got %r" % self.spacing)
 
@@ -30,6 +34,7 @@ class Grid1D:
     @classmethod
     def centered(cls, extent, n):
         """Midpoint grid covering [-extent, extent]; no sample falls on 0."""
+        _check_count(n)
         spacing = 2.0 * extent / n
         return cls(n, -extent + 0.5 * spacing, spacing)
 
@@ -92,6 +97,15 @@ class QSignal2D:
 
 class QSpectrum2D(QSignal2D):
     """A QSignal2D indexed by the transform-domain grid."""
+
+
+def sandwich_phase(f, theta1, theta2):
+    """exp(mu1*theta1(x1)) * f * exp(mu2*theta2(x2)) per sample."""
+    e1 = np.exp(1j * np.asarray(theta1, dtype=float))[:, None]
+    e2 = np.exp(1j * np.asarray(theta2, dtype=float))
+    a, b = symplectic_split(f.data)
+    return QSignal2D(symplectic_join(*right_mu2(a * e1, b * e1, lambda g: g * e2)),
+                     f.grid)
 
 
 def relative_l2(got, want):

@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import BadParameter, ZeroFrequency, ZeroWindow
 from .quaternion import qnormsq
-from .signal import Grid2D, QSignal2D
+from .signal import Grid1D, Grid2D, QSignal2D
 
 # Quadrature grid used for admissibility and normalization integrals.
 QUAD_EXTENT = 12.0
 QUAD_N = 256
-W_DEPENDENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,6 @@ def reflect(spec):
 
 
 def _negated_grid(grid):
-    from .signal import Grid1D
-
     def neg(ax):
         return Grid1D(ax.n, -(ax.origin + (ax.n - 1) * ax.spacing), ax.spacing)
 
@@ -162,26 +159,20 @@ def _negated_grid(grid):
 
 
 def lambda_psi(spec, w=(1.0, 1.0)):
-    """Admissibility constant: quadrature of integral |Psi(x, w)|^2 dx.
+    """Admissibility constant lam = integral |Psi(x, w)|^2 dx.
 
-    w_dependent is decided by probing the value at a few frequencies.
+    A separable window's integral is the product of its two per-axis
+    quadratures (Fubini); a table is summed on its own grid.  Of the
+    families only the s-gaussian depends on w.
     """
-    def value(wprobe):
-        if spec.family == "custom-table":
-            t = spec.table
-            return float(np.sum(qnormsq(t.data)) * t.grid.cell)
-        g = Grid2D.centered(QUAD_EXTENT, QUAD_N)
-        x1 = g.axis1.points[:, None]
-        x2 = g.axis2.points[None, :]
-        vals = window_eval(spec, (x1, x2), wprobe)
-        return float(np.sum(qnormsq(vals)) * g.cell)
-
-    lam = value(w)
+    if spec.separable:
+        x = Grid1D.centered(QUAD_EXTENT, QUAD_N)
+        lam = 1.0
+        for axis in (1, 2):
+            p = window_axis_profile(spec, axis, x.points, w[axis - 1])
+            lam *= float(np.sum(p * p) * x.spacing)
+    else:
+        lam = float(np.sum(qnormsq(spec.table.data)) * spec.table.grid.cell)
     if lam == 0.0:
         raise ZeroWindow("window is identically zero on the quadrature grid")
-    if spec.family == "s-gaussian":
-        probes = [(w[0] * 1.5, w[1]), (w[0], w[1] * 0.5)]
-    else:
-        probes = [(2.0, 1.0), (0.5, 3.0)]
-    w_dep = any(abs(value(p) - lam) > W_DEPENDENCE_TOL * max(1.0, lam) for p in probes)
-    return Admissibility(lam, w_dep)
+    return Admissibility(lam, spec.family == "s-gaussian")

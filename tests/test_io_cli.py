@@ -306,6 +306,40 @@ def test_cli_qlcst_and_export(tmp_path):
     assert pgm.read_bytes().startswith(b"P5\n12 12\n255\n")
 
 
+@pytest.mark.parametrize("index", ["99,99", "-1,-1", "0,12"])
+def test_cli_export_index_out_of_range(tmp_path, capsys, index):
+    fpath = str(tmp_path / "f.qsg")
+    cpath = str(tmp_path / "c.qcf")
+    cli_main(["gen", "--kind", "gaussian", "--n", "12", "-o", fpath])
+    cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+              "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"])
+    capsys.readouterr()
+    for fixed in ("u", "w"):
+        out = tmp_path / ("s%s.csv" % fixed)
+        assert cli_main(["export", "-i", cpath, "-o", str(out), "--slice", fixed,
+                         "--index=" + index]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "hermite", "--modes", "1"],
+    ["--kind", "hermite", "--modes=-1,0"],
+    ["--kind", "gaussian", "--n", "0"],
+    ["--kind", "gaussian", "--n", "-4"],
+    ["--kind", "gaussian", "--sigma", "0"],
+    ["--kind", "shifted-gaussian", "--sigma", "0"],
+    ["--kind", "chirp", "--sigma", "-1"],
+    ["--kind", "shifted-gaussian", "--center", "1"],
+], ids=["one-mode", "negative-mode", "n-zero", "n-negative", "gauss-sigma-zero",
+        "shifted-sigma-zero", "chirp-sigma-negative", "one-center"])
+def test_cli_gen_bad_parameters(tmp_path, capsys, args):
+    out = tmp_path / "f.qsg"
+    assert cli_main(["gen"] + args + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cli_table_window(tmp_path):
     """qlcst --window table:PATH with fixed-gauss:1,1 sampled at every
     offset u - x reproduces the separable coefficients."""

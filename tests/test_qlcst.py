@@ -7,7 +7,7 @@ from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                           ZeroSignal)
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.lct import KernelSpec, kernel_eval, validate_param
-from qlcst.qlct import qlct_fast_forward, qlct_forward
+from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
 from qlcst.qlcst import (QLCSTCoefficients, _axis_kernel,
                          covariance_residuals, energy_identity_gap,
                          marginal_qlct_gap, orthogonality_form,
@@ -15,8 +15,8 @@ from qlcst.qlcst import (QLCSTCoefficients, _axis_kernel,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          shift_signal, special_case_matrix)
 from qlcst.quaternion import qconj, qmul, qnorm, qnormsq
-from qlcst.signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid,
-                          relative_l2)
+from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
+                          fft_output_grid, relative_l2)
 from qlcst.verify import MATRIX_CASES
 from qlcst.window import (constant_window, fixed_gaussian, lambda_psi,
                           s_gaussian, table_window, window_eval)
@@ -247,6 +247,24 @@ def test_pointwise_inverse_masked_product():
     assert relative_l2(rec.data, want) < 1e-5
 
 
+@pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
+def test_pointwise_inverse_any_grid(case):
+    """On a w grid that breaks the FFT spacing relation, and onto an x grid
+    other than the u grid, the pointwise inverse is the direct inverse QLCT
+    of the coefficient slice."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(8)
+    f = random_hermite_combo(g, seed=7)
+    wgrid = Grid2D(Grid1D.centered(3.0, 10), Grid1D.centered(2.5, 7))
+    xgrid = Grid2D(Grid1D.centered(6.0, 9), Grid1D.centered(7.0, 6))
+    c = qlcst_forward(f, fixed_gaussian(1, 1), m1, m2, wgrid=wgrid)
+    for iu in [(0, 0), (3, 5), (7, 2)]:
+        want = qlct_inverse(QSpectrum2D(c.data[iu], wgrid), m1, m2, xgrid)
+        got = qlcst_pointwise_inverse(c, iu, xgrid)
+        assert got.grid == xgrid
+        assert relative_l2(got.data, want.data) < 1e-12
+
+
 def test_reconstruct_roundtrip_small():
     g = grid(16)
     f = gen_signal("gaussian", g)
@@ -341,6 +359,22 @@ def test_covariance_small():
     assert rep.parity < 1e-10
     assert rep.shift < 5e-3
     assert rep.modulation_best < 1e-2
+
+
+def test_covariance_table_window_matches_separable():
+    """The covariance residuals of fixed-gauss:1,1 sampled on the offset
+    lattice equal those of the separable window and meet the suite
+    tolerances."""
+    g = grid(16)
+    f = gen_signal("gaussian", g)
+    win = fixed_gaussian(1, 1)
+    want = covariance_residuals(f, win, FOURIER, FOURIER)
+    got = covariance_residuals(f, lattice_table(win, g), FOURIER, FOURIER)
+    for name in ("parity", "shift", "modulation_printed", "modulation_derived"):
+        assert abs(getattr(got, name) - getattr(want, name)) < 1e-12
+    assert got.parity < 1e-10
+    assert got.shift < 1e-3
+    assert got.modulation_best < 1e-2
 
 
 def test_shift_signal():

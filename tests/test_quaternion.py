@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qlcst.errors import BasisAxisError
 from qlcst.quaternion import (MU1, MU2, MU3, ONE, qconj, qexp_axis, qmul,
                               qnorm, qnormsq, quat, right_mu2,
                               symplectic_join, symplectic_split)
+from qlcst.signal import Grid1D, Grid2D, QSignal2D, sandwich_phase
+
+EPS = np.finfo(float).eps
+# Components are zero or of moderate size, so no product underflows into
+# the subnormal range, where relative accuracy is not float64 accuracy.
+COMPONENT = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+QUATERNION = st.lists(COMPONENT, min_size=4, max_size=4).map(np.array)
+ANGLE = st.floats(-10.0, 10.0)
 
 
 def test_basis_products():
@@ -77,18 +88,43 @@ def test_split_join_roundtrip():
     assert np.array_equal(symplectic_join(*symplectic_split(q)), q)
 
 
-def test_sandwich_via_split():
-    """exp(mu1 a) q exp(mu2 b) agrees between direct qmul and split arithmetic."""
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal((100, 4))
-    alpha, beta = 0.7, -1.3
-    direct = qmul(qmul(qexp_axis(1, alpha), q), qexp_axis(2, beta))
-    a, b = symplectic_split(q)
-    a = np.exp(1j * alpha) * a
-    b = np.exp(1j * alpha) * b
-    co, si = np.cos(beta), np.sin(beta)
-    via_split = symplectic_join(a * co - b * si, a * si + b * co)
-    assert np.max(np.abs(direct - via_split)) < 8 * np.finfo(float).eps
+@settings(deadline=None)
+@given(arrays(float, (3, 2, 4), elements=COMPONENT),
+       st.lists(ANGLE, min_size=3, max_size=3),
+       st.lists(ANGLE, min_size=2, max_size=2))
+def test_sandwich_via_split(q, theta1, theta2):
+    """sandwich_phase, which goes through the symplectic split and
+    right_mu2, equals exp(mu1*theta1) * q * exp(mu2*theta2) by direct qmul."""
+    g = Grid2D(Grid1D.centered(1.0, 3), Grid1D.centered(1.0, 2))
+    direct = qmul(qmul(qexp_axis(1, np.array(theta1))[:, None], q),
+                  qexp_axis(2, np.array(theta2))[None, :])
+    got = sandwich_phase(QSignal2D(q, g), theta1, theta2).data
+    scale = qnorm(q)[..., None]
+    assert np.all(np.abs(got - direct) <= 16 * EPS * scale)
+
+
+@settings(deadline=None)
+@given(QUATERNION, QUATERNION, QUATERNION)
+def test_qmul_associative(p, q, r):
+    lhs = qmul(qmul(p, q), r)
+    rhs = qmul(p, qmul(q, r))
+    assert np.max(np.abs(lhs - rhs)) <= 32 * EPS * qnorm(p) * qnorm(q) * qnorm(r)
+
+
+@settings(deadline=None)
+@given(QUATERNION, QUATERNION)
+def test_modulus_multiplicative_property(p, q):
+    rhs = qnorm(p) * qnorm(q)
+    assert abs(qnorm(qmul(p, q)) - rhs) <= 16 * EPS * rhs
+
+
+@settings(deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 5), st.just(4)),
+              elements=st.floats(allow_nan=False)))
+def test_split_join_roundtrip_bitexact(q):
+    """Signed zeros, subnormals and infinities survive split and join."""
+    back = symplectic_join(*symplectic_split(q))
+    assert back.tobytes() == q.tobytes()
 
 
 def test_right_mu2_matches_right_products():

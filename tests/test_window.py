@@ -5,7 +5,7 @@ import pytest
 
 from qlcst.errors import BadParameter, ZeroFrequency, ZeroWindow
 from qlcst.quaternion import qnormsq
-from qlcst.signal import Grid2D, QSignal2D
+from qlcst.signal import Grid1D, Grid2D, QSignal2D
 from qlcst.window import (constant_window, fixed_gaussian, lambda_psi,
                           parse_window, reflect, s_gaussian, table_window,
                           window_eval)
@@ -125,3 +125,34 @@ def test_norm_squared_integral_matches_lambda():
     vals = window_eval(fixed_gaussian(1, 1), (x1, x2), (1.0, 1.0))
     direct = float(np.sum(qnormsq(vals)) * g.cell)
     assert abs(direct - lambda_psi(fixed_gaussian(1, 1)).lam) < 1e-10
+
+
+@pytest.mark.parametrize("spec,w", [
+    (fixed_gaussian(1, 1), (1.0, 1.0)),
+    (fixed_gaussian(0.5, 2.0), (1.0, 1.0)),
+    (s_gaussian(), (1.0, 1.0)),
+    (s_gaussian(), (2.0, 0.7)),
+    (s_gaussian(), (0.5, -3.0)),
+    (constant_window(), (1.0, 1.0)),
+], ids=["fixed(1,1)", "fixed(0.5,2)", "s-gauss(1,1)", "s-gauss(2,0.7)",
+        "s-gauss(0.5,-3)", "constant"])
+def test_lambda_is_the_2d_quadrature(spec, w):
+    """The per-axis product equals the 256^2 quadrature of |Psi(x, w)|^2
+    over [-12, 12]^2 to roundoff."""
+    g = Grid2D.centered(12.0, 256)
+    vals = window_eval(spec, (g.axis1.points[:, None], g.axis2.points[None, :]), w)
+    want = float(np.sum(qnormsq(vals)) * g.cell)
+    assert abs(lambda_psi(spec, w).lam - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("spec,dependent", [
+    (fixed_gaussian(1, 1), False),
+    (fixed_gaussian(0.5, 2.0), False),
+    (s_gaussian(), True),
+    (constant_window(), False),
+    (table_window(QSignal2D(np.ones((4, 5, 4)), Grid2D(Grid1D.centered(2.0, 4),
+                                                       Grid1D.centered(2.0, 5)))),
+     False),
+], ids=["fixed(1,1)", "fixed(0.5,2)", "s-gauss", "constant", "table"])
+def test_w_dependence_by_family(spec, dependent):
+    assert lambda_psi(spec).w_dependent is dependent
