@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 
 from .errors import BadParameter
 from .signal import Grid2D, QSignal2D, sandwich_phase
@@ -13,23 +12,30 @@ KINDS = ("gaussian", "shifted-gaussian", "dilated-gaussian", "hermite",
 
 
 def _hermite_mode(n, x):
-    """Orthonormal 1D Hermite function H_n(x) exp(-x^2/2) / normalizer."""
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    norm = math.sqrt((2.0 ** n) * math.factorial(n) * math.sqrt(math.pi))
-    return hermval(x, coeffs) * np.exp(-x * x / 2.0) / norm
+    """Orthonormal 1D Hermite function H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)),
+    by the three-term recurrence
+    psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1},
+    which stays finite at every order (2^n n! overflows a float at n = 171)."""
+    prev = np.zeros_like(x)
+    cur = math.pi ** -0.25 * np.exp(-x * x / 2.0)
+    for k in range(n):
+        prev, cur = cur, (math.sqrt(2.0 / (k + 1)) * x * cur
+                          - math.sqrt(k / (k + 1)) * prev)
+    return cur
 
 
-def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0),
-               rate=(0.5, -0.3)):
+def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
     """Generate a QSignal2D of the requested kind on the given grid.
 
     gaussian:          exp(-|x|^2 / (2 sigma^2))
     shifted-gaussian:  gaussian translated to `center`
     dilated-gaussian:  a * exp(-a^2 |x|^2 / 2)
     hermite:           product of orthonormal Hermite modes n = (n1, n2)
-    chirp:             quaternion chirp phases around a Gaussian envelope
+    chirp:             quaternion chirp phases 0.5 x1^2, -0.3 x2^2 around a
+                       Gaussian envelope
     impulse:           single sample of value 1/cell nearest the origin
+
+    Parameters that make any sample non-finite raise BadParameter.
     """
     if kind not in KINDS:
         raise BadParameter("unknown generator kind %r" % kind)
@@ -60,14 +66,15 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0),
                                 _hermite_mode(n[1], grid.axis2.points))
     elif kind == "chirp":
         data[..., 0] = np.exp(-(x1 * x1 + x2 * x2) / (2.0 * sigma * sigma))
-        env = QSignal2D(data, grid)
-        return sandwich_phase(env,
-                              rate[0] * grid.axis1.points ** 2,
-                              rate[1] * grid.axis2.points ** 2)
+        data = sandwich_phase(QSignal2D(data, grid),
+                              0.5 * grid.axis1.points ** 2,
+                              -0.3 * grid.axis2.points ** 2).data
     elif kind == "impulse":
         i = int(np.argmin(np.abs(grid.axis1.points)))
         j = int(np.argmin(np.abs(grid.axis2.points)))
         data[i, j, 0] = 1.0 / grid.cell
+    if not np.all(np.isfinite(data)):
+        raise BadParameter("%s parameters give non-finite samples" % kind)
     return QSignal2D(data, grid)
 
 

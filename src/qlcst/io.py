@@ -119,19 +119,6 @@ def read_coefficients(path):
     return c
 
 
-def export_signal_csv(path, f):
-    """CSV dump x1,x2,qw,qx,qy,qz at 17 significant digits."""
-    x1 = f.grid.axis1.points
-    x2 = f.grid.axis2.points
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,qw,qx,qy,qz\n")
-        for i in range(f.grid.axis1.n):
-            for j in range(f.grid.axis2.n):
-                q = f.data[i, j]
-                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                         % (x1[i], x2[j], q[0], q[1], q[2], q[3]))
-
-
 def coefficient_slice(c, fixed, index):
     """Magnitude of a 2D slice of the 4D coefficients.
 

@@ -17,12 +17,6 @@ from .quaternion import qexp_axis
 DET_TOL = 1e-12
 ZERO_B_TOL = 1e-12
 
-# Automatic labels for the special cases called out by the transform family.
-_KNOWN_LABELS = (
-    ((0.0, 1.0, -1.0, 0.0), "fourier/S-transform case"),
-    ((1.0, 0.0, 0.0, 1.0), "identity"),
-)
-
 
 @dataclass(frozen=True)
 class ParamMatrix:
@@ -32,7 +26,6 @@ class ParamMatrix:
     b: float
     c: float
     d: float
-    label: str = ""
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
@@ -41,17 +34,11 @@ class ParamMatrix:
                 "det(M) = %.17g differs from 1 by more than %g" % (det, DET_TOL))
         if abs(self.b) <= ZERO_B_TOL:
             raise ZeroBError("B = %.17g: the B = 0 branch is not supported" % self.b)
-        if not self.label:
-            for abcd, name in _KNOWN_LABELS:
-                if all(abs(v - w) <= DET_TOL for v, w in zip(
-                        (self.a, self.b, self.c, self.d), abcd)):
-                    object.__setattr__(self, "label", name)
-                    break
 
 
-def validate_param(a, b, c, d, label=""):
+def validate_param(a, b, c, d):
     """Validate (a, b, c, d) and return a ParamMatrix, or raise."""
-    return ParamMatrix(float(a), float(b), float(c), float(d), label)
+    return ParamMatrix(float(a), float(b), float(c), float(d))
 
 
 def parse_matrix(text):

@@ -37,7 +37,7 @@ from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, SpacingError, ZeroSignal)
 from .lct import kernel_const, kernel_phase, validate_param
 from .quaternion import qconj, qmul, right_mu2, symplectic_join, symplectic_split
-from .signal import (Grid2D, QSignal2D, fft_output_grid, relative_l2,
+from .signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid, relative_l2,
                      sandwich_phase)
 from .window import lambda_psi, reflect, window_axis_profile, window_eval
 from .qlct import qlct_fast_forward, qlct_forward
@@ -126,14 +126,6 @@ class QLCSTCoefficients:
         return float(np.sum(self.density()) * self.cell4)
 
 
-def _default_grids(f, m1, m2, ugrid, wgrid):
-    if ugrid is None:
-        ugrid = f.grid
-    if wgrid is None:
-        wgrid = fft_output_grid(f.grid, m1.b, m2.b)
-    return ugrid, wgrid
-
-
 def _phase_matrix(m, x, w, theta=None):
     """The plain (len(w), len(x)) kernel matrix E[w, x] = c * exp(i*theta[w, x]).
 
@@ -216,7 +208,10 @@ def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
 
     Defaults: ugrid = signal grid, wgrid = FFT-compatible spectrum grid.
     """
-    ugrid, wgrid = _default_grids(f, m1, m2, ugrid, wgrid)
+    if ugrid is None:
+        ugrid = f.grid
+    if wgrid is None:
+        wgrid = fft_output_grid(f.grid, m1.b, m2.b)
     return QLCSTCoefficients(*_forward(f, window, m1, m2, ugrid, wgrid),
                              ugrid, wgrid, window, m1, m2)
 
@@ -281,18 +276,18 @@ def qlcst_reconstruct(C, xgrid=None):
     window does not depend on w, so its sum over w is the inverse QLCT of
     each u-slice (_table_reconstruct).
     """
-    adm = lambda_psi(C.window)
-    if adm.w_dependent:
+    if C.window.w_dependent:
         raise AdmissibilityError(
             "reconstruction needs a frequency-independent admissibility constant")
+    lam = lambda_psi(C.window)
     if xgrid is None:
         xgrid = C.ugrid
     if not C.window.separable:
-        return QSignal2D(_table_reconstruct(C, xgrid) / adm.lam, xgrid)
+        return QSignal2D(_table_reconstruct(C, xgrid) / lam, xgrid)
     k1, k2 = _axis_kernels(C.window, C.m1, C.m2, C.ugrid, xgrid, C.wgrid)
     k1h = k1.conj().T
     a, b = right_mu2(k1h @ C.a, k1h @ C.b, lambda g: g @ k2.conj())
-    scale = C.ugrid.cell * C.wgrid.cell / adm.lam
+    scale = C.ugrid.cell * C.wgrid.cell / lam
     return QSignal2D(symplectic_join(a * scale, b * scale), xgrid)
 
 
@@ -311,23 +306,21 @@ def orthogonality_form(Cf, Cg):
 
 def energy_identity_gap(C, f):
     """Relative gap of the energy identity: integral |C|^2 vs lam * ||f||^2."""
-    lam = lambda_psi(C.window).lam
-    denom = lam * f.energy()
+    denom = lambda_psi(C.window) * f.energy()
     if denom == 0.0:
         raise ZeroSignal("energy identity undefined for the zero signal")
     return abs(C.energy() - denom) / denom
 
 
-def marginal_qlct_gap(C, f, m1, m2):
-    """Relative L2 gap between the u-marginal of C and the QLCT of f."""
+def marginal_qlct_gap(C, f):
+    """Relative L2 gap between the u-marginal of C and the QLCT of f under
+    the matrices C.m1, C.m2 (0 for the zero signal)."""
     a4, b4 = C.views4()
     marg = symplectic_join(a4.sum(axis=(0, 2)), b4.sum(axis=(0, 2))) * C.ugrid.cell
     try:
-        ref = qlct_fast_forward(f, m1, m2, C.wgrid)
+        ref = qlct_fast_forward(f, C.m1, C.m2, C.wgrid)
     except SpacingError:
-        ref = qlct_forward(f, m1, m2, C.wgrid)
-    if f.energy() == 0.0:
-        return 0.0
+        ref = qlct_forward(f, C.m1, C.m2, C.wgrid)
     return relative_l2(marg, ref.data)
 
 
@@ -367,18 +360,6 @@ def shift_signal(f, alpha):
     return QSignal2D(data, f.grid)
 
 
-def _shift_u(C, k1, k2):
-    """Planes of C(u - k*du, w), zero-filled at the u boundary."""
-    d1, s1 = _shift_slices(k1, C.ugrid.axis1.n)
-    d2, s2 = _shift_slices(k2, C.ugrid.axis2.n)
-    out = []
-    for plane in C.views4():
-        moved = np.zeros_like(plane)
-        moved[d1, :, d2] = plane[s1, :, s2]
-        out.append(moved.reshape(C.a.shape))
-    return out
-
-
 def _planes_rel_l2(got, want):
     """relative_l2 of two (a, b) plane pairs over their quaternion components."""
     num = sum(np.linalg.norm(g - w) ** 2 for g, w in zip(got, want))
@@ -400,13 +381,14 @@ class CovarianceReport:
         return min(self.modulation_printed, self.modulation_derived)
 
 
-def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
-                         ugrid=None, wgrid=None):
-    """Relative L2 residuals of the parity, shift and modulation covariances.
+def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
+    """Relative L2 residuals of the parity, shift and modulation covariances,
+    on the default grids of qlcst_forward.
 
     The shift identity is checked in its derivation-consistent form, with the
     auxiliary signal built as the two-sided product
-    exp(mu1 A1 t1 alpha1/B1) f exp(mu2 A2 t2 alpha2/B2).  The w-dependent
+    exp(mu1 A1 t1 alpha1/B1) f exp(mu2 A2 t2 alpha2/B2), whose coefficients
+    are evaluated directly at (u - alpha, w).  The w-dependent
     phase factors exp(mu1*phi1(w1)) * . * exp(mu2*phi2(w2)) of both sides
     are added to the kernel phase tables, since they multiply the mu1 kernel
     on the left and the mu2 kernel on the right.  The modulation
@@ -414,16 +396,17 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
     (as printed, and with the frequency shift in the standard slot) and both
     residuals are reported.
     """
-    ugrid, wgrid = _default_grids(f, m1, m2, ugrid, wgrid)
+    ugrid, wgrid = f.grid, fft_output_grid(f.grid, m1.b, m2.b)
     w1pts = wgrid.axis1.points
     w2pts = wgrid.axis2.points
     x1 = f.grid.axis1.points
     x2 = f.grid.axis2.points
 
-    def forward(g, theta1, theta2, phi1, phi2):
-        """Planes of exp(mu1*phi1) * (analysis of g under the kernel phase
-        tables theta) * exp(mu2*phi2), with phi depending on w only."""
-        return _forward(g, window, m1, m2, ugrid, wgrid,
+    def forward(g, u, theta1, theta2, phi1, phi2):
+        """Planes of exp(mu1*phi1) * (analysis of g on the u grid under the
+        kernel phase tables theta) * exp(mu2*phi2), with phi depending on w
+        only."""
+        return _forward(g, window, m1, m2, u, wgrid,
                         theta1 + phi1[:, None], theta2 + phi2[:, None])
 
     # The planes are large at desk scale; intermediates are dropped as soon
@@ -444,14 +427,14 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
     f_tilde = sandwich_phase(f,
                              m1.a * x1 * alpha[0] / m1.b,
                              m2.a * x2 * alpha[1] / m2.b)
-    k1 = _integer_shift(alpha[0], ugrid.axis1.spacing)
-    k2 = _integer_shift(alpha[1], ugrid.axis2.spacing)
-    # The phase depends on w only, so it commutes with the shift in u.
-    rhs = forward(f_tilde, kernel_phase(m1, x1[None, :], w1pts[:, None]),
+    # The window keeps its w; only its u - x argument moves with the grid.
+    u_minus_alpha = Grid2D(*(Grid1D(ax.n, ax.origin - t, ax.spacing)
+                             for ax, t in zip((ugrid.axis1, ugrid.axis2), alpha)))
+    rhs = forward(f_tilde, u_minus_alpha,
+                  kernel_phase(m1, x1[None, :], w1pts[:, None]),
                   kernel_phase(m2, x2[None, :], w2pts[:, None]),
                   (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
                   (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b))
-    rhs = _shift_u(QLCSTCoefficients(*rhs, ugrid, wgrid), k1, k2)
     shift = _planes_rel_l2(rhs, (lhs.a, lhs.b))
     del lhs, rhs
 
@@ -462,7 +445,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0),
     t2 = (w2pts - s[1] * m2.b)[:, None]
 
     def residual(theta1, theta2):
-        out = forward(f, theta1, theta2,
+        out = forward(f, ugrid, theta1, theta2,
                       m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
                       m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
         return _planes_rel_l2(out, (lhs_mod.a, lhs_mod.b))

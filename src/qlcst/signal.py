@@ -24,6 +24,9 @@ class Grid1D:
 
     def __post_init__(self):
         _check_count(self.n)
+        if not (math.isfinite(self.origin) and math.isfinite(self.spacing)):
+            raise GridMismatch("grid origin %r and spacing %r must be finite"
+                               % (self.origin, self.spacing))
         if not (self.spacing > 0.0):
             raise GridMismatch("grid spacing must be positive, got %r" % self.spacing)
 

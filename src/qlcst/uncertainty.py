@@ -1,7 +1,8 @@
 """Dispersion functionals and the Heisenberg-type / logarithmic inequalities.
 
 All reports are "compute both sides by quadrature" objects; nothing is proved
-symbolically.  The lower-bound constant of the Heisenberg check uses |B_s| as
+symbolically.  Each takes the coefficients C it checks first and the signal f
+second, and reads the window and the matrices from C.  The lower-bound constant of the Heisenberg check uses |B_s| as
 the per-axis factor, matching the transform-domain scaling of the underlying
 canonical-transform inequality.
 """
@@ -13,9 +14,8 @@ import numpy as np
 
 from .errors import NonFinite, ZeroSignal
 from .quaternion import qnormsq
-from .signal import fft_output_grid
 from .window import lambda_psi
-from .qlcst import _w_inverse_rows, qlcst_forward
+from .qlcst import _w_inverse_rows
 
 # Bernoulli numbers B_2 .. B_14 for the asymptotic digamma tail.
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
@@ -64,37 +64,28 @@ def spatial_dispersion(f, s):
 
 def spectral_dispersion(C, s):
     """Second moment integral w_s^2 |C|^2 over the full (u, w) domain."""
-    if s == 1:
-        wsq = (C.wgrid.axis1.points ** 2)[:, None]
-    elif s == 2:
-        wsq = (C.wgrid.axis2.points ** 2)[None, :]
-    else:
-        raise ValueError("axis must be 1 or 2")
-    return float(np.sum(C.density() * wsq) * C.cell4)
+    return float(np.sum(C.density() * _axis_sq(C.wgrid, s)) * C.cell4)
+
+
+def _log_quadrature(grid, density, cell, name):
+    """Integral of ln|r| * density over a 2D grid, r the planar radius."""
+    r = np.hypot(grid.axis1.points[:, None], grid.axis2.points[None, :])
+    with np.errstate(divide="ignore"):
+        vals = np.log(r) * density
+    out = float(np.sum(vals) * cell)
+    if not math.isfinite(out):
+        raise NonFinite("ln|%s| quadrature hit a grid point at the origin" % name)
+    return out
 
 
 def spatial_log_moment(f):
     """Integral of ln|x| |f(x)|^2 dx with |x| the planar radius."""
-    x1 = f.grid.axis1.points[:, None]
-    x2 = f.grid.axis2.points[None, :]
-    r = np.hypot(x1, x2)
-    with np.errstate(divide="ignore"):
-        vals = np.log(r) * qnormsq(f.data)
-    out = float(np.sum(vals) * f.grid.cell)
-    if not math.isfinite(out):
-        raise NonFinite("ln|x| quadrature hit a grid point at the origin")
-    return out
+    return _log_quadrature(f.grid, qnormsq(f.data), f.grid.cell, "x")
 
 
 def spectral_log_moment(C):
     """Integral of ln|w| |C|^2 over the full (u, w) domain."""
-    r = np.hypot(C.wgrid.axis1.points[:, None], C.wgrid.axis2.points[None, :])
-    with np.errstate(divide="ignore"):
-        vals = np.log(r) * C.density()
-    out = float(np.sum(vals) * C.cell4)
-    if not math.isfinite(out):
-        raise NonFinite("ln|w| quadrature hit a grid point at the origin")
-    return out
+    return _log_quadrature(C.wgrid, C.density(), C.cell4, "w")
 
 
 @dataclass
@@ -115,37 +106,31 @@ class LogUncertaintyReport:
     gap: float
 
 
-def _coefficients(f, window, m1, m2, coeffs):
-    if coeffs is not None:
-        return coeffs
-    return qlcst_forward(f, window, m1, m2)
-
-
-def heisenberg_report(f, window, m1, m2, s, coeffs=None):
-    """Both sides of the dispersion-product inequality for axis s.
+def heisenberg_report(C, f, s):
+    """Both sides of the dispersion-product inequality for axis s, for the
+    coefficients C of f under C.window and the matrices C.m1, C.m2.
 
     lhs = sqrt(spectral) * sqrt(spatial); rhs = |B_s| * sqrt(lam)/2 * ||f||^2.
     """
     energy = f.energy()
     if energy == 0.0:
         raise ZeroSignal("uncertainty report undefined for the zero signal")
-    C = _coefficients(f, window, m1, m2, coeffs)
-    lam = lambda_psi(window).lam
+    lam = lambda_psi(C.window)
     spatial = spatial_dispersion(f, s)
     spectral = spectral_dispersion(C, s)
-    bs = abs((m1 if s == 1 else m2).b)
+    bs = abs((C.m1 if s == 1 else C.m2).b)
     lhs = math.sqrt(spectral) * math.sqrt(spatial)
     rhs = bs * math.sqrt(lam) / 2.0 * energy
     return DispersionReport(s, spatial, spectral, lhs, rhs, lhs / rhs)
 
 
-def log_uncertainty_report(f, window, m1, m2, coeffs=None):
-    """Both sides of the logarithmic inequality; gap = lhs - bound."""
+def log_uncertainty_report(C, f):
+    """Both sides of the logarithmic inequality for the coefficients C of f;
+    gap = lhs - bound."""
     energy = f.energy()
     if energy == 0.0:
         raise ZeroSignal("uncertainty report undefined for the zero signal")
-    C = _coefficients(f, window, m1, m2, coeffs)
-    lam = lambda_psi(window).lam
+    lam = lambda_psi(C.window)
     spectral_log = spectral_log_moment(C)
     spatial_log = lam * spatial_log_moment(f)
     bound = digamma_constant() * lam * energy
@@ -164,17 +149,13 @@ def _lemma_41_rhs(C, f, s):
     return acc * f.grid.cell * C.ugrid.cell
 
 
-def lemma_41_gap(f, window, m1, m2, s):
-    """Relative gap of the moment identity
+def lemma_41_gap(C, f, s):
+    """Relative gap of the moment identity, for the coefficients C of f:
     lam * integral x_s^2 |f|^2 dx  vs  the (u, x) double integral of
     x_s^2 |inverse-QLCT of the w-slice|^2.
     """
-    energy = f.energy()
-    if energy == 0.0:
+    if f.energy() == 0.0:
         return 0.0
-    C = qlcst_forward(f, window, m1, m2, ugrid=f.grid,
-                      wgrid=fft_output_grid(f.grid, m1.b, m2.b))
-    lam = lambda_psi(window).lam
-    lhs = lam * spatial_dispersion(f, s)
+    lhs = lambda_psi(C.window) * spatial_dispersion(f, s)
     rhs = _lemma_41_rhs(C, f, s)
     return abs(lhs - rhs) / abs(lhs)

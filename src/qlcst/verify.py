@@ -111,7 +111,7 @@ def suite_orthogonality(n=32):
     f = gen_signal("gaussian", grid)
     g = gen_signal("hermite", grid, n=(1, 0))
     win = fixed_gaussian(1.0, 1.0)
-    lam = lambda_psi(win).lam
+    lam = lambda_psi(win)
     lines, passed = [], True
     for mname, mk in MATRIX_CASES:
         m1, m2 = mk()
@@ -170,13 +170,13 @@ def suite_marginal(n=32):
     m1, m2 = special_case_matrix("stockwell")
     wide_u = Grid2D.centered(3.0 * EXTENT, 3 * n)
     c = qlcst_forward(f, s_gaussian(), m1, m2, ugrid=wide_u)
-    gap = marginal_qlct_gap(c, f, m1, m2)
+    gap = marginal_qlct_gap(c, f)
     passed &= _check(lines, gap < 1e-3, "marginal s-gaussian: gap=%.3e" % gap)
     fine_u = Grid2D.centered(EXTENT, 256)
     small_w = Grid2D.centered(2.0, 8)
     narrow = qlcst_forward(f, fixed_gaussian(0.05, 0.05), m1, m2,
                            ugrid=fine_u, wgrid=small_w)
-    gap2 = marginal_qlct_gap(narrow, f, m1, m2)
+    gap2 = marginal_qlct_gap(narrow, f)
     passed &= _check(lines, gap2 < 5e-3,
                      "marginal narrow fixed-gaussian: gap=%.3e" % gap2)
     return passed, lines
@@ -206,7 +206,7 @@ def suite_heisenberg(n=32):
         for sname, f in _battery(grid):
             c = qlcst_forward(f, win, m1, m2)
             for s in (1, 2):
-                rep = heisenberg_report(f, win, m1, m2, s, coeffs=c)
+                rep = heisenberg_report(c, f, s)
                 ok = rep.ratio >= 0.98
                 if sname == "gaussian":
                     ok = ok and rep.ratio > 1.0
@@ -227,7 +227,7 @@ def suite_log_uncertainty(n=32):
     for mname, mk in MATRIX_CASES:
         m1, m2 = mk()
         for sname, f in _battery(grid):
-            rep = log_uncertainty_report(f, win, m1, m2)
+            rep = log_uncertainty_report(qlcst_forward(f, win, m1, m2), f)
             passed &= _check(lines, rep.gap >= -0.02,
                              "log-uncertainty %s %s: gap=%.4f"
                              % (mname, sname, rep.gap))
@@ -241,8 +241,9 @@ def suite_lemma41(n=24):
     lines, passed = [], True
     for sname, f in (("gaussian", gen_signal("gaussian", grid)),
                      ("narrow-gaussian", gen_signal("dilated-gaussian", grid, a=2.0))):
+        c = qlcst_forward(f, win, m1, m2)
         for s in (1, 2):
-            gap = lemma_41_gap(f, win, m1, m2, s)
+            gap = lemma_41_gap(c, f, s)
             tol = 5e-3 if sname == "gaussian" else 1e-2
             passed &= _check(lines, gap < tol,
                              "lemma41 %s axis=%d: gap=%.3e" % (sname, s, gap))

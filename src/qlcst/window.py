@@ -44,11 +44,10 @@ class WindowSpec:
     def separable(self):
         return self.family in ("fixed-gaussian", "s-gaussian", "constant")
 
-
-@dataclass(frozen=True)
-class Admissibility:
-    lam: float
-    w_dependent: bool
+    @property
+    def w_dependent(self):
+        """Whether the admissibility constant depends on w."""
+        return self.family == "s-gaussian"
 
 
 def fixed_gaussian(s1=1.0, s2=1.0):
@@ -159,11 +158,11 @@ def _negated_grid(grid):
 
 
 def lambda_psi(spec, w=(1.0, 1.0)):
-    """Admissibility constant lam = integral |Psi(x, w)|^2 dx.
+    """The admissibility constant lam = integral |Psi(x, w)|^2 dx, a float.
 
     A separable window's integral is the product of its two per-axis
-    quadratures (Fubini); a table is summed on its own grid.  Of the
-    families only the s-gaussian depends on w.
+    quadratures (Fubini); a table is summed on its own grid.  Whether lam
+    depends on w is a fact of the family (WindowSpec.w_dependent).
     """
     if spec.separable:
         x = Grid1D.centered(QUAD_EXTENT, QUAD_N)
@@ -175,4 +174,4 @@ def lambda_psi(spec, w=(1.0, 1.0)):
         lam = float(np.sum(qnormsq(spec.table.data)) * spec.table.grid.cell)
     if lam == 0.0:
         raise ZeroWindow("window is identically zero on the quadrature grid")
-    return Admissibility(lam, spec.family == "s-gaussian")
+    return lam

@@ -1,6 +1,8 @@
+import math
 import struct
 
 import numpy as np
+from numpy.polynomial.hermite import hermval
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 from qlcst.cli import cli_main
 from qlcst.errors import (BadMagic, NonFinite, QlcstError, TrailingBytes,
                           TruncatedFile, VersionMismatch)
-from qlcst.generators import gen_signal
+from qlcst.generators import _hermite_mode, gen_signal
 from qlcst.io import (COEFF_MAGIC, SIGNAL_MAGIC, coefficient_slice,
-                      export_signal_csv, read_coefficients, read_signal,
-                      write_coefficients, write_signal)
+                      read_coefficients, read_signal, write_coefficients,
+                      write_signal)
 from qlcst.lct import validate_param
 from qlcst.qlcst import qlcst_forward
 from qlcst.signal import Grid1D, Grid2D, QSignal2D, relative_l2
@@ -249,23 +251,24 @@ def test_coefficient_slices():
     assert np.allclose(w_slice, want)
 
 
-def test_csv_export(tmp_path):
-    f = gen_signal("gaussian", Grid2D.centered(2.0, 4))
-    path = tmp_path / "f.csv"
-    export_signal_csv(path, f)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x1,x2,qw,qx,qy,qz"
-    assert len(lines) == 1 + 16
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == f.grid.axis1.points[0]
-
-
 def test_hermite_parity():
     g = Grid2D.centered(4.0, 16)
     f = gen_signal("hermite", g, n=(1, 0))
     # odd in x1, even in x2 on the symmetric midpoint grid
     assert np.allclose(f.data[::-1, :], -f.data, atol=1e-12)
     assert np.allclose(f.data[:, ::-1], f.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [24, 32, 64])
+def test_hermite_recurrence_matches_closed_form(n):
+    """H_k(x) e^{-x^2/2} / sqrt(2^k k! sqrt(pi)) for every order k <= 30."""
+    x = Grid1D.centered(8.0, n).points
+    for k in range(31):
+        coeffs = np.zeros(k + 1)
+        coeffs[k] = 1.0
+        want = (hermval(x, coeffs) * np.exp(-x * x / 2.0)
+                / math.sqrt(2.0 ** k * math.factorial(k) * math.sqrt(math.pi)))
+        assert np.max(np.abs(_hermite_mode(k, x) - want)) <= 1e-14
 
 
 def test_impulse_value():
@@ -331,13 +334,28 @@ def test_cli_export_index_out_of_range(tmp_path, capsys, index):
     ["--kind", "shifted-gaussian", "--sigma", "0"],
     ["--kind", "chirp", "--sigma", "-1"],
     ["--kind", "shifted-gaussian", "--center", "1"],
+    ["--kind", "shifted-gaussian", "--center", "nan,0"],
+    ["--kind", "gaussian", "--extent", "1e308"],
 ], ids=["one-mode", "negative-mode", "n-zero", "n-negative", "gauss-sigma-zero",
-        "shifted-sigma-zero", "chirp-sigma-negative", "one-center"])
+        "shifted-sigma-zero", "chirp-sigma-negative", "one-center", "nan-center",
+        "overflowing-extent"])
 def test_cli_gen_bad_parameters(tmp_path, capsys, args):
     out = tmp_path / "f.qsg"
     assert cli_main(["gen"] + args + ["-o", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_cli_gen_high_hermite_order(tmp_path):
+    """Order 200 is past where 2^n n! overflows a float; the recurrence
+    keeps the mode finite and orthonormal."""
+    out = str(tmp_path / "f.qsg")
+    assert cli_main(["gen", "--kind", "hermite", "--modes", "200,0",
+                     "--n", "1024", "--n2", "128", "--extent", "40",
+                     "-o", out]) == 0
+    f = read_signal(out)
+    assert np.all(np.isfinite(f.data))
+    assert abs(f.energy() - 1.0) < 1e-10
 
 
 def test_cli_table_window(tmp_path):

@@ -10,11 +10,6 @@ from qlcst.quaternion import qmul, qnorm
 from qlcst.signal import Grid1D
 
 
-def test_fourier_case_label():
-    m = validate_param(0, 1, -1, 0)
-    assert m.label == "fourier/S-transform case"
-
-
 def test_determinant_rejected():
     with pytest.raises(DeterminantError):
         validate_param(1, 1, 1, 1)

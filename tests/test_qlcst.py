@@ -288,7 +288,7 @@ def test_table_reconstruct_identity(case, lattice):
     u1 = g.axis1.points[None, None, :, None]
     u2 = g.axis2.points[None, None, None, :]
     mass = qnormsq(window_eval(win, (u1 - x1, u2 - x2), None)).sum(axis=(2, 3))
-    want = f.data * (mass * g.cell / lambda_psi(win).lam)[..., None]
+    want = f.data * (mass * g.cell / lambda_psi(win))[..., None]
     assert relative_l2(rec.data, want) < 1e-12
 
 
@@ -348,7 +348,7 @@ def test_marginal_zero_signal_guarded():
     g = grid(8)
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
     c = qlcst_forward(zero, s_gaussian(), FOURIER, FOURIER)
-    assert marginal_qlct_gap(c, zero, FOURIER, FOURIER) == 0.0
+    assert marginal_qlct_gap(c, zero) == 0.0
 
 
 def test_covariance_small():
@@ -359,6 +359,18 @@ def test_covariance_small():
     assert rep.parity < 1e-10
     assert rep.shift < 5e-3
     assert rep.modulation_best < 1e-2
+
+
+@pytest.mark.parametrize("win", [fixed_gaussian(1, 1), s_gaussian()],
+                         ids=["fixed-gauss", "s-gauss"])
+def test_covariance_shift_exact_on_shifted_grid(win):
+    """The shift identity's right side is evaluated at u - alpha itself, so
+    no u boundary rows are lost and the residual is at roundoff."""
+    g = grid(24)
+    f = gen_signal("gaussian", g)
+    rep = covariance_residuals(f, win, FOURIER, FOURIER,
+                               alpha=(2.0 * g.axis1.spacing, 0.0))
+    assert rep.shift < 1e-10
 
 
 def test_covariance_table_window_matches_separable():

@@ -13,11 +13,15 @@ from qlcst.signal import Grid1D, Grid2D, QSignal2D, QSpectrum2D, sandwich_phase
 from qlcst.uncertainty import (_axis_sq, _lemma_41_rhs, digamma, digamma_constant, heisenberg_report,
                                lemma_41_gap, log_uncertainty_report,
                                spatial_dispersion, spatial_log_moment,
-                               spectral_dispersion)
+                               spectral_dispersion, spectral_log_moment)
 from qlcst.window import fixed_gaussian
 
 FOURIER = validate_param(0, 1, -1, 0)
 EULER_GAMMA = 0.5772156649015329
+
+
+def coefficients(f):
+    return qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
 
 
 def test_digamma_reference_points():
@@ -106,10 +110,17 @@ def test_spatial_log_moment_origin_guard():
         spatial_log_moment(f)
 
 
+def test_spectral_log_moment_origin_guard():
+    """An odd point count puts w = 0 on the FFT-compatible spectrum grid."""
+    f = gen_signal("gaussian", Grid2D.centered(8.0, 9))
+    with pytest.raises(NonFinite):
+        spectral_log_moment(coefficients(f))
+
+
 def test_heisenberg_gaussian():
     g = Grid2D.centered(8.0, 24)
     f = gen_signal("gaussian", g)
-    rep = heisenberg_report(f, fixed_gaussian(1, 1), FOURIER, FOURIER, 1)
+    rep = heisenberg_report(coefficients(f), f, 1)
     assert rep.ratio > 1.0
     assert rep.lhs == pytest.approx(math.sqrt(rep.spectral * rep.spatial))
 
@@ -117,10 +128,9 @@ def test_heisenberg_gaussian():
 def test_heisenberg_scale_invariance():
     g = Grid2D.centered(8.0, 16)
     f = gen_signal("gaussian", g)
-    win = fixed_gaussian(1, 1)
-    r1 = heisenberg_report(f, win, FOURIER, FOURIER, 1)
+    r1 = heisenberg_report(coefficients(f), f, 1)
     f2 = QSignal2D(2.0 * f.data, g)
-    r2 = heisenberg_report(f2, win, FOURIER, FOURIER, 1)
+    r2 = heisenberg_report(coefficients(f2), f2, 1)
     assert abs(r1.ratio - r2.ratio) < 1e-10
 
 
@@ -128,15 +138,14 @@ def test_heisenberg_zero_signal():
     g = Grid2D.centered(8.0, 8)
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
     with pytest.raises(ZeroSignal):
-        heisenberg_report(zero, fixed_gaussian(1, 1), FOURIER, FOURIER, 1)
+        heisenberg_report(coefficients(zero), zero, 1)
 
 
 def test_log_uncertainty_gaussian_family():
     g = Grid2D.centered(8.0, 24)
-    win = fixed_gaussian(1, 1)
     for a in (0.5, 1.0, 2.0):
         f = gen_signal("dilated-gaussian", g, a=a)
-        rep = log_uncertainty_report(f, win, FOURIER, FOURIER)
+        rep = log_uncertainty_report(coefficients(f), f)
         assert rep.gap >= 0.0
 
 
@@ -145,9 +154,8 @@ def test_reports_invariant_under_right_phase():
     g = Grid2D.centered(8.0, 16)
     f = gen_signal("gaussian", g)
     rot = sandwich_phase(f, np.zeros(g.axis1.n), np.full(g.axis2.n, 0.9))
-    win = fixed_gaussian(1, 1)
-    r0 = heisenberg_report(f, win, FOURIER, FOURIER, 1)
-    r1 = heisenberg_report(rot, win, FOURIER, FOURIER, 1)
+    r0 = heisenberg_report(coefficients(f), f, 1)
+    r1 = heisenberg_report(coefficients(rot), rot, 1)
     assert abs(r0.spatial - r1.spatial) < 1e-12
     assert abs(r0.ratio - r1.ratio) < 1e-10
 
@@ -155,7 +163,7 @@ def test_reports_invariant_under_right_phase():
 def test_lemma41_zero_signal():
     g = Grid2D.centered(8.0, 8)
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
-    assert lemma_41_gap(zero, fixed_gaussian(1, 1), FOURIER, FOURIER, 1) == 0.0
+    assert lemma_41_gap(coefficients(zero), zero, 1) == 0.0
 
 
 @pytest.mark.parametrize("abcd", [(0, 1, -1, 0), (0.8, -1.5, 0.4, 0.5)])
@@ -178,4 +186,4 @@ def test_lemma41_rhs_matches_pointwise_inverses(abcd):
 def test_lemma41_gaussian_small():
     g = Grid2D.centered(8.0, 16)
     f = gen_signal("gaussian", g)
-    assert lemma_41_gap(f, fixed_gaussian(1, 1), FOURIER, FOURIER, 1) < 5e-3
+    assert lemma_41_gap(coefficients(f), f, 1) < 5e-3

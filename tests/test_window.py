@@ -46,26 +46,24 @@ def test_s_gaussian_zero_frequency():
 
 
 def test_lambda_fixed_gaussian_closed_form():
-    adm = lambda_psi(fixed_gaussian(1, 1))
-    assert abs(adm.lam - 0.0795774715) < 1e-9
-    assert not adm.w_dependent
-    adm2 = lambda_psi(fixed_gaussian(0.5, 2.0))
-    assert abs(adm2.lam - 1.0 / (4.0 * math.pi * 0.5 * 2.0)) < 1e-9
+    assert abs(lambda_psi(fixed_gaussian(1, 1)) - 0.0795774715) < 1e-9
+    assert not fixed_gaussian(1, 1).w_dependent
+    lam2 = lambda_psi(fixed_gaussian(0.5, 2.0))
+    assert abs(lam2 - 1.0 / (4.0 * math.pi * 0.5 * 2.0)) < 1e-9
 
 
 def test_lambda_s_gaussian():
-    adm = lambda_psi(s_gaussian(), (1.0, 1.0))
-    assert abs(adm.lam - 0.0795774715) < 1e-9
-    assert adm.w_dependent
+    assert abs(lambda_psi(s_gaussian(), (1.0, 1.0)) - 0.0795774715) < 1e-9
+    assert s_gaussian().w_dependent
     # lam scales as |w1 w2|
     for w in [(2.0, 1.0), (0.5, 3.0), (1.5, -2.0)]:
-        got = lambda_psi(s_gaussian(), w).lam
+        got = lambda_psi(s_gaussian(), w)
         want = abs(w[0] * w[1]) / (4.0 * math.pi)
         assert abs(got - want) / want < 1e-6
 
 
 def test_lambda_fixed_gaussian_w_invariant():
-    vals = [lambda_psi(fixed_gaussian(1, 1), w).lam
+    vals = [lambda_psi(fixed_gaussian(1, 1), w)
             for w in [(0.3, 2.0), (5.0, -1.0), (1.0, 1.0)]]
     assert max(vals) - min(vals) < 1e-12
 
@@ -124,7 +122,7 @@ def test_norm_squared_integral_matches_lambda():
     x2 = g.axis2.points[None, :]
     vals = window_eval(fixed_gaussian(1, 1), (x1, x2), (1.0, 1.0))
     direct = float(np.sum(qnormsq(vals)) * g.cell)
-    assert abs(direct - lambda_psi(fixed_gaussian(1, 1)).lam) < 1e-10
+    assert abs(direct - lambda_psi(fixed_gaussian(1, 1))) < 1e-10
 
 
 @pytest.mark.parametrize("spec,w", [
@@ -142,7 +140,7 @@ def test_lambda_is_the_2d_quadrature(spec, w):
     g = Grid2D.centered(12.0, 256)
     vals = window_eval(spec, (g.axis1.points[:, None], g.axis2.points[None, :]), w)
     want = float(np.sum(qnormsq(vals)) * g.cell)
-    assert abs(lambda_psi(spec, w).lam - want) <= 1e-14 * want
+    assert abs(lambda_psi(spec, w) - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("spec,dependent", [
@@ -155,4 +153,4 @@ def test_lambda_is_the_2d_quadrature(spec, w):
      False),
 ], ids=["fixed(1,1)", "fixed(0.5,2)", "s-gauss", "constant", "table"])
 def test_w_dependence_by_family(spec, dependent):
-    assert lambda_psi(spec).w_dependent is dependent
+    assert spec.w_dependent is dependent
