@@ -5,11 +5,10 @@ Exit codes: 0 success (including verification pass), 1 usage/IO error,
 """
 
 import argparse
-import dataclasses
 import sys
 
 from . import io as qio
-from .errors import QlcstError
+from .errors import BadParameter, QlcstError
 from .generators import KINDS, gen_signal
 from .lct import parse_matrix
 from .qlct import (qlct_fast_forward, qlct_fast_inverse, qlct_forward,
@@ -66,8 +65,13 @@ def _cmd_qlcst(args):
 
 def _cmd_reconstruct(args):
     c = qio.read_coefficients(args.input)
-    c = dataclasses.replace(c, window=parse_window(args.window),
-                            m1=parse_matrix(args.m1), m2=parse_matrix(args.m2))
+    # The file holds the matrices and window; a given one must agree with it.
+    for name, parse in (("m1", parse_matrix), ("m2", parse_matrix),
+                        ("window", parse_window)):
+        given = getattr(args, name)
+        if given is not None and parse(given) != getattr(c, name):
+            raise BadParameter("--%s %s differs from the value stored in %s"
+                               % (name, given, args.input))
     qio.write_signal(args.output, qlcst_reconstruct(c))
     return 0
 
@@ -129,9 +133,9 @@ def build_parser():
     p = sub.add_parser("reconstruct", help="synthesize a signal from coefficients")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
-    p.add_argument("--window", required=True)
+    p.add_argument("--m1", help="optional; must equal the file's matrix")
+    p.add_argument("--m2", help="optional; must equal the file's matrix")
+    p.add_argument("--window", help="optional; must equal the file's window")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("export", help="export a coefficient magnitude slice")

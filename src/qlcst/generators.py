@@ -24,6 +24,7 @@ def _hermite_mode(n, x):
     return cur
 
 
+@np.errstate(all="ignore")  # bad samples are refused below, not warned about
 def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
     """Generate a QSignal2D of the requested kind on the given grid.
 
@@ -35,7 +36,8 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
                        Gaussian envelope
     impulse:           single sample of value 1/cell nearest the origin
 
-    Parameters that make any sample non-finite raise BadParameter.
+    Parameters that make any sample non-finite, or every sample zero (each
+    kind is nonzero by construction), raise BadParameter.
     """
     if kind not in KINDS:
         raise BadParameter("unknown generator kind %r" % kind)
@@ -75,6 +77,8 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
         data[i, j, 0] = 1.0 / grid.cell
     if not np.all(np.isfinite(data)):
         raise BadParameter("%s parameters give non-finite samples" % kind)
+    if not np.any(data):
+        raise BadParameter("%s parameters give an all-zero signal" % kind)
     return QSignal2D(data, grid)
 
 

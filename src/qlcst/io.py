@@ -1,56 +1,80 @@
-"""Binary persistence (QSG1 signals, QCF1 coefficients) and exports.
+"""Binary persistence (QSG1 signals, QCF2 coefficients) and exports.
 
-All multi-byte fields are little-endian.  Quaternion payloads are float64,
-row-major, components interleaved scalar-first (w, x, y, z).  Coefficient
-payloads are converted to and from the in-memory planes one u1 slab at a
-time, so the full interleaved tensor is never held.
+All multi-byte fields are little-endian.  A QSG1 file is SIGNAL_HEADER (the
+point counts, origins and spacings of the grid) and a float64 payload,
+row-major, components interleaved scalar-first (w, x, y, z).  A QCF2 file is
+COEFF_HEADER (the u and w grids, both matrices (A, B, C, D), the window's
+WINDOW_CODES index and sigma), then for each u1 the a and the b row block of
+the planes (nw1 x nu2*nw2 complex128 each), then, for a custom-table window,
+the table as a QSG1 record.  QCF1 files (no window or matrices) are refused.
 """
 
 import os
 import struct
+from dataclasses import astuple
 
 import numpy as np
 
 from .errors import (BadMagic, BadParameter, NonFinite, TrailingBytes,
                      TruncatedFile, VersionMismatch)
+from .lct import validate_param
 from .signal import Grid1D, Grid2D, QSignal2D
 from .qlcst import QLCSTCoefficients
+from .window import WindowSpec
 
 SIGNAL_MAGIC = b"QSG1"
-COEFF_MAGIC = b"QCF1"
+COEFF_MAGIC = b"QCF2"
 VERSION = 1
 
-_SIG_HEADER = struct.Struct("<4sHIIdddd")
-_COEFF_HEADER = struct.Struct("<4sHIIIIdddddddd")
+SIGNAL_HEADER = struct.Struct("<4sHIIdddd")
+COEFF_HEADER = struct.Struct("<4sHIIIIdddddddd8dH2d")
+WINDOW_CODES = ("fixed-gaussian", "s-gaussian", "constant", "custom-table")
+
+
+def _grid_fields(g):
+    return (g.axis1.origin, g.axis2.origin, g.axis1.spacing, g.axis2.spacing)
+
+
+def _grid(n1, n2, o1, o2, d1, d2):
+    return Grid2D(Grid1D(n1, o1, d1), Grid1D(n2, o2, d2))
+
+
+def _write_signal_record(fh, f):
+    fh.write(SIGNAL_HEADER.pack(SIGNAL_MAGIC, VERSION, *f.grid.shape,
+                                *_grid_fields(f.grid)))
+    fh.write(np.ascontiguousarray(f.data, dtype="<f8"))
 
 
 def write_signal(path, f):
     """Write a QSignal2D (or spectrum) as a QSG1 file."""
-    g = f.grid
-    header = _SIG_HEADER.pack(SIGNAL_MAGIC, VERSION, g.axis1.n, g.axis2.n,
-                              g.axis1.origin, g.axis2.origin,
-                              g.axis1.spacing, g.axis2.spacing)
-    payload = np.ascontiguousarray(f.data, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        _write_signal_record(fh, f)
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedFile("file ends inside %s" % what)
-    return buf
+def _header_fields(fh, header, magic, what):
+    """The fields after magic and version of the header at the file position."""
+    raw = fh.read(header.size)
+    if raw[:4] == b"QCF1":
+        raise VersionMismatch("QCF1 files hold no window or matrices and are no "
+                              "longer read; regenerate it with `qlcst qlcst`")
+    if len(raw) != header.size:
+        raise TruncatedFile("file ends inside header")
+    fields = header.unpack(raw)
+    if fields[0] != magic:
+        raise BadMagic("unexpected magic %r" % fields[0])
+    if fields[1] != VERSION:
+        raise VersionMismatch("unsupported %s version %d" % (what, fields[1]))
+    return fields[2:]
 
 
-def _check_payload_size(fh, nbytes):
+def _check_payload_size(fh, nbytes, more=False):
     """Refuse a file whose remainder is not exactly the header-declared
-    payload, before anything is allocated or read, so an absurd header count
-    never reaches the read as a huge request."""
+    payload (at least it, if a record follows), before anything is allocated,
+    so an absurd header count never reaches the read as a huge request."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if left < nbytes:
         raise TruncatedFile("file ends inside payload")
-    if left > nbytes:
+    if left > nbytes and not more:
         raise TrailingBytes("%d bytes follow the payload" % (left - nbytes))
 
 
@@ -59,64 +83,66 @@ def _check_finite(values, what):
         raise NonFinite("non-finite value in the %s" % what)
 
 
+def _read_payload(fh, out):
+    """Fill the array out from the file in one contiguous read."""
+    if fh.readinto(out) != out.nbytes:
+        raise TruncatedFile("file ends inside payload")
+    _check_finite(out, "payload")
+
+
+def _read_signal_record(fh):
+    n1, n2, *grid = _header_fields(fh, SIGNAL_HEADER, SIGNAL_MAGIC, "signal")
+    _check_finite(grid, "header")
+    _check_payload_size(fh, n1 * n2 * 4 * 8)
+    data = np.empty((n1, n2, 4), dtype="<f8")
+    _read_payload(fh, data)
+    return QSignal2D(data, _grid(n1, n2, *grid))
+
+
 def read_signal(path):
     """Read a QSG1 file back into a QSignal2D."""
     with open(path, "rb") as fh:
-        raw = _read_exact(fh, _SIG_HEADER.size, "header")
-        magic, version, n1, n2, o1, o2, d1, d2 = _SIG_HEADER.unpack(raw)
-        if magic != SIGNAL_MAGIC:
-            raise BadMagic("unexpected magic %r" % magic)
-        if version != VERSION:
-            raise VersionMismatch("unsupported signal version %d" % version)
-        _check_finite((o1, o2, d1, d2), "header")
-        nbytes = n1 * n2 * 4 * 8
-        _check_payload_size(fh, nbytes)
-        payload = _read_exact(fh, nbytes, "payload")
-    data = np.frombuffer(payload, dtype="<f8").reshape(n1, n2, 4).astype(float)
-    _check_finite(data, "payload")
-    grid = Grid2D(Grid1D(n1, o1, d1), Grid1D(n2, o2, d2))
-    return QSignal2D(data, grid)
+        return _read_signal_record(fh)
 
 
 def write_coefficients(path, c):
-    """Write QLCSTCoefficients as a QCF1 file (grids + payload only)."""
-    u, w = c.ugrid, c.wgrid
-    header = _COEFF_HEADER.pack(
-        COEFF_MAGIC, VERSION, u.axis1.n, u.axis2.n, w.axis1.n, w.axis2.n,
-        u.axis1.origin, u.axis2.origin, u.axis1.spacing, u.axis2.spacing,
-        w.axis1.origin, w.axis2.origin, w.axis1.spacing, w.axis2.spacing)
-    slab = np.empty((u.axis2.n,) + w.shape + (4,))
+    """Write QLCSTCoefficients as a QCF2 file."""
+    u, w, win = c.ugrid, c.wgrid, c.window
+    header = COEFF_HEADER.pack(
+        COEFF_MAGIC, VERSION, *u.shape, *w.shape, *_grid_fields(u),
+        *_grid_fields(w), *astuple(c.m1), *astuple(c.m2),
+        WINDOW_CODES.index(win.family), *win.sigma)
     with open(path, "wb") as fh:
         fh.write(header)
-        for i in range(u.axis1.n):
-            fh.write(c.u1_slab(i, slab).astype("<f8", copy=False).tobytes())
+        for start in range(0, len(c.a), w.axis1.n):
+            for plane in (c.a, c.b):
+                fh.write(plane[start:start + w.axis1.n].astype("<c16", copy=False))
+        if win.family == "custom-table":
+            _write_signal_record(fh, win.table)
 
 
 def read_coefficients(path):
-    """Read a QCF1 file; window/matrix metadata is not stored in the file."""
+    """Read a QCF2 file into complete QLCSTCoefficients: planes, grids,
+    matrices and window, each checked before the planes are allocated."""
     with open(path, "rb") as fh:
-        raw = _read_exact(fh, _COEFF_HEADER.size, "header")
-        fields = _COEFF_HEADER.unpack(raw)
-        magic, version = fields[0], fields[1]
-        if magic != COEFF_MAGIC:
-            raise BadMagic("unexpected magic %r" % magic)
-        if version != VERSION:
-            raise VersionMismatch("unsupported coefficient version %d" % version)
-        nu1, nu2, nw1, nw2 = fields[2:6]
-        uo1, uo2, ud1, ud2, wo1, wo2, wd1, wd2 = fields[6:]
-        _check_finite(fields[6:], "header")
-        slab_bytes = nu2 * nw1 * nw2 * 4 * 8
-        # The planes are allocated up front, so a wrong size is refused first.
-        _check_payload_size(fh, nu1 * slab_bytes)
-        ugrid = Grid2D(Grid1D(nu1, uo1, ud1), Grid1D(nu2, uo2, ud2))
-        wgrid = Grid2D(Grid1D(nw1, wo1, wd1), Grid1D(nw2, wo2, wd2))
-        c = QLCSTCoefficients.empty(ugrid, wgrid)
-        for i in range(nu1):
-            slab = np.frombuffer(_read_exact(fh, slab_bytes, "payload"),
-                                 dtype="<f8")
-            _check_finite(slab, "payload")
-            c.set_u1_slab(i, slab.reshape(nu2, nw1, nw2, 4))
-    return c
+        fields = _header_fields(fh, COEFF_HEADER, COEFF_MAGIC, "coefficient")
+        nu1, nu2, nw1, nw2 = fields[:4]
+        _check_finite(fields[4:20] + fields[21:], "header")
+        if fields[20] >= len(WINDOW_CODES):
+            raise BadParameter("unknown window family code %d" % fields[20])
+        family = WINDOW_CODES[fields[20]]
+        shape = (nu1 * nw1, nu2 * nw2)
+        _check_payload_size(fh, 32 * shape[0] * shape[1],
+                            more=family == "custom-table")
+        ugrid, wgrid = _grid(nu1, nu2, *fields[4:8]), _grid(nw1, nw2, *fields[8:12])
+        m1, m2 = validate_param(*fields[12:16]), validate_param(*fields[16:20])
+        a, b = np.empty(shape, dtype="<c16"), np.empty(shape, dtype="<c16")
+        for start in range(0, shape[0], nw1):
+            for plane in (a, b):
+                _read_payload(fh, plane[start:start + nw1])
+        table = _read_signal_record(fh) if family == "custom-table" else None
+    return QLCSTCoefficients(a, b, ugrid, wgrid,
+                             WindowSpec(family, fields[21:], table), m1, m2)
 
 
 def coefficient_slice(c, fixed, index):

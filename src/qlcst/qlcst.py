@@ -29,17 +29,17 @@ trip through float64, while a and b hold the interleaved components exactly.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, SpacingError, ZeroSignal)
-from .lct import kernel_const, kernel_phase, validate_param
+from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
 from .quaternion import qconj, qmul, right_mu2, symplectic_join, symplectic_split
 from .signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid, relative_l2,
                      sandwich_phase)
-from .window import lambda_psi, reflect, window_axis_profile, window_eval
+from .window import (WindowSpec, lambda_psi, reflect, window_axis_profile,
+                     window_eval)
 from .qlct import qlct_fast_forward, qlct_forward
 
 # Window-profile entries below this fraction of the peak are stored as exact
@@ -49,17 +49,18 @@ PROFILE_FLOOR = 1e-200
 
 @dataclass
 class QLCSTCoefficients:
-    """Coefficients C(u, w) as the symplectic planes a, b with grid/config
-    metadata.  Each plane is a (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2)
-    order; `data` builds the interleaved (u1, u2, w1, w2, 4) array."""
+    """Coefficients C(u, w) as the symplectic planes a, b with the grids,
+    window and matrices that produced them.  Each plane is a
+    (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2) order; `data` builds the
+    interleaved (u1, u2, w1, w2, 4) array."""
 
     a: np.ndarray
     b: np.ndarray
     ugrid: Grid2D
     wgrid: Grid2D
-    window: Optional[object] = None
-    m1: Optional[object] = None
-    m2: Optional[object] = None
+    window: WindowSpec
+    m1: ParamMatrix
+    m2: ParamMatrix
 
     def __post_init__(self):
         want = (self.ugrid.axis1.n * self.wgrid.axis1.n,
@@ -70,41 +71,17 @@ class QLCSTCoefficients:
             raise GridMismatch("coefficient planes %r, %r do not match grids %r"
                                % (self.a.shape, self.b.shape, want))
 
-    @classmethod
-    def empty(cls, ugrid, wgrid, window=None, m1=None, m2=None):
-        """Uninitialized planes for the given grids, to be filled by slabs."""
-        shape = (ugrid.axis1.n * wgrid.axis1.n, ugrid.axis2.n * wgrid.axis2.n)
-        return cls(np.empty(shape, dtype=complex), np.empty(shape, dtype=complex),
-                   ugrid, wgrid, window, m1, m2)
-
     def views4(self):
         """The planes as (u1, w1, u2, w2) views."""
         shape = (self.ugrid.axis1.n, self.wgrid.axis1.n,
                  self.ugrid.axis2.n, self.wgrid.axis2.n)
         return self.a.reshape(shape), self.b.reshape(shape)
 
-    def u1_slab(self, i, out):
-        """Write the interleaved (u2, w1, w2, 4) components at position index
-        u1 = i into out and return it."""
-        a4, b4 = self.views4()
-        pairs = out.view(complex)
-        pairs[..., 0] = a4[i].transpose(1, 0, 2)
-        pairs[..., 1] = b4[i].transpose(1, 0, 2)
-        return out
-
-    def set_u1_slab(self, i, slab):
-        """Store interleaved (u2, w1, w2, 4) components at u1 = i."""
-        pairs = np.ascontiguousarray(slab, dtype=float).view(complex)
-        a4, b4 = self.views4()
-        a4[i] = pairs[..., 0].transpose(1, 0, 2)
-        b4[i] = pairs[..., 1].transpose(1, 0, 2)
-
     @property
     def data(self):
         """Interleaved (u1, u2, w1, w2, 4) copy of the coefficients."""
-        out = np.empty(self.ugrid.shape + self.wgrid.shape + (4,))
-        for i in range(self.ugrid.axis1.n):
-            self.u1_slab(i, out[i])
+        a4, b4 = self.views4()
+        out = symplectic_join(a4.transpose(0, 2, 1, 3), b4.transpose(0, 2, 1, 3))
         out.flags.writeable = False
         return out
 

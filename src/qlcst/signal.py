@@ -73,11 +73,12 @@ def fft_output_grid(grid, b1, b2):
     return Grid2D(fft_output_axis(grid.axis1, b1), fft_output_axis(grid.axis2, b2))
 
 
-@dataclass
+@dataclass(eq=False)
 class QSignal2D:
     """Quaternion samples on a uniform 2D grid.
 
     data has shape (n1, n2, 4) with scalar-first quaternion components.
+    Two signals of one class are equal when their grids and samples are.
     """
 
     data: np.ndarray
@@ -89,6 +90,11 @@ class QSignal2D:
             raise GridMismatch(
                 "data shape %r does not match grid shape %r"
                 % (self.data.shape, self.grid.shape + (4,)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.data, other.data)
 
     def energy(self):
         """Riemann-sum L2 energy sum(|f|^2) * dx1 * dx2."""

@@ -11,13 +11,14 @@ from qlcst.cli import cli_main
 from qlcst.errors import (BadMagic, NonFinite, QlcstError, TrailingBytes,
                           TruncatedFile, VersionMismatch)
 from qlcst.generators import _hermite_mode, gen_signal
-from qlcst.io import (COEFF_MAGIC, SIGNAL_MAGIC, coefficient_slice,
-                      read_coefficients, read_signal, write_coefficients,
-                      write_signal)
+from qlcst.io import (COEFF_HEADER, COEFF_MAGIC, SIGNAL_HEADER, SIGNAL_MAGIC,
+                      WINDOW_CODES, coefficient_slice, read_coefficients,
+                      read_signal, write_coefficients, write_signal)
 from qlcst.lct import validate_param
 from qlcst.qlcst import qlcst_forward
 from qlcst.signal import Grid1D, Grid2D, QSignal2D, relative_l2
-from qlcst.window import fixed_gaussian, window_eval
+from qlcst.verify import MATRIX_CASES
+from qlcst.window import fixed_gaussian, table_window, window_eval
 
 FOURIER = validate_param(0, 1, -1, 0)
 
@@ -43,9 +44,9 @@ def test_signal_header_layout(tmp_path):
     path = tmp_path / "s.qsg"
     write_signal(path, f)
     raw = path.read_bytes()
-    magic, version, n1, n2 = struct.unpack_from("<4sHII", raw)
+    magic, version, n1, n2 = SIGNAL_HEADER.unpack_from(raw)[:4]
     assert magic == SIGNAL_MAGIC and version == 1 and (n1, n2) == (4, 4)
-    assert len(raw) == struct.calcsize("<4sHIIdddd") + 4 * 4 * 4 * 8
+    assert len(raw) == SIGNAL_HEADER.size + 4 * 4 * 4 * 8
 
 
 def test_bad_magic(tmp_path):
@@ -104,23 +105,30 @@ def test_non_finite_rejected(tmp_path, make, read, value, where):
     path = make(tmp_path)
     raw = bytearray(path.read_bytes())
     if where == "payload":
-        at = len(raw) - 8
-    else:  # the first origin, right after magic, version and counts
-        at = struct.calcsize("<4sHII" if read is read_signal else "<4sHIIII")
-    raw[at:at + 8] = struct.pack("<d", value)
+        raw[-8:] = struct.pack("<d", value)
+    else:  # the first origin, the first float of the header
+        header = SIGNAL_HEADER if read is read_signal else COEFF_HEADER
+        fields = list(header.unpack_from(raw))
+        fields[next(i for i, v in enumerate(fields) if isinstance(v, float))] = value
+        raw[:header.size] = header.pack(*fields)
     path.write_bytes(bytes(raw))
     with pytest.raises(NonFinite):
         read(path)
 
 
-def _file_with_one_defect(draw, fmt, magic, counts, nfloats):
-    """A file in the given header layout with at most one defect: a wrong
-    magic or version, a point count below 2, a non-finite header or payload
-    value, or a payload cut short or extended."""
-    defect = draw(st.sampled_from(
-        ["none", "magic", "version", "count", "header", "payload", "size"]))
+DEFECTS = ("none", "magic", "version", "count", "header", "payload", "size")
+MATRICES = ((0.0, 1.0, -1.0, 0.0), (1.0, 2.0, 0.0, 1.0), (0.5, 1.0, -0.75, 0.5))
+BAD_MATRICES = ((1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 1.0))  # det 0; B = 0
+
+
+def _file_with_one_defect(draw, header, magic, counts, defect, meta=(), tail=b""):
+    """Bytes of a file in a header layout (magic, version, counts, grid
+    floats, then the meta fields), its payload and a tail record, with at
+    most one defect: a wrong magic or version, a point count below 2, a
+    non-finite grid or payload value, or the file cut short or extended."""
     if defect == "count":
         counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(0, 1))
+    nfloats = 2 * len(counts)
     grid = draw(st.lists(st.floats(0.01, 10.0), min_size=nfloats, max_size=nfloats))
     nvalues = int(np.prod(counts)) * 4
     values = draw(st.lists(st.floats(-1e3, 1e3), min_size=nvalues,
@@ -130,9 +138,9 @@ def _file_with_one_defect(draw, fmt, magic, counts, nfloats):
         grid[draw(st.integers(0, nfloats - 1))] = bad
     if defect == "payload" and values:
         values[draw(st.integers(0, nvalues - 1))] = bad
-    raw = (struct.pack(fmt, b"XXXX" if defect == "magic" else magic,
-                       2 if defect == "version" else 1, *counts, *grid)
-           + struct.pack("<%dd" % nvalues, *values))
+    raw = (header.pack(b"XXXX" if defect == "magic" else magic,
+                       2 if defect == "version" else 1, *counts, *grid, *meta)
+           + struct.pack("<%dd" % nvalues, *values) + tail)
     if defect == "size":
         cut = draw(st.integers(-9, 9).filter(bool))
         raw = raw[:len(raw) + cut] if cut < 0 else raw + bytes(cut)
@@ -142,14 +150,30 @@ def _file_with_one_defect(draw, fmt, magic, counts, nfloats):
 @st.composite
 def qsg_bytes(draw):
     counts = [draw(st.integers(2, 4)) for _ in range(2)]
-    return _file_with_one_defect(draw, "<4sHIIdddd", SIGNAL_MAGIC, counts, 4)
+    return _file_with_one_defect(draw, SIGNAL_HEADER, SIGNAL_MAGIC, counts,
+                                 draw(st.sampled_from(DEFECTS)))
 
 
 @st.composite
 def qcf_bytes(draw):
+    """A QCF2 file of any window family, a table window with a valid QSG1
+    table record, or one defect: those of _file_with_one_defect, a matrix
+    with det != 1 or B = 0, or an unknown window family code."""
+    defect = draw(st.sampled_from(DEFECTS + ("matrix", "family")))
     counts = [draw(st.integers(2, 3)) for _ in range(4)]
-    return _file_with_one_defect(draw, "<4sHIIIIdddddddd", COEFF_MAGIC,
-                                 counts, 8)
+    m1, m2 = draw(st.sampled_from(MATRICES)), draw(st.sampled_from(MATRICES))
+    if defect == "matrix":
+        m1 = draw(st.sampled_from(BAD_MATRICES))
+    code = draw(st.integers(0, len(WINDOW_CODES) - 1))
+    if defect == "family":
+        code = draw(st.integers(len(WINDOW_CODES), 2 ** 16 - 1))
+    sigma = draw(st.lists(st.floats(0.1, 5.0), min_size=2, max_size=2))
+    tail = b""
+    if code < len(WINDOW_CODES) and WINDOW_CODES[code] == "custom-table":
+        tail = _file_with_one_defect(draw, SIGNAL_HEADER, SIGNAL_MAGIC,
+                                     [2, 3], "none")
+    return _file_with_one_defect(draw, COEFF_HEADER, COEFF_MAGIC, counts, defect,
+                                 (*m1, *m2, code, *sigma), tail)
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,6 +192,7 @@ def test_readers_accept_valid_or_raise_qlcst_error(tmp_path_factory, raw):
             assert np.all(np.isfinite(obj.data))
         else:
             assert np.all(np.isfinite(obj.a)) and np.all(np.isfinite(obj.b))
+            assert obj.window.family in WINDOW_CODES
 
 
 @pytest.mark.parametrize("n", [2 ** 31, 3_000_000])
@@ -175,13 +200,33 @@ def test_absurd_signal_header(tmp_path, n):
     """A header whose point counts exceed the file is refused before any
     read is attempted, also through the CLI."""
     path = tmp_path / "bad.qsg"
-    path.write_bytes(struct.pack("<4sHIIdddd", SIGNAL_MAGIC, 1, n, n,
-                                 0.0, 0.0, 1.0, 1.0) + bytes(32))
+    path.write_bytes(SIGNAL_HEADER.pack(SIGNAL_MAGIC, 1, n, n,
+                                        0.0, 0.0, 1.0, 1.0) + bytes(32))
     with pytest.raises(TruncatedFile):
         read_signal(path)
     assert cli_main(["qlct", "--fast", "-i", str(path),
                      "-o", str(tmp_path / "out.qsg"),
                      "--m1", "0,1,-1,0", "--m2", "0,1,-1,0"]) == 1
+
+
+@pytest.mark.parametrize("n", [2 ** 31, 3_000_000])
+def test_absurd_coefficient_header(tmp_path, capsys, n):
+    """The coefficient twin of test_absurd_signal_header: counts far beyond
+    the file are refused before the planes are allocated, also through
+    export and reconstruct."""
+    path = tmp_path / "bad.qcf"
+    path.write_bytes(COEFF_HEADER.pack(COEFF_MAGIC, 1, n, n, n, n,
+                                       0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0,
+                                       *MATRICES[0], *MATRICES[0], 0, 1.0, 1.0)
+                     + bytes(64))
+    with pytest.raises(TruncatedFile):
+        read_coefficients(path)
+    out = tmp_path / "out"
+    assert cli_main(["export", "-i", str(path), "-o", str(out),
+                     "--slice", "u", "--index", "0,0"]) == 1
+    assert cli_main(["reconstruct", "-i", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.count("error: file ends inside payload") == 2
+    assert not out.exists()
 
 
 def test_version_mismatch(tmp_path):
@@ -205,25 +250,67 @@ def test_coefficient_roundtrip(tmp_path):
     back = read_coefficients(path)
     assert np.array_equal(back.data, c.data)
     assert back.ugrid == c.ugrid and back.wgrid == c.wgrid
+    assert (back.window, back.m1, back.m2) == (c.window, c.m1, c.m2)
 
 
-def test_coefficient_file_is_header_plus_interleaved_payload(tmp_path):
-    """QCF1 bytes are the header and the interleaved (u1, u2, w1, w2, 4)
-    float64 payload; reading them back restores the planes bit for bit."""
+def lattice_table(g):
+    """fixed-gauss:1,1 sampled at every offset u - x of the grid g, so the
+    table lookup lands on lattice points and matches the separable window."""
+    lat = Grid1D(2 * g.axis1.n - 1, -(g.axis1.n - 1) * g.axis1.spacing,
+                 g.axis1.spacing)
+    t = lat.points
+    table = window_eval(fixed_gaussian(1, 1), (t[:, None], t[None, :]), (1.0, 1.0))
+    return QSignal2D(table, Grid2D(lat, lat))
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["fixed-gauss", "table"])
+def test_coefficient_file_is_header_plus_planar_payload(tmp_path, table):
+    """QCF2 bytes are the header (grids, matrices, window), then per u1 the
+    a and b row blocks as complex128, then a table window's QSG1 record;
+    reading restores planes and metadata bit for bit, and a rewrite gives
+    the same bytes."""
     g = Grid2D(Grid1D.centered(3.0, 5), Grid1D.centered(2.0, 4))
     rng = np.random.default_rng(31)
     f = QSignal2D(rng.standard_normal(g.shape + (4,)), g)
-    c = qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
+    m1, m2 = MATRIX_CASES[1][1]()
+    window = table_window(lattice_table(g)) if table else fixed_gaussian(0.5, 2)
+    c = qlcst_forward(f, window, m1, m2)
     path = tmp_path / "c.qcf"
     write_coefficients(path, c)
     raw = path.read_bytes()
-    size = struct.calcsize("<4sHIIIIdddddddd")
-    assert raw[size:] == c.data.astype("<f8").tobytes()
+    u, w = c.ugrid, c.wgrid
+    assert COEFF_HEADER.unpack_from(raw) == (
+        COEFF_MAGIC, 1, 5, 4, 5, 4,
+        u.axis1.origin, u.axis2.origin, u.axis1.spacing, u.axis2.spacing,
+        w.axis1.origin, w.axis2.origin, w.axis1.spacing, w.axis2.spacing,
+        m1.a, m1.b, m1.c, m1.d, m2.a, m2.b, m2.c, m2.d,
+        WINDOW_CODES.index(window.family), *window.sigma)
+    blocks = b"".join(p[i * 5:(i + 1) * 5].astype("<c16").tobytes()
+                      for i in range(5) for p in (c.a, c.b))
+    tpath = tmp_path / "t.qsg"
+    write_signal(tpath, lattice_table(g))
+    record = tpath.read_bytes() if table else b""
+    assert raw == raw[:COEFF_HEADER.size] + blocks + record
     back = read_coefficients(path)
     assert np.array_equal(back.a, c.a) and np.array_equal(back.b, c.b)
+    assert (back.ugrid, back.wgrid) == (c.ugrid, c.wgrid)
+    assert (back.window, back.m1, back.m2) == (window, m1, m2)
     again = tmp_path / "again.qcf"
     write_coefficients(again, back)
     assert again.read_bytes() == raw
+
+
+def test_qcf1_file_refused(tmp_path, capsys):
+    path = coefficient_file(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[:4] = b"QCF1"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VersionMismatch, match="QCF1.*regenerate"):
+        read_coefficients(path)
+    out = tmp_path / "r.qsg"
+    assert cli_main(["reconstruct", "-i", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: QCF1 ")
+    assert not out.exists()
 
 
 def test_truncated_coefficient_file(tmp_path):
@@ -336,13 +423,18 @@ def test_cli_export_index_out_of_range(tmp_path, capsys, index):
     ["--kind", "shifted-gaussian", "--center", "1"],
     ["--kind", "shifted-gaussian", "--center", "nan,0"],
     ["--kind", "gaussian", "--extent", "1e308"],
+    ["--kind", "dilated-gaussian", "--a", "1e200"],
+    ["--kind", "hermite", "--modes", "3,0", "--extent", "1e200"],
+    ["--kind", "chirp", "--extent", "1e200"],
 ], ids=["one-mode", "negative-mode", "n-zero", "n-negative", "gauss-sigma-zero",
         "shifted-sigma-zero", "chirp-sigma-negative", "one-center", "nan-center",
-        "overflowing-extent"])
+        "overflowing-extent", "underflowing-dilation", "underflowing-hermite",
+        "overflowing-chirp"])
 def test_cli_gen_bad_parameters(tmp_path, capsys, args):
     out = tmp_path / "f.qsg"
     assert cli_main(["gen"] + args + ["-o", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
 
 
@@ -367,11 +459,7 @@ def test_cli_table_window(tmp_path):
     tpath = str(tmp_path / "t.qsg")
     cpath = str(tmp_path / "c.qcf")
     write_signal(fpath, f)
-    lat = Grid1D(2 * g.axis1.n - 1, -(g.axis1.n - 1) * g.axis1.spacing,
-                 g.axis1.spacing)
-    t = lat.points
-    table = window_eval(fixed_gaussian(1, 1), (t[:, None], t[None, :]), (1.0, 1.0))
-    write_signal(tpath, QSignal2D(table, Grid2D(lat, lat)))
+    write_signal(tpath, lattice_table(g))
     assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
                      "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 0
     want = qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
@@ -380,6 +468,54 @@ def test_cli_table_window(tmp_path):
     assert cli_main(["reconstruct", "-i", cpath, "-o", rpath, "--m1", "0,1,-1,0",
                      "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 0
     assert relative_l2(read_signal(rpath).data, f.data) < 1e-8
+
+
+def _matrix_text(m):
+    return ",".join(repr(v) for v in (m.a, m.b, m.c, m.d))
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES, ids=[c[0] for c in MATRIX_CASES])
+@pytest.mark.parametrize("window", ["fixed-gauss:1,1", "table"])
+def test_cli_reconstruct_reads_file_metadata(tmp_path, case, window):
+    """reconstruct needs no matrix or window options: the file holds them."""
+    g = Grid2D.centered(8.0, 16)
+    f = gen_signal("gaussian", g)
+    fpath, cpath, rpath = (str(tmp_path / n) for n in ("f.qsg", "c.qcf", "r.qsg"))
+    write_signal(fpath, f)
+    if window == "table":
+        window = "table:" + str(tmp_path / "t.qsg")
+        write_signal(tmp_path / "t.qsg", lattice_table(g))
+    m1, m2 = case[1]()
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", _matrix_text(m1),
+                     "--m2", _matrix_text(m2), "--window", window]) == 0
+    assert cli_main(["reconstruct", "-i", cpath, "-o", rpath]) == 0
+    assert relative_l2(read_signal(rpath).data, f.data) < 1e-3
+
+
+@pytest.mark.parametrize("window, given", [
+    ("fixed-gauss:1,1", ["--m1", "0,2,-0.5,0", "--window", "fixed-gauss:0.5,0.5"]),
+    ("fixed-gauss:1,1", ["--m2", "1,2,0,1"]),
+    ("fixed-gauss:1,1", ["--window", "s-gauss"]),
+    ("table:t.qsg", ["--window", "table:other.qsg"]),
+    ("table:t.qsg", ["--window", "fixed-gauss:1,1"]),
+], ids=["matrix-and-window", "m2", "family", "other-table", "table-vs-gauss"])
+def test_cli_reconstruct_mismatch_refused(tmp_path, capsys, monkeypatch,
+                                          window, given):
+    """An option that differs from the file's value exits 1 with one error
+    line and writes nothing; the file's own values still exit 0."""
+    monkeypatch.chdir(tmp_path)
+    g = Grid2D.centered(8.0, 8)
+    write_signal("f.qsg", gen_signal("gaussian", g))
+    write_signal("t.qsg", lattice_table(g))
+    write_signal("other.qsg", lattice_table(Grid2D.centered(8.0, 6)))
+    same = ["--m1", "0,1,-1,0", "--m2", "0,1,-1,0", "--window", window]
+    assert cli_main(["qlcst", "-i", "f.qsg", "-o", "c.qcf"] + same) == 0
+    capsys.readouterr()
+    assert cli_main(["reconstruct", "-i", "c.qcf", "-o", "r.qsg"] + given) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --")
+    assert not (tmp_path / "r.qsg").exists()
+    assert cli_main(["reconstruct", "-i", "c.qcf", "-o", "r.qsg"] + same) == 0
 
 
 def test_cli_zero_b_rejected(tmp_path):

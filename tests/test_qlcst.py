@@ -14,7 +14,7 @@ from qlcst.qlcst import (QLCSTCoefficients, _axis_kernel,
                          qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          shift_signal, special_case_matrix)
-from qlcst.quaternion import qconj, qmul, qnorm, qnormsq
+from qlcst.quaternion import qconj, qmul, qnorm, qnormsq, symplectic_split
 from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
                           fft_output_grid, relative_l2)
 from qlcst.verify import MATRIX_CASES
@@ -165,11 +165,12 @@ def test_table_window_slices_are_qlcts_of_masked_products():
 
 
 def from_data(data, ugrid, wgrid):
-    """Planes filled from an interleaved (u1, u2, w1, w2, 4) array."""
-    c = QLCSTCoefficients.empty(ugrid, wgrid)
-    for i in range(ugrid.axis1.n):
-        c.set_u1_slab(i, data[i])
-    return c
+    """Planes built from an interleaved (u1, u2, w1, w2, 4) array."""
+    shape = (ugrid.axis1.n * wgrid.axis1.n, ugrid.axis2.n * wgrid.axis2.n)
+    a, b = (p.transpose(0, 2, 1, 3).reshape(shape)
+            for p in symplectic_split(data))
+    return QLCSTCoefficients(a, b, ugrid, wgrid, fixed_gaussian(1, 1),
+                             FOURIER, FOURIER)
 
 
 def test_planes_interleaved_roundtrip_bitexact():

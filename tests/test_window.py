@@ -154,3 +154,17 @@ def test_lambda_is_the_2d_quadrature(spec, w):
 ], ids=["fixed(1,1)", "fixed(0.5,2)", "s-gauss", "constant", "table"])
 def test_w_dependence_by_family(spec, dependent):
     assert spec.w_dependent is dependent
+
+
+def test_table_windows_compare_by_value():
+    """Table windows are equal when their tables have the same grid and
+    samples, and unequal after a one-sample change or on another grid."""
+    g = Grid2D(Grid1D.centered(2.0, 4), Grid1D.centered(1.0, 3))
+    rng = np.random.default_rng(7)
+    t = QSignal2D(rng.standard_normal(g.shape + (4,)), g)
+    assert table_window(t) == table_window(QSignal2D(t.data.copy(), g))
+    changed = t.data.copy()
+    changed[1, 2, 3] = np.nextafter(changed[1, 2, 3], np.inf)
+    assert table_window(t) != table_window(QSignal2D(changed, g))
+    moved = Grid2D(g.axis1, Grid1D(3, g.axis2.origin, 2 * g.axis2.spacing))
+    assert table_window(t) != table_window(QSignal2D(t.data, moved))
