@@ -5,8 +5,9 @@ with a verification harness for their analytic identities."""
 from .errors import (AdmissibilityError, BadMagic, BadParameter,
                      BasisAxisError, DegenerateAngle, DeterminantError,
                      GridMismatch, NonFinite, QlcstError, SpacingError,
-                     TrailingBytes, TruncatedFile, VersionMismatch, ZeroBError,
-                     ZeroFrequency, ZeroSignal, ZeroWindow)
+                     TooLarge, TrailingBytes, TruncatedFile, Undersampled,
+                     VersionMismatch, ZeroBError, ZeroFrequency, ZeroSignal,
+                     ZeroWindow)
 from .generators import gen_signal, random_hermite_combo
 from .io import (read_coefficients, read_signal, write_coefficients,
                  write_signal)

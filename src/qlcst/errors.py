@@ -67,3 +67,11 @@ class VersionMismatch(QlcstError):
 
 class NonFinite(QlcstError):
     """A quadrature produced a non-finite value."""
+
+
+class TooLarge(QlcstError):
+    """Coefficient planes would not fit in physical memory."""
+
+
+class Undersampled(QlcstError):
+    """The u grid is too coarse for the window to reconstruct the signal."""

@@ -20,7 +20,10 @@ analysis is the contraction K1 @ (f * cell) @ K2^T with K2 applied through
 right_mu2 before the large K1 product; synthesis is the adjoint contraction.
 A sampled-table window does not depend on w, so each u-slice is the QLCT of
 f * conj(Psi(u - .)): the same contraction with the plain kernel matrices
-c * exp(i*theta(x, w)), which costs O(N^5).  The inverse over w of a
+c * exp(i*theta(x, w)), which costs O(N^5).  Both analyses come from one
+producer of u1 row blocks (_analysis_blocks); the planes are filled from it
+in place, and the covariance checks reduce its blocks without holding a
+second coefficient set.  The inverse over w of a
 u-slice, on any grid and for any window, is that contraction with the
 adjoint matrices conj(E)^T; the table synthesis sums inv_u(x) * Psi(u - x).
 a and b are kept rather than P and Q because (w - z, w + z) does not round
@@ -28,12 +31,14 @@ trip through float64, while a and b hold the interleaved components exactly.
 """
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                     GridMismatch, SpacingError, ZeroSignal)
+                     GridMismatch, SpacingError, TooLarge, Undersampled,
+                     ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
 from .quaternion import qconj, qmul, right_mu2, symplectic_join, symplectic_split
 from .signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid, relative_l2,
@@ -46,13 +51,23 @@ from .qlct import qlct_fast_forward, qlct_forward
 # zeros: the s-gaussian tails underflow to subnormals, which stall BLAS.
 PROFILE_FLOOR = 1e-200
 
+# u1 rows per block of the separable analysis.  From about 4 rows up a block
+# product runs as fast as the whole-plane GEMM and gives the same bits.
+ROW_BLOCK = 8
+
+# Relative L2 error that reconstruction must meet: the acceptance tolerance
+# of the reconstruction suite.  qlcst_reconstruct refuses a fixed-gaussian u
+# grid whose alias bound exceeds it.
+RECONSTRUCT_TOL = 1e-3
+
 
 @dataclass
 class QLCSTCoefficients:
     """Coefficients C(u, w) as the symplectic planes a, b with the grids,
     window and matrices that produced them.  Each plane is a
     (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2) order; `data` builds the
-    interleaved (u1, u2, w1, w2, 4) array."""
+    interleaved (u1, u2, w1, w2, 4) array.  The planes are read-only once
+    constructed (also the arrays passed in, where they needed no copy)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -61,6 +76,8 @@ class QLCSTCoefficients:
     window: WindowSpec
     m1: ParamMatrix
     m2: ParamMatrix
+    _density: np.ndarray = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         want = (self.ugrid.axis1.n * self.wgrid.axis1.n,
@@ -70,6 +87,9 @@ class QLCSTCoefficients:
         if self.a.shape != want or self.b.shape != want:
             raise GridMismatch("coefficient planes %r, %r do not match grids %r"
                                % (self.a.shape, self.b.shape, want))
+        # Read-only, so the cached density can never go stale.
+        self.a.flags.writeable = False
+        self.b.flags.writeable = False
 
     def views4(self):
         """The planes as (u1, w1, u2, w2) views."""
@@ -90,14 +110,18 @@ class QLCSTCoefficients:
         return self.ugrid.cell * self.wgrid.cell
 
     def density(self):
-        """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2."""
-        nw1, nw2 = self.wgrid.shape
-        acc = np.zeros((nw1, 2 * nw2))
-        for plane in (self.a, self.b):
-            parts = plane.view(float).reshape(
-                self.ugrid.axis1.n, nw1, self.ugrid.axis2.n, 2 * nw2)
-            acc += np.einsum("abcd,abcd->bd", parts, parts)
-        return acc.reshape(nw1, nw2, 2).sum(axis=-1)
+        """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2,
+        computed on the first call and returned read-only from then on."""
+        if self._density is None:
+            nw1, nw2 = self.wgrid.shape
+            acc = np.zeros((nw1, 2 * nw2))
+            for plane in (self.a, self.b):
+                parts = plane.view(float).reshape(
+                    self.ugrid.axis1.n, nw1, self.ugrid.axis2.n, 2 * nw2)
+                acc += np.einsum("abcd,abcd->bd", parts, parts)
+            self._density = acc.reshape(nw1, nw2, 2).sum(axis=-1)
+            self._density.flags.writeable = False
+        return self._density
 
     def energy(self):
         return float(np.sum(self.density()) * self.cell4)
@@ -129,55 +153,78 @@ def _axis_kernels(window, m1, m2, ugrid, xgrid, wgrid, theta1=None, theta2=None)
                          wgrid.axis2.points, theta2))
 
 
+def _right_contract(a, b, k2):
+    """Planes of (a + b*mu2) @ K2^T: the mu2 matrix k2 contracts the last
+    axis; axis 0 stays the rows and the axes between are flattened into the
+    columns."""
+    a, b = right_mu2(a, b, lambda g: g @ k2.T)
+    return a.reshape(len(a), -1), b.reshape(len(b), -1)
+
+
 def _contract(a, b, k1, k2):
     """Planes of K1 @ (a + b*mu2) @ K2^T: the mu1 matrix k1 contracts axis 0
-    and the mu2 matrix k2 the last axis; the axes between are kept and
-    flattened into the columns."""
-    a, b = right_mu2(a, b, lambda g: g @ k2.T)
-    return k1 @ a.reshape(len(a), -1), k1 @ b.reshape(len(b), -1)
+    and the mu2 matrix k2 the last axis (_right_contract)."""
+    a, b = _right_contract(a, b, k2)
+    return k1 @ a, k1 @ b
 
 
-def _separable_forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
-    """Planes (a, b) of the analysis for a real separable window."""
-    k1, k2 = _axis_kernels(window, m1, m2, ugrid, f.grid, wgrid, theta1, theta2)
-    a, b = symplectic_split(f.data)
-    return _contract(a * f.grid.cell, b * f.grid.cell, k1, k2)
+def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
+    """Yield the analysis planes in blocks of u1 rows as (rows, k, a, b): the
+    plane rows `rows` of the block are k @ a and k @ b.
 
-
-def _table_forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
-    """Planes (a, b) of the analysis for a sampled-table window, one u1 row
-    at a time.
-
-    The table does not depend on w, so C(u, .) is the QLCT of
-    g_u = f * conj(Psi(u - .)) onto wgrid.  For one u1 the products g_u of
-    every u2 are stacked as (x1, u2, x2) and contracted with the plain kernel
-    matrices, which yields the (w1, (u2, w2)) rows of the planes directly.
+    A separable window contracts the mu2 side f * cell @ K2^T once and each
+    block takes its rows of K1 (ROW_BLOCK u1 rows at a time).  A table window
+    does not depend on w, so C(u, .) is the QLCT of g_u = f * conj(Psi(u - .))
+    onto wgrid: for one u1 at a time the g_u of every u2 are stacked as
+    (x1, u2, x2) and contracted with the plain kernel matrices, which gives
+    the (w1, (u2, w2)) rows of that u1.  theta1/theta2 override the per-axis
+    (w, x) kernel phase tables; used by the covariance checks.
     """
+    nw1 = wgrid.axis1.n
+    if window.separable:
+        k1, k2 = _axis_kernels(window, m1, m2, ugrid, f.grid, wgrid, theta1, theta2)
+        a, b = symplectic_split(f.data)
+        a, b = _right_contract(a * f.grid.cell, b * f.grid.cell, k2)
+        step = ROW_BLOCK * nw1
+        for start in range(0, len(k1), step):
+            rows = slice(start, start + step)
+            yield rows, k1[rows], a, b
+        return
     x1 = f.grid.axis1.points[:, None, None]
     x2 = f.grid.axis2.points[None, None, :]
     u2 = ugrid.axis2.points[None, :, None]
     e1 = _phase_matrix(m1, f.grid.axis1.points, wgrid.axis1.points, theta1)
     e2 = _phase_matrix(m2, f.grid.axis2.points, wgrid.axis2.points, theta2)
     fc = f.data[:, None] * f.grid.cell
-    nw1 = wgrid.axis1.n
-    shape = (ugrid.axis1.n * nw1, ugrid.axis2.n * wgrid.axis2.n)
-    a, b = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for i, u1 in enumerate(ugrid.axis1.points):
         psi = window_eval(window, (u1 - x1, u2 - x2), None)  # no w dependence
-        rows = slice(i * nw1, (i + 1) * nw1)
-        a[rows], b[rows] = _contract(*symplectic_split(qmul(fc, qconj(psi))),
-                                     e1, e2)
-    return a, b
+        a, b = _right_contract(*symplectic_split(qmul(fc, qconj(psi))), e2)
+        yield slice(i * nw1, (i + 1) * nw1), e1, a, b
+
+
+def _physical_memory():
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
-    """Planes (a, b) of the analysis on the path the window family allows.
+    """Planes (a, b) of the analysis, filled in place from _analysis_blocks.
 
-    theta1/theta2 override the per-axis (w, x) kernel phase tables; used by
-    the covariance checks.
+    Planes larger than physical memory are refused before anything is
+    allocated.
     """
-    path = _separable_forward if window.separable else _table_forward
-    return path(f, window, m1, m2, ugrid, wgrid, theta1, theta2)
+    shape = (ugrid.axis1.n * wgrid.axis1.n, ugrid.axis2.n * wgrid.axis2.n)
+    need = 2 * shape[0] * shape[1] * np.dtype(complex).itemsize
+    have = _physical_memory()
+    if need > have:
+        raise TooLarge("coefficient planes of %.3g GB do not fit in the %.3g GB "
+                       "of physical memory" % (need / 1e9, have / 1e9))
+    a, b = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for rows, k, ra, rb in _analysis_blocks(f, window, m1, m2, ugrid, wgrid,
+                                            theta1, theta2):
+        np.matmul(k, ra, out=a[rows])
+        np.matmul(k, rb, out=b[rows])
+    return a, b
 
 
 def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
@@ -256,6 +303,17 @@ def qlcst_reconstruct(C, xgrid=None):
     if C.window.w_dependent:
         raise AdmissibilityError(
             "reconstruction needs a frequency-independent admissibility constant")
+    if C.window.family == "fixed-gaussian":
+        # The frame sum sum_u |Psi(u - x)|^2 du of a Gaussian of width sigma
+        # departs from lam by its leading Poisson alias term per axis.
+        alias = sum(2.0 * math.exp(-(math.pi * s / ax.spacing) ** 2)
+                    for s, ax in zip(C.window.sigma, (C.ugrid.axis1, C.ugrid.axis2)))
+        if alias > RECONSTRUCT_TOL:
+            raise Undersampled(
+                "u spacing %g x %g is too coarse for fixed-gauss:%g,%g: alias "
+                "bound %.3g exceeds the reconstruction tolerance %g"
+                % (C.ugrid.axis1.spacing, C.ugrid.axis2.spacing,
+                   *C.window.sigma, alias, RECONSTRUCT_TOL))
     lam = lambda_psi(C.window)
     if xgrid is None:
         xgrid = C.ugrid
@@ -337,10 +395,22 @@ def shift_signal(f, alpha):
     return QSignal2D(data, f.grid)
 
 
-def _planes_rel_l2(got, want):
-    """relative_l2 of two (a, b) plane pairs over their quaternion components."""
-    num = sum(np.linalg.norm(g - w) ** 2 for g, w in zip(got, want))
-    denom = sum(np.linalg.norm(w) ** 2 for w in want)
+def _sqnorm(x):
+    return float(np.vdot(x, x).real)
+
+
+def _streamed_rel_l2(blocks, want):
+    """relative_l2, over the quaternion components, of the planes that an
+    _analysis_blocks producer yields against the plane pair want (views
+    allowed), accumulated block by block so neither side is held twice."""
+    num = denom = 0.0
+    for rows, k, *got in blocks:
+        for g, w in zip(got, want):
+            diff = k @ g
+            diff -= w[rows]
+            num += _sqnorm(diff)
+            del diff
+            denom += _sqnorm(w[rows])
     if denom == 0.0:
         return math.sqrt(num)
     return math.sqrt(num / denom)
@@ -379,25 +449,25 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     x1 = f.grid.axis1.points
     x2 = f.grid.axis2.points
 
-    def forward(g, u, theta1, theta2, phi1, phi2):
-        """Planes of exp(mu1*phi1) * (analysis of g on the u grid under the
+    def blocks(g, u, theta1, theta2, phi1, phi2):
+        """Blocks of exp(mu1*phi1) * (analysis of g on the u grid under the
         kernel phase tables theta) * exp(mu2*phi2), with phi depending on w
         only."""
-        return _forward(g, window, m1, m2, u, wgrid,
-                        theta1 + phi1[:, None], theta2 + phi2[:, None])
+        return _analysis_blocks(g, window, m1, m2, u, wgrid,
+                                theta1 + phi1[:, None], theta2 + phi2[:, None])
 
-    # The planes are large at desk scale; intermediates are dropped as soon
-    # as each residual is in hand.
+    # Each check holds one coefficient set whole (base, lhs, lhs_mod) and
+    # streams the other side against it (_streamed_rel_l2).
 
     # Parity: transform of the reflected signal under the reflected window
     # equals the coefficients sampled at (-u, -w); on centered midpoint grids
     # negation reverses every index axis, which reverses both plane axes.
     base = qlcst_forward(f, window, m1, m2, ugrid, wgrid)
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
-    c_ref = qlcst_forward(f_ref, reflect(window), m1, m2, ugrid, wgrid)
-    parity = _planes_rel_l2((c_ref.a, c_ref.b),
-                            (base.a[::-1, ::-1], base.b[::-1, ::-1]))
-    del base, c_ref
+    parity = _streamed_rel_l2(
+        _analysis_blocks(f_ref, reflect(window), m1, m2, ugrid, wgrid),
+        (base.a[::-1, ::-1], base.b[::-1, ::-1]))
+    del base
 
     # Shift covariance.
     lhs = qlcst_forward(shift_signal(f, alpha), window, m1, m2, ugrid, wgrid)
@@ -407,13 +477,14 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     # The window keeps its w; only its u - x argument moves with the grid.
     u_minus_alpha = Grid2D(*(Grid1D(ax.n, ax.origin - t, ax.spacing)
                              for ax, t in zip((ugrid.axis1, ugrid.axis2), alpha)))
-    rhs = forward(f_tilde, u_minus_alpha,
-                  kernel_phase(m1, x1[None, :], w1pts[:, None]),
-                  kernel_phase(m2, x2[None, :], w2pts[:, None]),
-                  (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
-                  (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b))
-    shift = _planes_rel_l2(rhs, (lhs.a, lhs.b))
-    del lhs, rhs
+    shift = _streamed_rel_l2(
+        blocks(f_tilde, u_minus_alpha,
+               kernel_phase(m1, x1[None, :], w1pts[:, None]),
+               kernel_phase(m2, x2[None, :], w2pts[:, None]),
+               (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
+               (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b)),
+        (lhs.a, lhs.b))
+    del lhs
 
     # Modulation covariance: the forward contraction with the kernel phase
     # tables shifted by s*B in the frequency argument.
@@ -422,10 +493,11 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     t2 = (w2pts - s[1] * m2.b)[:, None]
 
     def residual(theta1, theta2):
-        out = forward(f, ugrid, theta1, theta2,
-                      m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
-                      m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
-        return _planes_rel_l2(out, (lhs_mod.a, lhs_mod.b))
+        return _streamed_rel_l2(
+            blocks(f, ugrid, theta1, theta2,
+                   m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
+                   m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2)),
+            (lhs_mod.a, lhs_mod.b))
 
     modulation_derived = residual(kernel_phase(m1, x1[None, :], t1),
                                   kernel_phase(m2, x2[None, :], t2))

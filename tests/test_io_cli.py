@@ -384,7 +384,7 @@ def test_cli_qlcst_and_export(tmp_path):
     fpath = str(tmp_path / "f.qsg")
     cpath = str(tmp_path / "c.qcf")
     rpath = str(tmp_path / "r.qsg")
-    cli_main(["gen", "--kind", "gaussian", "--n", "12", "-o", fpath])
+    cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
     assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
                      "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 0
     assert cli_main(["reconstruct", "-i", cpath, "-o", rpath,
@@ -392,8 +392,8 @@ def test_cli_qlcst_and_export(tmp_path):
                      "--window", "fixed-gauss:1,1"]) == 0
     pgm = tmp_path / "s.pgm"
     assert cli_main(["export", "-i", cpath, "-o", str(pgm), "--slice", "u",
-                     "--index", "6,6", "--format", "pgm"]) == 0
-    assert pgm.read_bytes().startswith(b"P5\n12 12\n255\n")
+                     "--index", "8,8", "--format", "pgm"]) == 0
+    assert pgm.read_bytes().startswith(b"P5\n16 16\n255\n")
 
 
 @pytest.mark.parametrize("index", ["99,99", "-1,-1", "0,12"])
@@ -504,7 +504,7 @@ def test_cli_reconstruct_mismatch_refused(tmp_path, capsys, monkeypatch,
     """An option that differs from the file's value exits 1 with one error
     line and writes nothing; the file's own values still exit 0."""
     monkeypatch.chdir(tmp_path)
-    g = Grid2D.centered(8.0, 8)
+    g = Grid2D.centered(8.0, 16)
     write_signal("f.qsg", gen_signal("gaussian", g))
     write_signal("t.qsg", lattice_table(g))
     write_signal("other.qsg", lattice_table(Grid2D.centered(8.0, 6)))
@@ -516,6 +516,34 @@ def test_cli_reconstruct_mismatch_refused(tmp_path, capsys, monkeypatch,
     assert len(err) == 1 and err[0].startswith("error: --")
     assert not (tmp_path / "r.qsg").exists()
     assert cli_main(["reconstruct", "-i", "c.qcf", "-o", "r.qsg"] + same) == 0
+
+
+def test_cli_reconstruct_coarse_u_grid_refused(tmp_path, capsys):
+    """fixed-gauss:1,1 coefficients on the N=8 grid (u spacing 2) cannot meet
+    the reconstruction tolerance: exit 1, one error line, no file."""
+    fpath, cpath, rpath = (str(tmp_path / n) for n in ("f.qsg", "c.qcf", "r.qsg"))
+    cli_main(["gen", "--kind", "gaussian", "--n", "8", "-o", fpath])
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 0
+    capsys.readouterr()
+    assert cli_main(["reconstruct", "-i", cpath, "-o", rpath]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: u spacing 2 x 2 ")
+    assert not (tmp_path / "r.qsg").exists()
+
+
+def test_cli_qlcst_refuses_planes_beyond_memory(tmp_path, capsys, monkeypatch):
+    """Coefficient planes larger than physical memory exit 1 with one error
+    line before anything is allocated or written."""
+    fpath, cpath = str(tmp_path / "f.qsg"), str(tmp_path / "c.qcf")
+    cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
+    monkeypatch.setattr("qlcst.qlcst._physical_memory", lambda: 10 ** 6)
+    capsys.readouterr()
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: coefficient planes of ")
+    assert not (tmp_path / "c.qcf").exists()
 
 
 def test_cli_zero_b_rejected(tmp_path):

@@ -1,22 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                          ZeroSignal)
+                          TooLarge, Undersampled, ZeroSignal)
 from qlcst.generators import gen_signal, random_hermite_combo
-from qlcst.lct import KernelSpec, kernel_eval, validate_param
+from qlcst.lct import KernelSpec, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
-from qlcst.qlcst import (QLCSTCoefficients, _axis_kernel,
-                         covariance_residuals, energy_identity_gap,
-                         marginal_qlct_gap, orthogonality_form,
-                         qlcst_forward,
+from qlcst.qlcst import (ROW_BLOCK, QLCSTCoefficients, _analysis_blocks,
+                         _axis_kernel, _axis_kernels, _contract, _forward,
+                         _streamed_rel_l2, covariance_residuals,
+                         energy_identity_gap, marginal_qlct_gap,
+                         orthogonality_form, qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          shift_signal, special_case_matrix)
 from qlcst.quaternion import qconj, qmul, qnorm, qnormsq, symplectic_split
 from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
                           fft_output_grid, relative_l2)
+from qlcst.uncertainty import spectral_dispersion, spectral_log_moment
 from qlcst.verify import MATRIX_CASES
 from qlcst.window import (constant_window, fixed_gaussian, lambda_psi,
                           s_gaussian, table_window, window_eval)
@@ -294,7 +297,7 @@ def test_table_reconstruct_identity(case, lattice):
 
 
 def test_reconstruct_zero_coefficients():
-    g = grid(8)
+    g = grid(16)
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
     c = qlcst_forward(zero, fixed_gaussian(1, 1), FOURIER, FOURIER)
     assert np.all(qlcst_reconstruct(c).data == 0.0)
@@ -429,3 +432,133 @@ def test_real_scalar_linearity():
     rhs = (0.6 * qlcst_forward(f, win, FOURIER, FOURIER).data
            - 1.2 * qlcst_forward(h, win, FOURIER, FOURIER).data)
     assert relative_l2(lhs, rhs) < 1e-12
+
+
+@pytest.mark.parametrize("window", [fixed_gaussian(1, 0.7), s_gaussian(),
+                                    constant_window()],
+                         ids=["fixed-gauss", "s-gauss", "constant"])
+@pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
+def test_forward_blocks_match_one_contraction(window, case):
+    """The planes filled block by block equal the single whole-plane
+    contraction bit for bit, on a u grid whose N_u1 the block size does not
+    divide and under kernel phase table overrides."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(12)
+    f = random_hermite_combo(g, seed=2)
+    ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), Grid1D.centered(6.0, 10))
+    assert ugrid.axis1.n % ROW_BLOCK
+    wgrid = fft_output_grid(g, m1.b, m2.b)
+    x1, x2 = g.axis1.points, g.axis2.points
+    theta1 = kernel_phase(m1, x1[None, :], wgrid.axis1.points[:, None]) + 0.3
+    theta2 = kernel_phase(m2, x2[None, :], wgrid.axis2.points[:, None]) - 0.2
+    a, b = symplectic_split(f.data)
+    k1, k2 = _axis_kernels(window, m1, m2, ugrid, g, wgrid, theta1, theta2)
+    want = _contract(a * g.cell, b * g.cell, k1, k2)
+    got = _forward(f, window, m1, m2, ugrid, wgrid, theta1, theta2)
+    assert all(np.array_equal(p, q) for p, q in zip(got, want))
+
+
+def _full_rel_l2(got, want):
+    num = sum(np.linalg.norm(g - w) ** 2 for g, w in zip(got, want))
+    denom = sum(np.linalg.norm(w) ** 2 for w in want)
+    return math.sqrt(num / denom) if denom else math.sqrt(num)
+
+
+@pytest.mark.parametrize("window", [fixed_gaussian(1, 1), OFF_LATTICE_TABLE],
+                         ids=["fixed-gauss", "table"])
+def test_streamed_residual_matches_full_formula(window):
+    """The block-by-block residual equals the whole-array formula against
+    reversed plane views and against a zero reference."""
+    g = grid(8)
+    f = random_hermite_combo(g, seed=8)
+    h = random_hermite_combo(g, seed=9)
+    wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
+
+    def blocks():
+        return _analysis_blocks(f, window, FOURIER, FOURIER, g, wgrid)
+
+    got = _forward(f, window, FOURIER, FOURIER, g, wgrid)
+    other = _forward(h, window, FOURIER, FOURIER, g, wgrid)
+    reversed_views = tuple(p[::-1, ::-1] for p in other)
+    want = _full_rel_l2(got, reversed_views)
+    assert want > 0.1
+    assert math.isclose(_streamed_rel_l2(blocks(), reversed_views), want,
+                        rel_tol=1e-12)
+    zero = tuple(np.zeros_like(p) for p in got)
+    assert math.isclose(_streamed_rel_l2(blocks(), zero),
+                        _full_rel_l2(got, zero), rel_tol=1e-12)
+
+
+def test_covariance_holds_one_coefficient_set():
+    """covariance_residuals streams every second side against one whole
+    set, so its traced peak stays below 1.6 coefficient sets."""
+    g = grid(24, extent=6.0)  # spacing 0.5: the shift alpha = 1 is 2 steps
+    f = gen_signal("gaussian", g)
+    win = fixed_gaussian(1, 1)
+    c = qlcst_forward(f, win, FOURIER, FOURIER)
+    one_set = c.a.nbytes + c.b.nbytes
+    del c
+    tracemalloc.start()
+    try:
+        rep = covariance_residuals(f, win, FOURIER, FOURIER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * one_set
+    assert rep.parity < 1e-10 and rep.shift < 1e-3 and rep.modulation_best < 1e-2
+
+
+def test_planes_read_only_and_density_cached():
+    """Writes to a plane are refused, and density() is computed once: energy,
+    both dispersions and the log moment equal their uncached values."""
+    g = grid(16)
+    f = random_hermite_combo(g, seed=4)
+    c = qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
+    for plane in (c.a, c.b, *c.views4()):
+        with pytest.raises(ValueError):
+            plane[0, 0] = 1.0
+    nw1, nw2 = c.wgrid.shape
+    acc = np.zeros((nw1, 2 * nw2))
+    for plane in (c.a, c.b):
+        parts = plane.view(float).reshape(g.axis1.n, nw1, g.axis2.n, 2 * nw2)
+        acc += np.einsum("abcd,abcd->bd", parts, parts)
+    uncached = acc.reshape(nw1, nw2, 2).sum(axis=-1)
+    density = c.density()
+    assert density is c.density()
+    assert not density.flags.writeable
+    assert np.array_equal(density, uncached)
+    fresh = QLCSTCoefficients(c.a, c.b, c.ugrid, c.wgrid, c.window, c.m1, c.m2)
+    assert fresh._density is None
+    for fn in (lambda C: C.energy(), lambda C: spectral_dispersion(C, 1),
+               lambda C: spectral_dispersion(C, 2), spectral_log_moment):
+        assert fn(c) == fn(fresh)
+    assert c.energy() == float(np.sum(uncached) * c.cell4)
+
+
+@pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
+def test_reconstruct_refuses_coarse_u_grid(case):
+    """fixed-gauss:1,1 on a u grid of spacing 2 or 4/3 (N=8, 12 over
+    [-8, 8]) breaks the reconstruction tolerance and is refused; spacing 1
+    (N=16) meets it."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    for n in (8, 12):
+        f = gen_signal("gaussian", grid(n))
+        with pytest.raises(Undersampled):
+            qlcst_reconstruct(qlcst_forward(f, fixed_gaussian(1, 1), m1, m2))
+    f = gen_signal("gaussian", grid(16))
+    rec = qlcst_reconstruct(qlcst_forward(f, fixed_gaussian(1, 1), m1, m2))
+    assert relative_l2(rec.data, f.data) < 1e-3
+
+
+def test_forward_refuses_planes_beyond_memory():
+    """An absurd u grid is refused before the planes or kernels exist."""
+    f = gen_signal("gaussian", grid(16))
+    huge = Grid2D.centered(8.0, 10 ** 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER, ugrid=huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
