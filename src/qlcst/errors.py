@@ -38,7 +38,7 @@ class ZeroWindow(QlcstError):
 
 
 class AdmissibilityError(QlcstError):
-    """Window admissibility constant depends on the frequency."""
+    """Window has no finite, frequency-independent admissibility constant."""
 
 
 class DegenerateAngle(QlcstError):
@@ -74,4 +74,4 @@ class TooLarge(QlcstError):
 
 
 class Undersampled(QlcstError):
-    """The u grid is too coarse for the window to reconstruct the signal."""
+    """The window reaches some x from no u: the frame sum is zero there."""

@@ -82,12 +82,12 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
     return QSignal2D(data, grid)
 
 
-def random_hermite_combo(grid, order=3, seed=0):
-    """Seeded band-limited signal: random quaternion mix of Hermite modes."""
+def random_hermite_combo(grid, seed=0):
+    """Seeded band-limited signal: random quaternion mix of Hermite modes 0..2."""
     rng = np.random.default_rng(seed)
     data = np.zeros(grid.shape + (4,))
-    for n1 in range(order):
-        for n2 in range(order):
+    for n1 in range(3):
+        for n2 in range(3):
             mode = np.outer(_hermite_mode(n1, grid.axis1.points),
                             _hermite_mode(n2, grid.axis2.points))
             data += mode[..., None] * rng.standard_normal(4)

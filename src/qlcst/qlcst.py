@@ -23,9 +23,10 @@ f * conj(Psi(u - .)): the same contraction with the plain kernel matrices
 c * exp(i*theta(x, w)), which costs O(N^5).  Both analyses come from one
 producer of u1 row blocks (_analysis_blocks); the planes are filled from it
 in place, and the covariance checks reduce its blocks without holding a
-second coefficient set.  The inverse over w of a
-u-slice, on any grid and for any window, is that contraction with the
-adjoint matrices conj(E)^T; the table synthesis sums inv_u(x) * Psi(u - x).
+second coefficient set.  The inverse over w of a u-slice, on any grid and
+for any window, is that contraction with the adjoint matrices conj(E)^T.
+Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
+the u grid, not by lambda, which makes it exact on any u spacing.
 a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
 """
@@ -40,7 +41,8 @@ from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, SpacingError, TooLarge, Undersampled,
                      ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
-from .quaternion import qconj, qmul, right_mu2, symplectic_join, symplectic_split
+from .quaternion import (qconj, qmul, qnormsq, right_mu2, symplectic_join,
+                         symplectic_split)
 from .signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid, relative_l2,
                      sandwich_phase)
 from .window import (WindowSpec, lambda_psi, reflect, window_axis_profile,
@@ -54,11 +56,6 @@ PROFILE_FLOOR = 1e-200
 # u1 rows per block of the separable analysis.  From about 4 rows up a block
 # product runs as fast as the whole-plane GEMM and gives the same bits.
 ROW_BLOCK = 8
-
-# Relative L2 error that reconstruction must meet: the acceptance tolerance
-# of the reconstruction suite.  qlcst_reconstruct refuses a fixed-gaussian u
-# grid whose alias bound exceeds it.
-RECONSTRUCT_TOL = 1e-3
 
 
 @dataclass
@@ -279,51 +276,44 @@ def _w_inverse_rows(C, xgrid):
                b.reshape(rows_out) * C.wgrid.cell)
 
 
-def _table_reconstruct(C, xgrid):
-    """Sum over u of inv_u(x) * Psi(u - x) * du for a sampled-table window,
-    where inv_u is the inverse QLCT over w of C(u, .) (_w_inverse_rows)."""
-    x1 = xgrid.axis1.points[:, None, None]
-    x2 = xgrid.axis2.points[None, None, :]
-    u2 = C.ugrid.axis2.points[None, :, None]
-    out = np.zeros(xgrid.shape + (4,))
-    for u1, (a, b) in zip(C.ugrid.axis1.points, _w_inverse_rows(C, xgrid)):
-        psi = window_eval(C.window, (u1 - x1, u2 - x2), None)  # no w dependence
-        out += qmul(symplectic_join(a, b), psi).sum(axis=1)
-    return out * C.ugrid.cell
+def qlcst_reconstruct(C):
+    """Synthesis onto the u grid: the adjoint sum over (u, w) of
+    Kinv1(x1,w1) * C(u,w) * Psi(u-x,w) * Kinv2(x2,w2), the inverse kernels
+    being the negated-phase forward kernels, divided pointwise by the frame
+    sum F(x) = sum_u |Psi(u - x)|^2 (du cancels in the quotient).
 
-
-def qlcst_reconstruct(C, xgrid=None):
-    """Synthesis: f = (1/lam) * sum over (u, w) of
-    Kinv1(x1,w1) * C(u,w) * Psi(u-x,w) * Kinv2(x2,w2), with the inverse
-    kernels taken as the negated-phase forward kernels at (x, w): the
-    adjoint contraction K1^H @ P @ conj(K2) and K1^H @ Q @ K2.  A table
-    window does not depend on w, so its sum over w is the inverse QLCT of
-    each u-slice (_table_reconstruct).
+    The w sum over the FFT-compatible grid is a discrete delta, so the
+    adjoint sum is f(x) * F(x) and the quotient is f for every w-independent
+    window on any u spacing (the canonical dual frame).  A separable window
+    sums by K1^H @ P @ conj(K2), K1^H @ Q @ K2 and F is an outer product of
+    per-axis sums; a table window inverts one u1 row over w at a time.  An x
+    that no u reaches (F(x) <= eps * max F) is refused.
     """
     if C.window.w_dependent:
         raise AdmissibilityError(
-            "reconstruction needs a frequency-independent admissibility constant")
-    if C.window.family == "fixed-gaussian":
-        # The frame sum sum_u |Psi(u - x)|^2 du of a Gaussian of width sigma
-        # departs from lam by its leading Poisson alias term per axis.
-        alias = sum(2.0 * math.exp(-(math.pi * s / ax.spacing) ** 2)
-                    for s, ax in zip(C.window.sigma, (C.ugrid.axis1, C.ugrid.axis2)))
-        if alias > RECONSTRUCT_TOL:
-            raise Undersampled(
-                "u spacing %g x %g is too coarse for fixed-gauss:%g,%g: alias "
-                "bound %.3g exceeds the reconstruction tolerance %g"
-                % (C.ugrid.axis1.spacing, C.ugrid.axis2.spacing,
-                   *C.window.sigma, alias, RECONSTRUCT_TOL))
-    lam = lambda_psi(C.window)
-    if xgrid is None:
-        xgrid = C.ugrid
-    if not C.window.separable:
-        return QSignal2D(_table_reconstruct(C, xgrid) / lam, xgrid)
-    k1, k2 = _axis_kernels(C.window, C.m1, C.m2, C.ugrid, xgrid, C.wgrid)
-    k1h = k1.conj().T
-    a, b = right_mu2(k1h @ C.a, k1h @ C.b, lambda g: g @ k2.conj())
-    scale = C.ugrid.cell * C.wgrid.cell / lam
-    return QSignal2D(symplectic_join(a * scale, b * scale), xgrid)
+            "reconstruction needs a window that does not depend on the frequency")
+    g = C.ugrid
+    if C.window.separable:
+        k1, k2 = _axis_kernels(C.window, C.m1, C.m2, g, g, C.wgrid)
+        k1h = k1.conj().T
+        a, b = right_mu2(k1h @ C.a, k1h @ C.b, lambda h: h @ k2.conj())
+        out = symplectic_join(a, b) * C.wgrid.cell
+        frame = np.outer(*(np.sum(window_axis_profile(
+            C.window, s, ax.points[:, None] - ax.points, 1.0) ** 2, axis=0)
+            for s, ax in ((1, g.axis1), (2, g.axis2))))
+    else:
+        x1 = g.axis1.points[:, None, None]
+        x2 = g.axis2.points[None, None, :]
+        u2 = g.axis2.points[None, :, None]
+        out, frame = np.zeros(g.shape + (4,)), np.zeros(g.shape)
+        for u1, (a, b) in zip(g.axis1.points, _w_inverse_rows(C, g)):
+            psi = window_eval(C.window, (u1 - x1, u2 - x2), None)  # no w dependence
+            out += qmul(symplectic_join(a, b), psi).sum(axis=1)
+            frame += qnormsq(psi).sum(axis=1)
+    if frame.min() <= np.finfo(float).eps * frame.max():
+        raise Undersampled("the window reaches some x of the %d x %d grid from "
+                           "no u: its frame sum vanishes there" % g.shape)
+    return QSignal2D(out / frame[..., None], g)
 
 
 def orthogonality_form(Cf, Cg):

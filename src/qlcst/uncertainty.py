@@ -2,9 +2,9 @@
 
 All reports are "compute both sides by quadrature" objects; nothing is proved
 symbolically.  Each takes the coefficients C it checks first and the signal f
-second, and reads the window and the matrices from C.  The lower-bound constant of the Heisenberg check uses |B_s| as
-the per-axis factor, matching the transform-domain scaling of the underlying
-canonical-transform inequality.
+second, and reads the window and the matrices from C.  The lower-bound
+constant of the Heisenberg check uses |B_s| as the per-axis factor, matching
+the transform-domain scaling of the underlying canonical-transform inequality.
 """
 
 import math

@@ -47,9 +47,9 @@ def _check(lines, ok, text):
     return ok
 
 
-def suite_roundtrip(n=64):
+def suite_roundtrip():
     """Fast-path inverse-of-forward for Gaussian and Hermite signals."""
-    grid = Grid2D.centered(EXTENT, n)
+    grid = Grid2D.centered(EXTENT, 64)
     signals = [("gaussian", gen_signal("gaussian", grid)),
                ("hermite(1,0)", gen_signal("hermite", grid, n=(1, 0)))]
     lines, passed = [], True
@@ -67,9 +67,9 @@ def suite_roundtrip(n=64):
     return passed, lines
 
 
-def suite_oracle_equivalence(n=32, count=20):
+def suite_oracle_equivalence():
     """Fast chirp-FFT forward vs direct quadrature on seeded random signals."""
-    grid = Grid2D.centered(EXTENT, n)
+    grid = Grid2D.centered(EXTENT, 32)
     rng = np.random.default_rng(2024)
     matrices = []
     for _ in range(3):
@@ -79,7 +79,7 @@ def suite_oracle_equivalence(n=32, count=20):
         matrices.append(validate_param(a, b, c, (1.0 + b * c) / a))
     lines, passed = [], True
     worst = 0.0
-    for i in range(count):
+    for i in range(20):
         f = QSignal2D(rng.standard_normal(grid.shape + (4,)), grid)
         m1 = matrices[i % 3]
         m2 = matrices[(i + 1) % 3]
@@ -87,13 +87,12 @@ def suite_oracle_equivalence(n=32, count=20):
                           qlct_forward(f, m1, m2).data)
         worst = max(worst, err)
     passed &= _check(lines, worst < 1e-8,
-                     "oracle-equivalence: %d signals, worst rel_l2=%.3e"
-                     % (count, worst))
+                     "oracle-equivalence: 20 signals, worst rel_l2=%.3e" % worst)
     return passed, lines
 
 
-def suite_plancherel(n=64):
-    grid = Grid2D.centered(EXTENT, n)
+def suite_plancherel():
+    grid = Grid2D.centered(EXTENT, 64)
     f = gen_signal("gaussian", grid)
     lines, passed = [], True
     for mname, mk in MATRIX_CASES:
@@ -104,10 +103,10 @@ def suite_plancherel(n=64):
     return passed, lines
 
 
-def suite_orthogonality(n=32):
+def suite_orthogonality():
     """Energy form of the orthogonality relation; the f != g residual is
     reported without being asserted."""
-    grid = Grid2D.centered(EXTENT, n)
+    grid = Grid2D.centered(EXTENT, 32)
     f = gen_signal("gaussian", grid)
     g = gen_signal("hermite", grid, n=(1, 0))
     win = fixed_gaussian(1.0, 1.0)
@@ -131,8 +130,8 @@ def suite_orthogonality(n=32):
     return passed, lines
 
 
-def suite_energy(n=32):
-    grid = Grid2D.centered(EXTENT, n)
+def suite_energy():
+    grid = Grid2D.centered(EXTENT, 32)
     f = gen_signal("gaussian", grid)
     win = fixed_gaussian(1.0, 1.0)
     lines, passed = [], True
@@ -143,8 +142,8 @@ def suite_energy(n=32):
     return passed, lines
 
 
-def suite_reconstruction(n=32):
-    grid = Grid2D.centered(EXTENT, n)
+def suite_reconstruction():
+    grid = Grid2D.centered(EXTENT, 32)
     f = gen_signal("gaussian", grid)
     win = fixed_gaussian(1.0, 1.0)
     lines, passed = [], True
@@ -160,15 +159,15 @@ def suite_reconstruction(n=32):
     return passed, lines
 
 
-def suite_marginal(n=32):
+def suite_marginal():
     """u-marginal identity.  The u quadrature grid is matched to the window:
     the adaptive window has 1/|w| tails and needs 3x the signal extent, while
     the narrow fixed window needs a spacing comparable to its width."""
-    grid = Grid2D.centered(EXTENT, n)
+    grid = Grid2D.centered(EXTENT, 32)
     f = gen_signal("gaussian", grid)
     lines, passed = [], True
     m1, m2 = special_case_matrix("stockwell")
-    wide_u = Grid2D.centered(3.0 * EXTENT, 3 * n)
+    wide_u = Grid2D.centered(3.0 * EXTENT, 96)
     c = qlcst_forward(f, s_gaussian(), m1, m2, ugrid=wide_u)
     gap = marginal_qlct_gap(c, f)
     del c  # the wide-u set is not needed while the narrow one is built
@@ -183,8 +182,8 @@ def suite_marginal(n=32):
     return passed, lines
 
 
-def suite_covariance(n=48):
-    grid = Grid2D.centered(EXTENT, n)
+def suite_covariance():
+    grid = Grid2D.centered(EXTENT, 48)
     f = gen_signal("gaussian", grid)
     win = fixed_gaussian(1.0, 1.0)
     m1, m2 = special_case_matrix("stockwell")
@@ -198,8 +197,8 @@ def suite_covariance(n=48):
     return passed, lines
 
 
-def suite_heisenberg(n=32):
-    grid = Grid2D.centered(EXTENT, n)
+def suite_heisenberg():
+    grid = Grid2D.centered(EXTENT, 32)
     win = fixed_gaussian(1.0, 1.0)
     lines, passed = [], True
     for mname, mk in MATRIX_CASES:
@@ -217,8 +216,8 @@ def suite_heisenberg(n=32):
     return passed, lines
 
 
-def suite_log_uncertainty(n=32):
-    grid = Grid2D.centered(EXTENT, n)
+def suite_log_uncertainty():
+    grid = Grid2D.centered(EXTENT, 32)
     win = fixed_gaussian(1.0, 1.0)
     dg = digamma_constant()
     ref = -0.5772156649015329 - 2.0 * np.log(2.0) - np.log(2.0)
@@ -235,8 +234,8 @@ def suite_log_uncertainty(n=32):
     return passed, lines
 
 
-def suite_lemma41(n=24):
-    grid = Grid2D.centered(EXTENT, n)
+def suite_lemma41():
+    grid = Grid2D.centered(EXTENT, 24)
     win = fixed_gaussian(1.0, 1.0)
     m1, m2 = special_case_matrix("stockwell")
     lines, passed = [], True
@@ -251,7 +250,7 @@ def suite_lemma41(n=24):
     return passed, lines
 
 
-def suite_special_case(n=16):
+def suite_special_case():
     """Named matrix reductions and the constant-window collapse to the QLCT."""
     lines, passed = [], True
     m1, m2 = special_case_matrix("stockwell")
@@ -260,12 +259,12 @@ def suite_special_case(n=16):
     f1, _ = special_case_matrix("fractional", np.pi / 2)
     ok = max(abs(f1.a - 0.0), abs(f1.b - 1.0), abs(f1.c + 1.0), abs(f1.d)) < 1e-12
     passed &= _check(lines, ok, "fractional(pi/2) reduces to the fourier case")
-    grid = Grid2D.centered(EXTENT, n)
+    grid = Grid2D.centered(EXTENT, 16)
     f = gen_signal("gaussian", grid)
     a4, b4 = qlcst_forward(f, constant_window(), m1, m2).views4()
     q = qlct_fast_forward(f, m1, m2)
     worst = max(relative_l2(symplectic_join(a4[i, :, j], b4[i, :, j]), q.data)
-                for i in range(n) for j in range(n))
+                for i, j in np.ndindex(grid.shape))
     passed &= _check(lines, worst < 1e-10,
                      "constant window reproduces the QLCT: worst rel_l2=%.3e" % worst)
     return passed, lines

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadParameter, ZeroFrequency, ZeroWindow
+from .errors import AdmissibilityError, BadParameter, ZeroFrequency, ZeroWindow
 from .quaternion import qnormsq
 from .signal import Grid1D, Grid2D, QSignal2D
 
@@ -35,8 +35,13 @@ class WindowSpec:
         if self.family not in ("fixed-gaussian", "s-gaussian", "custom-table",
                                "constant"):
             raise BadParameter("unknown window family %r" % self.family)
-        if self.family == "fixed-gaussian" and not all(s > 0 for s in self.sigma):
-            raise BadParameter("fixed-gaussian widths must be positive")
+        if self.family == "fixed-gaussian":
+            # s^2 and the squared peak (2 pi s1 s2)^-2 must be positive normals.
+            s1, s2 = np.asarray(self.sigma, dtype=float)
+            with np.errstate(all="ignore"):  # refused below, not warned about
+                vals = np.array([s1, s2, s1 * s1, s2 * s2, (2.0 * np.pi * s1 * s2) ** -2])
+            if not np.all(np.isfinite(vals) & (vals >= np.finfo(float).tiny)):
+                raise BadParameter("fixed-gaussian widths %r give no finite profile" % (self.sigma,))
         if self.family == "custom-table" and self.table is None:
             raise BadParameter("custom-table window needs a sampled table")
 
@@ -64,7 +69,8 @@ def table_window(signal):
 
 def constant_window():
     """Psi = 1 everywhere: the degenerate window of the multiplication-operator
-    property.  Not normalizable; excluded from admissibility-based operations."""
+    property.  Not square integrable: lambda_psi refuses it, synthesis needs
+    no lambda."""
     return WindowSpec("constant")
 
 
@@ -162,8 +168,10 @@ def lambda_psi(spec, w=(1.0, 1.0)):
 
     A separable window's integral is the product of its two per-axis
     quadratures (Fubini); a table is summed on its own grid.  Whether lam
-    depends on w is a fact of the family (WindowSpec.w_dependent).
-    """
+    depends on w is a fact of the family (WindowSpec.w_dependent).  The
+    constant window, not square integrable, raises AdmissibilityError."""
+    if spec.family == "constant":
+        raise AdmissibilityError("the constant window has no admissibility constant")
     if spec.separable:
         x = Grid1D.centered(QUAD_EXTENT, QUAD_N)
         lam = 1.0

@@ -1,5 +1,7 @@
 import math
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
@@ -518,18 +520,59 @@ def test_cli_reconstruct_mismatch_refused(tmp_path, capsys, monkeypatch,
     assert cli_main(["reconstruct", "-i", "c.qcf", "-o", "r.qsg"] + same) == 0
 
 
-def test_cli_reconstruct_coarse_u_grid_refused(tmp_path, capsys):
-    """fixed-gauss:1,1 coefficients on the N=8 grid (u spacing 2) cannot meet
-    the reconstruction tolerance: exit 1, one error line, no file."""
+def test_cli_reconstruct_coarse_u_grid(tmp_path):
+    """fixed-gauss:1,1 coefficients on the N=8 grid (u spacing 2) reconstruct
+    the signal: the synthesis divides by the frame sum of that grid."""
     fpath, cpath, rpath = (str(tmp_path / n) for n in ("f.qsg", "c.qcf", "r.qsg"))
     cli_main(["gen", "--kind", "gaussian", "--n", "8", "-o", fpath])
     assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
                      "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 0
+    assert cli_main(["reconstruct", "-i", cpath, "-o", rpath]) == 0
+    assert relative_l2(read_signal(rpath).data, read_signal(fpath).data) < 1e-12
+
+
+def test_cli_reconstruct_uncovered_x_refused(tmp_path, capsys):
+    """A table that reaches some x of the grid from no u: exit 1, one error
+    line, no file."""
+    fpath, tpath, cpath, rpath = (str(tmp_path / n)
+                                  for n in ("f.qsg", "t.qsg", "c.qcf", "r.qsg"))
+    cli_main(["gen", "--kind", "gaussian", "--n", "8", "-o", fpath])
+    far = Grid2D(Grid1D(3, 10.0, 1.0), Grid1D(3, 10.0, 1.0))
+    write_signal(tpath, QSignal2D(np.ones(far.shape + (4,)), far))
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 0
     capsys.readouterr()
     assert cli_main(["reconstruct", "-i", cpath, "-o", rpath]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: u spacing 2 x 2 ")
+    assert len(err) == 1 and err[0].startswith("error: the window reaches some x")
     assert not (tmp_path / "r.qsg").exists()
+
+
+@pytest.mark.parametrize("widths", ["inf,1", "1e-300,1", "1e200,1e200",
+                                    "1e-150,1e-150", "1e150,1e150"])
+def test_cli_qlcst_refuses_non_finite_widths(tmp_path, capsys, widths):
+    """Widths whose profile or its square is not a finite normal float: exit
+    1, one error line, no file."""
+    fpath, cpath = str(tmp_path / "f.qsg"), str(tmp_path / "c.qcf")
+    cli_main(["gen", "--kind", "gaussian", "--n", "8", "-o", fpath])
+    capsys.readouterr()
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "fixed-gauss:" + widths]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "c.qcf").exists()
+
+
+def test_cli_readme_commands(tmp_path, monkeypatch):
+    """Every qlcst command of the README's CLI block exits 0, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("qlcst ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        assert cli_main(args) == 0, args
 
 
 def test_cli_qlcst_refuses_planes_beyond_memory(tmp_path, capsys, monkeypatch):

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from qlcst.errors import NonFinite, ZeroSignal
+from qlcst.errors import AdmissibilityError, NonFinite, ZeroSignal
 from qlcst.generators import gen_signal
 from qlcst.lct import validate_param
 from qlcst.qlct import qlct_inverse
-from qlcst.qlcst import qlcst_forward
+from qlcst.qlcst import energy_identity_gap, qlcst_forward
 from qlcst.quaternion import qnormsq
 from qlcst.signal import Grid1D, Grid2D, QSignal2D, QSpectrum2D, sandwich_phase
 from qlcst.uncertainty import (_axis_sq, _lemma_41_rhs, digamma, digamma_constant, heisenberg_report,
                                lemma_41_gap, log_uncertainty_report,
                                spatial_dispersion, spatial_log_moment,
                                spectral_dispersion, spectral_log_moment)
-from qlcst.window import fixed_gaussian
+from qlcst.window import constant_window, fixed_gaussian
 
 FOURIER = validate_param(0, 1, -1, 0)
 EULER_GAMMA = 0.5772156649015329
@@ -22,6 +22,17 @@ EULER_GAMMA = 0.5772156649015329
 
 def coefficients(f):
     return qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
+
+
+def test_lambda_checks_refuse_constant_window():
+    """The identities that scale by lambda refuse the constant window, which
+    has none, instead of reporting numbers set by the quadrature box."""
+    f = gen_signal("gaussian", Grid2D.centered(8.0, 16))
+    c = qlcst_forward(f, constant_window(), FOURIER, FOURIER)
+    for check in (lambda: energy_identity_gap(c, f), lambda: heisenberg_report(c, f, 1),
+                  lambda: log_uncertainty_report(c, f), lambda: lemma_41_gap(c, f, 1)):
+        with pytest.raises(AdmissibilityError):
+            check()
 
 
 def test_digamma_reference_points():

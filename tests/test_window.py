@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qlcst.errors import BadParameter, ZeroFrequency, ZeroWindow
+from qlcst.errors import AdmissibilityError, BadParameter, ZeroFrequency, ZeroWindow
 from qlcst.quaternion import qnormsq
 from qlcst.signal import Grid1D, Grid2D, QSignal2D
 from qlcst.window import (constant_window, fixed_gaussian, lambda_psi,
@@ -131,9 +131,8 @@ def test_norm_squared_integral_matches_lambda():
     (s_gaussian(), (1.0, 1.0)),
     (s_gaussian(), (2.0, 0.7)),
     (s_gaussian(), (0.5, -3.0)),
-    (constant_window(), (1.0, 1.0)),
 ], ids=["fixed(1,1)", "fixed(0.5,2)", "s-gauss(1,1)", "s-gauss(2,0.7)",
-        "s-gauss(0.5,-3)", "constant"])
+        "s-gauss(0.5,-3)"])
 def test_lambda_is_the_2d_quadrature(spec, w):
     """The per-axis product equals the 256^2 quadrature of |Psi(x, w)|^2
     over [-12, 12]^2 to roundoff."""
@@ -141,6 +140,13 @@ def test_lambda_is_the_2d_quadrature(spec, w):
     vals = window_eval(spec, (g.axis1.points[:, None], g.axis2.points[None, :]), w)
     want = float(np.sum(qnormsq(vals)) * g.cell)
     assert abs(lambda_psi(spec, w) - want) <= 1e-14 * want
+
+
+def test_lambda_refuses_constant_window():
+    """The constant window is not square integrable: lambda would be the area
+    of the quadrature box, so it is refused."""
+    with pytest.raises(AdmissibilityError):
+        lambda_psi(constant_window())
 
 
 @pytest.mark.parametrize("spec,dependent", [
