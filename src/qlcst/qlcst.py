@@ -22,15 +22,18 @@ A sampled-table window does not depend on w, so each u-slice is the QLCT of
 f * conj(Psi(u - .)): the same contraction with the plain kernel matrices
 c * exp(i*theta(x, w)), which costs O(N^5).  Both analyses come from one
 producer of u1 row blocks (_analysis_blocks); the planes are filled from it
-in place, and the covariance checks reduce its blocks without holding a
-second coefficient set.  The inverse over w of a u-slice, on any grid and
-for any window, is that contraction with the adjoint matrices conj(E)^T.
+in place, while the marginal and covariance checks reduce its blocks as
+they come (both sides of a covariance identity, the parity base in reversed
+order) and never hold a coefficient set.  The inverse over w of a u-slice,
+on any grid and for any window, is that contraction with the adjoint
+matrices conj(E)^T.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda, which makes it exact on any u spacing.
 a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -165,7 +168,8 @@ def _contract(a, b, k1, k2):
     return k1 @ a, k1 @ b
 
 
-def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
+def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None,
+                     reverse=False):
     """Yield the analysis planes in blocks of u1 rows as (rows, k, a, b): the
     plane rows `rows` of the block are k @ a and k @ b.
 
@@ -175,13 +179,18 @@ def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
     onto wgrid: for one u1 at a time the g_u of every u2 are stacked as
     (x1, u2, x2) and contracted with the plain kernel matrices, which gives
     the (w1, (u2, w2)) rows of that u1.  theta1/theta2 override the per-axis
-    (w, x) kernel phase tables; used by the covariance checks.
+    (w, x) kernel phase tables; used by the covariance checks.  reverse
+    yields the planes with both axes reversed, P[::-1, ::-1], in the same
+    row blocks: the rows of the left factor and the columns of the right
+    ones are reversed (contiguous copies, so every product stays a GEMM).
     """
     nw1 = wgrid.axis1.n
     if window.separable:
         k1, k2 = _axis_kernels(window, m1, m2, ugrid, f.grid, wgrid, theta1, theta2)
         a, b = symplectic_split(f.data)
         a, b = _right_contract(a * f.grid.cell, b * f.grid.cell, k2)
+        if reverse:
+            k1, a, b = k1[::-1].copy(), a[:, ::-1].copy(), b[:, ::-1].copy()
         step = ROW_BLOCK * nw1
         for start in range(0, len(k1), step):
             rows = slice(start, start + step)
@@ -189,13 +198,18 @@ def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
         return
     x1 = f.grid.axis1.points[:, None, None]
     x2 = f.grid.axis2.points[None, None, :]
+    u1s = ugrid.axis1.points[::-1] if reverse else ugrid.axis1.points
     u2 = ugrid.axis2.points[None, :, None]
     e1 = _phase_matrix(m1, f.grid.axis1.points, wgrid.axis1.points, theta1)
     e2 = _phase_matrix(m2, f.grid.axis2.points, wgrid.axis2.points, theta2)
+    if reverse:
+        e1 = e1[::-1].copy()
     fc = f.data[:, None] * f.grid.cell
-    for i, u1 in enumerate(ugrid.axis1.points):
+    for i, u1 in enumerate(u1s):
         psi = window_eval(window, (u1 - x1, u2 - x2), None)  # no w dependence
         a, b = _right_contract(*symplectic_split(qmul(fc, qconj(psi))), e2)
+        if reverse:
+            a, b = a[:, ::-1].copy(), b[:, ::-1].copy()
         yield slice(i * nw1, (i + 1) * nw1), e1, a, b
 
 
@@ -337,15 +351,28 @@ def energy_identity_gap(C, f):
     return abs(C.energy() - denom) / denom
 
 
-def marginal_qlct_gap(C, f):
-    """Relative L2 gap between the u-marginal of C and the QLCT of f under
-    the matrices C.m1, C.m2 (0 for the zero signal)."""
-    a4, b4 = C.views4()
-    marg = symplectic_join(a4.sum(axis=(0, 2)), b4.sum(axis=(0, 2))) * C.ugrid.cell
+def marginal_qlct_gap(f, window, m1, m2, ugrid=None, wgrid=None):
+    """Relative L2 gap between the u-marginal sum_u C(u, w) * du of the
+    analysis of f and the QLCT of f under m1, m2 (0 for the zero signal),
+    on the grids of qlcst_forward.
+
+    The analysis is streamed: each producer block's rows k @ a, k @ b are
+    summed over u1 and u2 as they come, so no coefficient set is held.
+    """
+    if ugrid is None:
+        ugrid = f.grid
+    if wgrid is None:
+        wgrid = fft_output_grid(f.grid, m1.b, m2.b)
+    nw1, nw2 = wgrid.shape
+    marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
+    for _, k, *planes in _analysis_blocks(f, window, m1, m2, ugrid, wgrid):
+        for acc, p in zip(marg, planes):
+            acc += (k @ p).reshape(-1, nw1, ugrid.axis2.n, nw2).sum(axis=(0, 2))
+    marg = symplectic_join(*marg) * ugrid.cell
     try:
-        ref = qlct_fast_forward(f, C.m1, C.m2, C.wgrid)
+        ref = qlct_fast_forward(f, m1, m2, wgrid)
     except SpacingError:
-        ref = qlct_forward(f, C.m1, C.m2, C.wgrid)
+        ref = qlct_forward(f, m1, m2, wgrid)
     return relative_l2(marg, ref.data)
 
 
@@ -389,21 +416,30 @@ def _sqnorm(x):
     return float(np.vdot(x, x).real)
 
 
-def _streamed_rel_l2(blocks, want):
-    """relative_l2, over the quaternion components, of the planes that an
-    _analysis_blocks producer yields against the plane pair want (views
-    allowed), accumulated block by block so neither side is held twice."""
-    num = denom = 0.0
-    for rows, k, *got in blocks:
-        for g, w in zip(got, want):
-            diff = k @ g
-            diff -= w[rows]
-            num += _sqnorm(diff)
-            del diff
-            denom += _sqnorm(w[rows])
+def _streamed_rel_l2(want, *gots):
+    """relative_l2, over the quaternion components, of the planes of each
+    _analysis_blocks producer in gots against those of the producer want,
+    accumulated block by block so that no coefficient set is ever held.
+    Each want block is computed once for all gots.  Returns one residual per
+    got; producers whose row blocks do not line up raise GridMismatch."""
+    nums = [0.0] * len(gots)
+    denom = 0.0
+    for blocks in itertools.zip_longest(want, *gots):
+        if None in blocks or any(b[0] != blocks[0][0] for b in blocks):
+            raise GridMismatch("the compared producers' row blocks do not line up")
+        (_, k, *planes), *others = blocks
+        for j, plane in enumerate(planes):  # one product of want at a time
+            ref = k @ plane
+            denom += _sqnorm(ref)
+            for i, (_, gk, *got) in enumerate(others):
+                diff = gk @ got[j]
+                diff -= ref
+                nums[i] += _sqnorm(diff)
+                del diff
+            del ref
     if denom == 0.0:
-        return math.sqrt(num)
-    return math.sqrt(num / denom)
+        return [math.sqrt(num) for num in nums]
+    return [math.sqrt(num / denom) for num in nums]
 
 
 @dataclass
@@ -446,53 +482,50 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
         return _analysis_blocks(g, window, m1, m2, u, wgrid,
                                 theta1 + phi1[:, None], theta2 + phi2[:, None])
 
-    # Each check holds one coefficient set whole (base, lhs, lhs_mod) and
-    # streams the other side against it (_streamed_rel_l2).
+    # Each check streams both of its sides block by block
+    # (_streamed_rel_l2), so no coefficient set is ever held whole.
 
     # Parity: transform of the reflected signal under the reflected window
     # equals the coefficients sampled at (-u, -w); on centered midpoint grids
-    # negation reverses every index axis, which reverses both plane axes.
-    base = qlcst_forward(f, window, m1, m2, ugrid, wgrid)
+    # negation reverses every index axis, which reverses both plane axes, so
+    # the base side is produced reversed.
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
-    parity = _streamed_rel_l2(
-        _analysis_blocks(f_ref, reflect(window), m1, m2, ugrid, wgrid),
-        (base.a[::-1, ::-1], base.b[::-1, ::-1]))
-    del base
+    [parity] = _streamed_rel_l2(
+        _analysis_blocks(f, window, m1, m2, ugrid, wgrid, reverse=True),
+        _analysis_blocks(f_ref, reflect(window), m1, m2, ugrid, wgrid))
 
     # Shift covariance.
-    lhs = qlcst_forward(shift_signal(f, alpha), window, m1, m2, ugrid, wgrid)
     f_tilde = sandwich_phase(f,
                              m1.a * x1 * alpha[0] / m1.b,
                              m2.a * x2 * alpha[1] / m2.b)
     # The window keeps its w; only its u - x argument moves with the grid.
     u_minus_alpha = Grid2D(*(Grid1D(ax.n, ax.origin - t, ax.spacing)
                              for ax, t in zip((ugrid.axis1, ugrid.axis2), alpha)))
-    shift = _streamed_rel_l2(
+    [shift] = _streamed_rel_l2(
+        _analysis_blocks(shift_signal(f, alpha), window, m1, m2, ugrid, wgrid),
         blocks(f_tilde, u_minus_alpha,
                kernel_phase(m1, x1[None, :], w1pts[:, None]),
                kernel_phase(m2, x2[None, :], w2pts[:, None]),
                (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
-               (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b)),
-        (lhs.a, lhs.b))
-    del lhs
+               (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b)))
 
     # Modulation covariance: the forward contraction with the kernel phase
-    # tables shifted by s*B in the frequency argument.
-    lhs_mod = qlcst_forward(modulate(f, s), window, m1, m2, ugrid, wgrid)
+    # tables shifted by s*B in the frequency argument; both readings share
+    # one pass over the modulated signal's side.
     t1 = (w1pts - s[0] * m1.b)[:, None]
     t2 = (w2pts - s[1] * m2.b)[:, None]
 
-    def residual(theta1, theta2):
-        return _streamed_rel_l2(
-            blocks(f, ugrid, theta1, theta2,
-                   m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
-                   m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2)),
-            (lhs_mod.a, lhs_mod.b))
+    def modulated(theta1, theta2):
+        return blocks(f, ugrid, theta1, theta2,
+                      m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
+                      m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
 
-    modulation_derived = residual(kernel_phase(m1, x1[None, :], t1),
-                                  kernel_phase(m2, x2[None, :], t2))
-    modulation_printed = residual(kernel_phase(m1, t1, x1[None, :]),
-                                  kernel_phase(m2, t2, x2[None, :]))
+    modulation_derived, modulation_printed = _streamed_rel_l2(
+        _analysis_blocks(modulate(f, s), window, m1, m2, ugrid, wgrid),
+        modulated(kernel_phase(m1, x1[None, :], t1),
+                  kernel_phase(m2, x2[None, :], t2)),
+        modulated(kernel_phase(m1, t1, x1[None, :]),
+                  kernel_phase(m2, t2, x2[None, :])))
 
     return CovarianceReport(parity, shift, modulation_printed, modulation_derived)
 

@@ -127,6 +127,7 @@ def suite_orthogonality():
         lines.append("INFO orthogonality %s (f!=g): |form|=%.3e "
                      "(reported, not asserted; expect ~lam<f,g>=0)"
                      % (mname, float(qnorm(cross))))
+        del cf, cg  # released before the next case builds its own
     return passed, lines
 
 
@@ -168,15 +169,12 @@ def suite_marginal():
     lines, passed = [], True
     m1, m2 = special_case_matrix("stockwell")
     wide_u = Grid2D.centered(3.0 * EXTENT, 96)
-    c = qlcst_forward(f, s_gaussian(), m1, m2, ugrid=wide_u)
-    gap = marginal_qlct_gap(c, f)
-    del c  # the wide-u set is not needed while the narrow one is built
+    gap = marginal_qlct_gap(f, s_gaussian(), m1, m2, ugrid=wide_u)
     passed &= _check(lines, gap < 1e-3, "marginal s-gaussian: gap=%.3e" % gap)
     fine_u = Grid2D.centered(EXTENT, 256)
     small_w = Grid2D.centered(2.0, 8)
-    narrow = qlcst_forward(f, fixed_gaussian(0.05, 0.05), m1, m2,
-                           ugrid=fine_u, wgrid=small_w)
-    gap2 = marginal_qlct_gap(narrow, f)
+    gap2 = marginal_qlct_gap(f, fixed_gaussian(0.05, 0.05), m1, m2,
+                             ugrid=fine_u, wgrid=small_w)
     passed &= _check(lines, gap2 < 5e-3,
                      "marginal narrow fixed-gaussian: gap=%.3e" % gap2)
     return passed, lines
@@ -213,6 +211,7 @@ def suite_heisenberg():
                 passed &= _check(lines, ok,
                                  "heisenberg %s %s axis=%d: ratio=%.4f"
                                  % (mname, sname, s, rep.ratio))
+            del c  # released before the next signal's set is built
     return passed, lines
 
 

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import AdmissibilityError, BadParameter, ZeroFrequency, ZeroWindow
-from .quaternion import qnormsq
 from .signal import Grid1D, Grid2D, QSignal2D
 
 # Quadrature grid used for admissibility and normalization integrals.
@@ -163,12 +162,25 @@ def _negated_grid(grid):
     return Grid2D(neg(grid.axis1), neg(grid.axis2))
 
 
+def _hat_gram(t, spacing):
+    """spacing * G @ t along axis 0, G the Gram matrix of the unit hat
+    functions of the samples: integral h_i h_k = 2/3 (i = k), 1/6 (|i - k| = 1).
+    The edge samples keep their whole hat, as _table_lookup ramps them to
+    zero over one cell beyond the table."""
+    out = t * (2.0 / 3.0)
+    out[1:] += t[:-1] / 6.0
+    out[:-1] += t[1:] / 6.0
+    return out * spacing
+
+
 def lambda_psi(spec, w=(1.0, 1.0)):
     """The admissibility constant lam = integral |Psi(x, w)|^2 dx, a float.
 
     A separable window's integral is the product of its two per-axis
-    quadratures (Fubini); a table is summed on its own grid.  Whether lam
-    depends on w is a fact of the family (WindowSpec.w_dependent).  The
+    quadratures (Fubini).  A table's is the exact integral of its bilinear
+    interpolant, sum_c sum(T_c * (G1 @ T_c @ G2)) over the quaternion
+    components, with G the hat-function Gram matrices (_hat_gram).  Whether
+    lam depends on w is a fact of the family (WindowSpec.w_dependent).  The
     constant window, not square integrable, raises AdmissibilityError."""
     if spec.family == "constant":
         raise AdmissibilityError("the constant window has no admissibility constant")
@@ -179,7 +191,10 @@ def lambda_psi(spec, w=(1.0, 1.0)):
             p = window_axis_profile(spec, axis, x.points, w[axis - 1])
             lam *= float(np.sum(p * p) * x.spacing)
     else:
-        lam = float(np.sum(qnormsq(spec.table.data)) * spec.table.grid.cell)
+        t, g = spec.table.data, spec.table.grid
+        gram = _hat_gram(_hat_gram(t, g.axis1.spacing).swapaxes(0, 1),
+                         g.axis2.spacing).swapaxes(0, 1)
+        lam = float(np.sum(t * gram))
     if lam == 0.0:
         raise ZeroWindow("window is identically zero on the quadrature grid")
     return lam

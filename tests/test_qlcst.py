@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                          TooLarge, Undersampled, ZeroSignal)
+                          GridMismatch, TooLarge, Undersampled, ZeroSignal)
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.lct import KernelSpec, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
@@ -18,11 +18,11 @@ from qlcst.qlcst import (ROW_BLOCK, QLCSTCoefficients, _analysis_blocks,
                          orthogonality_form, qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          shift_signal, special_case_matrix)
-from qlcst.quaternion import qconj, qmul, qnorm, symplectic_split
+from qlcst.quaternion import qconj, qmul, qnorm, symplectic_join, symplectic_split
 from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
                           fft_output_grid, relative_l2)
 from qlcst.uncertainty import spectral_dispersion, spectral_log_moment
-from qlcst.verify import MATRIX_CASES
+from qlcst.verify import MATRIX_CASES, run_suite
 from qlcst.window import (constant_window, fixed_gaussian, s_gaussian,
                           table_window, window_eval)
 
@@ -347,8 +347,40 @@ def test_energy_identity_zero_signal():
 def test_marginal_zero_signal_guarded():
     g = grid(8)
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
-    c = qlcst_forward(zero, s_gaussian(), FOURIER, FOURIER)
-    assert marginal_qlct_gap(c, zero) == 0.0
+    assert marginal_qlct_gap(zero, s_gaussian(), FOURIER, FOURIER) == 0.0
+
+
+def test_marginal_holds_no_coefficient_set():
+    """The marginal sums the producer's blocks as they come: its traced peak
+    on the wide-u grid of the marginal suite stays below a quarter of the
+    coefficient set that grid would need."""
+    f = gen_signal("gaussian", grid(32))
+    wide_u = Grid2D.centered(24.0, 96)
+    wgrid = fft_output_grid(f.grid, FOURIER.b, FOURIER.b)
+    one_set = 2 * wide_u.axis1.n * wide_u.axis2.n * wgrid.axis1.n * wgrid.axis2.n * 16
+    tracemalloc.start()
+    try:
+        gap = marginal_qlct_gap(f, s_gaussian(), FOURIER, FOURIER, ugrid=wide_u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * one_set
+    assert gap < 1e-3
+
+
+def test_marginal_matches_whole_set_sum():
+    """The streamed marginal equals the u sum of the stored planes, on a u
+    grid whose N_u1 the block size does not divide."""
+    f = random_hermite_combo(grid(12), seed=3)
+    ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), Grid1D.centered(6.0, 10))
+    for window in (fixed_gaussian(1, 0.7), OFF_LATTICE_TABLE):
+        c = qlcst_forward(f, window, FOURIER, FOURIER, ugrid=ugrid)
+        a4, b4 = c.views4()
+        marg = symplectic_join(a4.sum(axis=(0, 2)), b4.sum(axis=(0, 2))) * ugrid.cell
+        want = relative_l2(marg, qlct_fast_forward(f, FOURIER, FOURIER).data)
+        got = marginal_qlct_gap(f, window, FOURIER, FOURIER, ugrid=ugrid)
+        assert want > 1e-3
+        assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_covariance_small():
@@ -463,45 +495,108 @@ def _full_rel_l2(got, want):
 @pytest.mark.parametrize("window", [fixed_gaussian(1, 1), OFF_LATTICE_TABLE],
                          ids=["fixed-gauss", "table"])
 def test_streamed_residual_matches_full_formula(window):
-    """The block-by-block residual equals the whole-array formula against
-    reversed plane views and against a zero reference."""
+    """The block-by-block residuals of two producers against a third equal
+    the whole-array formula, also against a zero reference."""
     g = grid(8)
-    f = random_hermite_combo(g, seed=8)
-    h = random_hermite_combo(g, seed=9)
+    f, h, k = (random_hermite_combo(g, seed=seed) for seed in (8, 9, 10))
+    zero = QSignal2D(np.zeros(g.shape + (4,)), g)
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
 
-    def blocks():
+    def blocks(f):
         return _analysis_blocks(f, window, FOURIER, FOURIER, g, wgrid)
 
-    got = _forward(f, window, FOURIER, FOURIER, g, wgrid)
-    other = _forward(h, window, FOURIER, FOURIER, g, wgrid)
-    reversed_views = tuple(p[::-1, ::-1] for p in other)
-    want = _full_rel_l2(got, reversed_views)
-    assert want > 0.1
-    assert math.isclose(_streamed_rel_l2(blocks(), reversed_views), want,
-                        rel_tol=1e-12)
-    zero = tuple(np.zeros_like(p) for p in got)
-    assert math.isclose(_streamed_rel_l2(blocks(), zero),
-                        _full_rel_l2(got, zero), rel_tol=1e-12)
+    def planes(f):
+        return _forward(f, window, FOURIER, FOURIER, g, wgrid)
+
+    want = [_full_rel_l2(planes(f), planes(h)), _full_rel_l2(planes(k), planes(h))]
+    assert min(want) > 0.1
+    got = _streamed_rel_l2(blocks(h), blocks(f), blocks(k))
+    assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(got, want))
+    [got] = _streamed_rel_l2(blocks(zero), blocks(f))
+    assert math.isclose(got, _full_rel_l2(planes(f), planes(zero)), rel_tol=1e-12)
+
+
+def test_streamed_residual_refuses_misaligned_blocks():
+    """Producers whose row blocks differ (another block structure or another
+    u1 count) are refused instead of being zipped row against wrong row."""
+    g = grid(8)
+    f = gen_signal("gaussian", g)
+    wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
+    longer = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 1), g.axis2)
+
+    def blocks(window, ugrid=g):
+        return _analysis_blocks(f, window, FOURIER, FOURIER, ugrid, wgrid)
+
+    win = fixed_gaussian(1, 1)
+    for want, got in ((blocks(win), blocks(OFF_LATTICE_TABLE)),
+                      (blocks(win), blocks(win, longer)),
+                      (blocks(win, longer), blocks(win))):
+        with pytest.raises(GridMismatch):
+            _streamed_rel_l2(want, got)
+
+
+@pytest.mark.parametrize("window", [fixed_gaussian(1, 0.7), s_gaussian(),
+                                    OFF_LATTICE_TABLE],
+                         ids=["fixed-gauss", "s-gauss", "table"])
+def test_reversed_blocks_are_reversed_planes(window):
+    """reverse=True yields the stored planes with both axes reversed, in the
+    same row blocks, on a u grid whose N_u1 the block size does not divide.
+    The products differ from the stored ones only in their last bits."""
+    g = grid(12)
+    f = random_hermite_combo(g, seed=5)
+    ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), Grid1D.centered(6.0, 10))
+    assert ugrid.axis1.n % ROW_BLOCK
+    wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
+    want = [p[::-1, ::-1] for p in _forward(f, window, FOURIER, FOURIER, ugrid, wgrid)]
+    got = [np.empty_like(p) for p in want]
+    blocks = _analysis_blocks(f, window, FOURIER, FOURIER, ugrid, wgrid, reverse=True)
+    for rows, k, *planes in blocks:
+        for out, p in zip(got, planes):
+            out[rows] = k @ p
+    for p, q in zip(got, want):
+        assert np.linalg.norm(p - q) <= 1e-15 * np.linalg.norm(q)
 
 
 def test_covariance_holds_one_coefficient_set():
-    """covariance_residuals streams every second side against one whole
-    set, so its traced peak stays below 1.6 coefficient sets."""
-    g = grid(24, extent=6.0)  # spacing 0.5: the shift alpha = 1 is 2 steps
+    """covariance_residuals streams both sides of every check, so its traced
+    peak stays below 0.75 of one coefficient set."""
+    g = grid(32)  # spacing 0.5: the shift alpha = 1 is 2 steps
     f = gen_signal("gaussian", g)
     win = fixed_gaussian(1, 1)
-    c = qlcst_forward(f, win, FOURIER, FOURIER)
-    one_set = c.a.nbytes + c.b.nbytes
-    del c
+    wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
+    one_set = 2 * g.axis1.n * g.axis2.n * wgrid.axis1.n * wgrid.axis2.n * 16
     tracemalloc.start()
     try:
         rep = covariance_residuals(f, win, FOURIER, FOURIER)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * one_set
+    assert peak < 0.75 * one_set
     assert rep.parity < 1e-10 and rep.shift < 1e-3 and rep.modulation_best < 1e-2
+
+
+@pytest.mark.parametrize("suite", ["marginal", "covariance", "orthogonality"])
+def test_verify_suite_traced_peak(suite):
+    """The suites that once held whole coefficient sets only to reduce them
+    stay below 100 MB of traced allocations."""
+    tracemalloc.start()
+    try:
+        passed, _ = run_suite(suite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_table_energy_identity(n):
+    """lambda of a table integrates its bilinear interpolant, which is what
+    the transform uses, so the energy gap of a rough off-lattice table falls
+    below 1e-2 (it was 0.54 for every N with the sample sum)."""
+    f = gen_signal("gaussian", grid(n))
+    c = qlcst_forward(f, OFF_LATTICE_TABLE, FOURIER, FOURIER)
+    assert energy_identity_gap(c, f) < 1e-2
 
 
 def test_planes_read_only_and_density_cached():

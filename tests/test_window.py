@@ -142,6 +142,32 @@ def test_lambda_is_the_2d_quadrature(spec, w):
     assert abs(lambda_psi(spec, w) - want) <= 1e-14 * want
 
 
+def _simpson_nodes(ax):
+    """Cell ends and midpoints from one cell before the first sample to one
+    after the last, with the composite Simpson weights of those cells."""
+    x = ax.origin + ax.spacing * (np.arange(2 * ax.n + 3) / 2.0 - 1.0)
+    wts = np.full(len(x), 2.0)
+    wts[1::2] = 4.0
+    wts[[0, -1]] = 1.0
+    return x, wts * ax.spacing / 6.0
+
+
+@pytest.mark.parametrize("grid", [
+    Grid2D(Grid1D.centered(5.0, 9), Grid1D.centered(4.0, 7)),
+    Grid2D(Grid1D(2, 0.3, 0.5), Grid1D(3, -1.0, 0.25)),
+], ids=["9x7", "2x3"])
+def test_table_lambda_integrates_the_interpolant(grid):
+    """lambda of a table equals a 3x3 Simpson rule on every cell of the
+    bilinear interpolant, whose |Psi|^2 is bi-quadratic there, so the rule
+    is exact; the edge samples ramp to zero over one cell beyond the table."""
+    rng = np.random.default_rng(41)
+    spec = table_window(QSignal2D(rng.standard_normal(grid.shape + (4,)), grid))
+    (x1, w1), (x2, w2) = _simpson_nodes(grid.axis1), _simpson_nodes(grid.axis2)
+    vals = qnormsq(window_eval(spec, (x1[:, None], x2[None, :]), None))
+    want = float(np.sum(w1[:, None] * w2[None, :] * vals))
+    assert abs(lambda_psi(spec) - want) <= 1e-12 * want
+
+
 def test_lambda_refuses_constant_window():
     """The constant window is not square integrable: lambda would be the area
     of the quadrature box, so it is refused."""
