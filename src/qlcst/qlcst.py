@@ -21,12 +21,13 @@ right_mu2 before the large K1 product; synthesis is the adjoint contraction.
 A sampled-table window does not depend on w, so each u-slice is the QLCT of
 f * conj(Psi(u - .)): the same contraction with the plain kernel matrices
 c * exp(i*theta(x, w)), which costs O(N^5).  Both analyses come from one
-producer of u1 row blocks (_analysis_blocks); the planes are filled from it
-in place, while the marginal and covariance checks reduce its blocks as
-they come (both sides of a covariance identity, the parity base in reversed
-order) and never hold a coefficient set.  The inverse over w of a u-slice,
-on any grid and for any window, is that contraction with the adjoint
-matrices conj(E)^T.
+producer of u1 row blocks (_analysis_blocks).  Every check reads C.blocks(),
+(rows, k, a, b) with plane rows _rows(k, a) and _rows(k, b): a stored
+QLCSTCoefficients yields its planes as one block (k None), an unstored
+qlcst_analysis the producer's blocks, so checks on it hold no coefficient
+set; qlcst_forward fills its planes from them in place.  The inverse over w
+of a u-slice, on any grid and for any window, is that contraction with the
+adjoint matrices conj(E)^T.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda, which makes it exact on any u spacing.
 a and b are kept rather than P and Q because (w - z, w + z) does not round
@@ -36,7 +37,7 @@ trip through float64, while a and b hold the interleaved components exactly.
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +62,42 @@ PROFILE_FLOOR = 1e-200
 ROW_BLOCK = 8
 
 
+def _rows(k, plane):
+    """Plane rows of a block: k @ plane, or the stored rows if k is None."""
+    return plane if k is None else k @ plane
+
+
+class _Source:
+    """Grids, window, matrices and blocks() of coefficients, stored or not;
+    the reductions over blocks() are computed once per object."""
+
+    _density = None
+
+    @property
+    def cell4(self):
+        return self.ugrid.cell * self.wgrid.cell
+
+    def density(self):
+        """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2,
+        computed on the first call and returned read-only from then on."""
+        if self._density is None:
+            nw1, nw2 = self.wgrid.shape
+            acc = np.zeros((nw1, 2 * nw2))
+            for _, k, *planes in self.blocks():
+                for plane in planes:
+                    parts = _rows(k, plane).view(float).reshape(
+                        -1, nw1, self.ugrid.axis2.n, 2 * nw2)
+                    acc += np.einsum("abcd,abcd->bd", parts, parts)
+            self._density = acc.reshape(nw1, nw2, 2).sum(axis=-1)
+            self._density.flags.writeable = False
+        return self._density
+
+    def energy(self):
+        return float(np.sum(self.density()) * self.cell4)
+
+
 @dataclass
-class QLCSTCoefficients:
+class QLCSTCoefficients(_Source):
     """Coefficients C(u, w) as the symplectic planes a, b with the grids,
     window and matrices that produced them.  Each plane is a
     (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2) order; `data` builds the
@@ -76,8 +111,6 @@ class QLCSTCoefficients:
     window: WindowSpec
     m1: ParamMatrix
     m2: ParamMatrix
-    _density: np.ndarray = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         want = (self.ugrid.axis1.n * self.wgrid.axis1.n,
@@ -90,6 +123,9 @@ class QLCSTCoefficients:
         # Read-only, so the cached density can never go stale.
         self.a.flags.writeable = False
         self.b.flags.writeable = False
+
+    def blocks(self):
+        yield slice(None), None, self.a, self.b
 
     def views4(self):
         """The planes as (u1, w1, u2, w2) views."""
@@ -105,26 +141,22 @@ class QLCSTCoefficients:
         out.flags.writeable = False
         return out
 
-    @property
-    def cell4(self):
-        return self.ugrid.cell * self.wgrid.cell
 
-    def density(self):
-        """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2,
-        computed on the first call and returned read-only from then on."""
-        if self._density is None:
-            nw1, nw2 = self.wgrid.shape
-            acc = np.zeros((nw1, 2 * nw2))
-            for plane in (self.a, self.b):
-                parts = plane.view(float).reshape(
-                    self.ugrid.axis1.n, nw1, self.ugrid.axis2.n, 2 * nw2)
-                acc += np.einsum("abcd,abcd->bd", parts, parts)
-            self._density = acc.reshape(nw1, nw2, 2).sum(axis=-1)
-            self._density.flags.writeable = False
-        return self._density
+@dataclass
+class QLCSTAnalysis(_Source):
+    """The analysis of f, unstored: blocks() computes the plane rows as they
+    are read (_analysis_blocks, with its theta1, theta2, reverse overrides)."""
 
-    def energy(self):
-        return float(np.sum(self.density()) * self.cell4)
+    f: QSignal2D
+    window: WindowSpec
+    m1: ParamMatrix
+    m2: ParamMatrix
+    ugrid: Grid2D
+    wgrid: Grid2D
+
+    def blocks(self, **overrides):
+        return _analysis_blocks(self.f, self.window, self.m1, self.m2,
+                                self.ugrid, self.wgrid, **overrides)
 
 
 def _phase_matrix(m, x, w, theta=None):
@@ -218,37 +250,30 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _forward(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None):
-    """Planes (a, b) of the analysis, filled in place from _analysis_blocks.
+def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
+    """The unstored analysis of f, which the checks read like stored
+    coefficients.  Defaults: ugrid = signal grid, wgrid = FFT-compatible
+    spectrum grid."""
+    return QLCSTAnalysis(f, window, m1, m2, f.grid if ugrid is None else ugrid,
+                         fft_output_grid(f.grid, m1.b, m2.b) if wgrid is None else wgrid)
 
-    Planes larger than physical memory are refused before anything is
-    allocated.
-    """
-    shape = (ugrid.axis1.n * wgrid.axis1.n, ugrid.axis2.n * wgrid.axis2.n)
+
+def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
+    """Analysis operator producing QLCSTCoefficients: the planes of
+    qlcst_analysis (same defaults) filled in place from its blocks.  Planes
+    larger than physical memory are refused before anything is allocated."""
+    src = qlcst_analysis(f, window, m1, m2, ugrid, wgrid)
+    shape = tuple(u * w for u, w in zip(src.ugrid.shape, src.wgrid.shape))
     need = 2 * shape[0] * shape[1] * np.dtype(complex).itemsize
     have = _physical_memory()
     if need > have:
         raise TooLarge("coefficient planes of %.3g GB do not fit in the %.3g GB "
                        "of physical memory" % (need / 1e9, have / 1e9))
     a, b = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for rows, k, ra, rb in _analysis_blocks(f, window, m1, m2, ugrid, wgrid,
-                                            theta1, theta2):
+    for rows, k, ra, rb in src.blocks():
         np.matmul(k, ra, out=a[rows])
         np.matmul(k, rb, out=b[rows])
-    return a, b
-
-
-def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
-    """Analysis operator producing QLCSTCoefficients.
-
-    Defaults: ugrid = signal grid, wgrid = FFT-compatible spectrum grid.
-    """
-    if ugrid is None:
-        ugrid = f.grid
-    if wgrid is None:
-        wgrid = fft_output_grid(f.grid, m1.b, m2.b)
-    return QLCSTCoefficients(*_forward(f, window, m1, m2, ugrid, wgrid),
-                             ugrid, wgrid, window, m1, m2)
+    return QLCSTCoefficients(a, b, src.ugrid, src.wgrid, window, m1, m2)
 
 
 def _w_adjoints(C, xgrid):
@@ -275,19 +300,16 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
 def _w_inverse_rows(C, xgrid):
     """Yield, for each u1 in turn, the planes (a, b) of shape (x1, u2, x2) of
     the inverse QLCT over w of every slice C(u1, u2, .) onto xgrid: the
-    contraction of qlcst_pointwise_inverse for a whole u1 row of the planes
-    at once, so the memory beyond C stays O(N^3).
-    """
+    contraction of qlcst_pointwise_inverse for each u1 row of C.blocks()."""
     e1h, e2h = _w_adjoints(C, xgrid)
     nw1 = C.wgrid.axis1.n
     rows_in = (nw1, C.ugrid.axis2.n, C.wgrid.axis2.n)
     rows_out = (xgrid.axis1.n, C.ugrid.axis2.n, xgrid.axis2.n)
-    for i in range(C.ugrid.axis1.n):
-        rows = slice(i * nw1, (i + 1) * nw1)
-        a, b = _contract(C.a[rows].reshape(rows_in), C.b[rows].reshape(rows_in),
-                         e1h, e2h)
-        yield (a.reshape(rows_out) * C.wgrid.cell,
-               b.reshape(rows_out) * C.wgrid.cell)
+    for _, k, *planes in C.blocks():
+        for a, b in zip(*(_rows(k, p).reshape((-1,) + rows_in) for p in planes)):
+            a, b = _contract(a, b, e1h, e2h)
+            yield (a.reshape(rows_out) * C.wgrid.cell,
+                   b.reshape(rows_out) * C.wgrid.cell)
 
 
 def qlcst_reconstruct(C):
@@ -330,16 +352,31 @@ def qlcst_reconstruct(C):
     return QSignal2D(out / frame[..., None], g)
 
 
+def _zip_blocks(*producers):
+    """The producers' blocks side by side; rows that do not line up (also a
+    stored set against an analysis) raise GridMismatch."""
+    for blocks in itertools.zip_longest(*producers):
+        if None in blocks or any(b[0] != blocks[0][0] for b in blocks):
+            raise GridMismatch("the zipped producers' row blocks do not line up")
+        yield blocks
+
+
 def orthogonality_form(Cf, Cg):
-    """Quaternion value of the double integral of Cf * conj(Cg) over (w, u).
+    """Quaternion value of the double integral of Cf * conj(Cg) over (w, u),
+    for two sources of the same grids, window and matrices.
 
     (a1 + b1 mu2) conj(a2 + b2 mu2) = (a1 a2* + b1 b2*) + (b1 a2 - a1 b2) mu2.
     """
-    if Cf.ugrid != Cg.ugrid or Cf.wgrid != Cg.wgrid:
-        raise GridMismatch("coefficient grids differ")
-    first = np.vdot(Cg.a, Cf.a) + np.vdot(Cg.b, Cf.b)
-    second = (np.dot(Cf.b.ravel(), Cg.a.ravel())
-              - np.dot(Cf.a.ravel(), Cg.b.ravel()))
+    if any(getattr(Cf, name) != getattr(Cg, name)
+           for name in ("ugrid", "wgrid", "window", "m1", "m2")):
+        raise GridMismatch("coefficient grids, window or matrices differ")
+    first = second = 0
+    for (_, kf, *pf), (_, kg, *pg) in _zip_blocks(Cf.blocks(), Cg.blocks()):
+        af, bf = (_rows(kf, p) for p in pf)
+        ag, bg = (_rows(kg, p) for p in pg)
+        first += np.vdot(ag, af) + np.vdot(bg, bf)
+        second += np.dot(bf.ravel(), ag.ravel()) - np.dot(af.ravel(), bg.ravel())
+        del af, bf, ag, bg  # freed before the next block's products
     return symplectic_join(first, second) * Cf.cell4
 
 
@@ -351,28 +388,20 @@ def energy_identity_gap(C, f):
     return abs(C.energy() - denom) / denom
 
 
-def marginal_qlct_gap(f, window, m1, m2, ugrid=None, wgrid=None):
+def marginal_qlct_gap(C, f):
     """Relative L2 gap between the u-marginal sum_u C(u, w) * du of the
-    analysis of f and the QLCT of f under m1, m2 (0 for the zero signal),
-    on the grids of qlcst_forward.
-
-    The analysis is streamed: each producer block's rows k @ a, k @ b are
-    summed over u1 and u2 as they come, so no coefficient set is held.
-    """
-    if ugrid is None:
-        ugrid = f.grid
-    if wgrid is None:
-        wgrid = fft_output_grid(f.grid, m1.b, m2.b)
-    nw1, nw2 = wgrid.shape
+    coefficients C of f, summed block by block, and the QLCT of f under
+    C.m1, C.m2 onto C.wgrid (0 for the zero signal)."""
+    nw1, nw2 = C.wgrid.shape
     marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
-    for _, k, *planes in _analysis_blocks(f, window, m1, m2, ugrid, wgrid):
+    for _, k, *planes in C.blocks():
         for acc, p in zip(marg, planes):
-            acc += (k @ p).reshape(-1, nw1, ugrid.axis2.n, nw2).sum(axis=(0, 2))
-    marg = symplectic_join(*marg) * ugrid.cell
+            acc += _rows(k, p).reshape(-1, nw1, C.ugrid.axis2.n, nw2).sum(axis=(0, 2))
+    marg = symplectic_join(*marg) * C.ugrid.cell
     try:
-        ref = qlct_fast_forward(f, m1, m2, wgrid)
+        ref = qlct_fast_forward(f, C.m1, C.m2, C.wgrid)
     except SpacingError:
-        ref = qlct_forward(f, m1, m2, wgrid)
+        ref = qlct_forward(f, C.m1, C.m2, C.wgrid)
     return relative_l2(marg, ref.data)
 
 
@@ -424,10 +453,7 @@ def _streamed_rel_l2(want, *gots):
     got; producers whose row blocks do not line up raise GridMismatch."""
     nums = [0.0] * len(gots)
     denom = 0.0
-    for blocks in itertools.zip_longest(want, *gots):
-        if None in blocks or any(b[0] != blocks[0][0] for b in blocks):
-            raise GridMismatch("the compared producers' row blocks do not line up")
-        (_, k, *planes), *others = blocks
+    for (_, k, *planes), *others in _zip_blocks(want, *gots):
         for j, plane in enumerate(planes):  # one product of want at a time
             ref = k @ plane
             denom += _sqnorm(ref)
@@ -456,7 +482,7 @@ class CovarianceReport:
 
 def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     """Relative L2 residuals of the parity, shift and modulation covariances,
-    on the default grids of qlcst_forward.
+    on the default grids of qlcst_analysis, which produces every side.
 
     The shift identity is checked in its derivation-consistent form, with the
     auxiliary signal built as the two-sided product
@@ -469,7 +495,8 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     (as printed, and with the frequency shift in the standard slot) and both
     residuals are reported.
     """
-    ugrid, wgrid = f.grid, fft_output_grid(f.grid, m1.b, m2.b)
+    base = qlcst_analysis(f, window, m1, m2)
+    ugrid, wgrid = base.ugrid, base.wgrid
     w1pts = wgrid.axis1.points
     w2pts = wgrid.axis2.points
     x1 = f.grid.axis1.points
@@ -479,8 +506,8 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
         """Blocks of exp(mu1*phi1) * (analysis of g on the u grid under the
         kernel phase tables theta) * exp(mu2*phi2), with phi depending on w
         only."""
-        return _analysis_blocks(g, window, m1, m2, u, wgrid,
-                                theta1 + phi1[:, None], theta2 + phi2[:, None])
+        return qlcst_analysis(g, window, m1, m2, u, wgrid).blocks(
+            theta1=theta1 + phi1[:, None], theta2=theta2 + phi2[:, None])
 
     # Each check streams both of its sides block by block
     # (_streamed_rel_l2), so no coefficient set is ever held whole.
@@ -491,8 +518,8 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     # the base side is produced reversed.
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
     [parity] = _streamed_rel_l2(
-        _analysis_blocks(f, window, m1, m2, ugrid, wgrid, reverse=True),
-        _analysis_blocks(f_ref, reflect(window), m1, m2, ugrid, wgrid))
+        base.blocks(reverse=True),
+        qlcst_analysis(f_ref, reflect(window), m1, m2).blocks())
 
     # Shift covariance.
     f_tilde = sandwich_phase(f,
@@ -502,7 +529,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     u_minus_alpha = Grid2D(*(Grid1D(ax.n, ax.origin - t, ax.spacing)
                              for ax, t in zip((ugrid.axis1, ugrid.axis2), alpha)))
     [shift] = _streamed_rel_l2(
-        _analysis_blocks(shift_signal(f, alpha), window, m1, m2, ugrid, wgrid),
+        qlcst_analysis(shift_signal(f, alpha), window, m1, m2).blocks(),
         blocks(f_tilde, u_minus_alpha,
                kernel_phase(m1, x1[None, :], w1pts[:, None]),
                kernel_phase(m2, x2[None, :], w2pts[:, None]),
@@ -521,7 +548,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
                       m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
 
     modulation_derived, modulation_printed = _streamed_rel_l2(
-        _analysis_blocks(modulate(f, s), window, m1, m2, ugrid, wgrid),
+        qlcst_analysis(modulate(f, s), window, m1, m2).blocks(),
         modulated(kernel_phase(m1, x1[None, :], t1),
                   kernel_phase(m2, x2[None, :], t2)),
         modulated(kernel_phase(m1, t1, x1[None, :]),

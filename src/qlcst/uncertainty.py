@@ -1,8 +1,8 @@
 """Dispersion functionals and the Heisenberg-type / logarithmic inequalities.
 
 All reports are "compute both sides by quadrature" objects; nothing is proved
-symbolically.  Each takes the coefficients C it checks first and the signal f
-second, and reads the window and the matrices from C.  The lower-bound
+symbolically.  Each takes C, stored or from qlcst_analysis, then f, and reads
+the window, matrices and C.density() or C.blocks() from C.  The lower-bound
 constant of the Heisenberg check uses |B_s| as the per-axis factor, matching
 the transform-domain scaling of the underlying canonical-transform inequality.
 """
@@ -140,7 +140,7 @@ def log_uncertainty_report(C, f):
 
 def _lemma_41_rhs(C, f, s):
     """The (u, x) double integral of x_s^2 |inverse QLCT over w of C(u, .)|^2,
-    with the inverse taken for every u1 row at once (_w_inverse_rows)."""
+    with the inverse taken for one u1 row at a time (_w_inverse_rows)."""
     xsq = _axis_sq(f.grid, s)[:, None, :]
     acc = 0.0
     for a, b in _w_inverse_rows(C, f.grid):

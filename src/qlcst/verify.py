@@ -14,8 +14,8 @@ from .lct import validate_param
 from .qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
                    qlct_forward)
 from .qlcst import (covariance_residuals, energy_identity_gap,
-                    marginal_qlct_gap, orthogonality_form, qlcst_forward,
-                    qlcst_reconstruct, special_case_matrix)
+                    marginal_qlct_gap, orthogonality_form, qlcst_analysis,
+                    qlcst_forward, qlcst_reconstruct, special_case_matrix)
 from .quaternion import qnorm, symplectic_join
 from .signal import Grid2D, QSignal2D, relative_l2
 from .uncertainty import (digamma_constant, heisenberg_report, lemma_41_gap,
@@ -114,7 +114,7 @@ def suite_orthogonality():
     lines, passed = [], True
     for mname, mk in MATRIX_CASES:
         m1, m2 = mk()
-        cf = qlcst_forward(f, win, m1, m2)
+        cf = qlcst_analysis(f, win, m1, m2)
         val = orthogonality_form(cf, cf)
         target = lam * f.energy()
         gap = abs(val[0] - target) / target
@@ -122,12 +122,10 @@ def suite_orthogonality():
         passed &= _check(lines, gap < 1e-3 and imag < 1e-6,
                          "orthogonality %s (f=g): gap=%.3e imag=%.3e"
                          % (mname, gap, imag))
-        cg = qlcst_forward(g, win, m1, m2)
-        cross = orthogonality_form(cf, cg)
+        cross = orthogonality_form(cf, qlcst_analysis(g, win, m1, m2))
         lines.append("INFO orthogonality %s (f!=g): |form|=%.3e "
                      "(reported, not asserted; expect ~lam<f,g>=0)"
                      % (mname, float(qnorm(cross))))
-        del cf, cg  # released before the next case builds its own
     return passed, lines
 
 
@@ -138,7 +136,7 @@ def suite_energy():
     lines, passed = [], True
     for mname, mk in MATRIX_CASES:
         m1, m2 = mk()
-        gap = energy_identity_gap(qlcst_forward(f, win, m1, m2), f)
+        gap = energy_identity_gap(qlcst_analysis(f, win, m1, m2), f)
         passed &= _check(lines, gap < 1e-3, "energy %s: gap=%.3e" % (mname, gap))
     return passed, lines
 
@@ -169,12 +167,12 @@ def suite_marginal():
     lines, passed = [], True
     m1, m2 = special_case_matrix("stockwell")
     wide_u = Grid2D.centered(3.0 * EXTENT, 96)
-    gap = marginal_qlct_gap(f, s_gaussian(), m1, m2, ugrid=wide_u)
+    gap = marginal_qlct_gap(qlcst_analysis(f, s_gaussian(), m1, m2, ugrid=wide_u), f)
     passed &= _check(lines, gap < 1e-3, "marginal s-gaussian: gap=%.3e" % gap)
     fine_u = Grid2D.centered(EXTENT, 256)
     small_w = Grid2D.centered(2.0, 8)
-    gap2 = marginal_qlct_gap(f, fixed_gaussian(0.05, 0.05), m1, m2,
-                             ugrid=fine_u, wgrid=small_w)
+    gap2 = marginal_qlct_gap(qlcst_analysis(f, fixed_gaussian(0.05, 0.05), m1, m2,
+                                            ugrid=fine_u, wgrid=small_w), f)
     passed &= _check(lines, gap2 < 5e-3,
                      "marginal narrow fixed-gaussian: gap=%.3e" % gap2)
     return passed, lines
@@ -202,7 +200,7 @@ def suite_heisenberg():
     for mname, mk in MATRIX_CASES:
         m1, m2 = mk()
         for sname, f in _battery(grid):
-            c = qlcst_forward(f, win, m1, m2)
+            c = qlcst_analysis(f, win, m1, m2)
             for s in (1, 2):
                 rep = heisenberg_report(c, f, s)
                 ok = rep.ratio >= 0.98
@@ -211,7 +209,6 @@ def suite_heisenberg():
                 passed &= _check(lines, ok,
                                  "heisenberg %s %s axis=%d: ratio=%.4f"
                                  % (mname, sname, s, rep.ratio))
-            del c  # released before the next signal's set is built
     return passed, lines
 
 
@@ -226,7 +223,7 @@ def suite_log_uncertainty():
     for mname, mk in MATRIX_CASES:
         m1, m2 = mk()
         for sname, f in _battery(grid):
-            rep = log_uncertainty_report(qlcst_forward(f, win, m1, m2), f)
+            rep = log_uncertainty_report(qlcst_analysis(f, win, m1, m2), f)
             passed &= _check(lines, rep.gap >= -0.02,
                              "log-uncertainty %s %s: gap=%.4f"
                              % (mname, sname, rep.gap))
@@ -240,7 +237,7 @@ def suite_lemma41():
     lines, passed = [], True
     for sname, f in (("gaussian", gen_signal("gaussian", grid)),
                      ("narrow-gaussian", gen_signal("dilated-gaussian", grid, a=2.0))):
-        c = qlcst_forward(f, win, m1, m2)
+        c = qlcst_analysis(f, win, m1, m2)
         for s in (1, 2):
             gap = lemma_41_gap(c, f, s)
             tol = 5e-3 if sname == "gaussian" else 1e-2

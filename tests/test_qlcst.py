@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
@@ -12,16 +12,18 @@ from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.lct import KernelSpec, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
 from qlcst.qlcst import (ROW_BLOCK, QLCSTCoefficients, _analysis_blocks,
-                         _axis_kernel, _axis_kernels, _contract, _forward,
+                         _axis_kernel, _axis_kernels, _contract,
                          _streamed_rel_l2, covariance_residuals,
                          energy_identity_gap, marginal_qlct_gap,
-                         orthogonality_form, qlcst_forward,
+                         orthogonality_form, qlcst_analysis, qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          shift_signal, special_case_matrix)
 from qlcst.quaternion import qconj, qmul, qnorm, symplectic_join, symplectic_split
 from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
                           fft_output_grid, relative_l2)
-from qlcst.uncertainty import spectral_dispersion, spectral_log_moment
+from qlcst.uncertainty import (heisenberg_report, lemma_41_gap,
+                               log_uncertainty_report, spectral_dispersion,
+                               spectral_log_moment)
 from qlcst.verify import MATRIX_CASES, run_suite
 from qlcst.window import (constant_window, fixed_gaussian, s_gaussian,
                           table_window, window_eval)
@@ -347,7 +349,8 @@ def test_energy_identity_zero_signal():
 def test_marginal_zero_signal_guarded():
     g = grid(8)
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
-    assert marginal_qlct_gap(zero, s_gaussian(), FOURIER, FOURIER) == 0.0
+    assert marginal_qlct_gap(qlcst_analysis(zero, s_gaussian(), FOURIER, FOURIER),
+                             zero) == 0.0
 
 
 def test_marginal_holds_no_coefficient_set():
@@ -360,7 +363,8 @@ def test_marginal_holds_no_coefficient_set():
     one_set = 2 * wide_u.axis1.n * wide_u.axis2.n * wgrid.axis1.n * wgrid.axis2.n * 16
     tracemalloc.start()
     try:
-        gap = marginal_qlct_gap(f, s_gaussian(), FOURIER, FOURIER, ugrid=wide_u)
+        gap = marginal_qlct_gap(
+            qlcst_analysis(f, s_gaussian(), FOURIER, FOURIER, ugrid=wide_u), f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -378,7 +382,8 @@ def test_marginal_matches_whole_set_sum():
         a4, b4 = c.views4()
         marg = symplectic_join(a4.sum(axis=(0, 2)), b4.sum(axis=(0, 2))) * ugrid.cell
         want = relative_l2(marg, qlct_fast_forward(f, FOURIER, FOURIER).data)
-        got = marginal_qlct_gap(f, window, FOURIER, FOURIER, ugrid=ugrid)
+        got = marginal_qlct_gap(qlcst_analysis(f, window, FOURIER, FOURIER,
+                                               ugrid=ugrid), f)
         assert want > 1e-3
         assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -469,7 +474,8 @@ def test_real_scalar_linearity():
 def test_forward_blocks_match_one_contraction(window, case):
     """The planes filled block by block equal the single whole-plane
     contraction bit for bit, on a u grid whose N_u1 the block size does not
-    divide and under kernel phase table overrides."""
+    divide, as qlcst_forward fills them and under kernel phase table
+    overrides."""
     m1, m2 = dict(MATRIX_CASES)[case]()
     g = grid(12)
     f = random_hermite_combo(g, seed=2)
@@ -480,9 +486,17 @@ def test_forward_blocks_match_one_contraction(window, case):
     theta1 = kernel_phase(m1, x1[None, :], wgrid.axis1.points[:, None]) + 0.3
     theta2 = kernel_phase(m2, x2[None, :], wgrid.axis2.points[:, None]) - 0.2
     a, b = symplectic_split(f.data)
+    c = qlcst_forward(f, window, m1, m2, ugrid)
+    want = _contract(a * g.cell, b * g.cell,
+                     *_axis_kernels(window, m1, m2, ugrid, g, wgrid))
+    assert all(np.array_equal(p, q) for p, q in zip((c.a, c.b), want))
     k1, k2 = _axis_kernels(window, m1, m2, ugrid, g, wgrid, theta1, theta2)
     want = _contract(a * g.cell, b * g.cell, k1, k2)
-    got = _forward(f, window, m1, m2, ugrid, wgrid, theta1, theta2)
+    got = [np.empty_like(c.a), np.empty_like(c.b)]
+    src = qlcst_analysis(f, window, m1, m2, ugrid)
+    for rows, k, *planes in src.blocks(theta1=theta1, theta2=theta2):
+        for out, p in zip(got, planes):
+            np.matmul(k, p, out=out[rows])
     assert all(np.array_equal(p, q) for p, q in zip(got, want))
 
 
@@ -506,7 +520,8 @@ def test_streamed_residual_matches_full_formula(window):
         return _analysis_blocks(f, window, FOURIER, FOURIER, g, wgrid)
 
     def planes(f):
-        return _forward(f, window, FOURIER, FOURIER, g, wgrid)
+        c = qlcst_forward(f, window, FOURIER, FOURIER, g, wgrid)
+        return c.a, c.b
 
     want = [_full_rel_l2(planes(f), planes(h)), _full_rel_l2(planes(k), planes(h))]
     assert min(want) > 0.1
@@ -547,7 +562,8 @@ def test_reversed_blocks_are_reversed_planes(window):
     ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), Grid1D.centered(6.0, 10))
     assert ugrid.axis1.n % ROW_BLOCK
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
-    want = [p[::-1, ::-1] for p in _forward(f, window, FOURIER, FOURIER, ugrid, wgrid)]
+    c = qlcst_forward(f, window, FOURIER, FOURIER, ugrid, wgrid)
+    want = [p[::-1, ::-1] for p in (c.a, c.b)]
     got = [np.empty_like(p) for p in want]
     blocks = _analysis_blocks(f, window, FOURIER, FOURIER, ugrid, wgrid, reverse=True)
     for rows, k, *planes in blocks:
@@ -575,10 +591,28 @@ def test_covariance_holds_one_coefficient_set():
     assert rep.parity < 1e-10 and rep.shift < 1e-3 and rep.modulation_best < 1e-2
 
 
-@pytest.mark.parametrize("suite", ["marginal", "covariance", "orthogonality"])
+def one_set(n):
+    """Bytes of the two planes of an N x N coefficient set on the default
+    grids: 33.5 MB at N=32, 10.6 MB at N=24."""
+    return 2 * n ** 4 * 16
+
+
+SUITE_PEAK_BOUNDS = {
+    "marginal": 100e6,
+    "covariance": 100e6,
+    "orthogonality": one_set(32),
+    "energy": one_set(32),
+    "heisenberg": one_set(32),
+    "log-uncertainty": one_set(32),
+    "lemma41": one_set(24),
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_PEAK_BOUNDS))
 def test_verify_suite_traced_peak(suite):
     """The suites that once held whole coefficient sets only to reduce them
-    stay below 100 MB of traced allocations."""
+    stay below their bound of traced allocations: one coefficient set of the
+    suite's grid, or 100 MB for the wide-u marginal and the covariance."""
     tracemalloc.start()
     try:
         passed, _ = run_suite(suite)
@@ -586,7 +620,87 @@ def test_verify_suite_traced_peak(suite):
     finally:
         tracemalloc.stop()
     assert passed
-    assert peak < 100e6
+    assert peak < SUITE_PEAK_BOUNDS[suite]
+
+
+def test_orthogonality_refuses_other_window_or_matrices():
+    """Two sources of one signal under another window or other matrices (the
+    same grids) give no orthogonality form and are refused, stored or
+    streamed; so is a stored set against a streamed one."""
+    f = gen_signal("gaussian", grid(8))
+    other = validate_param(0.5, 1, -1, 0)
+    for make in (qlcst_forward, qlcst_analysis):
+        base = make(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
+        for win, m in ((fixed_gaussian(0.3, 0.3), other),
+                       (fixed_gaussian(0.3, 0.3), FOURIER),
+                       (fixed_gaussian(1, 1), other)):
+            with pytest.raises(GridMismatch):
+                orthogonality_form(base, make(f, win, m, m))
+    with pytest.raises(GridMismatch):
+        orthogonality_form(qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER),
+                           qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER))
+
+
+def close(got, want, tol=1e-13):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(6, 24), case=st.sampled_from([name for name, _ in MATRIX_CASES]),
+       window=st.one_of(
+           st.tuples(st.floats(0.25, 3.0), st.floats(0.25, 3.0)).map(
+               lambda sigma: fixed_gaussian(*sigma)),
+           st.just(s_gaussian()), st.just(OFF_LATTICE_TABLE)),
+       seed=st.integers(0, 2 ** 32 - 2))
+def test_stored_and_streamed_reductions_agree(n, case, window, seed):
+    """Every reduction of the unstored analysis agrees with that of the
+    stored set to 1e-13 relative, on a u grid whose N_u1 the block size does
+    not divide; the lambda-scaled checks for w-independent windows only."""
+    assume(n % 2 == 0 or not window.w_dependent)  # the s-gaussian needs w != 0
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(n)
+    f, h = (random_hermite_combo(g, seed=seed + i) for i in (0, 1))
+    f = QSignal2D(f.data / math.sqrt(f.energy()), g)
+    ugrid = Grid2D(Grid1D.centered(8.0, n + (n % ROW_BLOCK == 0)), g.axis2)
+    assert ugrid.axis1.n % ROW_BLOCK
+
+    def reductions(make):
+        C, Ch = (make(x, window, m1, m2, ugrid) for x in (f, h))
+        out = [spectral_dispersion(C, 1), spectral_dispersion(C, 2),
+               marginal_qlct_gap(C, f), *orthogonality_form(C, C),
+               *orthogonality_form(C, Ch)]
+        if n % 2 == 0:  # an odd N puts a w point on the origin
+            out.append(spectral_log_moment(C))
+        if not window.w_dependent:
+            out += [energy_identity_gap(C, f), lemma_41_gap(C, f, 1),
+                    lemma_41_gap(C, f, 2)]
+        return C.density(), out
+
+    want_density, want = reductions(qlcst_forward)
+    got_density, got = reductions(qlcst_analysis)
+    assert relative_l2(got_density, want_density) <= 1e-13
+    assert all(close(x, y) for x, y in zip(got, want))
+
+
+def test_checks_need_no_coefficient_set(monkeypatch):
+    """With physical memory taken as 1 MB, qlcst_forward refuses the 2 MB
+    N=16 set, while every check of the energy, heisenberg, log-uncertainty,
+    lemma41 and marginal suites runs on the unstored analysis of the same
+    inputs and matches the stored run."""
+    f = random_hermite_combo(grid(16), seed=6)
+    args = (f, fixed_gaussian(1, 1), FOURIER, FOURIER)
+
+    def checks(C):
+        return [energy_identity_gap(C, f), heisenberg_report(C, f, 1).ratio,
+                heisenberg_report(C, f, 2).ratio, log_uncertainty_report(C, f).gap,
+                lemma_41_gap(C, f, 1), lemma_41_gap(C, f, 2), marginal_qlct_gap(C, f)]
+
+    want = checks(qlcst_forward(*args))
+    monkeypatch.setattr("qlcst.qlcst._physical_memory", lambda: 10 ** 6)
+    with pytest.raises(TooLarge):
+        qlcst_forward(*args)
+    got = checks(qlcst_analysis(*args))
+    assert all(close(x, y) for x, y in zip(got, want))
 
 
 @pytest.mark.parametrize("n", [16, 32, 48])
