@@ -15,10 +15,9 @@ from .lct import KernelSpec, ParamMatrix, kernel_eval, parse_matrix, validate_pa
 from .qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
                    qlct_forward, qlct_inverse)
 from .qlcst import (QLCSTAnalysis, QLCSTCoefficients, covariance_residuals,
-                    energy_identity_gap, marginal_qlct_gap, modulate,
-                    orthogonality_form, qlcst_analysis, qlcst_forward,
-                    qlcst_pointwise_inverse, qlcst_reconstruct, shift_signal,
-                    special_case_matrix)
+                    energy_identity_gap, marginal_qlct_gap, orthogonality_form,
+                    qlcst_analysis, qlcst_forward, qlcst_pointwise_inverse,
+                    qlcst_reconstruct, shift_signal, special_case_matrix)
 from .quaternion import (MU1, MU2, MU3, ONE, qconj, qexp_axis, qmul, qnorm,
                          qnormsq, quat, symplectic_join, symplectic_split)
 from .signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D, relative_l2,

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                     GridMismatch, SpacingError, TooLarge, Undersampled,
-                     ZeroSignal)
+                     GridMismatch, TooLarge, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
 from .quaternion import (qconj, qmul, qnormsq, right_mu2, symplectic_join,
                          symplectic_split)
@@ -51,7 +50,7 @@ from .signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid, relative_l2,
                      sandwich_phase)
 from .window import (WindowSpec, lambda_psi, reflect, window_axis_profile,
                      window_eval)
-from .qlct import qlct_fast_forward, qlct_forward
+from .qlct import qlct_forward
 
 # Window-profile entries below this fraction of the peak are stored as exact
 # zeros: the s-gaussian tails underflow to subnormals, which stall BLAS.
@@ -213,35 +212,33 @@ def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None,
     the (w1, (u2, w2)) rows of that u1.  theta1/theta2 override the per-axis
     (w, x) kernel phase tables; used by the covariance checks.  reverse
     yields the planes with both axes reversed, P[::-1, ::-1], in the same
-    row blocks: the rows of the left factor and the columns of the right
-    ones are reversed (contiguous copies, so every product stays a GEMM).
+    row blocks: the u and w points and the theta rows are reversed once, and
+    every kernel is built on them.
     """
-    nw1 = wgrid.axis1.n
+    u1s, u2s, w1s, w2s = (ax.points for ax in (ugrid.axis1, ugrid.axis2,
+                                               wgrid.axis1, wgrid.axis2))
+    if reverse:
+        u1s, u2s, w1s, w2s = u1s[::-1], u2s[::-1], w1s[::-1], w2s[::-1]
+        theta1, theta2 = (None if t is None else t[::-1] for t in (theta1, theta2))
+    x1s, x2s = f.grid.axis1.points, f.grid.axis2.points
+    nw1 = len(w1s)
     if window.separable:
-        k1, k2 = _axis_kernels(window, m1, m2, ugrid, f.grid, wgrid, theta1, theta2)
+        k1 = _axis_kernel(window, 1, m1, u1s, x1s, w1s, theta1)
+        k2 = _axis_kernel(window, 2, m2, u2s, x2s, w2s, theta2)
         a, b = symplectic_split(f.data)
         a, b = _right_contract(a * f.grid.cell, b * f.grid.cell, k2)
-        if reverse:
-            k1, a, b = k1[::-1].copy(), a[:, ::-1].copy(), b[:, ::-1].copy()
         step = ROW_BLOCK * nw1
         for start in range(0, len(k1), step):
             rows = slice(start, start + step)
             yield rows, k1[rows], a, b
         return
-    x1 = f.grid.axis1.points[:, None, None]
-    x2 = f.grid.axis2.points[None, None, :]
-    u1s = ugrid.axis1.points[::-1] if reverse else ugrid.axis1.points
-    u2 = ugrid.axis2.points[None, :, None]
-    e1 = _phase_matrix(m1, f.grid.axis1.points, wgrid.axis1.points, theta1)
-    e2 = _phase_matrix(m2, f.grid.axis2.points, wgrid.axis2.points, theta2)
-    if reverse:
-        e1 = e1[::-1].copy()
+    x1, x2, u2 = x1s[:, None, None], x2s[None, None, :], u2s[None, :, None]
+    e1 = _phase_matrix(m1, x1s, w1s, theta1)
+    e2 = _phase_matrix(m2, x2s, w2s, theta2)
     fc = f.data[:, None] * f.grid.cell
     for i, u1 in enumerate(u1s):
         psi = window_eval(window, (u1 - x1, u2 - x2), None)  # no w dependence
         a, b = _right_contract(*symplectic_split(qmul(fc, qconj(psi))), e2)
-        if reverse:
-            a, b = a[:, ::-1].copy(), b[:, ::-1].copy()
         yield slice(i * nw1, (i + 1) * nw1), e1, a, b
 
 
@@ -289,6 +286,9 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
 
     Recovers the w-integrated masked product f(x) * conj(Psi(u - x, w)).
     """
+    if not isinstance(C, QLCSTCoefficients):
+        raise BadParameter("the pointwise inverse reads stored coefficients: "
+                           "pass qlcst_forward(...), not qlcst_analysis(...)")
     if xgrid is None:
         xgrid = C.ugrid
     iu1, iu2 = u_index
@@ -322,8 +322,9 @@ def qlcst_reconstruct(C):
     adjoint sum is f(x) * F(x) and the quotient is f for every w-independent
     window on any u spacing (the canonical dual frame).  A separable window
     sums by K1^H @ P @ conj(K2), K1^H @ Q @ K2 and F is an outer product of
-    per-axis sums; a table window inverts one u1 row over w at a time.  An x
-    that no u reaches (F(x) <= eps * max F) is refused.
+    per-axis sums; a table window inverts one u1 row over w at a time.  Both
+    sum over C.blocks(), so C may be stored or unstored.  An x that no u
+    reaches (F(x) <= eps * max F) is refused.
     """
     if C.window.w_dependent:
         raise AdmissibilityError(
@@ -332,7 +333,11 @@ def qlcst_reconstruct(C):
     if C.window.separable:
         k1, k2 = _axis_kernels(C.window, C.m1, C.m2, g, g, C.wgrid)
         k1h = k1.conj().T
-        a, b = right_mu2(k1h @ C.a, k1h @ C.b, lambda h: h @ k2.conj())
+        acc = [0, 0]
+        for rows, k, *planes in C.blocks():
+            for i, p in enumerate(planes):
+                acc[i] += k1h[:, rows] @ _rows(k, p)
+        a, b = right_mu2(*acc, lambda h: h @ k2.conj())
         out = symplectic_join(a, b) * C.wgrid.cell
         frame = np.outer(*(np.sum(window_axis_profile(
             C.window, s, ax.points[:, None] - ax.points, 1.0) ** 2, axis=0)
@@ -366,14 +371,17 @@ def orthogonality_form(Cf, Cg):
     for two sources of the same grids, window and matrices.
 
     (a1 + b1 mu2) conj(a2 + b2 mu2) = (a1 a2* + b1 b2*) + (b1 a2 - a1 b2) mu2.
+    Cg is Cf reads each block of Cf once for both sides.
     """
     if any(getattr(Cf, name) != getattr(Cg, name)
            for name in ("ugrid", "wgrid", "window", "m1", "m2")):
         raise GridMismatch("coefficient grids, window or matrices differ")
     first = second = 0
-    for (_, kf, *pf), (_, kg, *pg) in _zip_blocks(Cf.blocks(), Cg.blocks()):
+    pairs = (((blk, blk) for blk in Cf.blocks()) if Cg is Cf
+             else _zip_blocks(Cf.blocks(), Cg.blocks()))
+    for (_, kf, *pf), (_, kg, *pg) in pairs:
         af, bf = (_rows(kf, p) for p in pf)
-        ag, bg = (_rows(kg, p) for p in pg)
+        ag, bg = (af, bf) if Cg is Cf else (_rows(kg, p) for p in pg)
         first += np.vdot(ag, af) + np.vdot(bg, bf)
         second += np.dot(bf.ravel(), ag.ravel()) - np.dot(af.ravel(), bg.ravel())
         del af, bf, ag, bg  # freed before the next block's products
@@ -391,26 +399,18 @@ def energy_identity_gap(C, f):
 def marginal_qlct_gap(C, f):
     """Relative L2 gap between the u-marginal sum_u C(u, w) * du of the
     coefficients C of f, summed block by block, and the QLCT of f under
-    C.m1, C.m2 onto C.wgrid (0 for the zero signal)."""
+    C.m1, C.m2 onto C.wgrid by the direct oracle, which shares no code with
+    the fast path (0 for the zero signal)."""
     nw1, nw2 = C.wgrid.shape
     marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
     for _, k, *planes in C.blocks():
         for acc, p in zip(marg, planes):
             acc += _rows(k, p).reshape(-1, nw1, C.ugrid.axis2.n, nw2).sum(axis=(0, 2))
     marg = symplectic_join(*marg) * C.ugrid.cell
-    try:
-        ref = qlct_fast_forward(f, C.m1, C.m2, C.wgrid)
-    except SpacingError:
-        ref = qlct_forward(f, C.m1, C.m2, C.wgrid)
-    return relative_l2(marg, ref.data)
+    return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
 
 # --- signal manipulation helpers used by the covariance checks -------------
-
-def modulate(f, s):
-    """The two-sided modulation exp(mu1 s1 x1) f exp(mu2 s2 x2)."""
-    return sandwich_phase(f, s[0] * f.grid.axis1.points, s[1] * f.grid.axis2.points)
-
 
 def _integer_shift(alpha, spacing):
     k = alpha / spacing
@@ -445,39 +445,28 @@ def _sqnorm(x):
     return float(np.vdot(x, x).real)
 
 
-def _streamed_rel_l2(want, *gots):
-    """relative_l2, over the quaternion components, of the planes of each
-    _analysis_blocks producer in gots against those of the producer want,
+def _streamed_rel_l2(want, got):
+    """relative_l2, over the quaternion components, of the planes of the
+    _analysis_blocks producer got against those of the producer want,
     accumulated block by block so that no coefficient set is ever held.
-    Each want block is computed once for all gots.  Returns one residual per
-    got; producers whose row blocks do not line up raise GridMismatch."""
-    nums = [0.0] * len(gots)
-    denom = 0.0
-    for (_, k, *planes), *others in _zip_blocks(want, *gots):
-        for j, plane in enumerate(planes):  # one product of want at a time
+    Producers whose row blocks do not line up raise GridMismatch."""
+    num = denom = 0.0
+    for (_, k, *planes), (_, gk, *gots) in _zip_blocks(want, got):
+        for plane, other in zip(planes, gots):  # one product of each at a time
             ref = k @ plane
             denom += _sqnorm(ref)
-            for i, (_, gk, *got) in enumerate(others):
-                diff = gk @ got[j]
-                diff -= ref
-                nums[i] += _sqnorm(diff)
-                del diff
-            del ref
-    if denom == 0.0:
-        return [math.sqrt(num) for num in nums]
-    return [math.sqrt(num / denom) for num in nums]
+            diff = gk @ other
+            diff -= ref
+            num += _sqnorm(diff)
+            del ref, diff
+    return math.sqrt(num / denom if denom else num)
 
 
 @dataclass
 class CovarianceReport:
     parity: float
     shift: float
-    modulation_printed: float
-    modulation_derived: float
-
-    @property
-    def modulation_best(self):
-        return min(self.modulation_printed, self.modulation_derived)
+    modulation: float
 
 
 def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
@@ -487,27 +476,25 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     The shift identity is checked in its derivation-consistent form, with the
     auxiliary signal built as the two-sided product
     exp(mu1 A1 t1 alpha1/B1) f exp(mu2 A2 t2 alpha2/B2), whose coefficients
-    are evaluated directly at (u - alpha, w).  The w-dependent
-    phase factors exp(mu1*phi1(w1)) * . * exp(mu2*phi2(w2)) of both sides
-    are added to the kernel phase tables, since they multiply the mu1 kernel
-    on the left and the mu2 kernel on the right.  The modulation
-    identity is evaluated for both readings of the kernel argument order
-    (as printed, and with the frequency shift in the standard slot) and both
-    residuals are reported.
+    are evaluated directly at (u - alpha, w).  The modulation identity
+    evaluates the kernel at (x, w - s*B), the frequency shift in the
+    frequency slot, and the window at w.  The w-dependent phase factors
+    exp(mu1*phi1(w1)) * . * exp(mu2*phi2(w2)) of both identities are added
+    to the kernel phase tables, since they multiply the mu1 kernel on the
+    left and the mu2 kernel on the right.
     """
     base = qlcst_analysis(f, window, m1, m2)
     ugrid, wgrid = base.ugrid, base.wgrid
-    w1pts = wgrid.axis1.points
-    w2pts = wgrid.axis2.points
-    x1 = f.grid.axis1.points
-    x2 = f.grid.axis2.points
+    w1pts, w2pts = wgrid.axis1.points, wgrid.axis2.points
+    x1, x2 = f.grid.axis1.points, f.grid.axis2.points
 
-    def blocks(g, u, theta1, theta2, phi1, phi2):
-        """Blocks of exp(mu1*phi1) * (analysis of g on the u grid under the
-        kernel phase tables theta) * exp(mu2*phi2), with phi depending on w
-        only."""
+    def blocks(g, u, t1, t2, phi1, phi2):
+        """Blocks of exp(mu1*phi1) * (analysis of g on the u grid with the
+        kernels evaluated at the frequencies t) * exp(mu2*phi2), with phi
+        depending on w only."""
         return qlcst_analysis(g, window, m1, m2, u, wgrid).blocks(
-            theta1=theta1 + phi1[:, None], theta2=theta2 + phi2[:, None])
+            theta1=kernel_phase(m1, x1[None, :], t1[:, None]) + phi1[:, None],
+            theta2=kernel_phase(m2, x2[None, :], t2[:, None]) + phi2[:, None])
 
     # Each check streams both of its sides block by block
     # (_streamed_rel_l2), so no coefficient set is ever held whole.
@@ -517,7 +504,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     # negation reverses every index axis, which reverses both plane axes, so
     # the base side is produced reversed.
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
-    [parity] = _streamed_rel_l2(
+    parity = _streamed_rel_l2(
         base.blocks(reverse=True),
         qlcst_analysis(f_ref, reflect(window), m1, m2).blocks())
 
@@ -528,33 +515,22 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     # The window keeps its w; only its u - x argument moves with the grid.
     u_minus_alpha = Grid2D(*(Grid1D(ax.n, ax.origin - t, ax.spacing)
                              for ax, t in zip((ugrid.axis1, ugrid.axis2), alpha)))
-    [shift] = _streamed_rel_l2(
+    shift = _streamed_rel_l2(
         qlcst_analysis(shift_signal(f, alpha), window, m1, m2).blocks(),
-        blocks(f_tilde, u_minus_alpha,
-               kernel_phase(m1, x1[None, :], w1pts[:, None]),
-               kernel_phase(m2, x2[None, :], w2pts[:, None]),
+        blocks(f_tilde, u_minus_alpha, w1pts, w2pts,
                (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
                (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b)))
 
-    # Modulation covariance: the forward contraction with the kernel phase
-    # tables shifted by s*B in the frequency argument; both readings share
-    # one pass over the modulated signal's side.
-    t1 = (w1pts - s[0] * m1.b)[:, None]
-    t2 = (w2pts - s[1] * m2.b)[:, None]
+    # Modulation covariance: the analysis of exp(mu1 s1 x1) f exp(mu2 s2 x2)
+    # against that of f with the kernels at w - s*B.
+    modulation = _streamed_rel_l2(
+        qlcst_analysis(sandwich_phase(f, s[0] * x1, s[1] * x2),
+                       window, m1, m2).blocks(),
+        blocks(f, ugrid, w1pts - s[0] * m1.b, w2pts - s[1] * m2.b,
+               m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
+               m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2)))
 
-    def modulated(theta1, theta2):
-        return blocks(f, ugrid, theta1, theta2,
-                      m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
-                      m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))
-
-    modulation_derived, modulation_printed = _streamed_rel_l2(
-        qlcst_analysis(modulate(f, s), window, m1, m2).blocks(),
-        modulated(kernel_phase(m1, x1[None, :], t1),
-                  kernel_phase(m2, x2[None, :], t2)),
-        modulated(kernel_phase(m1, t1, x1[None, :]),
-                  kernel_phase(m2, t2, x2[None, :])))
-
-    return CovarianceReport(parity, shift, modulation_printed, modulation_derived)
+    return CovarianceReport(parity, shift, modulation)
 
 
 def special_case_matrix(kind, value=None):

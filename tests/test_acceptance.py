@@ -47,7 +47,7 @@ def test_criterion_06_marginal():
 
 
 def test_criterion_07_covariance():
-    """Parity < 1e-10; shift < 1e-3 at N=48; best modulation reading < 1e-2."""
+    """Parity < 1e-10; shift < 1e-3 and modulation < 1e-2 at N=48."""
     _run("7", "covariance")
 
 

@@ -1,18 +1,22 @@
-"""The library names that the benchmark's tracer looks up still resolve.
+"""The library names that the benchmark's tracer and worker use still resolve.
 
 perfbench/tracer.py is compiled from its source and executed in a fresh
-module namespace, so nothing is written next to it.
+module namespace, so nothing is written next to it; perfbench/worker.py is
+only parsed.
 """
 
+import ast
 import importlib
 import inspect
 import types
 from pathlib import Path
 
-from qlcst.qlcst import qlcst_forward
+from qlcst.qlcst import QLCSTCoefficients, qlcst_forward
 from qlcst.window import fixed_gaussian
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKER = PERFBENCH / "worker.py"
 
 
 def load_tracer():
@@ -31,3 +35,30 @@ def test_forward_takes_window_second():
     assert list(inspect.signature(qlcst_forward).parameters)[:2] == ["f", "window"]
     label = load_tracer()._forward_variant((None, fixed_gaussian(1, 1)), {})
     assert label == "qlcst.qlcst_forward.fixed-gauss"
+
+
+def test_worker_names_resolve():
+    """Every name the worker imports from qlcst, and every attribute it reads
+    through a module alias (Q, U, V, qio, cli), exists in the library."""
+    tree = ast.parse(WORKER.read_text(), str(WORKER))
+    aliases = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "qlcst"):
+            continue
+        module = importlib.import_module(node.module)
+        for name in node.names:
+            if node.module == "qlcst":  # submodules, read through aliases
+                aliases[name.asname or name.name] = importlib.import_module(
+                    "qlcst." + name.name)
+            else:
+                assert hasattr(module, name.name), (node.module, name.name)
+    assert {"Q", "U", "V", "qio", "cli"} <= set(aliases)
+    reads = [(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in aliases]
+    assert reads
+    for alias, attr in reads:
+        assert hasattr(aliases[alias], attr), (alias, attr)
+    # The worker compares stored coefficients through their interleaved copy.
+    assert isinstance(QLCSTCoefficients.data, property)

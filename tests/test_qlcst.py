@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                          GridMismatch, TooLarge, Undersampled, ZeroSignal)
+                          GridMismatch, QlcstError, TooLarge, Undersampled,
+                          ZeroSignal)
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.lct import KernelSpec, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
@@ -294,6 +295,23 @@ def test_table_reconstruct_identity(case, lattice):
     assert relative_l2(rec.data, f.data) < 1e-12
 
 
+@pytest.mark.parametrize("window", [fixed_gaussian(1, 1), OFF_LATTICE_TABLE],
+                         ids=["fixed-gauss", "table"])
+def test_reconstruct_from_unstored_analysis(window):
+    """Synthesis sums C.blocks(), so the unstored analysis of the N=8
+    Gaussian reconstructs like the stored set; the pointwise inverse, which
+    reads one stored slice, refuses it with a QlcstError."""
+    g = grid(8)
+    f = gen_signal("gaussian", g)
+    args = (f, window, FOURIER, FOURIER)
+    want = qlcst_reconstruct(qlcst_forward(*args))
+    got = qlcst_reconstruct(qlcst_analysis(*args))
+    assert relative_l2(got.data, want.data) < 1e-14
+    assert relative_l2(got.data, f.data) < 1e-14
+    with pytest.raises(QlcstError, match="qlcst_forward"):
+        qlcst_pointwise_inverse(qlcst_analysis(*args), (0, 0))
+
+
 def test_reconstruct_zero_coefficients():
     g = grid(16)
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
@@ -395,7 +413,7 @@ def test_covariance_small():
                                alpha=(2.0 * g.axis1.spacing, 0.0), s=(1.0, 1.0))
     assert rep.parity < 1e-10
     assert rep.shift < 5e-3
-    assert rep.modulation_best < 1e-2
+    assert rep.modulation < 1e-2
 
 
 @pytest.mark.parametrize("win", [fixed_gaussian(1, 1), s_gaussian()],
@@ -419,11 +437,44 @@ def test_covariance_table_window_matches_separable():
     win = fixed_gaussian(1, 1)
     want = covariance_residuals(f, win, FOURIER, FOURIER)
     got = covariance_residuals(f, lattice_table(win, g), FOURIER, FOURIER)
-    for name in ("parity", "shift", "modulation_printed", "modulation_derived"):
+    for name in ("parity", "shift", "modulation"):
         assert abs(getattr(got, name) - getattr(want, name)) < 1e-12
     assert got.parity < 1e-10
     assert got.shift < 1e-3
-    assert got.modulation_best < 1e-2
+    assert got.modulation < 1e-2
+
+
+@pytest.mark.parametrize("win", [fixed_gaussian(1, 1), s_gaussian()],
+                         ids=["fixed-gauss", "s-gauss"])
+@pytest.mark.parametrize("abcd", [(2, 1, 1, 1), (0.5, 1, -1, 0)],
+                         ids=["2,1,1,1", "0.5,1,-1,0"])
+def test_covariance_modulation_a_ne_d(win, abcd):
+    """With A != D the modulation identity holds to roundoff with the
+    kernel evaluated at (x, w - sB); the printed order K(w - sB, x) misses by
+    the phase (A - D)(t^2 - x^2)/2B, an O(1) residual."""
+    m = validate_param(*abcd)
+    rep = covariance_residuals(gen_signal("gaussian", grid(32)), win, m, m)
+    assert rep.modulation < 1e-12
+
+
+@pytest.mark.parametrize("abcd", [(0, 1, -1, 0), (2, 1, 1, 1)],
+                         ids=["fourier", "2,1,1,1"])
+def test_covariance_table_windows(abcd):
+    """Parity and shift hold for any table.  The modulation holds for a
+    real-valued table, here the scalar part of OFF_LATTICE_TABLE, but not for
+    the quaternion-valued one: the right modulation exp(mu2 s2 x2) does not
+    commute with conj(Psi)."""
+    m = validate_param(*abcd)
+    f = gen_signal("gaussian", grid(16))
+    table = OFF_LATTICE_TABLE.table
+    scalar = np.zeros_like(table.data)
+    scalar[..., 0] = table.data[..., 0]
+    real = covariance_residuals(f, table_window(QSignal2D(scalar, table.grid)), m, m)
+    quat = covariance_residuals(f, OFF_LATTICE_TABLE, m, m)
+    for rep in (real, quat):
+        assert rep.parity < 1e-10 and rep.shift < 1e-10
+    assert real.modulation < 1e-12
+    assert quat.modulation > 0.5
 
 
 def test_shift_signal():
@@ -525,9 +576,9 @@ def test_streamed_residual_matches_full_formula(window):
 
     want = [_full_rel_l2(planes(f), planes(h)), _full_rel_l2(planes(k), planes(h))]
     assert min(want) > 0.1
-    got = _streamed_rel_l2(blocks(h), blocks(f), blocks(k))
+    got = [_streamed_rel_l2(blocks(h), blocks(x)) for x in (f, k)]
     assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(got, want))
-    [got] = _streamed_rel_l2(blocks(zero), blocks(f))
+    got = _streamed_rel_l2(blocks(zero), blocks(f))
     assert math.isclose(got, _full_rel_l2(planes(f), planes(zero)), rel_tol=1e-12)
 
 
@@ -554,23 +605,34 @@ def test_streamed_residual_refuses_misaligned_blocks():
                                     OFF_LATTICE_TABLE],
                          ids=["fixed-gauss", "s-gauss", "table"])
 def test_reversed_blocks_are_reversed_planes(window):
-    """reverse=True yields the stored planes with both axes reversed, in the
-    same row blocks, on a u grid whose N_u1 the block size does not divide.
-    The products differ from the stored ones only in their last bits."""
+    """reverse=True yields the forward planes with both axes reversed, in the
+    same row blocks, on a u grid whose N_u1 the block size does not divide,
+    also under kernel phase table overrides (whose w rows it reverses).
+    The products may differ from the forward ones only in their last bits."""
     g = grid(12)
     f = random_hermite_combo(g, seed=5)
     ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), Grid1D.centered(6.0, 10))
     assert ugrid.axis1.n % ROW_BLOCK
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
-    c = qlcst_forward(f, window, FOURIER, FOURIER, ugrid, wgrid)
-    want = [p[::-1, ::-1] for p in (c.a, c.b)]
-    got = [np.empty_like(p) for p in want]
-    blocks = _analysis_blocks(f, window, FOURIER, FOURIER, ugrid, wgrid, reverse=True)
-    for rows, k, *planes in blocks:
-        for out, p in zip(got, planes):
-            out[rows] = k @ p
-    for p, q in zip(got, want):
-        assert np.linalg.norm(p - q) <= 1e-15 * np.linalg.norm(q)
+    x1, x2 = g.axis1.points, g.axis2.points
+    w1, w2 = (ax.points[:, None] for ax in (wgrid.axis1, wgrid.axis2))
+    # w-dependent offsets, so the order of the w rows shows
+    theta = {"theta1": kernel_phase(FOURIER, x1[None, :], w1) + 0.3 * w1,
+             "theta2": kernel_phase(FOURIER, x2[None, :], w2) - 0.2 * w2}
+    shape = tuple(u * w for u, w in zip(ugrid.shape, wgrid.shape))
+
+    def planes(reverse, **overrides):
+        out = [np.empty(shape, dtype=complex) for _ in range(2)]
+        for rows, k, *ps in _analysis_blocks(f, window, FOURIER, FOURIER, ugrid,
+                                             wgrid, reverse=reverse, **overrides):
+            for o, p in zip(out, ps):
+                o[rows] = k @ p
+        return out
+
+    for overrides in ({}, theta):
+        want = [p[::-1, ::-1] for p in planes(False, **overrides)]
+        for p, q in zip(planes(True, **overrides), want):
+            assert np.linalg.norm(p - q) <= 1e-15 * np.linalg.norm(q)
 
 
 def test_covariance_holds_one_coefficient_set():
@@ -588,7 +650,7 @@ def test_covariance_holds_one_coefficient_set():
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * one_set
-    assert rep.parity < 1e-10 and rep.shift < 1e-3 and rep.modulation_best < 1e-2
+    assert rep.parity < 1e-10 and rep.shift < 1e-3 and rep.modulation < 1e-2
 
 
 def one_set(n):
@@ -639,6 +701,29 @@ def test_orthogonality_refuses_other_window_or_matrices():
     with pytest.raises(GridMismatch):
         orthogonality_form(qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER),
                            qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER))
+
+
+def test_orthogonality_one_pass_per_source(monkeypatch):
+    """orthogonality_form(C, C) reads each block of C once and gives the
+    bits of the form against a second analysis of the same signal; the
+    orthogonality suite thus runs 3 analyses per matrix case."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _analysis_blocks(*args, **kwargs)
+
+    f = random_hermite_combo(grid(8), seed=3)
+    args = (f, fixed_gaussian(1, 0.7), FOURIER, FOURIER)
+    C = qlcst_analysis(*args)
+    monkeypatch.setattr("qlcst.qlcst._analysis_blocks", counted)
+    want = orthogonality_form(C, qlcst_analysis(*args))
+    assert len(calls) == 2
+    assert np.array_equal(orthogonality_form(C, C), want)
+    assert len(calls) == 3
+    calls.clear()
+    passed, _ = run_suite("orthogonality")
+    assert passed and len(calls) == 3 * len(MATRIX_CASES)
 
 
 def close(got, want, tol=1e-13):
