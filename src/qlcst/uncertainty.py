@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, ZeroSignal
+from .errors import BadParameter, NonFinite, ZeroSignal
 from .quaternion import qnormsq
 from .window import lambda_psi
 from .qlcst import _w_inverse_rows
@@ -54,7 +54,7 @@ def _axis_sq(grid, s):
         return (x1 * x1)[:, None] * np.ones((1, grid.axis2.n))
     if s == 2:
         return np.ones((grid.axis1.n, 1)) * (x2 * x2)[None, :]
-    raise ValueError("axis must be 1 or 2")
+    raise BadParameter("axis must be 1 or 2, got %r" % (s,))
 
 
 def spatial_dispersion(f, s):
@@ -112,10 +112,10 @@ def heisenberg_report(C, f, s):
 
     lhs = sqrt(spectral) * sqrt(spatial); rhs = |B_s| * sqrt(lam)/2 * ||f||^2.
     """
+    lam = lambda_psi(C.window)
     energy = f.energy()
     if energy == 0.0:
         raise ZeroSignal("uncertainty report undefined for the zero signal")
-    lam = lambda_psi(C.window)
     spatial = spatial_dispersion(f, s)
     spectral = spectral_dispersion(C, s)
     bs = abs((C.m1 if s == 1 else C.m2).b)
@@ -127,10 +127,10 @@ def heisenberg_report(C, f, s):
 def log_uncertainty_report(C, f):
     """Both sides of the logarithmic inequality for the coefficients C of f;
     gap = lhs - bound."""
+    lam = lambda_psi(C.window)
     energy = f.energy()
     if energy == 0.0:
         raise ZeroSignal("uncertainty report undefined for the zero signal")
-    lam = lambda_psi(C.window)
     spectral_log = spectral_log_moment(C)
     spatial_log = lam * spatial_log_moment(f)
     bound = digamma_constant() * lam * energy
@@ -154,8 +154,9 @@ def lemma_41_gap(C, f, s):
     lam * integral x_s^2 |f|^2 dx  vs  the (u, x) double integral of
     x_s^2 |inverse-QLCT of the w-slice|^2.
     """
+    lam = lambda_psi(C.window)
     if f.energy() == 0.0:
         return 0.0
-    lhs = lambda_psi(C.window) * spatial_dispersion(f, s)
+    lhs = lam * spatial_dispersion(f, s)
     rhs = _lemma_41_rhs(C, f, s)
     return abs(lhs - rhs) / abs(lhs)

@@ -8,6 +8,9 @@ Built-in families are real-valued and separable:
 Both integrate to 1.  A custom quaternion-valued window can be supplied as a
 sampled table (a QSignal2D); it is interpolated bilinearly and treated as zero
 outside its grid.
+
+Only a w-independent, square-integrable window has lam = integral |Psi(x)|^2:
+the fixed gaussian, 1/(4 pi s1 s2) exactly, and a table (lambda_psi).
 """
 
 import math
@@ -18,10 +21,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, BadParameter, ZeroFrequency, ZeroWindow
 from .signal import Grid1D, Grid2D, QSignal2D
-
-# Quadrature grid used for admissibility and normalization integrals.
-QUAD_EXTENT = 12.0
-QUAD_N = 256
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class WindowSpec:
 
     @property
     def w_dependent(self):
-        """Whether the admissibility constant depends on w."""
+        """Whether Psi depends on w, so that it has no lambda and no synthesis."""
         return self.family == "s-gaussian"
 
 
@@ -173,28 +172,22 @@ def _hat_gram(t, spacing):
     return out * spacing
 
 
-def lambda_psi(spec, w=(1.0, 1.0)):
-    """The admissibility constant lam = integral |Psi(x, w)|^2 dx, a float.
+def lambda_psi(spec):
+    """The admissibility constant lam = integral |Psi(x)|^2 dx, a float.
 
-    A separable window's integral is the product of its two per-axis
-    quadratures (Fubini).  A table's is the exact integral of its bilinear
-    interpolant, sum_c sum(T_c * (G1 @ T_c @ G2)) over the quaternion
-    components, with G the hat-function Gram matrices (_hat_gram).  Whether
-    lam depends on w is a fact of the family (WindowSpec.w_dependent).  The
-    constant window, not square integrable, raises AdmissibilityError."""
-    if spec.family == "constant":
-        raise AdmissibilityError("the constant window has no admissibility constant")
-    if spec.separable:
-        x = Grid1D.centered(QUAD_EXTENT, QUAD_N)
-        lam = 1.0
-        for axis in (1, 2):
-            p = window_axis_profile(spec, axis, x.points, w[axis - 1])
-            lam *= float(np.sum(p * p) * x.spacing)
-    else:
-        t, g = spec.table.data, spec.table.grid
-        gram = _hat_gram(_hat_gram(t, g.axis1.spacing).swapaxes(0, 1),
-                         g.axis2.spacing).swapaxes(0, 1)
-        lam = float(np.sum(t * gram))
+    A fixed gaussian's is 1/(4 pi s1 s2) exactly.  A table's is the exact
+    integral of its bilinear interpolant, sum_c sum(T_c * (G1 @ T_c @ G2))
+    over the quaternion components, with G the hat-function Gram matrices
+    (_hat_gram).  The s-gaussian (WindowSpec.w_dependent) and the constant
+    window, not square integrable, raise AdmissibilityError."""
+    if spec.w_dependent or spec.family == "constant":
+        raise AdmissibilityError("the %s window has no admissibility constant"
+                                 % spec.family)
+    if spec.family == "fixed-gaussian":
+        return 1.0 / (4.0 * math.pi * spec.sigma[0] * spec.sigma[1])
+    t, g = spec.table.data, spec.table.grid
+    lam = float(np.sum(t * _hat_gram(_hat_gram(t, g.axis1.spacing).swapaxes(0, 1),
+                                     g.axis2.spacing).swapaxes(0, 1)))
     if lam == 0.0:
-        raise ZeroWindow("window is identically zero on the quadrature grid")
+        raise ZeroWindow("window is identically zero")
     return lam

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qlcst.errors import AdmissibilityError, NonFinite, ZeroSignal
+from qlcst.errors import AdmissibilityError, BadParameter, NonFinite, ZeroSignal
 from qlcst.generators import gen_signal
 from qlcst.lct import validate_param
 from qlcst.qlct import qlct_inverse
@@ -14,7 +14,7 @@ from qlcst.uncertainty import (_axis_sq, _lemma_41_rhs, digamma, digamma_constan
                                lemma_41_gap, log_uncertainty_report,
                                spatial_dispersion, spatial_log_moment,
                                spectral_dispersion, spectral_log_moment)
-from qlcst.window import constant_window, fixed_gaussian
+from qlcst.window import constant_window, fixed_gaussian, s_gaussian
 
 FOURIER = validate_param(0, 1, -1, 0)
 EULER_GAMMA = 0.5772156649015329
@@ -25,14 +25,42 @@ def coefficients(f):
 
 
 def test_lambda_checks_refuse_constant_window():
-    """The identities that scale by lambda refuse the constant window, which
-    has none, instead of reporting numbers set by the quadrature box."""
-    f = gen_signal("gaussian", Grid2D.centered(8.0, 16))
-    c = qlcst_forward(f, constant_window(), FOURIER, FOURIER)
-    for check in (lambda: energy_identity_gap(c, f), lambda: heisenberg_report(c, f, 1),
-                  lambda: log_uncertainty_report(c, f), lambda: lemma_41_gap(c, f, 1)):
-        with pytest.raises(AdmissibilityError):
-            check()
+    """The identities that scale by lambda refuse the constant window and the
+    s-gaussian, which have none, for the zero signal too, instead of
+    reporting numbers that no lambda scales."""
+    g = Grid2D.centered(8.0, 16)
+    for window in (constant_window(), s_gaussian()):
+        for f in (gen_signal("gaussian", g), QSignal2D(np.zeros(g.shape + (4,)), g)):
+            c = qlcst_forward(f, window, FOURIER, FOURIER)
+            for check in (lambda: energy_identity_gap(c, f),
+                          lambda: heisenberg_report(c, f, 1),
+                          lambda: log_uncertainty_report(c, f),
+                          lambda: lemma_41_gap(c, f, 1)):
+                with pytest.raises(AdmissibilityError):
+                    check()
+
+
+def test_lambda_checks_hold_for_a_narrow_window():
+    """A window of width 0.05 on a grid fine enough for it: with the exact
+    lambda the energy and Lemma 4.1 identities hold to 1e-9 (a quadrature of
+    lambda on a fixed [-12, 12] box gave 0.293 for both)."""
+    f = gen_signal("gaussian", Grid2D.centered(1.0, 64), sigma=0.2)
+    c = qlcst_forward(f, fixed_gaussian(0.05, 0.05), FOURIER, FOURIER)
+    assert energy_identity_gap(c, f) < 1e-9
+    assert lemma_41_gap(c, f, 1) < 1e-9
+    assert lemma_41_gap(c, f, 2) < 1e-9
+
+
+@pytest.mark.parametrize("check,axis", [
+    (heisenberg_report, 3),
+    (lemma_41_gap, 0),
+    (lambda c, f, s: spatial_dispersion(f, s), 3),
+    (lambda c, f, s: spectral_dispersion(c, s), -1),
+], ids=["heisenberg", "lemma41", "spatial", "spectral"])
+def test_bad_axis_is_refused(check, axis):
+    f = gen_signal("gaussian", Grid2D.centered(8.0, 8))
+    with pytest.raises(BadParameter):
+        check(coefficients(f), f, axis)
 
 
 def test_digamma_reference_points():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlcst.errors import AdmissibilityError, BadParameter, ZeroFrequency, ZeroWindow
 from qlcst.quaternion import qnormsq
@@ -46,26 +48,21 @@ def test_s_gaussian_zero_frequency():
 
 
 def test_lambda_fixed_gaussian_closed_form():
-    assert abs(lambda_psi(fixed_gaussian(1, 1)) - 0.0795774715) < 1e-9
     assert not fixed_gaussian(1, 1).w_dependent
-    lam2 = lambda_psi(fixed_gaussian(0.5, 2.0))
-    assert abs(lam2 - 1.0 / (4.0 * math.pi * 0.5 * 2.0)) < 1e-9
+    for s1, s2 in ((1.0, 1.0), (0.5, 2.0)):
+        assert lambda_psi(fixed_gaussian(s1, s2)) == 1.0 / (4.0 * math.pi * s1 * s2)
 
 
-def test_lambda_s_gaussian():
-    assert abs(lambda_psi(s_gaussian(), (1.0, 1.0)) - 0.0795774715) < 1e-9
-    assert s_gaussian().w_dependent
-    # lam scales as |w1 w2|
-    for w in [(2.0, 1.0), (0.5, 3.0), (1.5, -2.0)]:
-        got = lambda_psi(s_gaussian(), w)
-        want = abs(w[0] * w[1]) / (4.0 * math.pi)
-        assert abs(got - want) / want < 1e-6
-
-
-def test_lambda_fixed_gaussian_w_invariant():
-    vals = [lambda_psi(fixed_gaussian(1, 1), w)
-            for w in [(0.3, 2.0), (5.0, -1.0), (1.0, 1.0)]]
-    assert max(vals) - min(vals) < 1e-12
+@settings(max_examples=50, deadline=None)
+@given(sigma=st.tuples(st.floats(0.02, 20.0), st.floats(0.02, 20.0)))
+def test_lambda_fixed_gaussian_any_width(sigma):
+    """lambda matches a quadrature of |Psi|^2 on a grid scaled to the window,
+    256 points per axis over 12 widths each side, at every width."""
+    spec = fixed_gaussian(*sigma)
+    g = Grid2D(*(Grid1D.centered(12.0 * s, 256) for s in sigma))
+    vals = window_eval(spec, (g.axis1.points[:, None], g.axis2.points[None, :]), (1.0, 1.0))
+    want = float(np.sum(qnormsq(vals)) * g.cell)
+    assert abs(lambda_psi(spec) - want) <= 1e-12 * want
 
 
 def test_zero_table_window():
@@ -125,21 +122,15 @@ def test_norm_squared_integral_matches_lambda():
     assert abs(direct - lambda_psi(fixed_gaussian(1, 1))) < 1e-10
 
 
-@pytest.mark.parametrize("spec,w", [
-    (fixed_gaussian(1, 1), (1.0, 1.0)),
-    (fixed_gaussian(0.5, 2.0), (1.0, 1.0)),
-    (s_gaussian(), (1.0, 1.0)),
-    (s_gaussian(), (2.0, 0.7)),
-    (s_gaussian(), (0.5, -3.0)),
-], ids=["fixed(1,1)", "fixed(0.5,2)", "s-gauss(1,1)", "s-gauss(2,0.7)",
-        "s-gauss(0.5,-3)"])
-def test_lambda_is_the_2d_quadrature(spec, w):
-    """The per-axis product equals the 256^2 quadrature of |Psi(x, w)|^2
-    over [-12, 12]^2 to roundoff."""
+@pytest.mark.parametrize("spec", [fixed_gaussian(1, 1), fixed_gaussian(0.5, 2.0)],
+                         ids=["fixed(1,1)", "fixed(0.5,2)"])
+def test_lambda_is_the_2d_quadrature(spec):
+    """The closed form equals the 256^2 quadrature of |Psi(x)|^2 over
+    [-12, 12]^2 to roundoff."""
     g = Grid2D.centered(12.0, 256)
-    vals = window_eval(spec, (g.axis1.points[:, None], g.axis2.points[None, :]), w)
+    vals = window_eval(spec, (g.axis1.points[:, None], g.axis2.points[None, :]), (1.0, 1.0))
     want = float(np.sum(qnormsq(vals)) * g.cell)
-    assert abs(lambda_psi(spec, w) - want) <= 1e-14 * want
+    assert abs(lambda_psi(spec) - want) <= 1e-14 * want
 
 
 def _simpson_nodes(ax):
@@ -169,10 +160,11 @@ def test_table_lambda_integrates_the_interpolant(grid):
 
 
 def test_lambda_refuses_constant_window():
-    """The constant window is not square integrable: lambda would be the area
-    of the quadrature box, so it is refused."""
-    with pytest.raises(AdmissibilityError):
-        lambda_psi(constant_window())
+    """The constant window is not square integrable and the s-gaussian's
+    |Psi|^2 integral scales with |w1 w2|: neither has a lambda."""
+    for spec in (constant_window(), s_gaussian()):
+        with pytest.raises(AdmissibilityError):
+            lambda_psi(spec)
 
 
 @pytest.mark.parametrize("spec,dependent", [
