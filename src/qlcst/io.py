@@ -152,7 +152,7 @@ def coefficient_slice(c, fixed, index):
     fixed = "w": freeze the frequency index, return the (u1, u2) map.
     """
     if fixed not in ("u", "w"):
-        raise ValueError("fixed must be 'u' or 'w'")
+        raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
     i, j = index
     for k, n in zip(index, (c.ugrid if fixed == "u" else c.wgrid).shape):
         if not 0 <= k < n:

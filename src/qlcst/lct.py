@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeterminantError, ZeroBError
+from .errors import BadParameter, DeterminantError, ZeroBError
 from .quaternion import qexp_axis
 
 DET_TOL = 1e-12
@@ -43,25 +43,12 @@ def validate_param(a, b, c, d):
 
 def parse_matrix(text):
     """Parse the CLI form "A,B,C,D" into a validated ParamMatrix."""
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("expected 4 comma-separated values, got %r" % text)
-    return validate_param(*(float(p) for p in parts))
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A kernel side: matrix, phase axis (1=left/mu1, 2=right/mu2), direction."""
-
-    m: ParamMatrix
-    axis: int
-    direction: str = "forward"
-
-    def __post_init__(self):
-        if self.axis not in (1, 2):
-            raise ValueError("axis must be 1 or 2")
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError("direction must be 'forward' or 'inverse'")
+    try:  # a wrong count or a non-numeric field
+        a, b, c, d = (float(p) for p in text.split(","))
+    except ValueError:
+        raise BadParameter("expected 4 comma-separated numbers, got %r"
+                           % text) from None
+    return validate_param(a, b, c, d)
 
 
 def kernel_phase(m, x, u):
@@ -77,14 +64,8 @@ def kernel_const(m):
     return 1.0 / math.sqrt(2.0 * math.pi * abs(m.b))
 
 
-def kernel_eval(spec, x, u):
-    """Evaluate the kernel pointwise as a quaternion array.
-
-    Forward: c * exp(mu_axis * phase(x, u)).  Inverse: the kernel used by the
-    inversion integral, c * exp(-mu_axis * phase(x, u)) = conj(K(x, u)), with
-    x the signal point and u the spectrum point as in the forward case.
-    """
-    theta = kernel_phase(spec.m, x, u)
-    if spec.direction == "inverse":
-        theta = -theta
-    return kernel_const(spec.m) * qexp_axis(spec.axis, theta)
+def kernel_eval(m, axis, x, u):
+    """The forward kernel c * exp(mu_axis * phase(x, u)) pointwise, as a
+    quaternion array; axis 1 is the left (mu1) side, 2 the right (mu2).  The
+    inversion kernel is its conjugate, qconj(kernel_eval(m, axis, x, u))."""
+    return kernel_const(m) * qexp_axis(axis, kernel_phase(m, x, u))

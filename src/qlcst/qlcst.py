@@ -25,7 +25,10 @@ producer of u1 row blocks (_analysis_blocks).  Every check reads C.blocks(),
 (rows, k, a, b) with plane rows _rows(k, a) and _rows(k, b): a stored
 QLCSTCoefficients yields its planes as one block (k None), an unstored
 qlcst_analysis the producer's blocks, so checks on it hold no coefficient
-set; qlcst_forward fills its planes from them in place.  The inverse over w
+set; qlcst_forward fills its planes from them in place.  Only
+covariance_residuals needs the producer's overrides (kernel phase tables,
+reversed points) and calls it directly; its shift analyses f's own samples
+on the x grid moved by alpha, the shifted signal exactly.  The inverse over w
 of a u-slice, on any grid and for any window, is that contraction with the
 adjoint matrices conj(E)^T.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
@@ -144,7 +147,7 @@ class QLCSTCoefficients(_Source):
 @dataclass
 class QLCSTAnalysis(_Source):
     """The analysis of f, unstored: blocks() computes the plane rows as they
-    are read (_analysis_blocks, with its theta1, theta2, reverse overrides)."""
+    are read (_analysis_blocks)."""
 
     f: QSignal2D
     window: WindowSpec
@@ -153,9 +156,9 @@ class QLCSTAnalysis(_Source):
     ugrid: Grid2D
     wgrid: Grid2D
 
-    def blocks(self, **overrides):
+    def blocks(self):
         return _analysis_blocks(self.f, self.window, self.m1, self.m2,
-                                self.ugrid, self.wgrid, **overrides)
+                                self.ugrid, self.wgrid)
 
 
 def _phase_matrix(m, x, w, theta=None):
@@ -410,37 +413,6 @@ def marginal_qlct_gap(C, f):
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
 
-# --- signal manipulation helpers used by the covariance checks -------------
-
-def _integer_shift(alpha, spacing):
-    k = alpha / spacing
-    ki = round(k)
-    if abs(k - ki) > 1e-9:
-        raise BadParameter(
-            "shift %.17g is not an integer number of grid steps" % alpha)
-    return ki
-
-
-def _shift_slices(k, n):
-    """(destination, source) slices moving an axis of length n by k steps;
-    what moves past either end is dropped."""
-    k = max(-n, min(n, k))
-    if k >= 0:
-        return slice(k, None), slice(None, n - k)
-    return slice(None, n + k), slice(-k, None)
-
-
-def shift_signal(f, alpha):
-    """f(x - alpha) for a grid-aligned alpha, zero-filled at the boundary."""
-    d1, s1 = _shift_slices(_integer_shift(alpha[0], f.grid.axis1.spacing),
-                           f.grid.axis1.n)
-    d2, s2 = _shift_slices(_integer_shift(alpha[1], f.grid.axis2.spacing),
-                           f.grid.axis2.n)
-    data = np.zeros_like(f.data)
-    data[d1, d2] = f.data[s1, s2]
-    return QSignal2D(data, f.grid)
-
-
 def _sqnorm(x):
     return float(np.vdot(x, x).real)
 
@@ -471,9 +443,11 @@ class CovarianceReport:
 
 def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     """Relative L2 residuals of the parity, shift and modulation covariances,
-    on the default grids of qlcst_analysis, which produces every side.
+    on the default grids of qlcst_analysis.
 
-    The shift identity is checked in its derivation-consistent form, with the
+    The shift identity's left side analyses f's own samples placed on the x
+    grid moved by +alpha, which is T_alpha f exactly for any real alpha.  Its
+    right side is checked in the derivation-consistent form, with the
     auxiliary signal built as the two-sided product
     exp(mu1 A1 t1 alpha1/B1) f exp(mu2 A2 t2 alpha2/B2), whose coefficients
     are evaluated directly at (u - alpha, w).  The modulation identity
@@ -492,9 +466,15 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
         """Blocks of exp(mu1*phi1) * (analysis of g on the u grid with the
         kernels evaluated at the frequencies t) * exp(mu2*phi2), with phi
         depending on w only."""
-        return qlcst_analysis(g, window, m1, m2, u, wgrid).blocks(
+        return _analysis_blocks(
+            g, window, m1, m2, u, wgrid,
             theta1=kernel_phase(m1, x1[None, :], t1[:, None]) + phi1[:, None],
             theta2=kernel_phase(m2, x2[None, :], t2[:, None]) + phi2[:, None])
+
+    def moved(grid, t):
+        """grid with the origin of each axis moved by t."""
+        return Grid2D(*(Grid1D(ax.n, ax.origin + d, ax.spacing)
+                        for ax, d in zip((grid.axis1, grid.axis2), t)))
 
     # Each check streams both of its sides block by block
     # (_streamed_rel_l2), so no coefficient set is ever held whole.
@@ -505,7 +485,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     # the base side is produced reversed.
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
     parity = _streamed_rel_l2(
-        base.blocks(reverse=True),
+        _analysis_blocks(f, window, m1, m2, ugrid, wgrid, reverse=True),
         qlcst_analysis(f_ref, reflect(window), m1, m2).blocks())
 
     # Shift covariance.
@@ -513,11 +493,10 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
                              m1.a * x1 * alpha[0] / m1.b,
                              m2.a * x2 * alpha[1] / m2.b)
     # The window keeps its w; only its u - x argument moves with the grid.
-    u_minus_alpha = Grid2D(*(Grid1D(ax.n, ax.origin - t, ax.spacing)
-                             for ax, t in zip((ugrid.axis1, ugrid.axis2), alpha)))
     shift = _streamed_rel_l2(
-        qlcst_analysis(shift_signal(f, alpha), window, m1, m2).blocks(),
-        blocks(f_tilde, u_minus_alpha, w1pts, w2pts,
+        _analysis_blocks(QSignal2D(f.data, moved(f.grid, alpha)), window, m1, m2,
+                         ugrid, wgrid),
+        blocks(f_tilde, moved(ugrid, (-alpha[0], -alpha[1])), w1pts, w2pts,
                (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
                (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b)))
 

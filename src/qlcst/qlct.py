@@ -15,8 +15,9 @@ import math
 import numpy as np
 
 from .errors import GridMismatch, SpacingError, ZeroSignal
-from .lct import KernelSpec, kernel_eval
-from .quaternion import qmul, right_mu2, symplectic_join, symplectic_split
+from .lct import kernel_eval
+from .quaternion import (qconj, qmul, right_mu2, symplectic_join,
+                         symplectic_split)
 from .signal import Grid2D, QSignal2D, QSpectrum2D, fft_output_grid
 
 SPACING_TOL = 1e-9
@@ -52,9 +53,9 @@ def qlct_forward(f, m1, m2, ugrid=None):
         ugrid = fft_output_grid(f.grid, m1.b, m2.b)
     _check_grid(ugrid)
     # Kernel tables: (n_x, n_u, 4)
-    k1 = kernel_eval(KernelSpec(m1, 1), f.grid.axis1.points[:, None],
+    k1 = kernel_eval(m1, 1, f.grid.axis1.points[:, None],
                      ugrid.axis1.points[None, :])
-    k2 = kernel_eval(KernelSpec(m2, 2), f.grid.axis2.points[:, None],
+    k2 = kernel_eval(m2, 2, f.grid.axis2.points[:, None],
                      ugrid.axis2.points[None, :])
     return QSpectrum2D(_riemann(k1, f.data, k2, f.grid.cell), ugrid)
 
@@ -69,10 +70,10 @@ def qlct_inverse(F, m1, m2, xgrid=None):
         xgrid = fft_output_grid(F.grid, m1.b, m2.b)
     _check_grid(xgrid)
     # Kernel tables: (n_u, n_x, 4)
-    k1 = kernel_eval(KernelSpec(m1, 1, "inverse"), xgrid.axis1.points[None, :],
-                     F.grid.axis1.points[:, None])
-    k2 = kernel_eval(KernelSpec(m2, 2, "inverse"), xgrid.axis2.points[None, :],
-                     F.grid.axis2.points[:, None])
+    k1 = qconj(kernel_eval(m1, 1, xgrid.axis1.points[None, :],
+                           F.grid.axis1.points[:, None]))
+    k2 = qconj(kernel_eval(m2, 2, xgrid.axis2.points[None, :],
+                           F.grid.axis2.points[:, None]))
     return QSignal2D(_riemann(k1, F.data, k2, F.grid.cell), xgrid)
 
 

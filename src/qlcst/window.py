@@ -134,9 +134,14 @@ def _table_lookup(table, x1, x2):
 
 
 def window_eval(spec, x, w):
-    """Evaluate Psi(x, w) as a quaternion array; x = (x1, x2) broadcastable."""
+    """Evaluate Psi(x, w) as a quaternion array; x = (x1, x2) broadcastable.
+    w may be None for every window that does not depend on it."""
     x1 = np.asarray(x[0], dtype=float)
     x2 = np.asarray(x[1], dtype=float)
+    if w is None:
+        if spec.w_dependent:
+            raise BadParameter("the %s window needs the frequency w" % spec.family)
+        w = (0.0, 0.0)  # any value: Psi does not depend on it
     if spec.separable:
         vals = (window_axis_profile(spec, 1, x1, w[0])
                 * window_axis_profile(spec, 2, x2, w[1]))

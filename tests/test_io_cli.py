@@ -338,6 +338,8 @@ def test_coefficient_slices():
     assert np.allclose(u_slice, want)
     want = np.sqrt(np.sum(c.data[:, :, 1, 3] ** 2, axis=-1))
     assert np.allclose(w_slice, want)
+    with pytest.raises(QlcstError):
+        coefficient_slice(c, "x", (0, 0))
 
 
 def test_hermite_parity():

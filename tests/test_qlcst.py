@@ -10,7 +10,7 @@ from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                           GridMismatch, QlcstError, TooLarge, Undersampled,
                           ZeroSignal)
 from qlcst.generators import gen_signal, random_hermite_combo
-from qlcst.lct import KernelSpec, kernel_eval, kernel_phase, validate_param
+from qlcst.lct import kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
 from qlcst.qlcst import (ROW_BLOCK, QLCSTCoefficients, _analysis_blocks,
                          _axis_kernel, _axis_kernels, _contract,
@@ -18,7 +18,7 @@ from qlcst.qlcst import (ROW_BLOCK, QLCSTCoefficients, _analysis_blocks,
                          energy_identity_gap, marginal_qlct_gap,
                          orthogonality_form, qlcst_analysis, qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
-                         shift_signal, special_case_matrix)
+                         special_case_matrix)
 from qlcst.quaternion import qconj, qmul, qnorm, symplectic_join, symplectic_split
 from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
                           fft_output_grid, relative_l2)
@@ -48,8 +48,8 @@ def quadrature(f, win, m1, m2, u1, u2, w1, w2):
     w1 = axis(w1, 2)
     w2 = axis(w2, 3)
     psi = window_eval(win, (axis(u1, 0) - x1, axis(u2, 1) - x2), (w1, w2))
-    k1 = kernel_eval(KernelSpec(m1, 1), x1, w1)
-    k2 = kernel_eval(KernelSpec(m2, 2), x2, w2)
+    k1 = kernel_eval(m1, 1, x1, w1)
+    k2 = kernel_eval(m2, 2, x2, w2)
     term = qmul(qmul(k1, qmul(f.data, qconj(psi))), k2)
     return term.sum(axis=(4, 5)) * f.grid.cell
 
@@ -74,6 +74,9 @@ def lattice_table(win, g):
 OFF_LATTICE_TABLE = table_window(QSignal2D(
     np.random.default_rng(41).standard_normal((9, 7, 4)),
     Grid2D(Grid1D.centered(5.0, 9), Grid1D.centered(4.0, 7))))
+# Its scalar part: a real-valued table.
+REAL_TABLE = table_window(QSignal2D(OFF_LATTICE_TABLE.table.data * [1, 0, 0, 0],
+                                    OFF_LATTICE_TABLE.table.grid))
 
 
 def test_constant_window_reduces_to_qlct():
@@ -460,31 +463,39 @@ def test_covariance_modulation_a_ne_d(win, abcd):
 @pytest.mark.parametrize("abcd", [(0, 1, -1, 0), (2, 1, 1, 1)],
                          ids=["fourier", "2,1,1,1"])
 def test_covariance_table_windows(abcd):
-    """Parity and shift hold for any table.  The modulation holds for a
-    real-valued table, here the scalar part of OFF_LATTICE_TABLE, but not for
-    the quaternion-valued one: the right modulation exp(mu2 s2 x2) does not
-    commute with conj(Psi)."""
+    """Parity, shift and modulation hold for a real-valued table, here
+    REAL_TABLE.  For the quaternion-valued OFF_LATTICE_TABLE parity holds,
+    but the right factors exp(mu2 s2 x2) of the modulation and
+    exp(mu2 A2 x2 alpha2/B2) of the shift do not commute with conj(Psi): its
+    modulation fails, and its shift fails when A2 * alpha2 != 0."""
     m = validate_param(*abcd)
     f = gen_signal("gaussian", grid(16))
-    table = OFF_LATTICE_TABLE.table
-    scalar = np.zeros_like(table.data)
-    scalar[..., 0] = table.data[..., 0]
-    real = covariance_residuals(f, table_window(QSignal2D(scalar, table.grid)), m, m)
+    real = covariance_residuals(f, REAL_TABLE, m, m)
     quat = covariance_residuals(f, OFF_LATTICE_TABLE, m, m)
     for rep in (real, quat):
         assert rep.parity < 1e-10 and rep.shift < 1e-10
     assert real.modulation < 1e-12
     assert quat.modulation > 0.5
+    real, quat = (covariance_residuals(f, win, m, m, alpha=(0.0, 1.0)).shift
+                  for win in (REAL_TABLE, OFF_LATTICE_TABLE))
+    assert real < 1e-12
+    assert quat > 0.5 if m.a else quat < 1e-10
 
 
-def test_shift_signal():
-    g = grid(8)
-    f = gen_signal("gaussian", g)
-    shifted = shift_signal(f, (g.axis1.spacing, 0.0))
-    assert np.allclose(shifted.data[1:], f.data[:-1])
-    assert np.all(shifted.data[0] == 0.0)
-    with pytest.raises(BadParameter):
-        shift_signal(f, (0.4 * g.axis1.spacing, 0.0))
+SHIFT_CASES = dict(MATRIX_CASES, **{"2,1,1,1": lambda: (validate_param(2, 1, 1, 1),) * 2})
+
+
+@pytest.mark.parametrize("win", [fixed_gaussian(1, 1), s_gaussian(), REAL_TABLE],
+                         ids=["fixed-gauss", "s-gauss", "real-table"])
+@pytest.mark.parametrize("case", list(SHIFT_CASES))
+def test_covariance_shift_off_grid(case, win):
+    """The shift's left side analyses f's samples on the x grid moved by
+    +alpha, which is T_alpha f exactly, so an alpha of no whole number of
+    grid steps holds to roundoff, also with A != D."""
+    m1, m2 = SHIFT_CASES[case]()
+    f = gen_signal("gaussian", grid(16))
+    rep = covariance_residuals(f, win, m1, m2, alpha=(0.37, -1.3))
+    assert rep.shift < 1e-12
 
 
 def test_special_case_matrices():
@@ -544,8 +555,8 @@ def test_forward_blocks_match_one_contraction(window, case):
     k1, k2 = _axis_kernels(window, m1, m2, ugrid, g, wgrid, theta1, theta2)
     want = _contract(a * g.cell, b * g.cell, k1, k2)
     got = [np.empty_like(c.a), np.empty_like(c.b)]
-    src = qlcst_analysis(f, window, m1, m2, ugrid)
-    for rows, k, *planes in src.blocks(theta1=theta1, theta2=theta2):
+    for rows, k, *planes in _analysis_blocks(f, window, m1, m2, ugrid, wgrid,
+                                             theta1=theta1, theta2=theta2):
         for out, p in zip(got, planes):
             np.matmul(k, p, out=out[rows])
     assert all(np.array_equal(p, q) for p, q in zip(got, want))

@@ -6,7 +6,7 @@ import pytest
 import qlcst.qlct as qlct_module
 from qlcst.errors import SpacingError, ZeroSignal
 from qlcst.generators import gen_signal, random_hermite_combo
-from qlcst.lct import KernelSpec, kernel_eval, validate_param
+from qlcst.lct import kernel_eval, validate_param
 from qlcst.qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
                         qlct_forward, qlct_inverse)
 from qlcst.quaternion import qconj, qmul, qnorm
@@ -34,8 +34,8 @@ def test_impulse_spectrum_is_kernel_product():
     m1 = validate_param(1, 1, 0, 1)
     m2 = FOURIER
     spec = qlct_forward(f, m1, m2)
-    k1 = kernel_eval(KernelSpec(m1, 1), x0, spec.grid.axis1.points[:, None])
-    k2 = kernel_eval(KernelSpec(m2, 2), y0, spec.grid.axis2.points[None, :])
+    k1 = kernel_eval(m1, 1, x0, spec.grid.axis1.points[:, None])
+    k2 = kernel_eval(m2, 2, y0, spec.grid.axis2.points[None, :])
     want = qmul(k1[:, None], k2[None, :])[:, 0]
     assert relative_l2(spec.data, want) < 1e-12
     # constant modulus 1/(2 pi sqrt(|B1 B2|))
@@ -102,16 +102,16 @@ def test_direct_oracle_is_independent(monkeypatch):
     spec = qlct_forward(f, m1, m2)
     x1, x2 = grid.axis1.points, grid.axis2.points
     u1, u2 = spec.grid.axis1.points, spec.grid.axis2.points
-    want = literal_riemann(kernel_eval(KernelSpec(m1, 1), x1[:, None], u1[None, :]),
+    want = literal_riemann(kernel_eval(m1, 1, x1[:, None], u1[None, :]),
                            f.data,
-                           kernel_eval(KernelSpec(m2, 2), x2[:, None], u2[None, :]),
+                           kernel_eval(m2, 2, x2[:, None], u2[None, :]),
                            grid.cell)
     assert relative_l2(spec.data, want) < 1e-13
     F = QSpectrum2D(rng.standard_normal(grid.shape + (4,)), spec.grid)
     back = qlct_inverse(F, m1, m2, grid)
     want = literal_riemann(
-        qconj(kernel_eval(KernelSpec(m1, 1), x1[None, :], u1[:, None])), F.data,
-        qconj(kernel_eval(KernelSpec(m2, 2), x2[None, :], u2[:, None])),
+        qconj(kernel_eval(m1, 1, x1[None, :], u1[:, None])), F.data,
+        qconj(kernel_eval(m2, 2, x2[None, :], u2[:, None])),
         spec.grid.cell)
     assert relative_l2(back.data, want) < 1e-13
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qlcst.errors import AdmissibilityError, BadParameter, NonFinite, ZeroSignal
+from qlcst.errors import (AdmissibilityError, BadParameter, NonFinite, QlcstError,
+                          ZeroSignal)
 from qlcst.generators import gen_signal
 from qlcst.lct import validate_param
 from qlcst.qlct import qlct_inverse
@@ -79,8 +80,9 @@ def test_digamma_against_external_oracle():
 
 
 def test_digamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        digamma(0.0)
+    for x in (0.0, -0.5, -3.0):
+        with pytest.raises(QlcstError):
+            digamma(x)
 
 
 def test_digamma_constant_value():

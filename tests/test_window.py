@@ -42,6 +42,11 @@ def test_unit_integral(spec, w, extent):
     assert abs(quad_integral(spec, w, extent) - 1.0) < 1e-8
 
 
+def test_s_gaussian_needs_w():
+    with pytest.raises(BadParameter):
+        window_eval(s_gaussian(), (0.0, 0.0), None)
+
+
 def test_s_gaussian_zero_frequency():
     with pytest.raises(ZeroFrequency):
         window_eval(s_gaussian(), (0.0, 0.0), (0.0, 1.0))
@@ -178,6 +183,21 @@ def test_lambda_refuses_constant_window():
 ], ids=["fixed(1,1)", "fixed(0.5,2)", "s-gauss", "constant", "table"])
 def test_w_dependence_by_family(spec, dependent):
     assert spec.w_dependent is dependent
+
+
+@pytest.mark.parametrize("spec", [
+    fixed_gaussian(1, 0.7),
+    constant_window(),
+    table_window(QSignal2D(np.arange(60.0).reshape(3, 5, 4),
+                           Grid2D(Grid1D.centered(2.0, 3), Grid1D.centered(2.0, 5)))),
+], ids=["fixed-gauss", "constant", "table"])
+def test_w_independent_window_takes_no_w(spec):
+    """A window that does not depend on w evaluates with w = None, to the
+    values it has at any w."""
+    x = (np.linspace(-2, 2, 7)[:, None], np.linspace(-1, 1, 5)[None, :])
+    want = window_eval(spec, x, (0.3, -2.0))
+    assert want.shape == (7, 5, 4)
+    assert np.array_equal(window_eval(spec, x, None), want)
 
 
 def test_table_windows_compare_by_value():
