@@ -9,8 +9,8 @@ from .errors import (AdmissibilityError, BadMagic, BadParameter,
                      VersionMismatch, ZeroBError, ZeroFrequency, ZeroSignal,
                      ZeroWindow)
 from .generators import gen_signal, random_hermite_combo
-from .io import (read_coefficients, read_signal, write_coefficients,
-                 write_signal)
+from .io import (CoefficientFile, open_coefficients, read_coefficients,
+                 read_signal, write_coefficients, write_signal)
 from .lct import ParamMatrix, kernel_eval, parse_matrix, validate_param
 from .qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
                    qlct_forward, qlct_inverse)

@@ -13,7 +13,7 @@ from .generators import KINDS, gen_signal
 from .lct import parse_matrix
 from .qlct import (qlct_fast_forward, qlct_fast_inverse, qlct_forward,
                    qlct_inverse)
-from .qlcst import qlcst_forward, qlcst_reconstruct
+from .qlcst import qlcst_analysis, qlcst_reconstruct
 from .signal import Grid1D, Grid2D
 from .verify import SUITES, run_suite
 from .window import parse_window
@@ -58,13 +58,12 @@ def _cmd_qlcst(args):
     m1 = parse_matrix(args.m1)
     m2 = parse_matrix(args.m2)
     window = parse_window(args.window)
-    c = qlcst_forward(f, window, m1, m2)
-    qio.write_coefficients(args.output, c)
+    qio.write_coefficients(args.output, qlcst_analysis(f, window, m1, m2))
     return 0
 
 
 def _cmd_reconstruct(args):
-    c = qio.read_coefficients(args.input)
+    c = qio.open_coefficients(args.input)
     # The file holds the matrices and window; a given one must agree with it.
     for name, parse in (("m1", parse_matrix), ("m2", parse_matrix),
                         ("window", parse_window)):
@@ -77,7 +76,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_export(args):
-    c = qio.read_coefficients(args.input)
+    c = qio.open_coefficients(args.input)
     index = tuple(int(v) for v in args.index.split(","))
     mag = qio.coefficient_slice(c, args.slice, index)
     if args.format == "csv":

@@ -20,7 +20,7 @@ ZERO_B_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ParamMatrix:
-    """Validated LCT parameter quadruple (A, B, C, D) with det = 1, B != 0."""
+    """Validated LCT parameter quadruple (A, B, C, D): finite, det = 1, B != 0."""
 
     a: float
     b: float
@@ -28,6 +28,9 @@ class ParamMatrix:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise BadParameter("matrix entries (%r, %r, %r, %r) must be finite"
+                               % (self.a, self.b, self.c, self.d))
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > DET_TOL:
             raise DeterminantError(

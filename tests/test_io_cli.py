@@ -1,6 +1,11 @@
+import errno
 import math
+import os
 import shlex
+import stat
 import struct
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +19,14 @@ from qlcst.errors import (BadMagic, NonFinite, QlcstError, TrailingBytes,
                           TruncatedFile, VersionMismatch)
 from qlcst.generators import _hermite_mode, gen_signal
 from qlcst.io import (COEFF_HEADER, COEFF_MAGIC, SIGNAL_HEADER, SIGNAL_MAGIC,
-                      WINDOW_CODES, coefficient_slice, read_coefficients,
-                      read_signal, write_coefficients, write_signal)
+                      WINDOW_CODES, coefficient_slice, open_coefficients,
+                      read_coefficients, read_signal, write_coefficients,
+                      write_signal)
 from qlcst.lct import validate_param
-from qlcst.qlcst import qlcst_forward
+from qlcst.qlcst import qlcst_analysis, qlcst_forward, qlcst_reconstruct
 from qlcst.signal import Grid1D, Grid2D, QSignal2D, relative_l2
 from qlcst.verify import MATRIX_CASES
-from qlcst.window import fixed_gaussian, table_window, window_eval
+from qlcst.window import fixed_gaussian, s_gaussian, table_window, window_eval
 
 FOURIER = validate_param(0, 1, -1, 0)
 
@@ -178,13 +184,29 @@ def qcf_bytes(draw):
                                  (*m1, *m2, code, *sigma), tail)
 
 
+def drained(path):
+    """open_coefficients(path) after every block of it has been read, each
+    one checked to be finite stored rows that continue the last."""
+    src = open_coefficients(path)
+    done = 0
+    for rows, k, a, b in src.blocks():
+        assert k is None and rows.start == done
+        assert a.shape == b.shape == (rows.stop - done, src.plane_shape[1])
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+        done = rows.stop
+    assert done == src.plane_shape[0]
+    return src
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw=st.one_of(st.binary(max_size=200), qsg_bytes(), qcf_bytes()))
 def test_readers_accept_valid_or_raise_qlcst_error(tmp_path_factory, raw):
-    """Any bytes give a finite object matching its header, or a QlcstError."""
+    """Any bytes give a finite object matching its header, or a QlcstError;
+    for a coefficient file, both the whole read and the drained file
+    source."""
     path = tmp_path_factory.mktemp("fuzz") / "f.bin"
     path.write_bytes(raw)
-    for read in (read_signal, read_coefficients):
+    for read in (read_signal, read_coefficients, drained):
         try:
             obj = read(path)
         except QlcstError:
@@ -192,9 +214,10 @@ def test_readers_accept_valid_or_raise_qlcst_error(tmp_path_factory, raw):
         if read is read_signal:
             assert obj.data.shape == obj.grid.shape + (4,)
             assert np.all(np.isfinite(obj.data))
-        else:
+            continue
+        if read is read_coefficients:
             assert np.all(np.isfinite(obj.a)) and np.all(np.isfinite(obj.b))
-            assert obj.window.family in WINDOW_CODES
+        assert obj.window.family in WINDOW_CODES
 
 
 @pytest.mark.parametrize("n", [2 ** 31, 3_000_000])
@@ -297,9 +320,10 @@ def test_coefficient_file_is_header_plus_planar_payload(tmp_path, table):
     assert np.array_equal(back.a, c.a) and np.array_equal(back.b, c.b)
     assert (back.ugrid, back.wgrid) == (c.ugrid, c.wgrid)
     assert (back.window, back.m1, back.m2) == (window, m1, m2)
-    again = tmp_path / "again.qcf"
-    write_coefficients(again, back)
-    assert again.read_bytes() == raw
+    for src in (back, open_coefficients(path)):
+        again = tmp_path / "again.qcf"
+        write_coefficients(again, src)
+        assert again.read_bytes() == raw
 
 
 def test_qcf1_file_refused(tmp_path, capsys):
@@ -577,18 +601,180 @@ def test_cli_readme_commands(tmp_path, monkeypatch):
         assert cli_main(args) == 0, args
 
 
-def test_cli_qlcst_refuses_planes_beyond_memory(tmp_path, capsys, monkeypatch):
-    """Coefficient planes larger than physical memory exit 1 with one error
-    line before anything is allocated or written."""
-    fpath, cpath = str(tmp_path / "f.qsg"), str(tmp_path / "c.qcf")
+def test_cli_qlcst_needs_no_planes(tmp_path, monkeypatch):
+    """The CLI writes its coefficients from the unstored analysis, so with
+    physical memory taken as 1 MB, where qlcst_forward refuses the 2 MB N=16
+    set, `qlcst qlcst` still exits 0 and writes the stored set's bytes."""
+    fpath, cpath, want = (str(tmp_path / n) for n in ("f.qsg", "c.qcf", "w.qcf"))
     cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
+    write_coefficients(want, qlcst_forward(read_signal(fpath), fixed_gaussian(1, 1),
+                                           FOURIER, FOURIER))
     monkeypatch.setattr("qlcst.qlcst._physical_memory", lambda: 10 ** 6)
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 0
+    assert Path(cpath).read_bytes() == Path(want).read_bytes()
+
+
+def _only_files(directory, names):
+    return sorted(p.name for p in directory.iterdir()) == sorted(names)
+
+
+def test_cli_qlcst_failure_leaves_no_file(tmp_path, capsys):
+    """The s-gaussian is undefined at w = 0, which an odd grid samples: the
+    analysis fails at its first block, after the output was opened.  Exit
+    1, one error line, and neither the output nor a temporary file."""
+    fpath, cpath = str(tmp_path / "f.qsg"), str(tmp_path / "c.qcf")
+    cli_main(["gen", "--kind", "gaussian", "--n", "9", "-o", fpath])
     capsys.readouterr()
     assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "s-gauss"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: s-gaussian window undefined")
+    assert _only_files(tmp_path, ["f.qsg"])
+
+
+def test_cli_qlcst_write_failing_mid_payload_leaves_no_file(tmp_path, capsys,
+                                                           monkeypatch):
+    """A write that fails after the header and the first block (here: the
+    disk fills up) exits 1 with one error line; an output that existed is
+    left as it was and no temporary file remains."""
+    fpath, cpath = str(tmp_path / "f.qsg"), tmp_path / "c.qcf"
+    cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
+    cpath.write_bytes(b"old")
+    blocks = qlcst_analysis(read_signal(fpath), fixed_gaussian(1, 1), FOURIER,
+                            FOURIER).blocks
+
+    def first_block_then_full_disk(self):
+        for i, block in enumerate(blocks()):
+            if i:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield block
+    monkeypatch.setattr("qlcst.qlcst.QLCSTAnalysis.blocks",
+                        first_block_then_full_disk)
+    capsys.readouterr()
+    assert cli_main(["qlcst", "-i", fpath, "-o", str(cpath), "--m1", "0,1,-1,0",
                      "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: coefficient planes of ")
-    assert not (tmp_path / "c.qcf").exists()
+    assert len(err) == 1 and err[0].endswith("No space left on device")
+    assert cpath.read_bytes() == b"old"
+    assert _only_files(tmp_path, ["f.qsg", "c.qcf"])
+
+
+def test_coefficient_write_through_link_and_fifo(tmp_path):
+    """A symlinked output has its target replaced and stays a link; a FIFO,
+    which no rename can replace, is written in place and stays a FIFO.
+    Neither leaves a temporary file."""
+    c = qlcst_forward(gen_signal("gaussian", Grid2D.centered(4.0, 4)),
+                      fixed_gaussian(1, 1), FOURIER, FOURIER)
+    want = tmp_path / "want.qcf"
+    write_coefficients(want, c)
+    real, link, fifo = (tmp_path / n for n in ("real.qcf", "link.qcf", "fifo"))
+    real.write_bytes(b"old")
+    link.symlink_to(real)
+    write_coefficients(link, c)
+    assert link.is_symlink() and real.read_bytes() == want.read_bytes()
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    write_coefficients(fifo, c)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [want.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert _only_files(tmp_path, ["want.qcf", "real.qcf", "link.qcf", "fifo"])
+
+
+def test_cli_qlct_non_finite_matrix_refused(tmp_path, capsys):
+    fpath, out = str(tmp_path / "f.qsg"), tmp_path / "F.qsg"
+    cli_main(["gen", "--kind", "gaussian", "--n", "8", "-o", fpath])
+    capsys.readouterr()
+    assert cli_main(["qlct", "--fast", "-i", fpath, "-o", str(out),
+                     "--m1", "nan,1,-1,0", "--m2", "0,1,-1,0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: matrix entries")
+    assert not out.exists()
+
+
+STREAM_GRIDS = {"5x4": Grid2D(Grid1D.centered(3.0, 5), Grid1D.centered(2.0, 4)),
+                "17x17": Grid2D.centered(4.0, 17),
+                "18x16": Grid2D(Grid1D.centered(4.0, 18), Grid1D.centered(3.0, 16))}
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES, ids=[c[0] for c in MATRIX_CASES])
+@pytest.mark.parametrize("gname, wname", [
+    ("5x4", "fixed-gauss"), ("5x4", "table"), ("17x17", "fixed-gauss"),
+    ("17x17", "table"), ("18x16", "fixed-gauss"), ("18x16", "s-gauss")])
+def test_streamed_file_matches_stored(tmp_path, case, gname, wname):
+    """The file written from the unstored analysis has the bytes of the one
+    written from qlcst_forward.  Read back as a file source, block by block
+    (17 and 18 u1 rows are 3 blocks, the last one partial), it gives the
+    stored set's slices bit for bit and its reconstruction to 1e-15."""
+    g = STREAM_GRIDS[gname]
+    f = QSignal2D(np.random.default_rng(32).standard_normal(g.shape + (4,)), g)
+    window = {"fixed-gauss": fixed_gaussian(0.5, 2), "s-gauss": s_gaussian(),
+              "table": table_window(lattice_table(g))}[wname]
+    m1, m2 = case[1]()
+    stored = qlcst_forward(f, window, m1, m2)
+    want, got = tmp_path / "want.qcf", tmp_path / "got.qcf"
+    write_coefficients(want, stored)
+    write_coefficients(got, qlcst_analysis(f, window, m1, m2))
+    assert got.read_bytes() == want.read_bytes()
+    src = open_coefficients(got)
+    for fixed, index in (("u", (0, 1)), ("u", (g.axis1.n - 1, 0)), ("w", (1, 2))):
+        assert np.array_equal(coefficient_slice(src, fixed, index),
+                              coefficient_slice(stored, fixed, index))
+    if not window.w_dependent:
+        assert relative_l2(qlcst_reconstruct(src).data,
+                           qlcst_reconstruct(stored).data) <= 1e-15
+
+
+def test_cli_payload_defect_outside_slice_refused(tmp_path, capsys):
+    """A non-finite value in the last u1 block, which the u-slice at u1 = 0
+    does not use, still makes export (either slice) and reconstruct exit 1
+    with one error line and no file."""
+    fpath, cpath = str(tmp_path / "f.qsg"), tmp_path / "c.qcf"
+    cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
+    assert cli_main(["qlcst", "-i", fpath, "-o", str(cpath), "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 0
+    raw = bytearray(cpath.read_bytes())
+    raw[-8:] = struct.pack("<d", np.nan)
+    cpath.write_bytes(bytes(raw))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for args in (["export", "--slice", "u", "--index", "0,0"],
+                 ["export", "--slice", "w", "--index", "0,0"], ["reconstruct"]):
+        assert cli_main(args + ["-i", str(cpath), "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: non-finite value in the payload"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["qlcst", "reconstruct", "export-u", "export-w"])
+def test_cli_traced_peak(tmp_path, command):
+    """The CLI holds one block of plane rows, never a coefficient set, nor
+    even one plane: at N=32 each command's traced peak stays below half the
+    33.5 MB set.  (The two row buffers of one ROW_BLOCK = 8 block are
+    8/32 = 0.25 of the set; the peaks read 0.25 to 0.36 of it.)"""
+    fpath, cpath, out = (str(tmp_path / n) for n in ("f.qsg", "c.qcf", "out"))
+    cli_main(["gen", "--kind", "gaussian", "--n", "32", "-o", fpath])
+    make = ["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+            "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]
+    if command != "qlcst":
+        assert cli_main(make) == 0
+    argv = {"qlcst": make,
+            "reconstruct": ["reconstruct", "-i", cpath, "-o", out],
+            "export-u": ["export", "-i", cpath, "-o", out, "--slice", "u",
+                         "--index", "16,16"],
+            "export-w": ["export", "-i", cpath, "-o", out, "--slice", "w",
+                         "--index", "16,16"]}[command]
+    tracemalloc.start()
+    try:
+        assert cli_main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2 * 32 ** 4 * 16
 
 
 def test_cli_zero_b_rejected(tmp_path):

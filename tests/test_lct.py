@@ -27,6 +27,15 @@ def test_parse_matrix():
             parse_matrix(text)
 
 
+@pytest.mark.parametrize("text", ["nan,1,-1,0", "1,nan,0,1", "inf,1,-1,0",
+                                  "1,inf,0,1", "-inf,1,-1,0"])
+def test_non_finite_matrix_rejected(text):
+    """A NaN or infinite entry makes det NaN, which no tolerance test
+    refuses; the entries themselves are checked."""
+    with pytest.raises(QlcstError, match="must be finite"):
+        parse_matrix(text)
+
+
 def test_kernel_at_origin_fourier():
     m = validate_param(0, 1, -1, 0)
     got = kernel_eval(m, 1, 0.0, 0.0)
