@@ -25,7 +25,7 @@ from .quaternion import symplectic_join
 from .signal import Grid2D
 from .window import WindowSpec
 
-# u1 rows per block of the separable analysis and of a file read.  From about
+# u1 rows per block of the analysis and of a file read.  From about
 # 4 rows up a block product runs as fast as the whole-plane GEMM and gives
 # the same bits.
 ROW_BLOCK = 8

@@ -11,22 +11,19 @@ C = a + b*mu2, in the layout and block protocol of the coefficients module.
 
 A left factor exp(mu1*t) multiplies both planes by exp(i*t); a right factor
 exp(mu2*t) is diagonal on P = a + i*b and Q = a - i*b (quaternion.right_mu2).
-For a real separable window each axis therefore reduces to one complex
-kernel matrix K[(u, w), x] = psi(u - x, w) * c * exp(i*theta(x, w)), and the
-analysis is the contraction K1 @ (f * cell) @ K2^T with K2 applied through
-right_mu2 before the large K1 product; synthesis is the adjoint contraction.
-A sampled-table window does not depend on w, so each u-slice is the QLCT of
-f * conj(Psi(u - .)): the same contraction with the plain kernel matrices
-c * exp(i*theta(x, w)), which costs O(N^5).  Both analyses come from one
-producer of u1 row blocks (_analysis_blocks).  Every check reads C.blocks()
-of a stored set, a QCF2 file or an unstored qlcst_analysis, which yields the
-producer's blocks, so checks on it hold no coefficient set; qlcst_forward
-fills its planes from them in place.  Only
-covariance_residuals needs the producer's overrides (kernel phase tables,
-reversed points) and calls it directly; its shift analyses f's own samples
-on the x grid moved by alpha, the shifted signal exactly.  The inverse over w
-of a u-slice, on any grid and for any window, is that contraction with the
-adjoint matrices conj(E)^T.
+Every window is a short sum of separable terms (window.window_terms),
+Psi = sum_r p_r(y1, w1) * sum_c e_c q_rc(y2, w2) with p_r and q_rc real, which
+commute with the quaternion units.  Each axis of a term is thus a complex
+kernel matrix K[(u, w), x] = prof(u - x, w) * c * exp(i*theta(x, w)), and the
+analysis is sum_r K1_r @ sum_c (f * conj(e_c) * cell) @ K2_rc^T, each K2_rc
+applied through right_mu2 first; synthesis is the adjoint contraction,
+right-multiplied by e_c.  A built-in window is one real term; a table has
+R <= min(n1, 4*n2), and cost and memory grow with R.  One producer of u1 row
+blocks (_analysis_blocks) serves every check through C.blocks() of a stored
+set, a QCF2 file or an unstored qlcst_analysis, and qlcst_forward fills its
+planes from it in place; covariance_residuals alone calls it with overrides
+(kernel phase tables, reversed points).  Its shift analyses f's own samples
+on the x grid moved by alpha, the shifted signal exactly.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda, which makes it exact on any u spacing.
 a and b are kept rather than P and Q because (w - z, w + z) does not round
@@ -44,12 +41,11 @@ from .coefficients import ROW_BLOCK, QLCSTCoefficients, _rows, _Source
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, TooLarge, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
-from .quaternion import (qconj, qmul, qnormsq, right_mu2, symplectic_join,
+from .quaternion import (qconj, qmul, right_mu2, symplectic_join,
                          symplectic_split)
 from .signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid, relative_l2,
                      sandwich_phase)
-from .window import (WindowSpec, lambda_psi, reflect, window_axis_profile,
-                     window_eval)
+from .window import WindowSpec, lambda_psi, reflect, window_terms
 from .qlct import qlct_forward
 
 # Window-profile entries below this fraction of the peak are stored as exact
@@ -84,20 +80,16 @@ def _phase_matrix(m, x, w, theta=None):
     return kernel_const(m) * np.exp(1j * theta)
 
 
-def _axis_kernel(window, axis, m, u, x, w, theta=None):
-    """One axis of a separable analysis kernel as a (len(u)*len(w), len(x))
-    matrix K[(u, w), x] = psi_axis(u - x, w) * E[w, x] (see _phase_matrix)."""
-    prof = window_axis_profile(window, axis, u[:, None, None] - x[None, None, :],
-                               w[None, :, None])
-    prof[prof < PROFILE_FLOOR * prof.max()] = 0.0
-    return (prof * _phase_matrix(m, x, w, theta)).reshape(-1, len(x))
-
-
-def _axis_kernels(window, m1, m2, ugrid, xgrid, wgrid, theta1=None, theta2=None):
-    return (_axis_kernel(window, 1, m1, ugrid.axis1.points, xgrid.axis1.points,
-                         wgrid.axis1.points, theta1),
-            _axis_kernel(window, 2, m2, ugrid.axis2.points, xgrid.axis2.points,
-                         wgrid.axis2.points, theta2))
+def _kernel(prof, e):
+    """The kernel matrices of R profiles side by side,
+    K[(u, w), (r, x)] = prof[r, u, w, x] * e[w, x], with prof broadcasting
+    over w and e from _phase_matrix.  Entries of prof whose modulus is below
+    PROFILE_FLOOR of their profile's peak are set to exact zeros, in place."""
+    prof = np.moveaxis(prof, 0, 2)
+    mag = np.abs(prof)
+    prof[mag < PROFILE_FLOOR * mag.max(axis=(0, 1, 3), keepdims=True)] = 0.0
+    k = np.multiply(prof, e[:, None, :], order="C")  # so the reshape is a view
+    return k.reshape(k.shape[0] * k.shape[1], -1)
 
 
 def _right_contract(a, b, k2):
@@ -120,16 +112,15 @@ def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None,
     """Yield the analysis planes in blocks of u1 rows as (rows, k, a, b): the
     plane rows `rows` of the block are k @ a and k @ b.
 
-    A separable window contracts the mu2 side f * cell @ K2^T once and each
-    block takes its rows of K1 (ROW_BLOCK u1 rows at a time).  A table window
-    does not depend on w, so C(u, .) is the QLCT of g_u = f * conj(Psi(u - .))
-    onto wgrid: for one u1 at a time the g_u of every u2 are stacked as
-    (x1, u2, x2) and contracted with the plain kernel matrices, which gives
-    the (w1, (u2, w2)) rows of that u1.  theta1/theta2 override the per-axis
-    (w, x) kernel phase tables; used by the covariance checks.  reverse
-    yields the planes with both axes reversed, P[::-1, ::-1], in the same
-    row blocks: the u and w points and the theta rows are reversed once, and
-    every kernel is built on them.
+    The window's terms (window_terms) give the K1_r side by side in k, and
+    their mu2 factors sum_c (f * conj(e_c) * cell) @ K2_rc^T, each one
+    product with the K2_rc side by side, on top of each other in a and b, so
+    k @ a is the sum over terms.  The mu2 side is contracted once and each
+    block takes its rows of the K1_r (ROW_BLOCK u1 rows at a time).
+    theta1/theta2 override the per-axis (w, x) kernel phase tables; used by
+    the covariance checks.  reverse yields the planes with both axes
+    reversed, P[::-1, ::-1], in the same row blocks: the u and w points and
+    the theta rows are reversed once, and every kernel is built on them.
     """
     u1s, u2s, w1s, w2s = (ax.points for ax in (ugrid.axis1, ugrid.axis2,
                                                wgrid.axis1, wgrid.axis2))
@@ -137,25 +128,28 @@ def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None,
         u1s, u2s, w1s, w2s = u1s[::-1], u2s[::-1], w1s[::-1], w2s[::-1]
         theta1, theta2 = (None if t is None else t[::-1] for t in (theta1, theta2))
     x1s, x2s = f.grid.axis1.points, f.grid.axis2.points
-    nw1 = len(w1s)
-    if window.separable:
-        k1 = _axis_kernel(window, 1, m1, u1s, x1s, w1s, theta1)
-        k2 = _axis_kernel(window, 2, m2, u2s, x2s, w2s, theta2)
-        a, b = symplectic_split(f.data)
-        a, b = _right_contract(a * f.grid.cell, b * f.grid.cell, k2)
-        step = ROW_BLOCK * nw1
-        for start in range(0, len(k1), step):
-            rows = slice(start, start + step)
-            yield rows, k1[rows], a, b
-        return
-    x1, x2, u2 = x1s[:, None, None], x2s[None, None, :], u2s[None, :, None]
-    e1 = _phase_matrix(m1, x1s, w1s, theta1)
+    p, q = window_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
+                        u2s[:, None, None] - x2s, w2s[:, None])
     e2 = _phase_matrix(m2, x2s, w2s, theta2)
-    fc = f.data[:, None] * f.grid.cell
-    for i, u1 in enumerate(u1s):
-        psi = window_eval(window, (u1 - x1, u2 - x2), None)  # no w dependence
-        a, b = _right_contract(*symplectic_split(qmul(fc, qconj(psi))), e2)
-        yield slice(i * nw1, (i + 1) * nw1), e1, a, b
+    # f * conj(e_c) * cell for the C components of the terms, side by side
+    fu = np.concatenate([qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]],
+                        axis=1)
+    g = [h * f.grid.cell for h in symplectic_split(fu)]
+    if len(q) == 1:  # the one term's factor, not copied
+        a, b = _right_contract(*g, _kernel(q[0], e2))
+    else:  # each K2_r is built only for its own product
+        nx1 = len(x1s)
+        a, b = (np.empty((len(q) * nx1, len(u2s) * len(w2s)), dtype=complex)
+                for _ in range(2))
+        for r, q_r in enumerate(q):
+            rows = slice(r * nx1, (r + 1) * nx1)
+            a[rows], b[rows] = _right_contract(*g, _kernel(q_r, e2))
+    del q, fu, g  # freed before K1 is built
+    k1 = _kernel(p, _phase_matrix(m1, x1s, w1s, theta1))
+    step = ROW_BLOCK * len(w1s)
+    for start in range(0, len(k1), step):
+        rows = slice(start, start + step)
+        yield rows, k1[rows], a, b
 
 
 def _physical_memory():
@@ -230,43 +224,43 @@ def _w_inverse_rows(C, xgrid):
 
 def qlcst_reconstruct(C):
     """Synthesis onto the u grid: the adjoint sum over (u, w) of
-    Kinv1(x1,w1) * C(u,w) * Psi(u-x,w) * Kinv2(x2,w2), the inverse kernels
+    Kinv1(x1,w1) * C(u,w) * Kinv2(x2,w2) * Psi(u-x), the inverse kernels
     being the negated-phase forward kernels, divided pointwise by the frame
     sum F(x) = sum_u |Psi(u - x)|^2 (du cancels in the quotient).
 
     The w sum over the FFT-compatible grid is a discrete delta, so the
     adjoint sum is f(x) * F(x) and the quotient is f for every w-independent
-    window on any u spacing (the canonical dual frame).  A separable window
-    sums by K1^H @ P @ conj(K2), K1^H @ Q @ K2 and F is an outer product of
-    per-axis sums; a table window inverts one u1 row over w at a time.  Both
-    sum over C.blocks(), so C may be stored or unstored.  An x that no u
-    reaches (F(x) <= eps * max F) is refused.
+    window on any u spacing (the canonical dual frame).  Over the window's
+    terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
+    K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.blocks(), so
+    C may be stored or unstored; F is the Gram form
+    sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the term products.
+    An x that no u reaches (F(x) <= eps * max F) is refused.
     """
     if C.window.w_dependent:
         raise AdmissibilityError(
             "reconstruction needs a window that does not depend on the frequency")
     g = C.ugrid
-    if C.window.separable:
-        k1, k2 = _axis_kernels(C.window, C.m1, C.m2, g, g, C.wgrid)
-        k1h = k1.conj().T
-        acc = [0, 0]
-        for rows, k, *planes in C.blocks():
-            for i, p in enumerate(planes):
-                acc[i] += k1h[:, rows] @ _rows(k, p)
-        a, b = right_mu2(*acc, lambda h: h @ k2.conj())
-        out = symplectic_join(a, b) * C.wgrid.cell
-        frame = np.outer(*(np.sum(window_axis_profile(
-            C.window, s, ax.points[:, None] - ax.points, 1.0) ** 2, axis=0)
-            for s, ax in ((1, g.axis1), (2, g.axis2))))
-    else:
-        x1 = g.axis1.points[:, None, None]
-        x2 = g.axis2.points[None, None, :]
-        u2 = g.axis2.points[None, :, None]
-        out, frame = np.zeros(g.shape + (4,)), np.zeros(g.shape)
-        for u1, (a, b) in zip(g.axis1.points, _w_inverse_rows(C, g)):
-            psi = window_eval(C.window, (u1 - x1, u2 - x2), None)  # no w dependence
-            out += qmul(symplectic_join(a, b), psi).sum(axis=1)
-            frame += qnormsq(psi).sum(axis=1)
+    x1s, x2s = g.axis1.points, g.axis2.points
+    p, q = window_terms(C.window, x1s[:, None, None] - x1s, 1.0,
+                        x2s[:, None, None] - x2s, 1.0)  # no w dependence
+    # real profiles: conj(K) is the kernel of conj(E), built with no copy
+    k1h = _kernel(p, _phase_matrix(C.m1, x1s, C.wgrid.axis1.points).conj()).T
+    acc = [0, 0]
+    for rows, k, *planes in C.blocks():
+        for i, plane in enumerate(planes):
+            acc[i] += k1h[:, rows] @ _rows(k, plane)
+    e2h = _phase_matrix(C.m2, x2s, C.wgrid.axis2.points).conj()
+    out = np.zeros(g.shape + (4,))
+    for r, q_r in enumerate(q):
+        a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)
+        k2h = _kernel(q_r, e2h)
+        adj = symplectic_join(*right_mu2(a, b, lambda h: h @ k2h))
+        for c, e in enumerate(np.eye(4)[:len(q_r)]):  # (x1, (c, x2)) columns
+            out += qmul(adj[:, c * len(x2s):(c + 1) * len(x2s)], e)
+    out *= C.wgrid.cell
+    frame = np.einsum("rsx,rsy->xy", np.einsum("ruwx,suwx->rsx", p, p),
+                      np.einsum("rcuwx,scuwx->rsx", q, q))
     if frame.min() <= np.finfo(float).eps * frame.max():
         raise Undersampled("the window reaches some x of the %d x %d grid from "
                            "no u: its frame sum vanishes there" % g.shape)

@@ -9,6 +9,9 @@ Both integrate to 1.  A custom quaternion-valued window can be supplied as a
 sampled table (a QSignal2D); it is interpolated bilinearly and treated as zero
 outside its grid.
 
+The operators contract every window as a short sum of separable terms
+(window_terms); a table is split into them by one real SVD of its samples.
+
 Only a w-independent, square-integrable window has lam = integral |Psi(x)|^2:
 the fixed gaussian, 1/(4 pi s1 s2) exactly, and a table (lambda_psi).
 """
@@ -131,6 +134,35 @@ def _table_lookup(table, x1, x2):
             vals = table.data[np.clip(ii, 0, g1.n - 1), np.clip(jj, 0, g2.n - 1)]
             out += (wgt * ok)[..., None] * vals
     return out
+
+
+def _hat_interp(ax, v, x):
+    """sum_i v[..., i] * h_i(x), h_i the hat function of sample i of ax, by
+    which _table_lookup interpolates each axis.  Shape v.shape[:-1] + x.shape."""
+    t = (x - ax.origin) / ax.spacing
+    i = np.arange(ax.n).reshape((-1,) + (1,) * t.ndim)
+    return np.tensordot(v, np.maximum(1.0 - np.abs(t - i), 0.0), axes=1)
+
+
+def window_terms(spec, y1, w1, y2, w2):
+    """The window as R separable terms, Psi(y, w) = sum_r p_r(y1, w1) *
+    sum_c e_c q_rc(y2, w2): the real arrays p (R, *shape1) and q (R, C, *shape2),
+    C <= 4 leading quaternion components.  A built-in family is one real term.
+    A table is split by one real SVD of its samples as an (n1, C*n2) matrix,
+    C = 1 if it is real and 4 otherwise, dropping singular values <= eps * max,
+    so R <= min(n1, C*n2); the singular vectors are interpolated by the hat
+    functions of _table_lookup, so the terms sum to its bilinear table."""
+    if spec.family != "custom-table":
+        return (window_axis_profile(spec, 1, y1, w1)[None],
+                window_axis_profile(spec, 2, y2, w2)[None, None])
+    t, g = spec.table.data, spec.table.grid
+    ncomp = 4 if np.any(t[..., 1:]) else 1
+    u, s, vt = np.linalg.svd(t[..., :ncomp].reshape(g.axis1.n, -1),
+                             full_matrices=False)
+    keep = s > np.finfo(float).eps * s[0]
+    p = (u[:, keep] * s[keep]).T  # (R, n1)
+    q = vt[keep].reshape(-1, g.axis2.n, ncomp).swapaxes(1, 2)  # (R, C, n2)
+    return _hat_interp(g.axis1, p, y1), _hat_interp(g.axis2, q, y2)
 
 
 def window_eval(spec, x, w):

@@ -8,26 +8,27 @@ from hypothesis import strategies as st
 
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                           GridMismatch, QlcstError, TooLarge, Undersampled,
-                          ZeroSignal)
+                          ZeroSignal, ZeroWindow)
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.lct import kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
-from qlcst.qlcst import (ROW_BLOCK, QLCSTCoefficients, _analysis_blocks,
-                         _axis_kernel, _axis_kernels, _contract,
+from qlcst.qlcst import (PROFILE_FLOOR, ROW_BLOCK, QLCSTCoefficients,
+                         _analysis_blocks, _contract, _kernel, _phase_matrix,
                          _streamed_rel_l2, covariance_residuals,
                          energy_identity_gap, marginal_qlct_gap,
                          orthogonality_form, qlcst_analysis, qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
                          special_case_matrix)
-from qlcst.quaternion import qconj, qmul, qnorm, symplectic_join, symplectic_split
+from qlcst.quaternion import (qconj, qmul, qnorm, qnormsq, symplectic_join,
+                              symplectic_split)
 from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
                           fft_output_grid, relative_l2)
 from qlcst.uncertainty import (heisenberg_report, lemma_41_gap,
                                log_uncertainty_report, spectral_dispersion,
                                spectral_log_moment)
 from qlcst.verify import MATRIX_CASES, run_suite
-from qlcst.window import (constant_window, fixed_gaussian, s_gaussian,
-                          table_window, window_eval)
+from qlcst.window import (constant_window, fixed_gaussian, lambda_psi,
+                          s_gaussian, table_window, window_eval, window_terms)
 
 FOURIER = validate_param(0, 1, -1, 0)
 
@@ -147,8 +148,8 @@ def test_separable_matches_generic_all_windows(win, case):
 
 @pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
 def test_lattice_table_matches_separable(case):
-    """fixed-gauss:1,1 sampled on the offset lattice gives the separable
-    path's coefficients through the table path."""
+    """fixed-gauss:1,1 sampled on the offset lattice, a one-term table,
+    gives the built-in window's coefficients."""
     m1, m2 = dict(MATRIX_CASES)[case]()
     g = grid(8)
     f = random_hermite_combo(g, seed=4)
@@ -173,6 +174,76 @@ def test_table_window_slices_are_qlcts_of_masked_products():
         masked = QSignal2D(qmul(f.data, qconj(psi)), g)
         want = qlct_forward(masked, m1, m2, c.wgrid)
         assert relative_l2(c.data[iu1, iu2], want.data) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(6, 12), shape=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+       lattice=st.booleans(),
+       stretch=st.tuples(st.floats(0.3, 1.7), st.floats(0.3, 1.7)),
+       case=st.sampled_from([name for name, _ in MATRIX_CASES]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_random_table_terms_match_quadrature(n, shape, lattice, stretch, case, seed):
+    """For random quaternion tables, on and off the u - x lattice, the planes
+    match the per-point quadrature and synthesis returns f.  The table's
+    singular values run from 1 down to 1e-10, so a term that the eps * max
+    SVD cutoff keeps but a looser one would drop shows at 1e-12."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(n)
+    rng = np.random.default_rng(seed)
+
+    def axis(m, ax, s):
+        if lattice:  # points on the offsets k * spacing, around 0
+            return Grid1D(m, -(m // 2) * ax.spacing, ax.spacing)
+        spacing = s * ax.spacing
+        return Grid1D(m, -(m - 1) / 2 * spacing + rng.uniform(-0.5, 0.5) * spacing,
+                      spacing)
+
+    n1, n2 = shape
+    k = min(n1, 4 * n2)
+    sv = np.concatenate([[1.0, 1e-10], rng.uniform(1e-3, 1.0, k - 2)])
+    u = np.linalg.qr(rng.standard_normal((n1, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((4 * n2, k)))[0]
+    table = ((u * sv) @ v.T).reshape(n1, n2, 4)
+    win = table_window(QSignal2D(table, Grid2D(axis(n1, g.axis1, stretch[0]),
+                                              axis(n2, g.axis2, stretch[1]))))
+    f = random_hermite_combo(g, seed=seed % 1000)
+    c = qlcst_forward(f, win, m1, m2)
+    rows = [0, n // 2, n - 1]
+    want = quadrature(f, win, m1, m2, c.ugrid.axis1.points[rows],
+                      c.ugrid.axis2.points, c.wgrid.axis1.points,
+                      c.wgrid.axis2.points)
+    assert relative_l2(c.data[rows], want) < 1e-12
+    x1, u2, x2 = (g.axis1.points[:, None, None], g.axis2.points[None, :, None],
+                  g.axis2.points[None, None, :])
+    frame = sum(qnormsq(window_eval(win, (u1 - x1, u2 - x2), None)).sum(axis=1)
+                for u1 in g.axis1.points)
+    if frame.min() > 1e-6 * frame.max():
+        rec = qlcst_reconstruct(c)
+        assert relative_l2(rec.data, f.data) < 1e-12
+
+
+def test_table_term_counts():
+    """A sampled fixed gaussian is one term and OFF_LATTICE_TABLE at most 9;
+    a zero table has none, so its planes are zero, it has no lambda and
+    synthesis finds no u reaching any x."""
+    y = np.zeros((1, 1, 1))
+
+    def terms(win):
+        p, q = window_terms(win, y, 1.0, y, 1.0)
+        assert len(p) == len(q)
+        return len(p)
+
+    assert terms(lattice_table(fixed_gaussian(1, 1), grid(32))) == 1
+    assert terms(OFF_LATTICE_TABLE) <= 9
+    zero = table_window(QSignal2D(np.zeros((5, 4, 4)),
+                                  Grid2D(Grid1D.centered(3.0, 5), Grid1D.centered(2.0, 4))))
+    assert terms(zero) == 0
+    c = qlcst_forward(random_hermite_combo(grid(8), seed=6), zero, FOURIER, FOURIER)
+    assert not c.a.any() and not c.b.any()
+    with pytest.raises(ZeroWindow):
+        lambda_psi(zero)
+    with pytest.raises(Undersampled):
+        qlcst_reconstruct(c)
 
 
 def from_data(data, ugrid, wgrid):
@@ -203,13 +274,38 @@ def test_planes_interleaved_roundtrip_bitexact():
         c.data[0, 0, 0, 0, 0] = 1.0
 
 
+def axis_terms(window, u, x, w):
+    """window_terms of window with both axes at the offsets u - x and w."""
+    y = u[:, None, None] - x
+    return window_terms(window, y, w[:, None], y, w[:, None])
+
+
 def test_s_gaussian_kernel_has_no_subnormals():
+    """The profile floor stores the s-gaussian tails as exact zeros, and
+    compares |p|, so the negative entries of a signed table survive while
+    its subnormal ones are zeroed."""
     g = grid(64)
+    x = g.axis1.points
     w = fft_output_grid(g, 1.0, 1.0).axis1.points
-    k = _axis_kernel(s_gaussian(), 1, FOURIER, g.axis1.points, g.axis1.points, w)
+    p, _ = axis_terms(s_gaussian(), x, x, w)
+    k = _kernel(p, _phase_matrix(FOURIER, x, w))
     parts = np.abs(k.view(float))
     assert np.all((parts == 0.0) | (parts >= np.finfo(float).tiny))
     assert np.count_nonzero(parts == 0.0) > 0
+
+    t = np.zeros((3, 6, 4))
+    t[..., 0] = np.outer([1.0, -2.0, 0.5], [1.0, -1.0, 5e-310, -0.5, 2.0, -3e-310])
+    signed = table_window(QSignal2D(t, Grid2D(Grid1D.centered(2.0, 3),
+                                              Grid1D.centered(3.0, 6))))
+    x = signed.table.grid.axis2.points
+    _, q = axis_terms(signed, x, x, np.ones(4))
+    q = q[:, 0]
+    assert np.any(q < 0.0) and np.any((q != 0.0) & (np.abs(q) < np.finfo(float).tiny))
+    kept = np.abs(q) >= PROFILE_FLOOR * np.abs(q).max()
+    k = _kernel(q, _phase_matrix(FOURIER, x, np.ones(4)))
+    parts = np.abs(k.view(float))
+    assert np.all((parts == 0.0) | (parts >= np.finfo(float).tiny))
+    assert np.array_equal(k != 0.0, np.broadcast_to(kept[0], (6, 4, 6)).reshape(k.shape))
 
 
 def test_x_only_window_product_identity():
@@ -548,12 +644,20 @@ def test_forward_blocks_match_one_contraction(window, case):
     theta1 = kernel_phase(m1, x1[None, :], wgrid.axis1.points[:, None]) + 0.3
     theta2 = kernel_phase(m2, x2[None, :], wgrid.axis2.points[:, None]) - 0.2
     a, b = symplectic_split(f.data)
+
+    def kernels(theta1=None, theta2=None):
+        """K1 and K2 of the one-term window, (u, w) rows by x columns."""
+        p, q = window_terms(window, ugrid.axis1.points[:, None, None] - x1,
+                            wgrid.axis1.points[:, None],
+                            ugrid.axis2.points[:, None, None] - x2,
+                            wgrid.axis2.points[:, None])
+        return (_kernel(p, _phase_matrix(m1, x1, wgrid.axis1.points, theta1)),
+                _kernel(q[:, 0], _phase_matrix(m2, x2, wgrid.axis2.points, theta2)))
+
     c = qlcst_forward(f, window, m1, m2, ugrid)
-    want = _contract(a * g.cell, b * g.cell,
-                     *_axis_kernels(window, m1, m2, ugrid, g, wgrid))
+    want = _contract(a * g.cell, b * g.cell, *kernels())
     assert all(np.array_equal(p, q) for p, q in zip((c.a, c.b), want))
-    k1, k2 = _axis_kernels(window, m1, m2, ugrid, g, wgrid, theta1, theta2)
-    want = _contract(a * g.cell, b * g.cell, k1, k2)
+    want = _contract(a * g.cell, b * g.cell, *kernels(theta1, theta2))
     got = [np.empty_like(c.a), np.empty_like(c.b)]
     for rows, k, *planes in _analysis_blocks(f, window, m1, m2, ugrid, wgrid,
                                              theta1=theta1, theta2=theta2):
@@ -594,8 +698,9 @@ def test_streamed_residual_matches_full_formula(window):
 
 
 def test_streamed_residual_refuses_misaligned_blocks():
-    """Producers whose row blocks differ (another block structure or another
-    u1 count) are refused instead of being zipped row against wrong row."""
+    """Producers whose row blocks differ (a stored set's one block against
+    the analysis's row blocks, or another u1 count) are refused instead of
+    being zipped row against wrong row."""
     g = grid(8)
     f = gen_signal("gaussian", g)
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
@@ -605,7 +710,8 @@ def test_streamed_residual_refuses_misaligned_blocks():
         return _analysis_blocks(f, window, FOURIER, FOURIER, ugrid, wgrid)
 
     win = fixed_gaussian(1, 1)
-    for want, got in ((blocks(win), blocks(OFF_LATTICE_TABLE)),
+    stored = qlcst_forward(f, win, FOURIER, FOURIER, g, wgrid).blocks()
+    for want, got in ((stored, blocks(win)),
                       (blocks(win), blocks(win, longer)),
                       (blocks(win, longer), blocks(win))):
         with pytest.raises(GridMismatch):
