@@ -76,8 +76,11 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_export(args):
+    try:
+        index = tuple(int(v) for v in args.index.split(","))
+    except ValueError:
+        raise BadParameter("--index must be two integers i,j") from None
     c = qio.open_coefficients(args.input)
-    index = tuple(int(v) for v in args.index.split(","))
     mag = qio.coefficient_slice(c, args.slice, index)
     if args.format == "csv":
         qio.export_slice_csv(args.output, mag)

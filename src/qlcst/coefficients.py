@@ -7,12 +7,12 @@ index is (u1, w1) and whose column index is (u2, w2), so the interleaved
 (u1, u2, w1, w2, 4) array is a pure reordering of their bits.
 
 A source has grids, window and matrices and yields its planes from
-blocks() as (rows, k, a, b): the plane rows `rows` are _rows(k, a) and
-_rows(k, b).  A stored QLCSTCoefficients yields its planes as one block
-(k None); the unstored analysis (qlcst.qlcst_analysis) and a QCF2 file
+blocks() as (rows, k, a, b): the plane rows `rows` are k @ a and k @ b (a and
+b if k is None), which rows() yields as (rows, a, b), valid only until the
+next block.  A stored QLCSTCoefficients yields its planes as one block; the
+unstored analysis (qlcst.qlcst_analysis) and a QCF2 file
 (io.open_coefficients) yield ROW_BLOCK u1 rows at a time, so a reduction over
-blocks() never holds a coefficient set.  This module imports no operator
-code.
+rows() never holds a coefficient set.  This module imports no operator code.
 """
 
 from dataclasses import dataclass
@@ -25,20 +25,17 @@ from .quaternion import symplectic_join
 from .signal import Grid2D
 from .window import WindowSpec
 
-# u1 rows per block of the analysis and of a file read.  From about
-# 4 rows up a block product runs as fast as the whole-plane GEMM and gives
-# the same bits.
-ROW_BLOCK = 8
-
-
-def _rows(k, plane):
-    """Plane rows of a block: k @ plane, or the stored rows if k is None."""
-    return plane if k is None else k @ plane
+# u1 rows per block of the analysis and of a file read.  The block GEMMs of
+# one plane give the bits of one whole-plane GEMM and took 5.2/5.7/6.2 ms at
+# N=32, 36/37/37 ms at N=48 and 115/123/116 ms at N=64 in 4-row/8-row/whole
+# blocks (medians of 25, 2-core Xeon, OpenBLAS); at 4 rows the two buffers
+# of rows() take what one fresh 8-row product took.
+ROW_BLOCK = 4
 
 
 class _Source:
     """Grids, window, matrices and blocks() of coefficients, stored or not;
-    the reductions over blocks() are computed once per object."""
+    the reductions over rows() are computed once per object."""
 
     _density = None
 
@@ -52,15 +49,27 @@ class _Source:
     def cell4(self):
         return self.ugrid.cell * self.wgrid.cell
 
+    def rows(self):
+        """Yield (rows, a, b) for each block, k @ a and k @ b computed into two
+        buffers allocated once per pass: valid only until the next block."""
+        bufs = None
+        for rows, k, *planes in self.blocks():
+            if k is not None:  # the first block is the largest
+                bufs = bufs or [np.empty((len(k), p.shape[1]), dtype=complex)
+                                for p in planes]
+                planes = [np.matmul(k, p, out=buf[:len(k)])
+                          for p, buf in zip(planes, bufs)]
+            yield (rows, *planes)
+
     def density(self):
         """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2,
         computed on the first call and returned read-only from then on."""
         if self._density is None:
             nw1, nw2 = self.wgrid.shape
             acc = np.zeros((nw1, 2 * nw2))
-            for _, k, *planes in self.blocks():
+            for _, *planes in self.rows():
                 for plane in planes:
-                    parts = _rows(k, plane).view(float).reshape(
+                    parts = plane.view(float).reshape(
                         -1, nw1, self.ugrid.axis2.n, 2 * nw2)
                     acc += np.einsum("abcd,abcd->bd", parts, parts)
             self._density = acc.reshape(nw1, nw2, 2).sum(axis=-1)
@@ -99,7 +108,7 @@ class QLCSTCoefficients(_Source):
         self.b.flags.writeable = False
 
     def blocks(self):
-        yield slice(None), None, self.a, self.b
+        yield slice(0, len(self.a)), None, self.a, self.b
 
     def views4(self):
         """The planes as (u1, w1, u2, w2) views."""

@@ -19,6 +19,7 @@ and renamed to the output when complete, so a failed write leaves none.
 """
 
 import contextlib
+import operator
 import os
 import struct
 from dataclasses import astuple, dataclass
@@ -147,25 +148,10 @@ def _replacing(path):
         raise
 
 
-def _plane_rows(c):
-    """Yield (rows, a, b), the plane rows of each block of c: stored rows as
-    they are, block products computed into two buffers that are reused from
-    block to block, so that each stays valid only until the next one."""
-    bufs = ()
-    for rows, k, *planes in c.blocks():
-        if k is not None:
-            if not bufs or len(k) > len(bufs[0]):
-                bufs = [np.empty((len(k), c.plane_shape[1]), dtype=complex)
-                        for _ in planes]
-            planes = [np.matmul(k, p, out=buf[:len(k)])
-                      for p, buf in zip(planes, bufs)]
-        yield (rows, *planes)
-
-
 def write_coefficients(path, c):
     """Write the coefficients of any source as a QCF2 file: a stored set, an
     unstored qlcst_analysis (whose block products are computed here) or an
-    open file.  The payload is written block by block (_plane_rows), so an
+    open file.  The payload is written block by block (c.rows()), so an
     unstored source is never held whole; a failed write leaves no file
     (_replacing)."""
     u, w, win = c.ugrid, c.wgrid, c.window
@@ -176,7 +162,7 @@ def write_coefficients(path, c):
     nw1 = w.axis1.n
     with _replacing(path) as fh:
         fh.write(header)
-        for _, a, b in _plane_rows(c):
+        for _, a, b in c.rows():
             for start in range(0, len(a), nw1):  # per u1: a rows, then b rows
                 for plane in (a, b):
                     fh.write(plane[start:start + nw1].astype("<c16", copy=False))
@@ -241,7 +227,7 @@ def read_coefficients(path):
     checked by open_coefficients and its blocks(), the one payload reader."""
     src = open_coefficients(path)
     a, b = (np.empty(src.plane_shape, dtype="<c16") for _ in range(2))
-    for rows, _, ra, rb in src.blocks():
+    for rows, ra, rb in src.rows():
         a[rows], b[rows] = ra, rb
     return QLCSTCoefficients(a, b, src.ugrid, src.wgrid, src.window, src.m1,
                              src.m2)
@@ -256,15 +242,18 @@ def coefficient_slice(c, fixed, index):
     """
     if fixed not in ("u", "w"):
         raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
-    i, j = index
-    for k, n in zip(index, (c.ugrid if fixed == "u" else c.wgrid).shape):
+    try:
+        i, j = (operator.index(k) for k in index)
+    except (TypeError, ValueError):
+        raise BadParameter("index must be two integers i,j, got %r"
+                           % (index,)) from None
+    for k, n in zip((i, j), (c.ugrid if fixed == "u" else c.wgrid).shape):
         if not 0 <= k < n:
             raise BadParameter("%s index %d is outside [0, %d)" % (fixed, k, n))
-    (nu1, nu2), (nw1, nw2) = c.ugrid.shape, c.wgrid.shape
+    (_, nu2), (nw1, nw2) = c.ugrid.shape, c.wgrid.shape
     out = np.empty(c.wgrid.shape if fixed == "u" else c.ugrid.shape)
-    for rows, *planes in _plane_rows(c):
-        start, stop, _ = rows.indices(nu1 * nw1)
-        first, last = start // nw1, stop // nw1  # the block's u1 rows
+    for rows, *planes in c.rows():
+        first, last = rows.start // nw1, rows.stop // nw1  # the block's u1 rows
         a4, b4 = (p.reshape(-1, nw1, nu2, nw2) for p in planes)
         if fixed == "w":
             out[first:last] = _magnitude(a4[:, i, :, j], b4[:, i, :, j])

@@ -19,7 +19,7 @@ analysis is sum_r K1_r @ sum_c (f * conj(e_c) * cell) @ K2_rc^T, each K2_rc
 applied through right_mu2 first; synthesis is the adjoint contraction,
 right-multiplied by e_c.  A built-in window is one real term; a table has
 R <= min(n1, 4*n2), and cost and memory grow with R.  One producer of u1 row
-blocks (_analysis_blocks) serves every check through C.blocks() of a stored
+blocks (_analysis_blocks) serves every check through C.rows() of a stored
 set, a QCF2 file or an unstored qlcst_analysis, and qlcst_forward fills its
 planes from it in place; covariance_residuals alone calls it with overrides
 (kernel phase tables, reversed points).  Its shift analyses f's own samples
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ROW_BLOCK, QLCSTCoefficients, _rows, _Source
+from .coefficients import ROW_BLOCK, QLCSTCoefficients, _Source
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, TooLarge, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
@@ -55,8 +55,8 @@ PROFILE_FLOOR = 1e-200
 
 @dataclass
 class QLCSTAnalysis(_Source):
-    """The analysis of f, unstored: blocks() computes the plane rows as they
-    are read (_analysis_blocks)."""
+    """The analysis of f, unstored: blocks() yields the factors of the plane
+    rows (_analysis_blocks), and rows() computes them as they are read."""
 
     f: QSignal2D
     window: WindowSpec
@@ -148,7 +148,7 @@ def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None,
     k1 = _kernel(p, _phase_matrix(m1, x1s, w1s, theta1))
     step = ROW_BLOCK * len(w1s)
     for start in range(0, len(k1), step):
-        rows = slice(start, start + step)
+        rows = slice(start, min(start + step, len(k1)))
         yield rows, k1[rows], a, b
 
 
@@ -210,13 +210,12 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
 def _w_inverse_rows(C, xgrid):
     """Yield, for each u1 in turn, the planes (a, b) of shape (x1, u2, x2) of
     the inverse QLCT over w of every slice C(u1, u2, .) onto xgrid: the
-    contraction of qlcst_pointwise_inverse for each u1 row of C.blocks()."""
+    contraction of qlcst_pointwise_inverse for each u1 row of C.rows()."""
     e1h, e2h = _w_adjoints(C, xgrid)
-    nw1 = C.wgrid.axis1.n
-    rows_in = (nw1, C.ugrid.axis2.n, C.wgrid.axis2.n)
+    rows_in = (C.wgrid.axis1.n, C.ugrid.axis2.n, C.wgrid.axis2.n)
     rows_out = (xgrid.axis1.n, C.ugrid.axis2.n, xgrid.axis2.n)
-    for _, k, *planes in C.blocks():
-        for a, b in zip(*(_rows(k, p).reshape((-1,) + rows_in) for p in planes)):
+    for _, *planes in C.rows():
+        for a, b in zip(*(p.reshape((-1,) + rows_in) for p in planes)):
             a, b = _contract(a, b, e1h, e2h)
             yield (a.reshape(rows_out) * C.wgrid.cell,
                    b.reshape(rows_out) * C.wgrid.cell)
@@ -232,7 +231,7 @@ def qlcst_reconstruct(C):
     adjoint sum is f(x) * F(x) and the quotient is f for every w-independent
     window on any u spacing (the canonical dual frame).  Over the window's
     terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
-    K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.blocks(), so
+    K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.rows(), so
     C may be stored or unstored; F is the Gram form
     sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the term products.
     An x that no u reaches (F(x) <= eps * max F) is refused.
@@ -247,9 +246,9 @@ def qlcst_reconstruct(C):
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
     k1h = _kernel(p, _phase_matrix(C.m1, x1s, C.wgrid.axis1.points).conj()).T
     acc = [0, 0]
-    for rows, k, *planes in C.blocks():
+    for rows, *planes in C.rows():
         for i, plane in enumerate(planes):
-            acc[i] += k1h[:, rows] @ _rows(k, plane)
+            acc[i] += k1h[:, rows] @ plane
     e2h = _phase_matrix(C.m2, x2s, C.wgrid.axis2.points).conj()
     out = np.zeros(g.shape + (4,))
     for r, q_r in enumerate(q):
@@ -287,14 +286,11 @@ def orthogonality_form(Cf, Cg):
            for name in ("ugrid", "wgrid", "window", "m1", "m2")):
         raise GridMismatch("coefficient grids, window or matrices differ")
     first = second = 0
-    pairs = (((blk, blk) for blk in Cf.blocks()) if Cg is Cf
-             else _zip_blocks(Cf.blocks(), Cg.blocks()))
-    for (_, kf, *pf), (_, kg, *pg) in pairs:
-        af, bf = (_rows(kf, p) for p in pf)
-        ag, bg = (af, bf) if Cg is Cf else (_rows(kg, p) for p in pg)
+    pairs = (((blk, blk) for blk in Cf.rows()) if Cg is Cf
+             else _zip_blocks(Cf.rows(), Cg.rows()))
+    for (_, af, bf), (_, ag, bg) in pairs:
         first += np.vdot(ag, af) + np.vdot(bg, bf)
         second += np.dot(bf.ravel(), ag.ravel()) - np.dot(af.ravel(), bg.ravel())
-        del af, bf, ag, bg  # freed before the next block's products
     return symplectic_join(first, second) * Cf.cell4
 
 
@@ -313,9 +309,9 @@ def marginal_qlct_gap(C, f):
     the fast path (0 for the zero signal)."""
     nw1, nw2 = C.wgrid.shape
     marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
-    for _, k, *planes in C.blocks():
+    for _, *planes in C.rows():
         for acc, p in zip(marg, planes):
-            acc += _rows(k, p).reshape(-1, nw1, C.ugrid.axis2.n, nw2).sum(axis=(0, 2))
+            acc += p.reshape(-1, nw1, C.ugrid.axis2.n, nw2).sum(axis=(0, 2))
     marg = symplectic_join(*marg) * C.ugrid.cell
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
@@ -327,17 +323,20 @@ def _sqnorm(x):
 def _streamed_rel_l2(want, got):
     """relative_l2, over the quaternion components, of the planes of the
     _analysis_blocks producer got against those of the producer want,
-    accumulated block by block so that no coefficient set is ever held.
-    Producers whose row blocks do not line up raise GridMismatch."""
+    accumulated one plane block at a time in two reused buffers (ref, diff),
+    so that no coefficient set is ever held.  Producers whose row blocks do
+    not line up raise GridMismatch."""
     num = denom = 0.0
+    bufs = None
     for (_, k, *planes), (_, gk, *gots) in _zip_blocks(want, got):
-        for plane, other in zip(planes, gots):  # one product of each at a time
-            ref = k @ plane
-            denom += _sqnorm(ref)
-            diff = gk @ other
+        bufs = bufs or [np.empty((len(k), planes[0].shape[1]), dtype=complex)
+                        for _ in range(2)]  # the first block is the largest
+        ref, diff = (buf[:len(k)] for buf in bufs)
+        for plane, other in zip(planes, gots):
+            denom += _sqnorm(np.matmul(k, plane, out=ref))
+            np.matmul(gk, other, out=diff)
             diff -= ref
             num += _sqnorm(diff)
-            del ref, diff
     return math.sqrt(num / denom if denom else num)
 
 

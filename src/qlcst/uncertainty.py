@@ -2,7 +2,7 @@
 
 All reports are "compute both sides by quadrature" objects; nothing is proved
 symbolically.  Each takes C, stored or from qlcst_analysis, then f, and reads
-the window, matrices and C.density() or C.blocks() from C.  The lower-bound
+the window, matrices and C.density() or C.rows() from C.  The lower-bound
 constant of the Heisenberg check uses |B_s| as the per-axis factor, matching
 the transform-domain scaling of the underlying canonical-transform inequality.
 """

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlcst.cli import cli_main
-from qlcst.errors import (BadMagic, NonFinite, QlcstError, TrailingBytes,
-                          TruncatedFile, VersionMismatch)
+from qlcst.errors import (BadMagic, BadParameter, NonFinite, QlcstError,
+                          TrailingBytes, TruncatedFile, VersionMismatch)
 from qlcst.generators import _hermite_mode, gen_signal
 from qlcst.io import (COEFF_HEADER, COEFF_MAGIC, SIGNAL_HEADER, SIGNAL_MAGIC,
                       WINDOW_CODES, coefficient_slice, open_coefficients,
@@ -440,6 +440,38 @@ def test_cli_export_index_out_of_range(tmp_path, capsys, index):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("index", [(1,), (1, 2, 3), (1.5, 2), "12", 3, None])
+def test_coefficient_slice_index_not_two_integers(monkeypatch, index):
+    """An index that is not two integers raises BadParameter before any block
+    of the source is read."""
+    def unread(self):
+        raise AssertionError("a block was read")
+    monkeypatch.setattr("qlcst.qlcst.QLCSTAnalysis.blocks", unread)
+    c = qlcst_analysis(gen_signal("gaussian", Grid2D.centered(4.0, 5)),
+                       fixed_gaussian(1, 1), FOURIER, FOURIER)
+    for fixed in ("u", "w"):
+        with pytest.raises(BadParameter, match="two integers i,j"):
+            coefficient_slice(c, fixed, index)
+
+
+@pytest.mark.parametrize("index", ["1", "1,2,3", "a,b", "1.5,2", ""])
+def test_cli_export_index_not_two_integers(tmp_path, capsys, index):
+    """--index must be two integers i,j: anything else exits 1 with one
+    error line that says so, and writes no output."""
+    fpath, cpath = str(tmp_path / "f.qsg"), str(tmp_path / "c.qcf")
+    cli_main(["gen", "--kind", "gaussian", "--n", "6", "-o", fpath])
+    cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+              "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"])
+    capsys.readouterr()
+    out = tmp_path / "s.csv"
+    assert cli_main(["export", "-i", cpath, "-o", str(out), "--slice", "u",
+                     "--index=" + index]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "two integers i,j" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--kind", "hermite", "--modes", "1"],
     ["--kind", "hermite", "--modes=-1,0"],
@@ -753,9 +785,9 @@ def test_cli_payload_defect_outside_slice_refused(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["qlcst", "reconstruct", "export-u", "export-w"])
 def test_cli_traced_peak(tmp_path, command):
     """The CLI holds one block of plane rows, never a coefficient set, nor
-    even one plane: at N=32 each command's traced peak stays below half the
-    33.5 MB set.  (The two row buffers of one ROW_BLOCK = 8 block are
-    8/32 = 0.25 of the set; the peaks read 0.25 to 0.36 of it.)"""
+    even one plane: at N=32 each command's traced peak stays below a quarter
+    of the 33.5 MB set.  (The two row buffers of one ROW_BLOCK = 4 block are
+    4/32 = 0.125 of the set; the peaks read 0.128 to 0.223 of it.)"""
     fpath, cpath, out = (str(tmp_path / n) for n in ("f.qsg", "c.qcf", "out"))
     cli_main(["gen", "--kind", "gaussian", "--n", "32", "-o", fpath])
     make = ["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
@@ -774,7 +806,7 @@ def test_cli_traced_peak(tmp_path, command):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * 2 * 32 ** 4 * 16
+    assert peak < 0.25 * 2 * 32 ** 4 * 16
 
 
 def test_cli_zero_b_rejected(tmp_path):
