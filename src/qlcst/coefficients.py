@@ -11,15 +11,21 @@ blocks() as (rows, k, a, b): the plane rows `rows` are k @ a and k @ b (a and
 b if k is None), which rows() yields as (rows, a, b), valid only until the
 next block.  A stored QLCSTCoefficients yields its planes as one block; the
 unstored analysis (qlcst.qlcst_analysis) and a QCF2 file
-(io.open_coefficients) yield ROW_BLOCK u1 rows at a time, so a reduction over
-rows() never holds a coefficient set.  This module imports no operator code.
+(io.open_coefficients) yield the row blocks of _row_blocks, ROW_BLOCK u1 rows
+at a time, so a reduction over rows() never holds a coefficient set.  Every
+source is made whole by one stored(), which alone allocates planes and
+refuses those beyond physical memory, and is sliced by one slice_planes(),
+which alone checks a slice index.  This module imports no operator code.
 """
 
+import math
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import BadParameter, GridMismatch, TooLarge
 from .lct import ParamMatrix
 from .quaternion import symplectic_join
 from .signal import Grid2D
@@ -31,6 +37,19 @@ from .window import WindowSpec
 # blocks (medians of 25, 2-core Xeon, OpenBLAS); at 4 rows the two buffers
 # of rows() take what one fresh 8-row product took.
 ROW_BLOCK = 4
+
+
+def _row_blocks(nrows, nw1):
+    """The plane-row slices of ROW_BLOCK u1 rows (nw1 plane rows each) that
+    cover nrows plane rows, the last one clipped to the plane."""
+    step = ROW_BLOCK * nw1
+    return [slice(start, min(start + step, nrows))
+            for start in range(0, nrows, step)]
+
+
+def _physical_memory():
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class _Source:
@@ -78,6 +97,56 @@ class _Source:
 
     def energy(self):
         return float(np.sum(self.density()) * self.cell4)
+
+    def stored(self):
+        """The coefficients as QLCSTCoefficients, the planes filled in place
+        from blocks(): the one allocation of planes.  Planes larger than
+        physical memory are refused before anything is allocated."""
+        need = 2 * math.prod(self.plane_shape) * np.dtype(complex).itemsize
+        have = _physical_memory()
+        if need > have:
+            raise TooLarge("coefficient planes of %.3g GB do not fit in the %.3g GB "
+                           "of physical memory" % (need / 1e9, have / 1e9))
+        planes = [np.empty(self.plane_shape, dtype=complex) for _ in range(2)]
+        for rows, k, *parts in self.blocks():
+            for plane, part in zip(planes, parts):
+                if k is None:
+                    plane[rows] = part
+                else:
+                    np.matmul(k, part, out=plane[rows])
+        return QLCSTCoefficients(*planes, self.ugrid, self.wgrid, self.window,
+                                 self.m1, self.m2)
+
+    def slice_planes(self, fixed, index):
+        """The complex planes (a, b) of a 2D slice of the coefficients, the
+        one reader of slices and the one check of their index.
+
+        fixed = "u": freeze the position index pair, return (w1, w2) arrays.
+        fixed = "w": freeze the frequency index pair, return (u1, u2) arrays.
+        Every block is read, and only the slice is kept.
+        """
+        if fixed not in ("u", "w"):
+            raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
+        try:
+            i, j = (operator.index(k) for k in index)
+        except (TypeError, ValueError):
+            raise BadParameter("index must be two integers i,j, got %r"
+                               % (index,)) from None
+        frozen, kept = ((self.ugrid, self.wgrid) if fixed == "u"
+                        else (self.wgrid, self.ugrid))
+        for k, n in zip((i, j), frozen.shape):
+            if not 0 <= k < n:
+                raise BadParameter("%s index %d is outside [0, %d)" % (fixed, k, n))
+        (_, nu2), (nw1, nw2) = self.ugrid.shape, self.wgrid.shape
+        out = np.empty((2,) + kept.shape, dtype=complex)
+        for rows, *planes in self.rows():
+            first, last = rows.start // nw1, rows.stop // nw1  # the block's u1 rows
+            a4, b4 = (p.reshape(-1, nw1, nu2, nw2) for p in planes)
+            if fixed == "w":
+                out[:, first:last] = a4[:, i, :, j], b4[:, i, :, j]
+            elif first <= i < last:
+                out[:] = a4[i - first, :, j], b4[i - first, :, j]
+        return out
 
 
 @dataclass

@@ -10,25 +10,27 @@ the table as a QSG1 record.  QCF1 files (no window or matrices) are refused.
 
 Coefficient files are streamed: write_coefficients writes any coefficient
 source block by block (an unstored analysis is computed as it is written),
-and open_coefficients gives a file source whose blocks() reads ROW_BLOCK u1
-rows at a time, so neither holds a coefficient set; read_coefficients fills
-whole planes from those blocks.  Readers check the header, the file size,
-the matrices and the window before anything is allocated, and every payload
-value as it is read.  A coefficient file is written under a temporary name
-and renamed to the output when complete, so a failed write leaves none.
+and open_coefficients gives a file source whose blocks() reads the row
+blocks of coefficients._row_blocks, so neither holds a coefficient set;
+read_coefficients is the file's stored() planes, refused beyond physical
+memory, and coefficient_slice the magnitude of its slice_planes().  Readers
+check the header, the file size, the matrices and the window before
+anything is allocated, a file that changed since it was opened before any
+payload is read, and every payload value as it is read.  A coefficient file
+is written under a temporary name and renamed to the output when complete,
+so a failed write leaves none.
 """
 
 import contextlib
-import operator
 import os
 import struct
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .coefficients import ROW_BLOCK, QLCSTCoefficients, _Source
-from .errors import (BadMagic, BadParameter, NonFinite, TrailingBytes,
-                     TruncatedFile, VersionMismatch)
+from .coefficients import _row_blocks, _Source
+from .errors import (BadMagic, BadParameter, NonFinite, QlcstError,
+                     TrailingBytes, TruncatedFile, VersionMismatch)
 from .lct import ParamMatrix, validate_param
 from .signal import Grid1D, Grid2D, QSignal2D
 from .window import WindowSpec
@@ -170,11 +172,20 @@ def write_coefficients(path, c):
             _write_signal_record(fh, win.table)
 
 
+def _identity(fh):
+    """(device, inode, size, mtime) of an open file: a file rewritten or
+    replaced since differs in at least one of them."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 @dataclass
 class CoefficientFile(_Source):
     """A QCF2 file as a coefficient source, made by open_coefficients, which
-    checks everything but the payload.  blocks() reads ROW_BLOCK u1 rows at
-    a time into two buffers that it reuses, checking every value, so a
+    checks everything but the payload and records the file's _identity.
+    Each blocks() pass reopens the path and refuses a file whose identity
+    changed since, before any payload is read; it reads the row blocks of
+    _row_blocks into two buffers that it reuses, checking every value, so a
     block stays valid only until the next one is read."""
 
     path: str
@@ -183,20 +194,23 @@ class CoefficientFile(_Source):
     window: WindowSpec
     m1: ParamMatrix
     m2: ParamMatrix
+    identity: tuple
 
     def blocks(self):
         nrows, ncols = self.plane_shape
         nw1 = self.wgrid.axis1.n
-        step = min(ROW_BLOCK * nw1, nrows)
-        bufs = [np.empty((step, ncols), dtype="<c16") for _ in range(2)]
+        blocks = _row_blocks(nrows, nw1)
+        bufs = [np.empty((blocks[0].stop, ncols), dtype="<c16") for _ in range(2)]
         with open(self.path, "rb") as fh:
+            if _identity(fh) != self.identity:
+                raise QlcstError("%s changed since it was opened" % self.path)
             fh.seek(COEFF_HEADER.size)
-            for start in range(0, nrows, step):
-                n = min(step, nrows - start)
+            for rows in blocks:
+                n = rows.stop - rows.start
                 for row in range(0, n, nw1):
                     for buf in bufs:
                         _read_payload(fh, buf[row:row + nw1])
-                yield slice(start, start + n), None, bufs[0][:n], bufs[1][:n]
+                yield rows, None, bufs[0][:n], bufs[1][:n]
 
 
 def open_coefficients(path):
@@ -218,51 +232,25 @@ def open_coefficients(path):
         if family == "custom-table":
             fh.seek(payload, os.SEEK_CUR)
             table = _read_signal_record(fh)
-    return CoefficientFile(os.path.abspath(path), ugrid, wgrid,
-                           WindowSpec(family, fields[21:], table), m1, m2)
+        return CoefficientFile(os.path.abspath(path), ugrid, wgrid,
+                               WindowSpec(family, fields[21:], table), m1, m2,
+                               _identity(fh))
 
 
 def read_coefficients(path):
-    """Read a QCF2 file into complete QLCSTCoefficients: everything is
-    checked by open_coefficients and its blocks(), the one payload reader."""
-    src = open_coefficients(path)
-    a, b = (np.empty(src.plane_shape, dtype="<c16") for _ in range(2))
-    for rows, ra, rb in src.rows():
-        a[rows], b[rows] = ra, rb
-    return QLCSTCoefficients(a, b, src.ugrid, src.wgrid, src.window, src.m1,
-                             src.m2)
+    """Read a QCF2 file into complete QLCSTCoefficients: its stored() planes,
+    everything checked by open_coefficients and blocks()."""
+    return open_coefficients(path).stored()
 
 
 def coefficient_slice(c, fixed, index):
-    """Magnitude of a 2D slice of the 4D coefficients of any source.
+    """Magnitude of a 2D slice of the 4D coefficients of any source
+    (c.slice_planes, which checks fixed and index).
 
     fixed = "u": freeze the position index, return the (w1, w2) magnitude map.
     fixed = "w": freeze the frequency index, return the (u1, u2) map.
-    Every block of c is read, and only the slice is kept.
     """
-    if fixed not in ("u", "w"):
-        raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
-    try:
-        i, j = (operator.index(k) for k in index)
-    except (TypeError, ValueError):
-        raise BadParameter("index must be two integers i,j, got %r"
-                           % (index,)) from None
-    for k, n in zip((i, j), (c.ugrid if fixed == "u" else c.wgrid).shape):
-        if not 0 <= k < n:
-            raise BadParameter("%s index %d is outside [0, %d)" % (fixed, k, n))
-    (_, nu2), (nw1, nw2) = c.ugrid.shape, c.wgrid.shape
-    out = np.empty(c.wgrid.shape if fixed == "u" else c.ugrid.shape)
-    for rows, *planes in c.rows():
-        first, last = rows.start // nw1, rows.stop // nw1  # the block's u1 rows
-        a4, b4 = (p.reshape(-1, nw1, nu2, nw2) for p in planes)
-        if fixed == "w":
-            out[first:last] = _magnitude(a4[:, i, :, j], b4[:, i, :, j])
-        elif first <= i < last:
-            out[:] = _magnitude(a4[i - first, :, j], b4[i - first, :, j])
-    return out
-
-
-def _magnitude(a, b):
+    a, b = c.slice_planes(fixed, index)
     return np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
 
 

@@ -20,10 +20,13 @@ applied through right_mu2 first; synthesis is the adjoint contraction,
 right-multiplied by e_c.  A built-in window is one real term; a table has
 R <= min(n1, 4*n2), and cost and memory grow with R.  One producer of u1 row
 blocks (_analysis_blocks) serves every check through C.rows() of a stored
-set, a QCF2 file or an unstored qlcst_analysis, and qlcst_forward fills its
-planes from it in place; covariance_residuals alone calls it with overrides
-(kernel phase tables, reversed points).  Its shift analyses f's own samples
-on the x grid moved by alpha, the shifted signal exactly.
+set, a QCF2 file or an unstored qlcst_analysis, and qlcst_forward is the
+stored() of the analysis, its planes filled in place from those blocks;
+covariance_residuals alone calls it with overrides (kernel phase tables,
+reversed points).  Its shift analyses f's own samples on the x grid moved by
+alpha, the shifted signal exactly.  The pointwise inverse reads
+C.slice_planes(), so it too takes any source; on an unstored analysis that
+computes every block.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda, which makes it exact on any u spacing.
 a and b are kept rather than P and Q because (w - z, w + z) does not round
@@ -32,14 +35,13 @@ trip through float64, while a and b hold the interleaved components exactly.
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ROW_BLOCK, QLCSTCoefficients, _Source
+from .coefficients import QLCSTCoefficients, _row_blocks, _Source
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                     GridMismatch, TooLarge, Undersampled, ZeroSignal)
+                     GridMismatch, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
 from .quaternion import (qconj, qmul, right_mu2, symplectic_join,
                          symplectic_split)
@@ -116,7 +118,7 @@ def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None,
     their mu2 factors sum_c (f * conj(e_c) * cell) @ K2_rc^T, each one
     product with the K2_rc side by side, on top of each other in a and b, so
     k @ a is the sum over terms.  The mu2 side is contracted once and each
-    block takes its rows of the K1_r (ROW_BLOCK u1 rows at a time).
+    block takes its rows of the K1_r (coefficients._row_blocks).
     theta1/theta2 override the per-axis (w, x) kernel phase tables; used by
     the covariance checks.  reverse yields the planes with both axes
     reversed, P[::-1, ::-1], in the same row blocks: the u and w points and
@@ -146,15 +148,8 @@ def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None,
             a[rows], b[rows] = _right_contract(*g, _kernel(q_r, e2))
     del q, fu, g  # freed before K1 is built
     k1 = _kernel(p, _phase_matrix(m1, x1s, w1s, theta1))
-    step = ROW_BLOCK * len(w1s)
-    for start in range(0, len(k1), step):
-        rows = slice(start, min(start + step, len(k1)))
+    for rows in _row_blocks(len(k1), len(w1s)):
         yield rows, k1[rows], a, b
-
-
-def _physical_memory():
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
@@ -166,21 +161,10 @@ def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
 
 
 def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
-    """Analysis operator producing QLCSTCoefficients: the planes of
-    qlcst_analysis (same defaults) filled in place from its blocks.  Planes
-    larger than physical memory are refused before anything is allocated."""
-    src = qlcst_analysis(f, window, m1, m2, ugrid, wgrid)
-    shape = tuple(u * w for u, w in zip(src.ugrid.shape, src.wgrid.shape))
-    need = 2 * shape[0] * shape[1] * np.dtype(complex).itemsize
-    have = _physical_memory()
-    if need > have:
-        raise TooLarge("coefficient planes of %.3g GB do not fit in the %.3g GB "
-                       "of physical memory" % (need / 1e9, have / 1e9))
-    a, b = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for rows, k, ra, rb in src.blocks():
-        np.matmul(k, ra, out=a[rows])
-        np.matmul(k, rb, out=b[rows])
-    return QLCSTCoefficients(a, b, src.ugrid, src.wgrid, window, m1, m2)
+    """Analysis operator producing QLCSTCoefficients: the stored() planes of
+    qlcst_analysis (same defaults), filled in place from its blocks and
+    refused beyond physical memory."""
+    return qlcst_analysis(f, window, m1, m2, ugrid, wgrid).stored()
 
 
 def _w_adjoints(C, xgrid):
@@ -191,19 +175,15 @@ def _w_adjoints(C, xgrid):
 
 
 def qlcst_pointwise_inverse(C, u_index, xgrid=None):
-    """Inverse QLCT over w of the coefficient slice at one position index,
-    onto any xgrid (default: C.ugrid).
+    """Inverse QLCT over w of the coefficient slice of any source at one
+    position index pair (C.slice_planes, which checks it), onto any xgrid
+    (default: C.ugrid).
 
     Recovers the w-integrated masked product f(x) * conj(Psi(u - x, w)).
     """
-    if not isinstance(C, QLCSTCoefficients):
-        raise BadParameter("the pointwise inverse reads stored coefficients: "
-                           "pass qlcst_forward(...), not qlcst_analysis(...)")
     if xgrid is None:
         xgrid = C.ugrid
-    iu1, iu2 = u_index
-    a4, b4 = C.views4()
-    a, b = _contract(a4[iu1, :, iu2], b4[iu1, :, iu2], *_w_adjoints(C, xgrid))
+    a, b = _contract(*C.slice_planes("u", u_index), *_w_adjoints(C, xgrid))
     return QSignal2D(symplectic_join(a, b) * C.wgrid.cell, xgrid)
 
 

@@ -100,9 +100,6 @@ class QSignal2D:
         """Riemann-sum L2 energy sum(|f|^2) * dx1 * dx2."""
         return float(np.sum(qnormsq(self.data)) * self.grid.cell)
 
-    def norm(self):
-        return math.sqrt(self.energy())
-
 
 class QSpectrum2D(QSignal2D):
     """A QSignal2D indexed by the transform-domain grid."""

@@ -256,9 +256,9 @@ def suite_special_case():
     passed &= _check(lines, ok, "fractional(pi/2) reduces to the fourier case")
     grid = Grid2D.centered(EXTENT, 16)
     f = gen_signal("gaussian", grid)
-    a4, b4 = qlcst_forward(f, constant_window(), m1, m2).views4()
+    c = qlcst_forward(f, constant_window(), m1, m2)
     q = qlct_fast_forward(f, m1, m2)
-    worst = max(relative_l2(symplectic_join(a4[i, :, j], b4[i, :, j]), q.data)
+    worst = max(relative_l2(symplectic_join(*c.slice_planes("u", (i, j))), q.data)
                 for i, j in np.ndindex(grid.shape))
     passed &= _check(lines, worst < 1e-10,
                      "constant window reproduces the QLCT: worst rel_l2=%.3e" % worst)

@@ -29,7 +29,7 @@ from .signal import Grid1D, Grid2D, QSignal2D
 @dataclass(frozen=True)
 class WindowSpec:
     family: str                      # "fixed-gaussian" | "s-gaussian" | "custom-table"
-    sigma: tuple = (1.0, 1.0)        # fixed-gaussian widths
+    sigma: tuple = (1.0, 1.0)        # fixed-gaussian widths; (1, 1) on the others
     table: Optional[QSignal2D] = None
 
     def __post_init__(self):
@@ -43,8 +43,12 @@ class WindowSpec:
                 vals = np.array([s1, s2, s1 * s1, s2 * s2, (2.0 * np.pi * s1 * s2) ** -2])
             if not np.all(np.isfinite(vals) & (vals >= np.finfo(float).tiny)):
                 raise BadParameter("fixed-gaussian widths %r give no finite profile" % (self.sigma,))
-        if self.family == "custom-table" and self.table is None:
-            raise BadParameter("custom-table window needs a sampled table")
+        elif tuple(self.sigma) != (1.0, 1.0):
+            raise BadParameter("the %s window takes no widths, got %r"
+                               % (self.family, self.sigma))
+        if (self.family == "custom-table") != (self.table is not None):
+            raise BadParameter("a custom-table window needs a sampled table, "
+                               "and no other window takes one")
 
     @property
     def separable(self):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from qlcst.cli import cli_main
 from qlcst.errors import (BadMagic, BadParameter, NonFinite, QlcstError,
-                          TrailingBytes, TruncatedFile, VersionMismatch)
+                          TooLarge, TrailingBytes, TruncatedFile,
+                          VersionMismatch)
 from qlcst.generators import _hermite_mode, gen_signal
 from qlcst.io import (COEFF_HEADER, COEFF_MAGIC, SIGNAL_HEADER, SIGNAL_MAGIC,
                       WINDOW_CODES, coefficient_slice, open_coefficients,
@@ -166,7 +167,9 @@ def qsg_bytes(draw):
 def qcf_bytes(draw):
     """A QCF2 file of any window family, a table window with a valid QSG1
     table record, or one defect: those of _file_with_one_defect, a matrix
-    with det != 1 or B = 0, or an unknown window family code."""
+    with det != 1 or B = 0, or an unknown window family code.  The widths
+    are (1, 1), which every family takes, or drawn, which only the fixed
+    gaussian takes."""
     defect = draw(st.sampled_from(DEFECTS + ("matrix", "family")))
     counts = [draw(st.integers(2, 3)) for _ in range(4)]
     m1, m2 = draw(st.sampled_from(MATRICES)), draw(st.sampled_from(MATRICES))
@@ -175,7 +178,8 @@ def qcf_bytes(draw):
     code = draw(st.integers(0, len(WINDOW_CODES) - 1))
     if defect == "family":
         code = draw(st.integers(len(WINDOW_CODES), 2 ** 16 - 1))
-    sigma = draw(st.lists(st.floats(0.1, 5.0), min_size=2, max_size=2))
+    sigma = draw(st.one_of(st.just([1.0, 1.0]),
+                           st.lists(st.floats(0.1, 5.0), min_size=2, max_size=2)))
     tail = b""
     if code < len(WINDOW_CODES) and WINDOW_CODES[code] == "custom-table":
         tail = _file_with_one_defect(draw, SIGNAL_HEADER, SIGNAL_MAGIC,
@@ -348,6 +352,66 @@ def test_truncated_coefficient_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(TruncatedFile):
         read_coefficients(path)
+
+
+def test_coefficient_file_truncated_while_read(tmp_path):
+    """A file cut short after a blocks() pass has begun, past the check of
+    the file's identity, ends inside the payload of its last block."""
+    path = tmp_path / "c.qcf"
+    write_coefficients(path, qlcst_analysis(gen_signal("gaussian", Grid2D.centered(8.0, 12)),
+                                            fixed_gaussian(1, 1), FOURIER, FOURIER))
+    blocks = open_coefficients(path).blocks()
+    next(blocks)
+    os.truncate(path, os.path.getsize(path) - 8)
+    with pytest.raises(TruncatedFile, match="file ends inside payload"):
+        for _ in blocks:
+            pass
+
+
+def test_coefficient_file_changed_after_open_refused(tmp_path, monkeypatch):
+    """A path rewritten after open_coefficients, here at other widths, is
+    refused by the held file source before any payload is read, so its
+    energy and window never mix two files."""
+    f = gen_signal("gaussian", Grid2D.centered(8.0, 8))
+    path = tmp_path / "c.qcf"
+    write_coefficients(path, qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER))
+    src = open_coefficients(path)
+    write_coefficients(path, qlcst_analysis(f, fixed_gaussian(0.3, 0.3), FOURIER, FOURIER))
+
+    def unread(fh, out):
+        raise AssertionError("payload read")
+    monkeypatch.setattr("qlcst.io._read_payload", unread)
+    with pytest.raises(QlcstError, match="changed since it was opened"):
+        src.energy()
+    monkeypatch.undo()
+    reopened = open_coefficients(path)
+    assert reopened.window == fixed_gaussian(0.3, 0.3)
+    assert reopened.energy() == qlcst_analysis(f, fixed_gaussian(0.3, 0.3),
+                                               FOURIER, FOURIER).energy()
+
+
+def test_widths_on_a_family_without_widths_refused(tmp_path, capsys):
+    """A QCF2 header with the s-gauss code and widths (5, -3) names no
+    window: open_coefficients raises BadParameter, and export exits 1 with
+    one error line and no output.  The (1, 1) widths the library writes for
+    every family but the fixed gaussian open."""
+    path = tmp_path / "c.qcf"
+    write_coefficients(path, qlcst_analysis(gen_signal("gaussian", Grid2D.centered(8.0, 8)),
+                                            s_gaussian(), FOURIER, FOURIER))
+    assert open_coefficients(path).window == s_gaussian()
+    raw = bytearray(path.read_bytes())
+    fields = list(COEFF_HEADER.unpack_from(raw))
+    fields[-2:] = 5.0, -3.0
+    raw[:COEFF_HEADER.size] = COEFF_HEADER.pack(*fields)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(BadParameter, match="takes no widths"):
+        open_coefficients(path)
+    out = tmp_path / "s.csv"
+    assert cli_main(["export", "-i", str(path), "-o", str(out), "--slice", "u",
+                     "--index", "0,0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the s-gaussian window takes no widths")
+    assert not out.exists()
 
 
 def test_coefficient_slices():
@@ -636,15 +700,18 @@ def test_cli_readme_commands(tmp_path, monkeypatch):
 def test_cli_qlcst_needs_no_planes(tmp_path, monkeypatch):
     """The CLI writes its coefficients from the unstored analysis, so with
     physical memory taken as 1 MB, where qlcst_forward refuses the 2 MB N=16
-    set, `qlcst qlcst` still exits 0 and writes the stored set's bytes."""
+    set, `qlcst qlcst` still exits 0 and writes the stored set's bytes;
+    read_coefficients refuses the file's planes as qlcst_forward does."""
     fpath, cpath, want = (str(tmp_path / n) for n in ("f.qsg", "c.qcf", "w.qcf"))
     cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
     write_coefficients(want, qlcst_forward(read_signal(fpath), fixed_gaussian(1, 1),
                                            FOURIER, FOURIER))
-    monkeypatch.setattr("qlcst.qlcst._physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 6)
     assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
                      "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 0
     assert Path(cpath).read_bytes() == Path(want).read_bytes()
+    with pytest.raises(TooLarge):
+        read_coefficients(cpath)
 
 
 def _only_files(directory, names):

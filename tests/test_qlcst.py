@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                          GridMismatch, QlcstError, TooLarge, Undersampled,
+                          GridMismatch, TooLarge, Undersampled,
                           ZeroSignal, ZeroWindow)
+from qlcst.coefficients import ROW_BLOCK
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.io import open_coefficients, write_coefficients
 from qlcst.lct import kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
-from qlcst.qlcst import (PROFILE_FLOOR, ROW_BLOCK, QLCSTCoefficients,
+from qlcst.qlcst import (PROFILE_FLOOR, QLCSTCoefficients,
                          _analysis_blocks, _contract, _kernel, _phase_matrix,
                          _streamed_rel_l2, covariance_residuals,
                          energy_identity_gap, marginal_qlct_gap,
@@ -349,11 +350,22 @@ def test_pointwise_inverse_masked_product():
     iu = (g.axis1.n // 2, g.axis2.n // 2)
     u = (g.axis1.points[iu[0]], g.axis2.points[iu[1]])
     rec = qlcst_pointwise_inverse(c, iu, g)
+    assert qlcst_pointwise_inverse(c, iu) == rec  # xgrid defaults to C.ugrid
     x1 = g.axis1.points[:, None]
     x2 = g.axis2.points[None, :]
     psi = window_eval(win, (u[0] - x1, u[1] - x2), (1.0, 1.0))
     want = qmul(f.data, qconj(psi))
     assert relative_l2(rec.data, want) < 1e-5
+
+
+@pytest.mark.parametrize("index", [(-1, 0), (8, 0), (1.5, 0), (1,), (1, 2, 3)])
+def test_pointwise_inverse_refuses_bad_index(index):
+    """An index pair outside the N=8 u grid, or not two integers, raises
+    BadParameter, from a stored set and an unstored analysis alike."""
+    args = (gen_signal("gaussian", grid(8)), fixed_gaussian(1, 1), FOURIER, FOURIER)
+    for src in (qlcst_forward(*args), qlcst_analysis(*args)):
+        with pytest.raises(BadParameter):
+            qlcst_pointwise_inverse(src, index)
 
 
 @pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
@@ -397,19 +409,25 @@ def test_table_reconstruct_identity(case, lattice):
 
 @pytest.mark.parametrize("window", [fixed_gaussian(1, 1), OFF_LATTICE_TABLE],
                          ids=["fixed-gauss", "table"])
-def test_reconstruct_from_unstored_analysis(window):
+def test_reconstruct_from_unstored_analysis(tmp_path, window):
     """Synthesis sums C.blocks(), so the unstored analysis of the N=8
-    Gaussian reconstructs like the stored set; the pointwise inverse, which
-    reads one stored slice, refuses it with a QlcstError."""
+    Gaussian reconstructs like the stored set; the pointwise inverse reads
+    C.slice_planes(), so the stored set, the analysis and its open file give
+    the same bits."""
     g = grid(8)
     f = gen_signal("gaussian", g)
     args = (f, window, FOURIER, FOURIER)
-    want = qlcst_reconstruct(qlcst_forward(*args))
-    got = qlcst_reconstruct(qlcst_analysis(*args))
+    stored, unstored = qlcst_forward(*args), qlcst_analysis(*args)
+    want = qlcst_reconstruct(stored)
+    got = qlcst_reconstruct(unstored)
     assert relative_l2(got.data, want.data) < 1e-14
     assert relative_l2(got.data, f.data) < 1e-14
-    with pytest.raises(QlcstError, match="qlcst_forward"):
-        qlcst_pointwise_inverse(qlcst_analysis(*args), (0, 0))
+    write_coefficients(tmp_path / "c.qcf", stored)
+    sources = (stored, unstored, open_coefficients(tmp_path / "c.qcf"))
+    for iu in [(0, 0), (3, 5), (7, 7)]:
+        ref = qlcst_pointwise_inverse(stored, iu)
+        for src in sources:
+            assert np.array_equal(qlcst_pointwise_inverse(src, iu).data, ref.data)
 
 
 def test_reconstruct_zero_coefficients():
@@ -943,7 +961,7 @@ def test_checks_need_no_coefficient_set(monkeypatch):
                 lemma_41_gap(C, f, 1), lemma_41_gap(C, f, 2), marginal_qlct_gap(C, f)]
 
     want = checks(qlcst_forward(*args))
-    monkeypatch.setattr("qlcst.qlcst._physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 6)
     with pytest.raises(TooLarge):
         qlcst_forward(*args)
     got = checks(qlcst_analysis(*args))
@@ -958,6 +976,15 @@ def test_table_energy_identity(n):
     f = gen_signal("gaussian", grid(n))
     c = qlcst_forward(f, OFF_LATTICE_TABLE, FOURIER, FOURIER)
     assert energy_identity_gap(c, f) < 1e-2
+
+
+def test_planes_must_match_grids():
+    """Planes of another shape than the grids give raise GridMismatch."""
+    c = qlcst_forward(gen_signal("gaussian", grid(4)), fixed_gaussian(1, 1),
+                      FOURIER, FOURIER)
+    for a, b in [(c.a[:-1], c.b), (c.a, c.b[:, :-1]), (c.a.ravel(), c.b)]:
+        with pytest.raises(GridMismatch, match="do not match grids"):
+            QLCSTCoefficients(a, b, c.ugrid, c.wgrid, c.window, c.m1, c.m2)
 
 
 def test_planes_read_only_and_density_cached():

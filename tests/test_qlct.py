@@ -60,8 +60,12 @@ def test_roundtrip_direct(abcd):
     m = validate_param(*abcd)
     grid = small_grid(24)
     f = gen_signal("gaussian", grid)
-    back = qlct_inverse(qlct_forward(f, m, m), m, m, grid)
+    F = qlct_forward(f, m, m)
+    back = qlct_inverse(F, m, m, grid)
     assert relative_l2(back.data, f.data) < 1e-6
+    default = qlct_inverse(F, m, m)  # onto the FFT-compatible grid of F's
+    assert default.grid == fft_output_grid(F.grid, m.b, m.b)
+    assert relative_l2(default.data, f.data) < 1e-6
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "direct"])

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from qlcst.errors import AdmissibilityError, BadParameter, ZeroFrequency, ZeroWindow
 from qlcst.quaternion import qnormsq
 from qlcst.signal import Grid1D, Grid2D, QSignal2D
-from qlcst.window import (constant_window, fixed_gaussian, lambda_psi,
-                          parse_window, reflect, s_gaussian, table_window,
-                          window_eval)
+from qlcst.window import (WindowSpec, constant_window, fixed_gaussian,
+                          lambda_psi, parse_window, reflect, s_gaussian,
+                          table_window, window_eval)
 
 
 def quad_integral(spec, w=(1.0, 1.0), extent=10.0):
@@ -113,8 +113,22 @@ def test_parse_window():
 
 
 def test_bad_window_parameters():
+    """Bad widths, widths on a family that has none and a table on a family
+    other than custom-table are refused; the default (1, 1) widths of every
+    other family are accepted."""
     with pytest.raises(BadParameter):
         fixed_gaussian(-1.0, 1.0)
+    table = QSignal2D(np.ones((2, 2, 4)), Grid2D.centered(1.0, 2))
+    for family, sigma, tab in [("s-gaussian", (5.0, -3.0), None),
+                               ("constant", (2.0, 1.0), None),
+                               ("custom-table", (0.5, 0.5), table),
+                               ("custom-table", (1.0, 1.0), None),
+                               ("fixed-gaussian", (1.0, 1.0), table),
+                               ("s-gaussian", (1.0, 1.0), table)]:
+        with pytest.raises(BadParameter):
+            WindowSpec(family, sigma, tab)
+    assert WindowSpec("s-gaussian", (1.0, 1.0)) == s_gaussian()
+    assert WindowSpec("custom-table", (1.0, 1.0), table) == table_window(table)
 
 
 def test_norm_squared_integral_matches_lambda():
