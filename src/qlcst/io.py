@@ -16,9 +16,10 @@ read_coefficients is the file's stored() planes, refused beyond physical
 memory, and coefficient_slice the magnitude of its slice_planes().  Readers
 check the header, the file size, the matrices and the window before
 anything is allocated, a file that changed since it was opened before any
-payload is read, and every payload value as it is read.  A coefficient file
-is written under a temporary name and renamed to the output when complete,
-so a failed write leaves none.
+payload is read, and every payload value as it is read.  Every output (a
+signal, a coefficient file, an exported slice) is written under a temporary
+name and renamed to the output when complete, so a failed write leaves none
+and an old output as it was.
 """
 
 import contextlib
@@ -59,8 +60,8 @@ def _write_signal_record(fh, f):
 
 
 def write_signal(path, f):
-    """Write a QSignal2D (or spectrum) as a QSG1 file."""
-    with open(path, "wb") as fh:
+    """Write a QSignal2D (or spectrum) as a QSG1 file (_replacing)."""
+    with _replacing(path) as fh:
         _write_signal_record(fh, f)
 
 
@@ -255,17 +256,18 @@ def coefficient_slice(c, fixed, index):
 
 
 def export_slice_csv(path, mag):
-    with open(path, "w", newline="") as fh:
+    """CSV of a magnitude map, one row per line (_replacing)."""
+    with _replacing(path) as fh:
         for row in mag:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write((",".join("%.17g" % v for v in row) + "\n").encode())
 
 
 def export_slice_pgm(path, mag):
-    """8-bit P5 PGM of a magnitude map, linear min-max scaled."""
+    """8-bit P5 PGM of a magnitude map, linear min-max scaled (_replacing)."""
     lo = float(mag.min())
     hi = float(mag.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     pix = np.round((mag - lo) * scale).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(b"P5\n%d %d\n255\n" % (pix.shape[1], pix.shape[0]))
         fh.write(pix.tobytes())

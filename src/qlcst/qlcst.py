@@ -21,12 +21,14 @@ right-multiplied by e_c.  A built-in window is one real term; a table has
 R <= min(n1, 4*n2), and cost and memory grow with R.  One producer of u1 row
 blocks (_analysis_blocks) serves every check through C.rows() of a stored
 set, a QCF2 file or an unstored qlcst_analysis, and qlcst_forward is the
-stored() of the analysis, its planes filled in place from those blocks;
-covariance_residuals alone calls it with overrides (kernel phase tables,
-reversed points).  Its shift analyses f's own samples on the x grid moved by
-alpha, the shifted signal exactly.  The pointwise inverse reads
-C.slice_planes(), so it too takes any source; on an unstored analysis that
-computes every block.
+stored() of the analysis, its planes filled in place from those blocks.
+The producer is a pure contraction of data: it takes the output points and
+the per-axis kernel matrices, which the analysis builds from its grids and
+_phase_matrix, and covariance_residuals from reversed points (parity) or
+shifted kernel phases (shift, modulation).  Its shift analyses f's own
+samples on the x grid moved by alpha, the shifted signal exactly.  The
+pointwise inverse reads C.slice_planes(), so it too takes any source; on an
+unstored analysis that computes every block.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda, which makes it exact on any u spacing.
 a and b are kept rather than P and Q because (w - z, w + z) does not round
@@ -68,18 +70,22 @@ class QLCSTAnalysis(_Source):
     wgrid: Grid2D
 
     def blocks(self):
-        return _analysis_blocks(self.f, self.window, self.m1, self.m2,
-                                self.ugrid, self.wgrid)
+        (x1, x2), u, (w1, w2) = (_points(g) for g in (self.f.grid, self.ugrid,
+                                                       self.wgrid))
+        return _analysis_blocks(self.f, self.window, u, (w1, w2),
+                                _phase_matrix(self.m1, x1, w1),
+                                _phase_matrix(self.m2, x2, w2))
 
 
-def _phase_matrix(m, x, w, theta=None):
-    """The plain (len(w), len(x)) kernel matrix E[w, x] = c * exp(i*theta[w, x]).
+def _points(grid):
+    """The point vectors of both axes of grid."""
+    return grid.axis1.points, grid.axis2.points
 
-    theta defaults to the forward kernel phase table kernel_phase(m, x, w).
-    """
-    if theta is None:
-        theta = kernel_phase(m, x[None, :], w[:, None])
-    return kernel_const(m) * np.exp(1j * theta)
+
+def _phase_matrix(m, x, w):
+    """The plain (len(w), len(x)) kernel matrix E[w, x] = c * exp(i*theta[w, x])
+    of the forward kernel phase table theta = kernel_phase(m, x, w)."""
+    return kernel_const(m) * np.exp(1j * kernel_phase(m, x[None, :], w[:, None]))
 
 
 def _kernel(prof, e):
@@ -109,45 +115,36 @@ def _contract(a, b, k1, k2):
     return k1 @ a, k1 @ b
 
 
-def _analysis_blocks(f, window, m1, m2, ugrid, wgrid, theta1=None, theta2=None,
-                     reverse=False):
-    """Yield the analysis planes in blocks of u1 rows as (rows, k, a, b): the
-    plane rows `rows` of the block are k @ a and k @ b.
+def _analysis_blocks(f, window, u, w, e1, e2):
+    """Yield the analysis planes of f at the output points u = (u1, u2) and
+    w = (w1, w2) under the per-axis (w, x) kernel matrices e1 and e2 (the
+    forward ones are _phase_matrix), in blocks of u1 rows as (rows, k, a, b):
+    the plane rows `rows` of the block are k @ a and k @ b.
 
     The window's terms (window_terms) give the K1_r side by side in k, and
     their mu2 factors sum_c (f * conj(e_c) * cell) @ K2_rc^T, each one
     product with the K2_rc side by side, on top of each other in a and b, so
-    k @ a is the sum over terms.  The mu2 side is contracted once and each
-    block takes its rows of the K1_r (coefficients._row_blocks).
-    theta1/theta2 override the per-axis (w, x) kernel phase tables; used by
-    the covariance checks.  reverse yields the planes with both axes
-    reversed, P[::-1, ::-1], in the same row blocks: the u and w points and
-    the theta rows are reversed once, and every kernel is built on them.
+    k @ a is the sum over terms.  The mu2 side is contracted once, one term
+    at a time into the planes a and b, and each block takes its rows of the
+    K1_r (coefficients._row_blocks).  The points and kernel rows are taken
+    in the order given, so reversed ones give the planes reversed.
     """
-    u1s, u2s, w1s, w2s = (ax.points for ax in (ugrid.axis1, ugrid.axis2,
-                                               wgrid.axis1, wgrid.axis2))
-    if reverse:
-        u1s, u2s, w1s, w2s = u1s[::-1], u2s[::-1], w1s[::-1], w2s[::-1]
-        theta1, theta2 = (None if t is None else t[::-1] for t in (theta1, theta2))
-    x1s, x2s = f.grid.axis1.points, f.grid.axis2.points
+    (u1s, u2s), (w1s, w2s) = u, w
+    x1s, x2s = _points(f.grid)
     p, q = window_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
                         u2s[:, None, None] - x2s, w2s[:, None])
-    e2 = _phase_matrix(m2, x2s, w2s, theta2)
     # f * conj(e_c) * cell for the C components of the terms, side by side
     fu = np.concatenate([qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]],
                         axis=1)
     g = [h * f.grid.cell for h in symplectic_split(fu)]
-    if len(q) == 1:  # the one term's factor, not copied
-        a, b = _right_contract(*g, _kernel(q[0], e2))
-    else:  # each K2_r is built only for its own product
-        nx1 = len(x1s)
-        a, b = (np.empty((len(q) * nx1, len(u2s) * len(w2s)), dtype=complex)
-                for _ in range(2))
-        for r, q_r in enumerate(q):
-            rows = slice(r * nx1, (r + 1) * nx1)
-            a[rows], b[rows] = _right_contract(*g, _kernel(q_r, e2))
+    nx1 = len(x1s)
+    a, b = (np.empty((len(q) * nx1, len(u2s) * len(w2s)), dtype=complex)
+            for _ in range(2))
+    for r, q_r in enumerate(q):  # each K2_r is built only for its own product
+        rows = slice(r * nx1, (r + 1) * nx1)
+        a[rows], b[rows] = _right_contract(*g, _kernel(q_r, e2))
     del q, fu, g  # freed before K1 is built
-    k1 = _kernel(p, _phase_matrix(m1, x1s, w1s, theta1))
+    k1 = _kernel(p, e1)
     for rows in _row_blocks(len(k1), len(w1s)):
         yield rows, k1[rows], a, b
 
@@ -212,29 +209,30 @@ def qlcst_reconstruct(C):
     window on any u spacing (the canonical dual frame).  Over the window's
     terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
     K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.rows(), so
-    C may be stored or unstored; F is the Gram form
-    sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the term products.
+    C may be stored or unstored.  The kernels are built on the adjoint phase
+    matrices of _w_adjoints and the mu2 side is contracted by _right_contract,
+    as in the analysis.  F is the Gram form sum_rs G1_rs(x1) * G2_rs(x2) of
+    the per-axis sums of the term products.
     An x that no u reaches (F(x) <= eps * max F) is refused.
     """
     if C.window.w_dependent:
         raise AdmissibilityError(
             "reconstruction needs a window that does not depend on the frequency")
     g = C.ugrid
-    x1s, x2s = g.axis1.points, g.axis2.points
+    x1s, x2s = _points(g)
     p, q = window_terms(C.window, x1s[:, None, None] - x1s, 1.0,
                         x2s[:, None, None] - x2s, 1.0)  # no w dependence
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
-    k1h = _kernel(p, _phase_matrix(C.m1, x1s, C.wgrid.axis1.points).conj()).T
+    e1h, e2h = _w_adjoints(C, g)
+    k1h = _kernel(p, e1h.T).T
     acc = [0, 0]
     for rows, *planes in C.rows():
         for i, plane in enumerate(planes):
             acc[i] += k1h[:, rows] @ plane
-    e2h = _phase_matrix(C.m2, x2s, C.wgrid.axis2.points).conj()
     out = np.zeros(g.shape + (4,))
     for r, q_r in enumerate(q):
         a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)
-        k2h = _kernel(q_r, e2h)
-        adj = symplectic_join(*right_mu2(a, b, lambda h: h @ k2h))
+        adj = symplectic_join(*_right_contract(a, b, _kernel(q_r, e2h.T).T))
         for c, e in enumerate(np.eye(4)[:len(q_r)]):  # (x1, (c, x2)) columns
             out += qmul(adj[:, c * len(x2s):(c + 1) * len(x2s)], e)
     out *= C.wgrid.cell
@@ -340,22 +338,22 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     evaluates the kernel at (x, w - s*B), the frequency shift in the
     frequency slot, and the window at w.  The w-dependent phase factors
     exp(mu1*phi1(w1)) * . * exp(mu2*phi2(w2)) of both identities are added
-    to the kernel phase tables, since they multiply the mu1 kernel on the
-    left and the mu2 kernel on the right.
+    to the kernel phases of the matrices passed to _analysis_blocks, since
+    they multiply the mu1 kernel on the left and the mu2 kernel on the right.
     """
     base = qlcst_analysis(f, window, m1, m2)
     ugrid, wgrid = base.ugrid, base.wgrid
-    w1pts, w2pts = wgrid.axis1.points, wgrid.axis2.points
-    x1, x2 = f.grid.axis1.points, f.grid.axis2.points
+    (x1, x2), u, w = _points(f.grid), _points(ugrid), _points(wgrid)
+    w1pts, w2pts = w
 
-    def blocks(g, u, t1, t2, phi1, phi2):
-        """Blocks of exp(mu1*phi1) * (analysis of g on the u grid with the
+    def blocks(g, u, t, phi):
+        """Blocks of exp(mu1*phi1) * (analysis of g at the points u with the
         kernels evaluated at the frequencies t) * exp(mu2*phi2), with phi
         depending on w only."""
-        return _analysis_blocks(
-            g, window, m1, m2, u, wgrid,
-            theta1=kernel_phase(m1, x1[None, :], t1[:, None]) + phi1[:, None],
-            theta2=kernel_phase(m2, x2[None, :], t2[:, None]) + phi2[:, None])
+        return _analysis_blocks(g, window, u, w, *(
+            kernel_const(m) * np.exp(1j * (kernel_phase(m, xs[None, :], ts[:, None])
+                                           + ph[:, None]))
+            for m, xs, ts, ph in zip((m1, m2), (x1, x2), t, phi)))
 
     def moved(grid, t):
         """grid with the origin of each axis moved by t."""
@@ -368,10 +366,13 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     # Parity: transform of the reflected signal under the reflected window
     # equals the coefficients sampled at (-u, -w); on centered midpoint grids
     # negation reverses every index axis, which reverses both plane axes, so
-    # the base side is produced reversed.
+    # the base side is produced at the reversed u and w points, with the
+    # kernel rows of the reversed w.
+    u_rev, w_rev = ([pts[::-1] for pts in v] for v in (u, w))
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
     parity = _streamed_rel_l2(
-        _analysis_blocks(f, window, m1, m2, ugrid, wgrid, reverse=True),
+        _analysis_blocks(f, window, u_rev, w_rev, *(
+            _phase_matrix(m, xs, ws) for m, xs, ws in zip((m1, m2), (x1, x2), w_rev))),
         qlcst_analysis(f_ref, reflect(window), m1, m2).blocks())
 
     # Shift covariance.
@@ -380,20 +381,20 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
                              m2.a * x2 * alpha[1] / m2.b)
     # The window keeps its w; only its u - x argument moves with the grid.
     shift = _streamed_rel_l2(
-        _analysis_blocks(QSignal2D(f.data, moved(f.grid, alpha)), window, m1, m2,
-                         ugrid, wgrid),
-        blocks(f_tilde, moved(ugrid, (-alpha[0], -alpha[1])), w1pts, w2pts,
-               (m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
-               (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b)))
+        qlcst_analysis(QSignal2D(f.data, moved(f.grid, alpha)), window, m1, m2,
+                       ugrid, wgrid).blocks(),
+        blocks(f_tilde, _points(moved(ugrid, (-alpha[0], -alpha[1]))), w,
+               ((m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
+                (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b))))
 
     # Modulation covariance: the analysis of exp(mu1 s1 x1) f exp(mu2 s2 x2)
     # against that of f with the kernels at w - s*B.
     modulation = _streamed_rel_l2(
         qlcst_analysis(sandwich_phase(f, s[0] * x1, s[1] * x2),
                        window, m1, m2).blocks(),
-        blocks(f, ugrid, w1pts - s[0] * m1.b, w2pts - s[1] * m2.b,
-               m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
-               m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2)))
+        blocks(f, u, (w1pts - s[0] * m1.b, w2pts - s[1] * m2.b),
+               (m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
+                m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))))
 
     return CovarianceReport(parity, shift, modulation)
 

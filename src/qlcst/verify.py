@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from .errors import BadParameter
 from .generators import gen_signal, random_hermite_combo
 from .lct import validate_param
 from .qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
@@ -283,5 +284,5 @@ SUITES = {
 
 def run_suite(name):
     if name not in SUITES:
-        raise KeyError("unknown verification suite %r" % name)
+        raise BadParameter("unknown verification suite %r" % name)
     return SUITES[name]()

@@ -6,8 +6,8 @@ Built-in families are real-valued and separable:
 * s-gaussian:              (|w1 w2|/(2*pi)) * exp(-(x1^2 w1^2 + x2^2 w2^2)/2)
 
 Both integrate to 1.  A custom quaternion-valued window can be supplied as a
-sampled table (a QSignal2D); it is interpolated bilinearly and treated as zero
-outside its grid.
+sampled table (a QSignal2D) whose samples have finite squares; it is
+interpolated bilinearly and treated as zero outside its grid.
 
 The operators contract every window as a short sum of separable terms
 (window_terms); a table is split into them by one real SVD of its samples.
@@ -49,6 +49,13 @@ class WindowSpec:
         if (self.family == "custom-table") != (self.table is not None):
             raise BadParameter("a custom-table window needs a sampled table, "
                                "and no other window takes one")
+        if self.table is not None:
+            # A sample whose square is finite is finite itself.
+            with np.errstate(over="ignore"):
+                finite = np.all(np.isfinite(np.square(self.table.data)))
+            if not finite:
+                raise BadParameter("a table window needs samples whose squares "
+                                   "are finite")
 
     @property
     def separable(self):

@@ -458,6 +458,32 @@ def test_impulse_value():
     assert f.data[nz][0] == 1.0 / g.cell
 
 
+@pytest.mark.parametrize("kind, grid, kwargs", [
+    ("boxcar", Grid2D.centered(4.0, 4), {}),
+    ("gaussian", (4, 4), {}),
+    ("dilated-gaussian", Grid2D.centered(4.0, 4), {"a": 0.0}),
+], ids=["unknown-kind", "not-a-grid2d", "dilation-zero"])
+def test_gen_signal_refusals(kind, grid, kwargs):
+    with pytest.raises(BadParameter):
+        gen_signal(kind, grid, **kwargs)
+
+
+def test_signal_write_failure_keeps_old_output(tmp_path, monkeypatch):
+    """A signal write that fails after its header (here: the disk fills up)
+    leaves an old output as it was and no temporary file."""
+    out = tmp_path / "f.qsg"
+    out.write_bytes(b"old")
+
+    def header_then_full_disk(fh, f):
+        fh.write(SIGNAL_HEADER.pack(SIGNAL_MAGIC, 1, *f.grid.shape, 0, 0, 1, 1))
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr("qlcst.io._write_signal_record", header_then_full_disk)
+    with pytest.raises(OSError):
+        write_signal(out, gen_signal("gaussian", Grid2D.centered(4.0, 4)))
+    assert out.read_bytes() == b"old"
+    assert _only_files(tmp_path, ["f.qsg"])
+
+
 # --- CLI ---------------------------------------------------------------
 
 
@@ -592,6 +618,25 @@ def test_cli_table_window(tmp_path):
     assert cli_main(["reconstruct", "-i", cpath, "-o", rpath, "--m1", "0,1,-1,0",
                      "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 0
     assert relative_l2(read_signal(rpath).data, f.data) < 1e-8
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e300], ids=["nan", "square-overflows"])
+def test_cli_table_window_with_non_finite_squares_refused(tmp_path, capsys, value):
+    """A table with a NaN sample (refused by the reader) or a sample whose
+    square overflows (refused by the window): exit 1, one error line, no
+    coefficient file."""
+    g = Grid2D.centered(8.0, 8)
+    fpath, tpath = str(tmp_path / "f.qsg"), str(tmp_path / "t.qsg")
+    write_signal(fpath, gen_signal("gaussian", g))
+    table = lattice_table(g)
+    table.data[3, 4, 0] = value
+    write_signal(tpath, table)
+    assert cli_main(["qlcst", "-i", fpath, "-o", str(tmp_path / "c.qcf"),
+                     "--m1", "0,1,-1,0", "--m2", "0,1,-1,0",
+                     "--window", "table:" + tpath]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert _only_files(tmp_path, ["f.qsg", "t.qsg"])
 
 
 def _matrix_text(m):

@@ -12,7 +12,7 @@ from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
 from qlcst.coefficients import ROW_BLOCK
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.io import open_coefficients, write_coefficients
-from qlcst.lct import kernel_eval, kernel_phase, validate_param
+from qlcst.lct import kernel_const, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
 from qlcst.qlcst import (PROFILE_FLOOR, QLCSTCoefficients,
                          _analysis_blocks, _contract, _kernel, _phase_matrix,
@@ -651,8 +651,7 @@ def test_real_scalar_linearity():
 def test_forward_blocks_match_one_contraction(window, case):
     """The planes filled block by block equal the single whole-plane
     contraction bit for bit, on a u grid whose N_u1 the block size does not
-    divide, as qlcst_forward fills them and under kernel phase table
-    overrides."""
+    divide, as qlcst_forward fills them and under custom kernel matrices."""
     m1, m2 = dict(MATRIX_CASES)[case]()
     g = grid(12)
     f = random_hermite_combo(g, seed=2)
@@ -660,26 +659,27 @@ def test_forward_blocks_match_one_contraction(window, case):
     assert ugrid.axis1.n % ROW_BLOCK
     wgrid = fft_output_grid(g, m1.b, m2.b)
     x1, x2 = g.axis1.points, g.axis2.points
-    theta1 = kernel_phase(m1, x1[None, :], wgrid.axis1.points[:, None]) + 0.3
-    theta2 = kernel_phase(m2, x2[None, :], wgrid.axis2.points[:, None]) - 0.2
+    w1, w2 = wgrid.axis1.points, wgrid.axis2.points
+    # kernel matrices of phase tables offset from the forward ones
+    e1 = kernel_const(m1) * np.exp(1j * (kernel_phase(m1, x1[None, :], w1[:, None]) + 0.3))
+    e2 = kernel_const(m2) * np.exp(1j * (kernel_phase(m2, x2[None, :], w2[:, None]) - 0.2))
     a, b = symplectic_split(f.data)
 
-    def kernels(theta1=None, theta2=None):
+    def kernels(e1, e2):
         """K1 and K2 of the one-term window, (u, w) rows by x columns."""
         p, q = window_terms(window, ugrid.axis1.points[:, None, None] - x1,
-                            wgrid.axis1.points[:, None],
-                            ugrid.axis2.points[:, None, None] - x2,
-                            wgrid.axis2.points[:, None])
-        return (_kernel(p, _phase_matrix(m1, x1, wgrid.axis1.points, theta1)),
-                _kernel(q[:, 0], _phase_matrix(m2, x2, wgrid.axis2.points, theta2)))
+                            w1[:, None], ugrid.axis2.points[:, None, None] - x2,
+                            w2[:, None])
+        return _kernel(p, e1), _kernel(q[:, 0], e2)
 
     c = qlcst_forward(f, window, m1, m2, ugrid)
-    want = _contract(a * g.cell, b * g.cell, *kernels())
+    want = _contract(a * g.cell, b * g.cell,
+                     *kernels(_phase_matrix(m1, x1, w1), _phase_matrix(m2, x2, w2)))
     assert all(np.array_equal(p, q) for p, q in zip((c.a, c.b), want))
-    want = _contract(a * g.cell, b * g.cell, *kernels(theta1, theta2))
+    want = _contract(a * g.cell, b * g.cell, *kernels(e1, e2))
     got = [np.empty_like(c.a), np.empty_like(c.b)]
-    for rows, k, *planes in _analysis_blocks(f, window, m1, m2, ugrid, wgrid,
-                                             theta1=theta1, theta2=theta2):
+    u = (ugrid.axis1.points, ugrid.axis2.points)
+    for rows, k, *planes in _analysis_blocks(f, window, u, (w1, w2), e1, e2):
         for out, p in zip(got, planes):
             np.matmul(k, p, out=out[rows])
     assert all(np.array_equal(p, q) for p, q in zip(got, want))
@@ -702,7 +702,7 @@ def test_streamed_residual_matches_full_formula(window):
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
 
     def blocks(f):
-        return _analysis_blocks(f, window, FOURIER, FOURIER, g, wgrid)
+        return qlcst_analysis(f, window, FOURIER, FOURIER, g, wgrid).blocks()
 
     def planes(f):
         c = qlcst_forward(f, window, FOURIER, FOURIER, g, wgrid)
@@ -726,7 +726,7 @@ def test_streamed_residual_refuses_misaligned_blocks():
     longer = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 1), g.axis2)
 
     def blocks(window, ugrid=g):
-        return _analysis_blocks(f, window, FOURIER, FOURIER, ugrid, wgrid)
+        return qlcst_analysis(f, window, FOURIER, FOURIER, ugrid, wgrid).blocks()
 
     win = fixed_gaussian(1, 1)
     stored = qlcst_forward(f, win, FOURIER, FOURIER, g, wgrid).blocks()
@@ -741,33 +741,37 @@ def test_streamed_residual_refuses_misaligned_blocks():
                                     OFF_LATTICE_TABLE],
                          ids=["fixed-gauss", "s-gauss", "table"])
 def test_reversed_blocks_are_reversed_planes(window):
-    """reverse=True yields the forward planes with both axes reversed, in the
-    same row blocks, on a u grid whose N_u1 the block size does not divide,
-    also under kernel phase table overrides (whose w rows it reverses).
-    The products may differ from the forward ones only in their last bits."""
+    """Reversed u and w points with the reversed rows of the kernel matrices
+    yield the planes with both axes reversed, in the same row blocks, on a u
+    grid whose N_u1 the block size does not divide, under the forward kernel
+    matrices and under custom ones.  The products may differ from the
+    forward ones only in their last bits."""
     g = grid(12)
     f = random_hermite_combo(g, seed=5)
     ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), Grid1D.centered(6.0, 10))
     assert ugrid.axis1.n % ROW_BLOCK
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
-    x1, x2 = g.axis1.points, g.axis2.points
-    w1, w2 = (ax.points[:, None] for ax in (wgrid.axis1, wgrid.axis2))
-    # w-dependent offsets, so the order of the w rows shows
-    theta = {"theta1": kernel_phase(FOURIER, x1[None, :], w1) + 0.3 * w1,
-             "theta2": kernel_phase(FOURIER, x2[None, :], w2) - 0.2 * w2}
-    shape = tuple(u * w for u, w in zip(ugrid.shape, wgrid.shape))
+    u = (ugrid.axis1.points, ugrid.axis2.points)
+    w = (wgrid.axis1.points, wgrid.axis2.points)
+    forward = [_phase_matrix(FOURIER, x, ws)
+               for x, ws in zip((g.axis1.points, g.axis2.points), w)]
+    # w-dependent phase offsets, so the order of the kernel rows shows
+    custom = [e * np.exp(1j * c * ws[:, None]) for e, c, ws in zip(forward, (0.3, -0.2), w)]
+    shape = tuple(nu * nw for nu, nw in zip(ugrid.shape, wgrid.shape))
 
-    def planes(reverse, **overrides):
+    def planes(u, w, e):
         out = [np.empty(shape, dtype=complex) for _ in range(2)]
-        for rows, k, *ps in _analysis_blocks(f, window, FOURIER, FOURIER, ugrid,
-                                             wgrid, reverse=reverse, **overrides):
+        for rows, k, *ps in _analysis_blocks(f, window, u, w, *e):
             for o, p in zip(out, ps):
                 o[rows] = k @ p
         return out
 
-    for overrides in ({}, theta):
-        want = [p[::-1, ::-1] for p in planes(False, **overrides)]
-        for p, q in zip(planes(True, **overrides), want):
+    def rev(v):
+        return [x[::-1] for x in v]
+
+    for e in (forward, custom):
+        want = [p[::-1, ::-1] for p in planes(u, w, e)]
+        for p, q in zip(planes(rev(u), rev(w), rev(e)), want):
             assert np.linalg.norm(p - q) <= 1e-15 * np.linalg.norm(q)
 
 
@@ -904,6 +908,11 @@ def test_orthogonality_one_pass_per_source(monkeypatch):
     calls.clear()
     passed, _ = run_suite("orthogonality")
     assert passed and len(calls) == 3 * len(MATRIX_CASES)
+
+
+def test_run_suite_refuses_unknown_name():
+    with pytest.raises(BadParameter):
+        run_suite("no-such-suite")
 
 
 def close(got, want, tol=1e-13):

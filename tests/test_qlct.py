@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qlcst.qlct as qlct_module
-from qlcst.errors import SpacingError, ZeroSignal
+from qlcst.errors import GridMismatch, SpacingError, ZeroSignal
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.lct import kernel_eval, validate_param
 from qlcst.qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
@@ -148,6 +148,13 @@ def test_fast_rejects_incompatible_spacing():
     bad = Grid2D(Grid1D(grid.axis1.n, 0.0, 0.1), grid.axis2)
     with pytest.raises(SpacingError):
         qlct_fast_forward(f, FOURIER, FOURIER, bad)
+    # The chirp-FFT maps n points to n: another count is refused, also with
+    # the FFT spacing.
+    out = fft_output_grid(grid, 1.0, 1.0)
+    fewer = Grid2D(Grid1D(grid.axis1.n - 1, out.axis1.origin, out.axis1.spacing),
+                   out.axis2)
+    with pytest.raises(SpacingError):
+        qlct_fast_forward(f, FOURIER, FOURIER, fewer)
 
 
 def test_fast_inverse_roundtrip():
@@ -209,3 +216,26 @@ def test_fft_output_grid_spacing():
     want2 = 2.0 * math.pi * 1.0 / (16 * grid.axis2.spacing)
     assert abs(out.axis1.spacing - want1) < 1e-14
     assert abs(out.axis2.spacing - want2) < 1e-14
+
+
+def test_qlct_refuses_a_grid_that_is_no_grid2d():
+    f = gen_signal("gaussian", small_grid(8))
+    for op in (qlct_forward, qlct_fast_forward):
+        with pytest.raises(GridMismatch):
+            op(f, FOURIER, FOURIER, (8, 8))
+
+
+@pytest.mark.parametrize("spacing", [0.0, -0.5])
+def test_grid_refuses_non_positive_spacing(spacing):
+    with pytest.raises(GridMismatch):
+        Grid1D(4, 0.0, spacing)
+
+
+def test_signal_refuses_data_of_another_shape():
+    with pytest.raises(GridMismatch):
+        QSignal2D(np.zeros((4, 5, 4)), small_grid(4))
+
+
+def test_signal_is_not_equal_to_another_type():
+    f = gen_signal("gaussian", small_grid(4))
+    assert (f == 5) is False and f != 5

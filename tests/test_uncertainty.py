@@ -182,6 +182,13 @@ def test_heisenberg_zero_signal():
         heisenberg_report(coefficients(zero), zero, 1)
 
 
+def test_log_uncertainty_zero_signal():
+    g = Grid2D.centered(8.0, 8)
+    zero = QSignal2D(np.zeros(g.shape + (4,)), g)
+    with pytest.raises(ZeroSignal):
+        log_uncertainty_report(coefficients(zero), zero)
+
+
 def test_log_uncertainty_gaussian_family():
     g = Grid2D.centered(8.0, 24)
     for a in (0.5, 1.0, 2.0):

@@ -113,13 +113,14 @@ def test_parse_window():
 
 
 def test_bad_window_parameters():
-    """Bad widths, widths on a family that has none and a table on a family
-    other than custom-table are refused; the default (1, 1) widths of every
-    other family are accepted."""
+    """An unknown family, bad widths, widths on a family that has none and a
+    table on a family other than custom-table are refused; the default
+    (1, 1) widths of every other family are accepted."""
     with pytest.raises(BadParameter):
         fixed_gaussian(-1.0, 1.0)
     table = QSignal2D(np.ones((2, 2, 4)), Grid2D.centered(1.0, 2))
-    for family, sigma, tab in [("s-gaussian", (5.0, -3.0), None),
+    for family, sigma, tab in [("boxcar", (1.0, 1.0), None),
+                               ("s-gaussian", (5.0, -3.0), None),
                                ("constant", (2.0, 1.0), None),
                                ("custom-table", (0.5, 0.5), table),
                                ("custom-table", (1.0, 1.0), None),
@@ -226,3 +227,17 @@ def test_table_windows_compare_by_value():
     assert table_window(t) != table_window(QSignal2D(changed, g))
     moved = Grid2D(g.axis1, Grid1D(3, g.axis2.origin, 2 * g.axis2.spacing))
     assert table_window(t) != table_window(QSignal2D(t.data, moved))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300],
+                         ids=["nan", "inf", "-inf", "square-overflows"])
+def test_table_with_non_finite_squares_refused(value):
+    """A table sample that is not finite, or whose square overflows, is
+    refused when the window is made, before any analysis sees it."""
+    g = Grid2D.centered(2.0, 4)
+    data = np.ones(g.shape + (4,))
+    data[1, 2, 3] = value
+    with pytest.raises(BadParameter):
+        table_window(QSignal2D(data, g))
+    data[1, 2, 3] = 1e150  # its square is finite
+    assert table_window(QSignal2D(data, g)).table.data[1, 2, 3] == 1e150
