@@ -9,13 +9,16 @@ index is (u1, w1) and whose column index is (u2, w2), so the interleaved
 A source has grids, window and matrices and yields its planes from
 blocks() as (rows, k, a, b): the plane rows `rows` are k @ a and k @ b (a and
 b if k is None), which rows() yields as (rows, a, b), valid only until the
-next block.  A stored QLCSTCoefficients yields its planes as one block; the
-unstored analysis (qlcst.qlcst_analysis) and a QCF2 file
-(io.open_coefficients) yield the row blocks of _row_blocks, ROW_BLOCK u1 rows
-at a time, so a reduction over rows() never holds a coefficient set.  Every
-source is made whole by one stored(), which alone allocates planes and
-refuses those beyond physical memory, and is sliced by one slice_planes(),
-which alone checks a slice index.  This module imports no operator code.
+next block.  Every source yields the row blocks of _row_blocks, ROW_BLOCK u1
+rows at a time: a stored QLCSTCoefficients as views of its planes, the
+unstored analysis (qlcst.qlcst_analysis) as block products and a QCF2 file
+(io.open_coefficients) as rows read into reused buffers.  So a reduction over
+rows() holds no coefficient set the source does not hold already, the blocks
+of any two sources on the same grids line up, and every block-summed
+reduction gives the same bits from any source.  Every source is made whole
+by one stored(), which alone allocates planes and refuses those beyond
+physical memory, and is sliced by one slice_planes(), which alone checks a
+slice index.  This module imports no operator code.
 """
 
 import math
@@ -31,11 +34,11 @@ from .quaternion import symplectic_join
 from .signal import Grid2D
 from .window import WindowSpec
 
-# u1 rows per block of the analysis and of a file read.  The block GEMMs of
-# one plane give the bits of one whole-plane GEMM and took 5.2/5.7/6.2 ms at
-# N=32, 36/37/37 ms at N=48 and 115/123/116 ms at N=64 in 4-row/8-row/whole
-# blocks (medians of 25, 2-core Xeon, OpenBLAS); at 4 rows the two buffers
-# of rows() take what one fresh 8-row product took.
+# u1 rows per block of every source.  The block GEMMs of one plane give the
+# bits of one whole-plane GEMM and took 5.2/5.7/6.2 ms at N=32, 36/37/37 ms
+# at N=48 and 115/123/116 ms at N=64 in 4-row/8-row/whole blocks (medians of
+# 25, 2-core Xeon, OpenBLAS); at 4 rows the two buffers of rows() take what
+# one fresh 8-row product took.
 ROW_BLOCK = 4
 
 
@@ -154,8 +157,10 @@ class QLCSTCoefficients(_Source):
     """Coefficients C(u, w) as the symplectic planes a, b with the grids,
     window and matrices that produced them.  Each plane is a
     (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2) order; `data` builds the
-    interleaved (u1, u2, w1, w2, 4) array.  The planes are read-only once
-    constructed (also the arrays passed in, where they needed no copy)."""
+    interleaved (u1, u2, w1, w2, 4) array.  blocks() yields views of the
+    planes in the row blocks of _row_blocks, as every source does.  The
+    planes are read-only once constructed (also the arrays passed in, where
+    they needed no copy)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -177,7 +182,8 @@ class QLCSTCoefficients(_Source):
         self.b.flags.writeable = False
 
     def blocks(self):
-        yield slice(0, len(self.a)), None, self.a, self.b
+        for rows in _row_blocks(len(self.a), self.wgrid.axis1.n):
+            yield rows, None, self.a[rows], self.b[rows]
 
     def views4(self):
         """The planes as (u1, w1, u2, w2) views."""

@@ -21,7 +21,8 @@ right-multiplied by e_c.  A built-in window is one real term; a table has
 R <= min(n1, 4*n2), and cost and memory grow with R.  One producer of u1 row
 blocks (_analysis_blocks) serves every check through C.rows() of a stored
 set, a QCF2 file or an unstored qlcst_analysis, and qlcst_forward is the
-stored() of the analysis, its planes filled in place from those blocks.
+stored() of the analysis, its planes filled in place from those blocks.  All
+three yield the same row blocks, so every reduction gives the same bits.
 The producer is a pure contraction of data: it takes the output points and
 the per-axis kernel matrices, which the analysis builds from its grids and
 _phase_matrix, and covariance_residuals from reversed points (parity) or
@@ -35,7 +36,6 @@ a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -244,18 +244,10 @@ def qlcst_reconstruct(C):
     return QSignal2D(out / frame[..., None], g)
 
 
-def _zip_blocks(*producers):
-    """The producers' blocks side by side; rows that do not line up (also a
-    stored set against an analysis) raise GridMismatch."""
-    for blocks in itertools.zip_longest(*producers):
-        if None in blocks or any(b[0] != blocks[0][0] for b in blocks):
-            raise GridMismatch("the zipped producers' row blocks do not line up")
-        yield blocks
-
-
 def orthogonality_form(Cf, Cg):
     """Quaternion value of the double integral of Cf * conj(Cg) over (w, u),
-    for two sources of the same grids, window and matrices.
+    for two sources, stored or streamed, of the same grids, window and
+    matrices, whose row blocks thus line up.
 
     (a1 + b1 mu2) conj(a2 + b2 mu2) = (a1 a2* + b1 b2*) + (b1 a2 - a1 b2) mu2.
     Cg is Cf reads each block of Cf once for both sides.
@@ -265,7 +257,7 @@ def orthogonality_form(Cf, Cg):
         raise GridMismatch("coefficient grids, window or matrices differ")
     first = second = 0
     pairs = (((blk, blk) for blk in Cf.rows()) if Cg is Cf
-             else _zip_blocks(Cf.rows(), Cg.rows()))
+             else zip(Cf.rows(), Cg.rows(), strict=True))
     for (_, af, bf), (_, ag, bg) in pairs:
         first += np.vdot(ag, af) + np.vdot(bg, bf)
         second += np.dot(bf.ravel(), ag.ravel()) - np.dot(af.ravel(), bg.ravel())
@@ -302,11 +294,11 @@ def _streamed_rel_l2(want, got):
     """relative_l2, over the quaternion components, of the planes of the
     _analysis_blocks producer got against those of the producer want,
     accumulated one plane block at a time in two reused buffers (ref, diff),
-    so that no coefficient set is ever held.  Producers whose row blocks do
-    not line up raise GridMismatch."""
+    so that no coefficient set is ever held.  Both producers are built on the
+    same point counts, so their row blocks line up."""
     num = denom = 0.0
     bufs = None
-    for (_, k, *planes), (_, gk, *gots) in _zip_blocks(want, got):
+    for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
         bufs = bufs or [np.empty((len(k), planes[0].shape[1]), dtype=complex)
                         for _ in range(2)]  # the first block is the largest
         ref, diff = (buf[:len(k)] for buf in bufs)

@@ -4,6 +4,8 @@ import os
 import shlex
 import stat
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -852,8 +854,8 @@ STREAM_GRIDS = {"5x4": Grid2D(Grid1D.centered(3.0, 5), Grid1D.centered(2.0, 4)),
 def test_streamed_file_matches_stored(tmp_path, case, gname, wname):
     """The file written from the unstored analysis has the bytes of the one
     written from qlcst_forward.  Read back as a file source, block by block
-    (17 and 18 u1 rows are 3 blocks, the last one partial), it gives the
-    stored set's slices bit for bit and its reconstruction to 1e-15."""
+    (17 and 18 u1 rows are 3 blocks, the last one partial, as for the stored
+    set), it gives the stored set's slices and reconstruction bit for bit."""
     g = STREAM_GRIDS[gname]
     f = QSignal2D(np.random.default_rng(32).standard_normal(g.shape + (4,)), g)
     window = {"fixed-gauss": fixed_gaussian(0.5, 2), "s-gauss": s_gaussian(),
@@ -869,8 +871,8 @@ def test_streamed_file_matches_stored(tmp_path, case, gname, wname):
         assert np.array_equal(coefficient_slice(src, fixed, index),
                               coefficient_slice(stored, fixed, index))
     if not window.w_dependent:
-        assert relative_l2(qlcst_reconstruct(src).data,
-                           qlcst_reconstruct(stored).data) <= 1e-15
+        assert np.array_equal(qlcst_reconstruct(src).data,
+                              qlcst_reconstruct(stored).data)
 
 
 def test_cli_payload_defect_outside_slice_refused(tmp_path, capsys):
@@ -952,3 +954,21 @@ def test_cli_memory_error(tmp_path, monkeypatch):
 
 def test_cli_verify_exit_code():
     assert cli_main(["verify", "special-case"]) == 0
+
+
+def test_cli_module_exits_with_the_command_code(tmp_path):
+    """python -m qlcst.cli exits with cli_main's code: 1 and one error line
+    for an export of a missing input, 0 for a passing verify suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "qlcst.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("export", "-i", str(tmp_path / "none.qcf"), "-o", str(tmp_path / "out"),
+               "--slice", "u", "--index", "0,0")
+    assert done.returncode == 1
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()
+    assert run("verify", "special-case").returncode == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                           GridMismatch, TooLarge, Undersampled,
                           ZeroSignal, ZeroWindow)
-from qlcst.coefficients import ROW_BLOCK
+from qlcst.coefficients import ROW_BLOCK, _row_blocks
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.io import open_coefficients, write_coefficients
 from qlcst.lct import kernel_const, kernel_eval, kernel_phase, validate_param
@@ -410,17 +411,17 @@ def test_table_reconstruct_identity(case, lattice):
 @pytest.mark.parametrize("window", [fixed_gaussian(1, 1), OFF_LATTICE_TABLE],
                          ids=["fixed-gauss", "table"])
 def test_reconstruct_from_unstored_analysis(tmp_path, window):
-    """Synthesis sums C.blocks(), so the unstored analysis of the N=8
-    Gaussian reconstructs like the stored set; the pointwise inverse reads
-    C.slice_planes(), so the stored set, the analysis and its open file give
-    the same bits."""
+    """Synthesis sums C.blocks(), the same row blocks for every source, so
+    the unstored analysis of the N=8 Gaussian reconstructs to the bits of the
+    stored set; the pointwise inverse reads C.slice_planes(), so the stored
+    set, the analysis and its open file give the same bits."""
     g = grid(8)
     f = gen_signal("gaussian", g)
     args = (f, window, FOURIER, FOURIER)
     stored, unstored = qlcst_forward(*args), qlcst_analysis(*args)
     want = qlcst_reconstruct(stored)
     got = qlcst_reconstruct(unstored)
-    assert relative_l2(got.data, want.data) < 1e-14
+    assert np.array_equal(got.data, want.data)
     assert relative_l2(got.data, f.data) < 1e-14
     write_coefficients(tmp_path / "c.qcf", stored)
     sources = (stored, unstored, open_coefficients(tmp_path / "c.qcf"))
@@ -717,23 +718,20 @@ def test_streamed_residual_matches_full_formula(window):
 
 
 def test_streamed_residual_refuses_misaligned_blocks():
-    """Producers whose row blocks differ (a stored set's one block against
-    the analysis's row blocks, or another u1 count) are refused instead of
-    being zipped row against wrong row."""
+    """Producers of another u1 count, whose row blocks differ in number, are
+    refused by the strict zip instead of being zipped row against wrong
+    row."""
     g = grid(8)
     f = gen_signal("gaussian", g)
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
     longer = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 1), g.axis2)
 
-    def blocks(window, ugrid=g):
-        return qlcst_analysis(f, window, FOURIER, FOURIER, ugrid, wgrid).blocks()
+    def blocks(ugrid=g):
+        return qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER, ugrid,
+                              wgrid).blocks()
 
-    win = fixed_gaussian(1, 1)
-    stored = qlcst_forward(f, win, FOURIER, FOURIER, g, wgrid).blocks()
-    for want, got in ((stored, blocks(win)),
-                      (blocks(win), blocks(win, longer)),
-                      (blocks(win, longer), blocks(win))):
-        with pytest.raises(GridMismatch):
+    for want, got in ((blocks(), blocks(longer)), (blocks(longer), blocks())):
+        with pytest.raises(ValueError):
             _streamed_rel_l2(want, got)
 
 
@@ -801,7 +799,8 @@ def one_set(n):
 
 def test_analysis_rows_reuse_block_buffers():
     """rows() of an analysis computes every block into the same two buffers,
-    each block equal to the stored rows; a stored set yields its planes."""
+    each block equal to the stored rows; a stored set yields the same row
+    slices as views of its planes."""
     g = grid(8)
     f = random_hermite_combo(g, seed=4)
     ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), g.axis2)
@@ -810,12 +809,15 @@ def test_analysis_rows_reuse_block_buffers():
     seen = []
     for rows, a, b in qlcst_analysis(*args).rows():
         assert np.array_equal(a, stored.a[rows]) and np.array_equal(b, stored.b[rows])
-        seen.append((a, b))
+        seen.append((rows, a, b))
     assert len(seen) == 3
-    assert all(np.shares_memory(a, seen[0][0]) and np.shares_memory(b, seen[0][1])
-               for a, b in seen[1:])
-    [(rows, a, b)] = stored.rows()
-    assert rows == slice(0, len(stored.a)) and a is stored.a and b is stored.b
+    assert all(np.shares_memory(a, seen[0][1]) and np.shares_memory(b, seen[0][2])
+               for _, a, b in seen[1:])
+    got = list(stored.rows())
+    assert [rows for rows, *_ in got] == [rows for rows, *_ in seen]
+    for rows, a, b in got:
+        assert np.shares_memory(a, stored.a) and np.shares_memory(b, stored.b)
+        assert np.array_equal(a, stored.a[rows]) and np.array_equal(b, stored.b[rows])
 
 
 @pytest.mark.parametrize("n, n1", [(33, 33), (12, 2 * ROW_BLOCK + 3)])
@@ -839,6 +841,52 @@ def test_analysis_against_file_with_partial_last_block(tmp_path, n, n1):
     want = orthogonality_form(cf, ch)
     got = orthogonality_form(cf, fh)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
+@pytest.mark.parametrize("n, n1, window", [
+    (12, 2 * ROW_BLOCK + 3, fixed_gaussian(1, 0.7)),
+    (12, 2 * ROW_BLOCK + 3, OFF_LATTICE_TABLE),
+    (33, 33, fixed_gaussian(1, 0.7))], ids=["12-fixed-gauss", "12-table", "33-fixed-gauss"])
+def test_every_source_gives_the_same_bits(tmp_path, case, n, n1, window):
+    """A stored set, the unstored analysis and its open QCF2 file yield the
+    same row blocks, so every reduction, synthesis, slice and written file is
+    the same bits from each, and each cross form of two of them is the form
+    of the analysis with itself: on a u grid whose N_u1 the block size does
+    not divide, and at an odd N."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(n)
+    f = random_hermite_combo(g, seed=9)
+    ugrid = Grid2D(Grid1D.centered(8.0, n1), g.axis2)
+    stored, analysis = (make(f, window, m1, m2, ugrid)
+                        for make in (qlcst_forward, qlcst_analysis))
+    write_coefficients(tmp_path / "c.qcf", stored)
+    sources = (stored, analysis, open_coefficients(tmp_path / "c.qcf"))
+    nu1, nu2 = ugrid.shape
+
+    def outputs(C, path):
+        scalars = [C.energy(), spectral_dispersion(C, 1), spectral_dispersion(C, 2),
+                   heisenberg_report(C, f, 1).ratio, heisenberg_report(C, f, 2).ratio,
+                   energy_identity_gap(C, f), marginal_qlct_gap(C, f),
+                   lemma_41_gap(C, f, 1), lemma_41_gap(C, f, 2)]
+        if n % 2 == 0:  # an odd N puts a w point on the origin
+            scalars.append(spectral_log_moment(C))
+        arrays = [C.density(), orthogonality_form(C, C), qlcst_reconstruct(C).data,
+                  *(qlcst_pointwise_inverse(C, iu).data
+                    for iu in ((0, 1), (nu1 - 1, nu2 // 2))),
+                  *C.slice_planes("u", (nu1 - 1, 0)), *C.slice_planes("w", (1, 2))]
+        write_coefficients(path, C)
+        return scalars, arrays, path.read_bytes()
+
+    want_scalars, want_arrays, want_bytes = outputs(stored, tmp_path / "0.qcf")
+    for i, src in enumerate(sources[1:], 1):
+        scalars, arrays, raw = outputs(src, tmp_path / ("%d.qcf" % i))
+        assert scalars == want_scalars
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, want_arrays))
+        assert raw == want_bytes
+    want = orthogonality_form(analysis, analysis)
+    for cf, cg in itertools.permutations(sources, 2):
+        assert np.array_equal(orthogonality_form(cf, cg), want)
 
 
 SUITE_PEAK_BOUNDS = {
@@ -872,7 +920,8 @@ def test_verify_suite_traced_peak(suite):
 def test_orthogonality_refuses_other_window_or_matrices():
     """Two sources of one signal under another window or other matrices (the
     same grids) give no orthogonality form and are refused, stored or
-    streamed; so is a stored set against a streamed one."""
+    streamed; a stored set against a streamed one gives the bits of the
+    form of two analyses."""
     f = gen_signal("gaussian", grid(8))
     other = validate_param(0.5, 1, -1, 0)
     for make in (qlcst_forward, qlcst_analysis):
@@ -882,9 +931,9 @@ def test_orthogonality_refuses_other_window_or_matrices():
                        (fixed_gaussian(1, 1), other)):
             with pytest.raises(GridMismatch):
                 orthogonality_form(base, make(f, win, m, m))
-    with pytest.raises(GridMismatch):
-        orthogonality_form(qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER),
-                           qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER))
+    args = (f, fixed_gaussian(1, 1), FOURIER, FOURIER)
+    assert np.array_equal(orthogonality_form(qlcst_forward(*args), qlcst_analysis(*args)),
+                          orthogonality_form(qlcst_analysis(*args), qlcst_analysis(*args)))
 
 
 def test_orthogonality_one_pass_per_source(monkeypatch):
@@ -915,10 +964,6 @@ def test_run_suite_refuses_unknown_name():
         run_suite("no-such-suite")
 
 
-def close(got, want, tol=1e-13):
-    return abs(got - want) <= tol * max(1.0, abs(want))
-
-
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(6, 24), case=st.sampled_from([name for name, _ in MATRIX_CASES]),
        window=st.one_of(
@@ -927,9 +972,10 @@ def close(got, want, tol=1e-13):
            st.just(s_gaussian()), st.just(OFF_LATTICE_TABLE)),
        seed=st.integers(0, 2 ** 32 - 2))
 def test_stored_and_streamed_reductions_agree(n, case, window, seed):
-    """Every reduction of the unstored analysis agrees with that of the
-    stored set to 1e-13 relative, on a u grid whose N_u1 the block size does
-    not divide; the lambda-scaled checks for w-independent windows only."""
+    """Every reduction of the unstored analysis gives the bits of that of the
+    stored set, whose row blocks are the same, on a u grid whose N_u1 the
+    block size does not divide; the lambda-scaled checks for w-independent
+    windows only."""
     assume(n % 2 == 0 or not window.w_dependent)  # the s-gaussian needs w != 0
     m1, m2 = dict(MATRIX_CASES)[case]()
     g = grid(n)
@@ -952,15 +998,15 @@ def test_stored_and_streamed_reductions_agree(n, case, window, seed):
 
     want_density, want = reductions(qlcst_forward)
     got_density, got = reductions(qlcst_analysis)
-    assert relative_l2(got_density, want_density) <= 1e-13
-    assert all(close(x, y) for x, y in zip(got, want))
+    assert np.array_equal(got_density, want_density)
+    assert got == want
 
 
 def test_checks_need_no_coefficient_set(monkeypatch):
     """With physical memory taken as 1 MB, qlcst_forward refuses the 2 MB
     N=16 set, while every check of the energy, heisenberg, log-uncertainty,
     lemma41 and marginal suites runs on the unstored analysis of the same
-    inputs and matches the stored run."""
+    inputs and gives the bits of the stored run."""
     f = random_hermite_combo(grid(16), seed=6)
     args = (f, fixed_gaussian(1, 1), FOURIER, FOURIER)
 
@@ -973,8 +1019,7 @@ def test_checks_need_no_coefficient_set(monkeypatch):
     monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 6)
     with pytest.raises(TooLarge):
         qlcst_forward(*args)
-    got = checks(qlcst_analysis(*args))
-    assert all(close(x, y) for x, y in zip(got, want))
+    assert checks(qlcst_analysis(*args)) == want
 
 
 @pytest.mark.parametrize("n", [16, 32, 48])
@@ -998,7 +1043,8 @@ def test_planes_must_match_grids():
 
 def test_planes_read_only_and_density_cached():
     """Writes to a plane are refused, and density() is computed once: energy,
-    both dispersions and the log moment equal their uncached values."""
+    both dispersions and the log moment equal their uncached values, summed
+    over the same row blocks."""
     g = grid(16)
     f = random_hermite_combo(g, seed=4)
     c = qlcst_forward(f, fixed_gaussian(1, 1), FOURIER, FOURIER)
@@ -1007,9 +1053,10 @@ def test_planes_read_only_and_density_cached():
             plane[0, 0] = 1.0
     nw1, nw2 = c.wgrid.shape
     acc = np.zeros((nw1, 2 * nw2))
-    for plane in (c.a, c.b):
-        parts = plane.view(float).reshape(g.axis1.n, nw1, g.axis2.n, 2 * nw2)
-        acc += np.einsum("abcd,abcd->bd", parts, parts)
+    for rows in _row_blocks(len(c.a), nw1):
+        for plane in (c.a[rows], c.b[rows]):
+            parts = plane.view(float).reshape(-1, nw1, g.axis2.n, 2 * nw2)
+            acc += np.einsum("abcd,abcd->bd", parts, parts)
     uncached = acc.reshape(nw1, nw2, 2).sum(axis=-1)
     density = c.density()
     assert density is c.density()

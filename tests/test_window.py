@@ -10,7 +10,7 @@ from qlcst.quaternion import qnormsq
 from qlcst.signal import Grid1D, Grid2D, QSignal2D
 from qlcst.window import (WindowSpec, constant_window, fixed_gaussian,
                           lambda_psi, parse_window, reflect, s_gaussian,
-                          table_window, window_eval)
+                          table_window, window_axis_profile, window_eval)
 
 
 def quad_integral(spec, w=(1.0, 1.0), extent=10.0):
@@ -114,8 +114,9 @@ def test_parse_window():
 
 def test_bad_window_parameters():
     """An unknown family, bad widths, widths on a family that has none and a
-    table on a family other than custom-table are refused; the default
-    (1, 1) widths of every other family are accepted."""
+    table on a family other than custom-table are refused, and so is the
+    per-axis profile of a table, which is not separable; the default (1, 1)
+    widths of every other family are accepted."""
     with pytest.raises(BadParameter):
         fixed_gaussian(-1.0, 1.0)
     table = QSignal2D(np.ones((2, 2, 4)), Grid2D.centered(1.0, 2))
@@ -128,6 +129,8 @@ def test_bad_window_parameters():
                                ("s-gaussian", (1.0, 1.0), table)]:
         with pytest.raises(BadParameter):
             WindowSpec(family, sigma, tab)
+    with pytest.raises(BadParameter):
+        window_axis_profile(table_window(table), 1, 0.0, 1.0)
     assert WindowSpec("s-gaussian", (1.0, 1.0)) == s_gaussian()
     assert WindowSpec("custom-table", (1.0, 1.0), table) == table_window(table)
 
