@@ -20,7 +20,7 @@ from .window import parse_window
 
 
 def _grid_from_args(args):
-    n2 = args.n2 if args.n2 else args.n
+    n2 = args.n if args.n2 is None else args.n2
     return Grid2D(Grid1D.centered(args.extent, args.n),
                   Grid1D.centered(args.extent, n2))
 

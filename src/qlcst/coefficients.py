@@ -16,9 +16,10 @@ unstored analysis (qlcst.qlcst_analysis) as block products and a QCF2 file
 rows() holds no coefficient set the source does not hold already, the blocks
 of any two sources on the same grids line up, and every block-summed
 reduction gives the same bits from any source.  Every source is made whole
-by one stored(), which alone allocates planes and refuses those beyond
-physical memory, and is sliced by one slice_planes(), which alone checks a
-slice index.  This module imports no operator code.
+by one stored(), which alone allocates planes, and is sliced by one
+slice_planes(), which alone checks a slice index.  One rule
+(_refuse_beyond_memory) refuses the planes, and the stacked window terms of
+the analysis, beyond physical memory.  This module imports no operator code.
 """
 
 import math
@@ -53,6 +54,16 @@ def _row_blocks(nrows, nw1):
 def _physical_memory():
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refuse_beyond_memory(what, ncomplex):
+    """Raise TooLarge when ncomplex complex values of `what` exceed physical
+    memory: the one memory rule, applied before the values are allocated."""
+    need = ncomplex * np.dtype(complex).itemsize
+    have = _physical_memory()
+    if need > have:
+        raise TooLarge("%s of %.3g GB do not fit in the %.3g GB of physical memory"
+                       % (what, need / 1e9, have / 1e9))
 
 
 class _Source:
@@ -105,11 +116,7 @@ class _Source:
         """The coefficients as QLCSTCoefficients, the planes filled in place
         from blocks(): the one allocation of planes.  Planes larger than
         physical memory are refused before anything is allocated."""
-        need = 2 * math.prod(self.plane_shape) * np.dtype(complex).itemsize
-        have = _physical_memory()
-        if need > have:
-            raise TooLarge("coefficient planes of %.3g GB do not fit in the %.3g GB "
-                           "of physical memory" % (need / 1e9, have / 1e9))
+        _refuse_beyond_memory("coefficient planes", 2 * math.prod(self.plane_shape))
         planes = [np.empty(self.plane_shape, dtype=complex) for _ in range(2)]
         for rows, k, *parts in self.blocks():
             for plane, part in zip(planes, parts):
@@ -126,7 +133,9 @@ class _Source:
 
         fixed = "u": freeze the position index pair, return (w1, w2) arrays.
         fixed = "w": freeze the frequency index pair, return (u1, u2) arrays.
-        Every block is read, and only the slice is kept.
+        Every block is read, so a file checks every value, and only the slice
+        is kept; a u slice computes the product of the one block that holds
+        its u1 row.
         """
         if fixed not in ("u", "w"):
             raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
@@ -142,12 +151,17 @@ class _Source:
                 raise BadParameter("%s index %d is outside [0, %d)" % (fixed, k, n))
         (_, nu2), (nw1, nw2) = self.ugrid.shape, self.wgrid.shape
         out = np.empty((2,) + kept.shape, dtype=complex)
-        for rows, *planes in self.rows():
-            first, last = rows.start // nw1, rows.stop // nw1  # the block's u1 rows
-            a4, b4 = (p.reshape(-1, nw1, nu2, nw2) for p in planes)
-            if fixed == "w":
-                out[:, first:last] = a4[:, i, :, j], b4[:, i, :, j]
-            elif first <= i < last:
+        if fixed == "w":
+            for rows, *planes in self.rows():
+                a4, b4 = (p.reshape(-1, nw1, nu2, nw2) for p in planes)
+                out[:, rows.start // nw1:rows.stop // nw1] = (a4[:, i, :, j],
+                                                              b4[:, i, :, j])
+            return out
+        for rows, k, *planes in self.blocks():
+            first = rows.start // nw1  # the block's first u1 row
+            if first <= i < rows.stop // nw1:
+                a4, b4 = ((p if k is None else k @ p).reshape(-1, nw1, nu2, nw2)
+                          for p in planes)
                 out[:] = a4[i - first, :, j], b4[i - first, :, j]
         return out
 

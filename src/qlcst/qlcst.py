@@ -29,7 +29,7 @@ _phase_matrix, and covariance_residuals from reversed points (parity) or
 shifted kernel phases (shift, modulation).  Its shift analyses f's own
 samples on the x grid moved by alpha, the shifted signal exactly.  The
 pointwise inverse reads C.slice_planes(), so it too takes any source; on an
-unstored analysis that computes every block.
+unstored analysis that computes the one block of its u1 row.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda, which makes it exact on any u spacing.
 a and b are kept rather than P and Q because (w - z, w + z) does not round
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import QLCSTCoefficients, _row_blocks, _Source
+from .coefficients import (QLCSTCoefficients, _refuse_beyond_memory,
+                           _row_blocks, _Source)
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
@@ -126,18 +127,22 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     product with the K2_rc side by side, on top of each other in a and b, so
     k @ a is the sum over terms.  The mu2 side is contracted once, one term
     at a time into the planes a and b, and each block takes its rows of the
-    K1_r (coefficients._row_blocks).  The points and kernel rows are taken
-    in the order given, so reversed ones give the planes reversed.
+    K1_r (coefficients._row_blocks).  a, b and the K1_r grow as R*N^3 and
+    are refused together beyond physical memory before any of them exists.
+    The points and kernel rows are taken in the order given, so reversed
+    ones give the planes reversed.
     """
     (u1s, u2s), (w1s, w2s) = u, w
     x1s, x2s = _points(f.grid)
     p, q = window_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
                         u2s[:, None, None] - x2s, w2s[:, None])
+    nx1 = len(x1s)
+    _refuse_beyond_memory("stacked window terms", len(q) * nx1 * (
+        2 * len(u2s) * len(w2s) + len(u1s) * len(w1s)))  # a and b, then k1
     # f * conj(e_c) * cell for the C components of the terms, side by side
     fu = np.concatenate([qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]],
                         axis=1)
     g = [h * f.grid.cell for h in symplectic_split(fu)]
-    nx1 = len(x1s)
     a, b = (np.empty((len(q) * nx1, len(u2s) * len(w2s)), dtype=complex)
             for _ in range(2))
     for r, q_r in enumerate(q):  # each K2_r is built only for its own product

@@ -11,7 +11,9 @@ import inspect
 import types
 from pathlib import Path
 
+from qlcst.lct import ParamMatrix
 from qlcst.qlcst import QLCSTCoefficients, qlcst_forward
+from qlcst.verify import MATRIX_CASES, SUITES
 from qlcst.window import fixed_gaussian
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -62,3 +64,16 @@ def test_worker_names_resolve():
         assert hasattr(aliases[alias], attr), (alias, attr)
     # The worker compares stored coefficients through their interleaved copy.
     assert isinstance(QLCSTCoefficients.data, property)
+
+
+def test_suites_and_matrix_cases_stay_plain_calls():
+    """The tracer wraps each SUITES value and times the call, which must do
+    the whole suite (a generator function would be timed at about 0 s), and
+    the worker calls MATRIX_CASES[k][1]() for a matrix pair."""
+    assert not any(inspect.isgeneratorfunction(fn) for fn in SUITES.values())
+    passed, lines = SUITES["special-case"]()
+    assert type(passed) is bool
+    assert lines and all(line.startswith(("PASS ", "FAIL ", "INFO ")) for line in lines)
+    for _, make in MATRIX_CASES:
+        pair = make()
+        assert len(pair) == 2 and all(isinstance(m, ParamMatrix) for m in pair)

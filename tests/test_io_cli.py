@@ -569,6 +569,7 @@ def test_cli_export_index_not_two_integers(tmp_path, capsys, index):
     ["--kind", "hermite", "--modes=-1,0"],
     ["--kind", "gaussian", "--n", "0"],
     ["--kind", "gaussian", "--n", "-4"],
+    ["--kind", "gaussian", "--n2", "0"],
     ["--kind", "gaussian", "--sigma", "0"],
     ["--kind", "shifted-gaussian", "--sigma", "0"],
     ["--kind", "chirp", "--sigma", "-1"],
@@ -578,10 +579,10 @@ def test_cli_export_index_not_two_integers(tmp_path, capsys, index):
     ["--kind", "dilated-gaussian", "--a", "1e200"],
     ["--kind", "hermite", "--modes", "3,0", "--extent", "1e200"],
     ["--kind", "chirp", "--extent", "1e200"],
-], ids=["one-mode", "negative-mode", "n-zero", "n-negative", "gauss-sigma-zero",
-        "shifted-sigma-zero", "chirp-sigma-negative", "one-center", "nan-center",
-        "overflowing-extent", "underflowing-dilation", "underflowing-hermite",
-        "overflowing-chirp"])
+], ids=["one-mode", "negative-mode", "n-zero", "n-negative", "n2-zero",
+        "gauss-sigma-zero", "shifted-sigma-zero", "chirp-sigma-negative",
+        "one-center", "nan-center", "overflowing-extent", "underflowing-dilation",
+        "underflowing-hermite", "overflowing-chirp"])
 def test_cli_gen_bad_parameters(tmp_path, capsys, args):
     out = tmp_path / "f.qsg"
     assert cli_main(["gen"] + args + ["-o", str(out)]) == 1
@@ -777,6 +778,29 @@ def test_cli_qlcst_failure_leaves_no_file(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: s-gaussian window undefined")
     assert _only_files(tmp_path, ["f.qsg"])
+
+
+def test_cli_qlcst_refuses_stacked_terms_beyond_memory(tmp_path, capsys, monkeypatch):
+    """qlcst --window table:PATH with a full-rank 31 x 31 table at N=16,
+    whose 6.1 MB of stacked window terms exceed physical memory (taken as
+    1 MB), exits 1 with one error line before any kernel is built, and
+    leaves no output file."""
+    fpath, tpath, cpath = (str(tmp_path / n) for n in ("f.qsg", "t.qsg", "c.qcf"))
+    cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
+    write_signal(tpath, QSignal2D(np.random.default_rng(5).standard_normal((31, 31, 4)),
+                                  Grid2D.centered(15.5, 31)))
+    capsys.readouterr()
+
+    def allocated(*_):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr("qlcst.qlcst._kernel", allocated)
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: stacked window terms of ")
+    assert _only_files(tmp_path, ["f.qsg", "t.qsg"])
 
 
 def test_cli_qlcst_write_failing_mid_payload_leaves_no_file(tmp_path, capsys,

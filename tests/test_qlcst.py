@@ -889,6 +889,80 @@ def test_every_source_gives_the_same_bits(tmp_path, case, n, n1, window):
         assert np.array_equal(orthogonality_form(cf, cg), want)
 
 
+def test_u_slice_of_an_analysis_computes_one_block():
+    """A u slice of an unstored analysis reads every row block but computes
+    the product of only the one that holds its u1 row, and gives the stored
+    slice's bits; a w slice computes every block."""
+    g = grid(8)
+    f = random_hermite_combo(g, seed=3)
+    ugrid = Grid2D(Grid1D.centered(8.0, 3 * ROW_BLOCK + 1), g.axis2)
+    args = (f, fixed_gaussian(1, 0.7), FOURIER, FOURIER, ugrid)
+    stored, analysis = qlcst_forward(*args), qlcst_analysis(*args)
+    nblocks = len(_row_blocks(analysis.plane_shape[0], analysis.wgrid.axis1.n))
+    assert nblocks == 4
+    products, read = [], []
+
+    class Counted(np.ndarray):
+        """A block's kernel rows, which count the products taken with them."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            products.append(ufunc)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    blocks = analysis.blocks
+
+    def counted_blocks():
+        for rows, k, a, b in blocks():
+            read.append(rows)
+            yield rows, k.view(Counted), a, b
+
+    analysis.blocks = counted_blocks
+    for i in range(ugrid.axis1.n):
+        products.clear()
+        read.clear()
+        got = analysis.slice_planes("u", (i, 2))
+        assert products == [np.matmul] * 2 and len(read) == nblocks
+        assert np.array_equal(got, stored.slice_planes("u", (i, 2)))
+    products.clear()
+    got = analysis.slice_planes("w", (1, 2))
+    assert products == [np.matmul] * (2 * nblocks)
+    assert np.array_equal(got, stored.slice_planes("w", (1, 2)))
+
+
+# A full-rank quaternion table on the (2N - 1)^2 offset lattice of grid(16):
+# R = 31 terms, whose stacked mu2 factors and K1 take 6.1 MB at N = 16.
+FULL_RANK_TABLE = table_window(QSignal2D(
+    np.random.default_rng(5).standard_normal((31, 31, 4)), Grid2D.centered(15.5, 31)))
+
+
+def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
+    """The stacked window terms of the analysis grow as R*N^3.  Beyond
+    physical memory (taken as 1 MB) they are refused with TooLarge, by the
+    rule that refuses planes, before they or any kernel are allocated; with
+    10 MB taken, the analysis runs and gives the unpatched bits."""
+    f = gen_signal("gaussian", grid(16))
+    args = (f, FULL_RANK_TABLE, FOURIER, FOURIER)
+    want = qlcst_analysis(*args).density()
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 7)
+    assert np.array_equal(qlcst_analysis(*args).density(), want)
+
+    def allocated(*_):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr("qlcst.qlcst._kernel", allocated)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="stacked window terms of 0.00609 GB"):
+            qlcst_analysis(*args).energy()
+        with pytest.raises(TooLarge, match="stacked window terms"):
+            covariance_residuals(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # the stacked mu2 factors alone take 4.1 MB
+
+
 SUITE_PEAK_BOUNDS = {
     "marginal": 100e6,
     "covariance": 0.2 * one_set(48),
