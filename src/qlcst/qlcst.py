@@ -286,7 +286,7 @@ def marginal_qlct_gap(C, f):
     marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
     for _, *planes in C.rows():
         for acc, p in zip(marg, planes):
-            acc += p.reshape(-1, nw1, C.ugrid.axis2.n, nw2).sum(axis=(0, 2))
+            acc += np.einsum("abcd->bd", p.reshape(-1, nw1, C.ugrid.axis2.n, nw2))
     marg = symplectic_join(*marg) * C.ugrid.cell
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
@@ -399,22 +399,26 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
 def special_case_matrix(kind, value=None):
     """Matrix pairs for the named special transforms.
 
-    "fractional" (angle theta != n*pi), "fresnel" (B != 0), "stockwell".
+    "fractional" (finite angle theta != n*pi), "fresnel" (finite B != 0),
+    "stockwell".
     """
     if kind == "stockwell":
         m = validate_param(0.0, 1.0, -1.0, 0.0)
         return m, m
+    if kind not in ("fractional", "fresnel"):
+        raise BadParameter("unknown special case %r" % kind)
+    try:  # a missing or non-numeric value
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise BadParameter("%s wants a finite number, got %r" % (kind, value))
     if kind == "fractional":
-        theta = float(value)
-        if abs(math.sin(theta)) <= 1e-12:
+        if abs(math.sin(v)) <= 1e-12:
             raise DegenerateAngle("fractional angle must not be a multiple of pi")
-        m = validate_param(math.cos(theta), math.sin(theta),
-                           -math.sin(theta), math.cos(theta))
-        return m, m
-    if kind == "fresnel":
-        bval = float(value)
-        if bval == 0.0:
-            raise BadParameter("Fresnel parameter B must be nonzero")
-        m = validate_param(1.0, bval, 0.0, 1.0)
-        return m, m
-    raise BadParameter("unknown special case %r" % kind)
+        m = validate_param(math.cos(v), math.sin(v), -math.sin(v), math.cos(v))
+    elif v == 0.0:
+        raise BadParameter("Fresnel parameter B must be nonzero")
+    else:
+        m = validate_param(1.0, v, 0.0, 1.0)
+    return m, m

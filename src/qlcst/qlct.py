@@ -2,9 +2,10 @@
 
 Two evaluation routes are provided and kept deliberately independent:
 
-* qlct_forward / qlct_inverse: plain Riemann-sum quadrature with generic
-  quaternion arithmetic, one output row at a time (O(N^3) products, O(N^2)
-  memory).  Slow, trusted; it uses no symplectic split and no FFT.
+* qlct_forward / qlct_inverse: plain Riemann-sum quadrature, each kernel
+  product being the real 4x4 matrix of the Hamilton product, so the sum is
+  two real GEMMs (O(N^3) flops, O(N^2) memory).  Trusted; it uses no
+  symplectic split, no right-mu2 rule and no FFT.
 * qlct_fast_forward / qlct_fast_inverse: per-axis chirp-FFT factorization on
   the symplectic components.  Requires the FFT-compatible spectrum spacing
   du = 2*pi*|B| / (n * dx) on each axis.
@@ -16,8 +17,8 @@ import numpy as np
 
 from .errors import GridMismatch, SpacingError, ZeroSignal
 from .lct import kernel_eval
-from .quaternion import (qconj, qmul, right_mu2, symplectic_join,
-                         symplectic_split)
+from .quaternion import (qconj, qleft_matrix, qright_matrix, right_mu2,
+                         symplectic_join, symplectic_split)
 from .signal import Grid2D, QSignal2D, QSpectrum2D, fft_output_grid
 
 SPACING_TOL = 1e-9
@@ -30,17 +31,15 @@ def _check_grid(grid):
 
 def _riemann(k1, data, k2, cell):
     """Double Riemann sum out[i, j] = sum over (p, q) of
-    k1[p, i] * data[p, q] * k2[q, j] * cell by generic quaternion products.
-
-    Each output row sums over p first and then takes every column j at once
-    (right multiplication distributes over the p sum), so the temporaries
-    stay O(N^2).
-    """
-    out = np.empty((k1.shape[1], k2.shape[1], 4))
-    for i in range(k1.shape[1]):
-        left = qmul(k1[:, i][:, None, :], data).sum(axis=0)
-        out[i] = qmul(left[:, None, :], k2).sum(axis=0) * cell
-    return out
+    k1[p, i] * data[p, q] * k2[q, j] * cell as two real GEMMs, each kernel
+    product being its real 4x4 matrix: out = (L1 @ D) @ R2, L1 with rows
+    (i, component) and columns (p, component), D the data with rows (p,
+    component) and R2 with rows (component, q) and columns (j, component)."""
+    n_i = k1.shape[1]
+    l1 = qleft_matrix(k1).transpose(1, 2, 0, 3).reshape(4 * n_i, -1)
+    r2 = qright_matrix(k2).transpose(3, 0, 1, 2).reshape(4 * len(k2), -1)
+    left = l1 @ data.transpose(0, 2, 1).reshape(l1.shape[1], -1)
+    return (left.reshape(n_i, -1) @ r2).reshape(n_i, -1, 4) * cell
 
 
 def qlct_forward(f, m1, m2, ugrid=None):

@@ -36,6 +36,26 @@ def qmul(p, q):
     ], axis=-1)
 
 
+# [k, a, b] = qmul(e_k, e_b)[a] and qmul(e_b, e_k)[a]: the real matrices of
+# left and right multiplication by each basis quaternion e_k, from qmul.
+_LEFT = np.swapaxes(qmul(np.eye(4)[:, None], np.eye(4)), 1, 2).reshape(4, 16)
+_RIGHT = np.swapaxes(qmul(np.eye(4), np.eye(4)[:, None]), 1, 2).reshape(4, 16)
+
+
+def qleft_matrix(p):
+    """Real 4x4 matrices L with L @ r = p*r, over p's leading axes: the
+    left-multiplication matrix is linear in p (F. Zhang, Linear Algebra
+    Appl. 251, 1997)."""
+    p = np.asarray(p, dtype=float)
+    return (p @ _LEFT).reshape(p.shape[:-1] + (4, 4))
+
+
+def qright_matrix(q):
+    """Real 4x4 matrices R with R @ r = r*q, over q's leading axes."""
+    q = np.asarray(q, dtype=float)
+    return (q @ _RIGHT).reshape(q.shape[:-1] + (4, 4))
+
+
 def qconj(q):
     """Quaternion conjugate: negates the mu1, mu2, mu3 components."""
     q = np.asarray(q, dtype=float)

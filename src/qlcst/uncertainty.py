@@ -2,9 +2,10 @@
 
 All reports are "compute both sides by quadrature" objects; nothing is proved
 symbolically.  Each takes C, stored or from qlcst_analysis, then f, and reads
-the window, matrices and C.density() or C.rows() from C.  The lower-bound
-constant of the Heisenberg check uses |B_s| as the per-axis factor, matching
-the transform-domain scaling of the underlying canonical-transform inequality.
+the window, matrices and C.density() or C.rows() from C; lemma_41_gap checks
+both axes from one pass over C.rows().  The lower-bound constant of the
+Heisenberg check uses |B_s| as the per-axis factor, matching the
+transform-domain scaling of the underlying canonical-transform inequality.
 """
 
 import math
@@ -139,25 +140,25 @@ def log_uncertainty_report(C, f):
                                 spectral_log + spatial_log - bound)
 
 
-def _lemma_41_rhs(C, f, s):
-    """The (u, x) double integral of x_s^2 |inverse QLCT over w of C(u, .)|^2,
-    with the inverse taken for one u1 row at a time (_w_inverse_rows)."""
-    xsq = _axis_sq(f.grid, s)[:, None, :]
-    acc = 0.0
+def _lemma_41_rhs(C, f):
+    """The (u, x) double integrals of x_1^2 and of x_2^2 times |inverse QLCT
+    over w of C(u, .)|^2, from one pass of the inverse, taken for one u1 row
+    at a time (_w_inverse_rows), whose |.|^2 is formed once for both axes."""
+    xsq = [_axis_sq(f.grid, s)[:, None, :] for s in (1, 2)]
+    acc = [0.0, 0.0]
     for a, b in _w_inverse_rows(C, f.grid):
-        acc += float(np.sum(xsq * (a.real ** 2 + a.imag ** 2
-                                   + b.real ** 2 + b.imag ** 2)))
-    return acc * f.grid.cell * C.ugrid.cell
+        sq = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
+        acc = [v + float(np.sum(x * sq)) for v, x in zip(acc, xsq)]
+    return tuple(v * f.grid.cell * C.ugrid.cell for v in acc)
 
 
-def lemma_41_gap(C, f, s):
-    """Relative gap of the moment identity, for the coefficients C of f:
-    lam * integral x_s^2 |f|^2 dx  vs  the (u, x) double integral of
-    x_s^2 |inverse-QLCT of the w-slice|^2.
+def lemma_41_gap(C, f):
+    """Relative gaps (axis 1, axis 2) of the moment identity, for the
+    coefficients C of f: lam * integral x_s^2 |f|^2 dx  vs  the (u, x)
+    double integral of x_s^2 |inverse-QLCT of the w-slice|^2.
     """
     lam = lambda_psi(C.window)
     if f.energy() == 0.0:
-        return 0.0
-    lhs = lam * spatial_dispersion(f, s)
-    rhs = _lemma_41_rhs(C, f, s)
-    return abs(lhs - rhs) / abs(lhs)
+        return 0.0, 0.0
+    lhs = [lam * spatial_dispersion(f, s) for s in (1, 2)]
+    return tuple(abs(lh - rh) / abs(lh) for lh, rh in zip(lhs, _lemma_41_rhs(C, f)))

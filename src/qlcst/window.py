@@ -91,10 +91,12 @@ def parse_window(text):
     if text == "s-gauss":
         return s_gaussian()
     if text.startswith("fixed-gauss:"):
-        parts = text.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise BadParameter("fixed-gauss wants two widths, got %r" % text)
-        return fixed_gaussian(float(parts[0]), float(parts[1]))
+        try:  # a wrong count or a non-numeric width
+            s1, s2 = (float(p) for p in text.split(":", 1)[1].split(","))
+        except ValueError:
+            raise BadParameter("expected fixed-gauss:s1,s2 with two numbers, "
+                               "got %r" % text) from None
+        return fixed_gaussian(s1, s2)
     if text.startswith("table:"):
         from .io import read_signal
         return table_window(read_signal(text.split(":", 1)[1]))

@@ -719,10 +719,10 @@ def test_cli_reconstruct_uncovered_x_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("widths", ["inf,1", "1e-300,1", "1e200,1e200",
-                                    "1e-150,1e-150", "1e150,1e150"])
+                                    "1e-150,1e-150", "1e150,1e150", "a,1"])
 def test_cli_qlcst_refuses_non_finite_widths(tmp_path, capsys, widths):
-    """Widths whose profile or its square is not a finite normal float: exit
-    1, one error line, no file."""
+    """Widths that are no numbers, or whose profile or its square is not a
+    finite normal float: exit 1, one error line, no file."""
     fpath, cpath = str(tmp_path / "f.qsg"), str(tmp_path / "c.qcf")
     cli_main(["gen", "--kind", "gaussian", "--n", "8", "-o", fpath])
     capsys.readouterr()

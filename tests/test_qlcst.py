@@ -525,6 +525,31 @@ def test_marginal_matches_whole_set_sum():
         assert math.isclose(got, want, rel_tol=1e-12)
 
 
+def sum_axes_marginal_gap(C, f):
+    """The reduction that marginal_qlct_gap replaced, kept as the reference:
+    each block summed over u1 and u2 by sum(axis=(0, 2))."""
+    nw1, nw2 = C.wgrid.shape
+    marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
+    for _, *planes in C.rows():
+        for acc, p in zip(marg, planes):
+            acc += p.reshape(-1, nw1, C.ugrid.axis2.n, nw2).sum(axis=(0, 2))
+    marg = symplectic_join(*marg) * C.ugrid.cell
+    return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
+
+
+def test_marginal_matches_sum_axes_reference():
+    """On both grids of the marginal suite, the einsum reduction gives the
+    gap of the sum(axis=(0, 2)) reduction."""
+    f = gen_signal("gaussian", grid(32))
+    for window, kw in ((s_gaussian(), dict(ugrid=Grid2D.centered(24.0, 96))),
+                       (fixed_gaussian(0.05, 0.05),
+                        dict(ugrid=Grid2D.centered(8.0, 256),
+                             wgrid=Grid2D.centered(2.0, 8)))):
+        C = qlcst_analysis(f, window, FOURIER, FOURIER, **kw)
+        assert math.isclose(marginal_qlct_gap(C, f), sum_axes_marginal_gap(C, f),
+                            rel_tol=1e-12)
+
+
 def test_covariance_small():
     g = grid(24)
     f = gen_signal("gaussian", g)
@@ -630,6 +655,11 @@ def test_special_case_matrices():
         special_case_matrix("fresnel", 0.0)
     with pytest.raises(BadParameter):
         special_case_matrix("unknown")
+    for args in (("fractional",), ("fresnel",), ("fractional", "abc"),
+                 ("fractional", math.inf), ("fractional", math.nan),
+                 ("fresnel", -math.inf), ("fresnel", "1e400")):
+        with pytest.raises(BadParameter):
+            special_case_matrix(*args)
 
 
 def test_real_scalar_linearity():
@@ -868,7 +898,7 @@ def test_every_source_gives_the_same_bits(tmp_path, case, n, n1, window):
         scalars = [C.energy(), spectral_dispersion(C, 1), spectral_dispersion(C, 2),
                    heisenberg_report(C, f, 1).ratio, heisenberg_report(C, f, 2).ratio,
                    energy_identity_gap(C, f), marginal_qlct_gap(C, f),
-                   lemma_41_gap(C, f, 1), lemma_41_gap(C, f, 2)]
+                   *lemma_41_gap(C, f)]
         if n % 2 == 0:  # an odd N puts a w point on the origin
             scalars.append(spectral_log_moment(C))
         arrays = [C.density(), orthogonality_form(C, C), qlcst_reconstruct(C).data,
@@ -1066,8 +1096,7 @@ def test_stored_and_streamed_reductions_agree(n, case, window, seed):
         if n % 2 == 0:  # an odd N puts a w point on the origin
             out.append(spectral_log_moment(C))
         if not window.w_dependent:
-            out += [energy_identity_gap(C, f), lemma_41_gap(C, f, 1),
-                    lemma_41_gap(C, f, 2)]
+            out += [energy_identity_gap(C, f), *lemma_41_gap(C, f)]
         return C.density(), out
 
     want_density, want = reductions(qlcst_forward)
@@ -1087,7 +1116,7 @@ def test_checks_need_no_coefficient_set(monkeypatch):
     def checks(C):
         return [energy_identity_gap(C, f), heisenberg_report(C, f, 1).ratio,
                 heisenberg_report(C, f, 2).ratio, log_uncertainty_report(C, f).gap,
-                lemma_41_gap(C, f, 1), lemma_41_gap(C, f, 2), marginal_qlct_gap(C, f)]
+                *lemma_41_gap(C, f), marginal_qlct_gap(C, f)]
 
     want = checks(qlcst_forward(*args))
     monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 6)

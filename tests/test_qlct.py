@@ -120,6 +120,29 @@ def test_direct_oracle_is_independent(monkeypatch):
     assert relative_l2(back.data, want) < 1e-13
 
 
+def test_direct_oracle_rectangular_grids():
+    """A 12x10 signal onto a 6x8 grid and back, against the per-point sum:
+    the row and column counts of every GEMM operand differ."""
+    rng = np.random.default_rng(17)
+    xgrid = Grid2D(Grid1D.centered(6.0, 12), Grid1D.centered(5.0, 10))
+    ugrid = Grid2D(Grid1D.centered(4.0, 6), Grid1D.centered(7.0, 8))
+    x1, x2 = xgrid.axis1.points, xgrid.axis2.points
+    u1, u2 = ugrid.axis1.points, ugrid.axis2.points
+    f = QSignal2D(rng.standard_normal(xgrid.shape + (4,)), xgrid)
+    spec = qlct_forward(f, SKEW1, SKEW2, ugrid)
+    want = literal_riemann(kernel_eval(SKEW1, 1, x1[:, None], u1[None, :]), f.data,
+                           kernel_eval(SKEW2, 2, x2[:, None], u2[None, :]),
+                           xgrid.cell)
+    assert spec.data.shape == (6, 8, 4)
+    assert relative_l2(spec.data, want) < 1e-13
+    back = qlct_inverse(spec, SKEW1, SKEW2, xgrid)
+    want = literal_riemann(
+        qconj(kernel_eval(SKEW1, 1, x1[None, :], u1[:, None])), spec.data,
+        qconj(kernel_eval(SKEW2, 2, x2[None, :], u2[:, None])), ugrid.cell)
+    assert back.data.shape == (12, 10, 4)
+    assert relative_l2(back.data, want) < 1e-13
+
+
 def test_fast_matches_direct_random():
     grid = small_grid(16)
     rng = np.random.default_rng(10)

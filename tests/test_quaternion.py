@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qlcst.errors import BasisAxisError
-from qlcst.quaternion import (MU1, MU2, MU3, ONE, qconj, qexp_axis, qmul,
-                              qnorm, qnormsq, quat, right_mu2,
-                              symplectic_join, symplectic_split)
+from qlcst.quaternion import (MU1, MU2, MU3, ONE, qconj, qexp_axis,
+                              qleft_matrix, qmul, qnorm, qnormsq, qright_matrix,
+                              quat, right_mu2, symplectic_join,
+                              symplectic_split)
 from qlcst.signal import Grid1D, Grid2D, QSignal2D, sandwich_phase
 
 EPS = np.finfo(float).eps
@@ -116,6 +117,25 @@ def test_qmul_associative(p, q, r):
 def test_modulus_multiplicative_property(p, q):
     rhs = qnorm(p) * qnorm(q)
     assert abs(qnorm(qmul(p, q)) - rhs) <= 16 * EPS * rhs
+
+
+@settings(deadline=None)
+@given(QUATERNION, QUATERNION, QUATERNION)
+def test_product_matrices_apply_qmul(p, q, r):
+    """qleft_matrix(p) @ r = p*r and qright_matrix(q) @ r = r*q to a few ulp
+    of the product of the moduli."""
+    tol = 8 * EPS * qnorm(r)
+    assert np.max(np.abs(qleft_matrix(p) @ r - qmul(p, r))) <= tol * qnorm(p)
+    assert np.max(np.abs(qright_matrix(q) @ r - qmul(r, q))) <= tol * qnorm(q)
+
+
+@settings(deadline=None)
+@given(QUATERNION, QUATERNION)
+def test_left_matrix_is_multiplicative(p, q):
+    """qleft_matrix(p) @ qleft_matrix(q) = qleft_matrix(p*q)."""
+    got = qleft_matrix(p) @ qleft_matrix(q)
+    assert np.max(np.abs(got - qleft_matrix(qmul(p, q)))) <= (
+        16 * EPS * qnorm(p) * qnorm(q))
 
 
 @settings(deadline=None)

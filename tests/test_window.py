@@ -131,6 +131,9 @@ def test_bad_window_parameters():
             WindowSpec(family, sigma, tab)
     with pytest.raises(BadParameter):
         window_axis_profile(table_window(table), 1, 0.0, 1.0)
+    for text in ("fixed-gauss:a,1", "fixed-gauss:1", "fixed-gauss:1,2,3"):
+        with pytest.raises(BadParameter, match="fixed-gauss:s1,s2"):
+            parse_window(text)
     assert WindowSpec("s-gaussian", (1.0, 1.0)) == s_gaussian()
     assert WindowSpec("custom-table", (1.0, 1.0), table) == table_window(table)
 
