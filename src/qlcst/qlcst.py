@@ -18,11 +18,13 @@ kernel matrix K[(u, w), x] = prof(u - x, w) * c * exp(i*theta(x, w)), and the
 analysis is sum_r K1_r @ sum_c (f * conj(e_c) * cell) @ K2_rc^T, each K2_rc
 applied through right_mu2 first; synthesis is the adjoint contraction,
 right-multiplied by e_c.  A built-in window is one real term; a table has
-R <= min(n1, 4*n2), and cost and memory grow with R.  One producer of u1 row
-blocks (_analysis_blocks) serves every check through C.rows() of a stored
-set, a QCF2 file or an unstored qlcst_analysis, and qlcst_forward is the
-stored() of the analysis, its planes filled in place from those blocks.  All
-three yield the same row blocks, so every reduction gives the same bits.
+R <= min(n1, 4*n2), and cost and memory grow with R: the stacked mu2
+factors as R*N^3, the K1_r rows of one block (all that is built of them)
+as R*N^2.  One producer of u1 row blocks (_analysis_blocks) serves every
+check through C.rows() of a stored set, a QCF2 file or an unstored
+qlcst_analysis, and qlcst_forward is the stored() of the analysis, its
+planes filled in place from those blocks.  All three yield the same row
+blocks, so every reduction gives the same bits.
 The producer is a pure contraction of data: it takes the output points and
 the per-axis kernel matrices, which the analysis builds from its grids and
 _phase_matrix, and covariance_residuals from reversed points (parity) or
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (QLCSTCoefficients, _refuse_beyond_memory,
+from .coefficients import (ROW_BLOCK, QLCSTCoefficients, _refuse_beyond_memory,
                            _row_blocks, _Source)
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, Undersampled, ZeroSignal)
@@ -89,14 +91,22 @@ def _phase_matrix(m, x, w):
     return kernel_const(m) * np.exp(1j * kernel_phase(m, x[None, :], w[:, None]))
 
 
+def _floor(prof):
+    """prof with its entries whose modulus is below PROFILE_FLOOR of their
+    profile's peak set to exact zeros, in place; prof[r] is profile r and
+    its peak is taken over the whole of it."""
+    mag = np.abs(prof)
+    prof[mag < PROFILE_FLOOR * mag.max(axis=tuple(range(1, prof.ndim)),
+                                       keepdims=True)] = 0.0
+    return prof
+
+
 def _kernel(prof, e):
     """The kernel matrices of R profiles side by side,
     K[(u, w), (r, x)] = prof[r, u, w, x] * e[w, x], with prof broadcasting
-    over w and e from _phase_matrix.  Entries of prof whose modulus is below
-    PROFILE_FLOOR of their profile's peak are set to exact zeros, in place."""
+    over w and e from _phase_matrix.  prof is floored (_floor) beforehand,
+    so the kernel of some of its u rows is those rows of the whole kernel."""
     prof = np.moveaxis(prof, 0, 2)
-    mag = np.abs(prof)
-    prof[mag < PROFILE_FLOOR * mag.max(axis=(0, 1, 3), keepdims=True)] = 0.0
     k = np.multiply(prof, e[:, None, :], order="C")  # so the reshape is a view
     return k.reshape(k.shape[0] * k.shape[1], -1)
 
@@ -126,19 +136,21 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     their mu2 factors sum_c (f * conj(e_c) * cell) @ K2_rc^T, each one
     product with the K2_rc side by side, on top of each other in a and b, so
     k @ a is the sum over terms.  The mu2 side is contracted once, one term
-    at a time into the planes a and b, and each block takes its rows of the
-    K1_r (coefficients._row_blocks).  a, b and the K1_r grow as R*N^3 and
-    are refused together beyond physical memory before any of them exists.
-    The points and kernel rows are taken in the order given, so reversed
-    ones give the planes reversed.
+    at a time into the planes a and b, and each block builds only its own
+    rows of the K1_r (coefficients._row_blocks), from profiles floored once
+    over their whole extent, so they are the rows of the whole K1_r.  a and
+    b grow as R*N^3 and a block's K1 rows as R*N^2; both are refused beyond
+    physical memory before either exists.  The points and kernel rows are
+    taken in the order given, so reversed ones give the planes reversed.
     """
     (u1s, u2s), (w1s, w2s) = u, w
     x1s, x2s = _points(f.grid)
     p, q = window_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
                         u2s[:, None, None] - x2s, w2s[:, None])
-    nx1 = len(x1s)
+    nx1, nw1 = len(x1s), len(w1s)
     _refuse_beyond_memory("stacked window terms", len(q) * nx1 * (
-        2 * len(u2s) * len(w2s) + len(u1s) * len(w1s)))  # a and b, then k1
+        2 * len(u2s) * len(w2s)  # a and b
+        + min(ROW_BLOCK, len(u1s)) * nw1))  # the K1 rows of the largest block
     # f * conj(e_c) * cell for the C components of the terms, side by side
     fu = np.concatenate([qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]],
                         axis=1)
@@ -147,11 +159,11 @@ def _analysis_blocks(f, window, u, w, e1, e2):
             for _ in range(2))
     for r, q_r in enumerate(q):  # each K2_r is built only for its own product
         rows = slice(r * nx1, (r + 1) * nx1)
-        a[rows], b[rows] = _right_contract(*g, _kernel(q_r, e2))
-    del q, fu, g  # freed before K1 is built
-    k1 = _kernel(p, e1)
-    for rows in _row_blocks(len(k1), len(w1s)):
-        yield rows, k1[rows], a, b
+        a[rows], b[rows] = _right_contract(*g, _kernel(_floor(q_r), e2))
+    del q, fu, g  # freed before the first K1 rows are built
+    _floor(p)  # once, so each block's K1 rows are those of the whole K1
+    for rows in _row_blocks(len(u1s) * nw1, nw1):
+        yield rows, _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1), a, b
 
 
 def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
@@ -214,10 +226,12 @@ def qlcst_reconstruct(C):
     window on any u spacing (the canonical dual frame).  Over the window's
     terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
     K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.rows(), so
-    C may be stored or unstored.  The kernels are built on the adjoint phase
-    matrices of _w_adjoints and the mu2 side is contracted by _right_contract,
-    as in the analysis.  F is the Gram form sum_rs G1_rs(x1) * G2_rs(x2) of
-    the per-axis sums of the term products.
+    C may be stored or unstored; each block builds only its own columns of
+    the K1_r^H, from profiles floored once over their whole extent.  The
+    kernels are built on the adjoint phase matrices of _w_adjoints and the
+    mu2 side is contracted by _right_contract, as in the analysis.  F is
+    the Gram form sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the
+    term products.
     An x that no u reaches (F(x) <= eps * max F) is refused.
     """
     if C.window.w_dependent:
@@ -229,15 +243,17 @@ def qlcst_reconstruct(C):
                         x2s[:, None, None] - x2s, 1.0)  # no w dependence
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
     e1h, e2h = _w_adjoints(C, g)
-    k1h = _kernel(p, e1h.T).T
+    _floor(p)  # once, so each block's K1^H columns are those of the whole K1^H
+    nw1 = C.wgrid.axis1.n
     acc = [0, 0]
     for rows, *planes in C.rows():
+        k1h = _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1h.T).T
         for i, plane in enumerate(planes):
-            acc[i] += k1h[:, rows] @ plane
+            acc[i] += k1h @ plane
     out = np.zeros(g.shape + (4,))
     for r, q_r in enumerate(q):
         a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)
-        adj = symplectic_join(*_right_contract(a, b, _kernel(q_r, e2h.T).T))
+        adj = symplectic_join(*_right_contract(a, b, _kernel(_floor(q_r), e2h.T).T))
         for c, e in enumerate(np.eye(4)[:len(q_r)]):  # (x1, (c, x2)) columns
             out += qmul(adj[:, c * len(x2s):(c + 1) * len(x2s)], e)
     out *= C.wgrid.cell
@@ -298,19 +314,40 @@ def _sqnorm(x):
 def _streamed_rel_l2(want, got):
     """relative_l2, over the quaternion components, of the planes of the
     _analysis_blocks producer got against those of the producer want,
-    accumulated one plane block at a time in two reused buffers (ref, diff),
-    so that no coefficient set is ever held.  Both producers are built on the
-    same point counts, so their row blocks line up."""
+    accumulated one plane block at a time, so that no coefficient set is
+    ever held.  Both producers are built on the same point counts, so their
+    row blocks line up.
+
+    Each block's difference is the one product [k, -gk] @ [plane; other]
+    into one reused block buffer, the planes stacked in a second reused
+    buffer, and the reference's squared norm is the Gram form
+    vdot(plane, (k^H k) @ plane), its product made in that second buffer.
+    A window of many terms stacks planes taller than the block, and there
+    stack and Gram would outgrow the block product they save, so the
+    second buffer takes the reference product k @ plane instead and the
+    difference is gk @ other minus it.
+    """
     num = denom = 0.0
     bufs = None
     for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
-        bufs = bufs or [np.empty((len(k), planes[0].shape[1]), dtype=complex)
-                        for _ in range(2)]  # the first block is the largest
-        ref, diff = (buf[:len(k)] for buf in bufs)
+        if bufs is None:  # the first block is the largest
+            tall = len(planes[0]) + len(gots[0])
+            stacked = tall <= len(k)
+            bufs = [np.empty((n, planes[0].shape[1]), dtype=complex)
+                    for n in (len(k), tall if stacked else len(k))]
+        diff, spare = bufs[0][:len(k)], bufs[1]
+        if stacked:
+            gram, both = k.conj().T @ k, np.concatenate((k, -gk), axis=1)
         for plane, other in zip(planes, gots):
-            denom += _sqnorm(np.matmul(k, plane, out=ref))
-            np.matmul(gk, other, out=diff)
-            diff -= ref
+            if stacked:
+                gp = np.matmul(gram, plane, out=spare[:len(plane)])
+                denom += np.vdot(plane, gp).real
+                np.matmul(both, np.concatenate((plane, other), out=spare), out=diff)
+            else:
+                ref = np.matmul(k, plane, out=spare[:len(k)])
+                denom += _sqnorm(ref)
+                np.matmul(gk, other, out=diff)
+                diff -= ref
             num += _sqnorm(diff)
     return math.sqrt(num / denom if denom else num)
 
@@ -337,6 +374,10 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     exp(mu1*phi1(w1)) * . * exp(mu2*phi2(w2)) of both identities are added
     to the kernel phases of the matrices passed to _analysis_blocks, since
     they multiply the mu1 kernel on the left and the mu2 kernel on the right.
+    Each check zips the producers of its two sides (_streamed_rel_l2), which
+    holds, besides their mu2 factors and one block of K1 rows each, one
+    block product and either the two sides' stacked planes (a window of few
+    terms) or a second block product.
     """
     base = qlcst_analysis(f, window, m1, m2)
     ugrid, wgrid = base.ugrid, base.wgrid

@@ -1,6 +1,7 @@
 """Uniform grids, quaternion-valued 2D sample arrays and two-sided phases."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +11,14 @@ from .quaternion import qnormsq, right_mu2, symplectic_join, symplectic_split
 
 
 def _check_count(n):
+    """n as an int, refused unless it is an integer of at least 2."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise GridMismatch("grid needs an integer point count, got %r" % (n,)) from None
     if n < 2:
         raise GridMismatch("grid needs at least 2 points, got %d" % n)
+    return n
 
 
 @dataclass(frozen=True)
@@ -23,7 +30,7 @@ class Grid1D:
     spacing: float
 
     def __post_init__(self):
-        _check_count(self.n)
+        object.__setattr__(self, "n", _check_count(self.n))  # frozen: stored as an int
         if not (math.isfinite(self.origin) and math.isfinite(self.spacing)):
             raise GridMismatch("grid origin %r and spacing %r must be finite"
                                % (self.origin, self.spacing))
@@ -37,7 +44,7 @@ class Grid1D:
     @classmethod
     def centered(cls, extent, n):
         """Midpoint grid covering [-extent, extent]; no sample falls on 0."""
-        _check_count(n)
+        n = _check_count(n)
         spacing = 2.0 * extent / n
         return cls(n, -extent + 0.5 * spacing, spacing)
 

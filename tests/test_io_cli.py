@@ -782,7 +782,7 @@ def test_cli_qlcst_failure_leaves_no_file(tmp_path, capsys):
 
 def test_cli_qlcst_refuses_stacked_terms_beyond_memory(tmp_path, capsys, monkeypatch):
     """qlcst --window table:PATH with a full-rank 31 x 31 table at N=16,
-    whose 6.1 MB of stacked window terms exceed physical memory (taken as
+    whose 4.6 MB of stacked window terms exceed physical memory (taken as
     1 MB), exits 1 with one error line before any kernel is built, and
     leaves no output file."""
     fpath, tpath, cpath = (str(tmp_path / n) for n in ("f.qsg", "t.qsg", "c.qcf"))

@@ -16,8 +16,9 @@ from qlcst.io import open_coefficients, write_coefficients
 from qlcst.lct import kernel_const, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
 from qlcst.qlcst import (PROFILE_FLOOR, QLCSTCoefficients,
-                         _analysis_blocks, _contract, _kernel, _phase_matrix,
-                         _streamed_rel_l2, covariance_residuals,
+                         _analysis_blocks, _contract, _floor, _kernel,
+                         _phase_matrix, _right_contract, _streamed_rel_l2,
+                         _w_adjoints, covariance_residuals,
                          energy_identity_gap, marginal_qlct_gap,
                          orthogonality_form, qlcst_analysis, qlcst_forward,
                          qlcst_pointwise_inverse, qlcst_reconstruct,
@@ -291,7 +292,7 @@ def test_s_gaussian_kernel_has_no_subnormals():
     x = g.axis1.points
     w = fft_output_grid(g, 1.0, 1.0).axis1.points
     p, _ = axis_terms(s_gaussian(), x, x, w)
-    k = _kernel(p, _phase_matrix(FOURIER, x, w))
+    k = _kernel(_floor(p), _phase_matrix(FOURIER, x, w))
     parts = np.abs(k.view(float))
     assert np.all((parts == 0.0) | (parts >= np.finfo(float).tiny))
     assert np.count_nonzero(parts == 0.0) > 0
@@ -305,7 +306,7 @@ def test_s_gaussian_kernel_has_no_subnormals():
     q = q[:, 0]
     assert np.any(q < 0.0) and np.any((q != 0.0) & (np.abs(q) < np.finfo(float).tiny))
     kept = np.abs(q) >= PROFILE_FLOOR * np.abs(q).max()
-    k = _kernel(q, _phase_matrix(FOURIER, x, np.ones(4)))
+    k = _kernel(_floor(q), _phase_matrix(FOURIER, x, np.ones(4)))
     parts = np.abs(k.view(float))
     assert np.all((parts == 0.0) | (parts >= np.finfo(float).tiny))
     assert np.array_equal(k != 0.0, np.broadcast_to(kept[0], (6, 4, 6)).reshape(k.shape))
@@ -960,7 +961,8 @@ def test_u_slice_of_an_analysis_computes_one_block():
 
 
 # A full-rank quaternion table on the (2N - 1)^2 offset lattice of grid(16):
-# R = 31 terms, whose stacked mu2 factors and K1 take 6.1 MB at N = 16.
+# R = 31 terms, whose stacked mu2 factors take 4.1 MB at N = 16 and the K1
+# rows of one block 0.5 MB.
 FULL_RANK_TABLE = table_window(QSignal2D(
     np.random.default_rng(5).standard_normal((31, 31, 4)), Grid2D.centered(15.5, 31)))
 
@@ -969,12 +971,16 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
     """The stacked window terms of the analysis grow as R*N^3.  Beyond
     physical memory (taken as 1 MB) they are refused with TooLarge, by the
     rule that refuses planes, before they or any kernel are allocated; with
-    10 MB taken, the analysis runs and gives the unpatched bits."""
+    10 MB taken, the analysis runs and gives the unpatched bits, and so it
+    does with 5.3 MB, between the 4.6 MB it allocates (the stacked mu2
+    factors and one block of K1 rows) and the 6.1 MB of the mu2 factors and
+    a whole K1."""
     f = gen_signal("gaussian", grid(16))
     args = (f, FULL_RANK_TABLE, FOURIER, FOURIER)
     want = qlcst_analysis(*args).density()
-    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 7)
-    assert np.array_equal(qlcst_analysis(*args).density(), want)
+    for memory in (10 ** 7, 53 * 10 ** 5):
+        monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: memory)
+        assert np.array_equal(qlcst_analysis(*args).density(), want)
 
     def allocated(*_):
         raise AssertionError("a kernel was built")
@@ -983,7 +989,7 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
     monkeypatch.setattr("qlcst.qlcst._kernel", allocated)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match="stacked window terms of 0.00609 GB"):
+        with pytest.raises(TooLarge, match="stacked window terms of 0.00457 GB"):
             qlcst_analysis(*args).energy()
         with pytest.raises(TooLarge, match="stacked window terms"):
             covariance_residuals(*args)
@@ -993,9 +999,172 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
     assert peak < 1e6  # the stacked mu2 factors alone take 4.1 MB
 
 
+@pytest.mark.parametrize("window", [fixed_gaussian(1, 0.7), OFF_LATTICE_TABLE],
+                         ids=["fixed-gauss", "table"])
+def test_k1_is_built_one_block_at_a_time(monkeypatch, window):
+    """The producer and the synthesis build the K1 (K1^H) rows of one block
+    at a time: with N_u1 = 3*ROW_BLOCK + 1 (x2 of another length, so the K2
+    are told apart) no kernel of the x1 axis has more than ROW_BLOCK*N_w1
+    rows, and those of one pass cover the N_u1*N_w1 plane rows once."""
+    g = Grid2D(Grid1D.centered(8.0, 3 * ROW_BLOCK + 1), Grid1D.centered(6.0, 10))
+    f = random_hermite_combo(g, seed=13)
+    args = (f, window, FOURIER, FOURIER)
+    nrows, step = g.axis1.n ** 2, ROW_BLOCK * g.axis1.n  # N_w1 = N_x1 = N_u1
+    built = []
+
+    def recorded(prof, e):
+        """_kernel, recording the rows of each K1 or K1^H (N_x1 columns of e)."""
+        k = _kernel(prof, e)
+        if e.shape[1] == g.axis1.n:
+            built.append(len(k))
+        return k
+
+    monkeypatch.setattr("qlcst.qlcst._kernel", recorded)
+    for run, passes in ((lambda: qlcst_analysis(*args).energy(), 1),
+                        (lambda: qlcst_forward(*args), 1),
+                        (lambda: qlcst_reconstruct(qlcst_analysis(*args)), 2),
+                        (lambda: covariance_residuals(*args), 6)):
+        built.clear()
+        run()
+        assert max(built) == step and sum(built) == passes * nrows
+
+
+def whole_k1_planes(C):
+    """The planes of the analysis C by one whole stacked K1 of the window's
+    terms, of which each block takes its rows, the mu2 factors a and b being
+    those of the producer."""
+    x, u, w = ((g.axis1.points, g.axis2.points) for g in (C.f.grid, C.ugrid, C.wgrid))
+    p, _ = window_terms(C.window, u[0][:, None, None] - x[0], w[0][:, None],
+                        u[1][:, None, None] - x[1], w[1][:, None])
+    k1 = _kernel(_floor(p), _phase_matrix(C.m1, x[0], w[0]))
+    planes = [np.empty(C.plane_shape, dtype=complex) for _ in range(2)]
+    for rows, _, *parts in C.blocks():
+        for plane, part in zip(planes, parts):
+            np.matmul(k1[rows], part, out=plane[rows])
+    return planes
+
+
+def whole_k1h_reconstruct(C):
+    """qlcst_reconstruct with one whole stacked K1^H, of which each block
+    takes its columns."""
+    g = C.ugrid
+    x1s, x2s = g.axis1.points, g.axis2.points
+    p, q = window_terms(C.window, x1s[:, None, None] - x1s, 1.0,
+                        x2s[:, None, None] - x2s, 1.0)
+    e1h, e2h = _w_adjoints(C, g)
+    k1h = _kernel(_floor(p), e1h.T).T
+    acc = [0, 0]
+    for rows, *planes in C.rows():
+        for i, plane in enumerate(planes):
+            acc[i] += k1h[:, rows] @ plane
+    out = np.zeros(g.shape + (4,))
+    for r, q_r in enumerate(q):
+        a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)
+        adj = symplectic_join(*_right_contract(a, b, _kernel(_floor(q_r), e2h.T).T))
+        for c, e in enumerate(np.eye(4)[:len(q_r)]):
+            out += qmul(adj[:, c * len(x2s):(c + 1) * len(x2s)], e)
+    out *= C.wgrid.cell
+    frame = np.einsum("rsx,rsy->xy", np.einsum("ruwx,suwx->rsx", p, p),
+                      np.einsum("rcuwx,scuwx->rsx", q, q))
+    return out / frame[..., None]
+
+
+@pytest.mark.parametrize("window", [
+    fixed_gaussian(1, 0.7), s_gaussian(),
+    lattice_table(fixed_gaussian(1, 0.7), grid(16)), FULL_RANK_TABLE],
+    ids=["fixed-gauss", "s-gauss", "lattice-table", "full-rank-table"])
+def test_block_k1_gives_the_whole_k1_bits(tmp_path, window):
+    """The K1 rows built per block are the rows of the whole K1, so the
+    planes of a stored set, an analysis and its QCF2 file, and every
+    synthesis from them, are the bits of the whole-K1 algorithm, on a u grid
+    of N_u1 = 3*ROW_BLOCK + 1."""
+    g = grid(16)
+    f = random_hermite_combo(g, seed=14)
+    ugrid = Grid2D(Grid1D.centered(8.0, 3 * ROW_BLOCK + 1), g.axis2)
+    m = dict(MATRIX_CASES)["fractional(pi/3)"]()[0]
+    analysis = qlcst_analysis(f, window, FOURIER, m, ugrid)
+    stored = analysis.stored()
+    write_coefficients(tmp_path / "c.qcf", analysis)
+    sources = (stored, analysis, open_coefficients(tmp_path / "c.qcf"))
+    want = whole_k1_planes(analysis)
+    for src in sources:
+        got = [np.empty(src.plane_shape, dtype=complex) for _ in range(2)]
+        for rows, *planes in src.rows():
+            for out, plane in zip(got, planes):
+                out[rows] = plane
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    if not window.w_dependent:
+        for src in sources:
+            assert np.array_equal(qlcst_reconstruct(src).data,
+                                  whole_k1h_reconstruct(src))
+
+
+def test_k1_floor_comes_from_the_whole_profile():
+    """An s-gaussian on a u grid reaching far past the x grid: the profile
+    peaks of its outer blocks lie far below that of the whole profile, and
+    floored per block their tails would keep entries that PROFILE_FLOOR of
+    the whole peak zeroes, changing whole plane rows.  The producer floors
+    the whole profile, so each block's K1 rows are those of the whole K1."""
+    g = grid(12)
+    f = random_hermite_combo(g, seed=13)
+    ugrid = Grid2D(Grid1D.centered(40.0, 3 * ROW_BLOCK + 1), g.axis2)
+    analysis = qlcst_analysis(f, s_gaussian(), FOURIER, FOURIER, ugrid)
+    x1, u1, w1 = (gr.axis1.points for gr in (g, ugrid, analysis.wgrid))
+    p, _ = axis_terms(s_gaussian(), u1, x1, w1)
+    e1 = _phase_matrix(FOURIER, x1, w1)
+    whole = _kernel(_floor(p.copy()), e1)
+    blocks = list(analysis.blocks())
+    per_block = np.concatenate([
+        _kernel(_floor(p[:, rows.start // len(w1):rows.stop // len(w1)].copy()), e1)
+        for rows, *_ in blocks])
+    a = blocks[0][2]
+    assert not np.array_equal(per_block @ a, whole @ a)
+    assert all(np.array_equal(k, whole[rows]) for rows, k, *_ in blocks)
+
+
+def two_product_rel_l2(want, got):
+    """The residual of _streamed_rel_l2 by two products per plane block,
+    the reference and the other side, and their difference."""
+    num = denom = 0.0
+    for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
+        for plane, other in zip(planes, gots):
+            ref = k @ plane
+            diff = gk @ other - ref
+            denom += np.vdot(ref, ref).real
+            num += np.vdot(diff, diff).real
+    return math.sqrt(num / denom if denom else num)
+
+
+@pytest.mark.parametrize("n, window, stacked", [
+    (48, fixed_gaussian(1, 1), True),
+    (16, lattice_table(fixed_gaussian(1, 1), grid(16)), True),
+    (16, FULL_RANK_TABLE, False)],
+    ids=["covariance-suite", "lattice-table", "full-rank-table"])
+def test_streamed_residual_matches_two_products(monkeypatch, n, window, stacked):
+    """Each check of covariance_residuals gives, to 1e-15, the residual of
+    two products per block: on the covariance suite's case and a one-term
+    table, whose stacked planes are no taller than a block (one product of
+    them per block), and on a full-rank table, whose stacked planes are
+    (two block products, as before)."""
+    streamed, got = _streamed_rel_l2, []
+
+    def both(want, other):
+        want, other = list(want), list(other)
+        tall = len(want[0][2]) + len(other[0][2])
+        got.append((tall <= len(want[0][1]), streamed(iter(want), iter(other)),
+                    two_product_rel_l2(iter(want), iter(other))))
+        return got[-1][1]
+
+    monkeypatch.setattr("qlcst.qlcst._streamed_rel_l2", both)
+    m1, m2 = special_case_matrix("stockwell")
+    covariance_residuals(gen_signal("gaussian", Grid2D.centered(8.0, n)), window, m1, m2)
+    assert len(got) == 3
+    assert all(path == stacked and abs(x - y) <= 1e-15 for path, x, y in got)
+
+
 SUITE_PEAK_BOUNDS = {
     "marginal": 100e6,
-    "covariance": 0.2 * one_set(48),
+    "covariance": 0.13 * one_set(48),
     "orthogonality": one_set(32),
     "energy": one_set(32),
     "heisenberg": one_set(32),
@@ -1009,8 +1178,8 @@ def test_verify_suite_traced_peak(suite):
     """The suites that once held whole coefficient sets only to reduce them
     stay below their bound of traced allocations: one coefficient set of the
     suite's grid, or 100 MB for the wide-u marginal.  The covariance (N=48)
-    holds two reused block buffers per check and stays below 0.2 of its
-    170 MB set (it reads about 0.15)."""
+    holds one block product and the stacked planes per check and stays
+    below 0.13 of its 170 MB set (it reads about 0.114)."""
     tracemalloc.start()
     try:
         passed, _ = run_suite(suite)

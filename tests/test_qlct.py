@@ -254,6 +254,27 @@ def test_grid_refuses_non_positive_spacing(spacing):
         Grid1D(4, 0.0, spacing)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Grid1D(8.5, 0.0, 1.0),
+    lambda: Grid1D("8", 0.0, 1.0),
+    lambda: Grid1D.centered(8.0, 2.5),
+    lambda: gen_signal("gaussian", Grid2D.centered(8.0, 2.5)),
+    lambda: random_hermite_combo(Grid2D.centered(8.0, 8.0)),
+], ids=["float", "string", "centered-float", "gen-signal", "hermite-combo"])
+def test_grid_refuses_a_non_integer_count(make):
+    """A point count that is no integer is refused with GridMismatch, also
+    by the generators, which would otherwise fail inside numpy."""
+    with pytest.raises(GridMismatch):
+        make()
+
+
+def test_grid_stores_an_integer_count():
+    """Any integer, a numpy one too, is accepted and stored as an int."""
+    for g in (Grid1D(np.int64(8), 0.0, 1.0), Grid1D.centered(8.0, np.int64(8))):
+        assert type(g.n) is int and g.n == 8
+    assert Grid1D(np.int64(8), 0.0, 1.0) == Grid1D(8, 0.0, 1.0)
+
+
 def test_signal_refuses_data_of_another_shape():
     with pytest.raises(GridMismatch):
         QSignal2D(np.zeros((4, 5, 4)), small_grid(4))
