@@ -101,11 +101,21 @@ def _floor(prof):
     return prof
 
 
+def _floored_terms(window, y1, w1, y2, w2):
+    """window_terms with every profile floored (_floor) over its whole
+    extent: p per term, q per term and component.  The kernels are built
+    only from these, so the kernel of some u rows of a profile is those
+    rows of its whole kernel."""
+    p, q = window_terms(window, y1, w1, y2, w2)
+    for prof in (p, *q):
+        _floor(prof)
+    return p, q
+
+
 def _kernel(prof, e):
     """The kernel matrices of R profiles side by side,
     K[(u, w), (r, x)] = prof[r, u, w, x] * e[w, x], with prof broadcasting
-    over w and e from _phase_matrix.  prof is floored (_floor) beforehand,
-    so the kernel of some of its u rows is those rows of the whole kernel."""
+    over w, from _floored_terms, and e from _phase_matrix."""
     prof = np.moveaxis(prof, 0, 2)
     k = np.multiply(prof, e[:, None, :], order="C")  # so the reshape is a view
     return k.reshape(k.shape[0] * k.shape[1], -1)
@@ -145,8 +155,8 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     """
     (u1s, u2s), (w1s, w2s) = u, w
     x1s, x2s = _points(f.grid)
-    p, q = window_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
-                        u2s[:, None, None] - x2s, w2s[:, None])
+    p, q = _floored_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
+                          u2s[:, None, None] - x2s, w2s[:, None])
     nx1, nw1 = len(x1s), len(w1s)
     _refuse_beyond_memory("stacked window terms", len(q) * nx1 * (
         2 * len(u2s) * len(w2s)  # a and b
@@ -159,9 +169,8 @@ def _analysis_blocks(f, window, u, w, e1, e2):
             for _ in range(2))
     for r, q_r in enumerate(q):  # each K2_r is built only for its own product
         rows = slice(r * nx1, (r + 1) * nx1)
-        a[rows], b[rows] = _right_contract(*g, _kernel(_floor(q_r), e2))
+        a[rows], b[rows] = _right_contract(*g, _kernel(q_r, e2))
     del q, fu, g  # freed before the first K1 rows are built
-    _floor(p)  # once, so each block's K1 rows are those of the whole K1
     for rows in _row_blocks(len(u1s) * nw1, nw1):
         yield rows, _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1), a, b
 
@@ -239,11 +248,10 @@ def qlcst_reconstruct(C):
             "reconstruction needs a window that does not depend on the frequency")
     g = C.ugrid
     x1s, x2s = _points(g)
-    p, q = window_terms(C.window, x1s[:, None, None] - x1s, 1.0,
-                        x2s[:, None, None] - x2s, 1.0)  # no w dependence
+    p, q = _floored_terms(C.window, x1s[:, None, None] - x1s, 1.0,
+                          x2s[:, None, None] - x2s, 1.0)  # no w dependence
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
     e1h, e2h = _w_adjoints(C, g)
-    _floor(p)  # once, so each block's K1^H columns are those of the whole K1^H
     nw1 = C.wgrid.axis1.n
     acc = [0, 0]
     for rows, *planes in C.rows():
@@ -253,7 +261,7 @@ def qlcst_reconstruct(C):
     out = np.zeros(g.shape + (4,))
     for r, q_r in enumerate(q):
         a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)
-        adj = symplectic_join(*_right_contract(a, b, _kernel(_floor(q_r), e2h.T).T))
+        adj = symplectic_join(*_right_contract(a, b, _kernel(q_r, e2h.T).T))
         for c, e in enumerate(np.eye(4)[:len(q_r)]):  # (x1, (c, x2)) columns
             out += qmul(adj[:, c * len(x2s):(c + 1) * len(x2s)], e)
     out *= C.wgrid.cell
@@ -322,32 +330,19 @@ def _streamed_rel_l2(want, got):
     into one reused block buffer, the planes stacked in a second reused
     buffer, and the reference's squared norm is the Gram form
     vdot(plane, (k^H k) @ plane), its product made in that second buffer.
-    A window of many terms stacks planes taller than the block, and there
-    stack and Gram would outgrow the block product they save, so the
-    second buffer takes the reference product k @ plane instead and the
-    difference is gk @ other minus it.
     """
     num = denom = 0.0
     bufs = None
     for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
         if bufs is None:  # the first block is the largest
-            tall = len(planes[0]) + len(gots[0])
-            stacked = tall <= len(k)
             bufs = [np.empty((n, planes[0].shape[1]), dtype=complex)
-                    for n in (len(k), tall if stacked else len(k))]
-        diff, spare = bufs[0][:len(k)], bufs[1]
-        if stacked:
-            gram, both = k.conj().T @ k, np.concatenate((k, -gk), axis=1)
+                    for n in (len(k), len(planes[0]) + len(gots[0]))]
+        diff, stack = bufs[0][:len(k)], bufs[1]
+        gram, both = k.conj().T @ k, np.concatenate((k, -gk), axis=1)
         for plane, other in zip(planes, gots):
-            if stacked:
-                gp = np.matmul(gram, plane, out=spare[:len(plane)])
-                denom += np.vdot(plane, gp).real
-                np.matmul(both, np.concatenate((plane, other), out=spare), out=diff)
-            else:
-                ref = np.matmul(k, plane, out=spare[:len(k)])
-                denom += _sqnorm(ref)
-                np.matmul(gk, other, out=diff)
-                diff -= ref
+            gp = np.matmul(gram, plane, out=stack[:len(plane)])
+            denom += np.vdot(plane, gp).real
+            np.matmul(both, np.concatenate((plane, other), out=stack), out=diff)
             num += _sqnorm(diff)
     return math.sqrt(num / denom if denom else num)
 
@@ -376,8 +371,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     they multiply the mu1 kernel on the left and the mu2 kernel on the right.
     Each check zips the producers of its two sides (_streamed_rel_l2), which
     holds, besides their mu2 factors and one block of K1 rows each, one
-    block product and either the two sides' stacked planes (a window of few
-    terms) or a second block product.
+    block product and the two sides' stacked planes.
     """
     base = qlcst_analysis(f, window, m1, m2)
     ugrid, wgrid = base.ugrid, base.wgrid
