@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from .coefficients import _refuse_beyond_memory
 from .errors import BadParameter
 from .signal import Grid2D, QSignal2D, sandwich_phase
 
@@ -31,13 +32,15 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
     gaussian:          exp(-|x|^2 / (2 sigma^2))
     shifted-gaussian:  gaussian translated to `center`
     dilated-gaussian:  a * exp(-a^2 |x|^2 / 2)
-    hermite:           product of orthonormal Hermite modes n = (n1, n2)
+    hermite:           product of orthonormal Hermite modes n = (n1, n2),
+                       each order below its axis's point count
     chirp:             quaternion chirp phases 0.5 x1^2, -0.3 x2^2 around a
                        Gaussian envelope
     impulse:           single sample of value 1/cell nearest the origin
 
     Parameters that make any sample non-finite, or every sample zero (each
-    kind is nonzero by construction), raise BadParameter.
+    kind is nonzero by construction), raise BadParameter, and a grid whose
+    samples exceed physical memory raises TooLarge before they are made.
     """
     if kind not in KINDS:
         raise BadParameter("unknown generator kind %r" % kind)
@@ -45,11 +48,13 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
         raise BadParameter("generator needs a Grid2D")
     if kind in ("gaussian", "shifted-gaussian", "chirp") and not sigma > 0:
         raise BadParameter("sigma must be positive")
-    if kind == "hermite" and (len(n) != 2 or min(n) < 0):
-        raise BadParameter("hermite wants two non-negative mode orders, got %r"
-                           % (n,))
+    if kind == "hermite" and not (len(n) == 2 and 0 <= n[0] < grid.axis1.n
+                                  and 0 <= n[1] < grid.axis2.n):
+        raise BadParameter("hermite wants two non-negative mode orders below "
+                           "the point counts %r, got %r" % (grid.shape, n))
     if kind == "shifted-gaussian" and len(center) != 2:
         raise BadParameter("center wants two coordinates, got %r" % (center,))
+    _refuse_beyond_memory("signal samples", 2 * math.prod(grid.shape))  # 32 B each
     x1 = grid.axis1.points[:, None]
     x2 = grid.axis2.points[None, :]
     data = np.zeros(grid.shape + (4,))
@@ -74,7 +79,7 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
     elif kind == "impulse":
         i = int(np.argmin(np.abs(grid.axis1.points)))
         j = int(np.argmin(np.abs(grid.axis2.points)))
-        data[i, j, 0] = 1.0 / grid.cell
+        data[i, j, 0] = np.divide(1.0, grid.cell)
     if not np.all(np.isfinite(data)):
         raise BadParameter("%s parameters give non-finite samples" % kind)
     if not np.any(data):

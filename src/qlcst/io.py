@@ -60,7 +60,8 @@ def _write_signal_record(fh, f):
 
 
 def write_signal(path, f):
-    """Write a QSignal2D (or spectrum) as a QSG1 file (_replacing)."""
+    """Write a QSignal2D (or spectrum) as a QSG1 file (_replacing), or NonFinite."""
+    _check_finite(f.data, "signal")
     with _replacing(path) as fh:
         _write_signal_record(fh, f)
 

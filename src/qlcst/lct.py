@@ -32,7 +32,7 @@ class ParamMatrix:
             raise BadParameter("matrix entries (%r, %r, %r, %r) must be finite"
                                % (self.a, self.b, self.c, self.d))
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > DET_TOL:
+        if not abs(det - 1.0) <= DET_TOL:  # a NaN det too
             raise DeterminantError(
                 "det(M) = %.17g differs from 1 by more than %g" % (det, DET_TOL))
         if abs(self.b) <= ZERO_B_TOL:
@@ -44,14 +44,22 @@ def validate_param(a, b, c, d):
     return ParamMatrix(float(a), float(b), float(c), float(d))
 
 
+def parse_numbers(text, count, kind, form):
+    """The `count` comma-separated fields of the CLI value text, each read by
+    kind (float or int).  A wrong count, an empty or an unreadable field
+    raises BadParameter("expected <form>, got <text>")."""
+    fields = text.split(",")
+    try:
+        if len(fields) == count:
+            return tuple(kind(p) for p in fields)
+    except ValueError:
+        pass
+    raise BadParameter("expected %s, got %r" % (form, text))
+
+
 def parse_matrix(text):
     """Parse the CLI form "A,B,C,D" into a validated ParamMatrix."""
-    try:  # a wrong count or a non-numeric field
-        a, b, c, d = (float(p) for p in text.split(","))
-    except ValueError:
-        raise BadParameter("expected 4 comma-separated numbers, got %r"
-                           % text) from None
-    return validate_param(a, b, c, d)
+    return validate_param(*parse_numbers(text, 4, float, "four numbers A,B,C,D"))
 
 
 def kernel_phase(m, x, u):

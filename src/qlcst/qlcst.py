@@ -46,7 +46,7 @@ import numpy as np
 from .coefficients import (ROW_BLOCK, QLCSTCoefficients, _refuse_beyond_memory,
                            _row_blocks, _Source)
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                     GridMismatch, Undersampled, ZeroSignal)
+                     GridMismatch, NonFinite, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
 from .quaternion import (qconj, qmul, right_mu2, symplectic_join,
                          symplectic_split)
@@ -87,8 +87,11 @@ def _points(grid):
 
 def _phase_matrix(m, x, w):
     """The plain (len(w), len(x)) kernel matrix E[w, x] = c * exp(i*theta[w, x])
-    of the forward kernel phase table theta = kernel_phase(m, x, w)."""
-    return kernel_const(m) * np.exp(1j * kernel_phase(m, x[None, :], w[:, None]))
+    of the phases theta = kernel_phase(m, x, w); NonFinite if they overflow."""
+    e = kernel_const(m) * np.exp(1j * kernel_phase(m, x[None, :], w[:, None]))
+    if not np.all(np.isfinite(e)):
+        raise NonFinite("the kernel phases of %r overflow on this grid" % (m,))
+    return e
 
 
 def _floor(prof):
@@ -383,8 +386,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
         kernels evaluated at the frequencies t) * exp(mu2*phi2), with phi
         depending on w only."""
         return _analysis_blocks(g, window, u, w, *(
-            kernel_const(m) * np.exp(1j * (kernel_phase(m, xs[None, :], ts[:, None])
-                                           + ph[:, None]))
+            _phase_matrix(m, xs, ts) * np.exp(1j * ph)[:, None]
             for m, xs, ts, ph in zip((m1, m2), (x1, x2), t, phi)))
 
     def moved(grid, t):

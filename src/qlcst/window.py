@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AdmissibilityError, BadParameter, ZeroFrequency, ZeroWindow
+from .lct import parse_numbers
 from .signal import Grid1D, Grid2D, QSignal2D
 
 
@@ -91,12 +92,8 @@ def parse_window(text):
     if text == "s-gauss":
         return s_gaussian()
     if text.startswith("fixed-gauss:"):
-        try:  # a wrong count or a non-numeric width
-            s1, s2 = (float(p) for p in text.split(":", 1)[1].split(","))
-        except ValueError:
-            raise BadParameter("expected fixed-gauss:s1,s2 with two numbers, "
-                               "got %r" % text) from None
-        return fixed_gaussian(s1, s2)
+        return fixed_gaussian(*parse_numbers(text[len("fixed-gauss:"):], 2, float,
+                                             "fixed-gauss:s1,s2 with two numbers"))
     if text.startswith("table:"):
         from .io import read_signal
         return table_window(read_signal(text.split(":", 1)[1]))

@@ -24,7 +24,7 @@ from qlcst.generators import _hermite_mode, gen_signal
 from qlcst.io import (COEFF_HEADER, COEFF_MAGIC, SIGNAL_HEADER, SIGNAL_MAGIC,
                       WINDOW_CODES, coefficient_slice, open_coefficients,
                       read_coefficients, read_signal, write_coefficients,
-                      write_signal)
+                      write_signal, _write_signal_record)
 from qlcst.lct import validate_param
 from qlcst.qlcst import qlcst_analysis, qlcst_forward, qlcst_reconstruct
 from qlcst.signal import Grid1D, Grid2D, QSignal2D, relative_l2
@@ -564,7 +564,7 @@ def test_cli_export_index_not_two_integers(tmp_path, capsys, index):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [
+@pytest.mark.parametrize("args, form", [(args, None) for args in [
     ["--kind", "hermite", "--modes", "1"],
     ["--kind", "hermite", "--modes=-1,0"],
     ["--kind", "gaussian", "--n", "0"],
@@ -579,16 +579,70 @@ def test_cli_export_index_not_two_integers(tmp_path, capsys, index):
     ["--kind", "dilated-gaussian", "--a", "1e200"],
     ["--kind", "hermite", "--modes", "3,0", "--extent", "1e200"],
     ["--kind", "chirp", "--extent", "1e200"],
-], ids=["one-mode", "negative-mode", "n-zero", "n-negative", "n2-zero",
-        "gauss-sigma-zero", "shifted-sigma-zero", "chirp-sigma-negative",
-        "one-center", "nan-center", "overflowing-extent", "underflowing-dilation",
-        "underflowing-hermite", "overflowing-chirp"])
-def test_cli_gen_bad_parameters(tmp_path, capsys, args):
+    ["--kind", "hermite", "--modes", "8,0", "--n", "8"],
+    ["--kind", "hermite", "--modes", "0," + "9" * 30],
+    ["--kind", "impulse", "--extent", "1e-300"],
+    ["--kind", "gaussian", "--n", "9" * 30],
+]] + [(["--kind", "shifted-gaussian", "--center", text], "two numbers x1,x2")
+      for text in ("a,1", ",2", "1e5,1,,2")]
+  + [(["--kind", "hermite", "--modes", text], "two integers n1,n2")
+     for text in ("nan,1", "1e5,0", "0.678,8", ",")],
+    ids=["one-mode", "negative-mode", "n-zero", "n-negative", "n2-zero",
+         "gauss-sigma-zero", "shifted-sigma-zero", "chirp-sigma-negative",
+         "one-center", "nan-center", "overflowing-extent", "underflowing-dilation",
+         "underflowing-hermite", "overflowing-chirp", "mode-order-at-n",
+         "mode-order-huge", "impulse-cell-underflow", "n-beyond-memory",
+         "center-a", "center-empty", "center-four", "modes-nan", "modes-1e5",
+         "modes-fraction", "modes-empty"])
+def test_cli_gen_bad_parameters(tmp_path, capsys, args, form):
+    """Each exits 1 with one error line and no file; a --center or --modes
+    text that is not two numbers (integers) is named by its expected form,
+    never by Python's own conversion message."""
     out = tmp_path / "f.qsg"
     assert cli_main(["gen"] + args + ["-o", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert "could not convert" not in err[0] and "invalid literal" not in err[0]
+    assert form is None or err[0] == "error: expected %s, got %r" % (form, args[-1])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["qlct", "--m1", "1,1e300,0,1", "--m2", "0,1,-1,0"],
+    ["qlct", "--fast", "--m1", "1,1e300,0,1", "--m2", "0,1,-1,0"],
+    ["qlct", "--inverse", "--m1", "0,1,-1,0", "--m2", "1,1e300,0,1"],
+    ["qlcst", "--m1", "1,1e300,0,1", "--m2", "0,1,-1,0",
+     "--window", "fixed-gauss:1,1"],
+], ids=["direct", "fast", "inverse", "qlcst"])
+def test_cli_overflowing_phases_refused(tmp_path, capsys, argv):
+    """B = 1e300 is a valid matrix whose kernel phases overflow on the grid:
+    exit 1 with one error line and no output, and no warning (which the
+    tests turn into an error)."""
+    fpath, out = tmp_path / "f.qsg", tmp_path / "o.bin"
+    write_signal(fpath, gen_signal("gaussian", Grid2D.centered(4.0, 8)))
+    assert cli_main(argv + ["-i", str(fpath), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert _only_files(tmp_path, ["f.qsg"])
+
+
+def test_write_signal_refuses_non_finite_samples(tmp_path):
+    """What read_signal would refuse is not written."""
+    f = gen_signal("gaussian", Grid2D.centered(4.0, 4))
+    f.data[1, 2, 3] = np.inf
+    with pytest.raises(NonFinite):
+        write_signal(tmp_path / "f.qsg", f)
+    assert _only_files(tmp_path, [])
+
+
+def test_cli_main_lets_a_bug_propagate(tmp_path, monkeypatch):
+    """cli_main turns refusals into exit 1, but not a bug: a ValueError from
+    inside a command propagates with its traceback."""
+    def bug(*args, **kwargs):
+        raise ValueError("a bug")
+    monkeypatch.setattr("qlcst.cli.gen_signal", bug)
+    with pytest.raises(ValueError, match="a bug"):
+        cli_main(["gen", "--kind", "gaussian", "-o", str(tmp_path / "f.qsg")])
 
 
 def test_cli_gen_high_hermite_order(tmp_path):
@@ -627,13 +681,15 @@ def test_cli_table_window(tmp_path):
 def test_cli_table_window_with_non_finite_squares_refused(tmp_path, capsys, value):
     """A table with a NaN sample (refused by the reader) or a sample whose
     square overflows (refused by the window): exit 1, one error line, no
-    coefficient file."""
+    coefficient file.  The table is written by the record writer, since
+    write_signal refuses a NaN sample itself."""
     g = Grid2D.centered(8.0, 8)
     fpath, tpath = str(tmp_path / "f.qsg"), str(tmp_path / "t.qsg")
     write_signal(fpath, gen_signal("gaussian", g))
     table = lattice_table(g)
     table.data[3, 4, 0] = value
-    write_signal(tpath, table)
+    with open(tpath, "wb") as fh:
+        _write_signal_record(fh, table)
     assert cli_main(["qlcst", "-i", fpath, "-o", str(tmp_path / "c.qcf"),
                      "--m1", "0,1,-1,0", "--m2", "0,1,-1,0",
                      "--window", "table:" + tpath]) == 1

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qlcst.errors import DeterminantError, QlcstError, ZeroBError
-from qlcst.lct import kernel_const, kernel_eval, parse_matrix, validate_param
+from qlcst.errors import BadParameter, DeterminantError, QlcstError, ZeroBError
+from qlcst.lct import (kernel_const, kernel_eval, parse_matrix, parse_numbers,
+                       validate_param)
 from qlcst.quaternion import qconj, qmul, qnorm
 from qlcst.signal import Grid1D
 
@@ -12,6 +13,13 @@ from qlcst.signal import Grid1D
 def test_determinant_rejected():
     with pytest.raises(DeterminantError):
         validate_param(1, 1, 1, 1)
+
+
+def test_overflowing_determinant_rejected():
+    """Finite entries whose products overflow give det = inf - inf = NaN,
+    which the tolerance test refuses instead of passing."""
+    with pytest.raises(DeterminantError, match="nan"):
+        parse_matrix("1e300,1e300,1e300,1e300")
 
 
 def test_zero_b_rejected():
@@ -25,6 +33,22 @@ def test_parse_matrix():
     for text in ("1,2,3", "1,2", "0,1,-1,0,5", "0,one,-1,0", ""):
         with pytest.raises(QlcstError):
             parse_matrix(text)
+
+
+@pytest.mark.parametrize("text, count, kind", [
+    ("1,2,3", 2, float), ("1", 2, float), ("", 1, float), ("1,,2", 3, float),
+    (",", 2, int), ("a,1", 2, float), ("0.5,1", 2, int), ("1e5,0", 2, int),
+    ("nan,1", 2, int), ("1;2", 2, float)])
+def test_parse_numbers_refusal_names_the_form(text, count, kind):
+    with pytest.raises(BadParameter) as info:
+        parse_numbers(text, count, kind, "the form")
+    assert str(info.value) == "expected the form, got %r" % text
+
+
+def test_parse_numbers_reads_as_float_and_int_do():
+    assert parse_numbers(" 2,-0,1e-300", 3, float, "f") == (2.0, -0.0, 1e-300)
+    assert parse_numbers("007,-3", 2, int, "i") == (7, -3)
+    assert type(parse_numbers("1,2", 2, int, "i")[0]) is int
 
 
 @pytest.mark.parametrize("text", ["nan,1,-1,0", "1,nan,0,1", "inf,1,-1,0",
