@@ -253,7 +253,7 @@ def coefficient_slice(c, fixed, index):
     fixed = "w": freeze the frequency index, return the (u1, u2) map.
     """
     a, b = c.slice_planes(fixed, index)
-    return np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+    return np.hypot(np.abs(a), np.abs(b))  # no square overflows
 
 
 def export_slice_csv(path, mag):

@@ -27,8 +27,9 @@ planes filled in place from those blocks.  All three yield the same row
 blocks, so every reduction gives the same bits.
 The producer is a pure contraction of data: it takes the output points and
 the per-axis kernel matrices, which the analysis builds from its grids and
-_phase_matrix, and covariance_residuals from reversed points (parity) or
-shifted kernel phases (shift, modulation).  Its shift analyses f's own
+_phase_matrix, and covariance_residuals by one side rule for all six sides,
+with reversed points (parity) or shifted kernel phases (shift, modulation),
+so it needs no analysis object.  Its shift analyses f's own
 samples on the x grid moved by alpha, the shifted signal exactly.  The
 pointwise inverse reads C.slice_planes(), so it too takes any source; on an
 unstored analysis that computes the one block of its u1 row.
@@ -153,8 +154,10 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     rows of the K1_r (coefficients._row_blocks), from profiles floored once
     over their whole extent, so they are the rows of the whole K1_r.  a and
     b grow as R*N^3 and a block's K1 rows as R*N^2; both are refused beyond
-    physical memory before either exists.  The points and kernel rows are
-    taken in the order given, so reversed ones give the planes reversed.
+    physical memory before either exists.  Every block yields the same a
+    and b arrays, so a reduction over the blocks may sum over k alone
+    (_streamed_rel_l2 does).  The points and kernel rows are taken in the
+    order given, so reversed ones give the planes reversed.
     """
     (u1s, u2s), (w1s, w2s) = u, w
     x1s, x2s = _points(f.grid)
@@ -318,10 +321,6 @@ def marginal_qlct_gap(C, f):
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
 
-def _sqnorm(x):
-    return float(np.vdot(x, x).real)
-
-
 def _streamed_rel_l2(want, got):
     """relative_l2, over the quaternion components, of the planes of the
     _analysis_blocks producer got against those of the producer want,
@@ -331,22 +330,23 @@ def _streamed_rel_l2(want, got):
 
     Each block's difference is the one product [k, -gk] @ [plane; other]
     into one reused block buffer, the planes stacked in a second reused
-    buffer, and the reference's squared norm is the Gram form
-    vdot(plane, (k^H k) @ plane), its product made in that second buffer.
+    buffer.  A producer's planes are the same arrays in every block, so the
+    reference's squared norm is one Gram form vdot(plane, G @ plane) per
+    plane, G = sum of k^H k over the blocks, made once the buffers are freed.
     """
-    num = denom = 0.0
-    bufs = None
+    num, gram, bufs = 0.0, 0, None
     for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
         if bufs is None:  # the first block is the largest
             bufs = [np.empty((n, planes[0].shape[1]), dtype=complex)
                     for n in (len(k), len(planes[0]) + len(gots[0]))]
         diff, stack = bufs[0][:len(k)], bufs[1]
-        gram, both = k.conj().T @ k, np.concatenate((k, -gk), axis=1)
+        gram += k.conj().T @ k
+        both = np.concatenate((k, -gk), axis=1)
         for plane, other in zip(planes, gots):
-            gp = np.matmul(gram, plane, out=stack[:len(plane)])
-            denom += np.vdot(plane, gp).real
             np.matmul(both, np.concatenate((plane, other), out=stack), out=diff)
-            num += _sqnorm(diff)
+            num += np.vdot(diff, diff).real
+    del bufs, diff, stack, both, gots
+    denom = sum(np.vdot(plane, gram @ plane).real for plane in planes)
     return math.sqrt(num / denom if denom else num)
 
 
@@ -361,6 +361,12 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     """Relative L2 residuals of the parity, shift and modulation covariances,
     on the default grids of qlcst_analysis.
 
+    Every side of every identity comes from one rule, side(g, u, w, t, phi,
+    window): the _analysis_blocks producer of g under window at the points
+    u and w, with the kernel matrices _phase_matrix(m, x points of g, t) *
+    exp(i*phi(w)), the kernel at the frequencies t times the w-dependent
+    phase factor exp(mu1*phi1) * . * exp(mu2*phi2) of the identity, which
+    multiplies the mu1 kernel on the left and the mu2 kernel on the right.
     The shift identity's left side analyses f's own samples placed on the x
     grid moved by +alpha, which is T_alpha f exactly for any real alpha.  Its
     right side is checked in the derivation-consistent form, with the
@@ -368,67 +374,53 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     exp(mu1 A1 t1 alpha1/B1) f exp(mu2 A2 t2 alpha2/B2), whose coefficients
     are evaluated directly at (u - alpha, w).  The modulation identity
     evaluates the kernel at (x, w - s*B), the frequency shift in the
-    frequency slot, and the window at w.  The w-dependent phase factors
-    exp(mu1*phi1(w1)) * . * exp(mu2*phi2(w2)) of both identities are added
-    to the kernel phases of the matrices passed to _analysis_blocks, since
-    they multiply the mu1 kernel on the left and the mu2 kernel on the right.
-    Each check zips the producers of its two sides (_streamed_rel_l2), which
-    holds, besides their mu2 factors and one block of K1 rows each, one
-    block product and the two sides' stacked planes.
+    frequency slot, and the window at w.  Each check zips the producers of
+    its two sides (_streamed_rel_l2), which holds, besides their mu2 factors
+    and one block of K1 rows each, one block product, the two sides' stacked
+    planes and one Gram matrix.
     """
-    base = qlcst_analysis(f, window, m1, m2)
-    ugrid, wgrid = base.ugrid, base.wgrid
-    (x1, x2), u, w = _points(f.grid), _points(ugrid), _points(wgrid)
-    w1pts, w2pts = w
+    x = u = _points(f.grid)  # the default u grid is f's grid
+    w = _points(fft_output_grid(f.grid, m1.b, m2.b))
+    w1, w2 = w
+    no_phase = (0.0, 0.0)
 
-    def blocks(g, u, t, phi):
-        """Blocks of exp(mu1*phi1) * (analysis of g at the points u with the
-        kernels evaluated at the frequencies t) * exp(mu2*phi2), with phi
-        depending on w only."""
-        return _analysis_blocks(g, window, u, w, *(
-            _phase_matrix(m, xs, ts) * np.exp(1j * ph)[:, None]
-            for m, xs, ts, ph in zip((m1, m2), (x1, x2), t, phi)))
-
-    def moved(grid, t):
-        """grid with the origin of each axis moved by t."""
+    def moved(t):
+        """f's grid with the origin of each axis moved by t."""
         return Grid2D(*(Grid1D(ax.n, ax.origin + d, ax.spacing)
-                        for ax, d in zip((grid.axis1, grid.axis2), t)))
+                        for ax, d in zip((f.grid.axis1, f.grid.axis2), t)))
 
-    # Each check streams both of its sides block by block
-    # (_streamed_rel_l2), so no coefficient set is ever held whole.
+    def side(g, u, w, t, phi, window):
+        return _analysis_blocks(g, window, u, w, *(
+            _phase_matrix(m, xs, ts) * np.exp(1j * np.reshape(ph, (-1, 1)))
+            for m, xs, ts, ph in zip((m1, m2), _points(g.grid), t, phi)))
 
     # Parity: transform of the reflected signal under the reflected window
     # equals the coefficients sampled at (-u, -w); on centered midpoint grids
     # negation reverses every index axis, which reverses both plane axes, so
-    # the base side is produced at the reversed u and w points, with the
-    # kernel rows of the reversed w.
+    # f's side is produced at the reversed u and w points, with the kernel
+    # rows of the reversed w.
     u_rev, w_rev = ([pts[::-1] for pts in v] for v in (u, w))
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
-    parity = _streamed_rel_l2(
-        _analysis_blocks(f, window, u_rev, w_rev, *(
-            _phase_matrix(m, xs, ws) for m, xs, ws in zip((m1, m2), (x1, x2), w_rev))),
-        qlcst_analysis(f_ref, reflect(window), m1, m2).blocks())
+    parity = _streamed_rel_l2(side(f, u_rev, w_rev, w_rev, no_phase, window),
+                              side(f_ref, u, w, w, no_phase, reflect(window)))
 
-    # Shift covariance.
-    f_tilde = sandwich_phase(f,
-                             m1.a * x1 * alpha[0] / m1.b,
-                             m2.a * x2 * alpha[1] / m2.b)
-    # The window keeps its w; only its u - x argument moves with the grid.
+    # Shift covariance.  The window keeps its w; only its u - x argument
+    # moves with the grid.
+    f_tilde = sandwich_phase(f, m1.a * x[0] * alpha[0] / m1.b,
+                             m2.a * x[1] * alpha[1] / m2.b)
     shift = _streamed_rel_l2(
-        qlcst_analysis(QSignal2D(f.data, moved(f.grid, alpha)), window, m1, m2,
-                       ugrid, wgrid).blocks(),
-        blocks(f_tilde, _points(moved(ugrid, (-alpha[0], -alpha[1]))), w,
-               ((m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1pts) / (2.0 * m1.b),
-                (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2pts) / (2.0 * m2.b))))
+        side(QSignal2D(f.data, moved(alpha)), u, w, w, no_phase, window),
+        side(f_tilde, _points(moved([-d for d in alpha])), w, w,
+             ((m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1) / (2.0 * m1.b),
+              (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2) / (2.0 * m2.b)), window))
 
     # Modulation covariance: the analysis of exp(mu1 s1 x1) f exp(mu2 s2 x2)
     # against that of f with the kernels at w - s*B.
     modulation = _streamed_rel_l2(
-        qlcst_analysis(sandwich_phase(f, s[0] * x1, s[1] * x2),
-                       window, m1, m2).blocks(),
-        blocks(f, u, (w1pts - s[0] * m1.b, w2pts - s[1] * m2.b),
-               (m1.d / 2.0 * (2.0 * w1pts * s[0] - m1.b * s[0] ** 2),
-                m2.d / 2.0 * (2.0 * w2pts * s[1] - m2.b * s[1] ** 2))))
+        side(sandwich_phase(f, s[0] * x[0], s[1] * x[1]), u, w, w, no_phase, window),
+        side(f, u, w, (w1 - s[0] * m1.b, w2 - s[1] * m2.b),
+             (m1.d / 2.0 * (2.0 * w1 * s[0] - m1.b * s[0] ** 2),
+              m2.d / 2.0 * (2.0 * w2 * s[1] - m2.b * s[1] ** 2)), window))
 
     return CovarianceReport(parity, shift, modulation)
 

@@ -11,10 +11,17 @@ import inspect
 import types
 from pathlib import Path
 
-from qlcst.lct import ParamMatrix
+import numpy as np
+import pytest
+
+from qlcst.generators import gen_signal
+from qlcst.io import WINDOW_CODES
+from qlcst.lct import ParamMatrix, validate_param
 from qlcst.qlcst import QLCSTCoefficients, qlcst_forward
+from qlcst.signal import Grid2D, QSignal2D
 from qlcst.verify import MATRIX_CASES, SUITES
-from qlcst.window import fixed_gaussian
+from qlcst.window import (constant_window, fixed_gaussian, s_gaussian,
+                          table_window)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -37,6 +44,33 @@ def test_forward_takes_window_second():
     assert list(inspect.signature(qlcst_forward).parameters)[:2] == ["f", "window"]
     label = load_tracer()._forward_variant((None, fixed_gaussian(1, 1)), {})
     assert label == "qlcst.qlcst_forward.fixed-gauss"
+
+
+def test_tracer_window_variants_cover_every_family():
+    assert set(load_tracer().WINDOW_VARIANTS) == set(WINDOW_CODES)
+
+
+TABLE = table_window(QSignal2D(np.random.default_rng(3).standard_normal((5, 5, 4)),
+                               Grid2D.centered(3.0, 5)))
+
+
+@pytest.mark.parametrize("window", [fixed_gaussian(1, 1), s_gaussian(),
+                                    constant_window(), TABLE],
+                         ids=lambda w: w.family)
+def test_tracer_forward_measures_run(window):
+    """The tracer's label and size of a qlcst_forward call read the window's
+    family, the stored set's data, window and grids, and the signal's grid:
+    they run on a small stored set of every window family."""
+    tracer = load_tracer()
+    m = validate_param(0, 1, -1, 0)
+    args = (gen_signal("gaussian", Grid2D.centered(3.0, 4)), window, m, m)
+    c = qlcst_forward(*args)
+    assert tracer._forward_variant(args, {}) == (
+        "qlcst.qlcst_forward." + tracer.WINDOW_VARIANTS[window.family])
+    size = tracer._forward_size(args, {}, c)
+    assert size["out_mb"] == c.data.nbytes / 1e6
+    assert ("gflop" in size) == window.separable
+    assert all(v > 0 for v in size.values())
 
 
 def test_worker_names_resolve():

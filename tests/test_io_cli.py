@@ -532,6 +532,27 @@ def test_cli_export_index_out_of_range(tmp_path, capsys, index):
         assert not out.exists()
 
 
+def test_cli_export_large_coefficients_finite(tmp_path):
+    """Coefficients of a signal of 1e200, whose squares overflow, export as
+    finite magnitudes, the hypot of the two plane moduli, for both slice
+    kinds."""
+    g = Grid2D.centered(4.0, 8)
+    fpath, cpath = str(tmp_path / "f.qsg"), str(tmp_path / "c.qcf")
+    write_signal(fpath, QSignal2D(np.full(g.shape + (4,), 1e200), g))
+    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
+                     "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]) == 0
+    c = open_coefficients(cpath)
+    for fixed, index in (("u", (3, 4)), ("w", (2, 5))):
+        out = tmp_path / ("s%s.csv" % fixed)
+        assert cli_main(["export", "-i", cpath, "-o", str(out), "--slice", fixed,
+                         "--index", "%d,%d" % index]) == 0
+        got = np.loadtxt(out, delimiter=",", ndmin=2)
+        a, b = c.slice_planes(fixed, index)
+        want = np.hypot(np.abs(a), np.abs(b))
+        assert np.all(np.isfinite(got)) and got.max() > 1e154
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("index", [(1,), (1, 2, 3), (1.5, 2), "12", 3, None])
 def test_coefficient_slice_index_not_two_integers(monkeypatch, index):
     """An index that is not two integers raises BadParameter before any block

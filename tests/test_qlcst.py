@@ -15,7 +15,7 @@ from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.io import open_coefficients, write_coefficients
 from qlcst.lct import kernel_const, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
-from qlcst.qlcst import (PROFILE_FLOOR, QLCSTCoefficients,
+from qlcst.qlcst import (PROFILE_FLOOR, QLCSTAnalysis, QLCSTCoefficients,
                          _analysis_blocks, _contract, _floor, _kernel,
                          _phase_matrix, _right_contract, _streamed_rel_l2,
                          _w_adjoints, covariance_residuals,
@@ -727,17 +727,20 @@ def _full_rel_l2(got, want):
                          ids=["fixed-gauss", "table"])
 def test_streamed_residual_matches_full_formula(window):
     """The block-by-block residuals of two producers against a third equal
-    the whole-array formula, also against a zero reference."""
+    the whole-array formula, also against a zero reference, on a u grid
+    whose last row block is clipped, so the summed Gram matrix k^H k covers
+    blocks of two sizes."""
     g = grid(8)
     f, h, k = (random_hermite_combo(g, seed=seed) for seed in (8, 9, 10))
     zero = QSignal2D(np.zeros(g.shape + (4,)), g)
+    ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), g.axis2)
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
 
     def blocks(f):
-        return qlcst_analysis(f, window, FOURIER, FOURIER, g, wgrid).blocks()
+        return qlcst_analysis(f, window, FOURIER, FOURIER, ugrid, wgrid).blocks()
 
     def planes(f):
-        c = qlcst_forward(f, window, FOURIER, FOURIER, g, wgrid)
+        c = qlcst_forward(f, window, FOURIER, FOURIER, ugrid, wgrid)
         return c.a, c.b
 
     want = [_full_rel_l2(planes(f), planes(h)), _full_rel_l2(planes(k), planes(h))]
@@ -1157,6 +1160,38 @@ def test_streamed_residual_matches_two_products(monkeypatch, n, window):
     covariance_residuals(gen_signal("gaussian", Grid2D.centered(8.0, n)), window, m1, m2)
     assert len(got) == 3
     assert all(abs(x - y) <= 1e-15 for x, y in got)
+
+
+# Residuals of covariance_residuals as recorded when its sides were still
+# qlcst_analysis(...).blocks() producers, on random_hermite_combo(grid(n),
+# seed=3) with s = (1, -0.5): (n, window, matrix pair, alpha, residuals).
+RECORDED_COVARIANCE = [
+    (16, fixed_gaussian(1, 1), special_case_matrix("stockwell"), (1.0, 0.0),
+     (6.953479933760447e-16, 4.302046816229797e-16, 4.0203424329547917e-16)),
+    (12, REAL_TABLE, (validate_param(2, 1, 1, 1), validate_param(0.5, 1, -1, 0)),
+     (0.37, -1.3),
+     (3.624687713763245e-15, 9.626966475832837e-16, 6.452148937591524e-16)),
+    (16, s_gaussian(), special_case_matrix("stockwell"), (0.5, -1.0),
+     (9.116250169956965e-16, 5.758384646227716e-16, 3.9738620819792455e-16)),
+]
+
+
+@pytest.mark.parametrize("n, window, pair, alpha, want", RECORDED_COVARIANCE,
+                         ids=["fixed-gauss", "real-table", "s-gauss"])
+def test_covariance_needs_no_analysis_object(monkeypatch, n, window, pair,
+                                             alpha, want):
+    """covariance_residuals builds all six sides from _analysis_blocks
+    itself: with qlcst_analysis and QLCSTAnalysis.blocks raising, it still
+    gives the recorded residuals, each at roundoff."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("covariance_residuals used the analysis object")
+
+    monkeypatch.setattr("qlcst.qlcst.qlcst_analysis", refuse)
+    monkeypatch.setattr(QLCSTAnalysis, "blocks", refuse)
+    rep = covariance_residuals(random_hermite_combo(grid(n), seed=3), window,
+                               *pair, alpha=alpha, s=(1.0, -0.5))
+    got = (rep.parity, rep.shift, rep.modulation)
+    assert all(abs(x - y) <= 1e-14 and x <= 1e-14 for x, y in zip(got, want))
 
 
 SUITE_PEAK_BOUNDS = {

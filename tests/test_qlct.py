@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qlcst.qlct as qlct_module
-from qlcst.errors import GridMismatch, SpacingError, ZeroSignal
+from qlcst.cli import cli_main
+from qlcst.errors import GridMismatch, SpacingError, TooLarge, ZeroSignal
 from qlcst.generators import gen_signal, random_hermite_combo
+from qlcst.io import write_signal
 from qlcst.lct import kernel_eval, validate_param
 from qlcst.qlct import (plancherel_gap, qlct_fast_forward, qlct_fast_inverse,
                         qlct_forward, qlct_inverse)
@@ -283,3 +286,51 @@ def test_signal_refuses_data_of_another_shape():
 def test_signal_is_not_equal_to_another_type():
     f = gen_signal("gaussian", small_grid(4))
     assert (f == 5) is False and f != 5
+
+
+@pytest.mark.parametrize("n_in, n_out", [((96, 40), (56, 120)), ((20, 150), (150, 20))])
+def test_oracle_memory_estimate_is_its_traced_peak(monkeypatch, n_in, n_out):
+    """The refusal's estimate of the direct sum is, to 1%, the tracemalloc
+    peak of both directions on rectangular grids."""
+    need = []
+    monkeypatch.setattr(qlct_module, "_refuse_beyond_memory",
+                        lambda what, ncomplex: need.append(16 * ncomplex))
+    grid_in = Grid2D(Grid1D.centered(4.0, n_in[0]), Grid1D.centered(3.0, n_in[1]))
+    grid_out = Grid2D(Grid1D.centered(4.0, n_out[0]), Grid1D.centered(3.0, n_out[1]))
+    f = random_hermite_combo(grid_in, seed=2)
+    for op, x in ((qlct_forward, f), (qlct_inverse, QSpectrum2D(f.data, grid_in))):
+        tracemalloc.start()
+        try:
+            op(x, SKEW1, SKEW2, grid_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(peak - need[-1]) <= 0.01 * need[-1]
+
+
+def test_oracle_refused_beyond_memory(monkeypatch, tmp_path, capsys):
+    """Beyond physical memory both directions of the direct sum raise
+    TooLarge before any kernel table is built, and the CLI exits 1 with one
+    error line and writes no file; the chirp-FFT path is not refused."""
+    def unbuilt(*args):
+        raise AssertionError("a kernel table was built")
+
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 5)
+    f = gen_signal("gaussian", small_grid(32))  # 448 B * 32^2 = 459 kB
+    path = tmp_path / "f.qsg"
+    write_signal(path, f)
+    with monkeypatch.context() as patch:
+        patch.setattr(qlct_module, "kernel_eval", unbuilt)
+        for op in (qlct_forward, qlct_inverse):
+            with pytest.raises(TooLarge):
+                op(f, FOURIER, FOURIER)
+    argv = ["qlct", "-i", str(path), "--m1", "0,1,-1,0", "--m2", "0,1,-1,0"]
+    for extra in ([], ["--inverse"]):
+        out = tmp_path / "out.qsg"
+        assert cli_main(argv + ["-o", str(out)] + extra) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+        assert cli_main(argv + ["-o", str(out), "--fast"] + extra) == 0
+        assert out.exists()
+        out.unlink()
