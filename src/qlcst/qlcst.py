@@ -34,7 +34,7 @@ samples on the x grid moved by alpha, the shifted signal exactly.  The
 pointwise inverse reads C.slice_planes(), so it too takes any source; on an
 unstored analysis that computes the one block of its u1 row.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
-the u grid, not by lambda, which makes it exact on any u spacing.
+the u grid, not by lambda: exact on every u grid dual to the w grid.
 a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
 """
@@ -47,7 +47,7 @@ import numpy as np
 from .coefficients import (ROW_BLOCK, QLCSTCoefficients, _refuse_beyond_memory,
                            _row_blocks, _Source)
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                     GridMismatch, NonFinite, Undersampled, ZeroSignal)
+                     GridMismatch, NonFinite, SpacingError, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
 from .quaternion import (qconj, qmul, right_mu2, symplectic_join,
                          symplectic_split)
@@ -236,9 +236,13 @@ def qlcst_reconstruct(C):
     being the negated-phase forward kernels, divided pointwise by the frame
     sum F(x) = sum_u |Psi(u - x)|^2 (du cancels in the quotient).
 
-    The w sum over the FFT-compatible grid is a discrete delta, so the
-    adjoint sum is f(x) * F(x) and the quotient is f for every w-independent
-    window on any u spacing (the canonical dual frame).  Over the window's
+    The w sum is a discrete delta on the u grid, so the adjoint sum is
+    f(x) * F(x) and the quotient f for every w-independent window (the
+    canonical dual frame), when the grids are dual: per axis s = du * N_w *
+    dw / (2*pi*|B|) is a whole number >= 1, to 1e-9 * s (s = 1 on the
+    default grids, s on every s-th signal point).  Other w grids are refused
+    (SpacingError) before a kernel is built.  A u grid moved off the signal
+    lattice, which is not recorded, passes undetected.  Over the window's
     terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
     K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.rows(), so
     C may be stored or unstored; each block builds only its own columns of
@@ -253,6 +257,10 @@ def qlcst_reconstruct(C):
         raise AdmissibilityError(
             "reconstruction needs a window that does not depend on the frequency")
     g = C.ugrid
+    for u, w, m in ((g.axis1, C.wgrid.axis1, C.m1), (g.axis2, C.wgrid.axis2, C.m2)):
+        s = u.spacing * w.n * w.spacing / (2.0 * math.pi * abs(m.b))
+        if not (math.isfinite(s) and round(s) >= 1 and abs(s - round(s)) <= 1e-9 * s):
+            raise SpacingError("the w grid is not dual to the u grid (s = %.17g)" % s)
     x1s, x2s = _points(g)
     p, q = _floored_terms(C.window, x1s[:, None, None] - x1s, 1.0,
                           x2s[:, None, None] - x2s, 1.0)  # no w dependence

@@ -28,7 +28,7 @@ def digamma(x):
 
     Valid for x > 0; accuracy well below 1e-12 after shifting to x >= 12.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise BadParameter("digamma implemented for positive arguments only, "
                            "got %r" % (x,))
     acc = 0.0

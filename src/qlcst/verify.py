@@ -5,8 +5,10 @@ asserted check, or None for a value that is reported but not asserted.  One
 collector (_collect), applied in the SUITES table, runs a suite to the end
 and forms its lines and its verdict, so every SUITES value is a plain
 callable returning (passed, lines); the CLI prints the lines and maps the
-flag onto its exit code.  Tolerances are fixed here, not configurable, so a
-"pass" always means the same thing.
+flag onto its exit code.  The seven suites that check a result under each
+of the MATRIX_CASES take their grid size, matrices and signal from one case
+rule (_cases).  Tolerances are fixed here, not configurable, so a "pass"
+always means the same thing.
 """
 
 import time
@@ -36,32 +38,41 @@ MATRIX_CASES = (
 )
 
 
+def _gaussian(grid):
+    return (("gaussian", gen_signal("gaussian", grid)),)
+
+
 def _battery(grid):
-    return (
-        ("gaussian", gen_signal("gaussian", grid)),
+    return _gaussian(grid) + (
         ("shifted-gaussian", gen_signal("shifted-gaussian", grid, center=(2.0, 0.0))),
         ("dilated(a=0.5)", gen_signal("dilated-gaussian", grid, a=0.5)),
         ("dilated(a=2)", gen_signal("dilated-gaussian", grid, a=2.0)),
         ("hermite(1,0)", gen_signal("hermite", grid, n=(1, 0))),
-        ("hermite-combo(seed=7)", random_hermite_combo(grid, seed=7)),
-    )
+        ("hermite-combo(seed=7)", random_hermite_combo(grid, seed=7)))
+
+
+def _cases(n, signals):
+    """Yield (mname, m1, m2, sname, f) for every MATRIX_CASES entry (outer)
+    and every named signal of signals(grid) (inner), on the centered grid
+    of n points per axis; the signals are built once per call."""
+    named = signals(Grid2D.centered(EXTENT, n))
+    for mname, make in MATRIX_CASES:
+        m1, m2 = make()
+        for sname, f in named:
+            yield mname, m1, m2, sname, f
 
 
 def suite_roundtrip():
     """Fast-path inverse-of-forward for Gaussian and Hermite signals."""
-    grid = Grid2D.centered(EXTENT, 64)
-    signals = [("gaussian", gen_signal("gaussian", grid)),
-               ("hermite(1,0)", gen_signal("hermite", grid, n=(1, 0)))]
-    for mname, mk in MATRIX_CASES:
-        m1, m2 = mk()
-        for sname, f in signals:
-            t0 = time.time()
-            err = relative_l2(
-                qlct_fast_inverse(qlct_fast_forward(f, m1, m2), m1, m2,
-                                  grid).data, f.data)
-            dt = time.time() - t0
-            yield (err < 1e-6 and dt < 30.0, "roundtrip %s %s: rel_l2=%.3e (%.2fs)"
-                   % (mname, sname, err, dt))
+    def signals(grid):
+        return _gaussian(grid) + (("hermite(1,0)", gen_signal("hermite", grid, n=(1, 0))),)
+    for mname, m1, m2, sname, f in _cases(64, signals):
+        t0 = time.time()
+        err = relative_l2(qlct_fast_inverse(qlct_fast_forward(f, m1, m2), m1, m2,
+                                            f.grid).data, f.data)
+        dt = time.time() - t0
+        yield (err < 1e-6 and dt < 30.0, "roundtrip %s %s: rel_l2=%.3e (%.2fs)"
+               % (mname, sname, err, dt))
 
 
 def suite_oracle_equivalence():
@@ -86,10 +97,7 @@ def suite_oracle_equivalence():
 
 
 def suite_plancherel():
-    grid = Grid2D.centered(EXTENT, 64)
-    f = gen_signal("gaussian", grid)
-    for mname, mk in MATRIX_CASES:
-        m1, m2 = mk()
+    for mname, m1, m2, _, f in _cases(64, _gaussian):
         gap = plancherel_gap(f, m1, m2)
         yield gap < 1e-6, "plancherel %s: gap=%.3e" % (mname, gap)
 
@@ -97,13 +105,9 @@ def suite_plancherel():
 def suite_orthogonality():
     """Energy form of the orthogonality relation; the f != g residual is
     reported without being asserted."""
-    grid = Grid2D.centered(EXTENT, 32)
-    f = gen_signal("gaussian", grid)
-    g = gen_signal("hermite", grid, n=(1, 0))
     win = fixed_gaussian(1.0, 1.0)
     lam = lambda_psi(win)
-    for mname, mk in MATRIX_CASES:
-        m1, m2 = mk()
+    for mname, m1, m2, _, f in _cases(32, _gaussian):
         cf = qlcst_analysis(f, win, m1, m2)
         val = orthogonality_form(cf, cf)
         target = lam * f.energy()
@@ -111,27 +115,22 @@ def suite_orthogonality():
         imag = float(np.linalg.norm(val[1:])) / target
         yield (gap < 1e-3 and imag < 1e-6, "orthogonality %s (f=g): gap=%.3e imag=%.3e"
                % (mname, gap, imag))
+        g = gen_signal("hermite", f.grid, n=(1, 0))
         cross = orthogonality_form(cf, qlcst_analysis(g, win, m1, m2))
         yield None, ("orthogonality %s (f!=g): |form|=%.3e (reported, not asserted; "
                      "expect ~lam<f,g>=0)" % (mname, float(qnorm(cross))))
 
 
 def suite_energy():
-    grid = Grid2D.centered(EXTENT, 32)
-    f = gen_signal("gaussian", grid)
     win = fixed_gaussian(1.0, 1.0)
-    for mname, mk in MATRIX_CASES:
-        m1, m2 = mk()
+    for mname, m1, m2, _, f in _cases(32, _gaussian):
         gap = energy_identity_gap(qlcst_analysis(f, win, m1, m2), f)
         yield gap < 1e-3, "energy %s: gap=%.3e" % (mname, gap)
 
 
 def suite_reconstruction():
-    grid = Grid2D.centered(EXTENT, 32)
-    f = gen_signal("gaussian", grid)
     win = fixed_gaussian(1.0, 1.0)
-    for mname, mk in MATRIX_CASES:
-        m1, m2 = mk()
+    for mname, m1, m2, _, f in _cases(32, _gaussian):
         t0 = time.time()
         rec = qlcst_reconstruct(qlcst_analysis(f, win, m1, m2))
         err = relative_l2(rec.data, f.data)
@@ -169,33 +168,25 @@ def suite_covariance():
 
 
 def suite_heisenberg():
-    grid = Grid2D.centered(EXTENT, 32)
     win = fixed_gaussian(1.0, 1.0)
-    for mname, mk in MATRIX_CASES:
-        m1, m2 = mk()
-        for sname, f in _battery(grid):
-            c = qlcst_analysis(f, win, m1, m2)
-            for s in (1, 2):
-                rep = heisenberg_report(c, f, s)
-                ok = rep.ratio >= 0.98
-                if sname == "gaussian":
-                    ok = ok and rep.ratio > 1.0
-                yield ok, ("heisenberg %s %s axis=%d: ratio=%.4f"
-                           % (mname, sname, s, rep.ratio))
+    for mname, m1, m2, sname, f in _cases(32, _battery):
+        c = qlcst_analysis(f, win, m1, m2)
+        for s in (1, 2):
+            rep = heisenberg_report(c, f, s)
+            ok = rep.ratio >= 0.98 and (sname != "gaussian" or rep.ratio > 1.0)
+            yield ok, ("heisenberg %s %s axis=%d: ratio=%.4f"
+                       % (mname, sname, s, rep.ratio))
 
 
 def suite_log_uncertainty():
-    grid = Grid2D.centered(EXTENT, 32)
     win = fixed_gaussian(1.0, 1.0)
     dg = digamma_constant()
     ref = -0.5772156649015329 - 2.0 * np.log(2.0) - np.log(2.0)
     yield abs(dg - ref) < 1e-10, "digamma constant: %.10f (ref %.10f)" % (dg, ref)
-    for mname, mk in MATRIX_CASES:
-        m1, m2 = mk()
-        for sname, f in _battery(grid):
-            rep = log_uncertainty_report(qlcst_analysis(f, win, m1, m2), f)
-            yield rep.gap >= -0.02, ("log-uncertainty %s %s: gap=%.4f"
-                                     % (mname, sname, rep.gap))
+    for mname, m1, m2, sname, f in _cases(32, _battery):
+        rep = log_uncertainty_report(qlcst_analysis(f, win, m1, m2), f)
+        yield rep.gap >= -0.02, ("log-uncertainty %s %s: gap=%.4f"
+                                 % (mname, sname, rep.gap))
 
 
 def suite_lemma41():

@@ -1,8 +1,8 @@
 """The library names that the benchmark's tracer and worker use still resolve.
 
 perfbench/tracer.py is compiled from its source and executed in a fresh
-module namespace, so nothing is written next to it; perfbench/worker.py is
-only parsed.
+module namespace, so nothing is written next to it; perfbench/worker.py and
+perfbench/run.py are only parsed.
 """
 
 import ast
@@ -26,6 +26,7 @@ from qlcst.window import (constant_window, fixed_gaussian, s_gaussian,
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKER = PERFBENCH / "worker.py"
+RUN = PERFBENCH / "run.py"
 
 
 def load_tracer():
@@ -111,3 +112,14 @@ def test_suites_and_matrix_cases_stay_plain_calls():
     for _, make in MATRIX_CASES:
         pair = make()
         assert len(pair) == 2 and all(isinstance(m, ParamMatrix) for m in pair)
+
+
+def test_run_lists_every_verify_suite_in_order():
+    """run.py names a verify.<suite>.* metric for each entry of its
+    VERIFY_SUITES, so a renamed or reordered suite would drop its metrics
+    without an error."""
+    tree = ast.parse(RUN.read_text(), str(RUN))
+    found = [ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_SUITES"]]
+    assert found == [tuple(SUITES)]

@@ -795,6 +795,20 @@ def test_cli_reconstruct_uncovered_x_refused(tmp_path, capsys):
     assert not (tmp_path / "r.qsg").exists()
 
 
+def test_cli_reconstruct_w_grid_not_dual_refused(tmp_path, capsys):
+    """Coefficients on a w grid that is not dual to their u grid: exit 1,
+    one error line, no file."""
+    cpath, rpath = tmp_path / "c.qcf", tmp_path / "r.qsg"
+    write_coefficients(cpath, qlcst_analysis(
+        gen_signal("gaussian", Grid2D.centered(8.0, 16)), fixed_gaussian(1, 1),
+        FOURIER, FOURIER, wgrid=Grid2D.centered(2.0, 8)))
+    capsys.readouterr()
+    assert cli_main(["reconstruct", "-i", str(cpath), "-o", str(rpath)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the w grid is not dual")
+    assert not rpath.exists()
+
+
 @pytest.mark.parametrize("widths", ["inf,1", "1e-300,1", "1e200,1e200",
                                     "1e-150,1e-150", "1e150,1e150", "a,1"])
 def test_cli_qlcst_refuses_non_finite_widths(tmp_path, capsys, widths):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
-                          GridMismatch, TooLarge, Undersampled,
+                          GridMismatch, SpacingError, TooLarge, Undersampled,
                           ZeroSignal, ZeroWindow)
 from qlcst.coefficients import ROW_BLOCK, _row_blocks
 from qlcst.generators import gen_signal, random_hermite_combo
@@ -886,12 +886,16 @@ def test_every_source_gives_the_same_bits(tmp_path, case, n, n1, window):
     """A stored set, the unstored analysis and its open QCF2 file yield the
     same row blocks, so every reduction, synthesis, slice and written file is
     the same bits from each, and each cross form of two of them is the form
-    of the analysis with itself: on a u grid whose N_u1 the block size does
-    not divide, and at an odd N."""
+    of the analysis with itself: on a u grid of the first N_u1 signal points
+    of axis 1, N_u1 one the block size does not divide, and at an odd N."""
     m1, m2 = dict(MATRIX_CASES)[case]()
     g = grid(n)
     f = random_hermite_combo(g, seed=9)
-    ugrid = Grid2D(Grid1D.centered(8.0, n1), g.axis2)
+    ugrid = Grid2D(Grid1D(n1, g.axis1.origin, g.axis1.spacing), g.axis2)
+    if n1 != n:  # a centered grid of n1 points is not dual
+        with pytest.raises(SpacingError):
+            qlcst_reconstruct(qlcst_analysis(
+                f, window, m1, m2, Grid2D(Grid1D.centered(8.0, n1), g.axis2)))
     stored, analysis = (make(f, window, m1, m2, ugrid)
                         for make in (qlcst_forward, qlcst_analysis))
     write_coefficients(tmp_path / "c.qcf", stored)
@@ -1080,11 +1084,16 @@ def test_block_k1_gives_the_whole_k1_bits(tmp_path, window):
     """The K1 rows built per block are the rows of the whole K1, so the
     planes of a stored set, an analysis and its QCF2 file, and every
     synthesis from them, are the bits of the whole-K1 algorithm, on a u grid
-    of N_u1 = 3*ROW_BLOCK + 1."""
+    of the first N_u1 = 3*ROW_BLOCK + 1 signal points of axis 1."""
     g = grid(16)
     f = random_hermite_combo(g, seed=14)
-    ugrid = Grid2D(Grid1D.centered(8.0, 3 * ROW_BLOCK + 1), g.axis2)
+    nu1 = 3 * ROW_BLOCK + 1
+    ugrid = Grid2D(Grid1D(nu1, g.axis1.origin, g.axis1.spacing), g.axis2)
     m = dict(MATRIX_CASES)["fractional(pi/3)"]()[0]
+    if not window.w_dependent:  # a centered grid of nu1 points is not dual
+        with pytest.raises(SpacingError):
+            qlcst_reconstruct(qlcst_analysis(
+                f, window, FOURIER, m, Grid2D(Grid1D.centered(8.0, nu1), g.axis2)))
     analysis = qlcst_analysis(f, window, FOURIER, m, ugrid)
     stored = analysis.stored()
     write_coefficients(tmp_path / "c.qcf", analysis)
@@ -1434,6 +1443,41 @@ def test_reconstruct_refuses_uncovered_x():
     f = gen_signal("gaussian", grid(8))
     with pytest.raises(Undersampled):
         qlcst_reconstruct(qlcst_forward(f, FAR_TABLE, FOURIER, FOURIER))
+
+
+def half_dual_w(g):
+    """The default w grid of g under FOURIER at half its spacing (s = 1/2)."""
+    w = fft_output_grid(g, 1.0, 1.0)
+    return Grid2D(*(Grid1D(a.n, 0.5 * a.origin, 0.5 * a.spacing)
+                    for a in (w.axis1, w.axis2)))
+
+
+@pytest.mark.parametrize("wgrid", [half_dual_w(grid(16)), Grid2D.centered(2.0, 8)],
+                         ids=["half-dual-spacing", "centered-2-8"])
+def test_reconstruct_refuses_a_w_grid_not_dual_to_u(tmp_path, wgrid):
+    """A w grid on which du * N_w * dw / (2*pi*|B|) is not a whole number
+    makes the w sum no delta, and synthesis would return a wrong f without
+    an error (0.272 and 0.134 from f here); it is refused from a stored set,
+    an analysis and a file."""
+    analysis = qlcst_analysis(gen_signal("gaussian", grid(16)), fixed_gaussian(1, 1),
+                              FOURIER, FOURIER, wgrid=wgrid)
+    write_coefficients(tmp_path / "c.qcf", analysis)
+    for src in (analysis.stored(), analysis, open_coefficients(tmp_path / "c.qcf")):
+        with pytest.raises(SpacingError):
+            qlcst_reconstruct(src)
+
+
+@pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
+def test_reconstruct_on_every_second_signal_point(case):
+    """A u grid of every second signal point gives s = 2 per axis: the w sum
+    is still a delta on it, and synthesis returns f at those points."""
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    g = grid(16)
+    f = random_hermite_combo(g, seed=5)
+    ugrid = Grid2D(*(Grid1D(a.n // 2, a.origin, 2.0 * a.spacing)
+                     for a in (g.axis1, g.axis2)))
+    rec = qlcst_reconstruct(qlcst_analysis(f, fixed_gaussian(1, 1), m1, m2, ugrid))
+    assert relative_l2(rec.data, f.data[::2, ::2]) <= 1e-12
 
 
 def test_forward_refuses_planes_beyond_memory():

@@ -80,7 +80,7 @@ def test_digamma_against_external_oracle():
 
 
 def test_digamma_rejects_nonpositive():
-    for x in (0.0, -0.5, -3.0):
+    for x in (0.0, -0.5, -3.0, math.nan):
         with pytest.raises(QlcstError):
             digamma(x)
 

@@ -1,8 +1,10 @@
-"""The collector forms every verify line and verdict from a suite's checks."""
+"""The collector forms every verify line and verdict from a suite's checks,
+and the matrix-case suites keep their cases."""
 
 import numpy as np
+import pytest
 
-from qlcst.verify import _collect
+from qlcst.verify import SUITES, _collect
 
 
 def checks(*pairs):
@@ -39,3 +41,31 @@ def test_numpy_verdicts_give_a_bool():
         passed, lines = _collect(checks((x < 2.0, "x")))()
         assert passed is want
         assert lines == [("PASS x" if want else "FAIL x")]
+
+
+MATRICES = ("fourier", "fractional(pi/3)", "fresnel(B=2)")
+BATTERY = ("gaussian", "shifted-gaussian", "dilated(a=0.5)", "dilated(a=2)",
+           "hermite(1,0)", "hermite-combo(seed=7)")
+CASE_LABELS = {
+    "roundtrip": ["PASS roundtrip %s %s" % (m, s)
+                  for m in MATRICES for s in ("gaussian", "hermite(1,0)")],
+    "plancherel": ["PASS plancherel %s" % m for m in MATRICES],
+    "orthogonality": [line for m in MATRICES
+                      for line in ("PASS orthogonality %s (f=g)" % m,
+                                   "INFO orthogonality %s (f!=g)" % m)],
+    "energy": ["PASS energy %s" % m for m in MATRICES],
+    "reconstruction": ["PASS reconstruction %s" % m for m in MATRICES],
+    "heisenberg": ["PASS heisenberg %s %s axis=%d" % (m, s, axis)
+                   for m in MATRICES for s in BATTERY for axis in (1, 2)],
+    "log-uncertainty": ["PASS digamma constant"] + [
+        "PASS log-uncertainty %s %s" % (m, s) for m in MATRICES for s in BATTERY],
+}
+
+
+@pytest.mark.parametrize("name", list(CASE_LABELS))
+def test_matrix_case_suites_keep_their_cases(name):
+    """The seven suites that run under each matrix case print one line per
+    case, in order: a dropped, renamed or reordered case fails here."""
+    passed, lines = SUITES[name]()
+    assert passed is True
+    assert [line.split(":")[0] for line in lines] == CASE_LABELS[name]
