@@ -15,9 +15,11 @@ unstored analysis (qlcst.qlcst_analysis) as block products and a QCF2 file
 (io.open_coefficients) as rows read into reused buffers.  So a reduction over
 rows() holds no coefficient set the source does not hold already, the blocks
 of any two sources on the same grids line up, and every block-summed
-reduction gives the same bits from any source.  Every source is made whole
-by one stored(), which alone allocates planes, and is sliced by one
-slice_planes(), which alone checks a slice index.  One rule
+reduction gives the same bits from any source.  The QCF2 writer
+(io.write_coefficients) reads blocks() itself and computes an analysis one
+u1 row at a time, the rows of a block product bit for bit.  Every source is
+made whole by one stored(), which alone allocates planes, and is sliced by
+one slice_planes(), which alone checks a slice index.  One rule
 (_refuse_beyond_memory) refuses the planes, and the stacked window terms of
 the analysis, beyond physical memory.  This module imports no operator code.
 """
@@ -36,11 +38,12 @@ from .signal import Grid2D
 from .window import WindowSpec
 
 # u1 rows per block of every source.  The block GEMMs of one plane give the
-# bits of one whole-plane GEMM and took 5.2/5.7/6.2 ms at N=32, 36/37/37 ms
-# at N=48 and 115/123/116 ms at N=64 in 4-row/8-row/whole blocks (medians of
-# 25, 2-core Xeon, OpenBLAS); at 4 rows the two buffers of rows() take what
-# one fresh 8-row product took.
-ROW_BLOCK = 4
+# bits of one whole-plane GEMM and took 5.9/5.4/5.0/4.4 ms at N=32,
+# 30.5/27.6/27.3/27.2 ms at N=48 and 108/98/96/90 ms at N=64 in
+# 1-row/2-row/4-row/whole blocks (medians of 25, interleaved, 2-core Xeon,
+# OpenBLAS); 2 rows is the smallest block that keeps the GEMM rate, and it
+# halves the two buffers of rows() and a file's read buffers against 4.
+ROW_BLOCK = 2
 
 
 def _row_blocks(nrows, nw1):

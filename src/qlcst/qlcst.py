@@ -206,9 +206,14 @@ def _w_adjoints(C, xgrid):
 def qlcst_pointwise_inverse(C, u_index, xgrid=None):
     """Inverse QLCT over w of the coefficient slice of any source at one
     position index pair (C.slice_planes, which checks it), onto any xgrid
-    (default: C.ugrid).
+    (default: C.ugrid): the direct inverse QLCT of the slice on any w and x
+    grid.
 
-    Recovers the w-integrated masked product f(x) * conj(Psi(u - x, w)).
+    It equals the masked product f(x) * conj(Psi(u - x)) of a w-independent
+    window only when the w grid is dual to xgrid: per axis
+    dx * N_w * dw / (2*pi*|B|) is a whole number >= 1, as on the default
+    grids.  On other grids it is still the inverse of the slice, but not
+    the masked product, and nothing is refused.
     """
     if xgrid is None:
         xgrid = C.ugrid
@@ -272,6 +277,7 @@ def qlcst_reconstruct(C):
         k1h = _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1h.T).T
         for i, plane in enumerate(planes):
             acc[i] += k1h @ plane
+    del planes, k1h  # a file's block buffers are freed before the mu2 stage
     out = np.zeros(g.shape + (4,))
     for r, q_r in enumerate(q):
         a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)

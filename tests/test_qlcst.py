@@ -844,7 +844,7 @@ def test_analysis_rows_reuse_block_buffers():
     for rows, a, b in qlcst_analysis(*args).rows():
         assert np.array_equal(a, stored.a[rows]) and np.array_equal(b, stored.b[rows])
         seen.append((rows, a, b))
-    assert len(seen) == 3
+    assert len(seen) == len(_row_blocks(len(stored.a), stored.wgrid.axis1.n))
     assert all(np.shares_memory(a, seen[0][1]) and np.shares_memory(b, seen[0][2])
                for _, a, b in seen[1:])
     got = list(stored.rows())
@@ -927,6 +927,29 @@ def test_every_source_gives_the_same_bits(tmp_path, case, n, n1, window):
         assert np.array_equal(orthogonality_form(cf, cg), want)
 
 
+@pytest.mark.parametrize("n, n1", [(12, 7), (33, 33)])
+def test_block_size_changes_no_bits(tmp_path, monkeypatch, n, n1):
+    """The stored planes of qlcst_forward and the QCF2 bytes written from an
+    unstored analysis are the same bits at ROW_BLOCK = 1, 2 and 4: on the
+    first N_u1 = 7 signal points of an N=12 grid, where the last block of 2
+    and of 4 rows is clipped, and at an odd N=33."""
+    g = grid(n)
+    f = random_hermite_combo(g, seed=15)
+    ugrid = Grid2D(Grid1D(n1, g.axis1.origin, g.axis1.spacing), g.axis2)
+    args = (f, fixed_gaussian(1, 0.7), FOURIER, FOURIER, ugrid)
+    got = []
+    for size in (1, 2, 4):
+        monkeypatch.setattr("qlcst.coefficients.ROW_BLOCK", size)
+        analysis = qlcst_analysis(*args)
+        assert len(list(analysis.blocks())) == -(-n1 // size)
+        stored = qlcst_forward(*args)
+        write_coefficients(tmp_path / "c.qcf", analysis)
+        got.append((stored.a, stored.b, (tmp_path / "c.qcf").read_bytes()))
+    for a, b, raw in got[1:]:
+        assert np.array_equal(a, got[0][0]) and np.array_equal(b, got[0][1])
+        assert raw == got[0][2]
+
+
 def test_u_slice_of_an_analysis_computes_one_block():
     """A u slice of an unstored analysis reads every row block but computes
     the product of only the one that holds its u1 row, and gives the stored
@@ -979,11 +1002,15 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
     physical memory (taken as 1 MB) they are refused with TooLarge, by the
     rule that refuses planes, before they or any kernel are allocated; with
     10 MB taken, the analysis runs and gives the unpatched bits, and so it
-    does with 5.3 MB, between the 4.6 MB it allocates (the stacked mu2
-    factors and one block of K1 rows) and the 6.1 MB of the mu2 factors and
-    a whole K1."""
+    does with 5.3 MB, between what it allocates,
+    R*N_x1*(2*N_u2*N_w2 + min(ROW_BLOCK, N_u1)*N_w1)*16 bytes for the stacked
+    mu2 factors and one block of K1 rows (4.3 MB), and the 6.1 MB of the mu2
+    factors and a whole K1."""
     f = gen_signal("gaussian", grid(16))
     args = (f, FULL_RANK_TABLE, FOURIER, FOURIER)
+    r, n = 31, 16
+    need = r * n * (2 * n * n + min(ROW_BLOCK, n) * n) * 16
+    assert need < 53 * 10 ** 5 < r * n * (2 * n * n + n * n) * 16
     want = qlcst_analysis(*args).density()
     for memory in (10 ** 7, 53 * 10 ** 5):
         monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: memory)
@@ -996,7 +1023,8 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
     monkeypatch.setattr("qlcst.qlcst._kernel", allocated)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match="stacked window terms of 0.00457 GB"):
+        with pytest.raises(TooLarge, match="stacked window terms of %.3g GB"
+                           % (need / 1e9)):
             qlcst_analysis(*args).energy()
         with pytest.raises(TooLarge, match="stacked window terms"):
             covariance_residuals(*args)
@@ -1119,7 +1147,8 @@ def test_k1_floor_comes_from_the_whole_profile():
     the whole profile, so each block's K1 rows are those of the whole K1."""
     g = grid(12)
     f = random_hermite_combo(g, seed=13)
-    ugrid = Grid2D(Grid1D.centered(40.0, 3 * ROW_BLOCK + 1), g.axis2)
+    # 13 u points at ROW_BLOCK = 2: with 7 or 9 no block's own floor differs
+    ugrid = Grid2D(Grid1D.centered(40.0, 6 * ROW_BLOCK + 1), g.axis2)
     analysis = qlcst_analysis(f, s_gaussian(), FOURIER, FOURIER, ugrid)
     x1, u1, w1 = (gr.axis1.points for gr in (g, ugrid, analysis.wgrid))
     p, _ = axis_terms(s_gaussian(), u1, x1, w1)
