@@ -154,10 +154,8 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     rows of the K1_r (coefficients._row_blocks), from profiles floored once
     over their whole extent, so they are the rows of the whole K1_r.  a and
     b grow as R*N^3 and a block's K1 rows as R*N^2; both are refused beyond
-    physical memory before either exists.  Every block yields the same a
-    and b arrays, so a reduction over the blocks may sum over k alone
-    (_streamed_rel_l2 does).  The points and kernel rows are taken in the
-    order given, so reversed ones give the planes reversed.
+    physical memory before either exists.  The points and kernel rows are
+    taken in the order given, so reversed ones give the planes reversed.
     """
     (u1s, u2s), (w1s, w2s) = u, w
     x1s, x2s = _points(f.grid)
@@ -340,27 +338,22 @@ def _streamed_rel_l2(want, got):
     _analysis_blocks producer got against those of the producer want,
     accumulated one plane block at a time, so that no coefficient set is
     ever held.  Both producers are built on the same point counts, so their
-    row blocks line up.
-
-    Each block's difference is the one product [k, -gk] @ [plane; other]
-    into one reused block buffer, the planes stacked in a second reused
-    buffer.  A producer's planes are the same arrays in every block, so the
-    reference's squared norm is one Gram form vdot(plane, G @ plane) per
-    plane, G = sum of k^H k over the blocks, made once the buffers are freed.
+    row blocks line up.  Each block gives, for each plane, two products into
+    two reused block buffers: the reference k @ plane and the difference
+    gk @ other - k @ plane.
     """
-    num, gram, bufs = 0.0, 0, None
+    num = denom = 0.0
+    bufs = None
     for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
         if bufs is None:  # the first block is the largest
-            bufs = [np.empty((n, planes[0].shape[1]), dtype=complex)
-                    for n in (len(k), len(planes[0]) + len(gots[0]))]
-        diff, stack = bufs[0][:len(k)], bufs[1]
-        gram += k.conj().T @ k
-        both = np.concatenate((k, -gk), axis=1)
+            bufs = np.empty((2, len(k), planes[0].shape[1]), dtype=complex)
+        ref, diff = bufs[:, :len(k)]
         for plane, other in zip(planes, gots):
-            np.matmul(both, np.concatenate((plane, other), out=stack), out=diff)
+            np.matmul(k, plane, out=ref)
+            np.matmul(gk, other, out=diff)
+            diff -= ref
+            denom += np.vdot(ref, ref).real
             num += np.vdot(diff, diff).real
-    del bufs, diff, stack, both, gots
-    denom = sum(np.vdot(plane, gram @ plane).real for plane in planes)
     return math.sqrt(num / denom if denom else num)
 
 
@@ -390,8 +383,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     evaluates the kernel at (x, w - s*B), the frequency shift in the
     frequency slot, and the window at w.  Each check zips the producers of
     its two sides (_streamed_rel_l2), which holds, besides their mu2 factors
-    and one block of K1 rows each, one block product, the two sides' stacked
-    planes and one Gram matrix.
+    and one block of K1 rows each, two block products.
     """
     x = u = _points(f.grid)  # the default u grid is f's grid
     w = _points(fft_output_grid(f.grid, m1.b, m2.b))

@@ -50,12 +50,11 @@ def digamma_constant():
 
 
 def _axis_sq(grid, s):
-    x1 = grid.axis1.points
-    x2 = grid.axis2.points
+    """x_s^2 on grid, as an (n1, 1) or (1, n2) vector that broadcasts over it."""
     if s == 1:
-        return (x1 * x1)[:, None] * np.ones((1, grid.axis2.n))
+        return np.square(grid.axis1.points)[:, None]
     if s == 2:
-        return np.ones((grid.axis1.n, 1)) * (x2 * x2)[None, :]
+        return np.square(grid.axis2.points)[None, :]
     raise BadParameter("axis must be 1 or 2, got %r" % (s,))
 
 
@@ -70,9 +69,11 @@ def spectral_dispersion(C, s):
 
 
 def _log_quadrature(grid, density, cell, name):
-    """Integral of ln|r| * density over a 2D grid, r the planar radius."""
+    """Integral of ln|r| * density over a 2D grid, r the planar radius; a
+    grid point at the origin gives -inf or, where the density is 0 there,
+    NaN, and either is refused."""
     r = np.hypot(grid.axis1.points[:, None], grid.axis2.points[None, :])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.log(r) * density
     out = float(np.sum(vals) * cell)
     if not math.isfinite(out):
@@ -155,10 +156,11 @@ def _lemma_41_rhs(C, f):
 def lemma_41_gap(C, f):
     """Relative gaps (axis 1, axis 2) of the moment identity, for the
     coefficients C of f: lam * integral x_s^2 |f|^2 dx  vs  the (u, x)
-    double integral of x_s^2 |inverse-QLCT of the w-slice|^2.
+    double integral of x_s^2 |inverse-QLCT of the w-slice|^2.  As in
+    relative_l2, a gap whose reference side is 0 (f zero or on the line
+    x_s = 0) is the absolute |rhs|.
     """
     lam = lambda_psi(C.window)
-    if f.energy() == 0.0:
-        return 0.0, 0.0
     lhs = [lam * spatial_dispersion(f, s) for s in (1, 2)]
-    return tuple(abs(lh - rh) / abs(lh) for lh, rh in zip(lhs, _lemma_41_rhs(C, f)))
+    return tuple(abs(lh - rh) / abs(lh) if lh else abs(rh)
+                 for lh, rh in zip(lhs, _lemma_41_rhs(C, f)))

@@ -728,7 +728,7 @@ def _full_rel_l2(got, want):
 def test_streamed_residual_matches_full_formula(window):
     """The block-by-block residuals of two producers against a third equal
     the whole-array formula, also against a zero reference, on a u grid
-    whose last row block is clipped, so the summed Gram matrix k^H k covers
+    whose last row block is clipped, so the reused block buffers serve
     blocks of two sizes."""
     g = grid(8)
     f, h, k = (random_hermite_combo(g, seed=seed) for seed in (8, 9, 10))
@@ -990,11 +990,17 @@ def test_u_slice_of_an_analysis_computes_one_block():
     assert np.array_equal(got, stored.slice_planes("w", (1, 2)))
 
 
-# A full-rank quaternion table on the (2N - 1)^2 offset lattice of grid(16):
+def full_rank_table(n):
+    """A random quaternion table of (2n - 1)^2 points at unit spacing, of
+    full rank: R = 2n - 1 terms."""
+    r = 2 * n - 1
+    return table_window(QSignal2D(np.random.default_rng(5).standard_normal((r, r, 4)),
+                                  Grid2D.centered(r / 2, r)))
+
+
 # R = 31 terms, whose stacked mu2 factors take 4.1 MB at N = 16 and the K1
-# rows of one block 0.5 MB.
-FULL_RANK_TABLE = table_window(QSignal2D(
-    np.random.default_rng(5).standard_normal((31, 31, 4)), Grid2D.centered(15.5, 31)))
+# rows of one block 0.25 MB.
+FULL_RANK_TABLE = full_rank_table(16)
 
 
 def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
@@ -1200,6 +1206,27 @@ def test_streamed_residual_matches_two_products(monkeypatch, n, window):
     assert all(abs(x - y) <= 1e-15 for x, y in got)
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_many_term_covariance_holds_no_stack(n):
+    """Under the full-rank (2N - 1)^2 table (R = 2N - 1) the traced peak of
+    covariance_residuals stays below 1.6 times the mu2 factors of its two
+    producers, 2 * 2*R*N_x1*N_u2*N_w2*16 bytes: besides them a check holds
+    blocks only, no R-sized stack of the planes and no R*N_x1-square Gram
+    matrix.  It reads 1.42 at N = 12 and 1.28 at N = 16; with the stack and
+    the Gram matrix it read 2.81 and 2.73."""
+    r = 2 * n - 1
+    window = full_rank_table(n)
+    f = gen_signal("gaussian", grid(n))
+    tracemalloc.start()
+    try:
+        rep = covariance_residuals(f, window, FOURIER, FOURIER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.parity < 1e-10
+    assert peak < 1.6 * 2 * (2 * r * n ** 3 * 16)
+
+
 # Residuals of covariance_residuals as recorded when its sides were still
 # qlcst_analysis(...).blocks() producers, on random_hermite_combo(grid(n),
 # seed=3) with s = (1, -0.5): (n, window, matrix pair, alpha, residuals).
@@ -1248,8 +1275,8 @@ def test_verify_suite_traced_peak(suite):
     """The suites that once held whole coefficient sets only to reduce them
     stay below their bound of traced allocations: one coefficient set of the
     suite's grid, or 100 MB for the wide-u marginal.  The covariance (N=48)
-    holds one block product and the stacked planes per check and stays
-    below 0.13 of its 170 MB set (it reads about 0.114)."""
+    holds two block products per check and stays below 0.13 of its 170 MB
+    set (it reads about 0.098)."""
     tracemalloc.start()
     try:
         passed, _ = run_suite(suite)

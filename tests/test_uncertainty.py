@@ -1,7 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlcst.errors import (AdmissibilityError, BadParameter, NonFinite, QlcstError,
                           ZeroSignal)
@@ -9,14 +12,16 @@ from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.io import open_coefficients, write_coefficients
 from qlcst.lct import validate_param
 from qlcst.qlct import qlct_inverse
-from qlcst.qlcst import (_w_inverse_rows, energy_identity_gap, qlcst_analysis,
-                         qlcst_forward)
+from qlcst.qlcst import (_w_inverse_rows, covariance_residuals, energy_identity_gap,
+                         marginal_qlct_gap, qlcst_analysis, qlcst_forward,
+                         qlcst_reconstruct)
 from qlcst.quaternion import qnormsq
 from qlcst.signal import Grid1D, Grid2D, QSignal2D, QSpectrum2D, sandwich_phase
 from qlcst.uncertainty import (_axis_sq, _lemma_41_rhs, digamma, digamma_constant, heisenberg_report,
                                lemma_41_gap, log_uncertainty_report,
                                spatial_dispersion, spatial_log_moment,
                                spectral_dispersion, spectral_log_moment)
+from qlcst.verify import MATRIX_CASES
 from qlcst.window import constant_window, fixed_gaussian, lambda_psi, s_gaussian
 
 FOURIER = validate_param(0, 1, -1, 0)
@@ -264,3 +269,66 @@ def test_lemma41_one_pass_matches_per_axis(tmp_path):
         gaps = lemma_41_gap(C, f)
         assert gaps == tuple(per_axis_lemma_41_gap(C, f, s) for s in (1, 2))
         assert max(gaps) < 1e-2
+
+
+def test_lemma41_signal_on_an_axis():
+    """A signal on the line x1 = 0, whose axis-1 moment is 0, and an impulse
+    at the origin, whose moments are both 0, give finite gaps: the absolute
+    right side where the left side is 0."""
+    ax = Grid1D(8, -4.0, 1.0)  # includes x = 0 exactly
+    g = Grid2D(ax, ax)
+    line = np.zeros(g.shape + (4,))
+    line[4, :, 0] = 1.0
+    line_gaps, impulse_gaps = (
+        lemma_41_gap(qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER), f)
+        for f in (QSignal2D(line, g), gen_signal("impulse", g)))
+    assert line_gaps[0] < 1e-20 and math.isfinite(line_gaps[1])
+    assert max(impulse_gaps) < 1e-20
+
+
+def finite_or_refused(check):
+    """check() either returns finite numbers or raises a QlcstError."""
+    try:
+        out = check()
+    except QlcstError:
+        return
+    if isinstance(out, QSignal2D):
+        out = out.data
+    elif not isinstance(out, (float, tuple)):
+        out = astuple(out)
+    assert np.all(np.isfinite(out))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.tuples(st.integers(6, 10), st.integers(6, 10)),
+       origin=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+       at=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+       kind=st.sampled_from(["zero", "line1", "line2", "point"]),
+       spacing=st.sampled_from([0.5, 1.0]),
+       case=st.sampled_from([name for name, _ in MATRIX_CASES]),
+       seed=st.integers(0, 2 ** 16))
+@example(n=(8, 8), origin=(4, 4), at=(4, 0), kind="line1", spacing=1.0,
+         case="fourier", seed=0)
+def test_identities_on_degenerate_signals(n, origin, at, kind, spacing, case, seed):
+    """The zero signal, one line and one point on grids that hold the
+    origin, where a moment or the whole energy is 0: every identity and
+    report returns finite values or raises a QlcstError."""
+    g = Grid2D(*(Grid1D(m, -(k % m) * spacing, spacing) for m, k in zip(n, origin)))
+    i, j = (k % m for m, k in zip(n, at))
+    data = np.zeros(g.shape + (4,))
+    if kind != "zero":
+        where = {"line1": (i, slice(None)), "line2": (slice(None), j), "point": (i, j)}[kind]
+        data[where] = np.random.default_rng(seed).standard_normal(data[where].shape)
+    f = QSignal2D(data, g)
+    window = fixed_gaussian(1, 1)
+    m1, m2 = dict(MATRIX_CASES)[case]()
+    c = qlcst_forward(f, window, m1, m2)
+    for check in (lambda: energy_identity_gap(c, f),
+                  lambda: marginal_qlct_gap(c, f),
+                  lambda: lemma_41_gap(c, f),
+                  lambda: heisenberg_report(c, f, 1),
+                  lambda: heisenberg_report(c, f, 2),
+                  lambda: log_uncertainty_report(c, f),
+                  lambda: covariance_residuals(f, window, m1, m2),
+                  lambda: qlcst_reconstruct(c)):
+        finite_or_refused(check)
