@@ -34,7 +34,8 @@ samples on the x grid moved by alpha, the shifted signal exactly.  The
 pointwise inverse reads C.slice_planes(), so it too takes any source; on an
 unstored analysis that computes the one block of its u1 row.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
-the u grid, not by lambda: exact on every u grid dual to the w grid.
+the u grid, not by lambda: exact on every u grid dual to the w grid
+(signal.dual_ratio).
 a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
 """
@@ -51,8 +52,8 @@ from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
 from .quaternion import (qconj, qmul, right_mu2, symplectic_join,
                          symplectic_split)
-from .signal import (Grid1D, Grid2D, QSignal2D, fft_output_grid, relative_l2,
-                     sandwich_phase)
+from .signal import (Grid1D, Grid2D, QSignal2D, dual_ratio, fft_output_grid,
+                     relative_l2, sandwich_phase)
 from .window import WindowSpec, lambda_psi, reflect, window_terms
 from .qlct import qlct_forward
 
@@ -208,10 +209,10 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
     grid.
 
     It equals the masked product f(x) * conj(Psi(u - x)) of a w-independent
-    window only when the w grid is dual to xgrid: per axis
-    dx * N_w * dw / (2*pi*|B|) is a whole number >= 1, as on the default
-    grids.  On other grids it is still the inverse of the slice, but not
-    the masked product, and nothing is refused.
+    window only when the w grid is dual to xgrid (signal.dual_ratio of each
+    x axis, w axis and B is a whole number s) and xgrid is every s-th signal
+    point, as on the default grids.  On other grids it is still the inverse
+    of the slice, but not the masked product, and nothing is refused.
     """
     if xgrid is None:
         xgrid = C.ugrid
@@ -241,11 +242,12 @@ def qlcst_reconstruct(C):
 
     The w sum is a discrete delta on the u grid, so the adjoint sum is
     f(x) * F(x) and the quotient f for every w-independent window (the
-    canonical dual frame), when the grids are dual: per axis s = du * N_w *
-    dw / (2*pi*|B|) is a whole number >= 1, to 1e-9 * s (s = 1 on the
-    default grids, s on every s-th signal point).  Other w grids are refused
-    (SpacingError) before a kernel is built.  A u grid moved off the signal
-    lattice, which is not recorded, passes undetected.  Over the window's
+    canonical dual frame), when the grids are dual: signal.dual_ratio of
+    each u axis, w axis and B is a whole number s (1 on the default grids,
+    s on every s-th signal point).  Other w grids are refused (SpacingError)
+    before a kernel is built.  The coefficients do not record the signal
+    grid, so a u grid moved off the signal lattice, or the signal grid
+    itself with an s >= 2, passes undetected.  Over the window's
     terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
     K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.rows(), so
     C may be stored or unstored; each block builds only its own columns of
@@ -261,9 +263,8 @@ def qlcst_reconstruct(C):
             "reconstruction needs a window that does not depend on the frequency")
     g = C.ugrid
     for u, w, m in ((g.axis1, C.wgrid.axis1, C.m1), (g.axis2, C.wgrid.axis2, C.m2)):
-        s = u.spacing * w.n * w.spacing / (2.0 * math.pi * abs(m.b))
-        if not (math.isfinite(s) and round(s) >= 1 and abs(s - round(s)) <= 1e-9 * s):
-            raise SpacingError("the w grid is not dual to the u grid (s = %.17g)" % s)
+        if dual_ratio(u, w, m.b) is None:
+            raise SpacingError("the w grid is not dual to the u grid (signal.dual_ratio)")
     x1s, x2s = _points(g)
     p, q = _floored_terms(C.window, x1s[:, None, None] - x1s, 1.0,
                           x2s[:, None, None] - x2s, 1.0)  # no w dependence

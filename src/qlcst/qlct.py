@@ -7,8 +7,8 @@ Two evaluation routes are provided and kept deliberately independent:
   two real GEMMs (O(N^3) flops, O(N^2) memory).  Trusted; it uses no
   symplectic split, no right-mu2 rule and no FFT.
 * qlct_fast_forward / qlct_fast_inverse: per-axis chirp-FFT factorization on
-  the symplectic components.  Requires the FFT-compatible spectrum spacing
-  du = 2*pi*|B| / (n * dx) on each axis.
+  the symplectic components.  Requires, on each axis, the spectrum grid of
+  signal.fft_output_axis: equal point counts and signal.dual_ratio 1.
 """
 
 import math
@@ -20,9 +20,8 @@ from .errors import GridMismatch, SpacingError, ZeroSignal
 from .lct import kernel_eval
 from .quaternion import (qconj, qleft_matrix, qright_matrix, right_mu2,
                          symplectic_join, symplectic_split)
-from .signal import Grid2D, QSignal2D, QSpectrum2D, fft_output_grid
-
-SPACING_TOL = 1e-9
+from .signal import (Grid2D, QSignal2D, QSpectrum2D, dual_ratio, fft_output_axis,
+                     fft_output_grid)
 
 
 def _check_grid(grid):
@@ -88,18 +87,14 @@ def _axis_phase_transform(g, axis, in_axis, out_axis, m, sign):
 
     phase(x, u) = A/(2B) x^2 - xu/B + D/(2B) u^2 - pi/4 with x the signal
     point: on in_axis for the forward kernel (sign +1), on out_axis for the
-    inverse kernel conj(K(x, u)) (sign -1).  Needs matching point counts and
-    the FFT spacing relation.
+    inverse kernel conj(K(x, u)) (sign -1).  Needs equal point counts and
+    dual_ratio 1 (the spacing of fft_output_axis), else SpacingError.
     """
     ma, mb, md = (m.a, m.b, m.d) if sign > 0 else (m.d, m.b, m.a)
     n = in_axis.n
-    if out_axis.n != n:
-        raise SpacingError("fast path needs equal in/out point counts")
-    want = 2.0 * math.pi * abs(mb) / (n * in_axis.spacing)
-    if abs(out_axis.spacing - want) > SPACING_TOL:
-        raise SpacingError(
-            "output spacing %.17g violates the FFT relation (want %.17g)"
-            % (out_axis.spacing, want))
+    if out_axis.n != n or dual_ratio(in_axis, out_axis, mb) != 1:
+        raise SpacingError("fast path needs %d output points at the FFT spacing %.17g"
+                           % (n, fft_output_axis(in_axis, mb).spacing))
     x = in_axis.points
     u = out_axis.points
     k = np.arange(n)

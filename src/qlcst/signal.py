@@ -69,10 +69,28 @@ class Grid2D:
 
 
 def fft_output_axis(axis, b):
-    """Centered output axis with the FFT-compatible spacing 2*pi*|B|/(n*dx)."""
+    """Centered output axis with the FFT-compatible spacing 2*pi*|B|/(n*dx):
+    the n-point axis whose dual_ratio with axis is 1."""
     spacing = 2.0 * math.pi * abs(b) / (axis.n * axis.spacing)
     origin = -0.5 * (axis.n - 1) * spacing
     return Grid1D(axis.n, origin, spacing)
+
+
+def dual_ratio(x_axis, w_axis, b):
+    """The whole number s = dx * N_w * dw / (2*pi*|B|) when the w axis is
+    dual to x_axis, else None.
+
+    Dual means s is within 1e-9 * s of round(s) >= 1 and
+    N_w >= s * (N_x - 1) + 1: the w sum of the kernel products
+    exp(i*(x - x')*w/B) * dx * dw / (2*pi*|B|) is then a delta of weight s
+    on the lattice of step dx/s, of which x_axis is every s-th point, with
+    no alias (period N_w * dx / s) on it, so it is s times the identity on
+    x_axis.  For s = 1 the count condition reads N_w >= N_x.
+    """
+    s = x_axis.spacing * w_axis.n * w_axis.spacing / (2.0 * math.pi * abs(b))
+    k = round(s) if math.isfinite(s) else 0
+    dual = k >= 1 and abs(s - k) <= 1e-9 * s and w_axis.n >= k * (x_axis.n - 1) + 1
+    return k if dual else None
 
 
 def fft_output_grid(grid, b1, b2):

@@ -833,13 +833,18 @@ def test_cli_reconstruct_uncovered_x_refused(tmp_path, capsys):
     assert not (tmp_path / "r.qsg").exists()
 
 
-def test_cli_reconstruct_w_grid_not_dual_refused(tmp_path, capsys):
-    """Coefficients on a w grid that is not dual to their u grid: exit 1,
-    one error line, no file."""
+@pytest.mark.parametrize("wgrid", [Grid2D.centered(2.0, 8), Grid2D.centered(math.pi, 8),
+                                   Grid2D.centered(2 * math.pi, 16)],
+                         ids=["centered-2-8", "8-points-twice-dual-spacing",
+                              "twice-dual-spacing"])
+def test_cli_reconstruct_w_grid_not_dual_refused(tmp_path, capsys, wgrid):
+    """Coefficients on a w grid that is not dual to their u grid (the dual
+    w spacing is 2*pi/16 here; dual_ratio 0.64, 1 with too few points, 2
+    with too few points): exit 1, one error line, no file."""
     cpath, rpath = tmp_path / "c.qcf", tmp_path / "r.qsg"
     write_coefficients(cpath, qlcst_analysis(
         gen_signal("gaussian", Grid2D.centered(8.0, 16)), fixed_gaussian(1, 1),
-        FOURIER, FOURIER, wgrid=Grid2D.centered(2.0, 8)))
+        FOURIER, FOURIER, wgrid=wgrid))
     capsys.readouterr()
     assert cli_main(["reconstruct", "-i", str(cpath), "-o", str(rpath)]) == 1
     err = capsys.readouterr().err.splitlines()

@@ -25,7 +25,7 @@ from qlcst.qlcst import (PROFILE_FLOOR, QLCSTAnalysis, QLCSTCoefficients,
                          special_case_matrix)
 from qlcst.quaternion import (qconj, qmul, qnorm, qnormsq, symplectic_join,
                               symplectic_split)
-from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D,
+from qlcst.signal import (Grid1D, Grid2D, QSignal2D, QSpectrum2D, dual_ratio,
                           fft_output_grid, relative_l2)
 from qlcst.uncertainty import (heisenberg_report, lemma_41_gap,
                                log_uncertainty_report, spectral_dispersion,
@@ -1501,26 +1501,49 @@ def test_reconstruct_refuses_uncovered_x():
         qlcst_reconstruct(qlcst_forward(f, FAR_TABLE, FOURIER, FOURIER))
 
 
-def half_dual_w(g):
-    """The default w grid of g under FOURIER at half its spacing (s = 1/2)."""
-    w = fft_output_grid(g, 1.0, 1.0)
-    return Grid2D(*(Grid1D(a.n, 0.5 * a.origin, 0.5 * a.spacing)
-                    for a in (w.axis1, w.axis2)))
+# w grids on which grid(16) under FOURIER, whose dual w spacing is 2*pi/16,
+# is not dual: Grid2D.centered(e, n) has the spacing 2*e/n.
+NOT_DUAL_W = {"half-dual-spacing": Grid2D.centered(math.pi / 2, 16),
+              "centered-2-8": Grid2D.centered(2.0, 8),
+              "8-points-twice-dual-spacing": Grid2D.centered(math.pi, 8),
+              "twice-dual-spacing": Grid2D.centered(2 * math.pi, 16)}
 
 
-@pytest.mark.parametrize("wgrid", [half_dual_w(grid(16)), Grid2D.centered(2.0, 8)],
-                         ids=["half-dual-spacing", "centered-2-8"])
+@pytest.mark.parametrize("wgrid", NOT_DUAL_W.values(), ids=NOT_DUAL_W.keys())
 def test_reconstruct_refuses_a_w_grid_not_dual_to_u(tmp_path, wgrid):
-    """A w grid on which du * N_w * dw / (2*pi*|B|) is not a whole number
-    makes the w sum no delta, and synthesis would return a wrong f without
-    an error (0.272 and 0.134 from f here); it is refused from a stored set,
-    an analysis and a file."""
+    """A w grid on which dual_ratio is None makes the w sum no delta on the
+    u grid, and synthesis would return a wrong f without an error: 0.272
+    and 0.134 from f where s = 1/2 and s = 0.64 are no whole numbers; 2.0e-7
+    from f (0.39 under fixed-gauss:3,3) at s = 1 with 8 < 16 points; 4*f at
+    s = 2 with 16 < 31 points.  It is refused from a stored set, an
+    analysis and a file."""
     analysis = qlcst_analysis(gen_signal("gaussian", grid(16)), fixed_gaussian(1, 1),
                               FOURIER, FOURIER, wgrid=wgrid)
     write_coefficients(tmp_path / "c.qcf", analysis)
     for src in (analysis.stored(), analysis, open_coefficients(tmp_path / "c.qcf")):
         with pytest.raises(SpacingError):
             qlcst_reconstruct(src)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nx=st.integers(2, 24), nw=st.integers(2, 64), log_b=st.floats(-11, 9),
+       sign=st.sampled_from([-1.0, 1.0]), dx=st.floats(0.05, 4.0),
+       s=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+def test_dual_ratio_matches_the_kernel_sum(nx, nw, log_b, sign, dx, s):
+    """dual_ratio against the kernel sum dx * dw * E^H E on the x axis, for
+    the matrices (0, B, -1/B, 0), whose phases -x*w/B stay small for every
+    B: at s = 1 it accepts exactly when the sum is the identity to 1e-9, and
+    every s it accepts is the drawn s, with the sum s times the identity."""
+    b = sign * 10.0 ** log_b
+    dw = 2.0 * math.pi * abs(b) * s / (dx * nw)
+    x, w = (Grid1D(n, -0.5 * (n - 1) * d, d) for n, d in ((nx, dx), (nw, dw)))
+    e = _phase_matrix(validate_param(0, b, -1.0 / b, 0), x.points, w.points)
+    gram = dx * dw * (e.conj().T @ e)
+    k = dual_ratio(x, w, b)
+    if s == 1.0:
+        assert (k == 1) == (np.abs(gram - np.eye(nx)).max() <= 1e-9)
+    if k is not None:
+        assert k == s and np.abs(gram - k * np.eye(nx)).max() <= 1e-9 * k
 
 
 @pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])

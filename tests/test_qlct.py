@@ -168,19 +168,31 @@ def test_fast_impulse_matches_direct():
     assert err < 1e-12
 
 
-def test_fast_rejects_incompatible_spacing():
-    grid = small_grid()
+@pytest.mark.parametrize("n, m, axis1, refused", [
+    (16, FOURIER, lambda a: Grid1D(a.n, 0.0, 0.1), True),
+    (16, FOURIER, lambda a: Grid1D(a.n - 1, a.origin, a.spacing), True),
+    (8, validate_param(1, 1e-11, 0, 1), lambda a: Grid1D(a.n, 64 * a.origin, 64 * a.spacing),
+     True),
+    (8, validate_param(1, 1e9, 0, 1),
+     lambda a: Grid1D(a.n, a.origin, np.nextafter(a.spacing, np.inf)), False),
+], ids=["wrong-spacing", "fewer-points", "64x-fft-spacing-b1e-11", "one-ulp-off-b1e9"])
+def test_fast_rejects_incompatible_spacing(n, m, axis1, refused):
+    """The chirp-FFT maps n points to n at the spacing of fft_output_axis
+    (dual_ratio 1).  A wrong spacing, another count (also at the FFT
+    spacing), and 64 times the FFT spacing, which at B = 1e-11 is within
+    1e-9 of it in absolute terms and gave an O(1) error, are refused.  One
+    ulp off the FFT spacing at B = 1e9, 6e-8 in absolute terms, is accepted
+    and matches the direct sum to the phase roundoff of so large a B."""
+    grid = small_grid(n)
     f = gen_signal("gaussian", grid)
-    bad = Grid2D(Grid1D(grid.axis1.n, 0.0, 0.1), grid.axis2)
-    with pytest.raises(SpacingError):
-        qlct_fast_forward(f, FOURIER, FOURIER, bad)
-    # The chirp-FFT maps n points to n: another count is refused, also with
-    # the FFT spacing.
-    out = fft_output_grid(grid, 1.0, 1.0)
-    fewer = Grid2D(Grid1D(grid.axis1.n - 1, out.axis1.origin, out.axis1.spacing),
-                   out.axis2)
-    with pytest.raises(SpacingError):
-        qlct_fast_forward(f, FOURIER, FOURIER, fewer)
+    out = fft_output_grid(grid, m.b, m.b)
+    ugrid = Grid2D(axis1(out.axis1), out.axis2)
+    if refused:
+        with pytest.raises(SpacingError):
+            qlct_fast_forward(f, m, m, ugrid)
+    else:
+        assert relative_l2(qlct_fast_forward(f, m, m, ugrid).data,
+                           qlct_forward(f, m, m, ugrid).data) < 1e-6
 
 
 def test_fast_inverse_roundtrip():
