@@ -21,7 +21,8 @@ u1 row at a time, the rows of a block product bit for bit.  Every source is
 made whole by one stored(), which alone allocates planes, and is sliced by
 one slice_planes(), which alone checks a slice index.  One rule
 (_refuse_beyond_memory) refuses the planes, and the stacked window terms of
-the analysis, beyond physical memory.  This module imports no operator code.
+the analysis and the synthesis, beyond physical memory.  This module imports
+no operator code.
 """
 
 import math

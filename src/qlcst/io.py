@@ -267,9 +267,12 @@ def coefficient_slice(c, fixed, index):
 
     fixed = "u": freeze the position index, return the (w1, w2) magnitude map.
     fixed = "w": freeze the frequency index, return the (u1, u2) map.
+    A magnitude above the float range, of finite components, is NonFinite.
     """
     a, b = c.slice_planes(fixed, index)
-    return np.hypot(np.abs(a), np.abs(b))  # no square overflows
+    mag = np.hypot(np.abs(a), np.abs(b))  # no square overflows
+    _check_finite(mag, "slice magnitude")
+    return mag
 
 
 def export_slice_csv(path, mag):
@@ -283,8 +286,9 @@ def export_slice_pgm(path, mag):
     """8-bit P5 PGM of a magnitude map, linear min-max scaled (_replacing)."""
     lo = float(mag.min())
     hi = float(mag.max())
-    scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    pix = np.round((mag - lo) * scale).astype(np.uint8)
+    # divided by the range first: 255 / (hi - lo) overflows for a subnormal range
+    scaled = (mag - lo) / (hi - lo) * 255.0 if hi > lo else np.zeros_like(mag)
+    pix = np.round(scaled).astype(np.uint8)
     with _replacing(path) as fh:
         fh.write(b"P5\n%d %d\n255\n" % (pix.shape[1], pix.shape[0]))
         fh.write(pix.tobytes())

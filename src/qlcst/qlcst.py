@@ -141,6 +141,19 @@ def _contract(a, b, k1, k2):
     return k1 @ a, k1 @ b
 
 
+def _refuse_stacked_terms(nterms, x1s, u, w):
+    """Refuse beyond physical memory (TooLarge, by the rule of
+    coefficients._refuse_beyond_memory) what the analysis and the synthesis
+    hold of the R = nterms terms of a window, on the x1 points x1s and the
+    output points u = (u1, u2), w = (w1, w2): two R*N_x1 by N_u2*N_w2
+    planes (the analysis's mu2 factors, the synthesis's accumulated K1^H
+    sums) and the K1 rows (K1^H columns) of the largest block,
+    R*N_x1 by min(ROW_BLOCK, N_u1)*N_w1."""
+    (u1s, u2s), (w1s, w2s) = u, w
+    _refuse_beyond_memory("stacked window terms", nterms * len(x1s) * (
+        2 * len(u2s) * len(w2s) + min(ROW_BLOCK, len(u1s)) * len(w1s)))
+
+
 def _analysis_blocks(f, window, u, w, e1, e2):
     """Yield the analysis planes of f at the output points u = (u1, u2) and
     w = (w1, w2) under the per-axis (w, x) kernel matrices e1 and e2 (the
@@ -155,17 +168,16 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     rows of the K1_r (coefficients._row_blocks), from profiles floored once
     over their whole extent, so they are the rows of the whole K1_r.  a and
     b grow as R*N^3 and a block's K1 rows as R*N^2; both are refused beyond
-    physical memory before either exists.  The points and kernel rows are
-    taken in the order given, so reversed ones give the planes reversed.
+    physical memory before either exists (_refuse_stacked_terms).  The
+    points and kernel rows are taken in the order given, so reversed ones
+    give the planes reversed.
     """
     (u1s, u2s), (w1s, w2s) = u, w
     x1s, x2s = _points(f.grid)
     p, q = _floored_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
                           u2s[:, None, None] - x2s, w2s[:, None])
+    _refuse_stacked_terms(len(q), x1s, u, w)
     nx1, nw1 = len(x1s), len(w1s)
-    _refuse_beyond_memory("stacked window terms", len(q) * nx1 * (
-        2 * len(u2s) * len(w2s)  # a and b
-        + min(ROW_BLOCK, len(u1s)) * nw1))  # the K1 rows of the largest block
     # f * conj(e_c) * cell for the C components of the terms, side by side
     fu = np.concatenate([qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]],
                         axis=1)
@@ -253,7 +265,10 @@ def qlcst_reconstruct(C):
     C may be stored or unstored; each block builds only its own columns of
     the K1_r^H, from profiles floored once over their whole extent.  The
     kernels are built on the adjoint phase matrices of _w_adjoints and the
-    mu2 side is contracted by _right_contract, as in the analysis.  F is
+    mu2 side is contracted by _right_contract, as in the analysis.  The two
+    accumulated sums and one block of K1^H columns are the analysis's
+    stacked terms, refused beyond physical memory by its rule
+    (_refuse_stacked_terms, TooLarge) before a kernel is built.  F is
     the Gram form sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the
     term products.
     An x that no u reaches (F(x) <= eps * max F) is refused.
@@ -268,6 +283,7 @@ def qlcst_reconstruct(C):
     x1s, x2s = _points(g)
     p, q = _floored_terms(C.window, x1s[:, None, None] - x1s, 1.0,
                           x2s[:, None, None] - x2s, 1.0)  # no w dependence
+    _refuse_stacked_terms(len(q), x1s, (x1s, x2s), _points(C.wgrid))
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
     e1h, e2h = _w_adjoints(C, g)
     nw1 = C.wgrid.axis1.n

@@ -5,10 +5,12 @@ asserted check, or None for a value that is reported but not asserted.  One
 collector (_collect), applied in the SUITES table, runs a suite to the end
 and forms its lines and its verdict, so every SUITES value is a plain
 callable returning (passed, lines); the CLI prints the lines and maps the
-flag onto its exit code.  The seven suites that check a result under each
-of the MATRIX_CASES take their grid size, matrices and signal from one case
-rule (_cases).  Tolerances are fixed here, not configurable, so a "pass"
-always means the same thing.
+flag onto its exit code.  Every suite that checks a signal under a matrix
+case, under each of the MATRIX_CASES or under the Fourier case alone
+(MATRIX_CASES[:1]), takes its signal, matrices and window from one case
+rule (_cases), which hands over each case as its unstored analysis under
+the one verification window (WINDOW).  Tolerances are fixed here, not
+configurable, so a "pass" always means the same thing.
 """
 
 import time
@@ -37,9 +39,18 @@ MATRIX_CASES = (
     ("fresnel(B=2)", lambda: special_case_matrix("fresnel", 2.0)),
 )
 
+# The window of every check of the orthogonality and energy relation, the
+# reconstruction formula, the covariances and the uncertainty inequalities.
+WINDOW = fixed_gaussian(1.0, 1.0)
+
 
 def _gaussian(grid):
     return (("gaussian", gen_signal("gaussian", grid)),)
+
+
+def _gaussian_and(name, kind, **params):
+    """signals(grid): the Gaussian and one more named signal of gen_signal."""
+    return lambda grid: _gaussian(grid) + ((name, gen_signal(kind, grid, **params)),)
 
 
 def _battery(grid):
@@ -51,25 +62,26 @@ def _battery(grid):
         ("hermite-combo(seed=7)", random_hermite_combo(grid, seed=7)))
 
 
-def _cases(n, signals):
-    """Yield (mname, m1, m2, sname, f) for every MATRIX_CASES entry (outer)
-    and every named signal of signals(grid) (inner), on the centered grid
-    of n points per axis; the signals are built once per call."""
+def _cases(n, signals, cases=MATRIX_CASES):
+    """Yield (mname, sname, c) for every entry of cases (outer) and every
+    named signal f of signals(grid) (inner), on the centered grid of n
+    points per axis; the signals are built once per call.  c is the case's
+    unstored analysis qlcst_analysis(f, WINDOW, m1, m2), of which nothing is
+    computed until a suite reads it; it carries the signal c.f, the matrices
+    c.m1, c.m2 and the window c.window."""
     named = signals(Grid2D.centered(EXTENT, n))
-    for mname, make in MATRIX_CASES:
+    for mname, make in cases:
         m1, m2 = make()
         for sname, f in named:
-            yield mname, m1, m2, sname, f
+            yield mname, sname, qlcst_analysis(f, WINDOW, m1, m2)
 
 
 def suite_roundtrip():
     """Fast-path inverse-of-forward for Gaussian and Hermite signals."""
-    def signals(grid):
-        return _gaussian(grid) + (("hermite(1,0)", gen_signal("hermite", grid, n=(1, 0))),)
-    for mname, m1, m2, sname, f in _cases(64, signals):
+    for mname, sname, c in _cases(64, _gaussian_and("hermite(1,0)", "hermite", n=(1, 0))):
         t0 = time.time()
-        err = relative_l2(qlct_fast_inverse(qlct_fast_forward(f, m1, m2), m1, m2,
-                                            f.grid).data, f.data)
+        err = relative_l2(qlct_fast_inverse(qlct_fast_forward(c.f, c.m1, c.m2), c.m1,
+                                            c.m2, c.f.grid).data, c.f.data)
         dt = time.time() - t0
         yield (err < 1e-6 and dt < 30.0, "roundtrip %s %s: rel_l2=%.3e (%.2fs)"
                % (mname, sname, err, dt))
@@ -97,43 +109,38 @@ def suite_oracle_equivalence():
 
 
 def suite_plancherel():
-    for mname, m1, m2, _, f in _cases(64, _gaussian):
-        gap = plancherel_gap(f, m1, m2)
+    for mname, _, c in _cases(64, _gaussian):
+        gap = plancherel_gap(c.f, c.m1, c.m2)
         yield gap < 1e-6, "plancherel %s: gap=%.3e" % (mname, gap)
 
 
 def suite_orthogonality():
     """Energy form of the orthogonality relation; the f != g residual is
     reported without being asserted."""
-    win = fixed_gaussian(1.0, 1.0)
-    lam = lambda_psi(win)
-    for mname, m1, m2, _, f in _cases(32, _gaussian):
-        cf = qlcst_analysis(f, win, m1, m2)
-        val = orthogonality_form(cf, cf)
-        target = lam * f.energy()
+    lam = lambda_psi(WINDOW)
+    for mname, _, c in _cases(32, _gaussian):
+        val = orthogonality_form(c, c)
+        target = lam * c.f.energy()
         gap = abs(val[0] - target) / target
         imag = float(np.linalg.norm(val[1:])) / target
         yield (gap < 1e-3 and imag < 1e-6, "orthogonality %s (f=g): gap=%.3e imag=%.3e"
                % (mname, gap, imag))
-        g = gen_signal("hermite", f.grid, n=(1, 0))
-        cross = orthogonality_form(cf, qlcst_analysis(g, win, m1, m2))
+        g = gen_signal("hermite", c.f.grid, n=(1, 0))
+        cross = orthogonality_form(c, qlcst_analysis(g, WINDOW, c.m1, c.m2))
         yield None, ("orthogonality %s (f!=g): |form|=%.3e (reported, not asserted; "
                      "expect ~lam<f,g>=0)" % (mname, float(qnorm(cross))))
 
 
 def suite_energy():
-    win = fixed_gaussian(1.0, 1.0)
-    for mname, m1, m2, _, f in _cases(32, _gaussian):
-        gap = energy_identity_gap(qlcst_analysis(f, win, m1, m2), f)
+    for mname, _, c in _cases(32, _gaussian):
+        gap = energy_identity_gap(c, c.f)
         yield gap < 1e-3, "energy %s: gap=%.3e" % (mname, gap)
 
 
 def suite_reconstruction():
-    win = fixed_gaussian(1.0, 1.0)
-    for mname, m1, m2, _, f in _cases(32, _gaussian):
+    for mname, _, c in _cases(32, _gaussian):
         t0 = time.time()
-        rec = qlcst_reconstruct(qlcst_analysis(f, win, m1, m2))
-        err = relative_l2(rec.data, f.data)
+        err = relative_l2(qlcst_reconstruct(c).data, c.f.data)
         dt = time.time() - t0
         yield (err < 1e-3 and dt < 300.0, "reconstruction %s: rel_l2=%.3e (%.1fs)"
                % (mname, err, dt))
@@ -143,79 +150,70 @@ def suite_marginal():
     """u-marginal identity.  The u quadrature grid is matched to the window:
     the adaptive window has 1/|w| tails and needs 3x the signal extent, while
     the narrow fixed window needs a spacing comparable to its width."""
-    grid = Grid2D.centered(EXTENT, 32)
-    f = gen_signal("gaussian", grid)
-    m1, m2 = special_case_matrix("stockwell")
-    wide_u = Grid2D.centered(3.0 * EXTENT, 96)
-    gap = marginal_qlct_gap(qlcst_analysis(f, s_gaussian(), m1, m2, ugrid=wide_u), f)
-    yield gap < 1e-3, "marginal s-gaussian: gap=%.3e" % gap
-    fine_u = Grid2D.centered(EXTENT, 256)
-    small_w = Grid2D.centered(2.0, 8)
-    gap2 = marginal_qlct_gap(qlcst_analysis(f, fixed_gaussian(0.05, 0.05), m1, m2,
-                                            ugrid=fine_u, wgrid=small_w), f)
-    yield gap2 < 5e-3, "marginal narrow fixed-gaussian: gap=%.3e" % gap2
+    for _, _, c in _cases(32, _gaussian, MATRIX_CASES[:1]):
+        wide_u = Grid2D.centered(3.0 * EXTENT, 96)
+        gap = marginal_qlct_gap(qlcst_analysis(c.f, s_gaussian(), c.m1, c.m2,
+                                               ugrid=wide_u), c.f)
+        yield gap < 1e-3, "marginal s-gaussian: gap=%.3e" % gap
+        fine_u = Grid2D.centered(EXTENT, 256)
+        small_w = Grid2D.centered(2.0, 8)
+        gap2 = marginal_qlct_gap(qlcst_analysis(c.f, fixed_gaussian(0.05, 0.05), c.m1,
+                                                c.m2, ugrid=fine_u, wgrid=small_w), c.f)
+        yield gap2 < 5e-3, "marginal narrow fixed-gaussian: gap=%.3e" % gap2
 
 
 def suite_covariance():
-    grid = Grid2D.centered(EXTENT, 48)
-    f = gen_signal("gaussian", grid)
-    win = fixed_gaussian(1.0, 1.0)
-    m1, m2 = special_case_matrix("stockwell")
-    rep = covariance_residuals(f, win, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0))
-    yield rep.parity < 1e-10, "parity: residual=%.3e" % rep.parity
-    yield rep.shift < 1e-3, "shift: residual=%.3e" % rep.shift
-    yield rep.modulation < 1e-2, "modulation: residual=%.3e" % rep.modulation
+    for _, _, c in _cases(48, _gaussian, MATRIX_CASES[:1]):
+        rep = covariance_residuals(c.f, c.window, c.m1, c.m2, alpha=(1.0, 0.0),
+                                   s=(1.0, 1.0))
+        yield rep.parity < 1e-10, "parity: residual=%.3e" % rep.parity
+        yield rep.shift < 1e-3, "shift: residual=%.3e" % rep.shift
+        yield rep.modulation < 1e-2, "modulation: residual=%.3e" % rep.modulation
 
 
 def suite_heisenberg():
-    win = fixed_gaussian(1.0, 1.0)
-    for mname, m1, m2, sname, f in _cases(32, _battery):
-        c = qlcst_analysis(f, win, m1, m2)
+    for mname, sname, c in _cases(32, _battery):
         for s in (1, 2):
-            rep = heisenberg_report(c, f, s)
+            rep = heisenberg_report(c, c.f, s)
             ok = rep.ratio >= 0.98 and (sname != "gaussian" or rep.ratio > 1.0)
             yield ok, ("heisenberg %s %s axis=%d: ratio=%.4f"
                        % (mname, sname, s, rep.ratio))
 
 
 def suite_log_uncertainty():
-    win = fixed_gaussian(1.0, 1.0)
     dg = digamma_constant()
     ref = -0.5772156649015329 - 2.0 * np.log(2.0) - np.log(2.0)
     yield abs(dg - ref) < 1e-10, "digamma constant: %.10f (ref %.10f)" % (dg, ref)
-    for mname, m1, m2, sname, f in _cases(32, _battery):
-        rep = log_uncertainty_report(qlcst_analysis(f, win, m1, m2), f)
+    for mname, sname, c in _cases(32, _battery):
+        rep = log_uncertainty_report(c, c.f)
         yield rep.gap >= -0.02, ("log-uncertainty %s %s: gap=%.4f"
                                  % (mname, sname, rep.gap))
 
 
 def suite_lemma41():
-    grid = Grid2D.centered(EXTENT, 24)
-    win = fixed_gaussian(1.0, 1.0)
-    m1, m2 = special_case_matrix("stockwell")
-    for sname, f in (("gaussian", gen_signal("gaussian", grid)),
-                     ("narrow-gaussian", gen_signal("dilated-gaussian", grid, a=2.0))):
+    narrow = _gaussian_and("narrow-gaussian", "dilated-gaussian", a=2.0)
+    for _, sname, c in _cases(24, narrow, MATRIX_CASES[:1]):
         tol = 5e-3 if sname == "gaussian" else 1e-2
-        for s, gap in enumerate(lemma_41_gap(qlcst_analysis(f, win, m1, m2), f), 1):
+        for s, gap in enumerate(lemma_41_gap(c, c.f), 1):
             yield gap < tol, "lemma41 %s axis=%d: gap=%.3e" % (sname, s, gap)
 
 
 def suite_special_case():
-    """Named matrix reductions and the constant-window collapse to the QLCT."""
-    m1, m2 = special_case_matrix("stockwell")
-    ok = (m1.a, m1.b, m1.c, m1.d) == (0.0, 1.0, -1.0, 0.0) and m1 == m2
-    yield ok, "stockwell matrices = (0,1,-1,0) per axis"
-    f1, _ = special_case_matrix("fractional", np.pi / 2)
-    ok = max(abs(f1.a - 0.0), abs(f1.b - 1.0), abs(f1.c + 1.0), abs(f1.d)) < 1e-12
-    yield ok, "fractional(pi/2) reduces to the fourier case"
-    grid = Grid2D.centered(EXTENT, 16)
-    f = gen_signal("gaussian", grid)
-    c = qlcst_forward(f, constant_window(), m1, m2)
-    q = qlct_fast_forward(f, m1, m2)
-    worst = max(relative_l2(symplectic_join(*c.slice_planes("u", (i, j))), q.data)
-                for i, j in np.ndindex(grid.shape))
-    yield worst < 1e-10, ("constant window reproduces the QLCT: worst rel_l2=%.3e"
-                          % worst)
+    """Named matrix reductions and the constant-window collapse to the QLCT,
+    on the Fourier case, whose matrices are the stockwell ones."""
+    for _, _, c in _cases(16, _gaussian, MATRIX_CASES[:1]):
+        m1, m2 = c.m1, c.m2
+        ok = (m1.a, m1.b, m1.c, m1.d) == (0.0, 1.0, -1.0, 0.0) and m1 == m2
+        yield ok, "stockwell matrices = (0,1,-1,0) per axis"
+        f1, _ = special_case_matrix("fractional", np.pi / 2)
+        ok = max(abs(f1.a - 0.0), abs(f1.b - 1.0), abs(f1.c + 1.0), abs(f1.d)) < 1e-12
+        yield ok, "fractional(pi/2) reduces to the fourier case"
+        flat = qlcst_forward(c.f, constant_window(), m1, m2)
+        q = qlct_fast_forward(c.f, m1, m2)
+        worst = max(relative_l2(symplectic_join(*flat.slice_planes("u", (i, j))), q.data)
+                    for i, j in np.ndindex(c.ugrid.shape))
+        yield worst < 1e-10, ("constant window reproduces the QLCT: worst rel_l2=%.3e"
+                              % worst)
 
 
 def _collect(suite):

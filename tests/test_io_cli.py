@@ -22,9 +22,9 @@ from qlcst.errors import (BadMagic, BadParameter, NonFinite, QlcstError,
                           VersionMismatch)
 from qlcst.generators import _hermite_mode, gen_signal
 from qlcst.io import (COEFF_HEADER, COEFF_MAGIC, SIGNAL_HEADER, SIGNAL_MAGIC,
-                      WINDOW_CODES, coefficient_slice, open_coefficients,
-                      read_coefficients, read_signal, write_coefficients,
-                      write_signal, _write_signal_record)
+                      WINDOW_CODES, coefficient_slice, export_slice_pgm,
+                      open_coefficients, read_coefficients, read_signal,
+                      write_coefficients, write_signal, _write_signal_record)
 from qlcst.lct import validate_param
 from qlcst.qlcst import (QLCSTCoefficients, qlcst_analysis, qlcst_forward,
                          qlcst_reconstruct)
@@ -533,10 +533,12 @@ def test_cli_export_index_out_of_range(tmp_path, capsys, index):
         assert not out.exists()
 
 
-def test_cli_export_large_coefficients_finite(tmp_path):
+def test_cli_export_large_coefficients_finite(tmp_path, capsys):
     """Coefficients of a signal of 1e200, whose squares overflow, export as
     finite magnitudes, the hypot of the two plane moduli, for both slice
-    kinds."""
+    kinds.  Planes of 1e308+1e308j, every component finite, have magnitudes
+    beyond the float range: their export exits 1 with one error line and
+    writes no file, in either format."""
     g = Grid2D.centered(4.0, 8)
     fpath, cpath = str(tmp_path / "f.qsg"), str(tmp_path / "c.qcf")
     write_signal(fpath, QSignal2D(np.full(g.shape + (4,), 1e200), g))
@@ -552,6 +554,31 @@ def test_cli_export_large_coefficients_finite(tmp_path):
         want = np.hypot(np.abs(a), np.abs(b))
         assert np.all(np.isfinite(got)) and got.max() > 1e154
         assert np.array_equal(got, want)
+    huge = np.full(c.plane_shape, 1e308 + 1e308j)
+    write_coefficients(cpath, QLCSTCoefficients(huge, huge, c.ugrid, c.wgrid,
+                                                c.window, c.m1, c.m2))
+    capsys.readouterr()
+    for fixed, fmt in (("u", "csv"), ("u", "pgm"), ("w", "csv")):
+        out = tmp_path / ("huge.%s" % fmt)
+        assert cli_main(["export", "-i", cpath, "-o", str(out), "--slice", fixed,
+                         "--index", "0,0", "--format", fmt]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite value")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("mag, want", [
+    ([[1.0, 2.0], [1.5, 2.0]], [0, 255, 128, 255]),
+    ([[0.0, 1e-320], [5e-321, 1e-320]], [0, 255, 128, 255]),
+    ([[3.0, 3.0], [3.0, 3.0]], [0, 0, 0, 0]),
+], ids=["normal", "subnormal", "constant"])
+def test_export_slice_pgm_scales_min_to_max(tmp_path, mag, want):
+    """The PGM pixels are (mag - lo) / (hi - lo) * 255, rounded: the same for
+    a range of subnormals, whose 255 / (hi - lo) overflows, as for normal
+    values; a constant map is all 0."""
+    path = tmp_path / "s.pgm"
+    export_slice_pgm(str(path), np.array(mag))
+    assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes(want)
 
 
 @pytest.mark.parametrize("index", [(1,), (1, 2, 3), (1.5, 2), "12", 3, None])
@@ -918,11 +945,15 @@ def test_cli_qlcst_refuses_stacked_terms_beyond_memory(tmp_path, capsys, monkeyp
     """qlcst --window table:PATH with a full-rank 31 x 31 table at N=16,
     whose 4.6 MB of stacked window terms exceed physical memory (taken as
     1 MB), exits 1 with one error line before any kernel is built, and
-    leaves no output file."""
-    fpath, tpath, cpath = (str(tmp_path / n) for n in ("f.qsg", "t.qsg", "c.qcf"))
+    leaves no output file; so does reconstruct of a file of that window,
+    whose synthesis holds as much."""
+    fpath, tpath, kpath = (str(tmp_path / n) for n in ("f.qsg", "t.qsg", "k.qcf"))
     cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
     write_signal(tpath, QSignal2D(np.random.default_rng(5).standard_normal((31, 31, 4)),
                                   Grid2D.centered(15.5, 31)))
+    qlcst_args = ["qlcst", "-i", fpath, "--m1", "0,1,-1,0", "--m2", "0,1,-1,0",
+                  "--window", "table:" + tpath]
+    assert cli_main(qlcst_args + ["-o", kpath]) == 0  # made with all the memory
     capsys.readouterr()
 
     def allocated(*_):
@@ -930,11 +961,12 @@ def test_cli_qlcst_refuses_stacked_terms_beyond_memory(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 6)
     monkeypatch.setattr("qlcst.qlcst._kernel", allocated)
-    assert cli_main(["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
-                     "--m2", "0,1,-1,0", "--window", "table:" + tpath]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: stacked window terms of ")
-    assert _only_files(tmp_path, ["f.qsg", "t.qsg"])
+    for argv in (qlcst_args + ["-o", str(tmp_path / "c.qcf")],
+                 ["reconstruct", "-i", kpath, "-o", str(tmp_path / "r.qsg")]):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stacked window terms of ")
+    assert _only_files(tmp_path, ["f.qsg", "t.qsg", "k.qcf"])
 
 
 def test_cli_qlcst_write_failing_mid_payload_leaves_no_file(tmp_path, capsys,

@@ -1003,7 +1003,7 @@ def full_rank_table(n):
 FULL_RANK_TABLE = full_rank_table(16)
 
 
-def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
+def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch, tmp_path):
     """The stacked window terms of the analysis grow as R*N^3.  Beyond
     physical memory (taken as 1 MB) they are refused with TooLarge, by the
     rule that refuses planes, before they or any kernel are allocated; with
@@ -1011,16 +1011,24 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
     does with 5.3 MB, between what it allocates,
     R*N_x1*(2*N_u2*N_w2 + min(ROW_BLOCK, N_u1)*N_w1)*16 bytes for the stacked
     mu2 factors and one block of K1 rows (4.3 MB), and the 6.1 MB of the mu2
-    factors and a whole K1."""
+    factors and a whole K1.  The synthesis of a stored set, an analysis and
+    a file holds as much, its two accumulated sums and one block of K1^H
+    columns, and is refused and runs at the same thresholds."""
     f = gen_signal("gaussian", grid(16))
     args = (f, FULL_RANK_TABLE, FOURIER, FOURIER)
     r, n = 31, 16
     need = r * n * (2 * n * n + min(ROW_BLOCK, n) * n) * 16
     assert need < 53 * 10 ** 5 < r * n * (2 * n * n + n * n) * 16
     want = qlcst_analysis(*args).density()
+    stored = qlcst_forward(*args)
+    write_coefficients(tmp_path / "c.qcf", stored)
+    sources = (stored, qlcst_analysis(*args), open_coefficients(tmp_path / "c.qcf"))
+    want_rec = qlcst_reconstruct(stored).data
     for memory in (10 ** 7, 53 * 10 ** 5):
         monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: memory)
         assert np.array_equal(qlcst_analysis(*args).density(), want)
+        for c in sources:
+            assert np.array_equal(qlcst_reconstruct(c).data, want_rec)
 
     def allocated(*_):
         raise AssertionError("a kernel was built")
@@ -1034,6 +1042,10 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch):
             qlcst_analysis(*args).energy()
         with pytest.raises(TooLarge, match="stacked window terms"):
             covariance_residuals(*args)
+        for c in sources:
+            with pytest.raises(TooLarge, match="stacked window terms of %.3g GB"
+                               % (need / 1e9)):
+                qlcst_reconstruct(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

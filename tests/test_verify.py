@@ -1,5 +1,5 @@
 """The collector forms every verify line and verdict from a suite's checks,
-and the matrix-case suites keep their cases."""
+and every suite keeps its checks and cases."""
 
 import numpy as np
 import pytest
@@ -49,23 +49,32 @@ BATTERY = ("gaussian", "shifted-gaussian", "dilated(a=0.5)", "dilated(a=2)",
 CASE_LABELS = {
     "roundtrip": ["PASS roundtrip %s %s" % (m, s)
                   for m in MATRICES for s in ("gaussian", "hermite(1,0)")],
+    "oracle-equivalence": ["PASS oracle-equivalence"],
     "plancherel": ["PASS plancherel %s" % m for m in MATRICES],
     "orthogonality": [line for m in MATRICES
                       for line in ("PASS orthogonality %s (f=g)" % m,
                                    "INFO orthogonality %s (f!=g)" % m)],
     "energy": ["PASS energy %s" % m for m in MATRICES],
     "reconstruction": ["PASS reconstruction %s" % m for m in MATRICES],
+    "marginal": ["PASS marginal s-gaussian", "PASS marginal narrow fixed-gaussian"],
+    "covariance": ["PASS parity", "PASS shift", "PASS modulation"],
     "heisenberg": ["PASS heisenberg %s %s axis=%d" % (m, s, axis)
                    for m in MATRICES for s in BATTERY for axis in (1, 2)],
     "log-uncertainty": ["PASS digamma constant"] + [
         "PASS log-uncertainty %s %s" % (m, s) for m in MATRICES for s in BATTERY],
+    "lemma41": ["PASS lemma41 %s axis=%d" % (s, axis)
+                for s in ("gaussian", "narrow-gaussian") for axis in (1, 2)],
+    "special-case": ["PASS stockwell matrices = (0,1,-1,0) per axis",
+                     "PASS fractional(pi/2) reduces to the fourier case",
+                     "PASS constant window reproduces the QLCT"],
 }
 
 
-@pytest.mark.parametrize("name", list(CASE_LABELS))
+@pytest.mark.parametrize("name", list(SUITES))
 def test_matrix_case_suites_keep_their_cases(name):
-    """The seven suites that run under each matrix case print one line per
-    case, in order: a dropped, renamed or reordered case fails here."""
+    """Every suite prints one line per check, in order, and the suites that
+    run under the matrix cases one per case: a dropped, renamed or reordered
+    check or case fails here, and so does a suite with no labels pinned."""
     passed, lines = SUITES[name]()
     assert passed is True
     assert [line.split(":")[0] for line in lines] == CASE_LABELS[name]
