@@ -8,26 +8,34 @@ index is (u1, w1) and whose column index is (u2, w2), so the interleaved
 
 A source has grids, window and matrices and yields its planes from
 blocks() as (rows, k, a, b): the plane rows `rows` are k @ a and k @ b (a and
-b if k is None), which rows() yields as (rows, a, b), valid only until the
-next block.  Every source yields the row blocks of _row_blocks, ROW_BLOCK u1
-rows at a time: a stored QLCSTCoefficients as views of its planes, the
-unstored analysis (qlcst.qlcst_analysis) as block products and a QCF2 file
-(io.open_coefficients) as rows read into reused buffers.  So a reduction over
-rows() holds no coefficient set the source does not hold already, the blocks
-of any two sources on the same grids line up, and every block-summed
-reduction gives the same bits from any source.  The QCF2 writer
-(io.write_coefficients) reads blocks() itself and computes an analysis one
-u1 row at a time, the rows of a block product bit for bit.  Every source is
-made whole by one stored(), which alone allocates planes, and is sliced by
-one slice_planes(), which alone checks a slice index.  One rule
-(_refuse_beyond_memory) refuses the planes, and the stacked window terms of
-the analysis and the synthesis, beyond physical memory.  This module imports
-no operator code.
+b if k is None).  Every source yields the row blocks of _row_blocks,
+ROW_BLOCK u1 rows at a time: a stored QLCSTCoefficients as views of its
+planes, the unstored analysis (qlcst.qlcst_analysis) as block products and
+a QCF2 file (io.open_coefficients) as rows read into reused buffers.  Every
+reduction reads tiles(), which cuts each row block into the column tiles of
+whole u2 groups of one rule (_col_tiles, at least TILE_COLS columns) and
+yields (rows, cols, a, b): views for a stored set or a file, the products
+k @ a[:, cols] and k @ b[:, cols] in two reused tile buffers for an
+analysis, valid only until the next tile.  So a reduction holds no
+coefficient set the source does not hold already, and no full-width row
+block of products.  Every plane value of every source is one of those tile
+products: stored() fills its planes tile by tile and the QCF2 writer
+(io.write_coefficients), which reads blocks() itself, computes an analysis
+one u1 row at a time tile by tile, because a GEMM split by columns need not
+give the bits of the whole product.  So the tiles of any two sources on the
+same grids line up and every tile-summed reduction gives the same bits from
+any source.  Every source is made whole by one stored(), which alone
+allocates planes, and is sliced by one slice_planes(), which alone checks a
+slice index.  One rule (_refuse_beyond_memory) refuses the planes, and the
+stacked window terms of the analysis and the synthesis, beyond the smallest
+memory limit in force (_memory_limits).  This module imports no operator
+code.
 """
 
 import math
 import operator
 import os
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +51,7 @@ from .window import WindowSpec
 # 30.5/27.6/27.3/27.2 ms at N=48 and 108/98/96/90 ms at N=64 in
 # 1-row/2-row/4-row/whole blocks (medians of 25, interleaved, 2-core Xeon,
 # OpenBLAS); 2 rows is the smallest block that keeps the GEMM rate, and it
-# halves the two buffers of rows() and a file's read buffers against 4.
+# halves the tile buffers of tiles() and a file's read buffers against 4.
 ROW_BLOCK = 2
 
 
@@ -55,24 +63,99 @@ def _row_blocks(nrows, nw1):
             for start in range(0, nrows, step)]
 
 
+# Plane columns per tile, at least, in every tile but a clipped last one.
+# Block GEMMs keep their rate from 1024 columns on: 63-72 against 59-68 GF/s
+# at N=64 (1024 columns against the whole 4096-column row), 68-70 against
+# 67-69 at N=48 (1152 against 2304), while cutting N=32's 1024 columns to
+# 512 dropped it from 52-57 to 46-47 GF/s (medians of 5, 2-core Xeon,
+# OpenBLAS), so rows of N <= 32 stay one tile.
+TILE_COLS = 1024
+
+
+def _col_tiles(nu2, nw2):
+    """The plane-column slices of whole u2 groups (nw2 columns each) that
+    cover nu2*nw2 columns in max(1, nu2*nw2 // TILE_COLS) tiles or fewer,
+    each of the same number of groups but the last, which is clipped to
+    the plane: so every tile but the last has at least TILE_COLS columns."""
+    ncols = nu2 * nw2
+    step = -(-nu2 // max(1, ncols // TILE_COLS)) * nw2
+    return [slice(start, min(start + step, ncols))
+            for start in range(0, ncols, step)]
+
+
+def _product(k, part, buf):
+    """k @ part computed into the front of the flat buffer buf, as a
+    C-contiguous matrix: the one block product of every tile."""
+    return np.matmul(k, part, out=buf[:len(k) * part.shape[1]].reshape(len(k), -1))
+
+
+def _split4(tile, nw1, nw2):
+    """The (u1, w1, u2, w2) view of a tile of plane rows and columns."""
+    return tile.reshape(-1, nw1, tile.shape[1] // nw2, nw2)
+
+
+# Where this process's cgroups are listed and where their files are mounted.
+_CGROUP_TABLE = "/proc/self/cgroup"
+_CGROUP_MOUNT = "/sys/fs/cgroup"
+
+
 def _physical_memory():
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _cgroup_files():
+    """The memory limit files of this process's cgroups, as _CGROUP_TABLE
+    lists them: memory.max of its v2 group and memory.limit_in_bytes of its
+    v1 memory group (none if the table is unreadable)."""
+    try:
+        with open(_CGROUP_TABLE) as fh:
+            entries = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return []
+    files = []
+    for _, controllers, group in (e for e in entries if len(e) == 3):
+        if not controllers:
+            files.append(_CGROUP_MOUNT + group.rstrip("/") + "/memory.max")
+        elif "memory" in controllers.split(","):
+            files.append(_CGROUP_MOUNT + "/memory" + group.rstrip("/")
+                         + "/memory.limit_in_bytes")
+    return files
+
+
+def _memory_limits():
+    """(name, bytes) of every memory limit in force, all only read:
+    physical memory, the soft RLIMIT_AS and the cgroup limits
+    (_cgroup_files).  A limit that is unlimited (RLIM_INFINITY, "max") or
+    unreadable is left out."""
+    limits = [("physical memory", _physical_memory())]
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits.append(("the address-space limit (RLIMIT_AS)", soft))
+    for path in _cgroup_files():
+        try:
+            with open(path) as fh:
+                limits.append(("the cgroup limit (%s)" % os.path.basename(path),
+                               int(fh.read())))
+        except (OSError, ValueError):  # unreadable, or "max"
+            pass
+    return limits
+
+
 def _refuse_beyond_memory(what, ncomplex):
-    """Raise TooLarge when ncomplex complex values of `what` exceed physical
-    memory: the one memory rule, applied before the values are allocated."""
+    """Raise TooLarge when ncomplex complex values of `what` exceed the
+    smallest memory limit in force (_memory_limits), named in the message:
+    the one memory rule, applied before the values are allocated."""
     need = ncomplex * np.dtype(complex).itemsize
-    have = _physical_memory()
+    name, have = min(_memory_limits(), key=lambda limit: limit[1])
     if need > have:
-        raise TooLarge("%s of %.3g GB do not fit in the %.3g GB of physical memory"
-                       % (what, need / 1e9, have / 1e9))
+        raise TooLarge("%s of %.3g GB do not fit in the %.3g GB of %s"
+                       % (what, need / 1e9, have / 1e9, name))
 
 
 class _Source:
     """Grids, window, matrices and blocks() of coefficients, stored or not;
-    the reductions over rows() are computed once per object."""
+    the reductions over tiles() are computed once per object."""
 
     _density = None
 
@@ -86,17 +169,22 @@ class _Source:
     def cell4(self):
         return self.ugrid.cell * self.wgrid.cell
 
-    def rows(self):
-        """Yield (rows, a, b) for each block, k @ a and k @ b computed into two
-        buffers allocated once per pass: valid only until the next block."""
+    def tiles(self):
+        """Yield (rows, cols, a, b) for each column tile (_col_tiles) of each
+        row block: the plane entries [rows, cols], as views of a stored or
+        read block, or k @ a[:, cols] and k @ b[:, cols] computed into two
+        tile buffers allocated once per pass: valid only until the next
+        tile."""
+        tiles = _col_tiles(self.ugrid.axis2.n, self.wgrid.axis2.n)
         bufs = None
         for rows, k, *planes in self.blocks():
-            if k is not None:  # the first block is the largest
-                bufs = bufs or [np.empty((len(k), p.shape[1]), dtype=complex)
-                                for p in planes]
-                planes = [np.matmul(k, p, out=buf[:len(k)])
-                          for p, buf in zip(planes, bufs)]
-            yield (rows, *planes)
+            for cols in tiles:
+                parts = [p[:, cols] for p in planes]
+                if k is not None:  # the first tile of the first block is the largest
+                    if bufs is None:
+                        bufs = np.empty((2, len(k) * parts[0].shape[1]), dtype=complex)
+                    parts = [_product(k, p, buf) for p, buf in zip(parts, bufs)]
+                yield (rows, cols, *parts)
 
     def density(self):
         """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2,
@@ -104,10 +192,9 @@ class _Source:
         if self._density is None:
             nw1, nw2 = self.wgrid.shape
             acc = np.zeros((nw1, 2 * nw2))
-            for _, *planes in self.rows():
+            for _, _, *planes in self.tiles():
                 for plane in planes:
-                    parts = plane.view(float).reshape(
-                        -1, nw1, self.ugrid.axis2.n, 2 * nw2)
+                    parts = _split4(plane, nw1, nw2).view(float)
                     acc += np.einsum("abcd,abcd->bd", parts, parts)
             self._density = acc.reshape(nw1, nw2, 2).sum(axis=-1)
             self._density.flags.writeable = False
@@ -118,16 +205,19 @@ class _Source:
 
     def stored(self):
         """The coefficients as QLCSTCoefficients, the planes filled in place
-        from blocks(): the one allocation of planes.  Planes larger than
-        physical memory are refused before anything is allocated."""
+        from blocks(), an analysis's tile by tile: the one allocation of
+        planes.  Planes beyond the memory limit are refused before anything
+        is allocated."""
         _refuse_beyond_memory("coefficient planes", 2 * math.prod(self.plane_shape))
         planes = [np.empty(self.plane_shape, dtype=complex) for _ in range(2)]
+        tiles = _col_tiles(self.ugrid.axis2.n, self.wgrid.axis2.n)
         for rows, k, *parts in self.blocks():
             for plane, part in zip(planes, parts):
                 if k is None:
                     plane[rows] = part
-                else:
-                    np.matmul(k, part, out=plane[rows])
+                else:  # the products of tiles(), bit for bit
+                    for cols in tiles:
+                        np.matmul(k, part[:, cols], out=plane[rows, cols])
         return QLCSTCoefficients(*planes, self.ugrid, self.wgrid, self.window,
                                  self.m1, self.m2)
 
@@ -138,8 +228,8 @@ class _Source:
         fixed = "u": freeze the position index pair, return (w1, w2) arrays.
         fixed = "w": freeze the frequency index pair, return (u1, u2) arrays.
         Every block is read, so a file checks every value, and only the slice
-        is kept; a u slice computes the product of the one block that holds
-        its u1 row.
+        is kept; a u slice computes, of the one block that holds its u1 row,
+        that row's product with the one column tile that holds its u2 group.
         """
         if fixed not in ("u", "w"):
             raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
@@ -153,20 +243,23 @@ class _Source:
         for k, n in zip((i, j), frozen.shape):
             if not 0 <= k < n:
                 raise BadParameter("%s index %d is outside [0, %d)" % (fixed, k, n))
-        (_, nu2), (nw1, nw2) = self.ugrid.shape, self.wgrid.shape
+        nw1, nw2 = self.wgrid.shape
+        tiles = _col_tiles(self.ugrid.axis2.n, nw2)
         out = np.empty((2,) + kept.shape, dtype=complex)
         if fixed == "w":
-            for rows, *planes in self.rows():
-                a4, b4 = (p.reshape(-1, nw1, nu2, nw2) for p in planes)
-                out[:, rows.start // nw1:rows.stop // nw1] = (a4[:, i, :, j],
-                                                              b4[:, i, :, j])
+            for rows, cols, *planes in self.tiles():
+                a4, b4 = (_split4(p, nw1, nw2) for p in planes)
+                out[:, rows.start // nw1:rows.stop // nw1,
+                    cols.start // nw2:cols.stop // nw2] = a4[:, i, :, j], b4[:, i, :, j]
             return out
+        cols = next(c for c in tiles if j * nw2 < c.stop)
         for rows, k, *planes in self.blocks():
             first = rows.start // nw1  # the block's first u1 row
             if first <= i < rows.stop // nw1:
-                a4, b4 = ((p if k is None else k @ p).reshape(-1, nw1, nu2, nw2)
-                          for p in planes)
-                out[:] = a4[i - first, :, j], b4[i - first, :, j]
+                u1 = slice((i - first) * nw1, (i - first + 1) * nw1)
+                out[:] = [_split4(p[u1, cols] if k is None else k[u1] @ p[:, cols],
+                                  nw1, nw2)[0, :, j - cols.start // nw2]
+                          for p in planes]
         return out
 
 

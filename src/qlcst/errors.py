@@ -70,7 +70,7 @@ class NonFinite(QlcstError):
 
 
 class TooLarge(QlcstError):
-    """Coefficient planes would not fit in physical memory."""
+    """Coefficient planes would not fit in the memory limit."""
 
 
 class Undersampled(QlcstError):

@@ -40,7 +40,7 @@ def gen_signal(kind, grid, sigma=1.0, center=(2.0, 0.0), a=1.0, n=(1, 0)):
 
     Parameters that make any sample non-finite, or every sample zero (each
     kind is nonzero by construction), raise BadParameter, and a grid whose
-    samples exceed physical memory raises TooLarge before they are made.
+    samples exceed the memory limit raises TooLarge before they are made.
     """
     if kind not in KINDS:
         raise BadParameter("unknown generator kind %r" % kind)

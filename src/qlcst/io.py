@@ -10,11 +10,12 @@ the table as a QSG1 record.  QCF1 files (no window or matrices) are refused.
 
 Coefficient files are streamed: write_coefficients writes any coefficient
 source one u1 row at a time from its blocks() (an unstored analysis is
-computed row by row as it is written, into one reused row buffer), and
-open_coefficients gives a file source whose blocks() reads the row blocks
-of coefficients._row_blocks, so neither holds a coefficient set;
-read_coefficients is the file's stored() planes, refused beyond physical
-memory, and coefficient_slice the magnitude of its slice_planes().  Readers
+computed row by row as it is written, each row as the column tiles of
+coefficients._col_tiles that tiles() computes, into one reused row buffer),
+and open_coefficients gives a file source whose blocks() reads the row
+blocks of coefficients._row_blocks, so neither holds a coefficient set;
+read_coefficients is the file's stored() planes, refused beyond the memory
+limit, and coefficient_slice the magnitude of its slice_planes().  Readers
 check the header, the file size, the matrices and the window before
 anything is allocated, a file that changed since it was opened before any
 payload is read, and every payload value as it is read; the writer checks
@@ -31,7 +32,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .coefficients import _row_blocks, _Source
+from .coefficients import _col_tiles, _row_blocks, _Source
 from .errors import (BadMagic, BadParameter, NonFinite, QlcstError,
                      TrailingBytes, TruncatedFile, VersionMismatch)
 from .lct import ParamMatrix, validate_param
@@ -164,8 +165,9 @@ def write_coefficients(path, c):
     """Write the coefficients of any source as a QCF2 file: a stored set, an
     unstored qlcst_analysis or an open file.  The payload is written one u1
     row at a time from c.blocks(): a stored set's or a file's rows as they
-    are, an analysis's rows k[u1 rows] @ plane computed into one reused
-    (nw1, nu2*nw2) buffer, so no block product is held.  Every row is
+    are, an analysis's rows k[u1 rows] @ plane computed, one column tile
+    (coefficients._col_tiles) at a time as tiles() computes them, into one
+    reused (nw1, nu2*nw2) buffer, so no block product is held.  Every row is
     checked before it is written, so non-finite coefficients raise
     NonFinite, and a failed write leaves no file (_replacing)."""
     u, w, win = c.ugrid, c.wgrid, c.window
@@ -173,7 +175,8 @@ def write_coefficients(path, c):
         COEFF_MAGIC, VERSION, *u.shape, *w.shape, *_grid_fields(u),
         *_grid_fields(w), *astuple(c.m1), *astuple(c.m2),
         WINDOW_CODES.index(win.family), *win.sigma)
-    nw1, buf = w.axis1.n, None
+    nw1, tiles = w.axis1.n, _col_tiles(u.axis2.n, w.axis2.n)
+    buf = None
     with _replacing(path) as fh:
         fh.write(header)
         for rows, k, *planes in c.blocks():
@@ -182,8 +185,12 @@ def write_coefficients(path, c):
                 for plane in planes:  # per u1: a rows, then b rows
                     if k is None:
                         row = plane[u1]
-                    else:  # into the buffer that the first product made
-                        row = buf = np.matmul(k[u1], plane, out=buf)
+                    else:
+                        if buf is None:
+                            buf = np.empty((nw1, plane.shape[1]), dtype=complex)
+                        for cols in tiles:
+                            np.matmul(k[u1], plane[:, cols], out=buf[:, cols])
+                        row = buf
                     _check_finite(row, "coefficients")
                     fh.write(row.astype("<c16", copy=False))
         if win.family == "custom-table":

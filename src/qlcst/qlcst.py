@@ -20,11 +20,13 @@ applied through right_mu2 first; synthesis is the adjoint contraction,
 right-multiplied by e_c.  A built-in window is one real term; a table has
 R <= min(n1, 4*n2), and cost and memory grow with R: the stacked mu2
 factors as R*N^3, the K1_r rows of one block (all that is built of them)
-as R*N^2.  One producer of u1 row blocks (_analysis_blocks) serves every
-check through C.rows() of a stored set, a QCF2 file or an unstored
-qlcst_analysis, and qlcst_forward is the stored() of the analysis, its
-planes filled in place from those blocks.  All three yield the same row
-blocks, so every reduction gives the same bits.
+as R*N^2.  The mu2 stage forms each term's P and Q products in that term's
+rows of the stacked factors and combines them there in place, after K2 is
+freed (right_mu2).  One producer of u1 row blocks (_analysis_blocks)
+serves every check through the column tiles C.tiles() of a stored set, a
+QCF2 file or an unstored qlcst_analysis, and qlcst_forward is the stored()
+of the analysis, its planes filled in place with those tile products.
+All three yield the same tiles, so every reduction gives the same bits.
 The producer is a pure contraction of data: it takes the output points and
 the per-axis kernel matrices, which the analysis builds from its grids and
 _phase_matrix, and covariance_residuals by one side rule for all six sides,
@@ -32,7 +34,7 @@ with reversed points (parity) or shifted kernel phases (shift, modulation),
 so it needs no analysis object.  Its shift analyses f's own
 samples on the x grid moved by alpha, the shifted signal exactly.  The
 pointwise inverse reads C.slice_planes(), so it too takes any source; on an
-unstored analysis that computes the one block of its u1 row.
+unstored analysis that computes its u1 row of one tile.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda: exact on every u grid dual to the w grid
 (signal.dual_ratio).
@@ -45,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (ROW_BLOCK, QLCSTCoefficients, _refuse_beyond_memory,
-                           _row_blocks, _Source)
+from .coefficients import (ROW_BLOCK, QLCSTCoefficients, _col_tiles, _product,
+                           _refuse_beyond_memory, _row_blocks, _Source, _split4)
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, NonFinite, SpacingError, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
@@ -65,7 +67,7 @@ PROFILE_FLOOR = 1e-200
 @dataclass
 class QLCSTAnalysis(_Source):
     """The analysis of f, unstored: blocks() yields the factors of the plane
-    rows (_analysis_blocks), and rows() computes them as they are read."""
+    rows (_analysis_blocks), and tiles() computes them as they are read."""
 
     f: QSignal2D
     window: WindowSpec
@@ -121,16 +123,27 @@ def _kernel(prof, e):
     """The kernel matrices of R profiles side by side,
     K[(u, w), (r, x)] = prof[r, u, w, x] * e[w, x], with prof broadcasting
     over w, from _floored_terms, and e from _phase_matrix."""
-    prof = np.moveaxis(prof, 0, 2)
-    k = np.multiply(prof, e[:, None, :], order="C")  # so the reshape is a view
+    prof, e = np.moveaxis(prof, 0, 2), e[:, None, :]
+    k = np.empty(np.broadcast_shapes(prof.shape, e.shape), dtype=complex)
+    # cast by assignment, then multiplied in place: the bits of
+    # np.multiply(prof, e) with half its ufunc buffers (0.13 MB, not 0.26),
+    # which are part of the mu2 stage's traced peak
+    k[...] = prof
+    k *= e
     return k.reshape(k.shape[0] * k.shape[1], -1)
+
+
+def _times(m):
+    """The transform g -> g @ m of right_mu2, which alone holds m once its
+    caller holds none, so right_mu2 frees m before its temporary."""
+    return lambda g, out: np.matmul(g, m, out=out)
 
 
 def _right_contract(a, b, k2):
     """Planes of (a + b*mu2) @ K2^T: the mu2 matrix k2 contracts the last
     axis; axis 0 stays the rows and the axes between are flattened into the
     columns."""
-    a, b = right_mu2(a, b, lambda g: g @ k2.T)
+    a, b = right_mu2(a, b, _times(k2.T))
     return a.reshape(len(a), -1), b.reshape(len(b), -1)
 
 
@@ -142,7 +155,7 @@ def _contract(a, b, k1, k2):
 
 
 def _refuse_stacked_terms(nterms, x1s, u, w):
-    """Refuse beyond physical memory (TooLarge, by the rule of
+    """Refuse beyond the memory limit (TooLarge, by the rule of
     coefficients._refuse_beyond_memory) what the analysis and the synthesis
     hold of the R = nterms terms of a window, on the x1 points x1s and the
     output points u = (u1, u2), w = (w1, w2): two R*N_x1 by N_u2*N_w2
@@ -168,7 +181,7 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     rows of the K1_r (coefficients._row_blocks), from profiles floored once
     over their whole extent, so they are the rows of the whole K1_r.  a and
     b grow as R*N^3 and a block's K1 rows as R*N^2; both are refused beyond
-    physical memory before either exists (_refuse_stacked_terms).  The
+    the memory limit before either exists (_refuse_stacked_terms).  The
     points and kernel rows are taken in the order given, so reversed ones
     give the planes reversed.
     """
@@ -179,15 +192,18 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     _refuse_stacked_terms(len(q), x1s, u, w)
     nx1, nw1 = len(x1s), len(w1s)
     # f * conj(e_c) * cell for the C components of the terms, side by side
-    fu = np.concatenate([qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]],
-                        axis=1)
-    g = [h * f.grid.cell for h in symplectic_split(fu)]
-    a, b = (np.empty((len(q) * nx1, len(u2s) * len(w2s)), dtype=complex)
-            for _ in range(2))
-    for r, q_r in enumerate(q):  # each K2_r is built only for its own product
+    ga, gb = (h * f.grid.cell for h in symplectic_split(np.concatenate(
+        [qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]], axis=1)))
+    # both planes in one allocation, like the tile buffers: with separate
+    # ones glibc mapped them afresh for each analysis, and one verify pass
+    # took 60k minor page faults (about 0.13 s) against 11k
+    a, b = np.empty((2, len(q) * nx1, len(u2s) * len(w2s)), dtype=complex)
+    for r, q_r in enumerate(q):
+        # each K2_r is built for its own products only, which right_mu2 forms
+        # in the rows of term r and combines there after freeing K2_r
         rows = slice(r * nx1, (r + 1) * nx1)
-        a[rows], b[rows] = _right_contract(*g, _kernel(q_r, e2))
-    del q, fu, g  # freed before the first K1 rows are built
+        right_mu2(ga, gb, _times(_kernel(q_r, e2).T), (a[rows], b[rows]))
+    del q, ga, gb  # freed before the first K1 rows are built
     for rows in _row_blocks(len(u1s) * nw1, nw1):
         yield rows, _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1), a, b
 
@@ -203,7 +219,7 @@ def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
 def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
     """Analysis operator producing QLCSTCoefficients: the stored() planes of
     qlcst_analysis (same defaults), filled in place from its blocks and
-    refused beyond physical memory."""
+    refused beyond the memory limit."""
     return qlcst_analysis(f, window, m1, m2, ugrid, wgrid).stored()
 
 
@@ -233,17 +249,17 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
 
 
 def _w_inverse_rows(C, xgrid):
-    """Yield, for each u1 in turn, the planes (a, b) of shape (x1, u2, x2) of
-    the inverse QLCT over w of every slice C(u1, u2, .) onto xgrid: the
-    contraction of qlcst_pointwise_inverse for each u1 row of C.rows()."""
+    """Yield, for each u1 row of each tile of C.tiles() in turn, the planes
+    (a, b) of shape (x1, u2, x2), u2 over the tile's, of the inverse QLCT
+    over w of every slice C(u1, u2, .) onto xgrid: the contraction of
+    qlcst_pointwise_inverse."""
     e1h, e2h = _w_adjoints(C, xgrid)
-    rows_in = (C.wgrid.axis1.n, C.ugrid.axis2.n, C.wgrid.axis2.n)
-    rows_out = (xgrid.axis1.n, C.ugrid.axis2.n, xgrid.axis2.n)
-    for _, *planes in C.rows():
-        for a, b in zip(*(p.reshape((-1,) + rows_in) for p in planes)):
+    nw1, nw2 = C.wgrid.shape
+    shape = (xgrid.axis1.n, -1, xgrid.axis2.n)
+    for _, _, *planes in C.tiles():
+        for a, b in zip(*(_split4(p, nw1, nw2) for p in planes)):
             a, b = _contract(a, b, e1h, e2h)
-            yield (a.reshape(rows_out) * C.wgrid.cell,
-                   b.reshape(rows_out) * C.wgrid.cell)
+            yield a.reshape(shape) * C.wgrid.cell, b.reshape(shape) * C.wgrid.cell
 
 
 def qlcst_reconstruct(C):
@@ -261,13 +277,15 @@ def qlcst_reconstruct(C):
     grid, so a u grid moved off the signal lattice, or the signal grid
     itself with an s >= 2, passes undetected.  Over the window's
     terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
-    K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.rows(), so
-    C may be stored or unstored; each block builds only its own columns of
-    the K1_r^H, from profiles floored once over their whole extent.  The
-    kernels are built on the adjoint phase matrices of _w_adjoints and the
-    mu2 side is contracted by _right_contract, as in the analysis.  The two
-    accumulated sums and one block of K1^H columns are the analysis's
-    stacked terms, refused beyond physical memory by its rule
+    K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.tiles(), so
+    C may be stored or unstored, each sum kept by column tile and joined
+    into whole rows (one tile already is) before the mu2 stage; each block
+    builds only its own columns of the K1_r^H, from profiles floored once
+    over their whole extent.  The kernels are built on the adjoint phase
+    matrices of _w_adjoints and the mu2 side is contracted by
+    _right_contract, as in the analysis.  The two accumulated sums and one
+    block of K1^H columns are the analysis's stacked terms (a third sum
+    while one is joined), refused beyond the memory limit by its rule
     (_refuse_stacked_terms, TooLarge) before a kernel is built.  F is
     the Gram form sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the
     term products.
@@ -287,12 +305,26 @@ def qlcst_reconstruct(C):
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
     e1h, e2h = _w_adjoints(C, g)
     nw1 = C.wgrid.axis1.n
-    acc = [0, 0]
-    for rows, *planes in C.rows():
-        k1h = _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1h.T).T
-        for i, plane in enumerate(planes):
-            acc[i] += k1h @ plane
-    del planes, k1h  # a file's block buffers are freed before the mu2 stage
+    # each sum is kept by column tile, the tiles contiguous segments of one
+    # buffer: numpy adds into the strided columns of a whole sum about half
+    # as fast
+    n, tiles, acc = len(q) * len(x1s), _col_tiles(g.axis2.n, C.wgrid.axis2.n), []
+    for _ in range(2):
+        flat = np.zeros(n * C.plane_shape[1], dtype=complex)
+        acc.append({c.start: flat[n * c.start:n * c.stop].reshape(n, c.stop - c.start)
+                    for c in tiles})
+    built = None  # the row block whose K1^H columns k1h holds
+    for rows, cols, *planes in C.tiles():
+        if rows != built:
+            k1h = _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1h.T).T
+            built = rows
+        for h, plane in zip(acc, planes):
+            h[cols.start] += k1h @ plane
+    # a file's block buffers are freed before the mu2 stage, and each sum's
+    # tiles once they are joined into whole rows, which one tile already is
+    del flat, planes, plane, h, k1h
+    acc = ([h[0] for h in acc] if len(tiles) == 1 else
+           [np.concatenate(list(acc.pop(0).values()), axis=1) for _ in range(2)])
     out = np.zeros(g.shape + (4,))
     for r, q_r in enumerate(q):
         a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)
@@ -311,7 +343,7 @@ def qlcst_reconstruct(C):
 def orthogonality_form(Cf, Cg):
     """Quaternion value of the double integral of Cf * conj(Cg) over (w, u),
     for two sources, stored or streamed, of the same grids, window and
-    matrices, whose row blocks thus line up.
+    matrices, whose tiles thus line up.
 
     (a1 + b1 mu2) conj(a2 + b2 mu2) = (a1 a2* + b1 b2*) + (b1 a2 - a1 b2) mu2.
     Cg is Cf reads each block of Cf once for both sides.
@@ -320,11 +352,13 @@ def orthogonality_form(Cf, Cg):
            for name in ("ugrid", "wgrid", "window", "m1", "m2")):
         raise GridMismatch("coefficient grids, window or matrices differ")
     first = second = 0
-    pairs = (((blk, blk) for blk in Cf.rows()) if Cg is Cf
-             else zip(Cf.rows(), Cg.rows(), strict=True))
-    for (_, af, bf), (_, ag, bg) in pairs:
+    pairs = (((tile, tile) for tile in Cf.tiles()) if Cg is Cf
+             else zip(Cf.tiles(), Cg.tiles(), strict=True))
+    for (_, _, *fs), (_, _, *gs) in pairs:
+        # flattened once: a stored set's tiles narrower than its rows are copied
+        af, bf, ag, bg = (np.ravel(t) for t in (*fs, *gs))
         first += np.vdot(ag, af) + np.vdot(bg, bf)
-        second += np.dot(bf.ravel(), ag.ravel()) - np.dot(af.ravel(), bg.ravel())
+        second += np.dot(bf, ag) - np.dot(af, bg)
     return symplectic_join(first, second) * Cf.cell4
 
 
@@ -338,39 +372,41 @@ def energy_identity_gap(C, f):
 
 def marginal_qlct_gap(C, f):
     """Relative L2 gap between the u-marginal sum_u C(u, w) * du of the
-    coefficients C of f, summed block by block, and the QLCT of f under
+    coefficients C of f, summed tile by tile, and the QLCT of f under
     C.m1, C.m2 onto C.wgrid by the direct oracle, which shares no code with
     the fast path (0 for the zero signal)."""
     nw1, nw2 = C.wgrid.shape
     marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
-    for _, *planes in C.rows():
+    for _, _, *planes in C.tiles():
         for acc, p in zip(marg, planes):
-            acc += np.einsum("abcd->bd", p.reshape(-1, nw1, C.ugrid.axis2.n, nw2))
+            acc += np.einsum("abcd->bd", _split4(p, nw1, nw2))
     marg = symplectic_join(*marg) * C.ugrid.cell
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
 
-def _streamed_rel_l2(want, got):
+def _streamed_rel_l2(want, got, tiles):
     """relative_l2, over the quaternion components, of the planes of the
     _analysis_blocks producer got against those of the producer want,
-    accumulated one plane block at a time, so that no coefficient set is
-    ever held.  Both producers are built on the same point counts, so their
-    row blocks line up.  Each block gives, for each plane, two products into
-    two reused block buffers: the reference k @ plane and the difference
-    gk @ other - k @ plane.
+    accumulated one plane tile at a time, the column tiles `tiles` of each
+    row block, so that no coefficient set is ever held.  Both producers are
+    built on the same point counts, so their row blocks line up.  Each tile
+    gives, for each plane, two products into two reused tile buffers: the
+    reference k @ plane[:, cols] and the difference
+    gk @ other[:, cols] - k @ plane[:, cols].
     """
     num = denom = 0.0
     bufs = None
     for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
-        if bufs is None:  # the first block is the largest
-            bufs = np.empty((2, len(k), planes[0].shape[1]), dtype=complex)
-        ref, diff = bufs[:, :len(k)]
-        for plane, other in zip(planes, gots):
-            np.matmul(k, plane, out=ref)
-            np.matmul(gk, other, out=diff)
-            diff -= ref
-            denom += np.vdot(ref, ref).real
-            num += np.vdot(diff, diff).real
+        if bufs is None:  # the first tile of the first block is the largest
+            width = tiles[0].stop - tiles[0].start
+            bufs = np.empty((2, len(k) * width), dtype=complex)
+        for cols in tiles:
+            for plane, other in zip(planes, gots):
+                ref = _product(k, plane[:, cols], bufs[0])
+                diff = _product(gk, other[:, cols], bufs[1])
+                diff -= ref
+                denom += np.vdot(ref, ref).real
+                num += np.vdot(diff, diff).real
     return math.sqrt(num / denom if denom else num)
 
 
@@ -400,11 +436,12 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     evaluates the kernel at (x, w - s*B), the frequency shift in the
     frequency slot, and the window at w.  Each check zips the producers of
     its two sides (_streamed_rel_l2), which holds, besides their mu2 factors
-    and one block of K1 rows each, two block products.
+    and one block of K1 rows each, two tile products.
     """
     x = u = _points(f.grid)  # the default u grid is f's grid
     w = _points(fft_output_grid(f.grid, m1.b, m2.b))
     w1, w2 = w
+    tiles = _col_tiles(len(u[1]), len(w2))
     no_phase = (0.0, 0.0)
 
     def moved(t):
@@ -425,7 +462,8 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     u_rev, w_rev = ([pts[::-1] for pts in v] for v in (u, w))
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
     parity = _streamed_rel_l2(side(f, u_rev, w_rev, w_rev, no_phase, window),
-                              side(f_ref, u, w, w, no_phase, reflect(window)))
+                              side(f_ref, u, w, w, no_phase, reflect(window)),
+                              tiles)
 
     # Shift covariance.  The window keeps its w; only its u - x argument
     # moves with the grid.
@@ -435,7 +473,8 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
         side(QSignal2D(f.data, moved(alpha)), u, w, w, no_phase, window),
         side(f_tilde, _points(moved([-d for d in alpha])), w, w,
              ((m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1) / (2.0 * m1.b),
-              (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2) / (2.0 * m2.b)), window))
+              (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2) / (2.0 * m2.b)), window),
+        tiles)
 
     # Modulation covariance: the analysis of exp(mu1 s1 x1) f exp(mu2 s2 x2)
     # against that of f with the kernels at w - s*B.
@@ -443,7 +482,8 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
         side(sandwich_phase(f, s[0] * x[0], s[1] * x[1]), u, w, w, no_phase, window),
         side(f, u, w, (w1 - s[0] * m1.b, w2 - s[1] * m2.b),
              (m1.d / 2.0 * (2.0 * w1 * s[0] - m1.b * s[0] ** 2),
-              m2.d / 2.0 * (2.0 * w2 * s[1] - m2.b * s[1] ** 2)), window))
+              m2.d / 2.0 * (2.0 * w2 * s[1] - m2.b * s[1] ** 2)), window),
+        tiles)
 
     return CovarianceReport(parity, shift, modulation)
 

@@ -29,15 +29,35 @@ def _check_grid(grid):
         raise GridMismatch("expected a Grid2D, got %r" % (grid,))
 
 
-def _riemann(k1, data, k2, cell):
+def _left_matrices(k1):
+    """The real 4x4 matrices of the left products by the kernel table k1
+    (p, i, 4), built in GEMM order, rows (i, component) and columns (p,
+    component), one row component a at a time: the a-th rows of the basis
+    matrices contract the table's components."""
+    l1 = np.empty((k1.shape[1], 4, len(k1), 4))
+    basis = qleft_matrix(np.eye(4))  # [k, a, b]: the left product by e_k
+    for a in range(4):
+        np.matmul(k1.transpose(1, 0, 2), basis[:, a], out=l1[:, a])
+    return l1.reshape(4 * k1.shape[1], -1)
+
+
+def _right_matrices(k2):
+    """The real 4x4 matrices of the right products by the kernel table k2
+    (q, j, 4), built in GEMM order, rows (component, q) and columns (j,
+    component), one column component b at a time."""
+    r2 = np.empty((4, len(k2), k2.shape[1], 4))
+    basis = qright_matrix(np.eye(4))  # [k, a, b]: the right product by e_k
+    for b in range(4):
+        np.matmul(k2, basis[..., b], out=r2[b])
+    return r2.reshape(4 * len(k2), -1)
+
+
+def _riemann(l1, data, r2, cell):
     """Double Riemann sum out[i, j] = sum over (p, q) of
-    k1[p, i] * data[p, q] * k2[q, j] * cell as two real GEMMs, each kernel
-    product being its real 4x4 matrix: out = (L1 @ D) @ R2, L1 with rows
-    (i, component) and columns (p, component), D the data with rows (p,
-    component) and R2 with rows (component, q) and columns (j, component)."""
-    n_i = k1.shape[1]
-    l1 = qleft_matrix(k1).transpose(1, 2, 0, 3).reshape(4 * n_i, -1)
-    r2 = qright_matrix(k2).transpose(3, 0, 1, 2).reshape(4 * len(k2), -1)
+    k1[p, i] * data[p, q] * k2[q, j] * cell as two real GEMMs,
+    out = (L1 @ D) @ R2, with L1 = _left_matrices(k1), R2 =
+    _right_matrices(k2) and D the data with rows (p, component)."""
+    n_i = len(l1) // 4
     left = l1 @ data.transpose(0, 2, 1).reshape(l1.shape[1], -1)
     return (left.reshape(n_i, -1) @ r2).reshape(n_i, -1, 4) * cell
 
@@ -47,27 +67,31 @@ def _direct(F, m1, m2, out_grid, sign):
     the FFT-compatible grid) with the forward kernels K(x, u), x on F's grid
     (sign +1), or the inversion kernels conj(K(x, u)), x on out_grid (sign
     -1): the mu1 kernel multiplied on the left and the mu2 kernel on the right.
-    Refused beyond physical memory before any kernel table is built, at the
-    largest live set of _riemann's stages in complex values, p x q points
-    onto i x j: each kernel table 2 per point pair, each 4x4 product matrix 8
-    (16 while reordered), the reordered data 2*p*q, the left product 2*i*q,
-    the result twice 2*i*j: 448 B*N^2 on N x N grids, within 0.1% of the
-    traced peak of both directions at 96x40 -> 56x120 and 20x150 -> 150x20.
+    Refused beyond the memory limit before any kernel table is built, at the
+    largest live set of the stages in complex values, p x q points onto
+    i x j: each kernel table 2 per point pair, alive only until its 4x4
+    product matrices (8) are built, the reordered data 2*p*q, the left
+    product 2*i*q, the result twice 2*i*j: 352 B*N^2 on N x N grids, within
+    0.13% of the traced peak of both directions at 96x40 -> 56x120 and
+    20x150 -> 150x20.
     """
     if out_grid is None:
         out_grid = fft_output_grid(F.grid, m1.b, m2.b)
     _check_grid(out_grid)
     (p, q), (i, j) = F.grid.shape, out_grid.shape
     _refuse_beyond_memory("direct-sum kernel matrices", max(
-        18 * p * i + 2 * q * j, 10 * p * i + 18 * q * j,
-        10 * (p * i + q * j) + 2 * i * q + max(2 * p * q, 4 * i * j)))
-    k = []  # kernel tables (n_in, n_out, 4) per axis
-    for axis, m, a, b in ((1, m1, F.grid.axis1, out_grid.axis1),
-                          (2, m2, F.grid.axis2, out_grid.axis2)):
+        10 * p * i, 8 * p * i + 10 * q * j,
+        8 * (p * i + q * j) + 2 * i * q + max(2 * p * q, 4 * i * j)))
+
+    def table(axis, m, a, b):
+        """The kernel table (n_in, n_out, 4) of one axis."""
         x, u = a.points[:, None], b.points[None, :]
-        k.append(kernel_eval(m, axis, x, u) if sign > 0
-                 else qconj(kernel_eval(m, axis, u, x)))
-    return _riemann(k[0], F.data, k[1], F.grid.cell), out_grid
+        return (kernel_eval(m, axis, x, u) if sign > 0
+                else qconj(kernel_eval(m, axis, u, x)))
+
+    l1 = _left_matrices(table(1, m1, F.grid.axis1, out_grid.axis1))
+    r2 = _right_matrices(table(2, m2, F.grid.axis2, out_grid.axis2))
+    return _riemann(l1, F.data, r2, F.grid.cell), out_grid
 
 
 def qlct_forward(f, m1, m2, ugrid=None):
@@ -82,8 +106,9 @@ def qlct_inverse(F, m1, m2, xgrid=None):
     return QSignal2D(*_direct(F, m1, m2, xgrid, -1))
 
 
-def _axis_phase_transform(g, axis, in_axis, out_axis, m, sign):
-    """FFT evaluation of sum_j g_j exp(i*sign*phase(x, u)) * d(in) * const.
+def _axis_phase_transform(g, axis, in_axis, out_axis, m, sign, out=None):
+    """FFT evaluation of sum_j g_j exp(i*sign*phase(x, u)) * d(in) * const,
+    into out (a new array if None).
 
     phase(x, u) = A/(2B) x^2 - xu/B + D/(2B) u^2 - pi/4 with x the signal
     point: on in_axis for the forward kernel (sign +1), on out_axis for the
@@ -109,7 +134,7 @@ def _axis_phase_transform(g, axis, in_axis, out_axis, m, sign):
     else:
         core = np.fft.ifft(gp, axis=axis) * n
     const = in_axis.spacing / math.sqrt(2.0 * math.pi * abs(mb))
-    return core * post.reshape(shape) * const
+    return np.multiply(core * post.reshape(shape), const, out=out)
 
 
 def _fast(F, m1, m2, out_grid, sign):
@@ -122,8 +147,8 @@ def _fast(F, m1, m2, out_grid, sign):
     _check_grid(out_grid)
     a, b = (_axis_phase_transform(p, 0, F.grid.axis1, out_grid.axis1, m1, sign)
             for p in symplectic_split(F.data))
-    a, b = right_mu2(a, b, lambda g: _axis_phase_transform(
-        g, 1, F.grid.axis2, out_grid.axis2, m2, sign))
+    a, b = right_mu2(a, b, lambda g, out: _axis_phase_transform(
+        g, 1, F.grid.axis2, out_grid.axis2, m2, sign, out))
     return symplectic_join(a, b), out_grid
 
 

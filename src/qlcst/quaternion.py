@@ -115,17 +115,28 @@ def symplectic_join(a, b):
     return out
 
 
-def right_mu2(a, b, transform):
+def right_mu2(a, b, transform, out=(None, None)):
     """Planes of the right products (a + b*mu2) * exp(mu2*theta) under a
     complex-linear map.
 
-    transform applies exp(i*theta) with real weights along the last axis of
-    a mu1-complex array (a phase table, a kernel matrix or a chirp-FFT).  A
-    right exp(mu2*theta) is diagonal on P = a + i*b, which gains exp(i*theta),
-    and on Q = a - i*b, which gains exp(-i*theta) (the orthogonal 2D planes
-    split of Hitzer & Sangwine), so P goes through transform and Q through
-    its conjugate map conj(transform(conj(Q))).
+    transform(g, out) applies exp(i*theta) with real weights along the last
+    axis of a mu1-complex array g (a phase table, a kernel matrix or a
+    chirp-FFT) into out, or into a new array if out is None.  A right
+    exp(mu2*theta) is diagonal on P = a + i*b, which gains exp(i*theta), and
+    on Q = a - i*b, which gains exp(-i*theta) (the orthogonal 2D planes split
+    of Hitzer & Sangwine), so P goes through transform and Q through its
+    conjugate map conj(transform(conj(Q))).  P and Q are formed in the two
+    buffers of out and the planes (P + Q)/2 and (P - Q)/(2i) are combined in
+    them in place, through one temporary made after transform is dropped, so
+    a kernel that only transform holds is freed first; the planes are
+    returned in those buffers.
     """
-    p = transform(a + 1j * b)
-    q = np.conj(transform(np.conj(a - 1j * b)))
-    return (p + q) * 0.5, (p - q) * -0.5j
+    p = transform(a + 1j * b, out[0])
+    g = a - 1j * b
+    q = transform(np.conj(g, out=g), out[1])
+    del transform, g
+    np.conj(q, out=q)
+    diff = p - q
+    p += q
+    p *= 0.5
+    return p, np.multiply(diff, -0.5j, out=q)

@@ -135,8 +135,8 @@ def sandwich_phase(f, theta1, theta2):
     e1 = np.exp(1j * np.asarray(theta1, dtype=float))[:, None]
     e2 = np.exp(1j * np.asarray(theta2, dtype=float))
     a, b = symplectic_split(f.data)
-    return QSignal2D(symplectic_join(*right_mu2(a * e1, b * e1, lambda g: g * e2)),
-                     f.grid)
+    planes = right_mu2(a * e1, b * e1, lambda g, out: np.multiply(g, e2, out=out))
+    return QSignal2D(symplectic_join(*planes), f.grid)
 
 
 def relative_l2(got, want):

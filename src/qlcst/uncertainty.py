@@ -2,8 +2,8 @@
 
 All reports are "compute both sides by quadrature" objects; nothing is proved
 symbolically.  Each takes C, stored or from qlcst_analysis, then f, and reads
-the window, matrices and C.density() or C.rows() from C; lemma_41_gap checks
-both axes from one pass over C.rows().  The lower-bound constant of the
+the window, matrices and C.density() or C.tiles() from C; lemma_41_gap checks
+both axes from one pass over C.tiles().  The lower-bound constant of the
 Heisenberg check uses |B_s| as the per-axis factor, matching the
 transform-domain scaling of the underlying canonical-transform inequality.
 """
@@ -144,7 +144,8 @@ def log_uncertainty_report(C, f):
 def _lemma_41_rhs(C, f):
     """The (u, x) double integrals of x_1^2 and of x_2^2 times |inverse QLCT
     over w of C(u, .)|^2, from one pass of the inverse, taken for one u1 row
-    at a time (_w_inverse_rows), whose |.|^2 is formed once for both axes."""
+    of one tile at a time (_w_inverse_rows), whose |.|^2 is formed once for
+    both axes."""
     xsq = [_axis_sq(f.grid, s)[:, None, :] for s in (1, 2)]
     acc = [0.0, 0.0]
     for a, b in _w_inverse_rows(C, f.grid):

@@ -173,8 +173,9 @@ print(json.dumps(results))
 
 def test_cli_oversized_inputs_refused_under_an_address_limit(tmp_path):
     """Requests beyond memory end in `error: out of memory` or a TooLarge
-    line, and the process is not killed: one child process with a 2 GB
-    address space limit runs them all."""
+    line, which names the binding limit, the 2 GB address space limit of
+    the one child process that runs them all, and the process is not
+    killed."""
     big = tmp_path / "big.qsg"
     write_signal(big, gen_signal("gaussian", Grid2D.centered(8.0, 640)))
     argvs_ = [argv + (["-i", str(big)] if argv[0] == "qlcst" else [])
@@ -187,5 +188,6 @@ def test_cli_oversized_inputs_refused_under_an_address_limit(tmp_path):
     for argv, (rc, lines) in zip(argvs_, json.loads(proc.stdout), strict=True):
         assert rc == 1 and len(lines) == 1, (argv, lines)
         assert (lines[0] == "error: out of memory"
-                or "physical memory" in lines[0]), (argv, lines)
+                or "GB of the address-space limit (RLIMIT_AS)" in lines[0]), \
+            (argv, lines)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.qsg"]

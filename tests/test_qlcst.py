@@ -1,5 +1,6 @@
 import itertools
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                           GridMismatch, SpacingError, TooLarge, Undersampled,
                           ZeroSignal, ZeroWindow)
-from qlcst.coefficients import ROW_BLOCK, _row_blocks
+from qlcst.coefficients import ROW_BLOCK, TILE_COLS, _col_tiles, _row_blocks
 from qlcst.generators import gen_signal, random_hermite_combo
 from qlcst.io import open_coefficients, write_coefficients
 from qlcst.lct import kernel_const, kernel_eval, kernel_phase, validate_param
@@ -528,12 +529,12 @@ def test_marginal_matches_whole_set_sum():
 
 def sum_axes_marginal_gap(C, f):
     """The reduction that marginal_qlct_gap replaced, kept as the reference:
-    each block summed over u1 and u2 by sum(axis=(0, 2))."""
+    each tile summed over u1 and u2 by sum(axis=(0, 2))."""
     nw1, nw2 = C.wgrid.shape
     marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
-    for _, *planes in C.rows():
+    for _, _, *planes in C.tiles():
         for acc, p in zip(marg, planes):
-            acc += p.reshape(-1, nw1, C.ugrid.axis2.n, nw2).sum(axis=(0, 2))
+            acc += p.reshape(-1, nw1, p.shape[1] // nw2, nw2).sum(axis=(0, 2))
     marg = symplectic_join(*marg) * C.ugrid.cell
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
@@ -745,9 +746,10 @@ def test_streamed_residual_matches_full_formula(window):
 
     want = [_full_rel_l2(planes(f), planes(h)), _full_rel_l2(planes(k), planes(h))]
     assert min(want) > 0.1
-    got = [_streamed_rel_l2(blocks(h), blocks(x)) for x in (f, k)]
+    tiles = _col_tiles(ugrid.axis2.n, wgrid.axis2.n)
+    got = [_streamed_rel_l2(blocks(h), blocks(x), tiles) for x in (f, k)]
     assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(got, want))
-    got = _streamed_rel_l2(blocks(zero), blocks(f))
+    got = _streamed_rel_l2(blocks(zero), blocks(f), tiles)
     assert math.isclose(got, _full_rel_l2(planes(f), planes(zero)), rel_tol=1e-12)
 
 
@@ -766,7 +768,7 @@ def test_streamed_residual_refuses_misaligned_blocks():
 
     for want, got in ((blocks(), blocks(longer)), (blocks(longer), blocks())):
         with pytest.raises(ValueError):
-            _streamed_rel_l2(want, got)
+            _streamed_rel_l2(want, got, _col_tiles(g.axis2.n, wgrid.axis2.n))
 
 
 @pytest.mark.parametrize("window", [fixed_gaussian(1, 0.7), s_gaussian(),
@@ -832,26 +834,108 @@ def one_set(n):
 
 
 def test_analysis_rows_reuse_block_buffers():
-    """rows() of an analysis computes every block into the same two buffers,
-    each block equal to the stored rows; a stored set yields the same row
-    slices as views of its planes."""
+    """tiles() of an analysis computes every tile into the same two buffers,
+    each tile equal to the stored entries; a stored set yields the same row
+    and column slices as views of its planes."""
     g = grid(8)
     f = random_hermite_combo(g, seed=4)
     ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), g.axis2)
     args = (f, fixed_gaussian(1, 0.7), FOURIER, FOURIER, ugrid)
     stored = qlcst_forward(*args)
     seen = []
-    for rows, a, b in qlcst_analysis(*args).rows():
-        assert np.array_equal(a, stored.a[rows]) and np.array_equal(b, stored.b[rows])
+    for rows, cols, a, b in qlcst_analysis(*args).tiles():
+        assert (np.array_equal(a, stored.a[rows, cols])
+                and np.array_equal(b, stored.b[rows, cols]))
         seen.append((rows, a, b))
     assert len(seen) == len(_row_blocks(len(stored.a), stored.wgrid.axis1.n))
     assert all(np.shares_memory(a, seen[0][1]) and np.shares_memory(b, seen[0][2])
                for _, a, b in seen[1:])
-    got = list(stored.rows())
+    got = list(stored.tiles())
     assert [rows for rows, *_ in got] == [rows for rows, *_ in seen]
-    for rows, a, b in got:
+    for rows, cols, a, b in got:
         assert np.shares_memory(a, stored.a) and np.shares_memory(b, stored.b)
-        assert np.array_equal(a, stored.a[rows]) and np.array_equal(b, stored.b[rows])
+        assert (np.array_equal(a, stored.a[rows, cols])
+                and np.array_equal(b, stored.b[rows, cols]))
+
+
+def formula_mu2_factors(C):
+    """The mu2 factors of the analysis C term by term by the formula of
+    right_mu2, each in new arrays: (p + q)*0.5 and (p - q)*(-0.5j) of
+    p = (a + ib) @ K2^T and q = conj(conj(a - ib) @ K2^T)."""
+    (x1, x2), (u1, u2), (w1, w2) = ((g.axis1.points, g.axis2.points)
+                                    for g in (C.f.grid, C.ugrid, C.wgrid))
+    _, q = window_terms(C.window, u1[:, None, None] - x1, w1[:, None],
+                        u2[:, None, None] - x2, w2[:, None])
+    fu = np.concatenate([qmul(C.f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]],
+                        axis=1)
+    a, b = (h * C.f.grid.cell for h in symplectic_split(fu))
+    e2 = _phase_matrix(C.m2, x2, w2)
+    planes = [[], []]
+    for q_r in q:
+        k2 = _kernel(_floor(q_r), e2)
+        p_ = (a + 1j * b) @ k2.T
+        q_ = np.conj(np.conj(a - 1j * b) @ k2.T)
+        planes[0].append((p_ + q_) * 0.5)
+        planes[1].append((p_ - q_) * -0.5j)
+    return [np.concatenate(h) for h in planes]
+
+
+@pytest.mark.parametrize("window", [fixed_gaussian(1, 0.7), s_gaussian(),
+                                    OFF_LATTICE_TABLE],
+                         ids=["one-term", "s-gauss", "table"])
+def test_mu2_stage_is_the_formula(window):
+    """The mu2 factors that the producer forms in place, in the rows of each
+    term of its stacks, are the bits of the right_mu2 formula evaluated in
+    new arrays."""
+    m = dict(MATRIX_CASES)["fractional(pi/3)"]()[0]
+    C = qlcst_analysis(random_hermite_combo(grid(16), seed=5), window, FOURIER, m)
+    _, _, *got = next(C.blocks())
+    want = formula_mu2_factors(C)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_mu2_stage_traced_peak(n):
+    """The mu2 stage of the producer holds, at its traced peak, at most 1.7
+    times what it keeps for the blocks (the mu2 factors and the first K1
+    rows): one term's products go straight into the stacks and are combined
+    there through one temporary, made after K2 is freed.  It read 1.58 and
+    1.50 at N = 32 and 48 (fixed-gauss(1,1), Fourier); forming the planes
+    in new arrays read 3.33 and 3.39."""
+    C = qlcst_analysis(gen_signal("gaussian", grid(n)), fixed_gaussian(1, 1),
+                       FOURIER, FOURIER)
+    next(C.blocks())  # lazy set-up done before tracing
+    tracemalloc.start()
+    try:
+        blocks = C.blocks()
+        first = next(blocks)
+        keeps, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first[1] is not None and peak <= 1.7 * keeps
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_streamed_energy_working_set(n):
+    """A streamed energy holds the mu2 factors, two tile buffers and the K1
+    rows of one block, besides arrays the size of the signal (the signal,
+    its split products, the phase matrices, the density's sums, the next
+    block's K1 rows while it is built): its traced peak stays below those
+    plus 12 signal-sized complex arrays.  Full-width block buffers, or the
+    mu2 stage's former temporaries, exceed it."""
+    f = gen_signal("gaussian", grid(n))
+    cols = _col_tiles(n, n)[0]
+    bound = 16 * (2 * n ** 3 + 2 * ROW_BLOCK * n * (cols.stop - cols.start)
+                  + ROW_BLOCK * n * n + 12 * n * n)
+    tracemalloc.start()
+    try:
+        gap = energy_identity_gap(
+            qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap < 1e-12
+    assert peak < bound
 
 
 @pytest.mark.parametrize("n, n1", [(33, 33), (12, 2 * ROW_BLOCK + 3)])
@@ -878,16 +962,29 @@ def test_analysis_against_file_with_partial_last_block(tmp_path, n, n1):
 
 
 @pytest.mark.parametrize("case", [name for name, _ in MATRIX_CASES])
-@pytest.mark.parametrize("n, n1, window", [
-    (12, 2 * ROW_BLOCK + 3, fixed_gaussian(1, 0.7)),
-    (12, 2 * ROW_BLOCK + 3, OFF_LATTICE_TABLE),
-    (33, 33, fixed_gaussian(1, 0.7))], ids=["12-fixed-gauss", "12-table", "33-fixed-gauss"])
-def test_every_source_gives_the_same_bits(tmp_path, case, n, n1, window):
+@pytest.mark.parametrize("n, n1, window, tile_cols", [
+    (12, 2 * ROW_BLOCK + 3, fixed_gaussian(1, 0.7), TILE_COLS),
+    (12, 2 * ROW_BLOCK + 3, OFF_LATTICE_TABLE, TILE_COLS),
+    (33, 33, fixed_gaussian(1, 0.7), TILE_COLS),
+    (12, 2 * ROW_BLOCK + 3, OFF_LATTICE_TABLE, 1),
+    (33, 33, fixed_gaussian(1, 0.7), 1),
+    (12, 2 * ROW_BLOCK + 3, fixed_gaussian(1, 0.7), 40),
+    (33, 33, fixed_gaussian(1, 0.7), 40)],
+    ids=["12-fixed-gauss", "12-table", "33-fixed-gauss", "12-table-one-group",
+         "33-fixed-gauss-one-group", "12-fixed-gauss-3-tiles", "33-fixed-gauss-clipped"])
+def test_every_source_gives_the_same_bits(tmp_path, monkeypatch, case, n, n1, window,
+                                          tile_cols):
     """A stored set, the unstored analysis and its open QCF2 file yield the
-    same row blocks, so every reduction, synthesis, slice and written file is
+    same tiles, so every reduction, synthesis, slice and written file is
     the same bits from each, and each cross form of two of them is the form
     of the analysis with itself: on a u grid of the first N_u1 signal points
-    of axis 1, N_u1 one the block size does not divide, and at an odd N."""
+    of axis 1, N_u1 one the block size does not divide, and at an odd N;
+    with column tiles of the whole row (TILE_COLS), of one u2 group, and of
+    a few groups, at N=33 with a clipped last tile."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
+    assert [t.stop - t.start for t in _col_tiles(n, n)] == {
+        TILE_COLS: [n * n], 1: [n] * n,
+        40: [4 * n] * 3 if n == 12 else [2 * n] * 16 + [n]}[tile_cols]
     m1, m2 = dict(MATRIX_CASES)[case]()
     g = grid(n)
     f = random_hermite_combo(g, seed=9)
@@ -1106,10 +1203,10 @@ def whole_k1h_reconstruct(C):
                         x2s[:, None, None] - x2s, 1.0)
     e1h, e2h = _w_adjoints(C, g)
     k1h = _kernel(_floor(p), e1h.T).T
-    acc = [0, 0]
-    for rows, *planes in C.rows():
-        for i, plane in enumerate(planes):
-            acc[i] += k1h[:, rows] @ plane
+    acc = [np.zeros((len(k1h), C.plane_shape[1]), dtype=complex) for _ in range(2)]
+    for rows, cols, *planes in C.tiles():
+        for h, plane in zip(acc, planes):
+            h[:, cols] += k1h[:, rows] @ plane
     out = np.zeros(g.shape + (4,))
     for r, q_r in enumerate(q):
         a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)
@@ -1147,9 +1244,9 @@ def test_block_k1_gives_the_whole_k1_bits(tmp_path, window):
     want = whole_k1_planes(analysis)
     for src in sources:
         got = [np.empty(src.plane_shape, dtype=complex) for _ in range(2)]
-        for rows, *planes in src.rows():
+        for rows, cols, *planes in src.tiles():
             for out, plane in zip(got, planes):
-                out[rows] = plane
+                out[rows, cols] = plane
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
     if not window.w_dependent:
         for src in sources:
@@ -1205,9 +1302,9 @@ def test_streamed_residual_matches_two_products(monkeypatch, n, window):
     table and a full-rank table."""
     streamed, got = _streamed_rel_l2, []
 
-    def both(want, other):
+    def both(want, other, tiles):
         want, other = list(want), list(other)
-        got.append((streamed(iter(want), iter(other)),
+        got.append((streamed(iter(want), iter(other), tiles),
                     two_product_rel_l2(iter(want), iter(other))))
         return got[-1][0]
 
@@ -1401,6 +1498,64 @@ def test_checks_need_no_coefficient_set(monkeypatch):
     with pytest.raises(TooLarge):
         qlcst_forward(*args)
     assert checks(qlcst_analysis(*args)) == want
+
+
+def cgroup_tree(tmp_path, table, limits):
+    """A cgroup table listing `table` and, under a mount, the limit files
+    {relative path: text}, for _CGROUP_TABLE and _CGROUP_MOUNT."""
+    (tmp_path / "cgroup").write_text(table)
+    for rel, text in limits.items():
+        (tmp_path / "mnt" / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "mnt" / rel).write_text(text)
+    return str(tmp_path / "cgroup"), str(tmp_path / "mnt")
+
+
+@pytest.mark.parametrize("table, limits, name", [
+    ("0::/grp\n", {"grp/memory.max": "1000000\n"}, r"cgroup limit \(memory\.max\)"),
+    ("4:memory:/grp\n0::/\n", {"memory/grp/memory.limit_in_bytes": "1000000\n",
+                               "memory.max": "max\n"},
+     r"cgroup limit \(memory\.limit_in_bytes\)"),
+    ("2:cpu,memory:/\n", {"memory/memory.limit_in_bytes": "1000000\n"},
+     r"cgroup limit \(memory\.limit_in_bytes\)"),
+], ids=["v2", "v1", "v1-root"])
+def test_refusal_reads_the_cgroup_limit(monkeypatch, tmp_path, table, limits, name):
+    """A cgroup memory limit below physical memory refuses the 2 MB N=16 set
+    and is named in the message; files that read "max", are missing or
+    list no memory group are ignored, and so is an unreadable table."""
+    args = (gen_signal("gaussian", grid(16)), fixed_gaussian(1, 1), FOURIER, FOURIER)
+    paths = cgroup_tree(tmp_path, table, limits)
+    monkeypatch.setattr("qlcst.coefficients._CGROUP_TABLE", paths[0])
+    monkeypatch.setattr("qlcst.coefficients._CGROUP_MOUNT", paths[1])
+    with pytest.raises(TooLarge, match="0.001 GB of the " + name):
+        qlcst_forward(*args)
+    for rel in limits:
+        (tmp_path / "mnt" / rel).write_text("max\n")
+    qlcst_forward(*args)
+    for rel in limits:
+        (tmp_path / "mnt" / rel).unlink()
+    qlcst_forward(*args)
+    monkeypatch.setattr("qlcst.coefficients._CGROUP_TABLE", str(tmp_path / "none"))
+    for rel in limits:
+        (tmp_path / "mnt" / rel).write_text("1000000\n")
+    qlcst_forward(*args)
+
+
+def test_refusal_reads_the_address_space_limit(monkeypatch):
+    """A soft RLIMIT_AS below physical memory refuses the 2 MB N=16 set and
+    is named; an unlimited one is ignored; where physical memory is the
+    smallest limit, the message names it."""
+    args = (gen_signal("gaussian", grid(16)), fixed_gaussian(1, 1), FOURIER, FOURIER)
+    hard = resource.RLIM_INFINITY
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (10 ** 6, hard))
+    with pytest.raises(TooLarge,
+                       match=r"0.001 GB of the address-space limit \(RLIMIT_AS\)"):
+        qlcst_forward(*args)
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 5 * 10 ** 5)
+    with pytest.raises(TooLarge, match="0.0005 GB of physical memory"):
+        qlcst_forward(*args)
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 7)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (hard, hard))
+    qlcst_forward(*args)
 
 
 @pytest.mark.parametrize("n", [16, 32, 48])

@@ -328,7 +328,7 @@ def test_oracle_refused_beyond_memory(monkeypatch, tmp_path, capsys):
         raise AssertionError("a kernel table was built")
 
     monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 10 ** 5)
-    f = gen_signal("gaussian", small_grid(32))  # 448 B * 32^2 = 459 kB
+    f = gen_signal("gaussian", small_grid(32))  # 352 B * 32^2 = 360 kB
     path = tmp_path / "f.qsg"
     write_signal(path, f)
     with monkeypatch.context() as patch:

@@ -157,5 +157,5 @@ def test_right_mu2_matches_right_products():
     k = c * np.exp(1j * theta)
     factors = c[..., None] * qexp_axis(2, theta)               # (k, x, 4)
     direct = qmul(q[:, None], factors[None]).sum(axis=2)      # (row, k, 4)
-    a, b = right_mu2(*symplectic_split(q), lambda g: g @ k.T)
+    a, b = right_mu2(*symplectic_split(q), lambda g, out: np.matmul(g, k.T, out=out))
     assert np.max(np.abs(symplectic_join(a, b) - direct)) < 1e-14
