@@ -18,15 +18,21 @@ yields (rows, cols, a, b): views for a stored set or a file, the products
 k @ a[:, cols] and k @ b[:, cols] in two reused tile buffers for an
 analysis, valid only until the next tile.  So a reduction holds no
 coefficient set the source does not hold already, and no full-width row
-block of products.  Every plane value of every source is one of those tile
-products: stored() fills its planes tile by tile and the QCF2 writer
-(io.write_coefficients), which reads blocks() itself, computes an analysis
-one u1 row at a time tile by tile, because a GEMM split by columns need not
-give the bits of the whole product.  So the tiles of any two sources on the
-same grids line up and every tile-summed reduction gives the same bits from
-any source.  Every source is made whole by one stored(), which alone
-allocates planes, and is sliced by one slice_planes(), which alone checks a
-slice index.  One rule (_refuse_beyond_memory) refuses the planes, and the
+block of products.  tile_factors(tiles) yields the same tiles unmultiplied,
+as (rows, cols, k, a, b), in the order the source makes them at least
+cost: row blocks outer for a stored set or a file, column tiles outer for
+an analysis, which then holds the mu2 factors of one column tile only;
+stored() and u slices read it, whose results do not depend on the order.
+Every plane value of every source is one of those tile products: stored()
+fills its planes tile by tile and the QCF2 writer (io.write_coefficients),
+which reads blocks() itself, computes an analysis one u1 row at a time
+tile by tile, and an analysis's mu2 factors are those of one tile on every
+path (qlcst._mu2_tile), because a GEMM split by columns need not give the
+bits of the whole product.  So the tiles of any two sources on the same
+grids line up and every tile-summed reduction gives the same bits from any
+source.  Every source is made whole by one stored(), which alone allocates
+planes, and is sliced by one slice_planes(), which alone checks a slice
+index.  One rule (_refuse_beyond_memory) refuses the planes, and the
 stacked window terms of the analysis and the synthesis, beyond the smallest
 memory limit in force (_memory_limits).  This module imports no operator
 code.
@@ -186,6 +192,19 @@ class _Source:
                     parts = [_product(k, p, buf) for p, buf in zip(parts, bufs)]
                 yield (rows, cols, *parts)
 
+    def tile_factors(self, tiles):
+        """Yield (rows, cols, k, a, b) for each row block and each column
+        tile of `tiles` (of _col_tiles): the plane entries [rows, cols] are
+        k @ a and k @ b (a and b if k is None), in the order the source
+        makes them at least cost.  A stored set or a file yields views of
+        its row blocks, row blocks outer; an analysis (qlcst.QLCSTAnalysis)
+        overrides it with column tiles outer, each tile's mu2 factors valid
+        only until the next tile.  For consumers whose result does not
+        depend on the order: stored() and u slices."""
+        for rows, k, *planes in self.blocks():
+            for cols in tiles:
+                yield (rows, cols, k, *(p[:, cols] for p in planes))
+
     def density(self):
         """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2,
         computed on the first call and returned read-only from then on."""
@@ -205,19 +224,18 @@ class _Source:
 
     def stored(self):
         """The coefficients as QLCSTCoefficients, the planes filled in place
-        from blocks(), an analysis's tile by tile: the one allocation of
-        planes.  Planes beyond the memory limit are refused before anything
-        is allocated."""
+        tile by tile from tile_factors(), an analysis's column tiles outer:
+        the one allocation of planes.  Planes beyond the memory limit are
+        refused before anything is allocated."""
         _refuse_beyond_memory("coefficient planes", 2 * math.prod(self.plane_shape))
         planes = [np.empty(self.plane_shape, dtype=complex) for _ in range(2)]
         tiles = _col_tiles(self.ugrid.axis2.n, self.wgrid.axis2.n)
-        for rows, k, *parts in self.blocks():
+        for rows, cols, k, *parts in self.tile_factors(tiles):
             for plane, part in zip(planes, parts):
                 if k is None:
-                    plane[rows] = part
+                    plane[rows, cols] = part
                 else:  # the products of tiles(), bit for bit
-                    for cols in tiles:
-                        np.matmul(k, part[:, cols], out=plane[rows, cols])
+                    np.matmul(k, part, out=plane[rows, cols])
         return QLCSTCoefficients(*planes, self.ugrid, self.wgrid, self.window,
                                  self.m1, self.m2)
 
@@ -228,8 +246,10 @@ class _Source:
         fixed = "u": freeze the position index pair, return (w1, w2) arrays.
         fixed = "w": freeze the frequency index pair, return (u1, u2) arrays.
         Every block is read, so a file checks every value, and only the slice
-        is kept; a u slice computes, of the one block that holds its u1 row,
-        that row's product with the one column tile that holds its u2 group.
+        is kept; a u slice reads the one column tile that holds its u2 group
+        (tile_factors, so an analysis computes the mu2 factors of that tile
+        only) and computes, of the one block that holds its u1 row, that
+        row's product.
         """
         if fixed not in ("u", "w"):
             raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
@@ -253,11 +273,11 @@ class _Source:
                     cols.start // nw2:cols.stop // nw2] = a4[:, i, :, j], b4[:, i, :, j]
             return out
         cols = next(c for c in tiles if j * nw2 < c.stop)
-        for rows, k, *planes in self.blocks():
+        for rows, _, k, *planes in self.tile_factors([cols]):
             first = rows.start // nw1  # the block's first u1 row
             if first <= i < rows.stop // nw1:
                 u1 = slice((i - first) * nw1, (i - first + 1) * nw1)
-                out[:] = [_split4(p[u1, cols] if k is None else k[u1] @ p[:, cols],
+                out[:] = [_split4(p[u1] if k is None else k[u1] @ p,
                                   nw1, nw2)[0, :, j - cols.start // nw2]
                           for p in planes]
         return out

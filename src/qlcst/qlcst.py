@@ -19,22 +19,30 @@ analysis is sum_r K1_r @ sum_c (f * conj(e_c) * cell) @ K2_rc^T, each K2_rc
 applied through right_mu2 first; synthesis is the adjoint contraction,
 right-multiplied by e_c.  A built-in window is one real term; a table has
 R <= min(n1, 4*n2), and cost and memory grow with R: the stacked mu2
-factors as R*N^3, the K1_r rows of one block (all that is built of them)
-as R*N^2.  The mu2 stage forms each term's P and Q products in that term's
-rows of the stacked factors and combines them there in place, after K2 is
-freed (right_mu2).  One producer of u1 row blocks (_analysis_blocks)
-serves every check through the column tiles C.tiles() of a stored set, a
-QCF2 file or an unstored qlcst_analysis, and qlcst_forward is the stored()
-of the analysis, its planes filled in place with those tile products.
-All three yield the same tiles, so every reduction gives the same bits.
-The producer is a pure contraction of data: it takes the output points and
-the per-axis kernel matrices, which the analysis builds from its grids and
-_phase_matrix, and covariance_residuals by one side rule for all six sides,
-with reversed points (parity) or shifted kernel phases (shift, modulation),
-so it needs no analysis object.  Its shift analyses f's own
-samples on the x grid moved by alpha, the shifted signal exactly.  The
-pointwise inverse reads C.slice_planes(), so it too takes any source; on an
-unstored analysis that computes its u1 row of one tile.
+factors of whole rows as R*N^3, those of one column tile as R*N*TILE_COLS,
+the K1_r rows of one block (all that is built of them) as R*N^2.  The mu2
+factors follow one rule, one column tile (coefficients._col_tiles) at a
+time against only that tile's K2 rows (_mu2_tile), on every path, because
+a GEMM split by columns need not give the bits of the whole product; each
+term's P and Q products are formed in its rows of the tile's factors and
+combined there in place, after K2 is freed (right_mu2).  Two producers
+share that rule.  _analysis_blocks yields u1 row blocks over the factors
+of whole rows, filled tile by tile; it serves the checks through the
+column tiles C.tiles() of a stored set, a QCF2 file or an unstored
+qlcst_analysis, which all yield the same tiles in row order, so every
+reduction gives the same bits and an analysis zips with a file.
+_analysis_tiles runs column tile outer and row block inner and holds one
+column block of factors; it serves the consumers with no file partner:
+stored() (so qlcst_forward fills its planes in place from it), u slices
+and covariance_residuals.  Both producers are pure contractions of data:
+they take the output points and the per-axis kernel matrices, which the
+analysis builds from its grids and _phase_matrix, and covariance_residuals
+by one side rule for all six sides, with reversed points (parity) or
+shifted kernel phases (shift, modulation), so it needs no analysis object.
+Its shift analyses f's own samples on the x grid moved by alpha, the
+shifted signal exactly.  The pointwise inverse reads C.slice_planes(), so
+it too takes any source; on an unstored analysis that computes the mu2
+factors of one tile and the u1 row of one block.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda: exact on every u grid dual to the w grid
 (signal.dual_ratio).
@@ -67,7 +75,8 @@ PROFILE_FLOOR = 1e-200
 @dataclass
 class QLCSTAnalysis(_Source):
     """The analysis of f, unstored: blocks() yields the factors of the plane
-    rows (_analysis_blocks), and tiles() computes them as they are read."""
+    rows (_analysis_blocks), and tiles() computes them as they are read;
+    tile_factors() yields them column tile outer (_analysis_tiles)."""
 
     f: QSignal2D
     window: WindowSpec
@@ -76,12 +85,19 @@ class QLCSTAnalysis(_Source):
     ugrid: Grid2D
     wgrid: Grid2D
 
-    def blocks(self):
+    def _producer_args(self):
+        """The signal, window, output points and kernel matrices of the
+        producers."""
         (x1, x2), u, (w1, w2) = (_points(g) for g in (self.f.grid, self.ugrid,
                                                        self.wgrid))
-        return _analysis_blocks(self.f, self.window, u, (w1, w2),
-                                _phase_matrix(self.m1, x1, w1),
-                                _phase_matrix(self.m2, x2, w2))
+        return (self.f, self.window, u, (w1, w2), _phase_matrix(self.m1, x1, w1),
+                _phase_matrix(self.m2, x2, w2))
+
+    def blocks(self):
+        return _analysis_blocks(*self._producer_args())
+
+    def tile_factors(self, tiles):
+        return _analysis_tiles(*self._producer_args(), tiles)
 
 
 def _points(grid):
@@ -154,17 +170,57 @@ def _contract(a, b, k1, k2):
     return k1 @ a, k1 @ b
 
 
-def _refuse_stacked_terms(nterms, x1s, u, w):
+def _refuse_stacked_terms(nterms, nx1, ncols, nu1, nw1):
     """Refuse beyond the memory limit (TooLarge, by the rule of
     coefficients._refuse_beyond_memory) what the analysis and the synthesis
-    hold of the R = nterms terms of a window, on the x1 points x1s and the
-    output points u = (u1, u2), w = (w1, w2): two R*N_x1 by N_u2*N_w2
-    planes (the analysis's mu2 factors, the synthesis's accumulated K1^H
-    sums) and the K1 rows (K1^H columns) of the largest block,
-    R*N_x1 by min(ROW_BLOCK, N_u1)*N_w1."""
+    hold of the R = nterms terms of a window on N_x1 = nx1 points, with
+    N_u1 = nu1 and N_w1 = nw1 output points on axis 1: two R*N_x1 by ncols
+    planes (the analysis's mu2 factors of the plane columns it holds, all
+    N_u2*N_w2 in row order or the widest column tile's with tiles outer;
+    the synthesis's accumulated K1^H sums) and the K1 rows (K1^H columns) of
+    the largest block, R*N_x1 by min(ROW_BLOCK, N_u1)*N_w1."""
+    _refuse_beyond_memory("stacked window terms", nterms * nx1 * (
+        2 * ncols + min(ROW_BLOCK, nu1) * nw1))
+
+
+def _analysis_terms(f, window, u, w, ncols):
+    """(p, q, g) of the analysis of f at the output points u = (u1, u2) and
+    w = (w1, w2): the window's floored terms (_floored_terms) and the split
+    products g = (a, b) of f * conj(e_c) * cell for the C components of the
+    terms, side by side; refused (_refuse_stacked_terms) for mu2 factors of
+    ncols plane columns before g or any factor exists."""
     (u1s, u2s), (w1s, w2s) = u, w
-    _refuse_beyond_memory("stacked window terms", nterms * len(x1s) * (
-        2 * len(u2s) * len(w2s) + min(ROW_BLOCK, len(u1s)) * len(w1s)))
+    x1s, x2s = _points(f.grid)
+    p, q = _floored_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
+                          u2s[:, None, None] - x2s, w2s[:, None])
+    _refuse_stacked_terms(len(q), len(x1s), ncols, len(u1s), len(w1s))
+    g = tuple(h * f.grid.cell for h in symplectic_split(np.concatenate(
+        [qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]], axis=1)))
+    return p, q, g
+
+
+def _mu2_tile(g, q, e2, cols, nw2, out):
+    """The mu2 factors of the plane columns cols, one column tile of whole
+    u2 groups (nw2 columns each), into the two R*N_x1 by len(cols) arrays
+    out: the rows of term r are sum_c g @ K2_rc^T over the tile's rows of
+    the K2_rc only, each one product with the K2_rc side by side.  Each
+    term's K2 rows are built for its own products only, which right_mu2
+    forms in the term's rows of out and combines there after freeing them.
+    The one mu2 rule of every path: a GEMM split by columns need not give
+    the bits of the whole product, so every factor is that of its tile."""
+    (ga, gb), groups = g, slice(cols.start // nw2, cols.stop // nw2)
+    for r, q_r in enumerate(q):
+        rows = slice(r * len(ga), (r + 1) * len(ga))
+        # no *args call: its argument tuple would hold K2 past right_mu2's del
+        right_mu2(ga, gb, _times(_kernel(q_r[:, groups], e2).T),
+                  (out[0][rows], out[1][rows]))
+
+
+def _k1_rows(p, e1, rows, nw1):
+    """The K1 rows of the plane rows `rows` (nw1 per u1 row), side by side
+    over the terms, from the profiles p floored over their whole extent, so
+    they are the rows of the whole K1_r."""
+    return _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1)
 
 
 def _analysis_blocks(f, window, u, w, e1, e2):
@@ -174,38 +230,53 @@ def _analysis_blocks(f, window, u, w, e1, e2):
     the plane rows `rows` of the block are k @ a and k @ b.
 
     The window's terms (window_terms) give the K1_r side by side in k, and
-    their mu2 factors sum_c (f * conj(e_c) * cell) @ K2_rc^T, each one
-    product with the K2_rc side by side, on top of each other in a and b, so
-    k @ a is the sum over terms.  The mu2 side is contracted once, one term
-    at a time into the planes a and b, and each block builds only its own
-    rows of the K1_r (coefficients._row_blocks), from profiles floored once
-    over their whole extent, so they are the rows of the whole K1_r.  a and
-    b grow as R*N^3 and a block's K1 rows as R*N^2; both are refused beyond
-    the memory limit before either exists (_refuse_stacked_terms).  The
-    points and kernel rows are taken in the order given, so reversed ones
-    give the planes reversed.
+    their mu2 factors, on top of each other in a and b, so k @ a is the sum
+    over terms.  a and b are whole rows, filled column tile by column tile
+    (_col_tiles) by the one per-tile rule _mu2_tile straight into their
+    columns, and each block builds only its own rows of the K1_r
+    (coefficients._row_blocks, _k1_rows).  a and b grow as R*N^3 and a
+    block's K1 rows as R*N^2; both are refused beyond the memory limit
+    before either exists (_refuse_stacked_terms).  The row order of files:
+    tiles() and the QCF2 writer read it.  The points and kernel rows are
+    taken in the order given, so reversed ones give the planes reversed.
     """
     (u1s, u2s), (w1s, w2s) = u, w
-    x1s, x2s = _points(f.grid)
-    p, q = _floored_terms(window, u1s[:, None, None] - x1s, w1s[:, None],
-                          u2s[:, None, None] - x2s, w2s[:, None])
-    _refuse_stacked_terms(len(q), x1s, u, w)
-    nx1, nw1 = len(x1s), len(w1s)
-    # f * conj(e_c) * cell for the C components of the terms, side by side
-    ga, gb = (h * f.grid.cell for h in symplectic_split(np.concatenate(
-        [qmul(f.data, qconj(e)) for e in np.eye(4)[:q.shape[1]]], axis=1)))
+    ncols, nw1 = len(u2s) * len(w2s), len(w1s)
+    p, q, g = _analysis_terms(f, window, u, w, ncols)
     # both planes in one allocation, like the tile buffers: with separate
     # ones glibc mapped them afresh for each analysis, and one verify pass
     # took 60k minor page faults (about 0.13 s) against 11k
-    a, b = np.empty((2, len(q) * nx1, len(u2s) * len(w2s)), dtype=complex)
-    for r, q_r in enumerate(q):
-        # each K2_r is built for its own products only, which right_mu2 forms
-        # in the rows of term r and combines there after freeing K2_r
-        rows = slice(r * nx1, (r + 1) * nx1)
-        right_mu2(ga, gb, _times(_kernel(q_r, e2).T), (a[rows], b[rows]))
-    del q, ga, gb  # freed before the first K1 rows are built
+    a, b = np.empty((2, len(q) * len(g[0]), ncols), dtype=complex)
+    for cols in _col_tiles(len(u2s), len(w2s)):
+        _mu2_tile(g, q, e2, cols, len(w2s), (a[:, cols], b[:, cols]))
+    del q, g  # freed before the first K1 rows are built
     for rows in _row_blocks(len(u1s) * nw1, nw1):
-        yield rows, _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1), a, b
+        yield rows, _k1_rows(p, e1, rows, nw1), a, b
+
+
+def _analysis_tiles(f, window, u, w, e1, e2, tiles):
+    """Yield the analysis planes of _analysis_blocks (the same arguments)
+    column tile outer, as (rows, cols, k, a, b) for each column tile cols
+    of `tiles` (of _col_tiles, the first the widest) and, inner, each row
+    block rows: the plane entries [rows, cols] are k @ a and k @ b.
+
+    a and b are the tile's mu2 factors (_mu2_tile), R*N_x1 by len(cols),
+    in two reused buffers and valid only until the next tile; the K1 rows
+    of each block are built again for each tile.  So one column block of
+    factors is held, refused beyond the memory limit at the width of the
+    first tile (_refuse_stacked_terms), and the bits are those of
+    _analysis_blocks."""
+    (u1s, _), (w1s, w2s) = u, w
+    nw1, width = len(w1s), tiles[0].stop - tiles[0].start
+    p, q, g = _analysis_terms(f, window, u, w, width)
+    n = len(q) * len(g[0])
+    bufs = np.empty((2, n * width), dtype=complex)
+    for cols in tiles:
+        size = cols.stop - cols.start
+        a, b = (buf[:n * size].reshape(n, size) for buf in bufs)
+        _mu2_tile(g, q, e2, cols, len(w2s), (a, b))
+        for rows in _row_blocks(len(u1s) * nw1, nw1):
+            yield rows, cols, _k1_rows(p, e1, rows, nw1), a, b
 
 
 def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
@@ -278,15 +349,17 @@ def qlcst_reconstruct(C):
     itself with an s >= 2, passes undetected.  Over the window's
     terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
     K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.tiles(), so
-    C may be stored or unstored, each sum kept by column tile and joined
-    into whole rows (one tile already is) before the mu2 stage; each block
-    builds only its own columns of the K1_r^H, from profiles floored once
-    over their whole extent.  The kernels are built on the adjoint phase
-    matrices of _w_adjoints and the mu2 side is contracted by
-    _right_contract, as in the analysis.  The two accumulated sums and one
-    block of K1^H columns are the analysis's stacked terms (a third sum
-    while one is joined), refused beyond the memory limit by its rule
-    (_refuse_stacked_terms, TooLarge) before a kernel is built.  F is
+    C may be stored or unstored, each sum kept by column tile; each block
+    builds only its own columns of the K1_r^H (_k1_rows), from profiles
+    floored once over their whole extent.  Each tile's sums are then
+    contracted with that tile's columns of the adjoint K2_rc, and the
+    results added into the output in tile order, so no sum is joined into
+    whole rows.  The kernels are built on the adjoint phase matrices of
+    _w_adjoints and the mu2 side is contracted by _right_contract, as in
+    the analysis.  The two accumulated sums and one block of K1^H columns
+    are the analysis's stacked terms in row order, refused beyond the
+    memory limit by its rule (_refuse_stacked_terms, TooLarge) before a
+    kernel is built.  F is
     the Gram form sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the
     term products.
     An x that no u reaches (F(x) <= eps * max F) is refused.
@@ -301,36 +374,37 @@ def qlcst_reconstruct(C):
     x1s, x2s = _points(g)
     p, q = _floored_terms(C.window, x1s[:, None, None] - x1s, 1.0,
                           x2s[:, None, None] - x2s, 1.0)  # no w dependence
-    _refuse_stacked_terms(len(q), x1s, (x1s, x2s), _points(C.wgrid))
+    nw1, nw2 = C.wgrid.shape
+    _refuse_stacked_terms(len(q), len(x1s), C.plane_shape[1], len(x1s), nw1)
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
     e1h, e2h = _w_adjoints(C, g)
-    nw1 = C.wgrid.axis1.n
     # each sum is kept by column tile, the tiles contiguous segments of one
     # buffer: numpy adds into the strided columns of a whole sum about half
-    # as fast
-    n, tiles, acc = len(q) * len(x1s), _col_tiles(g.axis2.n, C.wgrid.axis2.n), []
-    for _ in range(2):
-        flat = np.zeros(n * C.plane_shape[1], dtype=complex)
-        acc.append({c.start: flat[n * c.start:n * c.stop].reshape(n, c.stop - c.start)
-                    for c in tiles})
+    # as fast.  Two buffers, not one of both: freeing a mapping raises
+    # glibc's mmap threshold to its size, and after one 7 MB mapping (N=48)
+    # the 3.5 MB file blocks of later calls came from the heap, which kept
+    # them, and the CLI's peak RSS rose by 0.8 MB
+    n, tiles = len(q) * len(x1s), _col_tiles(g.axis2.n, nw2)
+    flat = [np.zeros(n * C.plane_shape[1], dtype=complex) for _ in range(2)]
+    acc = {c.start: [h[n * c.start:n * c.stop].reshape(n, c.stop - c.start)
+                     for h in flat] for c in tiles}
     built = None  # the row block whose K1^H columns k1h holds
     for rows, cols, *planes in C.tiles():
         if rows != built:
-            k1h = _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1h.T).T
+            k1h = _k1_rows(p, e1h.T, rows, nw1).T
             built = rows
-        for h, plane in zip(acc, planes):
-            h[cols.start] += k1h @ plane
-    # a file's block buffers are freed before the mu2 stage, and each sum's
-    # tiles once they are joined into whole rows, which one tile already is
-    del flat, planes, plane, h, k1h
-    acc = ([h[0] for h in acc] if len(tiles) == 1 else
-           [np.concatenate(list(acc.pop(0).values()), axis=1) for _ in range(2)])
+        for h, plane in zip(acc[cols.start], planes):
+            h += k1h @ plane
+    del planes, plane, h, k1h  # a file's block buffers, freed before the mu2 stage
     out = np.zeros(g.shape + (4,))
-    for r, q_r in enumerate(q):
-        a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc)
-        adj = symplectic_join(*_right_contract(a, b, _kernel(q_r, e2h.T).T))
-        for c, e in enumerate(np.eye(4)[:len(q_r)]):  # (x1, (c, x2)) columns
-            out += qmul(adj[:, c * len(x2s):(c + 1) * len(x2s)], e)
+    for cols in tiles:
+        groups = slice(cols.start // nw2, cols.stop // nw2)
+        for r, q_r in enumerate(q):
+            a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc[cols.start])
+            adj = symplectic_join(*_right_contract(
+                a, b, _kernel(q_r[:, groups], e2h.T).T))
+            for c, e in enumerate(np.eye(4)[:len(q_r)]):  # (x1, (c, x2)) columns
+                out += qmul(adj[:, c * len(x2s):(c + 1) * len(x2s)], e)
     out *= C.wgrid.cell
     frame = np.einsum("rsx,rsy->xy", np.einsum("ruwx,suwx->rsx", p, p),
                       np.einsum("rcuwx,scuwx->rsx", q, q))
@@ -384,29 +458,26 @@ def marginal_qlct_gap(C, f):
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
 
-def _streamed_rel_l2(want, got, tiles):
+def _streamed_rel_l2(want, got):
     """relative_l2, over the quaternion components, of the planes of the
-    _analysis_blocks producer got against those of the producer want,
-    accumulated one plane tile at a time, the column tiles `tiles` of each
-    row block, so that no coefficient set is ever held.  Both producers are
-    built on the same point counts, so their row blocks line up.  Each tile
-    gives, for each plane, two products into two reused tile buffers: the
-    reference k @ plane[:, cols] and the difference
-    gk @ other[:, cols] - k @ plane[:, cols].
+    _analysis_tiles producer got against those of the producer want,
+    accumulated one plane tile at a time, column tiles outer, so that no
+    coefficient set and no full-width mu2 factors are ever held.  Both
+    producers are built on the same point counts and tiles, so their tiles
+    line up.  Each tile gives, for each plane, two products into two reused
+    tile buffers: the reference k @ a and the difference gk @ ga - k @ a.
     """
     num = denom = 0.0
     bufs = None
-    for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
+    for (_, _, k, *planes), (_, _, gk, *gots) in zip(want, got, strict=True):
         if bufs is None:  # the first tile of the first block is the largest
-            width = tiles[0].stop - tiles[0].start
-            bufs = np.empty((2, len(k) * width), dtype=complex)
-        for cols in tiles:
-            for plane, other in zip(planes, gots):
-                ref = _product(k, plane[:, cols], bufs[0])
-                diff = _product(gk, other[:, cols], bufs[1])
-                diff -= ref
-                denom += np.vdot(ref, ref).real
-                num += np.vdot(diff, diff).real
+            bufs = np.empty((2, len(k) * planes[0].shape[1]), dtype=complex)
+        for plane, other in zip(planes, gots):
+            ref = _product(k, plane, bufs[0])
+            diff = _product(gk, other, bufs[1])
+            diff -= ref
+            denom += np.vdot(ref, ref).real
+            num += np.vdot(diff, diff).real
     return math.sqrt(num / denom if denom else num)
 
 
@@ -422,7 +493,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     on the default grids of qlcst_analysis.
 
     Every side of every identity comes from one rule, side(g, u, w, t, phi,
-    window): the _analysis_blocks producer of g under window at the points
+    window): the _analysis_tiles producer of g under window at the points
     u and w, with the kernel matrices _phase_matrix(m, x points of g, t) *
     exp(i*phi(w)), the kernel at the frequencies t times the w-dependent
     phase factor exp(mu1*phi1) * . * exp(mu2*phi2) of the identity, which
@@ -435,8 +506,9 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     are evaluated directly at (u - alpha, w).  The modulation identity
     evaluates the kernel at (x, w - s*B), the frequency shift in the
     frequency slot, and the window at w.  Each check zips the producers of
-    its two sides (_streamed_rel_l2), which holds, besides their mu2 factors
-    and one block of K1 rows each, two tile products.
+    its two sides column tile outer (_analysis_tiles, _streamed_rel_l2),
+    which holds, besides one column tile's mu2 factors and one block of K1
+    rows of each, two tile products.
     """
     x = u = _points(f.grid)  # the default u grid is f's grid
     w = _points(fft_output_grid(f.grid, m1.b, m2.b))
@@ -450,9 +522,9 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
                         for ax, d in zip((f.grid.axis1, f.grid.axis2), t)))
 
     def side(g, u, w, t, phi, window):
-        return _analysis_blocks(g, window, u, w, *(
+        return _analysis_tiles(g, window, u, w, *(
             _phase_matrix(m, xs, ts) * np.exp(1j * np.reshape(ph, (-1, 1)))
-            for m, xs, ts, ph in zip((m1, m2), _points(g.grid), t, phi)))
+            for m, xs, ts, ph in zip((m1, m2), _points(g.grid), t, phi)), tiles)
 
     # Parity: transform of the reflected signal under the reflected window
     # equals the coefficients sampled at (-u, -w); on centered midpoint grids
@@ -462,8 +534,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     u_rev, w_rev = ([pts[::-1] for pts in v] for v in (u, w))
     f_ref = QSignal2D(f.data[::-1, ::-1].copy(), f.grid)
     parity = _streamed_rel_l2(side(f, u_rev, w_rev, w_rev, no_phase, window),
-                              side(f_ref, u, w, w, no_phase, reflect(window)),
-                              tiles)
+                              side(f_ref, u, w, w, no_phase, reflect(window)))
 
     # Shift covariance.  The window keeps its w; only its u - x argument
     # moves with the grid.
@@ -473,8 +544,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
         side(QSignal2D(f.data, moved(alpha)), u, w, w, no_phase, window),
         side(f_tilde, _points(moved([-d for d in alpha])), w, w,
              ((m1.a * alpha[0] ** 2 - 2.0 * alpha[0] * w1) / (2.0 * m1.b),
-              (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2) / (2.0 * m2.b)), window),
-        tiles)
+              (m2.a * alpha[1] ** 2 - 2.0 * alpha[1] * w2) / (2.0 * m2.b)), window))
 
     # Modulation covariance: the analysis of exp(mu1 s1 x1) f exp(mu2 s2 x2)
     # against that of f with the kernels at w - s*B.
@@ -482,8 +552,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
         side(sandwich_phase(f, s[0] * x[0], s[1] * x[1]), u, w, w, no_phase, window),
         side(f, u, w, (w1 - s[0] * m1.b, w2 - s[1] * m2.b),
              (m1.d / 2.0 * (2.0 * w1 * s[0] - m1.b * s[0] ** 2),
-              m2.d / 2.0 * (2.0 * w2 * s[1] - m2.b * s[1] ** 2)), window),
-        tiles)
+              m2.d / 2.0 * (2.0 * w2 * s[1] - m2.b * s[1] ** 2)), window))
 
     return CovarianceReport(parity, shift, modulation)
 

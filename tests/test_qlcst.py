@@ -737,8 +737,9 @@ def test_streamed_residual_matches_full_formula(window):
     ugrid = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 3), g.axis2)
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
 
-    def blocks(f):
-        return qlcst_analysis(f, window, FOURIER, FOURIER, ugrid, wgrid).blocks()
+    def tiles(f):
+        return qlcst_analysis(f, window, FOURIER, FOURIER, ugrid, wgrid).tile_factors(
+            _col_tiles(ugrid.axis2.n, wgrid.axis2.n))
 
     def planes(f):
         c = qlcst_forward(f, window, FOURIER, FOURIER, ugrid, wgrid)
@@ -746,10 +747,9 @@ def test_streamed_residual_matches_full_formula(window):
 
     want = [_full_rel_l2(planes(f), planes(h)), _full_rel_l2(planes(k), planes(h))]
     assert min(want) > 0.1
-    tiles = _col_tiles(ugrid.axis2.n, wgrid.axis2.n)
-    got = [_streamed_rel_l2(blocks(h), blocks(x), tiles) for x in (f, k)]
+    got = [_streamed_rel_l2(tiles(h), tiles(x)) for x in (f, k)]
     assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(got, want))
-    got = _streamed_rel_l2(blocks(zero), blocks(f), tiles)
+    got = _streamed_rel_l2(tiles(zero), tiles(f))
     assert math.isclose(got, _full_rel_l2(planes(f), planes(zero)), rel_tol=1e-12)
 
 
@@ -762,13 +762,13 @@ def test_streamed_residual_refuses_misaligned_blocks():
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
     longer = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 1), g.axis2)
 
-    def blocks(ugrid=g):
+    def tiles(ugrid=g):
         return qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER, ugrid,
-                              wgrid).blocks()
+                              wgrid).tile_factors(_col_tiles(g.axis2.n, wgrid.axis2.n))
 
-    for want, got in ((blocks(), blocks(longer)), (blocks(longer), blocks())):
+    for want, got in ((tiles(), tiles(longer)), (tiles(longer), tiles())):
         with pytest.raises(ValueError):
-            _streamed_rel_l2(want, got, _col_tiles(g.axis2.n, wgrid.axis2.n))
+            _streamed_rel_l2(want, got)
 
 
 @pytest.mark.parametrize("window", [fixed_gaussian(1, 0.7), s_gaussian(),
@@ -1048,9 +1048,10 @@ def test_block_size_changes_no_bits(tmp_path, monkeypatch, n, n1):
 
 
 def test_u_slice_of_an_analysis_computes_one_block():
-    """A u slice of an unstored analysis reads every row block but computes
-    the product of only the one that holds its u1 row, and gives the stored
-    slice's bits; a w slice computes every block."""
+    """A u slice of an unstored analysis reads every row block of the one
+    column tile that holds its u2 group (tile_factors), and no full-width
+    block, but computes the product of only the one block that holds its u1
+    row, and gives the stored slice's bits; a w slice computes every block."""
     g = grid(8)
     f = random_hermite_combo(g, seed=3)
     ugrid = Grid2D(Grid1D.centered(8.0, 3 * ROW_BLOCK + 1), g.axis2)
@@ -1067,24 +1068,60 @@ def test_u_slice_of_an_analysis_computes_one_block():
             products.append(ufunc)
             return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
-    blocks = analysis.blocks
+    blocks, tile_factors = analysis.blocks, analysis.tile_factors
 
     def counted_blocks():
         for rows, k, a, b in blocks():
-            read.append(rows)
+            read.append((rows, None))
             yield rows, k.view(Counted), a, b
 
-    analysis.blocks = counted_blocks
+    def counted_tiles(tiles):
+        for rows, cols, k, a, b in tile_factors(tiles):
+            read.append((rows, cols))
+            yield rows, cols, k.view(Counted), a, b
+
+    analysis.blocks, analysis.tile_factors = counted_blocks, counted_tiles
+    cols = _col_tiles(ugrid.axis2.n, analysis.wgrid.axis2.n)
+    assert cols == [slice(0, analysis.plane_shape[1])]
     for i in range(ugrid.axis1.n):
         products.clear()
         read.clear()
         got = analysis.slice_planes("u", (i, 2))
-        assert products == [np.matmul] * 2 and len(read) == nblocks
+        assert products == [np.matmul] * 2
+        assert [c for _, c in read] == cols * nblocks
         assert np.array_equal(got, stored.slice_planes("u", (i, 2)))
     products.clear()
     got = analysis.slice_planes("w", (1, 2))
     assert products == [np.matmul] * (2 * nblocks)
     assert np.array_equal(got, stored.slice_planes("w", (1, 2)))
+
+
+def test_u_slice_of_an_analysis_builds_one_tile_of_factors(monkeypatch):
+    """At N=48 with eight column tiles of 288 columns, a u slice of an
+    unstored analysis and its pointwise inverse give the bits of the stored
+    set's and hold, at their traced peak, one tile's mu2 factors and one
+    mu2 temporary of its size, one block of K1 rows and 20 signal-sized
+    arrays (1.47 MB): not the 3.5 MB of full-width factors, with which the
+    slice read 5.7 MB."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", 256)
+    n = 48
+    width = [t.stop - t.start for t in _col_tiles(n, n)]
+    assert width == [288] * 8
+    f = random_hermite_combo(grid(n), seed=3)
+    args = (f, fixed_gaussian(1, 0.7), FOURIER, FOURIER)
+    stored, analysis = qlcst_forward(*args), qlcst_analysis(*args)
+    bound = 16 * (3 * n * width[0] + ROW_BLOCK * n * n + 20 * n * n)
+    for read in (lambda c: c.slice_planes("u", (n - 1, n // 2)),
+                 lambda c: qlcst_pointwise_inverse(c, (5, n - 1)).data):
+        want = read(stored)
+        tracemalloc.start()
+        try:
+            got = read(analysis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < bound
 
 
 def full_rank_table(n):
@@ -1147,6 +1184,35 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1e6  # the stacked mu2 factors alone take 4.1 MB
+
+
+def test_tile_outer_refusal_counts_one_tile(monkeypatch):
+    """The refusal charges each producer the mu2 factors it holds: one
+    column tile's, 2*R*N_x1*|tile|, when tiles are outer, whole rows' in row
+    order.  With four tiles of 64 columns at N = 16 under the full-rank
+    table and a memory limit of 2.5 MB, between the 1.3 MB of one tile's
+    factors and one block of K1 rows and the 4.3 MB of whole rows',
+    covariance_residuals and qlcst_forward (whose 2.1 MB planes fit) run
+    and give the unlimited bits, while the blocks() of the analysis, and
+    the synthesis with its whole-row K1^H sums, are refused."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", 64)
+    r, n = 31, 16
+    assert [t.stop - t.start for t in _col_tiles(n, n)] == [64] * 4
+    args = (gen_signal("gaussian", grid(n)), FULL_RANK_TABLE, FOURIER, FOURIER)
+    one_tile, rows = (r * n * (2 * cols + ROW_BLOCK * n) * 16 for cols in (64, n * n))
+    limit = 25 * 10 ** 5
+    assert one_tile < limit < rows and one_set(n) < limit
+    want_rep, want = covariance_residuals(*args), qlcst_forward(*args)
+    monkeypatch.setattr("qlcst.coefficients._memory_limits",
+                        lambda: [("a test limit", limit)])
+    assert covariance_residuals(*args) == want_rep
+    got = qlcst_forward(*args)
+    assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+    message = "stacked window terms of %.3g GB" % (rows / 1e9)
+    with pytest.raises(TooLarge, match=message):
+        next(qlcst_analysis(*args).blocks())
+    with pytest.raises(TooLarge, match=message):
+        qlcst_reconstruct(got)
 
 
 @pytest.mark.parametrize("window", [fixed_gaussian(1, 0.7), OFF_LATTICE_TABLE],
@@ -1279,10 +1345,10 @@ def test_k1_floor_comes_from_the_whole_profile():
 
 
 def two_product_rel_l2(want, got):
-    """The residual of _streamed_rel_l2 by two products per plane block,
+    """The residual of _streamed_rel_l2 by two products per plane tile,
     the reference and the other side, and their difference."""
     num = denom = 0.0
-    for (_, k, *planes), (_, gk, *gots) in zip(want, got, strict=True):
+    for (_, _, k, *planes), (_, _, gk, *gots) in zip(want, got, strict=True):
         for plane, other in zip(planes, gots):
             ref = k @ plane
             diff = gk @ other - ref
@@ -1302,9 +1368,19 @@ def test_streamed_residual_matches_two_products(monkeypatch, n, window):
     table and a full-rank table."""
     streamed, got = _streamed_rel_l2, []
 
-    def both(want, other, tiles):
-        want, other = list(want), list(other)
-        got.append((streamed(iter(want), iter(other), tiles),
+    def kept(tiles):
+        """The producer's tiles as a list, each tile's mu2 factors copied
+        once, so that they outlive the next tile."""
+        out, last = [], None
+        for rows, cols, k, *planes in tiles:
+            if cols != last:
+                held, last = [p.copy() for p in planes], cols
+            out.append((rows, cols, k, *held))
+        return out
+
+    def both(want, other):
+        want, other = kept(want), kept(other)
+        got.append((streamed(iter(want), iter(other)),
                     two_product_rel_l2(iter(want), iter(other))))
         return got[-1][0]
 
@@ -1334,6 +1410,39 @@ def test_many_term_covariance_holds_no_stack(n):
         tracemalloc.stop()
     assert rep.parity < 1e-10
     assert peak < 1.6 * 2 * (2 * r * n ** 3 * 16)
+
+
+@pytest.mark.parametrize("n, window, tile_cols", [
+    (48, fixed_gaussian(1, 1), TILE_COLS), (16, FULL_RANK_TABLE, 64)],
+    ids=["covariance-suite", "full-rank-table-4-tiles"])
+def test_covariance_holds_one_column_block(monkeypatch, n, window, tile_cols):
+    """covariance_residuals runs column tile outer, so at its traced peak it
+    holds, in complex values, for tiles of W columns: one tile's mu2
+    factors of both producers (4*R*N*W), two tile buffers
+    (2*ROW_BLOCK*N*W), one term's mu2 temporaries (its K2 rows of the tile
+    and P - Q, (C + 1)*N*W), the K1 rows of each producer's block and of
+    the next while it is built (4*R*ROW_BLOCK*N^2), both producers' window
+    terms (R*(1 + C)*N^2) and 24 signal-sized arrays, plus numpy's cast
+    buffers (0.26 MB).  None of it grows as N^3 at a fixed W: on the
+    covariance suite's case (two tiles) and under the full-rank table with
+    four tiles it reads 8.9 and 4.1 MB against bounds of 10.4 and 4.2 MB;
+    with whole-row factors it read 11.5 and 10.0 MB."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
+    width = _col_tiles(n, n)[0].stop
+    assert 1 < len(_col_tiles(n, n))
+    f = gen_signal("gaussian", grid(n))
+    _, q = axis_terms(window, *[f.grid.axis1.points] * 3)
+    r, c = q.shape[:2]
+    bound = 16 * (4 * r * n * width + 2 * ROW_BLOCK * n * width + (c + 1) * n * width
+                  + 4 * r * ROW_BLOCK * n * n + r * (1 + c) * n * n + 24 * n * n) + 2 ** 18
+    tracemalloc.start()
+    try:
+        rep = covariance_residuals(f, window, FOURIER, FOURIER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.parity < 1e-10
+    assert peak < bound
 
 
 # Residuals of covariance_residuals as recorded when its sides were still
@@ -1385,7 +1494,7 @@ def test_verify_suite_traced_peak(suite):
     stay below their bound of traced allocations: one coefficient set of the
     suite's grid, or 100 MB for the wide-u marginal.  The covariance (N=48)
     holds two block products per check and stays below 0.13 of its 170 MB
-    set (it reads about 0.098)."""
+    set (it reads about 0.053)."""
     tracemalloc.start()
     try:
         passed, _ = run_suite(suite)

@@ -30,7 +30,9 @@ def test_readme_names_resolve():
     assert sorted(names - code) == []
 
 
-@pytest.mark.parametrize("suite", ["orthogonality", "marginal", "covariance"])
+@pytest.mark.parametrize("suite", ["orthogonality", "energy", "heisenberg",
+                                   "log-uncertainty", "lemma41", "marginal",
+                                   "reconstruction", "covariance"])
 def test_readme_peaks_are_measured(suite):
     """The traced peak that README.md gives for a suite ("<suite> <x> MB")
     is within 10% of the tracemalloc peak of its second run in this
