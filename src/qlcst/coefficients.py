@@ -1,4 +1,4 @@
-"""Q-LCST coefficient sources: the block protocol and the stored set.
+"""Q-LCST coefficient sources: the tile protocol and the stored set.
 
 Coefficients are the two mu1-complex planes of the symplectic split
 C = a + b*mu2 (a = w + x*mu1, b = y + z*mu1, with the complex unit i standing
@@ -6,36 +6,37 @@ for mu1).  Each plane is one C-contiguous (nu1*nw1, nu2*nw2) matrix whose row
 index is (u1, w1) and whose column index is (u2, w2), so the interleaved
 (u1, u2, w1, w2, 4) array is a pure reordering of their bits.
 
-A source has grids, window and matrices and yields its planes from
-blocks() as (rows, k, a, b): the plane rows `rows` are k @ a and k @ b (a and
-b if k is None).  Every source yields the row blocks of _row_blocks,
-ROW_BLOCK u1 rows at a time: a stored QLCSTCoefficients as views of its
-planes, the unstored analysis (qlcst.qlcst_analysis) as block products and
-a QCF2 file (io.open_coefficients) as rows read into reused buffers.  Every
-reduction reads tiles(), which cuts each row block into the column tiles of
-whole u2 groups of one rule (_col_tiles, at least TILE_COLS columns) and
-yields (rows, cols, a, b): views for a stored set or a file, the products
-k @ a[:, cols] and k @ b[:, cols] in two reused tile buffers for an
-analysis, valid only until the next tile.  So a reduction holds no
-coefficient set the source does not hold already, and no full-width row
-block of products.  tile_factors(tiles) yields the same tiles unmultiplied,
-as (rows, cols, k, a, b), in the order the source makes them at least
-cost: row blocks outer for a stored set or a file, column tiles outer for
-an analysis, which then holds the mu2 factors of one column tile only;
-stored() and u slices read it, whose results do not depend on the order.
-Every plane value of every source is one of those tile products: stored()
-fills its planes tile by tile and the QCF2 writer (io.write_coefficients),
-which reads blocks() itself, computes an analysis one u1 row at a time
-tile by tile, and an analysis's mu2 factors are those of one tile on every
-path (qlcst._mu2_tile), because a GEMM split by columns need not give the
-bits of the whole product.  So the tiles of any two sources on the same
-grids line up and every tile-summed reduction gives the same bits from any
-source.  Every source is made whole by one stored(), which alone allocates
-planes, and is sliced by one slice_planes(), which alone checks a slice
-index.  One rule (_refuse_beyond_memory) refuses the planes, and the
-stacked window terms of the analysis and the synthesis, beyond the smallest
-memory limit in force (_memory_limits).  This module imports no operator
-code.
+A source has grids, window and matrices and one generator,
+tile_factors(groups), which yields its planes as (rows, cols, k, a, b): the
+plane entries [rows, cols] are k @ a and k @ b (a and b if k is None), for
+the row blocks of _row_blocks (ROW_BLOCK u1 rows each) and the column tiles
+of whole u2 groups of _col_tiles (at least TILE_COLS columns each).  groups
+are those tiles grouped by the mu2 factors an analysis holds at once.  A
+stored QLCSTCoefficients (views of its planes) and a QCF2 file
+(io.open_coefficients, rows read into reused buffers) hold whole rows and
+yield row order whatever the groups; the unstored analysis
+(qlcst.qlcst_analysis) yields group by group, each group's row blocks in
+row order.  One tile per group (_groups(), the default) holds one column
+block of factors; one group of all tiles (_groups(whole=True)) holds whole
+rows and yields the row order of a file, which the QCF2 writer and the
+orthogonality form of two sources read.  tiles() yields the products
+(rows, cols, a, b): views for a stored set or a file, the products in two
+reused tile buffers for an analysis, valid only until the next tile.  So a
+reduction holds no coefficient set the source does not hold already.
+
+Every plane value of every source is one of those tile products, and an
+analysis's mu2 factors are those of one tile on every path
+(qlcst._mu2_tile), because a GEMM split by columns need not give the bits
+of the whole product; so the tiles of any two sources on the same grids
+have the same bits.  Every reduction sums by one rule (_tile_partials):
+each column tile's terms, its row blocks in row order, into that tile's own
+partial, then the partials in tile order, so it gives the same bits from
+every source in every order.  Every source is made whole by one stored(),
+which alone allocates planes, and is sliced by one slice_planes(), which
+alone checks a slice index.  One rule (_refuse_beyond_memory) refuses the
+planes, and the stacked window terms of the analysis and the synthesis,
+beyond the smallest memory limit in force (_memory_limits).  This module
+imports no operator code.
 """
 
 import math
@@ -100,6 +101,30 @@ def _split4(tile, nw1, nw2):
     return tile.reshape(-1, nw1, tile.shape[1] // nw2, nw2)
 
 
+def _tile_partials(items):
+    """[(cols, partials)] in tile order, by the one summation rule of every
+    reduction: for each (cols, terms) of items, each term added into its
+    column tile's own partial, a tile's items in the order they come, which
+    is row order from every source whatever the order of its tiles.  The
+    first terms of a tile, new arrays, become its partials; later ones are
+    taken one at a time and added in place, so one is held at a time."""
+    partials = {}
+    for cols, terms in items:
+        if cols.start in partials:
+            terms = iter(terms)
+            for acc in partials[cols.start][1]:
+                acc += next(terms)
+        else:
+            partials[cols.start] = cols, list(terms)
+    return [partials[start] for start in sorted(partials)]
+
+
+def _tile_sum(items):
+    """The sum of each term of items (_tile_partials): the partials of the
+    tiles added in tile order."""
+    return [sum(terms) for terms in zip(*(p for _, p in _tile_partials(items)))]
+
+
 # Where this process's cgroups are listed and where their files are mounted.
 _CGROUP_TABLE = "/proc/self/cgroup"
 _CGROUP_MOUNT = "/sys/fs/cgroup"
@@ -160,8 +185,8 @@ def _refuse_beyond_memory(what, ncomplex):
 
 
 class _Source:
-    """Grids, window, matrices and blocks() of coefficients, stored or not;
-    the reductions over tiles() are computed once per object."""
+    """Grids, window, matrices and tile_factors() of coefficients, stored or
+    not; the reductions over tiles() are computed once per object."""
 
     _density = None
 
@@ -175,46 +200,36 @@ class _Source:
     def cell4(self):
         return self.ugrid.cell * self.wgrid.cell
 
-    def tiles(self):
-        """Yield (rows, cols, a, b) for each column tile (_col_tiles) of each
-        row block: the plane entries [rows, cols], as views of a stored or
-        read block, or k @ a[:, cols] and k @ b[:, cols] computed into two
-        tile buffers allocated once per pass: valid only until the next
-        tile."""
+    def _groups(self, whole=False):
+        """The column tiles of the planes (_col_tiles), grouped by the mu2
+        factors an analysis holds at once: one tile per group, or, whole,
+        all tiles in one group, which yields the row order of a file."""
         tiles = _col_tiles(self.ugrid.axis2.n, self.wgrid.axis2.n)
-        bufs = None
-        for rows, k, *planes in self.blocks():
-            for cols in tiles:
-                parts = [p[:, cols] for p in planes]
-                if k is not None:  # the first tile of the first block is the largest
-                    if bufs is None:
-                        bufs = np.empty((2, len(k) * parts[0].shape[1]), dtype=complex)
-                    parts = [_product(k, p, buf) for p, buf in zip(parts, bufs)]
-                yield (rows, cols, *parts)
+        return [tiles] if whole else [[t] for t in tiles]
 
-    def tile_factors(self, tiles):
-        """Yield (rows, cols, k, a, b) for each row block and each column
-        tile of `tiles` (of _col_tiles): the plane entries [rows, cols] are
-        k @ a and k @ b (a and b if k is None), in the order the source
-        makes them at least cost.  A stored set or a file yields views of
-        its row blocks, row blocks outer; an analysis (qlcst.QLCSTAnalysis)
-        overrides it with column tiles outer, each tile's mu2 factors valid
-        only until the next tile.  For consumers whose result does not
-        depend on the order: stored() and u slices."""
-        for rows, k, *planes in self.blocks():
-            for cols in tiles:
-                yield (rows, cols, k, *(p[:, cols] for p in planes))
+    def tiles(self, groups=None):
+        """Yield (rows, cols, a, b) for each tile of tile_factors(groups),
+        one tile per group by default: the plane entries [rows, cols], as
+        views, or k @ a and k @ b in two tile buffers allocated once per
+        pass, valid only until the next tile."""
+        bufs = None
+        for rows, cols, k, *parts in self.tile_factors(groups or self._groups()):
+            if k is not None:  # the first tile of the first block is the largest
+                if bufs is None:
+                    bufs = np.empty((2, len(k) * parts[0].shape[1]), dtype=complex)
+                parts = [_product(k, p, buf) for p, buf in zip(parts, bufs)]
+            yield (rows, cols, *parts)
 
     def density(self):
-        """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2,
-        computed on the first call and returned read-only from then on."""
+        """u-integrated squared modulus S[w1, w2] = sum_u |C(u, w)|^2, summed
+        by column tile (_tile_sum), computed on the first call and returned
+        read-only from then on."""
         if self._density is None:
             nw1, nw2 = self.wgrid.shape
-            acc = np.zeros((nw1, 2 * nw2))
-            for _, _, *planes in self.tiles():
-                for plane in planes:
-                    parts = _split4(plane, nw1, nw2).view(float)
-                    acc += np.einsum("abcd,abcd->bd", parts, parts)
+            parts = ((cols, _split4(plane, nw1, nw2).view(float))
+                     for _, cols, *planes in self.tiles() for plane in planes)
+            acc, = _tile_sum((cols, [np.einsum("abcd,abcd->bd", part, part)])
+                             for cols, part in parts)
             self._density = acc.reshape(nw1, nw2, 2).sum(axis=-1)
             self._density.flags.writeable = False
         return self._density
@@ -224,13 +239,12 @@ class _Source:
 
     def stored(self):
         """The coefficients as QLCSTCoefficients, the planes filled in place
-        tile by tile from tile_factors(), an analysis's column tiles outer:
-        the one allocation of planes.  Planes beyond the memory limit are
-        refused before anything is allocated."""
+        tile by tile from tile_factors(), one tile per group: the one
+        allocation of planes.  Planes beyond the memory limit are refused
+        before anything is allocated."""
         _refuse_beyond_memory("coefficient planes", 2 * math.prod(self.plane_shape))
         planes = [np.empty(self.plane_shape, dtype=complex) for _ in range(2)]
-        tiles = _col_tiles(self.ugrid.axis2.n, self.wgrid.axis2.n)
-        for rows, cols, k, *parts in self.tile_factors(tiles):
+        for rows, cols, k, *parts in self.tile_factors(self._groups()):
             for plane, part in zip(planes, parts):
                 if k is None:
                     plane[rows, cols] = part
@@ -247,9 +261,9 @@ class _Source:
         fixed = "w": freeze the frequency index pair, return (u1, u2) arrays.
         Every block is read, so a file checks every value, and only the slice
         is kept; a u slice reads the one column tile that holds its u2 group
-        (tile_factors, so an analysis computes the mu2 factors of that tile
-        only) and computes, of the one block that holds its u1 row, that
-        row's product.
+        (tile_factors of that tile alone, so an analysis computes the mu2
+        factors of that tile only) and computes, of the one block that holds
+        its u1 row, that row's product.
         """
         if fixed not in ("u", "w"):
             raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
@@ -264,7 +278,6 @@ class _Source:
             if not 0 <= k < n:
                 raise BadParameter("%s index %d is outside [0, %d)" % (fixed, k, n))
         nw1, nw2 = self.wgrid.shape
-        tiles = _col_tiles(self.ugrid.axis2.n, nw2)
         out = np.empty((2,) + kept.shape, dtype=complex)
         if fixed == "w":
             for rows, cols, *planes in self.tiles():
@@ -272,8 +285,8 @@ class _Source:
                 out[:, rows.start // nw1:rows.stop // nw1,
                     cols.start // nw2:cols.stop // nw2] = a4[:, i, :, j], b4[:, i, :, j]
             return out
-        cols = next(c for c in tiles if j * nw2 < c.stop)
-        for rows, _, k, *planes in self.tile_factors([cols]):
+        group = next(g for g in self._groups() if j * nw2 < g[0].stop)
+        for rows, cols, k, *planes in self.tile_factors([group]):
             first = rows.start // nw1  # the block's first u1 row
             if first <= i < rows.stop // nw1:
                 u1 = slice((i - first) * nw1, (i - first + 1) * nw1)
@@ -288,10 +301,9 @@ class QLCSTCoefficients(_Source):
     """Coefficients C(u, w) as the symplectic planes a, b with the grids,
     window and matrices that produced them.  Each plane is a
     (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2) order; `data` builds the
-    interleaved (u1, u2, w1, w2, 4) array.  blocks() yields views of the
-    planes in the row blocks of _row_blocks, as every source does.  The
-    planes are read-only once constructed (also the arrays passed in, where
-    they needed no copy)."""
+    interleaved (u1, u2, w1, w2, 4) array.  tile_factors() yields views of
+    the planes' tiles, row blocks outer.  The planes are read-only once
+    constructed (also the arrays passed in, where they needed no copy)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -312,9 +324,10 @@ class QLCSTCoefficients(_Source):
         self.a.flags.writeable = False
         self.b.flags.writeable = False
 
-    def blocks(self):
+    def tile_factors(self, groups):
         for rows in _row_blocks(len(self.a), self.wgrid.axis1.n):
-            yield rows, None, self.a[rows], self.b[rows]
+            for cols in sum(groups, []):
+                yield rows, cols, None, self.a[rows, cols], self.b[rows, cols]
 
     def views4(self):
         """The planes as (u1, w1, u2, w2) views."""

@@ -9,20 +9,20 @@ the planes (nw1 x nu2*nw2 complex128 each), then, for a custom-table window,
 the table as a QSG1 record.  QCF1 files (no window or matrices) are refused.
 
 Coefficient files are streamed: write_coefficients writes any coefficient
-source one u1 row at a time from its blocks() (an unstored analysis is
-computed row by row as it is written, each row as the column tiles of
-coefficients._col_tiles that tiles() computes, into one reused row buffer),
-and open_coefficients gives a file source whose blocks() reads the row
-blocks of coefficients._row_blocks, so neither holds a coefficient set;
-read_coefficients is the file's stored() planes, refused beyond the memory
-limit, and coefficient_slice the magnitude of its slice_planes().  Readers
-check the header, the file size, the matrices and the window before
-anything is allocated, a file that changed since it was opened before any
-payload is read, and every payload value as it is read; the writer checks
-every value before it is written.  Every output (a signal, a coefficient
-file, an exported slice) is written under a temporary name and renamed to
-the output when complete, so a failed write leaves none and an old output
-as it was.
+source one u1 row at a time from its tile_factors() in row order (one group
+of all tiles), each row joined from its column tiles in one reused row
+buffer (an unstored analysis is computed row by row as it is written, each
+tile as tiles() computes it), and open_coefficients gives a file source
+whose tile_factors() reads the row blocks of coefficients._row_blocks, so
+neither holds a coefficient set; read_coefficients is the file's stored()
+planes, refused beyond the memory limit, and coefficient_slice the
+magnitude of its slice_planes().  Readers check the header, the file size,
+the matrices and the window before anything is allocated, a file that
+changed since it was opened before any payload is read, and every payload
+value as it is read; the writer checks every value before it is written.
+Every output (a signal, a coefficient file, an exported slice) is written
+under a temporary name and renamed to the output when complete, so a failed
+write leaves none and an old output as it was.
 """
 
 import contextlib
@@ -32,7 +32,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .coefficients import _col_tiles, _row_blocks, _Source
+from .coefficients import _row_blocks, _Source
 from .errors import (BadMagic, BadParameter, NonFinite, QlcstError,
                      TrailingBytes, TruncatedFile, VersionMismatch)
 from .lct import ParamMatrix, validate_param
@@ -164,33 +164,32 @@ def _replacing(path):
 def write_coefficients(path, c):
     """Write the coefficients of any source as a QCF2 file: a stored set, an
     unstored qlcst_analysis or an open file.  The payload is written one u1
-    row at a time from c.blocks(): a stored set's or a file's rows as they
-    are, an analysis's rows k[u1 rows] @ plane computed, one column tile
-    (coefficients._col_tiles) at a time as tiles() computes them, into one
-    reused (nw1, nu2*nw2) buffer, so no block product is held.  Every row is
-    checked before it is written, so non-finite coefficients raise
+    row at a time from c.tile_factors() of one group, row order, each row
+    joined tile by tile into one reused (nw1, nu2*nw2) buffer: a stored
+    set's or a file's rows as they are, an analysis's rows k[u1 rows] @ a
+    computed as tiles() computes them, so no block product is held.  Every
+    row is checked before it is written, so non-finite coefficients raise
     NonFinite, and a failed write leaves no file (_replacing)."""
     u, w, win = c.ugrid, c.wgrid, c.window
     header = COEFF_HEADER.pack(
         COEFF_MAGIC, VERSION, *u.shape, *w.shape, *_grid_fields(u),
         *_grid_fields(w), *astuple(c.m1), *astuple(c.m2),
         WINDOW_CODES.index(win.family), *win.sigma)
-    nw1, tiles = w.axis1.n, _col_tiles(u.axis2.n, w.axis2.n)
-    buf = None
+    nw1, groups = w.axis1.n, c._groups(whole=True)
+    row = np.empty((nw1, c.plane_shape[1]), dtype=complex)
     with _replacing(path) as fh:
         fh.write(header)
-        for rows, k, *planes in c.blocks():
+        # the tiles of one row block at a time, taken without reading ahead
+        for block in zip(*[c.tile_factors(groups)] * len(groups[0])):
+            rows = block[0][0]
             for start in range(0, rows.stop - rows.start, nw1):
                 u1 = slice(start, start + nw1)
-                for plane in planes:  # per u1: a rows, then b rows
-                    if k is None:
-                        row = plane[u1]
-                    else:
-                        if buf is None:
-                            buf = np.empty((nw1, plane.shape[1]), dtype=complex)
-                        for cols in tiles:
-                            np.matmul(k[u1], plane[:, cols], out=buf[:, cols])
-                        row = buf
+                for i in range(2):  # per u1: the a row, then the b row
+                    for _, cols, k, *parts in block:
+                        if k is None:
+                            row[:, cols] = parts[i][u1]
+                        else:
+                            np.matmul(k[u1], parts[i], out=row[:, cols])
                     _check_finite(row, "coefficients")
                     fh.write(row.astype("<c16", copy=False))
         if win.family == "custom-table":
@@ -208,10 +207,11 @@ def _identity(fh):
 class CoefficientFile(_Source):
     """A QCF2 file as a coefficient source, made by open_coefficients, which
     checks everything but the payload and records the file's _identity.
-    Each blocks() pass reopens the path and refuses a file whose identity
-    changed since, before any payload is read; it reads the row blocks of
-    _row_blocks into two buffers that it reuses, checking every value, so a
-    block stays valid only until the next one is read."""
+    Each tile_factors() pass reopens the path and refuses a file whose
+    identity changed since, before any payload is read; it reads the row
+    blocks of _row_blocks into two buffers that it reuses, checking every
+    value, and yields views of their tiles, row blocks outer, so a tile stays
+    valid only until the next block is read."""
 
     path: str
     ugrid: Grid2D
@@ -221,7 +221,7 @@ class CoefficientFile(_Source):
     m2: ParamMatrix
     identity: tuple
 
-    def blocks(self):
+    def tile_factors(self, groups):
         nrows, ncols = self.plane_shape
         nw1 = self.wgrid.axis1.n
         blocks = _row_blocks(nrows, nw1)
@@ -235,7 +235,8 @@ class CoefficientFile(_Source):
                 for row in range(0, n, nw1):
                     for buf in bufs:
                         _read_payload(fh, buf[row:row + nw1])
-                yield rows, None, bufs[0][:n], bufs[1][:n]
+                for cols in sum(groups, []):
+                    yield rows, cols, None, bufs[0][:n, cols], bufs[1][:n, cols]
 
 
 def open_coefficients(path):
@@ -264,7 +265,7 @@ def open_coefficients(path):
 
 def read_coefficients(path):
     """Read a QCF2 file into complete QLCSTCoefficients: its stored() planes,
-    everything checked by open_coefficients and blocks()."""
+    everything checked by open_coefficients and tile_factors()."""
     return open_coefficients(path).stored()
 
 

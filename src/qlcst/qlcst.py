@@ -7,7 +7,7 @@ The analysis operator computes, for every output tuple (u, w),
 with the mu1 kernel on the left and the mu2 kernel on the right.
 
 Coefficients are the two mu1-complex planes a, b of the symplectic split
-C = a + b*mu2, in the layout and block protocol of the coefficients module.
+C = a + b*mu2, in the layout and tile protocol of the coefficients module.
 
 A left factor exp(mu1*t) multiplies both planes by exp(i*t); a right factor
 exp(mu2*t) is diagonal on P = a + i*b and Q = a - i*b (quaternion.right_mu2).
@@ -25,24 +25,24 @@ factors follow one rule, one column tile (coefficients._col_tiles) at a
 time against only that tile's K2 rows (_mu2_tile), on every path, because
 a GEMM split by columns need not give the bits of the whole product; each
 term's P and Q products are formed in its rows of the tile's factors and
-combined there in place, after K2 is freed (right_mu2).  Two producers
-share that rule.  _analysis_blocks yields u1 row blocks over the factors
-of whole rows, filled tile by tile; it serves the checks through the
-column tiles C.tiles() of a stored set, a QCF2 file or an unstored
-qlcst_analysis, which all yield the same tiles in row order, so every
-reduction gives the same bits and an analysis zips with a file.
-_analysis_tiles runs column tile outer and row block inner and holds one
-column block of factors; it serves the consumers with no file partner:
-stored() (so qlcst_forward fills its planes in place from it), u slices
-and covariance_residuals.  Both producers are pure contractions of data:
-they take the output points and the per-axis kernel matrices, which the
-analysis builds from its grids and _phase_matrix, and covariance_residuals
-by one side rule for all six sides, with reversed points (parity) or
-shifted kernel phases (shift, modulation), so it needs no analysis object.
-Its shift analyses f's own samples on the x grid moved by alpha, the
-shifted signal exactly.  The pointwise inverse reads C.slice_planes(), so
-it too takes any source; on an unstored analysis that computes the mu2
-factors of one tile and the u1 row of one block.
+combined there in place, after K2 is freed (right_mu2).  One producer,
+_analysis_tiles, takes the column tiles grouped by the factors it holds at
+once and yields each group's row blocks in row order: one tile per group
+holds one column block of factors and serves every reduction, stored() (so
+qlcst_forward fills its planes in place from it), u slices and
+covariance_residuals; one group of all tiles holds whole rows and yields
+the row order of a file, for the QCF2 writer and the orthogonality form of
+two sources.  Every reduction sums by column tile, whatever order its
+source yields (coefficients._tile_partials), so a stored set, a QCF2 file
+and an unstored qlcst_analysis give the same bits.  The producer is a pure
+contraction of data: it takes the output points and the per-axis kernel
+matrices, which the analysis builds from its grids and _phase_matrix, and
+covariance_residuals by one side rule for all six sides, with reversed
+points (parity) or shifted kernel phases (shift, modulation), so it needs
+no analysis object.  Its shift analyses f's own samples on the x grid moved
+by alpha, the shifted signal exactly.  The pointwise inverse reads
+C.slice_planes(), so it too takes any source; on an unstored analysis that
+computes the mu2 factors of one tile and the u1 row of one block.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda: exact on every u grid dual to the w grid
 (signal.dual_ratio).
@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (ROW_BLOCK, QLCSTCoefficients, _col_tiles, _product,
-                           _refuse_beyond_memory, _row_blocks, _Source, _split4)
+                           _refuse_beyond_memory, _row_blocks, _Source, _split4,
+                           _tile_partials, _tile_sum)
 from .errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                      GridMismatch, NonFinite, SpacingError, Undersampled, ZeroSignal)
 from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
@@ -74,9 +75,9 @@ PROFILE_FLOOR = 1e-200
 
 @dataclass
 class QLCSTAnalysis(_Source):
-    """The analysis of f, unstored: blocks() yields the factors of the plane
-    rows (_analysis_blocks), and tiles() computes them as they are read;
-    tile_factors() yields them column tile outer (_analysis_tiles)."""
+    """The analysis of f, unstored: tile_factors() yields the factors of
+    the planes group by group (_analysis_tiles), and tiles() computes them
+    as they are read."""
 
     f: QSignal2D
     window: WindowSpec
@@ -85,19 +86,12 @@ class QLCSTAnalysis(_Source):
     ugrid: Grid2D
     wgrid: Grid2D
 
-    def _producer_args(self):
-        """The signal, window, output points and kernel matrices of the
-        producers."""
+    def tile_factors(self, groups):
         (x1, x2), u, (w1, w2) = (_points(g) for g in (self.f.grid, self.ugrid,
                                                        self.wgrid))
-        return (self.f, self.window, u, (w1, w2), _phase_matrix(self.m1, x1, w1),
-                _phase_matrix(self.m2, x2, w2))
-
-    def blocks(self):
-        return _analysis_blocks(*self._producer_args())
-
-    def tile_factors(self, tiles):
-        return _analysis_tiles(*self._producer_args(), tiles)
+        return _analysis_tiles(self.f, self.window, u, (w1, w2),
+                               _phase_matrix(self.m1, x1, w1),
+                               _phase_matrix(self.m2, x2, w2), groups)
 
 
 def _points(grid):
@@ -135,12 +129,15 @@ def _floored_terms(window, y1, w1, y2, w2):
     return p, q
 
 
-def _kernel(prof, e):
+def _kernel(prof, e, out=None):
     """The kernel matrices of R profiles side by side,
     K[(u, w), (r, x)] = prof[r, u, w, x] * e[w, x], with prof broadcasting
-    over w, from _floored_terms, and e from _phase_matrix."""
+    over w, from _floored_terms, and e from _phase_matrix; in the front of
+    the flat complex buffer out, if given."""
     prof, e = np.moveaxis(prof, 0, 2), e[:, None, :]
-    k = np.empty(np.broadcast_shapes(prof.shape, e.shape), dtype=complex)
+    shape = np.broadcast_shapes(prof.shape, e.shape)
+    k = (np.empty(shape, dtype=complex) if out is None
+         else out[:math.prod(shape)].reshape(shape))
     # cast by assignment, then multiplied in place: the bits of
     # np.multiply(prof, e) with half its ufunc buffers (0.13 MB, not 0.26),
     # which are part of the mu2 stage's traced peak
@@ -175,10 +172,10 @@ def _refuse_stacked_terms(nterms, nx1, ncols, nu1, nw1):
     coefficients._refuse_beyond_memory) what the analysis and the synthesis
     hold of the R = nterms terms of a window on N_x1 = nx1 points, with
     N_u1 = nu1 and N_w1 = nw1 output points on axis 1: two R*N_x1 by ncols
-    planes (the analysis's mu2 factors of the plane columns it holds, all
-    N_u2*N_w2 in row order or the widest column tile's with tiles outer;
-    the synthesis's accumulated K1^H sums) and the K1 rows (K1^H columns) of
-    the largest block, R*N_x1 by min(ROW_BLOCK, N_u1)*N_w1."""
+    planes (the analysis's mu2 factors of the plane columns of its widest
+    group of tiles, all N_u2*N_w2 in one group; the synthesis's accumulated
+    K1^H sums) and the K1 rows (K1^H columns) of the largest block, R*N_x1
+    by min(ROW_BLOCK, N_u1)*N_w1."""
     _refuse_beyond_memory("stacked window terms", nterms * nx1 * (
         2 * ncols + min(ROW_BLOCK, nu1) * nw1))
 
@@ -216,67 +213,54 @@ def _mu2_tile(g, q, e2, cols, nw2, out):
                   (out[0][rows], out[1][rows]))
 
 
-def _k1_rows(p, e1, rows, nw1):
+def _k1_rows(p, e1, rows, nw1, out=None):
     """The K1 rows of the plane rows `rows` (nw1 per u1 row), side by side
     over the terms, from the profiles p floored over their whole extent, so
-    they are the rows of the whole K1_r."""
-    return _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1)
+    they are the rows of the whole K1_r; in the front of out, if given."""
+    return _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1, out)
 
 
-def _analysis_blocks(f, window, u, w, e1, e2):
+def _analysis_tiles(f, window, u, w, e1, e2, groups):
     """Yield the analysis planes of f at the output points u = (u1, u2) and
     w = (w1, w2) under the per-axis (w, x) kernel matrices e1 and e2 (the
-    forward ones are _phase_matrix), in blocks of u1 rows as (rows, k, a, b):
-    the plane rows `rows` of the block are k @ a and k @ b.
+    forward ones are _phase_matrix), as (rows, cols, k, a, b): for each
+    group of column tiles of `groups` (of _col_tiles, the first tile the
+    widest) in turn, each row block rows (coefficients._row_blocks) and,
+    inner, each tile cols of the group: the plane entries [rows, cols] are
+    k @ a and k @ b.
 
     The window's terms (window_terms) give the K1_r side by side in k, and
     their mu2 factors, on top of each other in a and b, so k @ a is the sum
-    over terms.  a and b are whole rows, filled column tile by column tile
-    (_col_tiles) by the one per-tile rule _mu2_tile straight into their
-    columns, and each block builds only its own rows of the K1_r
-    (coefficients._row_blocks, _k1_rows).  a and b grow as R*N^3 and a
-    block's K1 rows as R*N^2; both are refused beyond the memory limit
-    before either exists (_refuse_stacked_terms).  The row order of files:
-    tiles() and the QCF2 writer read it.  The points and kernel rows are
-    taken in the order given, so reversed ones give the planes reversed.
+    over terms.  A group's factors are formed tile by tile by the one rule
+    _mu2_tile, R*N_x1 by len(cols) each, in two reused buffers, valid only
+    until the next group; each block's K1 rows are built once per group
+    into one reused buffer (_k1_rows), valid only until the next block.  So
+    one tile per group holds one column block of factors, and one group of
+    all tiles whole rows, in the row order of a file.  The widest group's
+    factors and one block of K1 rows are refused beyond the memory limit
+    before either exists (_refuse_stacked_terms).  Reversed points and
+    kernel rows give the planes reversed.
     """
-    (u1s, u2s), (w1s, w2s) = u, w
-    ncols, nw1 = len(u2s) * len(w2s), len(w1s)
-    p, q, g = _analysis_terms(f, window, u, w, ncols)
-    # both planes in one allocation, like the tile buffers: with separate
-    # ones glibc mapped them afresh for each analysis, and one verify pass
-    # took 60k minor page faults (about 0.13 s) against 11k
-    a, b = np.empty((2, len(q) * len(g[0]), ncols), dtype=complex)
-    for cols in _col_tiles(len(u2s), len(w2s)):
-        _mu2_tile(g, q, e2, cols, len(w2s), (a[:, cols], b[:, cols]))
-    del q, g  # freed before the first K1 rows are built
-    for rows in _row_blocks(len(u1s) * nw1, nw1):
-        yield rows, _k1_rows(p, e1, rows, nw1), a, b
-
-
-def _analysis_tiles(f, window, u, w, e1, e2, tiles):
-    """Yield the analysis planes of _analysis_blocks (the same arguments)
-    column tile outer, as (rows, cols, k, a, b) for each column tile cols
-    of `tiles` (of _col_tiles, the first the widest) and, inner, each row
-    block rows: the plane entries [rows, cols] are k @ a and k @ b.
-
-    a and b are the tile's mu2 factors (_mu2_tile), R*N_x1 by len(cols),
-    in two reused buffers and valid only until the next tile; the K1 rows
-    of each block are built again for each tile.  So one column block of
-    factors is held, refused beyond the memory limit at the width of the
-    first tile (_refuse_stacked_terms), and the bits are those of
-    _analysis_blocks."""
     (u1s, _), (w1s, w2s) = u, w
-    nw1, width = len(w1s), tiles[0].stop - tiles[0].start
+    nw1, blocks = len(w1s), _row_blocks(len(u1s) * len(w1s), len(w1s))
+    width = max(sum(c.stop - c.start for c in group) for group in groups)
     p, q, g = _analysis_terms(f, window, u, w, width)
     n = len(q) * len(g[0])
+    # both planes in one allocation: glibc mapped separate ones afresh for
+    # each analysis, 60k minor page faults (0.13 s) per verify pass, not 11k
     bufs = np.empty((2, n * width), dtype=complex)
-    for cols in tiles:
-        size = cols.stop - cols.start
-        a, b = (buf[:n * size].reshape(n, size) for buf in bufs)
-        _mu2_tile(g, q, e2, cols, len(w2s), (a, b))
-        for rows in _row_blocks(len(u1s) * nw1, nw1):
-            yield rows, cols, _k1_rows(p, e1, rows, nw1), a, b
+    kbuf = np.empty(len(p) * blocks[0].stop * len(g[0]), dtype=complex)
+    for group in groups:
+        factors, first = [], group[0].start
+        for cols in group:  # each tile's factors in its segment of the buffers
+            seg = slice(n * (cols.start - first), n * (cols.stop - first))
+            a, b = (buf[seg].reshape(n, cols.stop - cols.start) for buf in bufs)
+            _mu2_tile(g, q, e2, cols, len(w2s), (a, b))
+            factors.append((cols, a, b))
+        for rows in blocks:
+            k = _k1_rows(p, e1, rows, nw1, kbuf)
+            for cols, a, b in factors:
+                yield rows, cols, k, a, b
 
 
 def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
@@ -289,7 +273,7 @@ def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
 
 def qlcst_forward(f, window, m1, m2, ugrid=None, wgrid=None):
     """Analysis operator producing QLCSTCoefficients: the stored() planes of
-    qlcst_analysis (same defaults), filled in place from its blocks and
+    qlcst_analysis (same defaults), filled in place from its tiles and
     refused beyond the memory limit."""
     return qlcst_analysis(f, window, m1, m2, ugrid, wgrid).stored()
 
@@ -320,17 +304,18 @@ def qlcst_pointwise_inverse(C, u_index, xgrid=None):
 
 
 def _w_inverse_rows(C, xgrid):
-    """Yield, for each u1 row of each tile of C.tiles() in turn, the planes
-    (a, b) of shape (x1, u2, x2), u2 over the tile's, of the inverse QLCT
-    over w of every slice C(u1, u2, .) onto xgrid: the contraction of
-    qlcst_pointwise_inverse."""
+    """Yield, for each u1 row of each tile of C.tiles() in turn, the tile
+    cols and the planes (a, b) of shape (x1, u2, x2), u2 over the tile's, of
+    the inverse QLCT over w of every slice C(u1, u2, .) onto xgrid: the
+    contraction of qlcst_pointwise_inverse."""
     e1h, e2h = _w_adjoints(C, xgrid)
     nw1, nw2 = C.wgrid.shape
     shape = (xgrid.axis1.n, -1, xgrid.axis2.n)
-    for _, _, *planes in C.tiles():
+    for _, cols, *planes in C.tiles():
         for a, b in zip(*(_split4(p, nw1, nw2) for p in planes)):
             a, b = _contract(a, b, e1h, e2h)
-            yield a.reshape(shape) * C.wgrid.cell, b.reshape(shape) * C.wgrid.cell
+            yield (cols, a.reshape(shape) * C.wgrid.cell,
+                   b.reshape(shape) * C.wgrid.cell)
 
 
 def qlcst_reconstruct(C):
@@ -349,20 +334,19 @@ def qlcst_reconstruct(C):
     itself with an s >= 2, passes undetected.  Over the window's
     terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
     K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.tiles(), so
-    C may be stored or unstored, each sum kept by column tile; each block
-    builds only its own columns of the K1_r^H (_k1_rows), from profiles
-    floored once over their whole extent.  Each tile's sums are then
-    contracted with that tile's columns of the adjoint K2_rc, and the
-    results added into the output in tile order, so no sum is joined into
-    whole rows.  The kernels are built on the adjoint phase matrices of
-    _w_adjoints and the mu2 side is contracted by _right_contract, as in
-    the analysis.  The two accumulated sums and one block of K1^H columns
-    are the analysis's stacked terms in row order, refused beyond the
-    memory limit by its rule (_refuse_stacked_terms, TooLarge) before a
-    kernel is built.  F is
-    the Gram form sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the
-    term products.
-    An x that no u reaches (F(x) <= eps * max F) is refused.
+    C may be stored or unstored, each sum kept by column tile
+    (coefficients._tile_partials); each block builds only its own columns of
+    the K1_r^H (_k1_rows), from profiles floored once over their whole
+    extent.  Each tile's sums are then contracted with that tile's columns
+    of the adjoint K2_rc, and the results added into the output in tile
+    order, so no sum is joined into whole rows.  The kernels are built on
+    the adjoint phase matrices of _w_adjoints and the mu2 side is
+    contracted by _right_contract, as in the analysis.  The two accumulated
+    sums and one block of K1^H columns are the analysis's stacked terms in
+    row order, refused beyond the memory limit by its rule
+    (_refuse_stacked_terms, TooLarge) before a kernel is built.  F is the
+    Gram form sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the term
+    products.  An x that no u reaches (F(x) <= eps * max F) is refused.
     """
     if C.window.w_dependent:
         raise AdmissibilityError(
@@ -378,29 +362,19 @@ def qlcst_reconstruct(C):
     _refuse_stacked_terms(len(q), len(x1s), C.plane_shape[1], len(x1s), nw1)
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
     e1h, e2h = _w_adjoints(C, g)
-    # each sum is kept by column tile, the tiles contiguous segments of one
-    # buffer: numpy adds into the strided columns of a whole sum about half
-    # as fast.  Two buffers, not one of both: freeing a mapping raises
-    # glibc's mmap threshold to its size, and after one 7 MB mapping (N=48)
-    # the 3.5 MB file blocks of later calls came from the heap, which kept
-    # them, and the CLI's peak RSS rose by 0.8 MB
-    n, tiles = len(q) * len(x1s), _col_tiles(g.axis2.n, nw2)
-    flat = [np.zeros(n * C.plane_shape[1], dtype=complex) for _ in range(2)]
-    acc = {c.start: [h[n * c.start:n * c.stop].reshape(n, c.stop - c.start)
-                     for h in flat] for c in tiles}
-    built = None  # the row block whose K1^H columns k1h holds
-    for rows, cols, *planes in C.tiles():
-        if rows != built:
-            k1h = _k1_rows(p, e1h.T, rows, nw1).T
-            built = rows
-        for h, plane in zip(acc[cols.start], planes):
-            h += k1h @ plane
-    del planes, plane, h, k1h  # a file's block buffers, freed before the mu2 stage
+
+    def products():
+        built = None  # the row block whose K1^H columns k1h holds
+        for rows, cols, *planes in C.tiles():
+            if rows != built:
+                k1h, built = _k1_rows(p, e1h.T, rows, nw1).T, rows
+            yield cols, (k1h @ plane for plane in planes)
+
     out = np.zeros(g.shape + (4,))
-    for cols in tiles:
+    for cols, sums in _tile_partials(products()):
         groups = slice(cols.start // nw2, cols.stop // nw2)
         for r, q_r in enumerate(q):
-            a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in acc[cols.start])
+            a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in sums)
             adj = symplectic_join(*_right_contract(
                 a, b, _kernel(q_r[:, groups], e2h.T).T))
             for c, e in enumerate(np.eye(4)[:len(q_r)]):  # (x1, (c, x2)) columns
@@ -417,22 +391,28 @@ def qlcst_reconstruct(C):
 def orthogonality_form(Cf, Cg):
     """Quaternion value of the double integral of Cf * conj(Cg) over (w, u),
     for two sources, stored or streamed, of the same grids, window and
-    matrices, whose tiles thus line up.
+    matrices, summed by column tile (coefficients._tile_sum).
 
     (a1 + b1 mu2) conj(a2 + b2 mu2) = (a1 a2* + b1 b2*) + (b1 a2 - a1 b2) mu2.
-    Cg is Cf reads each block of Cf once for both sides.
+    Cg is Cf reads each tile of Cf once for both sides; two sources are
+    zipped in the row order of a file (one group of tiles), so that their
+    tiles line up.
     """
     if any(getattr(Cf, name) != getattr(Cg, name)
            for name in ("ugrid", "wgrid", "window", "m1", "m2")):
         raise GridMismatch("coefficient grids, window or matrices differ")
-    first = second = 0
+    whole = Cf._groups(whole=True)
     pairs = (((tile, tile) for tile in Cf.tiles()) if Cg is Cf
-             else zip(Cf.tiles(), Cg.tiles(), strict=True))
-    for (_, _, *fs), (_, _, *gs) in pairs:
+             else zip(Cf.tiles(whole), Cg.tiles(whole), strict=True))
+
+    def form(cols, fs, gs):
         # flattened once: a stored set's tiles narrower than its rows are copied
         af, bf, ag, bg = (np.ravel(t) for t in (*fs, *gs))
-        first += np.vdot(ag, af) + np.vdot(bg, bf)
-        second += np.dot(bf, ag) - np.dot(af, bg)
+        return cols, [np.array([np.vdot(ag, af) + np.vdot(bg, bf),
+                                np.dot(bf, ag) - np.dot(af, bg)])]
+
+    (first, second), = _tile_sum(form(cols, fs, gs)
+                                 for (_, cols, *fs), (_, _, *gs) in pairs)
     return symplectic_join(first, second) * Cf.cell4
 
 
@@ -446,26 +426,25 @@ def energy_identity_gap(C, f):
 
 def marginal_qlct_gap(C, f):
     """Relative L2 gap between the u-marginal sum_u C(u, w) * du of the
-    coefficients C of f, summed tile by tile, and the QLCT of f under
-    C.m1, C.m2 onto C.wgrid by the direct oracle, which shares no code with
-    the fast path (0 for the zero signal)."""
+    coefficients C of f, summed by column tile (coefficients._tile_sum),
+    and the QLCT of f under C.m1, C.m2 onto C.wgrid by the direct oracle,
+    which shares no code with the fast path (0 for the zero signal)."""
     nw1, nw2 = C.wgrid.shape
-    marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
-    for _, _, *planes in C.tiles():
-        for acc, p in zip(marg, planes):
-            acc += np.einsum("abcd->bd", _split4(p, nw1, nw2))
+    marg = _tile_sum((cols, [np.einsum("abcd->bd", _split4(p, nw1, nw2))
+                             for p in planes]) for _, cols, *planes in C.tiles())
     marg = symplectic_join(*marg) * C.ugrid.cell
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
 
 def _streamed_rel_l2(want, got):
     """relative_l2, over the quaternion components, of the planes of the
-    _analysis_tiles producer got against those of the producer want,
-    accumulated one plane tile at a time, column tiles outer, so that no
-    coefficient set and no full-width mu2 factors are ever held.  Both
-    producers are built on the same point counts and tiles, so their tiles
-    line up.  Each tile gives, for each plane, two products into two reused
-    tile buffers: the reference k @ a and the difference gk @ ga - k @ a.
+    _analysis_tiles producer got against those of the producer want, one
+    tile per group, accumulated one plane tile at a time, so that no
+    coefficient set and no full-width mu2 factors are ever held, and of the
+    K1 rows only each producer's one reused block.  Both producers are
+    built on the same point counts and groups, so their tiles line up.
+    Each tile gives, for each plane, two products into two reused tile
+    buffers: the reference k @ a and the difference gk @ ga - k @ a.
     """
     num = denom = 0.0
     bufs = None
@@ -506,14 +485,14 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     are evaluated directly at (u - alpha, w).  The modulation identity
     evaluates the kernel at (x, w - s*B), the frequency shift in the
     frequency slot, and the window at w.  Each check zips the producers of
-    its two sides column tile outer (_analysis_tiles, _streamed_rel_l2),
-    which holds, besides one column tile's mu2 factors and one block of K1
-    rows of each, two tile products.
+    its two sides one column tile per group (_analysis_tiles,
+    _streamed_rel_l2), which holds, besides one column tile's mu2 factors
+    and one block of K1 rows of each, two tile products.
     """
     x = u = _points(f.grid)  # the default u grid is f's grid
     w = _points(fft_output_grid(f.grid, m1.b, m2.b))
     w1, w2 = w
-    tiles = _col_tiles(len(u[1]), len(w2))
+    groups = [[t] for t in _col_tiles(len(u[1]), len(w2))]
     no_phase = (0.0, 0.0)
 
     def moved(t):
@@ -524,7 +503,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     def side(g, u, w, t, phi, window):
         return _analysis_tiles(g, window, u, w, *(
             _phase_matrix(m, xs, ts) * np.exp(1j * np.reshape(ph, (-1, 1)))
-            for m, xs, ts, ph in zip((m1, m2), _points(g.grid), t, phi)), tiles)
+            for m, xs, ts, ph in zip((m1, m2), _points(g.grid), t, phi)), groups)
 
     # Parity: transform of the reflected signal under the reflected window
     # equals the coefficients sampled at (-u, -w); on centered midpoint grids

@@ -2,10 +2,12 @@
 
 All reports are "compute both sides by quadrature" objects; nothing is proved
 symbolically.  Each takes C, stored or from qlcst_analysis, then f, and reads
-the window, matrices and C.density() or C.tiles() from C; lemma_41_gap checks
-both axes from one pass over C.tiles().  The lower-bound constant of the
-Heisenberg check uses |B_s| as the per-axis factor, matching the
-transform-domain scaling of the underlying canonical-transform inequality.
+the window, matrices and C.density() or C.tiles() from C, summed by column
+tile (coefficients._tile_sum), so every source gives the same bits;
+lemma_41_gap checks both axes from one pass over C.tiles().  The
+lower-bound constant of the Heisenberg check uses |B_s| as the per-axis
+factor, matching the transform-domain scaling of the underlying
+canonical-transform inequality.
 """
 
 import math
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import _tile_sum
 from .errors import BadParameter, NonFinite, ZeroSignal
 from .quaternion import qnormsq
 from .window import lambda_psi
@@ -145,13 +148,13 @@ def _lemma_41_rhs(C, f):
     """The (u, x) double integrals of x_1^2 and of x_2^2 times |inverse QLCT
     over w of C(u, .)|^2, from one pass of the inverse, taken for one u1 row
     of one tile at a time (_w_inverse_rows), whose |.|^2 is formed once for
-    both axes."""
+    both axes, and summed by column tile (coefficients._tile_sum)."""
     xsq = [_axis_sq(f.grid, s)[:, None, :] for s in (1, 2)]
-    acc = [0.0, 0.0]
-    for a, b in _w_inverse_rows(C, f.grid):
-        sq = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
-        acc = [v + float(np.sum(x * sq)) for v, x in zip(acc, xsq)]
-    return tuple(v * f.grid.cell * C.ugrid.cell for v in acc)
+    sqs = ((cols, a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+           for cols, a, b in _w_inverse_rows(C, f.grid))
+    acc, = _tile_sum((cols, [np.array([np.sum(x * sq) for x in xsq])])
+                     for cols, sq in sqs)
+    return tuple(float(v) * f.grid.cell * C.ugrid.cell for v in acc)
 
 
 def lemma_41_gap(C, f):

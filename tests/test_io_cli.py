@@ -193,14 +193,16 @@ def qcf_bytes(draw):
 
 def drained(path):
     """open_coefficients(path) after every block of it has been read, each
-    one checked to be finite stored rows that continue the last."""
+    tile checked to be finite stored rows that continue the last, its
+    tiles covering the row in order."""
     src = open_coefficients(path)
-    done = 0
-    for rows, k, a, b in src.blocks():
-        assert k is None and rows.start == done
-        assert a.shape == b.shape == (rows.stop - done, src.plane_shape[1])
+    done = col = 0
+    for rows, cols, k, a, b in src.tile_factors(src._groups(whole=True)):
+        assert k is None and rows.start == done and cols.start == col
+        assert a.shape == b.shape == (rows.stop - done, cols.stop - col)
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-        done = rows.stop
+        done, col = ((rows.stop, 0) if cols.stop == src.plane_shape[1]
+                     else (done, cols.stop))
     assert done == src.plane_shape[0]
     return src
 
@@ -358,12 +360,14 @@ def test_truncated_coefficient_file(tmp_path):
 
 
 def test_coefficient_file_truncated_while_read(tmp_path):
-    """A file cut short after a blocks() pass has begun, past the check of
-    the file's identity, ends inside the payload of its last block."""
+    """A file cut short after a tile_factors() pass has begun, past the
+    check of the file's identity, ends inside the payload of its last
+    block."""
     path = tmp_path / "c.qcf"
     write_coefficients(path, qlcst_analysis(gen_signal("gaussian", Grid2D.centered(8.0, 12)),
                                             fixed_gaussian(1, 1), FOURIER, FOURIER))
-    blocks = open_coefficients(path).blocks()
+    src = open_coefficients(path)
+    blocks = src.tile_factors(src._groups())
     next(blocks)
     os.truncate(path, os.path.getsize(path) - 8)
     with pytest.raises(TruncatedFile, match="file ends inside payload"):
@@ -585,9 +589,9 @@ def test_export_slice_pgm_scales_min_to_max(tmp_path, mag, want):
 def test_coefficient_slice_index_not_two_integers(monkeypatch, index):
     """An index that is not two integers raises BadParameter before any block
     of the source is read."""
-    def unread(self):
+    def unread(self, groups):
         raise AssertionError("a block was read")
-    monkeypatch.setattr("qlcst.qlcst.QLCSTAnalysis.blocks", unread)
+    monkeypatch.setattr("qlcst.qlcst.QLCSTAnalysis.tile_factors", unread)
     c = qlcst_analysis(gen_signal("gaussian", Grid2D.centered(4.0, 5)),
                        fixed_gaussian(1, 1), FOURIER, FOURIER)
     for fixed in ("u", "w"):
@@ -977,15 +981,16 @@ def test_cli_qlcst_write_failing_mid_payload_leaves_no_file(tmp_path, capsys,
     fpath, cpath = str(tmp_path / "f.qsg"), tmp_path / "c.qcf"
     cli_main(["gen", "--kind", "gaussian", "--n", "16", "-o", fpath])
     cpath.write_bytes(b"old")
-    blocks = qlcst_analysis(read_signal(fpath), fixed_gaussian(1, 1), FOURIER,
-                            FOURIER).blocks
+    tile_factors = qlcst_analysis(read_signal(fpath), fixed_gaussian(1, 1), FOURIER,
+                                  FOURIER).tile_factors
 
-    def first_block_then_full_disk(self):
-        for i, block in enumerate(blocks()):
+    def first_block_then_full_disk(self, groups):
+        assert len(groups[0]) == 1  # one tile: each tile is a row block
+        for i, block in enumerate(tile_factors(groups)):
             if i:
                 raise OSError(errno.ENOSPC, "No space left on device")
             yield block
-    monkeypatch.setattr("qlcst.qlcst.QLCSTAnalysis.blocks",
+    monkeypatch.setattr("qlcst.qlcst.QLCSTAnalysis.tile_factors",
                         first_block_then_full_disk)
     capsys.readouterr()
     assert cli_main(["qlcst", "-i", fpath, "-o", str(cpath), "--m1", "0,1,-1,0",

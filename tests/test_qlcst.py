@@ -17,7 +17,7 @@ from qlcst.io import open_coefficients, write_coefficients
 from qlcst.lct import kernel_const, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
 from qlcst.qlcst import (PROFILE_FLOOR, QLCSTAnalysis, QLCSTCoefficients,
-                         _analysis_blocks, _contract, _floor, _kernel,
+                         _analysis_tiles, _contract, _floor, _kernel,
                          _phase_matrix, _right_contract, _streamed_rel_l2,
                          _w_adjoints, covariance_residuals,
                          energy_identity_gap, marginal_qlct_gap,
@@ -413,8 +413,8 @@ def test_table_reconstruct_identity(case, lattice):
 @pytest.mark.parametrize("window", [fixed_gaussian(1, 1), OFF_LATTICE_TABLE],
                          ids=["fixed-gauss", "table"])
 def test_reconstruct_from_unstored_analysis(tmp_path, window):
-    """Synthesis sums C.blocks(), the same row blocks for every source, so
-    the unstored analysis of the N=8 Gaussian reconstructs to the bits of the
+    """Synthesis sums C.tiles() by column tile, the same sums for every
+    source, so the unstored analysis of the N=8 Gaussian reconstructs to the bits of the
     stored set; the pointwise inverse reads C.slice_planes(), so the stored
     set, the analysis and its open file give the same bits."""
     g = grid(8)
@@ -529,12 +529,16 @@ def test_marginal_matches_whole_set_sum():
 
 def sum_axes_marginal_gap(C, f):
     """The reduction that marginal_qlct_gap replaced, kept as the reference:
-    each tile summed over u1 and u2 by sum(axis=(0, 2))."""
+    each tile summed over u1 and u2 by sum(axis=(0, 2)), into one partial
+    per column tile, the partials then added in tile order."""
     nw1, nw2 = C.wgrid.shape
-    marg = [np.zeros((nw1, nw2), dtype=complex) for _ in range(2)]
-    for _, _, *planes in C.tiles():
-        for acc, p in zip(marg, planes):
-            acc += p.reshape(-1, nw1, p.shape[1] // nw2, nw2).sum(axis=(0, 2))
+    partials = {}
+    for _, cols, *planes in C.tiles():
+        acc = partials.setdefault(cols.start, [np.zeros((nw1, nw2), dtype=complex)
+                                               for _ in range(2)])
+        for h, p in zip(acc, planes):
+            h += p.reshape(-1, nw1, p.shape[1] // nw2, nw2).sum(axis=(0, 2))
+    marg = [sum(h) for h in zip(*(partials[k] for k in sorted(partials)))]
     marg = symplectic_join(*marg) * C.ugrid.cell
     return relative_l2(marg, qlct_forward(f, C.m1, C.m2, C.wgrid).data)
 
@@ -712,9 +716,10 @@ def test_forward_blocks_match_one_contraction(window, case):
     want = _contract(a * g.cell, b * g.cell, *kernels(e1, e2))
     got = [np.empty_like(c.a), np.empty_like(c.b)]
     u = (ugrid.axis1.points, ugrid.axis2.points)
-    for rows, k, *planes in _analysis_blocks(f, window, u, (w1, w2), e1, e2):
+    whole = [_col_tiles(len(u[1]), len(w2))]
+    for rows, cols, k, *planes in _analysis_tiles(f, window, u, (w1, w2), e1, e2, whole):
         for out, p in zip(got, planes):
-            np.matmul(k, p, out=out[rows])
+            np.matmul(k, p, out=out[rows, cols])
     assert all(np.array_equal(p, q) for p, q in zip(got, want))
 
 
@@ -738,8 +743,8 @@ def test_streamed_residual_matches_full_formula(window):
     wgrid = fft_output_grid(g, FOURIER.b, FOURIER.b)
 
     def tiles(f):
-        return qlcst_analysis(f, window, FOURIER, FOURIER, ugrid, wgrid).tile_factors(
-            _col_tiles(ugrid.axis2.n, wgrid.axis2.n))
+        analysis = qlcst_analysis(f, window, FOURIER, FOURIER, ugrid, wgrid)
+        return analysis.tile_factors(analysis._groups())
 
     def planes(f):
         c = qlcst_forward(f, window, FOURIER, FOURIER, ugrid, wgrid)
@@ -763,8 +768,8 @@ def test_streamed_residual_refuses_misaligned_blocks():
     longer = Grid2D(Grid1D.centered(8.0, 2 * ROW_BLOCK + 1), g.axis2)
 
     def tiles(ugrid=g):
-        return qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER, ugrid,
-                              wgrid).tile_factors(_col_tiles(g.axis2.n, wgrid.axis2.n))
+        analysis = qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER, ugrid, wgrid)
+        return analysis.tile_factors(analysis._groups())
 
     for want, got in ((tiles(), tiles(longer)), (tiles(longer), tiles())):
         with pytest.raises(ValueError):
@@ -795,9 +800,10 @@ def test_reversed_blocks_are_reversed_planes(window):
 
     def planes(u, w, e):
         out = [np.empty(shape, dtype=complex) for _ in range(2)]
-        for rows, k, *ps in _analysis_blocks(f, window, u, w, *e):
+        whole = [_col_tiles(len(u[1]), len(w[1]))]
+        for rows, cols, k, *ps in _analysis_tiles(f, window, u, w, *e, whole):
             for o, p in zip(out, ps):
-                o[rows] = k @ p
+                o[rows, cols] = k @ p
         return out
 
     def rev(v):
@@ -889,7 +895,7 @@ def test_mu2_stage_is_the_formula(window):
     new arrays."""
     m = dict(MATRIX_CASES)["fractional(pi/3)"]()[0]
     C = qlcst_analysis(random_hermite_combo(grid(16), seed=5), window, FOURIER, m)
-    _, _, *got = next(C.blocks())
+    _, _, _, *got = next(C.tile_factors(C._groups(whole=True)))
     want = formula_mu2_factors(C)
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
@@ -904,38 +910,86 @@ def test_mu2_stage_traced_peak(n):
     in new arrays read 3.33 and 3.39."""
     C = qlcst_analysis(gen_signal("gaussian", grid(n)), fixed_gaussian(1, 1),
                        FOURIER, FOURIER)
-    next(C.blocks())  # lazy set-up done before tracing
+    whole = C._groups(whole=True)
+    next(C.tile_factors(whole))  # lazy set-up done before tracing
     tracemalloc.start()
     try:
-        blocks = C.blocks()
-        first = next(blocks)
+        tiles = C.tile_factors(whole)
+        first = next(tiles)
         keeps, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first[1] is not None and peak <= 1.7 * keeps
+    assert first[2] is not None and peak <= 1.7 * keeps
 
 
-@pytest.mark.parametrize("n", [48, 64])
-def test_streamed_energy_working_set(n):
-    """A streamed energy holds the mu2 factors, two tile buffers and the K1
-    rows of one block, besides arrays the size of the signal (the signal,
-    its split products, the phase matrices, the density's sums, the next
-    block's K1 rows while it is built): its traced peak stays below those
-    plus 12 signal-sized complex arrays.  Full-width block buffers, or the
-    mu2 stage's former temporaries, exceed it."""
-    f = gen_signal("gaussian", grid(n))
-    cols = _col_tiles(n, n)[0]
-    bound = 16 * (2 * n ** 3 + 2 * ROW_BLOCK * n * (cols.stop - cols.start)
-                  + ROW_BLOCK * n * n + 12 * n * n)
+def streamed_working_set(n, tile_cols, temporaries):
+    """Bytes a streamed reduction of the N x N one-term analysis may hold at
+    its traced peak, for tiles of W columns: one column block of mu2
+    factors (2*N*W complex), two tile buffers (2*ROW_BLOCK*N*W), one term's
+    mu2 temporary (its K2 rows of the tile or P - Q, N*W), the reduction's
+    own temporaries of a tile (temporaries*N*W), the K1 rows of one block
+    (ROW_BLOCK*N^2), one partial of N^2 per column tile and plane, and 12
+    signal-sized arrays, plus numpy's cast buffers (0.26 MB)."""
+    width = _col_tiles(n, n)[0].stop
+    ntiles = len(_col_tiles(n, n))
+    assert width <= 1.5 * tile_cols
+    return 16 * ((2 + 2 * ROW_BLOCK + 1 + temporaries) * n * width
+                 + (ROW_BLOCK + 2 * ntiles + 12) * n * n) + 2 ** 18
+
+
+WORKING_SET_CASES = [pytest.param(48, TILE_COLS, id="48"),
+                     pytest.param(64, TILE_COLS, id="64"),
+                     pytest.param(48, 256, id="48-8-tiles")]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call."""
     tracemalloc.start()
     try:
-        gap = energy_identity_gap(
-            qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER), f)
+        out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("n, tile_cols", WORKING_SET_CASES)
+def test_streamed_energy_working_set(monkeypatch, n, tile_cols):
+    """A streamed energy holds one column block of mu2 factors, not whole
+    rows, besides the tile buffers, the K1 rows of one block and arrays the
+    size of the signal (streamed_working_set): so its traced peak holds at
+    two sizes and with eight narrow tiles.  Whole-row factors exceed it."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
+    f = gen_signal("gaussian", grid(n))
+    gap, peak = traced_peak(energy_identity_gap, qlcst_analysis(
+        f, fixed_gaussian(1, 1), FOURIER, FOURIER), f)
     assert gap < 1e-12
-    assert peak < bound
+    assert peak < streamed_working_set(n, tile_cols, 0)
+
+
+@pytest.mark.parametrize("n, tile_cols", WORKING_SET_CASES)
+def test_streamed_lemma41_working_set(monkeypatch, n, tile_cols):
+    """lemma_41_gap holds the working set of a streamed energy and the
+    w-inverse of one u1 row of a tile: its split planes, their P and Q, the
+    K1 products, the scaled results and |.|^2 (6*N*W)."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
+    f = gen_signal("gaussian", grid(n))
+    gaps, peak = traced_peak(lemma_41_gap, qlcst_analysis(
+        f, fixed_gaussian(1, 1), FOURIER, FOURIER), f)
+    assert max(gaps) < 1e-10
+    assert peak < streamed_working_set(n, tile_cols, 6)
+
+
+@pytest.mark.parametrize("n, tile_cols", WORKING_SET_CASES)
+def test_streamed_marginal_working_set(monkeypatch, n, tile_cols):
+    """marginal_qlct_gap holds the working set of a streamed energy, its
+    partials of two planes per tile, then the direct oracle's QLCT."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
+    f = gen_signal("gaussian", grid(n))
+    gap, peak = traced_peak(marginal_qlct_gap, qlcst_analysis(
+        f, fixed_gaussian(1, 1), FOURIER, FOURIER), f)
+    assert gap < 1e-3
+    assert peak < streamed_working_set(n, tile_cols, 0)
 
 
 @pytest.mark.parametrize("n, n1", [(33, 33), (12, 2 * ROW_BLOCK + 3)])
@@ -954,7 +1008,8 @@ def test_analysis_against_file_with_partial_last_block(tmp_path, n, n1):
     fh = open_coefficients(tmp_path / "h.qcf")
     nrows, step = cf.plane_shape[0], ROW_BLOCK * cf.wgrid.axis1.n
     for src in (cf, fh):
-        assert [(rows.start, rows.stop) for rows, *_ in src.blocks()] == [
+        assert [(rows.start, rows.stop)
+                for rows, *_ in src.tile_factors(src._groups(whole=True))] == [
             (start, min(start + step, nrows)) for start in range(0, nrows, step)]
     want = orthogonality_form(cf, ch)
     got = orthogonality_form(cf, fh)
@@ -1038,7 +1093,7 @@ def test_block_size_changes_no_bits(tmp_path, monkeypatch, n, n1):
     for size in (1, 2, 4):
         monkeypatch.setattr("qlcst.coefficients.ROW_BLOCK", size)
         analysis = qlcst_analysis(*args)
-        assert len(list(analysis.blocks())) == -(-n1 // size)
+        assert len(list(analysis.tile_factors(analysis._groups()))) == -(-n1 // size)
         stored = qlcst_forward(*args)
         write_coefficients(tmp_path / "c.qcf", analysis)
         got.append((stored.a, stored.b, (tmp_path / "c.qcf").read_bytes()))
@@ -1068,19 +1123,14 @@ def test_u_slice_of_an_analysis_computes_one_block():
             products.append(ufunc)
             return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
-    blocks, tile_factors = analysis.blocks, analysis.tile_factors
+    tile_factors = analysis.tile_factors
 
-    def counted_blocks():
-        for rows, k, a, b in blocks():
-            read.append((rows, None))
-            yield rows, k.view(Counted), a, b
-
-    def counted_tiles(tiles):
-        for rows, cols, k, a, b in tile_factors(tiles):
+    def counted_tiles(groups):
+        for rows, cols, k, a, b in tile_factors(groups):
             read.append((rows, cols))
             yield rows, cols, k.view(Counted), a, b
 
-    analysis.blocks, analysis.tile_factors = counted_blocks, counted_tiles
+    analysis.tile_factors = counted_tiles
     cols = _col_tiles(ugrid.axis2.n, analysis.wgrid.axis2.n)
     assert cols == [slice(0, analysis.plane_shape[1])]
     for i in range(ugrid.axis1.n):
@@ -1193,8 +1243,9 @@ def test_tile_outer_refusal_counts_one_tile(monkeypatch):
     table and a memory limit of 2.5 MB, between the 1.3 MB of one tile's
     factors and one block of K1 rows and the 4.3 MB of whole rows',
     covariance_residuals and qlcst_forward (whose 2.1 MB planes fit) run
-    and give the unlimited bits, while the blocks() of the analysis, and
-    the synthesis with its whole-row K1^H sums, are refused."""
+    and give the unlimited bits, while the analysis's tiles in one group of
+    whole rows, and the synthesis with its whole-row K1^H sums, are
+    refused."""
     monkeypatch.setattr("qlcst.coefficients.TILE_COLS", 64)
     r, n = 31, 16
     assert [t.stop - t.start for t in _col_tiles(n, n)] == [64] * 4
@@ -1210,7 +1261,8 @@ def test_tile_outer_refusal_counts_one_tile(monkeypatch):
     assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
     message = "stacked window terms of %.3g GB" % (rows / 1e9)
     with pytest.raises(TooLarge, match=message):
-        next(qlcst_analysis(*args).blocks())
+        analysis = qlcst_analysis(*args)
+        next(analysis.tile_factors(analysis._groups(whole=True)))
     with pytest.raises(TooLarge, match=message):
         qlcst_reconstruct(got)
 
@@ -1228,9 +1280,9 @@ def test_k1_is_built_one_block_at_a_time(monkeypatch, window):
     nrows, step = g.axis1.n ** 2, ROW_BLOCK * g.axis1.n  # N_w1 = N_x1 = N_u1
     built = []
 
-    def recorded(prof, e):
+    def recorded(prof, e, out=None):
         """_kernel, recording the rows of each K1 or K1^H (N_x1 columns of e)."""
-        k = _kernel(prof, e)
+        k = _kernel(prof, e, out)
         if e.shape[1] == g.axis1.n:
             built.append(len(k))
         return k
@@ -1254,9 +1306,9 @@ def whole_k1_planes(C):
                         u[1][:, None, None] - x[1], w[1][:, None])
     k1 = _kernel(_floor(p), _phase_matrix(C.m1, x[0], w[0]))
     planes = [np.empty(C.plane_shape, dtype=complex) for _ in range(2)]
-    for rows, _, *parts in C.blocks():
+    for rows, cols, _, *parts in C.tile_factors(C._groups()):
         for plane, part in zip(planes, parts):
-            np.matmul(k1[rows], part, out=plane[rows])
+            np.matmul(k1[rows], part, out=plane[rows, cols])
     return planes
 
 
@@ -1335,7 +1387,9 @@ def test_k1_floor_comes_from_the_whole_profile():
     p, _ = axis_terms(s_gaussian(), u1, x1, w1)
     e1 = _phase_matrix(FOURIER, x1, w1)
     whole = _kernel(_floor(p.copy()), e1)
-    blocks = list(analysis.blocks())
+    # the K1 rows copied: the producer builds each block's into one buffer
+    blocks = [(rows, k.copy(), a) for rows, _, k, a, _ in
+              analysis.tile_factors(analysis._groups(whole=True))]
     per_block = np.concatenate([
         _kernel(_floor(p[:, rows.start // len(w1):rows.stop // len(w1)].copy()), e1)
         for rows, *_ in blocks])
@@ -1370,12 +1424,12 @@ def test_streamed_residual_matches_two_products(monkeypatch, n, window):
 
     def kept(tiles):
         """The producer's tiles as a list, each tile's mu2 factors copied
-        once, so that they outlive the next tile."""
+        once and each block's K1 rows, so that they outlive the next tile."""
         out, last = [], None
         for rows, cols, k, *planes in tiles:
             if cols != last:
                 held, last = [p.copy() for p in planes], cols
-            out.append((rows, cols, k, *held))
+            out.append((rows, cols, k.copy(), *held))
         return out
 
     def both(want, other):
@@ -1420,13 +1474,14 @@ def test_covariance_holds_one_column_block(monkeypatch, n, window, tile_cols):
     holds, in complex values, for tiles of W columns: one tile's mu2
     factors of both producers (4*R*N*W), two tile buffers
     (2*ROW_BLOCK*N*W), one term's mu2 temporaries (its K2 rows of the tile
-    and P - Q, (C + 1)*N*W), the K1 rows of each producer's block and of
-    the next while it is built (4*R*ROW_BLOCK*N^2), both producers' window
-    terms (R*(1 + C)*N^2) and 24 signal-sized arrays, plus numpy's cast
-    buffers (0.26 MB).  None of it grows as N^3 at a fixed W: on the
-    covariance suite's case (two tiles) and under the full-rank table with
-    four tiles it reads 8.9 and 4.1 MB against bounds of 10.4 and 4.2 MB;
-    with whole-row factors it read 11.5 and 10.0 MB."""
+    and P - Q, (C + 1)*N*W), the one reused block of K1 rows of each
+    producer (2*R*ROW_BLOCK*N^2), both producers' window terms
+    (R*(1 + C)*N^2) and 24 signal-sized arrays, plus numpy's cast buffers
+    (0.26 MB).  None of it grows as N^3 at a fixed W: on the covariance
+    suite's case (two tiles) and under the full-rank table with four tiles
+    it reads 8.9 and 3.6 MB against bounds of 10.2 and 3.7 MB; with each
+    block's K1 rows built anew while the last were held it read 8.9 and
+    4.1 MB, with whole-row factors 11.5 and 10.0 MB."""
     monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
     width = _col_tiles(n, n)[0].stop
     assert 1 < len(_col_tiles(n, n))
@@ -1434,7 +1489,7 @@ def test_covariance_holds_one_column_block(monkeypatch, n, window, tile_cols):
     _, q = axis_terms(window, *[f.grid.axis1.points] * 3)
     r, c = q.shape[:2]
     bound = 16 * (4 * r * n * width + 2 * ROW_BLOCK * n * width + (c + 1) * n * width
-                  + 4 * r * ROW_BLOCK * n * n + r * (1 + c) * n * n + 24 * n * n) + 2 ** 18
+                  + 2 * r * ROW_BLOCK * n * n + r * (1 + c) * n * n + 24 * n * n) + 2 ** 18
     tracemalloc.start()
     try:
         rep = covariance_residuals(f, window, FOURIER, FOURIER)
@@ -1446,7 +1501,7 @@ def test_covariance_holds_one_column_block(monkeypatch, n, window, tile_cols):
 
 
 # Residuals of covariance_residuals as recorded when its sides were still
-# qlcst_analysis(...).blocks() producers, on random_hermite_combo(grid(n),
+# row-block producers of qlcst_analysis, on random_hermite_combo(grid(n),
 # seed=3) with s = (1, -0.5): (n, window, matrix pair, alpha, residuals).
 RECORDED_COVARIANCE = [
     (16, fixed_gaussian(1, 1), special_case_matrix("stockwell"), (1.0, 0.0),
@@ -1463,14 +1518,14 @@ RECORDED_COVARIANCE = [
                          ids=["fixed-gauss", "real-table", "s-gauss"])
 def test_covariance_needs_no_analysis_object(monkeypatch, n, window, pair,
                                              alpha, want):
-    """covariance_residuals builds all six sides from _analysis_blocks
-    itself: with qlcst_analysis and QLCSTAnalysis.blocks raising, it still
+    """covariance_residuals builds all six sides from _analysis_tiles
+    itself: with qlcst_analysis and QLCSTAnalysis.tile_factors raising, it still
     gives the recorded residuals, each at roundoff."""
     def refuse(*args, **kwargs):
         raise AssertionError("covariance_residuals used the analysis object")
 
     monkeypatch.setattr("qlcst.qlcst.qlcst_analysis", refuse)
-    monkeypatch.setattr(QLCSTAnalysis, "blocks", refuse)
+    monkeypatch.setattr(QLCSTAnalysis, "tile_factors", refuse)
     rep = covariance_residuals(random_hermite_combo(grid(n), seed=3), window,
                                *pair, alpha=alpha, s=(1.0, -0.5))
     got = (rep.parity, rep.shift, rep.modulation)
@@ -1532,12 +1587,12 @@ def test_orthogonality_one_pass_per_source(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return _analysis_blocks(*args, **kwargs)
+        return _analysis_tiles(*args, **kwargs)
 
     f = random_hermite_combo(grid(8), seed=3)
     args = (f, fixed_gaussian(1, 0.7), FOURIER, FOURIER)
     C = qlcst_analysis(*args)
-    monkeypatch.setattr("qlcst.qlcst._analysis_blocks", counted)
+    monkeypatch.setattr("qlcst.qlcst._analysis_tiles", counted)
     want = orthogonality_form(C, qlcst_analysis(*args))
     assert len(calls) == 2
     assert np.array_equal(orthogonality_form(C, C), want)

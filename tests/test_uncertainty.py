@@ -247,7 +247,7 @@ def per_axis_lemma_41_gap(C, f, s):
     one pass of the w-inverse for axis s alone."""
     xsq = _axis_sq(f.grid, s)[:, None, :]
     acc = 0.0
-    for a, b in _w_inverse_rows(C, f.grid):
+    for _, a, b in _w_inverse_rows(C, f.grid):
         acc += float(np.sum(xsq * (a.real ** 2 + a.imag ** 2
                                    + b.real ** 2 + b.imag ** 2)))
     rhs = acc * f.grid.cell * C.ugrid.cell
