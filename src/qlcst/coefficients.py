@@ -6,37 +6,36 @@ for mu1).  Each plane is one C-contiguous (nu1*nw1, nu2*nw2) matrix whose row
 index is (u1, w1) and whose column index is (u2, w2), so the interleaved
 (u1, u2, w1, w2, 4) array is a pure reordering of their bits.
 
-A source has grids, window and matrices and one generator,
-tile_factors(groups), which yields its planes as (rows, cols, k, a, b): the
-plane entries [rows, cols] are k @ a and k @ b (a and b if k is None), for
-the row blocks of _row_blocks (ROW_BLOCK u1 rows each) and the column tiles
-of whole u2 groups of _col_tiles (at least TILE_COLS columns each).  groups
-are those tiles grouped by the mu2 factors an analysis holds at once.  A
-stored QLCSTCoefficients (views of its planes) and a QCF2 file
-(io.open_coefficients, rows read into reused buffers) hold whole rows and
-yield row order whatever the groups; the unstored analysis
-(qlcst.qlcst_analysis) yields group by group, each group's row blocks in
-row order.  One tile per group (_groups(), the default) holds one column
-block of factors; one group of all tiles (_groups(whole=True)) holds whole
-rows and yields the row order of a file, which the QCF2 writer and the
-orthogonality form of two sources read.  tiles() yields the products
-(rows, cols, a, b): views for a stored set or a file, the products in two
-reused tile buffers for an analysis, valid only until the next tile.  So a
-reduction holds no coefficient set the source does not hold already.
+A source has grids (the u and w grids and the signal grid of the analysis),
+window and matrices, its column tiles (col_tiles(): those of _col_tiles, at
+least TILE_COLS columns of whole u2 groups each, or a file's own) and one
+generator, tile_factors(tiles), which yields its planes as
+(rows, cols, k, a, b): the plane entries [rows, cols] are k @ a and k @ b
+(a and b if k is None), column tile outer, for each tile cols of `tiles`
+(all of the source's by default) the row blocks of _row_blocks (ROW_BLOCK u1
+rows each) in row order.  That is the one order of every source: a stored
+QLCSTCoefficients yields views of its planes, a QCF3 file
+(io.open_coefficients) the tiles as they lie on disk, read into reused
+buffers, and the unstored analysis (qlcst.qlcst_analysis) one column block
+of mu2 factors at a time.  tiles() yields the products (rows, cols, a, b):
+views for a stored set or a file, the products in two reused tile buffers
+for an analysis, valid only until the next tile.  So a reduction holds no
+coefficient set the source does not hold already.
 
 Every plane value of every source is one of those tile products, and an
 analysis's mu2 factors are those of one tile on every path
 (qlcst._mu2_tile), because a GEMM split by columns need not give the bits
-of the whole product; so the tiles of any two sources on the same grids
-have the same bits.  Every reduction sums by one rule (_tile_partials):
-each column tile's terms, its row blocks in row order, into that tile's own
-partial, then the partials in tile order, so it gives the same bits from
-every source in every order.  Every source is made whole by one stored(),
-which alone allocates planes, and is sliced by one slice_planes(), which
-alone checks a slice index.  One rule (_refuse_beyond_memory) refuses the
-planes, and the stacked window terms of the analysis and the synthesis,
-beyond the smallest memory limit in force (_memory_limits).  This module
-imports no operator code.
+of the whole product; so the tiles of any two sources on the same grids and
+tiles have the same bits.  Every reduction sums by one rule
+(_tile_partials): each column tile's terms, its row blocks in row order,
+into one partial, folded into the result in tile order as soon as the next
+tile starts, so it gives the same bits from every source and holds one
+partial at a time.  Every source is made whole by one stored(), which alone
+allocates planes, and is sliced by one slice_planes(), which alone checks a
+slice index.  One rule (_refuse_beyond_memory) refuses the planes, and the
+stacked window terms of the analysis and the synthesis, beyond the smallest
+memory limit in force (_memory_limits).  This module imports no operator
+code.
 """
 
 import math
@@ -79,13 +78,14 @@ def _row_blocks(nrows, nw1):
 TILE_COLS = 1024
 
 
-def _col_tiles(nu2, nw2):
+def _col_tiles(nu2, nw2, width=None):
     """The plane-column slices of whole u2 groups (nw2 columns each) that
-    cover nu2*nw2 columns in max(1, nu2*nw2 // TILE_COLS) tiles or fewer,
-    each of the same number of groups but the last, which is clipped to
-    the plane: so every tile but the last has at least TILE_COLS columns."""
+    cover nu2*nw2 columns, `width` groups each but the last, which is
+    clipped to the plane.  The default width gives
+    max(1, nu2*nw2 // TILE_COLS) tiles or fewer, so that every tile but the
+    last has at least TILE_COLS columns."""
     ncols = nu2 * nw2
-    step = -(-nu2 // max(1, ncols // TILE_COLS)) * nw2
+    step = (width or -(-nu2 // max(1, ncols // TILE_COLS))) * nw2
     return [slice(start, min(start + step, ncols))
             for start in range(0, ncols, step)]
 
@@ -102,27 +102,39 @@ def _split4(tile, nw1, nw2):
 
 
 def _tile_partials(items):
-    """[(cols, partials)] in tile order, by the one summation rule of every
-    reduction: for each (cols, terms) of items, each term added into its
-    column tile's own partial, a tile's items in the order they come, which
-    is row order from every source whatever the order of its tiles.  The
-    first terms of a tile, new arrays, become its partials; later ones are
-    taken one at a time and added in place, so one is held at a time."""
-    partials = {}
-    for cols, terms in items:
-        if cols.start in partials:
+    """Yield (cols, partials) for each column tile of items, by the one
+    summation rule of every reduction: consecutive (cols, terms) items of
+    the same cols make one tile (every source yields column tile outer,
+    each tile's row blocks in row order).  The first terms of a tile, new
+    arrays, become its partials; later ones are taken one at a time and
+    added in place.  A tile's partials are yielded as soon as the next tile
+    starts, and the yielded list is emptied when the next tile is asked
+    for, so a consumer that folds or contracts them holds one tile's
+    partials at a time."""
+    cols, partials = None, []
+    for tile, terms in items:
+        if tile != cols and partials:
+            yield cols, partials
+            partials.clear()
+        cols = tile
+        if partials:
             terms = iter(terms)
-            for acc in partials[cols.start][1]:
+            for acc in partials:
                 acc += next(terms)
         else:
-            partials[cols.start] = cols, list(terms)
-    return [partials[start] for start in sorted(partials)]
+            partials.extend(terms)
+    terms = None  # a lazy last terms holds what made it (a file's buffers)
+    if partials:
+        yield cols, partials
 
 
 def _tile_sum(items):
     """The sum of each term of items (_tile_partials): the partials of the
-    tiles added in tile order."""
-    return [sum(terms) for terms in zip(*(p for _, p in _tile_partials(items)))]
+    tiles folded into the total in tile order, from 0, as sum() adds them."""
+    total = None
+    for _, partials in _tile_partials(items):
+        total = [t + p for t, p in zip(total or [0] * len(partials), partials)]
+    return total
 
 
 # Where this process's cgroups are listed and where their files are mounted.
@@ -200,20 +212,16 @@ class _Source:
     def cell4(self):
         return self.ugrid.cell * self.wgrid.cell
 
-    def _groups(self, whole=False):
-        """The column tiles of the planes (_col_tiles), grouped by the mu2
-        factors an analysis holds at once: one tile per group, or, whole,
-        all tiles in one group, which yields the row order of a file."""
-        tiles = _col_tiles(self.ugrid.axis2.n, self.wgrid.axis2.n)
-        return [tiles] if whole else [[t] for t in tiles]
+    def col_tiles(self):
+        """The column tiles of the planes (_col_tiles at TILE_COLS)."""
+        return _col_tiles(self.ugrid.axis2.n, self.wgrid.axis2.n)
 
-    def tiles(self, groups=None):
-        """Yield (rows, cols, a, b) for each tile of tile_factors(groups),
-        one tile per group by default: the plane entries [rows, cols], as
-        views, or k @ a and k @ b in two tile buffers allocated once per
-        pass, valid only until the next tile."""
+    def tiles(self):
+        """Yield (rows, cols, a, b) for each tile of tile_factors(): the
+        plane entries [rows, cols], as views, or k @ a and k @ b in two tile
+        buffers allocated once per pass, valid only until the next tile."""
         bufs = None
-        for rows, cols, k, *parts in self.tile_factors(groups or self._groups()):
+        for rows, cols, k, *parts in self.tile_factors():
             if k is not None:  # the first tile of the first block is the largest
                 if bufs is None:
                     bufs = np.empty((2, len(k) * parts[0].shape[1]), dtype=complex)
@@ -239,19 +247,19 @@ class _Source:
 
     def stored(self):
         """The coefficients as QLCSTCoefficients, the planes filled in place
-        tile by tile from tile_factors(), one tile per group: the one
-        allocation of planes.  Planes beyond the memory limit are refused
-        before anything is allocated."""
+        tile by tile from tile_factors(): the one allocation of planes.
+        Planes beyond the memory limit are refused before anything is
+        allocated."""
         _refuse_beyond_memory("coefficient planes", 2 * math.prod(self.plane_shape))
         planes = [np.empty(self.plane_shape, dtype=complex) for _ in range(2)]
-        for rows, cols, k, *parts in self.tile_factors(self._groups()):
+        for rows, cols, k, *parts in self.tile_factors():
             for plane, part in zip(planes, parts):
                 if k is None:
                     plane[rows, cols] = part
                 else:  # the products of tiles(), bit for bit
                     np.matmul(k, part, out=plane[rows, cols])
         return QLCSTCoefficients(*planes, self.ugrid, self.wgrid, self.window,
-                                 self.m1, self.m2)
+                                 self.m1, self.m2, self.signal_grid)
 
     def slice_planes(self, fixed, index):
         """The complex planes (a, b) of a 2D slice of the coefficients, the
@@ -260,10 +268,10 @@ class _Source:
         fixed = "u": freeze the position index pair, return (w1, w2) arrays.
         fixed = "w": freeze the frequency index pair, return (u1, u2) arrays.
         Every block is read, so a file checks every value, and only the slice
-        is kept; a u slice reads the one column tile that holds its u2 group
-        (tile_factors of that tile alone, so an analysis computes the mu2
-        factors of that tile only) and computes, of the one block that holds
-        its u1 row, that row's product.
+        is kept; a u slice asks for the one column tile that holds its u2
+        group (tile_factors of that tile alone, so an analysis computes the
+        mu2 factors of that tile only) and computes, of the one block that
+        holds its u1 row, that row's product.
         """
         if fixed not in ("u", "w"):
             raise BadParameter("fixed must be 'u' or 'w', got %r" % (fixed,))
@@ -285,8 +293,8 @@ class _Source:
                 out[:, rows.start // nw1:rows.stop // nw1,
                     cols.start // nw2:cols.stop // nw2] = a4[:, i, :, j], b4[:, i, :, j]
             return out
-        group = next(g for g in self._groups() if j * nw2 < g[0].stop)
-        for rows, cols, k, *planes in self.tile_factors([group]):
+        tile = next(t for t in self.col_tiles() if j * nw2 < t.stop)
+        for rows, cols, k, *planes in self.tile_factors([tile]):
             first = rows.start // nw1  # the block's first u1 row
             if first <= i < rows.stop // nw1:
                 u1 = slice((i - first) * nw1, (i - first + 1) * nw1)
@@ -299,11 +307,12 @@ class _Source:
 @dataclass
 class QLCSTCoefficients(_Source):
     """Coefficients C(u, w) as the symplectic planes a, b with the grids,
-    window and matrices that produced them.  Each plane is a
-    (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2) order; `data` builds the
-    interleaved (u1, u2, w1, w2, 4) array.  tile_factors() yields views of
-    the planes' tiles, row blocks outer.  The planes are read-only once
-    constructed (also the arrays passed in, where they needed no copy)."""
+    window and matrices that produced them and the grid of the analysed
+    signal.  Each plane is a (nu1*nw1, nu2*nw2) matrix in (u1, w1, u2, w2)
+    order; `data` builds the interleaved (u1, u2, w1, w2, 4) array.
+    tile_factors() yields views of the planes' tiles, column tile outer.
+    The planes are read-only once constructed (also the arrays passed in,
+    where they needed no copy)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -312,6 +321,7 @@ class QLCSTCoefficients(_Source):
     window: WindowSpec
     m1: ParamMatrix
     m2: ParamMatrix
+    signal_grid: Grid2D
 
     def __post_init__(self):
         want = self.plane_shape
@@ -324,9 +334,9 @@ class QLCSTCoefficients(_Source):
         self.a.flags.writeable = False
         self.b.flags.writeable = False
 
-    def tile_factors(self, groups):
-        for rows in _row_blocks(len(self.a), self.wgrid.axis1.n):
-            for cols in sum(groups, []):
+    def tile_factors(self, tiles=None):
+        for cols in tiles or self.col_tiles():
+            for rows in _row_blocks(len(self.a), self.wgrid.axis1.n):
                 yield rows, cols, None, self.a[rows, cols], self.b[rows, cols]
 
     def views4(self):

@@ -1,50 +1,53 @@
-"""Binary persistence (QSG1 signals, QCF2 coefficients) and exports.
+"""Binary persistence (QSG1 signals, QCF3 coefficients) and exports.
 
 All multi-byte fields are little-endian.  A QSG1 file is SIGNAL_HEADER (the
 point counts, origins and spacings of the grid) and a float64 payload,
-row-major, components interleaved scalar-first (w, x, y, z).  A QCF2 file is
-COEFF_HEADER (the u and w grids, both matrices (A, B, C, D), the window's
-WINDOW_CODES index and sigma), then for each u1 the a and the b row block of
-the planes (nw1 x nu2*nw2 complex128 each), then, for a custom-table window,
-the table as a QSG1 record.  QCF1 files (no window or matrices) are refused.
+row-major, components interleaved scalar-first (w, x, y, z).  A QCF3 file is
+COEFF_HEADER (the point counts, origins and spacings of the u, w and signal
+grids, both matrices (A, B, C, D), the column tile width in u2 groups, the
+window's WINDOW_CODES index and sigma), then, for each column tile of that
+width (coefficients._col_tiles) and each u1 in order, the a and then the b
+segment of the tile (nw1 x |tile| complex128 each), then, for a custom-table
+window, the table as a QSG1 record.  QCF1 and QCF2 files, superseded, are
+refused by one rule.
 
 Coefficient files are streamed: write_coefficients writes any coefficient
-source one u1 row at a time from its tile_factors() in row order (one group
-of all tiles), each row joined from its column tiles in one reused row
-buffer (an unstored analysis is computed row by row as it is written, each
-tile as tiles() computes it), and open_coefficients gives a file source
-whose tile_factors() reads the row blocks of coefficients._row_blocks, so
-neither holds a coefficient set; read_coefficients is the file's stored()
-planes, refused beyond the memory limit, and coefficient_slice the
-magnitude of its slice_planes().  Readers check the header, the file size,
-the matrices and the window before anything is allocated, a file that
-changed since it was opened before any payload is read, and every payload
-value as it is read; the writer checks every value before it is written.
-Every output (a signal, a coefficient file, an exported slice) is written
-under a temporary name and renamed to the output when complete, so a failed
-write leaves none and an old output as it was.
+source tile by tile from its tiles() (an unstored analysis is computed tile
+by tile as it is written), and open_coefficients gives a file source whose
+tile_factors() reads the row blocks of coefficients._row_blocks of one tile
+at a time, so neither holds a coefficient set; read_coefficients is the
+file's stored() planes, refused beyond the memory limit, and
+coefficient_slice the magnitude of its slice_planes().  Readers check the
+header, the file size, the tile width, the grids, the matrices and the
+window before anything is allocated, a file that changed since it was
+opened before any payload is read, and every payload value as it is read;
+the writer checks every value before it is written.  Every output (a
+signal, a coefficient file, an exported slice) is written under a temporary
+name and renamed to the output when complete, so a failed write leaves none
+and an old output as it was.
 """
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .coefficients import _row_blocks, _Source
-from .errors import (BadMagic, BadParameter, NonFinite, QlcstError,
+from .coefficients import _col_tiles, _row_blocks, _Source
+from .errors import (BadMagic, BadParameter, NonFinite, QlcstError, TooLarge,
                      TrailingBytes, TruncatedFile, VersionMismatch)
 from .lct import ParamMatrix, validate_param
 from .signal import Grid1D, Grid2D, QSignal2D
 from .window import WindowSpec
 
 SIGNAL_MAGIC = b"QSG1"
-COEFF_MAGIC = b"QCF2"
+COEFF_MAGIC = b"QCF3"
 VERSION = 1
 
 SIGNAL_HEADER = struct.Struct("<4sHIIdddd")
-COEFF_HEADER = struct.Struct("<4sHIIIIdddddddd8dH2d")
+COEFF_HEADER = struct.Struct("<4sH6I12d8dIH2d")
 WINDOW_CODES = ("fixed-gaussian", "s-gaussian", "constant", "custom-table")
 
 
@@ -72,9 +75,9 @@ def write_signal(path, f):
 def _header_fields(fh, header, magic, what):
     """The fields after magic and version of the header at the file position."""
     raw = fh.read(header.size)
-    if raw[:4] == b"QCF1":
-        raise VersionMismatch("QCF1 files hold no window or matrices and are no "
-                              "longer read; regenerate it with `qlcst qlcst`")
+    if raw[:4] in (b"QCF1", b"QCF2"):  # the superseded coefficient formats
+        raise VersionMismatch("%s files are a superseded format and no longer "
+                              "read; regenerate it with `qlcst qlcst`" % raw[:4].decode())
     if len(raw) != header.size:
         raise TruncatedFile("file ends inside header")
     fields = header.unpack(raw)
@@ -130,19 +133,27 @@ def read_signal(path):
 
 
 @contextlib.contextmanager
-def _replacing(path):
+def _replacing(path, size=0):
     """A binary file handle whose bytes become `path` only if the block ends
     without an exception.  They are written under a temporary name in the
     output's directory (created with the ordinary mode of open(path, "wb"))
     and renamed to the output; on any exception the temporary file is
     removed, so a failed write leaves no partial output and an old output
-    as it was.  An output that exists and is no regular file (a device or a
+    as it was.  An output of `size` bytes beyond the free space of the
+    directory's file system is refused (TooLarge) before anything is
+    written.  An output that exists and is no regular file (a device or a
     pipe) cannot be replaced and is written in place."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "wb") as fh:
             yield fh
         return
+    if size:
+        st = os.statvfs(os.path.dirname(target))
+        if size > st.f_bavail * st.f_frsize:
+            raise TooLarge("an output of %.3g GB does not fit in the %.3g GB free "
+                           "on %s" % (size / 1e9, st.f_bavail * st.f_frsize / 1e9,
+                                      os.path.dirname(target)))
     tmp = os.path.join(os.path.dirname(target), ".%s.%s.tmp"
                        % (os.path.basename(target), os.urandom(6).hex()))
     fh = open(tmp, "xb")
@@ -162,36 +173,30 @@ def _replacing(path):
 
 
 def write_coefficients(path, c):
-    """Write the coefficients of any source as a QCF2 file: a stored set, an
-    unstored qlcst_analysis or an open file.  The payload is written one u1
-    row at a time from c.tile_factors() of one group, row order, each row
-    joined tile by tile into one reused (nw1, nu2*nw2) buffer: a stored
-    set's or a file's rows as they are, an analysis's rows k[u1 rows] @ a
-    computed as tiles() computes them, so no block product is held.  Every
-    row is checked before it is written, so non-finite coefficients raise
-    NonFinite, and a failed write leaves no file (_replacing)."""
-    u, w, win = c.ugrid, c.wgrid, c.window
+    """Write the coefficients of any source as a QCF3 file: a stored set, an
+    unstored qlcst_analysis or an open file.  The payload is written
+    straight from c.tiles(), column tile outer, for each u1 row of a tile's
+    row block its a and then its b segment: a stored set's or a file's
+    entries as they are, an analysis's tile products as tiles() computes
+    them.  Every tile is checked before it is written, so non-finite
+    coefficients raise NonFinite; a file beyond the free space of the
+    output's file system is refused (TooLarge) before anything is written,
+    and a failed write leaves no file (_replacing)."""
+    u, w, x, win = c.ugrid, c.wgrid, c.signal_grid, c.window
     header = COEFF_HEADER.pack(
-        COEFF_MAGIC, VERSION, *u.shape, *w.shape, *_grid_fields(u),
-        *_grid_fields(w), *astuple(c.m1), *astuple(c.m2),
-        WINDOW_CODES.index(win.family), *win.sigma)
-    nw1, groups = w.axis1.n, c._groups(whole=True)
-    row = np.empty((nw1, c.plane_shape[1]), dtype=complex)
-    with _replacing(path) as fh:
+        COEFF_MAGIC, VERSION, *u.shape, *w.shape, *x.shape, *_grid_fields(u),
+        *_grid_fields(w), *_grid_fields(x), *astuple(c.m1), *astuple(c.m2),
+        c.col_tiles()[0].stop // w.axis2.n, WINDOW_CODES.index(win.family),
+        *win.sigma)
+    with _replacing(path, len(header) + 32 * math.prod(u.shape + w.shape)) as fh:
         fh.write(header)
-        # the tiles of one row block at a time, taken without reading ahead
-        for block in zip(*[c.tile_factors(groups)] * len(groups[0])):
-            rows = block[0][0]
-            for start in range(0, rows.stop - rows.start, nw1):
-                u1 = slice(start, start + nw1)
-                for i in range(2):  # per u1: the a row, then the b row
-                    for _, cols, k, *parts in block:
-                        if k is None:
-                            row[:, cols] = parts[i][u1]
-                        else:
-                            np.matmul(k[u1], parts[i], out=row[:, cols])
-                    _check_finite(row, "coefficients")
-                    fh.write(row.astype("<c16", copy=False))
+        for rows, _, *planes in c.tiles():
+            for plane in planes:
+                _check_finite(plane, "coefficients")
+            for start in range(0, rows.stop - rows.start, w.axis1.n):
+                for plane in planes:  # per u1: the a segment, then the b segment
+                    fh.write(np.ascontiguousarray(plane[start:start + w.axis1.n],
+                                                  "<c16"))
         if win.family == "custom-table":
             _write_signal_record(fh, win.table)
 
@@ -205,66 +210,80 @@ def _identity(fh):
 
 @dataclass
 class CoefficientFile(_Source):
-    """A QCF2 file as a coefficient source, made by open_coefficients, which
+    """A QCF3 file as a coefficient source, made by open_coefficients, which
     checks everything but the payload and records the file's _identity.
+    Its column tiles are those of its header's width, whatever TILE_COLS.
     Each tile_factors() pass reopens the path and refuses a file whose
-    identity changed since, before any payload is read; it reads the row
-    blocks of _row_blocks into two buffers that it reuses, checking every
-    value, and yields views of their tiles, row blocks outer, so a tile stays
-    valid only until the next block is read."""
+    identity changed since, before any payload is read; it reads every
+    tile's row blocks (_row_blocks), in the order they lie on disk, into two
+    buffers that it reuses, checking every value, and yields views of those
+    of the tiles asked for, so a tile stays valid only until the next block
+    is read."""
 
     path: str
     ugrid: Grid2D
     wgrid: Grid2D
+    signal_grid: Grid2D
     window: WindowSpec
     m1: ParamMatrix
     m2: ParamMatrix
+    tile_width: int
     identity: tuple
 
-    def tile_factors(self, groups):
-        nrows, ncols = self.plane_shape
-        nw1 = self.wgrid.axis1.n
-        blocks = _row_blocks(nrows, nw1)
-        bufs = [np.empty((blocks[0].stop, ncols), dtype="<c16") for _ in range(2)]
+    def col_tiles(self):
+        return _col_tiles(self.ugrid.axis2.n, self.wgrid.axis2.n, self.tile_width)
+
+    def tile_factors(self, tiles=None):
+        nw1, cols = self.wgrid.axis1.n, self.col_tiles()
+        blocks = _row_blocks(self.plane_shape[0], nw1)
+        bufs = np.empty((2, blocks[0].stop * cols[0].stop), dtype="<c16")
         with open(self.path, "rb") as fh:
             if _identity(fh) != self.identity:
                 raise QlcstError("%s changed since it was opened" % self.path)
             fh.seek(COEFF_HEADER.size)
-            for rows in blocks:
-                n = rows.stop - rows.start
-                for row in range(0, n, nw1):
-                    for buf in bufs:
-                        _read_payload(fh, buf[row:row + nw1])
-                for cols in sum(groups, []):
-                    yield rows, cols, None, bufs[0][:n, cols], bufs[1][:n, cols]
+            for tile in cols:
+                for rows in blocks:
+                    a, b = (buf[:(rows.stop - rows.start) * (tile.stop - tile.start)]
+                            .reshape(-1, tile.stop - tile.start) for buf in bufs)
+                    for row in range(0, len(a), nw1):
+                        for plane in (a, b):
+                            _read_payload(fh, plane[row:row + nw1])
+                    if tile in (tiles or cols):
+                        yield rows, tile, None, a, b
 
 
 def open_coefficients(path):
-    """Open a QCF2 file as a CoefficientFile.  The header, the file size, the
-    matrices, the window family and a table window's record are checked
-    here, before any plane row is read."""
+    """Open a QCF3 file as a CoefficientFile.  The header (its tile width
+    within [1, N_u2]), the file size, the grids, the matrices, the window
+    family and a table window's record are checked here, before any plane
+    row is read."""
     with open(path, "rb") as fh:
         fields = _header_fields(fh, COEFF_HEADER, COEFF_MAGIC, "coefficient")
-        nu1, nu2, nw1, nw2 = fields[:4]
-        _check_finite(fields[4:20] + fields[21:], "header")
-        if fields[20] >= len(WINDOW_CODES):
-            raise BadParameter("unknown window family code %d" % fields[20])
-        family = WINDOW_CODES[fields[20]]
-        payload = 32 * nu1 * nw1 * nu2 * nw2
+        counts, floats, (width, code), sigma = (fields[:6], fields[6:26], fields[26:28],
+                                                fields[28:])
+        _check_finite(floats + sigma, "header")
+        if code >= len(WINDOW_CODES):
+            raise BadParameter("unknown window family code %d" % code)
+        if not 1 <= width <= counts[1]:
+            raise BadParameter("column tile width %d is not within [1, %d] u2 groups"
+                               % (width, counts[1]))
+        family = WINDOW_CODES[code]
+        payload = 32 * math.prod(counts[:4])
         _check_payload_size(fh, payload, more=family == "custom-table")
-        ugrid, wgrid = _grid(nu1, nu2, *fields[4:8]), _grid(nw1, nw2, *fields[8:12])
-        m1, m2 = validate_param(*fields[12:16]), validate_param(*fields[16:20])
+        ugrid, wgrid, sgrid = (_grid(*counts[2 * i:2 * i + 2], *floats[4 * i:4 * i + 4])
+                               for i in range(3))
+        m1, m2 = validate_param(*floats[12:16]), validate_param(*floats[16:20])
         table = None
         if family == "custom-table":
             fh.seek(payload, os.SEEK_CUR)
             table = _read_signal_record(fh)
-        return CoefficientFile(os.path.abspath(path), ugrid, wgrid,
-                               WindowSpec(family, fields[21:], table), m1, m2,
+        return CoefficientFile(os.path.abspath(path), ugrid, wgrid, sgrid,
+                               WindowSpec(family, sigma, table), m1, m2, width,
                                _identity(fh))
 
 
 def read_coefficients(path):
-    """Read a QCF2 file into complete QLCSTCoefficients: its stored() planes,
+    """Read a QCF3 file into complete QLCSTCoefficients: its stored() planes,
     everything checked by open_coefficients and tile_factors()."""
     return open_coefficients(path).stored()
 

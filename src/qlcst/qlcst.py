@@ -10,42 +10,40 @@ Coefficients are the two mu1-complex planes a, b of the symplectic split
 C = a + b*mu2, in the layout and tile protocol of the coefficients module.
 
 A left factor exp(mu1*t) multiplies both planes by exp(i*t); a right factor
-exp(mu2*t) is diagonal on P = a + i*b and Q = a - i*b (quaternion.right_mu2).
-Every window is a short sum of separable terms (window.window_terms),
-Psi = sum_r p_r(y1, w1) * sum_c e_c q_rc(y2, w2) with p_r and q_rc real, which
-commute with the quaternion units.  Each axis of a term is thus a complex
-kernel matrix K[(u, w), x] = prof(u - x, w) * c * exp(i*theta(x, w)), and the
-analysis is sum_r K1_r @ sum_c (f * conj(e_c) * cell) @ K2_rc^T, each K2_rc
-applied through right_mu2 first; synthesis is the adjoint contraction,
-right-multiplied by e_c.  A built-in window is one real term; a table has
-R <= min(n1, 4*n2), and cost and memory grow with R: the stacked mu2
-factors of whole rows as R*N^3, those of one column tile as R*N*TILE_COLS,
-the K1_r rows of one block (all that is built of them) as R*N^2.  The mu2
-factors follow one rule, one column tile (coefficients._col_tiles) at a
-time against only that tile's K2 rows (_mu2_tile), on every path, because
-a GEMM split by columns need not give the bits of the whole product; each
-term's P and Q products are formed in its rows of the tile's factors and
-combined there in place, after K2 is freed (right_mu2).  One producer,
-_analysis_tiles, takes the column tiles grouped by the factors it holds at
-once and yields each group's row blocks in row order: one tile per group
-holds one column block of factors and serves every reduction, stored() (so
-qlcst_forward fills its planes in place from it), u slices and
-covariance_residuals; one group of all tiles holds whole rows and yields
-the row order of a file, for the QCF2 writer and the orthogonality form of
-two sources.  Every reduction sums by column tile, whatever order its
-source yields (coefficients._tile_partials), so a stored set, a QCF2 file
-and an unstored qlcst_analysis give the same bits.  The producer is a pure
-contraction of data: it takes the output points and the per-axis kernel
-matrices, which the analysis builds from its grids and _phase_matrix, and
-covariance_residuals by one side rule for all six sides, with reversed
-points (parity) or shifted kernel phases (shift, modulation), so it needs
-no analysis object.  Its shift analyses f's own samples on the x grid moved
-by alpha, the shifted signal exactly.  The pointwise inverse reads
-C.slice_planes(), so it too takes any source; on an unstored analysis that
-computes the mu2 factors of one tile and the u1 row of one block.
+exp(mu2*t) is diagonal on P = a + i*b and Q = a - i*b
+(quaternion.right_mu2).  Every window is a short sum of separable terms
+(window.window_terms), Psi = sum_r p_r(y1, w1) * sum_c e_c q_rc(y2, w2) with
+p_r and q_rc real, which commute with the quaternion units.  Each axis of a
+term is thus a complex kernel matrix K[(u, w), x] = prof(u - x, w) * c *
+exp(i*theta(x, w)), and the analysis is sum_r K1_r @ sum_c (f * conj(e_c) *
+cell) @ K2_rc^T, each K2_rc applied through right_mu2 first; synthesis is
+the adjoint contraction, right-multiplied by e_c.  A built-in window is one
+real term; a table has R <= min(n1, 4*n2), and cost and memory grow with R:
+the stacked mu2 factors of one column tile as R*N*TILE_COLS, the K1_r rows
+of one block (all that is built of them) as R*N^2.  The mu2 factors follow
+one rule, one column tile (coefficients._col_tiles) at a time against only
+that tile's K2 rows (_mu2_tile), on every path, because a GEMM split by
+columns need not give the bits of the whole product; each term's P and Q
+products are formed in its rows of the tile's factors and combined there in
+place, after K2 is freed (right_mu2).  One producer, _analysis_tiles, yields
+the column tiles it is given in turn, each tile's row blocks in row order,
+the order of every coefficient source: it holds one column block of factors
+and serves every reduction, stored() (so qlcst_forward fills its planes in
+place from it), u slices, the QCF3 writer and covariance_residuals.  Every
+reduction sums by column tile (coefficients._tile_partials), so a stored
+set, a QCF3 file and an unstored qlcst_analysis give the same bits.  The
+producer is a pure contraction of data: it takes the output points and the
+per-axis kernel matrices, which the analysis builds from its grids and
+_phase_matrix, and covariance_residuals by one side rule for all six sides,
+with reversed points (parity) or shifted kernel phases (shift, modulation),
+so it needs no analysis object.  Its shift analyses f's own samples on the x
+grid moved by alpha, the shifted signal exactly.  The pointwise inverse
+reads C.slice_planes(), so it too takes any source; on an unstored analysis
+that computes the mu2 factors of one tile and the u1 row of one block.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
 the u grid, not by lambda: exact on every u grid dual to the w grid
-(signal.dual_ratio).
+(signal.dual_ratio) that is a sub-grid of the signal grid of the same stride
+(signal.is_subgrid).
 a and b are kept rather than P and Q because (w - z, w + z) does not round
 trip through float64, while a and b hold the interleaved components exactly.
 """
@@ -64,7 +62,7 @@ from .lct import ParamMatrix, kernel_const, kernel_phase, validate_param
 from .quaternion import (qconj, qmul, right_mu2, symplectic_join,
                          symplectic_split)
 from .signal import (Grid1D, Grid2D, QSignal2D, dual_ratio, fft_output_grid,
-                     relative_l2, sandwich_phase)
+                     is_subgrid, relative_l2, sandwich_phase)
 from .window import WindowSpec, lambda_psi, reflect, window_terms
 from .qlct import qlct_forward
 
@@ -76,8 +74,8 @@ PROFILE_FLOOR = 1e-200
 @dataclass
 class QLCSTAnalysis(_Source):
     """The analysis of f, unstored: tile_factors() yields the factors of
-    the planes group by group (_analysis_tiles), and tiles() computes them
-    as they are read."""
+    the planes tile by tile (_analysis_tiles), and tiles() computes them as
+    they are read."""
 
     f: QSignal2D
     window: WindowSpec
@@ -86,12 +84,17 @@ class QLCSTAnalysis(_Source):
     ugrid: Grid2D
     wgrid: Grid2D
 
-    def tile_factors(self, groups):
+    @property
+    def signal_grid(self):
+        return self.f.grid
+
+    def tile_factors(self, tiles=None):
         (x1, x2), u, (w1, w2) = (_points(g) for g in (self.f.grid, self.ugrid,
                                                        self.wgrid))
         return _analysis_tiles(self.f, self.window, u, (w1, w2),
                                _phase_matrix(self.m1, x1, w1),
-                               _phase_matrix(self.m2, x2, w2), groups)
+                               _phase_matrix(self.m2, x2, w2),
+                               tiles or self.col_tiles())
 
 
 def _points(grid):
@@ -172,10 +175,9 @@ def _refuse_stacked_terms(nterms, nx1, ncols, nu1, nw1):
     coefficients._refuse_beyond_memory) what the analysis and the synthesis
     hold of the R = nterms terms of a window on N_x1 = nx1 points, with
     N_u1 = nu1 and N_w1 = nw1 output points on axis 1: two R*N_x1 by ncols
-    planes (the analysis's mu2 factors of the plane columns of its widest
-    group of tiles, all N_u2*N_w2 in one group; the synthesis's accumulated
-    K1^H sums) and the K1 rows (K1^H columns) of the largest block, R*N_x1
-    by min(ROW_BLOCK, N_u1)*N_w1."""
+    planes (the analysis's mu2 factors, the synthesis's accumulated K1^H
+    sums, each of the widest column tile) and the K1 rows (K1^H columns) of
+    the largest block, R*N_x1 by min(ROW_BLOCK, N_u1)*N_w1."""
     _refuse_beyond_memory("stacked window terms", nterms * nx1 * (
         2 * ncols + min(ROW_BLOCK, nu1) * nw1))
 
@@ -220,47 +222,39 @@ def _k1_rows(p, e1, rows, nw1, out=None):
     return _kernel(p[:, rows.start // nw1:rows.stop // nw1], e1, out)
 
 
-def _analysis_tiles(f, window, u, w, e1, e2, groups):
+def _analysis_tiles(f, window, u, w, e1, e2, tiles):
     """Yield the analysis planes of f at the output points u = (u1, u2) and
     w = (w1, w2) under the per-axis (w, x) kernel matrices e1 and e2 (the
     forward ones are _phase_matrix), as (rows, cols, k, a, b): for each
-    group of column tiles of `groups` (of _col_tiles, the first tile the
-    widest) in turn, each row block rows (coefficients._row_blocks) and,
-    inner, each tile cols of the group: the plane entries [rows, cols] are
-    k @ a and k @ b.
+    column tile cols of `tiles` (of _col_tiles, the first the widest) in
+    turn, each row block rows (coefficients._row_blocks): the plane entries
+    [rows, cols] are k @ a and k @ b.
 
     The window's terms (window_terms) give the K1_r side by side in k, and
     their mu2 factors, on top of each other in a and b, so k @ a is the sum
-    over terms.  A group's factors are formed tile by tile by the one rule
-    _mu2_tile, R*N_x1 by len(cols) each, in two reused buffers, valid only
-    until the next group; each block's K1 rows are built once per group
-    into one reused buffer (_k1_rows), valid only until the next block.  So
-    one tile per group holds one column block of factors, and one group of
-    all tiles whole rows, in the row order of a file.  The widest group's
-    factors and one block of K1 rows are refused beyond the memory limit
-    before either exists (_refuse_stacked_terms).  Reversed points and
-    kernel rows give the planes reversed.
+    over terms.  A tile's factors are formed by the one rule _mu2_tile,
+    R*N_x1 by len(cols) each, in two reused buffers, valid only until the
+    next tile; each block's K1 rows are built into one reused buffer
+    (_k1_rows), valid only until the next block.  The widest tile's factors
+    and one block of K1 rows are refused beyond the memory limit before
+    either exists (_refuse_stacked_terms).  Reversed points and kernel rows
+    give the planes reversed.
     """
     (u1s, _), (w1s, w2s) = u, w
     nw1, blocks = len(w1s), _row_blocks(len(u1s) * len(w1s), len(w1s))
-    width = max(sum(c.stop - c.start for c in group) for group in groups)
+    width = max(cols.stop - cols.start for cols in tiles)
     p, q, g = _analysis_terms(f, window, u, w, width)
     n = len(q) * len(g[0])
     # both planes in one allocation: glibc mapped separate ones afresh for
     # each analysis, 60k minor page faults (0.13 s) per verify pass, not 11k
     bufs = np.empty((2, n * width), dtype=complex)
     kbuf = np.empty(len(p) * blocks[0].stop * len(g[0]), dtype=complex)
-    for group in groups:
-        factors, first = [], group[0].start
-        for cols in group:  # each tile's factors in its segment of the buffers
-            seg = slice(n * (cols.start - first), n * (cols.stop - first))
-            a, b = (buf[seg].reshape(n, cols.stop - cols.start) for buf in bufs)
-            _mu2_tile(g, q, e2, cols, len(w2s), (a, b))
-            factors.append((cols, a, b))
+    for cols in tiles:
+        ncols = cols.stop - cols.start
+        a, b = (buf[:n * ncols].reshape(n, ncols) for buf in bufs)
+        _mu2_tile(g, q, e2, cols, len(w2s), (a, b))
         for rows in blocks:
-            k = _k1_rows(p, e1, rows, nw1, kbuf)
-            for cols, a, b in factors:
-                yield rows, cols, k, a, b
+            yield rows, cols, _k1_rows(p, e1, rows, nw1, kbuf), a, b
 
 
 def qlcst_analysis(f, window, m1, m2, ugrid=None, wgrid=None):
@@ -329,54 +323,58 @@ def qlcst_reconstruct(C):
     canonical dual frame), when the grids are dual: signal.dual_ratio of
     each u axis, w axis and B is a whole number s (1 on the default grids,
     s on every s-th signal point).  Other w grids are refused (SpacingError)
-    before a kernel is built.  The coefficients do not record the signal
-    grid, so a u grid moved off the signal lattice, or the signal grid
-    itself with an s >= 2, passes undetected.  Over the window's
-    terms (window_terms) the adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc),
-    K1_r^H @ Q @ K2_rc) * e_c, with the K1_r^H @ P summed over C.tiles(), so
-    C may be stored or unstored, each sum kept by column tile
-    (coefficients._tile_partials); each block builds only its own columns of
-    the K1_r^H (_k1_rows), from profiles floored once over their whole
-    extent.  Each tile's sums are then contracted with that tile's columns
-    of the adjoint K2_rc, and the results added into the output in tile
-    order, so no sum is joined into whole rows.  The kernels are built on
-    the adjoint phase matrices of _w_adjoints and the mu2 side is
-    contracted by _right_contract, as in the analysis.  The two accumulated
-    sums and one block of K1^H columns are the analysis's stacked terms in
-    row order, refused beyond the memory limit by its rule
-    (_refuse_stacked_terms, TooLarge) before a kernel is built.  F is the
-    Gram form sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis sums of the term
-    products.  An x that no u reaches (F(x) <= eps * max F) is refused.
+    before a kernel is built, and so is a u grid that is not a sub-grid of
+    stride s of C.signal_grid (signal.is_subgrid), on which the delta of
+    weight s falls between the samples of f (the signal grid itself as the
+    u grid would give s1*s2*f).  Over the window's terms (window_terms) the
+    adjoint sum is sum_rc (K1_r^H @ P @ conj(K2_rc), K1_r^H @ Q @ K2_rc) *
+    e_c, with the K1_r^H @ P summed over C.tiles(), so C may be stored or
+    unstored, each tile's sums in one partial (coefficients._tile_partials);
+    each block builds only its own columns of the K1_r^H (_k1_rows), from
+    profiles floored once over their whole extent.  Each tile's sums are
+    contracted with that tile's columns of the adjoint K2_rc as soon as the
+    tile is done, and the results added into the output in tile order, so
+    one tile's sums are held at a time.  The kernels are built on the
+    adjoint phase matrices of _w_adjoints and the mu2 side is contracted by
+    _right_contract, as in the analysis.  The two sums of the widest tile
+    and one block of K1^H columns are refused beyond the memory limit by
+    the analysis's rule (_refuse_stacked_terms, TooLarge) before a kernel is
+    built.  F is the Gram form sum_rs G1_rs(x1) * G2_rs(x2) of the per-axis
+    sums of the term products.  An x that no u reaches (F(x) <= eps * max F)
+    is refused.
     """
     if C.window.w_dependent:
         raise AdmissibilityError(
             "reconstruction needs a window that does not depend on the frequency")
     g = C.ugrid
-    for u, w, m in ((g.axis1, C.wgrid.axis1, C.m1), (g.axis2, C.wgrid.axis2, C.m2)):
-        if dual_ratio(u, w, m.b) is None:
+    for u, w, m, x in zip((g.axis1, g.axis2), (C.wgrid.axis1, C.wgrid.axis2),
+                          (C.m1, C.m2), (C.signal_grid.axis1, C.signal_grid.axis2)):
+        s = dual_ratio(u, w, m.b)
+        if s is None:
             raise SpacingError("the w grid is not dual to the u grid (signal.dual_ratio)")
+        if not is_subgrid(u, x, s):
+            raise SpacingError("the u grid is not a sub-grid of stride %d, the dual "
+                               "ratio of the w grid, of the signal grid" % s)
     x1s, x2s = _points(g)
     p, q = _floored_terms(C.window, x1s[:, None, None] - x1s, 1.0,
                           x2s[:, None, None] - x2s, 1.0)  # no w dependence
     nw1, nw2 = C.wgrid.shape
-    _refuse_stacked_terms(len(q), len(x1s), C.plane_shape[1], len(x1s), nw1)
+    _refuse_stacked_terms(len(q), len(x1s), C.col_tiles()[0].stop, len(x1s), nw1)
     # real profiles: conj(K) is the kernel of conj(E), built with no copy
     e1h, e2h = _w_adjoints(C, g)
 
     def products():
-        built = None  # the row block whose K1^H columns k1h holds
         for rows, cols, *planes in C.tiles():
-            if rows != built:
-                k1h, built = _k1_rows(p, e1h.T, rows, nw1).T, rows
+            k1h = _k1_rows(p, e1h.T, rows, nw1).T
             yield cols, (k1h @ plane for plane in planes)
 
     out = np.zeros(g.shape + (4,))
     for cols, sums in _tile_partials(products()):
         groups = slice(cols.start // nw2, cols.stop // nw2)
         for r, q_r in enumerate(q):
-            a, b = (h[r * len(x1s):(r + 1) * len(x1s)] for h in sums)
             adj = symplectic_join(*_right_contract(
-                a, b, _kernel(q_r[:, groups], e2h.T).T))
+                *(h[r * len(x1s):(r + 1) * len(x1s)] for h in sums),
+                _kernel(q_r[:, groups], e2h.T).T))
             for c, e in enumerate(np.eye(4)[:len(q_r)]):  # (x1, (c, x2)) columns
                 out += qmul(adj[:, c * len(x2s):(c + 1) * len(x2s)], e)
     out *= C.wgrid.cell
@@ -390,20 +388,21 @@ def qlcst_reconstruct(C):
 
 def orthogonality_form(Cf, Cg):
     """Quaternion value of the double integral of Cf * conj(Cg) over (w, u),
-    for two sources, stored or streamed, of the same grids, window and
-    matrices, summed by column tile (coefficients._tile_sum).
+    for two sources, stored or streamed, of the same grids, window,
+    matrices and column tiles, summed by column tile
+    (coefficients._tile_sum).
 
     (a1 + b1 mu2) conj(a2 + b2 mu2) = (a1 a2* + b1 b2*) + (b1 a2 - a1 b2) mu2.
     Cg is Cf reads each tile of Cf once for both sides; two sources are
-    zipped in the row order of a file (one group of tiles), so that their
-    tiles line up.
+    zipped tile by tile, so sources whose tiles differ (a file written at
+    another TILE_COLS) are refused with GridMismatch.
     """
-    if any(getattr(Cf, name) != getattr(Cg, name)
-           for name in ("ugrid", "wgrid", "window", "m1", "m2")):
-        raise GridMismatch("coefficient grids, window or matrices differ")
-    whole = Cf._groups(whole=True)
+    if (any(getattr(Cf, name) != getattr(Cg, name)
+            for name in ("ugrid", "wgrid", "window", "m1", "m2"))
+            or Cf.col_tiles() != Cg.col_tiles()):
+        raise GridMismatch("coefficient grids, window, matrices or column tiles differ")
     pairs = (((tile, tile) for tile in Cf.tiles()) if Cg is Cf
-             else zip(Cf.tiles(whole), Cg.tiles(whole), strict=True))
+             else zip(Cf.tiles(), Cg.tiles(), strict=True))
 
     def form(cols, fs, gs):
         # flattened once: a stored set's tiles narrower than its rows are copied
@@ -438,11 +437,11 @@ def marginal_qlct_gap(C, f):
 
 def _streamed_rel_l2(want, got):
     """relative_l2, over the quaternion components, of the planes of the
-    _analysis_tiles producer got against those of the producer want, one
-    tile per group, accumulated one plane tile at a time, so that no
-    coefficient set and no full-width mu2 factors are ever held, and of the
-    K1 rows only each producer's one reused block.  Both producers are
-    built on the same point counts and groups, so their tiles line up.
+    _analysis_tiles producer got against those of the producer want,
+    accumulated one plane tile at a time, so that no coefficient set and no
+    full-width mu2 factors are ever held, and of the K1 rows only each
+    producer's one reused block.  Both producers are built on the same
+    point counts and tiles, so their tiles line up.
     Each tile gives, for each plane, two products into two reused tile
     buffers: the reference k @ a and the difference gk @ ga - k @ a.
     """
@@ -485,14 +484,14 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     are evaluated directly at (u - alpha, w).  The modulation identity
     evaluates the kernel at (x, w - s*B), the frequency shift in the
     frequency slot, and the window at w.  Each check zips the producers of
-    its two sides one column tile per group (_analysis_tiles,
-    _streamed_rel_l2), which holds, besides one column tile's mu2 factors
+    its two sides tile by tile (_analysis_tiles, _streamed_rel_l2), which
+    holds, besides one column tile's mu2 factors
     and one block of K1 rows of each, two tile products.
     """
     x = u = _points(f.grid)  # the default u grid is f's grid
     w = _points(fft_output_grid(f.grid, m1.b, m2.b))
     w1, w2 = w
-    groups = [[t] for t in _col_tiles(len(u[1]), len(w2))]
+    tiles = _col_tiles(len(u[1]), len(w2))
     no_phase = (0.0, 0.0)
 
     def moved(t):
@@ -503,7 +502,7 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     def side(g, u, w, t, phi, window):
         return _analysis_tiles(g, window, u, w, *(
             _phase_matrix(m, xs, ts) * np.exp(1j * np.reshape(ph, (-1, 1)))
-            for m, xs, ts, ph in zip((m1, m2), _points(g.grid), t, phi)), groups)
+            for m, xs, ts, ph in zip((m1, m2), _points(g.grid), t, phi)), tiles)
 
     # Parity: transform of the reflected signal under the reflected window
     # equals the coefficients sampled at (-u, -w); on centered midpoint grids

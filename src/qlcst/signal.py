@@ -93,6 +93,18 @@ def dual_ratio(x_axis, w_axis, b):
     return k if dual else None
 
 
+def is_subgrid(axis, of, s):
+    """Whether axis is a sub-grid of stride s of the axis `of`: its spacing
+    is s times that of `of` (to 1e-9 of it, as dual_ratio rounds s), its
+    first point is a point of `of` (to 1e-9 of a step) and its last point
+    lies within `of`.  A u axis of dual_ratio s must be one of the signal
+    axis, for the delta of weight s to fall on the samples of the signal."""
+    k = (axis.origin - of.origin) / of.spacing  # the first point, in steps of `of`
+    return (abs(axis.spacing - s * of.spacing) <= 1e-9 * axis.spacing
+            and abs(k - np.round(k)) <= 1e-9 * max(1.0, abs(k))
+            and -0.5 < k < of.n - 0.5 - s * (axis.n - 1))
+
+
 def fft_output_grid(grid, b1, b2):
     """Per-axis FFT-compatible spectrum grid for matrices with B = b1, b2."""
     return Grid2D(fft_output_axis(grid.axis1, b1), fft_output_axis(grid.axis2, b2))

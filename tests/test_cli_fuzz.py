@@ -5,6 +5,7 @@ error) and no output; no exception leaves cli_main."""
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -172,10 +173,14 @@ print(json.dumps(results))
 
 
 def test_cli_oversized_inputs_refused_under_an_address_limit(tmp_path):
-    """Requests beyond memory end in `error: out of memory` or a TooLarge
-    line, which names the binding limit, the 2 GB address space limit of
-    the one child process that runs them all, and the process is not
-    killed."""
+    """Requests beyond what the machine holds end in one refusal line that
+    names the binding limit, and the process is not killed.  The signals
+    of `gen`, beyond the 2 GB address space limit of the one child process
+    that runs them all, end in `error: out of memory` or a TooLarge line
+    naming that limit.  The N=640 coefficient files of `qlcst` (5.4 TB) are
+    streamed in a working set far below it, and end in a TooLarge line
+    naming the free space of the output's file system, before a tile is
+    computed or a byte written."""
     big = tmp_path / "big.qsg"
     write_signal(big, gen_signal("gaussian", Grid2D.centered(8.0, 640)))
     argvs_ = [argv + (["-i", str(big)] if argv[0] == "qlcst" else [])
@@ -187,7 +192,13 @@ def test_cli_oversized_inputs_refused_under_an_address_limit(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for argv, (rc, lines) in zip(argvs_, json.loads(proc.stdout), strict=True):
         assert rc == 1 and len(lines) == 1, (argv, lines)
-        assert (lines[0] == "error: out of memory"
-                or "GB of the address-space limit (RLIMIT_AS)" in lines[0]), \
-            (argv, lines)
+        if argv[0] == "qlcst":
+            assert lines[0].startswith("error: an output of 5.37e+03 GB does not "
+                                       "fit in the "), (argv, lines)
+            assert lines[0].endswith(" GB free on %s" % os.path.realpath(tmp_path)), \
+                (argv, lines)
+        else:
+            assert (lines[0] == "error: out of memory"
+                    or "GB of the address-space limit (RLIMIT_AS)" in lines[0]), \
+                (argv, lines)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.qsg"]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qlcst.cli import cli_main
 from qlcst.errors import (BadMagic, BadParameter, NonFinite, QlcstError,
-                          TooLarge, TrailingBytes, TruncatedFile,
+                          SpacingError, TooLarge, TrailingBytes, TruncatedFile,
                           VersionMismatch)
 from qlcst.generators import _hermite_mode, gen_signal
 from qlcst.io import (COEFF_HEADER, COEFF_MAGIC, SIGNAL_HEADER, SIGNAL_MAGIC,
@@ -28,7 +28,7 @@ from qlcst.io import (COEFF_HEADER, COEFF_MAGIC, SIGNAL_HEADER, SIGNAL_MAGIC,
 from qlcst.lct import validate_param
 from qlcst.qlcst import (QLCSTCoefficients, qlcst_analysis, qlcst_forward,
                          qlcst_reconstruct)
-from qlcst.signal import Grid1D, Grid2D, QSignal2D, relative_l2
+from qlcst.signal import Grid1D, Grid2D, QSignal2D, fft_output_axis, relative_l2
 from qlcst.verify import MATRIX_CASES
 from qlcst.window import fixed_gaussian, s_gaussian, table_window, window_eval
 
@@ -133,16 +133,19 @@ MATRICES = ((0.0, 1.0, -1.0, 0.0), (1.0, 2.0, 0.0, 1.0), (0.5, 1.0, -0.75, 0.5))
 BAD_MATRICES = ((1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 1.0))  # det 0; B = 0
 
 
-def _file_with_one_defect(draw, header, magic, counts, defect, meta=(), tail=b""):
+def _file_with_one_defect(draw, header, magic, counts, defect, meta=(), tail=b"",
+                          npayload=None):
     """Bytes of a file in a header layout (magic, version, counts, grid
-    floats, then the meta fields), its payload and a tail record, with at
-    most one defect: a wrong magic or version, a point count below 2, a
-    non-finite grid or payload value, or the file cut short or extended."""
+    floats, then the meta fields), its payload of four floats per product of
+    the first npayload counts (all of them by default) and a tail record,
+    with at most one defect: a wrong magic or version, a point count below
+    2, a non-finite grid or payload value, or the file cut short or
+    extended."""
     if defect == "count":
         counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(0, 1))
     nfloats = 2 * len(counts)
     grid = draw(st.lists(st.floats(0.01, 10.0), min_size=nfloats, max_size=nfloats))
-    nvalues = int(np.prod(counts)) * 4
+    nvalues = int(np.prod(counts[:npayload])) * 4
     values = draw(st.lists(st.floats(-1e3, 1e3), min_size=nvalues,
                            max_size=nvalues))
     bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -168,13 +171,18 @@ def qsg_bytes(draw):
 
 @st.composite
 def qcf_bytes(draw):
-    """A QCF2 file of any window family, a table window with a valid QSG1
-    table record, or one defect: those of _file_with_one_defect, a matrix
-    with det != 1 or B = 0, or an unknown window family code.  The widths
-    are (1, 1), which every family takes, or drawn, which only the fixed
-    gaussian takes."""
-    defect = draw(st.sampled_from(DEFECTS + ("matrix", "family")))
-    counts = [draw(st.integers(2, 3)) for _ in range(4)]
+    """A QCF3 file of any window family and column tile width, a table
+    window with a valid QSG1 table record, or one defect: those of
+    _file_with_one_defect (whose counts and grid floats are those of the u,
+    w and signal grids, so an empty or non-finite signal grid is drawn), a
+    matrix with det != 1 or B = 0, an unknown window family code, or a tile
+    width of 0 or wider than N_u2.  The widths are (1, 1), which every
+    family takes, or drawn, which only the fixed gaussian takes."""
+    defect = draw(st.sampled_from(DEFECTS + ("matrix", "family", "tile width")))
+    counts = [draw(st.integers(2, 3)) for _ in range(6)]
+    width = draw(st.integers(1, counts[1]))
+    if defect == "tile width":
+        width = draw(st.sampled_from([0, counts[1] + 1, 2 ** 32 - 1]))
     m1, m2 = draw(st.sampled_from(MATRICES)), draw(st.sampled_from(MATRICES))
     if defect == "matrix":
         m1 = draw(st.sampled_from(BAD_MATRICES))
@@ -188,22 +196,23 @@ def qcf_bytes(draw):
         tail = _file_with_one_defect(draw, SIGNAL_HEADER, SIGNAL_MAGIC,
                                      [2, 3], "none")
     return _file_with_one_defect(draw, COEFF_HEADER, COEFF_MAGIC, counts, defect,
-                                 (*m1, *m2, code, *sigma), tail)
+                                 (*m1, *m2, width, code, *sigma), tail, npayload=4)
 
 
 def drained(path):
     """open_coefficients(path) after every block of it has been read, each
-    tile checked to be finite stored rows that continue the last, its
-    tiles covering the row in order."""
+    checked to be finite stored entries that continue the last, column tile
+    outer: a tile's row blocks cover the plane rows in order, and the tiles
+    the plane columns."""
     src = open_coefficients(path)
-    done = col = 0
-    for rows, cols, k, a, b in src.tile_factors(src._groups(whole=True)):
-        assert k is None and rows.start == done and cols.start == col
-        assert a.shape == b.shape == (rows.stop - done, cols.stop - col)
+    row = col = 0
+    for rows, cols, k, a, b in src.tile_factors():
+        assert k is None and rows.start == row and cols.start == col
+        assert a.shape == b.shape == (rows.stop - row, cols.stop - col)
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-        done, col = ((rows.stop, 0) if cols.stop == src.plane_shape[1]
-                     else (done, cols.stop))
-    assert done == src.plane_shape[0]
+        row, col = ((0, cols.stop) if rows.stop == src.plane_shape[0]
+                    else (rows.stop, col))
+    assert (row, col) == (0, src.plane_shape[1])
     return src
 
 
@@ -249,9 +258,9 @@ def test_absurd_coefficient_header(tmp_path, capsys, n):
     the file are refused before the planes are allocated, also through
     export and reconstruct."""
     path = tmp_path / "bad.qcf"
-    path.write_bytes(COEFF_HEADER.pack(COEFF_MAGIC, 1, n, n, n, n,
-                                       0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0,
-                                       *MATRICES[0], *MATRICES[0], 0, 1.0, 1.0)
+    path.write_bytes(COEFF_HEADER.pack(COEFF_MAGIC, 1, n, n, n, n, n, n,
+                                       *(0.0, 0.0, 1.0, 1.0) * 3,
+                                       *MATRICES[0], *MATRICES[0], 1, 0, 1.0, 1.0)
                      + bytes(64))
     with pytest.raises(TruncatedFile):
         read_coefficients(path)
@@ -298,11 +307,13 @@ def lattice_table(g):
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["fixed-gauss", "table"])
-def test_coefficient_file_is_header_plus_planar_payload(tmp_path, table):
-    """QCF2 bytes are the header (grids, matrices, window), then per u1 the
-    a and b row blocks as complex128, then a table window's QSG1 record;
-    reading restores planes and metadata bit for bit, and a rewrite gives
-    the same bytes."""
+def test_coefficient_file_is_header_plus_planar_payload(tmp_path, monkeypatch, table):
+    """QCF3 bytes are the header (the u, w and signal grids, matrices, tile
+    width, window), then for each column tile (two of two u2 groups here,
+    at TILE_COLS = 8) and each u1 the tile's a and b segments as
+    complex128, then a table window's QSG1 record; reading restores planes
+    and metadata bit for bit, and a rewrite gives the same bytes."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", 8)
     g = Grid2D(Grid1D.centered(3.0, 5), Grid1D.centered(2.0, 4))
     rng = np.random.default_rng(31)
     f = QSignal2D(rng.standard_normal(g.shape + (4,)), g)
@@ -314,20 +325,22 @@ def test_coefficient_file_is_header_plus_planar_payload(tmp_path, table):
     raw = path.read_bytes()
     u, w = c.ugrid, c.wgrid
     assert COEFF_HEADER.unpack_from(raw) == (
-        COEFF_MAGIC, 1, 5, 4, 5, 4,
-        u.axis1.origin, u.axis2.origin, u.axis1.spacing, u.axis2.spacing,
-        w.axis1.origin, w.axis2.origin, w.axis1.spacing, w.axis2.spacing,
-        m1.a, m1.b, m1.c, m1.d, m2.a, m2.b, m2.c, m2.d,
+        COEFF_MAGIC, 1, 5, 4, 5, 4, 5, 4,
+        *(v for x in (u, w, g)
+          for v in (x.axis1.origin, x.axis2.origin, x.axis1.spacing, x.axis2.spacing)),
+        m1.a, m1.b, m1.c, m1.d, m2.a, m2.b, m2.c, m2.d, 2,
         WINDOW_CODES.index(window.family), *window.sigma)
-    blocks = b"".join(p[i * 5:(i + 1) * 5].astype("<c16").tobytes()
-                      for i in range(5) for p in (c.a, c.b))
+    tiles = [slice(0, 8), slice(8, 16)]
+    assert c.col_tiles() == tiles
+    blocks = b"".join(p[i * 5:(i + 1) * 5, cols].astype("<c16").tobytes()
+                      for cols in tiles for i in range(5) for p in (c.a, c.b))
     tpath = tmp_path / "t.qsg"
     write_signal(tpath, lattice_table(g))
     record = tpath.read_bytes() if table else b""
     assert raw == raw[:COEFF_HEADER.size] + blocks + record
     back = read_coefficients(path)
     assert np.array_equal(back.a, c.a) and np.array_equal(back.b, c.b)
-    assert (back.ugrid, back.wgrid) == (c.ugrid, c.wgrid)
+    assert (back.ugrid, back.wgrid, back.signal_grid) == (c.ugrid, c.wgrid, g)
     assert (back.window, back.m1, back.m2) == (window, m1, m2)
     for src in (back, open_coefficients(path)):
         again = tmp_path / "again.qcf"
@@ -345,6 +358,61 @@ def test_qcf1_file_refused(tmp_path, capsys):
     out = tmp_path / "r.qsg"
     assert cli_main(["reconstruct", "-i", str(path), "-o", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: QCF1 ")
+    assert not out.exists()
+
+
+def test_qcf2_file_refused(tmp_path, capsys):
+    """A QCF2 file, whose payload stored whole u1 rows and whose header held
+    no signal grid or tile width, is refused by the one rule for superseded
+    formats: VersionMismatch saying to regenerate it, and exit 1 with one
+    error line and no output."""
+    n = 4
+    qcf2_header = struct.Struct("<4sHIIIIdddddddd8dH2d")
+    path = tmp_path / "c.qcf"
+    path.write_bytes(qcf2_header.pack(b"QCF2", 1, n, n, n, n, *(0.0, 0.0, 1.0, 1.0) * 2,
+                                      *MATRICES[0], *MATRICES[0], 0, 1.0, 1.0)
+                     + bytes(32 * n ** 4))
+    with pytest.raises(VersionMismatch, match="QCF2.*regenerate it with `qlcst qlcst`"):
+        open_coefficients(path)
+    out = tmp_path / "r.qsg"
+    assert cli_main(["reconstruct", "-i", str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: QCF2 ")
+    assert not out.exists()
+
+
+# The QCF3 header fields of the tile width, the signal grid's second count,
+# its first origin and its first spacing (COEFF_HEADER.unpack order).
+HEADER_DEFECTS = {"tile-width-0": (28, 0), "tile-width-above-n-u2": (28, 5),
+                  "signal-count-0": (7, 0), "signal-count-1": (7, 1),
+                  "signal-origin-nan": (16, math.nan),
+                  "signal-spacing-inf": (18, math.inf), "signal-spacing-0": (18, 0.0)}
+
+
+@pytest.mark.parametrize("field, value", HEADER_DEFECTS.values(), ids=HEADER_DEFECTS.keys())
+def test_coefficient_header_defects_refused(tmp_path, capsys, monkeypatch, field, value):
+    """A tile width of 0 or wider than N_u2 (4 here) and a signal grid that
+    is empty, not finite or not increasing are refused by open_coefficients
+    with a QlcstError before any payload is read, and export exits 1 with
+    one error line and no output."""
+    path = coefficient_file(tmp_path)
+    raw = bytearray(path.read_bytes())
+    fields = list(COEFF_HEADER.unpack_from(raw))
+    fields[field] = value
+    raw[:COEFF_HEADER.size] = COEFF_HEADER.pack(*fields)
+    path.write_bytes(bytes(raw))
+
+    def unread(fh, out):
+        raise AssertionError("payload read")
+    monkeypatch.setattr("qlcst.io._read_payload", unread)
+    with pytest.raises(QlcstError):
+        open_coefficients(path)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert cli_main(["export", "-i", str(path), "-o", str(out), "--slice", "u",
+                     "--index", "0,0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
 
 
@@ -367,7 +435,7 @@ def test_coefficient_file_truncated_while_read(tmp_path):
     write_coefficients(path, qlcst_analysis(gen_signal("gaussian", Grid2D.centered(8.0, 12)),
                                             fixed_gaussian(1, 1), FOURIER, FOURIER))
     src = open_coefficients(path)
-    blocks = src.tile_factors(src._groups())
+    blocks = src.tile_factors()
     next(blocks)
     os.truncate(path, os.path.getsize(path) - 8)
     with pytest.raises(TruncatedFile, match="file ends inside payload"):
@@ -398,7 +466,7 @@ def test_coefficient_file_changed_after_open_refused(tmp_path, monkeypatch):
 
 
 def test_widths_on_a_family_without_widths_refused(tmp_path, capsys):
-    """A QCF2 header with the s-gauss code and widths (5, -3) names no
+    """A QCF3 header with the s-gauss code and widths (5, -3) names no
     window: open_coefficients raises BadParameter, and export exits 1 with
     one error line and no output.  The (1, 1) widths the library writes for
     every family but the fixed gaussian open."""
@@ -560,7 +628,7 @@ def test_cli_export_large_coefficients_finite(tmp_path, capsys):
         assert np.array_equal(got, want)
     huge = np.full(c.plane_shape, 1e308 + 1e308j)
     write_coefficients(cpath, QLCSTCoefficients(huge, huge, c.ugrid, c.wgrid,
-                                                c.window, c.m1, c.m2))
+                                                c.window, c.m1, c.m2, c.signal_grid))
     capsys.readouterr()
     for fixed, fmt in (("u", "csv"), ("u", "pgm"), ("w", "csv")):
         out = tmp_path / ("huge.%s" % fmt)
@@ -589,7 +657,7 @@ def test_export_slice_pgm_scales_min_to_max(tmp_path, mag, want):
 def test_coefficient_slice_index_not_two_integers(monkeypatch, index):
     """An index that is not two integers raises BadParameter before any block
     of the source is read."""
-    def unread(self, groups):
+    def unread(self, tiles=None):
         raise AssertionError("a block was read")
     monkeypatch.setattr("qlcst.qlcst.QLCSTAnalysis.tile_factors", unread)
     c = qlcst_analysis(gen_signal("gaussian", Grid2D.centered(4.0, 5)),
@@ -704,7 +772,8 @@ def test_write_coefficients_refuses_non_finite_values(tmp_path, value):
         read_coefficients(tmp_path / "bad.qcf")
     a, b = c.a.copy(), c.b.copy()
     b[-1, -5] = value
-    bad = QLCSTCoefficients(a, b, c.ugrid, c.wgrid, c.window, c.m1, c.m2)
+    bad = QLCSTCoefficients(a, b, c.ugrid, c.wgrid, c.window, c.m1, c.m2,
+                            c.signal_grid)
     with pytest.raises(NonFinite, match="coefficients"):
         write_coefficients(tmp_path / "out.qcf", bad)
     assert _only_files(tmp_path, ["c.qcf", "bad.qcf"])
@@ -883,6 +952,33 @@ def test_cli_reconstruct_w_grid_not_dual_refused(tmp_path, capsys, wgrid):
     assert not rpath.exists()
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_reconstruct_refuses_a_u_grid_off_the_signal_lattice(tmp_path, capsys, s):
+    """With the signal grid itself as the u grid and N_w = s*N points at the
+    dual w spacing, dual_ratio is s: the w sum is a delta of weight s on a
+    lattice s times finer than the signal's, and synthesis returned s^2 * f
+    (4*f, 9*f) with exit 0.  The coefficients record the signal grid, whose
+    sub-grid of stride s the u grid is not, so synthesis is refused from a
+    stored set, an analysis and a file, and `qlcst reconstruct` of the file
+    exits 1 with one error line and no output."""
+    n = 16
+    g = Grid2D.centered(8.0, n)
+    dw = [fft_output_axis(a, FOURIER.b).spacing for a in (g.axis1, g.axis2)]
+    wgrid = Grid2D(*(Grid1D(s * n, -0.5 * (s * n - 1) * d, d) for d in dw))
+    analysis = qlcst_analysis(gen_signal("gaussian", g), fixed_gaussian(1, 1),
+                              FOURIER, FOURIER, wgrid=wgrid)
+    cpath, rpath = tmp_path / "c.qcf", tmp_path / "r.qsg"
+    write_coefficients(cpath, analysis)
+    for src in (analysis.stored(), analysis, open_coefficients(cpath)):
+        with pytest.raises(SpacingError, match="not a sub-grid of stride %d" % s):
+            qlcst_reconstruct(src)
+    capsys.readouterr()
+    assert cli_main(["reconstruct", "-i", str(cpath), "-o", str(rpath)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the u grid is not a sub-grid")
+    assert not rpath.exists()
+
+
 @pytest.mark.parametrize("widths", ["inf,1", "1e-300,1", "1e200,1e200",
                                     "1e-150,1e-150", "1e150,1e150", "a,1"])
 def test_cli_qlcst_refuses_non_finite_widths(tmp_path, capsys, widths):
@@ -984,9 +1080,8 @@ def test_cli_qlcst_write_failing_mid_payload_leaves_no_file(tmp_path, capsys,
     tile_factors = qlcst_analysis(read_signal(fpath), fixed_gaussian(1, 1), FOURIER,
                                   FOURIER).tile_factors
 
-    def first_block_then_full_disk(self, groups):
-        assert len(groups[0]) == 1  # one tile: each tile is a row block
-        for i, block in enumerate(tile_factors(groups)):
+    def first_block_then_full_disk(self, tiles=None):
+        for i, block in enumerate(tile_factors(tiles)):  # one tile: each is a row block
             if i:
                 raise OSError(errno.ENOSPC, "No space left on device")
             yield block
@@ -1092,32 +1187,38 @@ def test_cli_payload_defect_outside_slice_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["qlcst", "reconstruct", "export-u", "export-w"])
-def test_cli_traced_peak(tmp_path, command):
-    """The CLI holds one block of plane rows, never a coefficient set, nor
-    even one plane: at N=32 each command's traced peak stays below 0.15 of
-    the 33.5 MB set.  (The two row buffers of one ROW_BLOCK = 2 block are
-    2/32 = 0.0625 of the set, and qlcst writes one u1 row at a time; the
-    peaks read 0.067 to 0.116 of it, the analysis's mu2 stage being the
-    largest.)"""
+def test_cli_traced_peak(tmp_path, monkeypatch, command):
+    """The CLI holds the row blocks of one column tile, never a coefficient
+    set, nor even one plane: at N=32 each command's traced peak stays below
+    0.15 of the 33.5 MB set with the default one tile (whole rows), and
+    below 0.05 of it with four tiles of 256 columns.  (The two buffers of
+    one ROW_BLOCK = 2 block of one tile are 2/32 = 0.0625 of the set with
+    one tile and 1/64 with four; the peaks read 0.067 to 0.115 and 0.019 to
+    0.042 of it, qlcst's tile buffers and mu2 stage and reconstruct's
+    synthesis being the largest.  With whole u1 rows in the file and
+    whole-row mu2 factors in the writer they read 0.061 to 0.103 with four
+    tiles.)"""
     fpath, cpath, out = (str(tmp_path / n) for n in ("f.qsg", "c.qcf", "out"))
     cli_main(["gen", "--kind", "gaussian", "--n", "32", "-o", fpath])
     make = ["qlcst", "-i", fpath, "-o", cpath, "--m1", "0,1,-1,0",
             "--m2", "0,1,-1,0", "--window", "fixed-gauss:1,1"]
-    if command != "qlcst":
-        assert cli_main(make) == 0
     argv = {"qlcst": make,
             "reconstruct": ["reconstruct", "-i", cpath, "-o", out],
             "export-u": ["export", "-i", cpath, "-o", out, "--slice", "u",
                          "--index", "16,16"],
             "export-w": ["export", "-i", cpath, "-o", out, "--slice", "w",
                          "--index", "16,16"]}[command]
-    tracemalloc.start()
-    try:
-        assert cli_main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.15 * 2 * 32 ** 4 * 16
+    for tile_cols, bound in ((1024, 0.15), (256, 0.05)):
+        monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
+        if command != "qlcst":
+            assert cli_main(make) == 0
+        tracemalloc.start()
+        try:
+            assert cli_main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2 * 32 ** 4 * 16
 
 
 def test_cli_zero_b_rejected(tmp_path):

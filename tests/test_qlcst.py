@@ -13,7 +13,7 @@ from qlcst.errors import (AdmissibilityError, BadParameter, DegenerateAngle,
                           ZeroSignal, ZeroWindow)
 from qlcst.coefficients import ROW_BLOCK, TILE_COLS, _col_tiles, _row_blocks
 from qlcst.generators import gen_signal, random_hermite_combo
-from qlcst.io import open_coefficients, write_coefficients
+from qlcst.io import open_coefficients, read_coefficients, write_coefficients
 from qlcst.lct import kernel_const, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
 from qlcst.qlcst import (PROFILE_FLOOR, QLCSTAnalysis, QLCSTCoefficients,
@@ -257,7 +257,7 @@ def from_data(data, ugrid, wgrid):
     a, b = (p.transpose(0, 2, 1, 3).reshape(shape)
             for p in symplectic_split(data))
     return QLCSTCoefficients(a, b, ugrid, wgrid, fixed_gaussian(1, 1),
-                             FOURIER, FOURIER)
+                             FOURIER, FOURIER, ugrid)
 
 
 def test_planes_interleaved_roundtrip_bitexact():
@@ -716,8 +716,8 @@ def test_forward_blocks_match_one_contraction(window, case):
     want = _contract(a * g.cell, b * g.cell, *kernels(e1, e2))
     got = [np.empty_like(c.a), np.empty_like(c.b)]
     u = (ugrid.axis1.points, ugrid.axis2.points)
-    whole = [_col_tiles(len(u[1]), len(w2))]
-    for rows, cols, k, *planes in _analysis_tiles(f, window, u, (w1, w2), e1, e2, whole):
+    tiles = _col_tiles(len(u[1]), len(w2))
+    for rows, cols, k, *planes in _analysis_tiles(f, window, u, (w1, w2), e1, e2, tiles):
         for out, p in zip(got, planes):
             np.matmul(k, p, out=out[rows, cols])
     assert all(np.array_equal(p, q) for p, q in zip(got, want))
@@ -744,7 +744,7 @@ def test_streamed_residual_matches_full_formula(window):
 
     def tiles(f):
         analysis = qlcst_analysis(f, window, FOURIER, FOURIER, ugrid, wgrid)
-        return analysis.tile_factors(analysis._groups())
+        return analysis.tile_factors()
 
     def planes(f):
         c = qlcst_forward(f, window, FOURIER, FOURIER, ugrid, wgrid)
@@ -769,7 +769,7 @@ def test_streamed_residual_refuses_misaligned_blocks():
 
     def tiles(ugrid=g):
         analysis = qlcst_analysis(f, fixed_gaussian(1, 1), FOURIER, FOURIER, ugrid, wgrid)
-        return analysis.tile_factors(analysis._groups())
+        return analysis.tile_factors()
 
     for want, got in ((tiles(), tiles(longer)), (tiles(longer), tiles())):
         with pytest.raises(ValueError):
@@ -800,8 +800,8 @@ def test_reversed_blocks_are_reversed_planes(window):
 
     def planes(u, w, e):
         out = [np.empty(shape, dtype=complex) for _ in range(2)]
-        whole = [_col_tiles(len(u[1]), len(w[1]))]
-        for rows, cols, k, *ps in _analysis_tiles(f, window, u, w, *e, whole):
+        tiles = _col_tiles(len(u[1]), len(w[1]))
+        for rows, cols, k, *ps in _analysis_tiles(f, window, u, w, *e, tiles):
             for o, p in zip(out, ps):
                 o[rows, cols] = k @ p
         return out
@@ -895,7 +895,8 @@ def test_mu2_stage_is_the_formula(window):
     new arrays."""
     m = dict(MATRIX_CASES)["fractional(pi/3)"]()[0]
     C = qlcst_analysis(random_hermite_combo(grid(16), seed=5), window, FOURIER, m)
-    _, _, _, *got = next(C.tile_factors(C._groups(whole=True)))
+    assert C.col_tiles() == [slice(0, C.plane_shape[1])]
+    _, _, _, *got = next(C.tile_factors())
     want = formula_mu2_factors(C)
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
@@ -903,18 +904,19 @@ def test_mu2_stage_is_the_formula(window):
 @pytest.mark.parametrize("n", [32, 48])
 def test_mu2_stage_traced_peak(n):
     """The mu2 stage of the producer holds, at its traced peak, at most 1.7
-    times what it keeps for the blocks (the mu2 factors and the first K1
-    rows): one term's products go straight into the stacks and are combined
-    there through one temporary, made after K2 is freed.  It read 1.58 and
-    1.50 at N = 32 and 48 (fixed-gauss(1,1), Fourier); forming the planes
-    in new arrays read 3.33 and 3.39."""
+    times what it keeps for the blocks of its first column tile (the tile's
+    mu2 factors and the first K1 rows): one term's products go straight
+    into the stacks and are combined there through one temporary, made
+    after K2 is freed.  It read 1.56 and 1.49 at N = 32 and 48 (one tile of
+    the whole row and of half of it; fixed-gauss(1,1), Fourier), 1.58 and
+    1.50 for whole rows; forming the planes in new arrays read 3.33 and
+    3.39."""
     C = qlcst_analysis(gen_signal("gaussian", grid(n)), fixed_gaussian(1, 1),
                        FOURIER, FOURIER)
-    whole = C._groups(whole=True)
-    next(C.tile_factors(whole))  # lazy set-up done before tracing
+    next(C.tile_factors())  # lazy set-up done before tracing
     tracemalloc.start()
     try:
-        tiles = C.tile_factors(whole)
+        tiles = C.tile_factors()
         first = next(tiles)
         keeps, peak = tracemalloc.get_traced_memory()
     finally:
@@ -928,13 +930,13 @@ def streamed_working_set(n, tile_cols, temporaries):
     factors (2*N*W complex), two tile buffers (2*ROW_BLOCK*N*W), one term's
     mu2 temporary (its K2 rows of the tile or P - Q, N*W), the reduction's
     own temporaries of a tile (temporaries*N*W), the K1 rows of one block
-    (ROW_BLOCK*N^2), one partial of N^2 per column tile and plane, and 12
-    signal-sized arrays, plus numpy's cast buffers (0.26 MB)."""
+    (ROW_BLOCK*N^2), the partials of one column tile (N^2 per plane, the
+    reductions folding each tile's into their result as the next starts),
+    and 12 signal-sized arrays, plus numpy's cast buffers (0.26 MB)."""
     width = _col_tiles(n, n)[0].stop
-    ntiles = len(_col_tiles(n, n))
     assert width <= 1.5 * tile_cols
     return 16 * ((2 + 2 * ROW_BLOCK + 1 + temporaries) * n * width
-                 + (ROW_BLOCK + 2 * ntiles + 12) * n * n) + 2 ** 18
+                 + (ROW_BLOCK + 2 + 12) * n * n) + 2 ** 18
 
 
 WORKING_SET_CASES = [pytest.param(48, TILE_COLS, id="48"),
@@ -982,8 +984,10 @@ def test_streamed_lemma41_working_set(monkeypatch, n, tile_cols):
 
 @pytest.mark.parametrize("n, tile_cols", WORKING_SET_CASES)
 def test_streamed_marginal_working_set(monkeypatch, n, tile_cols):
-    """marginal_qlct_gap holds the working set of a streamed energy, its
-    partials of two planes per tile, then the direct oracle's QLCT."""
+    """marginal_qlct_gap holds the working set of a streamed energy, the
+    partials of two planes of one tile, then the direct oracle's QLCT: with
+    every tile's partials kept to the end of the pass (2*8 N^2 at N=48 with
+    eight tiles) it read 2.54 MB against a 2.40 MB bound."""
     monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
     f = gen_signal("gaussian", grid(n))
     gap, peak = traced_peak(marginal_qlct_gap, qlcst_analysis(
@@ -992,10 +996,27 @@ def test_streamed_marginal_working_set(monkeypatch, n, tile_cols):
     assert peak < streamed_working_set(n, tile_cols, 0)
 
 
+@pytest.mark.parametrize("n, tile_cols", WORKING_SET_CASES)
+def test_streamed_synthesis_working_set(monkeypatch, n, tile_cols):
+    """qlcst_reconstruct of an analysis holds the working set of a streamed
+    energy and the K1^H sums of one column tile (2*N*W), one block product,
+    the tile's adjoint K2 rows and one mu2 temporary (5*N*W in all): each
+    tile's sums are contracted as soon as the tile is done.  With every
+    tile's sums kept to the end of the pass it read 5.66 and 16.7 MB at
+    N=48 with eight tiles and at N=64 with four, against bounds of 3.5 and
+    13.9 MB."""
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
+    f = gen_signal("gaussian", grid(n))
+    rec, peak = traced_peak(qlcst_reconstruct, qlcst_analysis(
+        f, fixed_gaussian(1, 1), FOURIER, FOURIER))
+    assert relative_l2(rec.data, f.data) < 1e-12
+    assert peak < streamed_working_set(n, tile_cols, 5)
+
+
 @pytest.mark.parametrize("n, n1", [(33, 33), (12, 2 * ROW_BLOCK + 3)])
 def test_analysis_against_file_with_partial_last_block(tmp_path, n, n1):
     """Whenever the block size does not divide N_u1, every block an analysis
-    or a QCF2 file yields lies inside the plane, so the two line up: the
+    or a QCF3 file yields lies inside the plane, so the two line up: the
     form of an analysis against the file of a second one equals the form
     against that analysis itself."""
     g = grid(n)
@@ -1009,7 +1030,7 @@ def test_analysis_against_file_with_partial_last_block(tmp_path, n, n1):
     nrows, step = cf.plane_shape[0], ROW_BLOCK * cf.wgrid.axis1.n
     for src in (cf, fh):
         assert [(rows.start, rows.stop)
-                for rows, *_ in src.tile_factors(src._groups(whole=True))] == [
+                for rows, *_ in src.tile_factors()] == [
             (start, min(start + step, nrows)) for start in range(0, nrows, step)]
     want = orthogonality_form(cf, ch)
     got = orthogonality_form(cf, fh)
@@ -1029,7 +1050,7 @@ def test_analysis_against_file_with_partial_last_block(tmp_path, n, n1):
          "33-fixed-gauss-one-group", "12-fixed-gauss-3-tiles", "33-fixed-gauss-clipped"])
 def test_every_source_gives_the_same_bits(tmp_path, monkeypatch, case, n, n1, window,
                                           tile_cols):
-    """A stored set, the unstored analysis and its open QCF2 file yield the
+    """A stored set, the unstored analysis and its open QCF3 file yield the
     same tiles, so every reduction, synthesis, slice and written file is
     the same bits from each, and each cross form of two of them is the form
     of the analysis with itself: on a u grid of the first N_u1 signal points
@@ -1079,9 +1100,44 @@ def test_every_source_gives_the_same_bits(tmp_path, monkeypatch, case, n, n1, wi
         assert np.array_equal(orthogonality_form(cf, cg), want)
 
 
+def test_a_file_sums_by_its_own_tiles(tmp_path, monkeypatch):
+    """Files written at TILE_COLS = 64 (four tiles of four u2 groups at
+    N = 16) keep their tiles when read under the default (one tile):
+    read_coefficients gives the bits of the planes stored at 64, and a file
+    source sums by its own tiles, so its reductions are the bits of the
+    analysis at 64.  The orthogonality form of two sources whose tiles
+    differ is refused with GridMismatch instead of pairing tiles that do
+    not line up."""
+    n = 16
+    f, h = (random_hermite_combo(grid(n), seed=seed) for seed in (16, 17))
+    args = (fixed_gaussian(1, 0.7), FOURIER, FOURIER)
+    monkeypatch.setattr("qlcst.coefficients.TILE_COLS", 64)
+    narrow, narrow_h = (qlcst_analysis(x, *args) for x in (f, h))
+    tiles = narrow.col_tiles()
+    assert tiles == [slice(start, start + 64) for start in range(0, n * n, 64)]
+    stored = narrow.stored()
+    want = [narrow.density(), qlcst_reconstruct(narrow).data,
+            orthogonality_form(narrow, narrow_h), *lemma_41_gap(narrow, f)]
+    write_coefficients(tmp_path / "f.qcf", narrow)
+    write_coefficients(tmp_path / "h.qcf", narrow_h)
+    monkeypatch.undo()
+    src, src_h = (open_coefficients(tmp_path / name) for name in ("f.qcf", "h.qcf"))
+    assert src.col_tiles() == tiles
+    back = read_coefficients(tmp_path / "f.qcf")
+    assert np.array_equal(back.a, stored.a) and np.array_equal(back.b, stored.b)
+    got = [src.density(), qlcst_reconstruct(src).data, orthogonality_form(src, src_h),
+           *lemma_41_gap(src, f)]
+    assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+    wide = qlcst_analysis(f, *args)
+    assert wide.col_tiles() == back.col_tiles() == [slice(0, n * n)]
+    for cf, cg in ((src, wide), (back, src_h), (src, back)):
+        with pytest.raises(GridMismatch, match="column tiles"):
+            orthogonality_form(cf, cg)
+
+
 @pytest.mark.parametrize("n, n1", [(12, 7), (33, 33)])
 def test_block_size_changes_no_bits(tmp_path, monkeypatch, n, n1):
-    """The stored planes of qlcst_forward and the QCF2 bytes written from an
+    """The stored planes of qlcst_forward and the QCF3 bytes written from an
     unstored analysis are the same bits at ROW_BLOCK = 1, 2 and 4: on the
     first N_u1 = 7 signal points of an N=12 grid, where the last block of 2
     and of 4 rows is clipped, and at an odd N=33."""
@@ -1093,7 +1149,7 @@ def test_block_size_changes_no_bits(tmp_path, monkeypatch, n, n1):
     for size in (1, 2, 4):
         monkeypatch.setattr("qlcst.coefficients.ROW_BLOCK", size)
         analysis = qlcst_analysis(*args)
-        assert len(list(analysis.tile_factors(analysis._groups()))) == -(-n1 // size)
+        assert len(list(analysis.tile_factors())) == -(-n1 // size)
         stored = qlcst_forward(*args)
         write_coefficients(tmp_path / "c.qcf", analysis)
         got.append((stored.a, stored.b, (tmp_path / "c.qcf").read_bytes()))
@@ -1125,8 +1181,8 @@ def test_u_slice_of_an_analysis_computes_one_block():
 
     tile_factors = analysis.tile_factors
 
-    def counted_tiles(groups):
-        for rows, cols, k, a, b in tile_factors(groups):
+    def counted_tiles(tiles=None):
+        for rows, cols, k, a, b in tile_factors(tiles):
             read.append((rows, cols))
             yield rows, cols, k.view(Counted), a, b
 
@@ -1236,16 +1292,15 @@ def test_analysis_refuses_stacked_terms_beyond_memory(monkeypatch, tmp_path):
     assert peak < 1e6  # the stacked mu2 factors alone take 4.1 MB
 
 
-def test_tile_outer_refusal_counts_one_tile(monkeypatch):
-    """The refusal charges each producer the mu2 factors it holds: one
-    column tile's, 2*R*N_x1*|tile|, when tiles are outer, whole rows' in row
-    order.  With four tiles of 64 columns at N = 16 under the full-rank
-    table and a memory limit of 2.5 MB, between the 1.3 MB of one tile's
-    factors and one block of K1 rows and the 4.3 MB of whole rows',
-    covariance_residuals and qlcst_forward (whose 2.1 MB planes fit) run
-    and give the unlimited bits, while the analysis's tiles in one group of
-    whole rows, and the synthesis with its whole-row K1^H sums, are
-    refused."""
+def test_tile_outer_refusal_counts_one_tile(tmp_path, monkeypatch):
+    """The refusal charges the analysis and the synthesis what each holds:
+    one column tile's mu2 factors or K1^H sums, 2*R*N_x1*|tile|, and one
+    block of K1 rows.  With four tiles of 64 columns at N = 16 under the
+    full-rank table and a memory limit of 2.5 MB, between the 1.3 MB of one
+    tile's and the 4.3 MB of whole rows', covariance_residuals,
+    qlcst_forward (whose 2.1 MB planes fit) and the synthesis of a stored
+    set, an analysis and a file run and give the unlimited bits; a limit
+    below one tile's refuses them, naming one tile's bytes."""
     monkeypatch.setattr("qlcst.coefficients.TILE_COLS", 64)
     r, n = 31, 16
     assert [t.stop - t.start for t in _col_tiles(n, n)] == [64] * 4
@@ -1254,17 +1309,24 @@ def test_tile_outer_refusal_counts_one_tile(monkeypatch):
     limit = 25 * 10 ** 5
     assert one_tile < limit < rows and one_set(n) < limit
     want_rep, want = covariance_residuals(*args), qlcst_forward(*args)
+    write_coefficients(tmp_path / "c.qcf", want)
+    sources = (want, qlcst_analysis(*args), open_coefficients(tmp_path / "c.qcf"))
+    want_rec = qlcst_reconstruct(want).data
     monkeypatch.setattr("qlcst.coefficients._memory_limits",
                         lambda: [("a test limit", limit)])
     assert covariance_residuals(*args) == want_rep
     got = qlcst_forward(*args)
     assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
-    message = "stacked window terms of %.3g GB" % (rows / 1e9)
+    for c in sources:
+        assert np.array_equal(qlcst_reconstruct(c).data, want_rec)
+    monkeypatch.setattr("qlcst.coefficients._memory_limits",
+                        lambda: [("a test limit", one_tile - 1)])
+    message = "stacked window terms of %.3g GB" % (one_tile / 1e9)
     with pytest.raises(TooLarge, match=message):
-        analysis = qlcst_analysis(*args)
-        next(analysis.tile_factors(analysis._groups(whole=True)))
-    with pytest.raises(TooLarge, match=message):
-        qlcst_reconstruct(got)
+        qlcst_analysis(*args).energy()
+    for c in sources:
+        with pytest.raises(TooLarge, match=message):
+            qlcst_reconstruct(c)
 
 
 @pytest.mark.parametrize("window", [fixed_gaussian(1, 0.7), OFF_LATTICE_TABLE],
@@ -1306,7 +1368,7 @@ def whole_k1_planes(C):
                         u[1][:, None, None] - x[1], w[1][:, None])
     k1 = _kernel(_floor(p), _phase_matrix(C.m1, x[0], w[0]))
     planes = [np.empty(C.plane_shape, dtype=complex) for _ in range(2)]
-    for rows, cols, _, *parts in C.tile_factors(C._groups()):
+    for rows, cols, _, *parts in C.tile_factors():
         for plane, part in zip(planes, parts):
             np.matmul(k1[rows], part, out=plane[rows, cols])
     return planes
@@ -1343,7 +1405,7 @@ def whole_k1h_reconstruct(C):
     ids=["fixed-gauss", "s-gauss", "lattice-table", "full-rank-table"])
 def test_block_k1_gives_the_whole_k1_bits(tmp_path, window):
     """The K1 rows built per block are the rows of the whole K1, so the
-    planes of a stored set, an analysis and its QCF2 file, and every
+    planes of a stored set, an analysis and its QCF3 file, and every
     synthesis from them, are the bits of the whole-K1 algorithm, on a u grid
     of the first N_u1 = 3*ROW_BLOCK + 1 signal points of axis 1."""
     g = grid(16)
@@ -1388,8 +1450,8 @@ def test_k1_floor_comes_from_the_whole_profile():
     e1 = _phase_matrix(FOURIER, x1, w1)
     whole = _kernel(_floor(p.copy()), e1)
     # the K1 rows copied: the producer builds each block's into one buffer
-    blocks = [(rows, k.copy(), a) for rows, _, k, a, _ in
-              analysis.tile_factors(analysis._groups(whole=True))]
+    assert analysis.col_tiles() == [slice(0, analysis.plane_shape[1])]
+    blocks = [(rows, k.copy(), a) for rows, _, k, a, _ in analysis.tile_factors()]
     per_block = np.concatenate([
         _kernel(_floor(p[:, rows.start // len(w1):rows.stop // len(w1)].copy()), e1)
         for rows, *_ in blocks])
@@ -1738,7 +1800,8 @@ def test_planes_must_match_grids():
                       FOURIER, FOURIER)
     for a, b in [(c.a[:-1], c.b), (c.a, c.b[:, :-1]), (c.a.ravel(), c.b)]:
         with pytest.raises(GridMismatch, match="do not match grids"):
-            QLCSTCoefficients(a, b, c.ugrid, c.wgrid, c.window, c.m1, c.m2)
+            QLCSTCoefficients(a, b, c.ugrid, c.wgrid, c.window, c.m1, c.m2,
+                              c.signal_grid)
 
 
 def test_planes_read_only_and_density_cached():
@@ -1762,7 +1825,8 @@ def test_planes_read_only_and_density_cached():
     assert density is c.density()
     assert not density.flags.writeable
     assert np.array_equal(density, uncached)
-    fresh = QLCSTCoefficients(c.a, c.b, c.ugrid, c.wgrid, c.window, c.m1, c.m2)
+    fresh = QLCSTCoefficients(c.a, c.b, c.ugrid, c.wgrid, c.window, c.m1, c.m2,
+                              c.signal_grid)
     assert fresh._density is None
     for fn in (lambda C: C.energy(), lambda C: spectral_dispersion(C, 1),
                lambda C: spectral_dispersion(C, 2), spectral_log_moment):

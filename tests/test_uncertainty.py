@@ -257,7 +257,7 @@ def per_axis_lemma_41_gap(C, f, s):
 
 def test_lemma41_one_pass_matches_per_axis(tmp_path):
     """Both gaps from one pass equal, bit for bit, one pass per axis, for a
-    stored set, an unstored analysis and a QCF2 file, on a u grid whose N_u1
+    stored set, an unstored analysis and a QCF3 file, on a u grid whose N_u1
     the block size does not divide and matrices with A != D."""
     m = validate_param(0.8, -1.5, 0.4, 0.5)
     f = random_hermite_combo(Grid2D.centered(8.0, 12), seed=5)
