@@ -37,7 +37,9 @@ per-axis kernel matrices, which the analysis builds from its grids and
 _phase_matrix, and covariance_residuals by one side rule for all six sides,
 with reversed points (parity) or shifted kernel phases (shift, modulation),
 so it needs no analysis object.  Its shift analyses f's own samples on the x
-grid moved by alpha, the shifted signal exactly.  The pointwise inverse
+grid moved by alpha, the shifted signal exactly.  The two-source checks,
+covariance_residuals and orthogonality_form, read their sources by one rule
+(_row_products), one u1 row of products per side.  The pointwise inverse
 reads C.slice_planes(), so it too takes any source; on an unstored analysis
 that computes the mu2 factors of one tile and the u1 row of one block.
 Synthesis divides the adjoint sum by the frame sum sum_u |Psi(u - x)|^2 of
@@ -114,10 +116,15 @@ def _phase_matrix(m, x, w):
 def _floor(prof):
     """prof with its entries whose modulus is below PROFILE_FLOOR of their
     profile's peak set to exact zeros, in place; prof[r] is profile r and
-    its peak is taken over the whole of it."""
-    mag = np.abs(prof)
-    prof[mag < PROFILE_FLOOR * mag.max(axis=tuple(range(1, prof.ndim)),
-                                       keepdims=True)] = 0.0
+    its peak, max(p.max(), -p.min()) of the real profile p, is taken over
+    the whole of it.  The mask -t < p < t is formed over chunks of the u
+    axis (-3) of about 2**15 entries, so nothing of the profile's size is
+    made."""
+    axes = tuple(range(1, prof.ndim))
+    t = PROFILE_FLOOR * np.maximum(prof.max(axis=axes, keepdims=True),
+                                   -prof.min(axis=axes, keepdims=True))
+    for part in np.array_split(prof, min(prof.shape[-3], prof.size // 2 ** 15 + 1), -3):
+        part[(-t < part) & (part < t)] = 0.0
     return prof
 
 
@@ -125,7 +132,15 @@ def _floored_terms(window, y1, w1, y2, w2):
     """window_terms with every profile floored (_floor) over its whole
     extent: p per term, q per term and component.  The kernels are built
     only from these, so the kernel of some u rows of a profile is those
-    rows of its whole kernel."""
+    rows of its whole kernel.  The profiles, R*N_u*N_w*N_x floats on axis
+    1 and C times as many on axis 2 (N_w = 1 for a w-independent window),
+    are refused beyond the memory limit (TooLarge) before any exists."""
+    # R and C: the shape of the terms at one point
+    nterms, ncomp = window_terms(window, np.zeros(1), 1.0, np.zeros(1), 1.0)[1].shape[:2]
+    n1, n2 = (np.broadcast(y, w if window.w_dependent else 0).size
+              for y, w in ((y1, w1), (y2, w2)))
+    # floats, two to a complex value
+    _refuse_beyond_memory("window profiles", nterms * (n1 + ncomp * n2) / 2)
     p, q = window_terms(window, y1, w1, y2, w2)
     for prof in (p, *q):
         _floor(prof)
@@ -386,32 +401,59 @@ def qlcst_reconstruct(C):
     return QSignal2D(out / frame[..., None], g)
 
 
+def _row_products(streams, hold=2):
+    """Yield (cols, products) for each u1 row of each block of the
+    tile_factors() streams, zipped tile by tile (strict, so streams of
+    other block counts raise ValueError), and each plane in turn, a then b:
+    products holds that plane's row entries of every stream.  A stored set
+    or a file gives views; a producer gives k[u1 rows] @ a and @ b into
+    `hold` N_w1 by |tile| buffers of its own, allocated at the first block
+    (of the first tile, the widest): a and b their own (2), so both stay
+    valid until the next row, or one shared (1), valid until the next
+    plane.  The row products are the bits of the block's (see ROW_BLOCK).
+    A u1 row is 1/ROW_BLOCK of the first block's rows (_row_blocks): exact
+    on a plane of ROW_BLOCK u1 rows or more, finer on a smaller one, and
+    the same on every stream."""
+    bufs = None
+    for items in zip(*streams, strict=True):
+        rows, cols = items[0][:2]
+        if bufs is None:
+            step = max(1, rows.stop // ROW_BLOCK)
+            bufs = [None if k is None else np.empty((hold, step * a.shape[1]), dtype=complex)
+                    for _, _, k, a, _ in items]
+        for start in range(0, rows.stop - rows.start, step):
+            row = slice(start, start + step)
+            for i in range(2):
+                yield cols, [parts[i][row] if k is None
+                             else _product(k[row], parts[i], buf[i % hold])
+                             for (_, _, k, *parts), buf in zip(items, bufs)]
+
+
 def orthogonality_form(Cf, Cg):
     """Quaternion value of the double integral of Cf * conj(Cg) over (w, u),
     for two sources, stored or streamed, of the same grids, window,
     matrices and column tiles, summed by column tile
-    (coefficients._tile_sum).
+    (coefficients._tile_sum) one u1 row at a time (_row_products).
 
     (a1 + b1 mu2) conj(a2 + b2 mu2) = (a1 a2* + b1 b2*) + (b1 a2 - a1 b2) mu2.
-    Cg is Cf reads each tile of Cf once for both sides; two sources are
-    zipped tile by tile, so sources whose tiles differ (a file written at
-    another TILE_COLS) are refused with GridMismatch.
+    Cg is Cf reads one stream of Cf for both sides; two sources are zipped
+    tile by tile, so sources whose tiles differ (a file written at another
+    TILE_COLS) are refused with GridMismatch.  Every source's rows are the
+    same bits, so a cross form is the form of an analysis with itself.
     """
     if (any(getattr(Cf, name) != getattr(Cg, name)
             for name in ("ugrid", "wgrid", "window", "m1", "m2"))
             or Cf.col_tiles() != Cg.col_tiles()):
         raise GridMismatch("coefficient grids, window, matrices or column tiles differ")
-    pairs = (((tile, tile) for tile in Cf.tiles()) if Cg is Cf
-             else zip(Cf.tiles(), Cg.tiles(), strict=True))
 
-    def form(cols, fs, gs):
-        # flattened once: a stored set's tiles narrower than its rows are copied
-        af, bf, ag, bg = (np.ravel(t) for t in (*fs, *gs))
+    def form(cols, a, b):
+        # flattened once: a row of a stored tile narrower than the plane is copied
+        af, bf, ag, bg = (np.ravel(t) for t in (a[0], b[0], a[-1], b[-1]))
         return cols, [np.array([np.vdot(ag, af) + np.vdot(bg, bf),
                                 np.dot(bf, ag) - np.dot(af, bg)])]
 
-    (first, second), = _tile_sum(form(cols, fs, gs)
-                                 for (_, cols, *fs), (_, _, *gs) in pairs)
+    rows = _row_products([C.tile_factors() for C in ((Cf,) if Cg is Cf else (Cf, Cg))])
+    (first, second), = _tile_sum(form(cols, a, b) for (cols, a), (_, b) in zip(rows, rows))
     return symplectic_join(first, second) * Cf.cell4
 
 
@@ -438,24 +480,19 @@ def marginal_qlct_gap(C, f):
 def _streamed_rel_l2(want, got):
     """relative_l2, over the quaternion components, of the planes of the
     _analysis_tiles producer got against those of the producer want,
-    accumulated one plane tile at a time, so that no coefficient set and no
-    full-width mu2 factors are ever held, and of the K1 rows only each
-    producer's one reused block.  Both producers are built on the same
-    point counts and tiles, so their tiles line up.
-    Each tile gives, for each plane, two products into two reused tile
-    buffers: the reference k @ a and the difference gk @ ga - k @ a.
+    accumulated one u1 row of one plane tile at a time (_row_products), so
+    that no coefficient set and no full-width mu2 factors are ever held,
+    and of the K1 rows only each producer's one reused block.  Both
+    producers are built on the same point counts and tiles, so their tiles
+    line up.  Each row of each plane gives two products into one row
+    buffer of each producer: the reference k @ a and gk @ ga, from which
+    the reference is subtracted in place.
     """
     num = denom = 0.0
-    bufs = None
-    for (_, _, k, *planes), (_, _, gk, *gots) in zip(want, got, strict=True):
-        if bufs is None:  # the first tile of the first block is the largest
-            bufs = np.empty((2, len(k) * planes[0].shape[1]), dtype=complex)
-        for plane, other in zip(planes, gots):
-            ref = _product(k, plane, bufs[0])
-            diff = _product(gk, other, bufs[1])
-            diff -= ref
-            denom += np.vdot(ref, ref).real
-            num += np.vdot(diff, diff).real
+    for _, (ref, diff) in _row_products((want, got), hold=1):
+        diff -= ref
+        denom += np.vdot(ref, ref).real
+        num += np.vdot(diff, diff).real
     return math.sqrt(num / denom if denom else num)
 
 
@@ -484,14 +521,18 @@ def covariance_residuals(f, window, m1, m2, alpha=(1.0, 0.0), s=(1.0, 1.0)):
     are evaluated directly at (u - alpha, w).  The modulation identity
     evaluates the kernel at (x, w - s*B), the frequency shift in the
     frequency slot, and the window at w.  Each check zips the producers of
-    its two sides tile by tile (_analysis_tiles, _streamed_rel_l2), which
-    holds, besides one column tile's mu2 factors
-    and one block of K1 rows of each, two tile products.
+    its two sides tile by tile (_analysis_tiles, _streamed_rel_l2) on
+    column tiles of half the default u2 groups, so the two hold one
+    default tile's mu2 factors between them, as a one-source pass does,
+    besides one block of K1 rows and one u1 row's product of each.
     """
     x = u = _points(f.grid)  # the default u grid is f's grid
     w = _points(fft_output_grid(f.grid, m1.b, m2.b))
     w1, w2 = w
-    tiles = _col_tiles(len(u[1]), len(w2))
+    # half the default u2 groups: the two producers hold the mu2 factors of
+    # one default tile between them, as a one-source pass does
+    nu2, nw2 = len(u[1]), len(w2)
+    tiles = _col_tiles(nu2, nw2, max(1, _col_tiles(nu2, nw2)[0].stop // nw2 // 2))
     no_phase = (0.0, 0.0)
 
     def moved(t):

@@ -116,7 +116,13 @@ def window_axis_profile(spec, axis, x, w):
     if spec.family == "s-gaussian":
         if np.any(w == 0.0):
             raise ZeroFrequency("s-gaussian window undefined at zero frequency")
-        p = np.abs(w) * np.exp(-x * x * w * w / 2.0)
+        # in place, in the order of |w| * exp(-x*x*w*w/2), so that only the
+        # profile is of its (x, w) shape
+        p = np.multiply(-x * x, w, out=np.empty(np.broadcast_shapes(x.shape, w.shape)))
+        p *= w
+        p /= 2.0
+        np.exp(p, out=p)
+        p *= np.abs(w)
         if axis == 1:
             p /= 2.0 * math.pi
         return p

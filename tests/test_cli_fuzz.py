@@ -180,11 +180,15 @@ def test_cli_oversized_inputs_refused_under_an_address_limit(tmp_path):
     naming that limit.  The N=640 coefficient files of `qlcst` (5.4 TB) are
     streamed in a working set far below it, and end in a TooLarge line
     naming the free space of the output's file system, before a tile is
-    computed or a byte written."""
+    computed or a byte written.  Written to /dev/null, which is written in
+    place and so has no free space to refuse, the s-gauss analysis ends in
+    a TooLarge line naming that limit: its 4.2 GB of window profiles are
+    refused before any exists."""
     big = tmp_path / "big.qsg"
     write_signal(big, gen_signal("gaussian", Grid2D.centered(8.0, 640)))
     argvs_ = [argv + (["-i", str(big)] if argv[0] == "qlcst" else [])
               + ["-o", str(tmp_path / "o.bin")] for argv in OVERSIZED]
+    argvs_.append(OVERSIZED[2] + ["-i", str(big), "-o", os.devnull])
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs_)],
                           capture_output=True, text=True, timeout=120,
@@ -192,7 +196,10 @@ def test_cli_oversized_inputs_refused_under_an_address_limit(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for argv, (rc, lines) in zip(argvs_, json.loads(proc.stdout), strict=True):
         assert rc == 1 and len(lines) == 1, (argv, lines)
-        if argv[0] == "qlcst":
+        if argv[-1] == os.devnull:
+            assert lines[0] == ("error: window profiles of 4.19 GB do not fit in the "
+                                "2.15 GB of the address-space limit (RLIMIT_AS)"), lines
+        elif argv[0] == "qlcst":
             assert lines[0].startswith("error: an output of 5.37e+03 GB does not "
                                        "fit in the "), (argv, lines)
             assert lines[0].endswith(" GB free on %s" % os.path.realpath(tmp_path)), \

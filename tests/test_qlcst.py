@@ -17,8 +17,8 @@ from qlcst.io import open_coefficients, read_coefficients, write_coefficients
 from qlcst.lct import kernel_const, kernel_eval, kernel_phase, validate_param
 from qlcst.qlct import qlct_fast_forward, qlct_forward, qlct_inverse
 from qlcst.qlcst import (PROFILE_FLOOR, QLCSTAnalysis, QLCSTCoefficients,
-                         _analysis_tiles, _contract, _floor, _kernel,
-                         _phase_matrix, _right_contract, _streamed_rel_l2,
+                         _analysis_tiles, _contract, _floor, _floored_terms,
+                         _kernel, _phase_matrix, _right_contract, _streamed_rel_l2,
                          _w_adjoints, covariance_residuals,
                          energy_identity_gap, marginal_qlct_gap,
                          orthogonality_form, qlcst_analysis, qlcst_forward,
@@ -311,6 +311,70 @@ def test_s_gaussian_kernel_has_no_subnormals():
     parts = np.abs(k.view(float))
     assert np.all((parts == 0.0) | (parts >= np.finfo(float).tiny))
     assert np.array_equal(k != 0.0, np.broadcast_to(kept[0], (6, 4, 6)).reshape(k.shape))
+
+
+def formula_floored_terms(u, x, w):
+    """The floored s-gaussian terms of axis_terms by the whole-array
+    formulas: each profile as |w| * exp(-x*x*w*w/2) (over 2*pi on axis 1), and
+    its entries below PROFILE_FLOOR of the peak of |p| zeroed by the mask
+    of |p|."""
+    y, wc = u[:, None, None] - x, w[:, None]
+    q = np.abs(wc) * np.exp(-y * y * wc * wc / 2.0)
+    out = []
+    for prof in (q[None] / (2.0 * math.pi), q[None, None]):
+        mag = np.abs(prof)
+        prof[mag < PROFILE_FLOOR * mag.max(axis=tuple(range(1, prof.ndim)),
+                                           keepdims=True)] = 0.0
+        out.append(prof)
+    return out
+
+
+def test_profiles_are_made_in_place():
+    """The s-gaussian profiles at N=64 are evaluated and floored in place:
+    they are the bits of the whole-array formulas, and the traced peak of
+    forming both (4.2 MB) is within 10% of their size; evaluated with
+    whole-array temporaries and floored through |p| it read 6.6 MB."""
+    g = grid(64)
+    x = g.axis1.points
+    w = fft_output_grid(g, 1.0, 1.0).axis1.points
+    y, wc = x[:, None, None] - x, w[:, None]
+    got, peak = traced_peak(_floored_terms, s_gaussian(), y, wc, y, wc)
+    want = formula_floored_terms(x, x, w)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert np.count_nonzero(got[0] == 0.0) > 0
+    assert peak <= 1.1 * sum(a.nbytes for a in got)
+
+
+def test_profiles_refused_before_they_exist(monkeypatch):
+    """The window profiles, R*N_u*N_w*N_x floats per axis, are refused
+    beyond the memory limit before any exists: under a physical memory of
+    3 MB, between the 4.2 MB of the s-gaussian profiles at N=64 and the
+    2.2 MB of one tile's mu2 factors and one block of K1 rows, its analysis
+    raises TooLarge naming the profiles and the limit, and the profiles are
+    evaluated at one point only, for the counts R and C; the w-independent fixed gaussian, whose profiles are N_u*N_x
+    floats per axis, runs to the unpatched bits."""
+    n = 64
+    f = gen_signal("gaussian", grid(n))
+    profiles = 2 * n ** 3 * 8
+    stacked = n * (2 * TILE_COLS + ROW_BLOCK * n) * 16
+    assert stacked < 3 * 10 ** 6 < profiles
+    fixed = fixed_gaussian(1, 1)
+    want = qlcst_analysis(f, fixed, FOURIER, FOURIER).density()
+    monkeypatch.setattr("qlcst.coefficients._physical_memory", lambda: 3 * 10 ** 6)
+    assert np.array_equal(qlcst_analysis(f, fixed, FOURIER, FOURIER).density(), want)
+
+    points = []
+
+    def evaluated(window, y1, w1, y2, w2):
+        """window_terms, recording the points of each of its calls."""
+        points.append(np.broadcast(y1, w1).size + np.broadcast(y2, w2).size)
+        return window_terms(window, y1, w1, y2, w2)
+
+    monkeypatch.setattr("qlcst.qlcst.window_terms", evaluated)
+    with pytest.raises(TooLarge, match=r"^window profiles of %.3g GB do not fit in "
+                       r"the 0\.003 GB of physical memory$" % (profiles / 1e9)):
+        qlcst_analysis(f, s_gaussian(), FOURIER, FOURIER).energy()
+    assert points == [2]  # the terms at one point, for their count
 
 
 def test_x_only_window_product_identity():
@@ -1335,7 +1399,9 @@ def test_k1_is_built_one_block_at_a_time(monkeypatch, window):
     """The producer and the synthesis build the K1 (K1^H) rows of one block
     at a time: with N_u1 = 3*ROW_BLOCK + 1 (x2 of another length, so the K2
     are told apart) no kernel of the x1 axis has more than ROW_BLOCK*N_w1
-    rows, and those of one pass cover the N_u1*N_w1 plane rows once."""
+    rows, and those of one pass cover the N_u1*N_w1 plane rows once
+    (covariance_residuals: six producers on each of its two half-width
+    column tiles)."""
     g = Grid2D(Grid1D.centered(8.0, 3 * ROW_BLOCK + 1), Grid1D.centered(6.0, 10))
     f = random_hermite_combo(g, seed=13)
     args = (f, window, FOURIER, FOURIER)
@@ -1353,7 +1419,7 @@ def test_k1_is_built_one_block_at_a_time(monkeypatch, window):
     for run, passes in ((lambda: qlcst_analysis(*args).energy(), 1),
                         (lambda: qlcst_forward(*args), 1),
                         (lambda: qlcst_reconstruct(qlcst_analysis(*args)), 2),
-                        (lambda: covariance_residuals(*args), 6)):
+                        (lambda: covariance_residuals(*args), 6 * 2)):
         built.clear()
         run()
         assert max(built) == step and sum(built) == passes * nrows
@@ -1513,8 +1579,9 @@ def test_many_term_covariance_holds_no_stack(n):
     covariance_residuals stays below 1.6 times the mu2 factors of its two
     producers, 2 * 2*R*N_x1*N_u2*N_w2*16 bytes: besides them a check holds
     blocks only, no R-sized stack of the planes and no R*N_x1-square Gram
-    matrix.  It reads 1.42 at N = 12 and 1.28 at N = 16; with the stack and
-    the Gram matrix it read 2.81 and 2.73."""
+    matrix.  It reads 0.79 at N = 12 and 0.70 at N = 16 on half-width
+    tiles with row products, 1.42 and 1.28 on the default tiles with block
+    products; with the stack and the Gram matrix it read 2.81 and 2.73."""
     r = 2 * n - 1
     window = full_rank_table(n)
     f = gen_signal("gaussian", grid(n))
@@ -1532,33 +1599,63 @@ def test_many_term_covariance_holds_no_stack(n):
     (48, fixed_gaussian(1, 1), TILE_COLS), (16, FULL_RANK_TABLE, 64)],
     ids=["covariance-suite", "full-rank-table-4-tiles"])
 def test_covariance_holds_one_column_block(monkeypatch, n, window, tile_cols):
-    """covariance_residuals runs column tile outer, so at its traced peak it
-    holds, in complex values, for tiles of W columns: one tile's mu2
-    factors of both producers (4*R*N*W), two tile buffers
-    (2*ROW_BLOCK*N*W), one term's mu2 temporaries (its K2 rows of the tile
-    and P - Q, (C + 1)*N*W), the one reused block of K1 rows of each
-    producer (2*R*ROW_BLOCK*N^2), both producers' window terms
-    (R*(1 + C)*N^2) and 24 signal-sized arrays, plus numpy's cast buffers
-    (0.26 MB).  None of it grows as N^3 at a fixed W: on the covariance
-    suite's case (two tiles) and under the full-rank table with four tiles
-    it reads 8.9 and 3.6 MB against bounds of 10.2 and 3.7 MB; with each
-    block's K1 rows built anew while the last were held it read 8.9 and
-    4.1 MB, with whole-row factors 11.5 and 10.0 MB."""
+    """covariance_residuals runs column tile outer, on tiles of half the
+    default u2 groups, so at its traced peak it holds, in complex values,
+    for its tiles of W columns: one tile's mu2 factors of both producers
+    (4*R*N*W), one u1 row's product of each (2*N*W), one term's mu2
+    temporaries (its K2 rows of the tile and P - Q, (C + 1)*N*W), the one
+    reused block of K1 rows of each producer (2*R*ROW_BLOCK*N^2), both
+    producers' window terms (R*(1 + C)*N^2) and 24 signal-sized arrays,
+    plus numpy's cast buffers (0.26 MB).  None of it grows as N^3 at a
+    fixed W: on the covariance suite's case (four tiles of 576 columns) and
+    under the full-rank table with eight tiles of 32 it reads 4.0 and
+    2.4 MB against bounds of 4.9 and 2.6 MB; on the default tiles with two
+    block products it read 8.9 and 3.6 MB, with each block's K1 rows built
+    anew while the last were held 8.9 and 4.1 MB, with whole-row factors
+    11.5 and 10.0 MB."""
     monkeypatch.setattr("qlcst.coefficients.TILE_COLS", tile_cols)
-    width = _col_tiles(n, n)[0].stop
-    assert 1 < len(_col_tiles(n, n))
+    tiles = _col_tiles(n, n)
+    width = tiles[0].stop // 2
+    assert 1 < len(tiles) and width % n == 0
     f = gen_signal("gaussian", grid(n))
     _, q = axis_terms(window, *[f.grid.axis1.points] * 3)
     r, c = q.shape[:2]
-    bound = 16 * (4 * r * n * width + 2 * ROW_BLOCK * n * width + (c + 1) * n * width
+    bound = 16 * (4 * r * n * width + 2 * n * width + (c + 1) * n * width
                   + 2 * r * ROW_BLOCK * n * n + r * (1 + c) * n * n + 24 * n * n) + 2 ** 18
-    tracemalloc.start()
-    try:
-        rep = covariance_residuals(f, window, FOURIER, FOURIER)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(covariance_residuals, f, window, FOURIER, FOURIER)
     assert rep.parity < 1e-10
+    assert peak < bound
+
+
+@pytest.mark.parametrize("check, n, bound", [
+    ("covariance", 48, 4.4e6), ("covariance", 24, 1.2e6),
+    ("cross-orthogonality", 16, 0.66e6), ("cross-orthogonality", 32, 4.9e6)],
+    ids=["covariance-48", "covariance-24", "cross-orthogonality-16",
+         "cross-orthogonality-32"])
+def test_two_source_checks_hold_one_source_working_set(check, n, bound):
+    """A check that streams two sources holds what a one-source pass holds:
+    each side one u1 row of products (_row_products), and the covariance's
+    two producers, on tiles of half the default width, one default tile of
+    mu2 factors between them.  Traced peaks (fixed-gauss(1,1), Fourier, the
+    Gaussian against a Hermite combination for the cross form), the second
+    call in the process: covariance 3.97 and 1.09 MB at N = 48 and 24,
+    the cross form of two analyses 0.60 and 4.47 MB at N = 16 and 32; with
+    block products of both sides on the default tiles they read 8.83, 1.99,
+    0.87 and 6.57 MB.  Each bound was set once, about 10% above the first
+    reading."""
+    g = grid(n)
+    f, h = gen_signal("gaussian", g), random_hermite_combo(g, seed=3)
+    win = fixed_gaussian(1, 1)
+
+    def run():
+        if check == "covariance":
+            return covariance_residuals(f, win, FOURIER, FOURIER).parity
+        return qnorm(orthogonality_form(qlcst_analysis(f, win, FOURIER, FOURIER),
+                                        qlcst_analysis(h, win, FOURIER, FOURIER)))
+
+    want = run()  # lazy set-up done before tracing
+    got, peak = traced_peak(run)
+    assert got == want and math.isfinite(got)
     assert peak < bound
 
 
@@ -1610,8 +1707,8 @@ def test_verify_suite_traced_peak(suite):
     """The suites that once held whole coefficient sets only to reduce them
     stay below their bound of traced allocations: one coefficient set of the
     suite's grid, or 100 MB for the wide-u marginal.  The covariance (N=48)
-    holds two block products per check and stays below 0.13 of its 170 MB
-    set (it reads about 0.053)."""
+    holds one u1 row of products of each side per check and stays below
+    0.13 of its 170 MB set (it reads about 0.024)."""
     tracemalloc.start()
     try:
         passed, _ = run_suite(suite)

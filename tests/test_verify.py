@@ -1,6 +1,11 @@
 """The collector forms every verify line and verdict from a suite's checks,
 and every suite keeps its checks and cases."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,3 +83,30 @@ def test_matrix_case_suites_keep_their_cases(name):
     passed, lines = SUITES[name]()
     assert passed is True
     assert [line.split(":")[0] for line in lines] == CASE_LABELS[name]
+
+
+SEQUENCE = """
+import json, tracemalloc
+from qlcst.verify import SUITES
+tracemalloc.start()
+passed = [suite()[0] for suite in SUITES.values()]
+print(json.dumps([passed, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def test_suite_sequence_traced_peak():
+    """All twelve suites, run in order in one fresh process as the
+    acceptance gate runs them, stay below 7.0 MB of traced allocations,
+    the caches of the first runs included.  The bound was set once from
+    measurement: the sequence reads 6.56 MB, bounded by the marginal's
+    wide-u s-gaussian analysis, and read 9.89 MB when the covariance's two
+    producers held two default tiles of mu2 factors and two block products
+    of each check."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", SEQUENCE], capture_output=True,
+                          text=True, timeout=300,
+                          env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    passed, peak = json.loads(proc.stdout)
+    assert passed == [True] * len(SUITES)
+    assert peak < 7.0e6
